@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import cuts
@@ -170,33 +169,9 @@ def _cmd_qv_eval(args) -> int:
 def _cmd_qv_audit(args) -> int:
     prob = load_problem(args.file)
     qv = filter_qv(_build_order(prob, args.basis))
-    spec = SampleSpec(seed=args.seed, count=args.samples)
-    if args.jobs > 1:
-        report = _audit_parallel(qv, spec, args.jobs)
-    else:
-        report = qv_audit(qv, spec)
+    report = qv_audit(qv, SampleSpec(seed=args.seed, count=args.samples))
     print(report)
     return 0 if report.ok else 1
-
-
-def _audit_parallel(qv, spec: SampleSpec, jobs: int):
-    """Split the sample budget across derived seeds; chunk results are
-    reassembled in submission order, so output stays deterministic."""
-    from .quasival import AuditReport
-    counts = [spec.count // jobs + (1 if i < spec.count % jobs else 0) for i in range(jobs)]
-    specs = [SampleSpec(seed=spec.seed + i, count=max(1, c),
-                        coef_bound=spec.coef_bound, max_p_exp=spec.max_p_exp,
-                        poly_degree=spec.poly_degree)
-             for i, c in enumerate(counts) if c > 0]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        reports = list(pool.map(lambda s: qv_audit(qv, s), specs))
-    merged = []
-    for i, check in enumerate(reports[0].checks):
-        fails = tuple(f for r in reports for f in r.checks[i].failures)
-        total = sum(r.checks[i].count for r in reports)
-        merged.append(type(check)(check.name, total, fails))
-    return AuditReport(reports[0].provenance,
-                       spec.describe() + f" jobs={jobs}", tuple(merged))
 
 
 def _cmd_chain_descend(args) -> int:
@@ -284,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("file")
     pa.add_argument("--basis", required=True)
     common(pa, samples=500)
-    pa.add_argument("--jobs", type=int, default=1)
     pa.set_defaults(func=_cmd_qv_audit)
 
     p = sub.add_parser("chain", help="chain constructions")

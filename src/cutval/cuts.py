@@ -131,17 +131,6 @@ def _dropped_bound(c: Cut, level: int) -> Vec:
     return c.bound[: len(c.bound) - extra] if extra else c.bound
 
 
-def in_left_set(c: Cut, point: Vec) -> bool:
-    """Definitional membership of a group element in the cut's left set."""
-    if len(point) != c.rank:
-        raise RankMismatchError("point rank differs from cut rank")
-    if c.kind == BOTTOM:
-        return False
-    if c.kind == TOP:
-        return True
-    return point[: c.rank - c.level] <= c.bound
-
-
 def cut_add(a: Cut, b: Cut) -> Cut:
     """Left-set sum.  For AtMost operands the sum lives at the coarser
     level and adds the bounds there, since {<=x} + {<=y} = {<=x+y} in any
@@ -291,7 +280,7 @@ def parse_value(text: str, rank: int | None = None) -> Value:
 
 __all__ = [
     "Cut", "Value", "INF", "bottom", "top", "at_most", "embed_phi",
-    "zero_cut", "in_left_set", "cut_add", "cut_scale", "cut_translate",
+    "zero_cut", "cut_add", "cut_scale", "cut_translate",
     "cut_compare", "value_add", "value_translate", "value_scale",
     "value_compare", "value_min", "format_value", "parse_value",
 ]

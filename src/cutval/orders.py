@@ -12,18 +12,31 @@ lattice agree and tests check it.  Over Z only the predicate is kept
 The same constraint-group machinery hosts the ideal-containing variant,
 going-down, finite intersections, the strictly descending chains built
 from basis insertion, and the ascending matrix-algebra chain.
+
+Every membership test, lattice coordinate and evaluator coordinate is the
+value of a fixed linear row at a point x.  Over Q each row is cleared once,
+when its oracle or evaluator is built, to integers a_1..a_n over
+d = lcm of its denominators; each call clears x the same way to b_1..b_n
+over e, and each row value is then Fraction(sum a_i*b_i, d*e): integer
+multiplies and one normalizing gcd instead of a Fraction multiply and add
+(each with its own gcd) per entry.  The values are the same exact
+rationals.  Rows over Q(t) are summed term by term.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .algebra import (PolynomialAlgebra, StructureAlgebra, extend_to_basis,
                       in_span, is_independent, matrix_algebra, solve_columns)
 from .basedomain import BaseDomain, is_subdomain
 from .errors import ConfigError, DomainError, StructuralError
 from .samplers import (sample_in_domain, sample_member, sample_scalar)
-from .sampling import SampleSpec
+from .sampling import SampleSpec, check_sample_count
 from .stability import StableBasisCertificate, insert_many, stabilizer_finite
 
 
@@ -35,6 +48,34 @@ def _dot(row, x):
         if r and c:
             acc = acc + r * c
     return acc
+
+
+class _Rows:
+    """Fixed linear rows over the field `fieldobj`, evaluated at points x.
+
+    Over Q every row is stored cleared to integers: (a_1..a_n, d) with
+    row = (a_1..a_n) / d.  Rows over Q(t) are kept as they are.
+    """
+
+    __slots__ = ("rows", "cleared")
+
+    def __init__(self, fieldobj, rows):
+        self.rows = rows
+        self.cleared = (tuple(_clear(row) for row in rows)
+                        if fieldobj.kind == "Q" else None)
+
+    def values(self, x):
+        """The row values at x, in row order, computed as they are consumed."""
+        if self.cleared is None:
+            return (_dot(row, x) for row in self.rows)
+        b, e = _clear(x)
+        return (Fraction(sum(map(mul, a, b)), d * e) for a, d in self.cleared)
+
+
+def _clear(v):
+    """(integers, d) with v = integers / d and d the lcm of v's denominators."""
+    d = lcm(*(c.denominator for c in v))
+    return [c.numerator * (d // c.denominator) for c in v], d
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,18 +127,27 @@ class SubringOracle:
     lattice_rows: tuple | None = None
     contained_basis: tuple | None = None
     certificate: StableBasisCertificate | None = None
+    # The rows above in evaluable form (see _Rows), built once per oracle.
+    _constraint_rows: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    _lattice_rows: _Rows | None = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        fieldobj = self.algebra.field
+        object.__setattr__(self, "_constraint_rows", tuple(
+            (dom, _Rows(fieldobj, rows)) for dom, rows in self.constraints))
+        object.__setattr__(self, "_lattice_rows", None if self.lattice_rows is None
+                           else _Rows(fieldobj, self.lattice_rows))
 
     def contains(self, x) -> bool:
         if len(x) != self.algebra.dim:
             raise ConfigError("element does not belong to the oracle's algebra")
-        return all(
-            dom.contains(_dot(row, x)) for dom, rows in self.constraints for row in rows
-        )
+        return all(dom.contains(c) for dom, rows in self._constraint_rows
+                   for c in rows.values(x))
 
     def lattice_coords(self, x) -> tuple:
-        if self.lattice_rows is None:
+        if self._lattice_rows is None:
             raise ConfigError("oracle has no lattice representation")
-        return tuple(_dot(row, x) for row in self.lattice_rows)
+        return tuple(self._lattice_rows.values(x))
 
 
 def oracle_to_json(oracle: "SubringOracle") -> dict:
@@ -194,11 +244,12 @@ def left_order(M: LatticeModule, stabilizer=None,
     n = alg.dim
     if len(M.basis) != n:
         raise StructuralError("left order needs a full basis of A")
-    binv = _invert(alg.field, [[M.basis[i][r] for i in range(n)] for r in range(n)])
+    binv = _Rows(alg.field, _invert(alg.field, [[M.basis[i][r] for i in range(n)]
+                                                 for r in range(n)]))
     rows = []
     for b in M.basis:
         # column i of the map x -> coords of x*b is coords(e_i * b)
-        cols = [[_dot(br, alg.mul(alg.basis_vector(i), b)) for br in binv] for i in range(n)]
+        cols = [list(binv.values(alg.mul(alg.basis_vector(i), b))) for i in range(n)]
         for r in range(n):
             rows.append(tuple(cols[i][r] for i in range(n)))
     lattice_basis = lattice_rows = None
@@ -265,6 +316,7 @@ def verify_nice(oracle, spec: SampleSpec) -> NiceReport:
     """Audit R for S-niceness: ring closure and S*1 (sampled), RF = A by a
     basis exhibited inside R (exact), lying over S (exact via the lattice
     scalar test when available, sampled otherwise)."""
+    check_sample_count(spec)
     if isinstance(oracle, PolySubring):
         return _verify_nice_poly(oracle, spec)
     alg, domain = oracle.algebra, oracle.domain
@@ -403,10 +455,11 @@ def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
     basis = extend_to_basis(alg, list(ideal.basis))
     t = len(ideal.basis)
     n = alg.dim
-    binv = _invert(alg.field, [[basis[i][r] for i in range(n)] for r in range(n)])
+    binv = _Rows(alg.field, _invert(alg.field, [[basis[i][r] for i in range(n)]
+                                                 for r in range(n)]))
     rows = []
     for b in basis[t:]:
-        cols = [[_dot(br, alg.mul(alg.basis_vector(i), b)) for br in binv] for i in range(n)]
+        cols = [list(binv.values(alg.mul(alg.basis_vector(i), b))) for i in range(n)]
         for r in range(t, n):
             rows.append(tuple(cols[i][r] for i in range(n)))
     cert = stabilizer_finite(alg, tuple(basis), domain)

@@ -37,11 +37,6 @@ def group_neg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
 
-def group_sub(a: Vec, b: Vec) -> Vec:
-    check_rank(a, b)
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def zero(rank: int) -> Vec:
     if rank < 1:
         raise StructuralError("rank must be >= 1")

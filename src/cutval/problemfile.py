@@ -52,14 +52,34 @@ class Problem:
 
 
 def load_problem(source) -> Problem:
-    """Parse and validate a problem file (path, file object or dict)."""
+    """Parse and validate a problem file (path, file object or dict).
+
+    A file that cannot be read, is not JSON or lacks a required key raises
+    StructuralError naming the file or the key.
+    """
     if isinstance(source, dict):
-        data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
+        where, data = "problem", source
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        where = f"problem file {getattr(source, 'name', source)}"
+        try:
+            if hasattr(source, "read"):
+                data = json.load(source)
+            else:
+                with open(source, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+        except OSError as exc:
+            raise StructuralError(f"cannot read {where}: {exc.strerror}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise StructuralError(f"{where} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise StructuralError(f"{where} is not a JSON object")
+    try:
+        return _parse(data)
+    except KeyError as exc:
+        raise StructuralError(f"{where} lacks the required key {exc.args[0]!r}") from exc
+
+
+def _parse(data: dict) -> Problem:
     if data.get("format") != 1:
         raise StructuralError(f"unsupported format {data.get('format')!r} (need 1)")
     fdesc = data["field"]

@@ -28,6 +28,7 @@ valuation, the same formula over the monomial basis.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from .algebra import PolynomialAlgebra
@@ -35,10 +36,10 @@ from .basedomain import BaseDomain
 from .cuts import (INF, Value, embed_phi, format_value, value_add,
                    value_compare, value_min, value_translate, zero_cut)
 from .errors import ConfigError, DomainError
-from .orders import PolySubring, SubringOracle, _dot
+from .orders import PolySubring, SubringOracle, _Rows
 from .samplers import (sample_algebra_element, sample_in_domain,
                        sample_member, sample_poly_element, sample_scalar)
-from .sampling import SampleSpec
+from .sampling import SampleSpec, check_sample_count
 
 
 @dataclass(frozen=True)
@@ -47,15 +48,17 @@ class SupportValue:
 
     mu: tuple | None
 
-    @property
-    def is_zero_support(self) -> bool:
-        return self.mu is None
-
 
 @dataclass(frozen=True, eq=False)
 class FilterQV:
     oracle: object
     product_rows: tuple | None  # per lattice-basis element: rows of x -> coords(x * r_j)
+    # product_rows in evaluable form (see orders._Rows), built once per evaluator.
+    _product_rows: _Rows | None = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_product_rows", None if self.product_rows is None
+                           else _Rows(self.algebra.field, self.product_rows))
 
     @property
     def algebra(self):
@@ -99,11 +102,7 @@ def support_mu(qv: FilterQV, x) -> SupportValue:
     else:
         if len(x) != qv.algebra.dim:
             raise ConfigError("element does not belong to the evaluator's algebra")
-        vals = []
-        for row in qv.product_rows:
-            c = _dot(row, x)
-            if c:
-                vals.append(field.value(c))
+        vals = [field.value(c) for c in qv._product_rows.values(x) if c]
     if not vals:
         return SupportValue(None)
     return SupportValue(min(vals))
@@ -122,7 +121,7 @@ def eval_via_clearing(qv: FilterQV, x) -> Value:
     if qv.product_rows is None:
         coeffs = list(x.values())
     else:
-        coeffs = [_dot(row, x) for row in qv.product_rows]
+        coeffs = list(qv._product_rows.values(x))
     if all(not c for c in coeffs):
         return INF
     s = qv.domain.clear_many(coeffs)
@@ -180,6 +179,7 @@ def qv_audit(qv: FilterQV, spec: SampleSpec) -> AuditReport:
     """Axioms B1-B3, the O_v scalar law, extension of v on F*1, the
     quasi-valuation-ring law O_W = R, Bottom-freedom of the image, unit
     normalization, and agreement with the clearing-based second path."""
+    check_sample_count(spec)
     alg, field, domain = qv.algebra, qv.field, qv.domain
     rng = spec.rng()
     rank = qv.rank

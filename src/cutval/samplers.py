@@ -36,14 +36,6 @@ def sample_scalar(rng: SplitMix64, spec: SampleSpec, field: ValuedField):
     return sample_ratfunc(rng, spec, field.p)
 
 
-def sample_nonzero_scalar(rng: SplitMix64, spec: SampleSpec, field: ValuedField):
-    for _ in range(64):
-        x = sample_scalar(rng, spec, field)
-        if x:
-            return x
-    return field.one
-
-
 def sample_in_domain(rng: SplitMix64, spec: SampleSpec, domain: BaseDomain):
     """An element of S (not necessarily nonzero)."""
     if domain.kind == "Z":
@@ -67,14 +59,6 @@ def sample_in_domain(rng: SplitMix64, spec: SampleSpec, domain: BaseDomain):
     if v >= (0, 0):
         return f
     return f * field.element_with_value((max(0, -v[0]), max(0, -v[1])))
-
-
-def sample_nonzero_in_domain(rng: SplitMix64, spec: SampleSpec, domain: BaseDomain):
-    for _ in range(64):
-        x = sample_in_domain(rng, spec, domain)
-        if x:
-            return x
-    return domain.one
 
 
 def sample_algebra_element(rng: SplitMix64, spec: SampleSpec, alg: StructureAlgebra):

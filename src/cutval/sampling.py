@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DomainError
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -79,6 +81,14 @@ class SampleSpec:
         return SplitMix64(self.seed)
 
 
+def check_sample_count(spec: SampleSpec) -> None:
+    """An audit draws spec.count samples; with none every sampled check
+    would pass vacuously, so that is refused."""
+    if spec.count < 1:
+        raise DomainError(f"an audit needs at least one sample, got count={spec.count}; "
+                          "with none it would pass vacuously")
+
+
 def sample_int(rng: SplitMix64, bound: int) -> int:
     return rng.randint(-bound, bound)
 
@@ -103,12 +113,3 @@ def _small_coprime(rng: SplitMix64, p: int) -> int:
         d = rng.randint(2, 9)
         if d % p != 0:
             return d
-
-
-def sample_unit_rational(rng: SplitMix64, spec: SampleSpec, p: int) -> Fraction:
-    """A nonzero rational with v_p = 0."""
-    while True:
-        num = sample_int(rng, spec.coef_bound)
-        if num != 0 and num % p != 0:
-            break
-    return Fraction(num, _small_coprime(rng, p))

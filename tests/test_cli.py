@@ -104,12 +104,14 @@ def test_qv_audit_deterministic(capsys, m2_file):
     assert "PASS" in out1 and "FAIL" not in out1
 
 
-def test_qv_audit_jobs(capsys, m2_file):
-    argv = ["qv", "audit", m2_file, "--basis", "units", "--samples", "60",
-            "--seed", "7", "--jobs", "3"]
-    rc1, out1 = run(capsys, argv)
-    rc2, out2 = run(capsys, argv)
-    assert rc1 == rc2 == 0 and out1 == out2
+@pytest.mark.parametrize("command", [["qv", "audit"], ["nice"]])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_audit_refuses_to_pass_vacuously(capsys, m2_file, command, samples):
+    rc = main(command + [m2_file, "--basis", "units", "--samples", samples])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "PASS" not in captured.out
+    assert captured.err.startswith("FAIL: ") and f"count={samples}" in captured.err
 
 
 def test_stable_and_nice(capsys, m2_file):
@@ -156,6 +158,41 @@ def test_load_problem_validates(tmp_path, field_q):
     path.write_text(json.dumps(data))
     with pytest.raises(StructuralError):
         load_problem(str(path))
+
+
+def run_failing(capsys, argv):
+    """Exit status and stderr of a run that must fail closed."""
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return rc, captured.err
+
+
+def test_missing_problem_file_fails_closed(capsys, tmp_path):
+    path = str(tmp_path / "absent.json")
+    rc, err = run_failing(capsys, ["nice", path, "--basis", "units"])
+    assert rc == 1
+    assert err.startswith("FAIL: cannot read problem file") and path in err
+
+
+@pytest.mark.parametrize("text, reason", [('{"format": 1, "field": ', "not valid JSON"),
+                                          ("[1, 2]", "not a JSON object")])
+def test_malformed_problem_json_fails_closed(capsys, tmp_path, text, reason):
+    path = tmp_path / "broken.json"
+    path.write_text(text)
+    rc, err = run_failing(capsys, ["qv", "audit", str(path), "--basis", "units"])
+    assert rc == 1
+    assert err.startswith(f"FAIL: problem file {path}") and reason in err
+
+
+def test_problem_missing_key_fails_closed(capsys, tmp_path, field_q):
+    data = problem_dict(matrix_algebra(field_q, 2), {"kind": "Zp", "p": 2})
+    del data["field"]["p"]
+    path = tmp_path / "nop.json"
+    path.write_text(json.dumps(data))
+    rc, err = run_failing(capsys, ["stable", str(path), "--basis", "units"])
+    assert rc == 1
+    assert err.startswith("FAIL: problem file") and "required key 'p'" in err
 
 
 def test_qt_problem_round_trip(tmp_path, capsys):

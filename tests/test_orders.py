@@ -5,14 +5,17 @@ from fractions import Fraction
 import pytest
 
 from cutval.algebra import (PolynomialAlgebra, coords_in_basis, matrix_algebra,
-                            matrix_element, quadratic_algebra)
+                            matrix_element, quadratic_algebra, rank_of)
 from cutval.basedomain import integers, p_local
+from cutval.cuts import INF, embed_phi, value_translate
 from cutval.errors import DomainError, StructuralError
+from cutval.numfield import RationalFunction, ValuedField
 from cutval.orders import (IdealSpec, LatticeModule, PolySubring,
-                           SubringOracle, descend_chain, going_down,
+                           SubringOracle, _Rows, descend_chain, going_down,
                            intersect_oracles, lattice_membership, left_order,
                            matrix_nice_chain, nice_from_certificate,
                            nice_with_ideal, verify_nice)
+from cutval.quasival import eval_via_clearing, filter_qv, support_mu
 from cutval.samplers import (sample_algebra_element, sample_member,
                              sample_poly_element, sample_scalar)
 from cutval.sampling import SampleSpec, SplitMix64
@@ -422,3 +425,108 @@ def test_descend_chain_from_plain_units(m2):
     spec = SampleSpec(seed=47, count=80)
     for oracle in chain.oracles:
         assert verify_nice(oracle, spec).ok
+
+
+# --- row evaluation against the term-by-term Fraction reference --------------
+
+
+def dot_reference(row, x):
+    """Row value at x as a chain of Fraction multiplies and adds."""
+    it = iter(zip(row, x))
+    r0, x0 = next(it)
+    acc = r0 * x0
+    for r, c in it:
+        if r and c:
+            acc = acc + r * c
+    return acc
+
+
+def big_int(rng, bits):
+    """A positive integer of exactly `bits` bits."""
+    v = 0
+    for _ in range(bits // 64 + 1):
+        v = (v << 64) | rng.next_u64()
+    return v % (1 << (bits - 1)) | (1 << (bits - 1))
+
+
+def random_entry(rng, integral):
+    """Zero, a small integer, or (unless integral) a small or huge rational;
+    either sign."""
+    kind = rng.randrange(5 if not integral else 3)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9))
+    if kind == 2:
+        return Fraction(big_int(rng, 1100) * (-1) ** rng.randrange(2))
+    if kind == 3:
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 60))
+    return Fraction(big_int(rng, 1030) * (-1) ** rng.randrange(2), big_int(rng, 1010))
+
+
+def test_rows_match_fraction_reference(field_q):
+    rng = SplitMix64(97)
+    huge = 0
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        rows = [tuple(random_entry(rng, integral=rng.randrange(3) == 0) for _ in range(n))
+                for _ in range(rng.randint(1, 6))]
+        rows.append((Fraction(0),) * n)
+        x = tuple(random_entry(rng, integral=rng.randrange(3) == 0) for _ in range(n))
+        got = list(_Rows(field_q, rows).values(x))
+        assert got == [dot_reference(row, x) for row in rows]
+        assert all(type(c) is Fraction for c in got)
+        huge += any(c.numerator.bit_length() > 1000 for row in rows for c in row)
+    assert huge > 50
+
+
+def test_rows_over_qt_keep_the_term_loop(field_qt):
+    t = RationalFunction.T
+    one = field_qt.one
+    rows = [(one / t, field_qt.scalar(3), field_qt.zero), (t * t, one / (one + t), t)]
+    x = (t, field_qt.scalar("1/2"), one / (t + one))
+    assert list(_Rows(field_qt, rows).values(x)) == [dot_reference(r, x) for r in rows]
+
+
+def clearing_reference(qv, x):
+    """eval_via_clearing on reference row values."""
+    coeffs = [dot_reference(row, x) for row in qv.product_rows]
+    if not any(coeffs):
+        return INF
+    s = qv.domain.clear_many(coeffs)
+    sx = qv.algebra.smul(s, x)
+    vals = [qv.field.value(c) for c in (dot_reference(row, sx) for row in qv.product_rows) if c]
+    return value_translate(embed_phi(min(vals)), qv.field.value(s))
+
+
+@pytest.mark.parametrize("domain", [p_local(3), integers()], ids=["Z_(3)", "Z"])
+def test_m3_random_basis_rows_match_reference(domain):
+    field = ValuedField("Q", 3)
+    alg = matrix_algebra(field, 3)
+    draw = SampleSpec(seed=7, count=0, coef_bound=5, max_p_exp=2)
+    rng = draw.rng()
+    basis = None
+    while basis is None:
+        cand = [tuple(sample_scalar(rng, draw, field) for _ in range(alg.dim))
+                for _ in range(alg.dim)]
+        if rank_of(field, cand) == alg.dim:
+            basis = tuple(cand)
+    R = nice_from_certificate(stabilizer_finite(alg, basis, domain))
+    qv = filter_qv(R) if domain.is_valuation_like else None
+    spec = SampleSpec(seed=101, count=12)
+    rng = spec.rng()
+    members = 0
+    for k in range(12):
+        x = sample_member(rng, spec, R) if k % 2 else sample_algebra_element(rng, spec, alg)
+        inside = all(dom.contains(dot_reference(row, x))
+                     for dom, rows in R.constraints for row in rows)
+        assert R.contains(x) == inside
+        members += inside
+        if qv is None:
+            continue
+        assert R.lattice_coords(x) == tuple(dot_reference(row, x) for row in R.lattice_rows)
+        vals = [qv.field.value(c) for c in (dot_reference(row, x) for row in qv.product_rows)
+                if c]
+        assert support_mu(qv, x).mu == (min(vals) if vals else None)
+        assert eval_via_clearing(qv, x) == clearing_reference(qv, x)
+    assert members >= 6
