@@ -2,9 +2,19 @@
 
 Elements of a :class:`StructureAlgebra` are plain tuples of field scalars
 (coordinates in the ambient basis); all operations are free functions or
-methods taking those tuples.  Exact linear algebra (fraction-free in
-spirit: ordinary Gaussian elimination over the exact field with
-first-nonzero pivoting) backs coordinate expansions.
+methods taking those tuples.
+
+Exact linear algebra has one elimination loop, `_eliminate`, whose pivot
+is the first row with a nonzero entry in the column or, given a key such
+as a domain's valuation, the row of least key (ties to the lowest index).
+`solve_columns`, `rank_of`, `invert` and the lattice elimination of
+`orders` are calls into it.  Coordinates over a basis are the values of
+the rows of `coordinate_rows`, the basis's inverse, and `product_rows`
+stacks the rows of x -> coords(x*b).  `_Rows` evaluates fixed rows: over Q
+each row is cleared once to integers a_i over d = lcm of its denominators,
+each x to b_i over e, and a row value is Fraction(sum a_i*b_i, d*e), one
+normalizing gcd instead of a Fraction multiply and add per entry.  Rows
+over Q(t) are summed term by term.
 
 The polynomial backend :class:`PolynomialAlgebra` represents F[y] with the
 monomial basis; elements are sparse exponent -> coefficient dicts.
@@ -12,8 +22,10 @@ monomial basis; elements are sparse exponent -> coefficient dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import ConfigError, StructuralError
 from .numfield import ValuedField
@@ -103,6 +115,48 @@ class StructureAlgebra:
 # --- exact linear algebra -------------------------------------------------
 
 
+def _eliminate(rows, ncols, key=None):
+    """Forward elimination on the first ncols columns: (pivots, rest).
+
+    Each pivot row (see the module docstring) leaves the pool unscaled and
+    its column is cleared from the rest, across whole rows, so entries past
+    ncols ride along as right-hand sides.  pivots[col] is None when no row
+    is nonzero in the column; rest is the pool left at the end.
+    """
+    pool = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        live = [k for k, row in enumerate(pool) if row[col]]
+        if not live:
+            pivots.append(None)
+            continue
+        best = live[0] if key is None else min(live, key=lambda k: key(pool[k][col]))
+        pivot = pool.pop(best)
+        pv = pivot[col]
+        for row in pool:
+            if row[col]:
+                f = row[col] / pv
+                for i, p in enumerate(pivot):
+                    if p:
+                        row[i] = row[i] - f * p
+        pivots.append(pivot)
+    return pivots, pool
+
+
+def _back_substitute(pivots, ncols):
+    """X with U X = R for full-rank pivot rows [U | R] from _eliminate;
+    X[k] lists row k of the solution over R's columns."""
+    xs = [None] * ncols
+    for k in range(ncols - 1, -1, -1):
+        row = pivots[k]
+        acc = row[ncols:]
+        for j in range(k + 1, ncols):
+            if row[j]:
+                acc = [a - row[j] * x if x else a for a, x in zip(acc, xs[j])]
+        xs[k] = [a / row[k] for a in acc]
+    return xs
+
+
 def solve_columns(fieldobj: ValuedField, columns, target):
     """Coordinates c with sum c_i * columns[i] = target, exactly.
 
@@ -110,46 +164,30 @@ def solve_columns(fieldobj: ValuedField, columns, target):
     system (target outside the span when len(columns) < len(target)).
     """
     m = len(columns)
-    n = len(target)
-    rows = [[columns[i][r] for i in range(m)] + [target[r]] for r in range(n)]
-    piv_rows: list[int] = []
-    r0 = 0
-    for col in range(m):
-        pivot = next((r for r in range(r0, n) if rows[r][col]), None)
-        if pivot is None:
-            raise StructuralError("dependent columns in linear solve")
-        rows[r0], rows[pivot] = rows[pivot], rows[r0]
-        pv = rows[r0][col]
-        rows[r0] = [a / pv for a in rows[r0]]
-        for r in range(n):
-            if r != r0 and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[r0])]
-        piv_rows.append(r0)
-        r0 += 1
-    for r in range(r0, n):
-        if rows[r][m]:
-            raise StructuralError("target outside the span of the columns")
-    return tuple(rows[piv_rows[col]][m] for col in range(m))
+    rows = [[col[r] for col in columns] + [t] for r, t in enumerate(target)]
+    pivots, rest = _eliminate(rows, m)
+    if any(p is None for p in pivots):
+        raise StructuralError("dependent columns in linear solve")
+    if any(row[m] for row in rest):
+        raise StructuralError("target outside the span of the columns")
+    return tuple(x[0] for x in _back_substitute(pivots, m))
 
 
 def rank_of(fieldobj: ValuedField, vectors) -> int:
-    vecs = [list(v) for v in vectors]
-    n = len(vecs[0]) if vecs else 0
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, len(vecs)) if vecs[r][col]), None)
-        if pivot is None:
-            continue
-        vecs[rank], vecs[pivot] = vecs[pivot], vecs[rank]
-        pv = vecs[rank][col]
-        vecs[rank] = [a / pv for a in vecs[rank]]
-        for r in range(len(vecs)):
-            if r != rank and vecs[r][col]:
-                f = vecs[r][col]
-                vecs[r] = [a - f * b for a, b in zip(vecs[r], vecs[rank])]
-        rank += 1
-    return rank
+    vectors = list(vectors)
+    pivots, _ = _eliminate(vectors, len(vectors[0]) if vectors else 0)
+    return sum(p is not None for p in pivots)
+
+
+def invert(fieldobj: ValuedField, rows) -> list:
+    """Exact inverse of a square matrix given as a list of rows."""
+    n = len(rows)
+    one, zero = fieldobj.one, fieldobj.zero
+    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
+    pivots, _ = _eliminate(aug, n)
+    if any(p is None for p in pivots):
+        raise StructuralError("singular matrix")
+    return _back_substitute(pivots, n)
 
 
 def is_independent(fieldobj: ValuedField, vectors) -> bool:
@@ -160,14 +198,6 @@ def is_independent(fieldobj: ValuedField, vectors) -> bool:
 def coords_in_basis(alg: StructureAlgebra, x: Element, basis) -> tuple:
     """Expand x in an independent family; unique exact coordinates."""
     return solve_columns(alg.field, list(basis), x)
-
-
-def in_span(alg: StructureAlgebra, x: Element, vectors) -> bool:
-    try:
-        solve_columns(alg.field, list(vectors), x)
-        return True
-    except StructuralError:
-        return False
 
 
 def extend_to_basis(alg: StructureAlgebra, vectors) -> list:
@@ -184,6 +214,67 @@ def extend_to_basis(alg: StructureAlgebra, vectors) -> list:
     if len(out) != alg.dim:
         raise StructuralError("failed to extend to a basis")
     return out
+
+
+# --- coordinate rows --------------------------------------------------------
+
+
+def _dot(row, x):
+    it = iter(zip(row, x))
+    r0, x0 = next(it)
+    acc = r0 * x0
+    for r, c in it:
+        if r and c:
+            acc = acc + r * c
+    return acc
+
+
+def _clear(v):
+    """(integers, d) with v = integers / d and d the lcm of v's denominators."""
+    d = lcm(*(c.denominator for c in v))
+    return [c.numerator * (d // c.denominator) for c in v], d
+
+
+class _Rows:
+    """Fixed linear rows over `fieldobj`, evaluated at points x; over Q
+    each row is stored as (a_1..a_n, d) with row = (a_1..a_n) / d."""
+
+    __slots__ = ("rows", "cleared")
+
+    def __init__(self, fieldobj, rows):
+        self.rows = rows
+        self.cleared = (tuple(_clear(row) for row in rows)
+                        if fieldobj.kind == "Q" else None)
+
+    def values(self, x):
+        """The row values at x, in row order, computed as they are consumed."""
+        if self.cleared is None:
+            return (_dot(row, x) for row in self.rows)
+        b, e = _clear(x)
+        return (Fraction(sum(map(mul, a, b)), d * e) for a, d in self.cleared)
+
+
+def coordinate_rows(alg: StructureAlgebra, basis) -> _Rows:
+    """Rows whose values at x are x's coordinates over a basis of A: the
+    rows of the inverse of the matrix with the basis vectors as columns."""
+    n = alg.dim
+    if len(basis) != n:
+        raise StructuralError(f"a basis of A has {n} elements, got {len(basis)}")
+    try:
+        inverse = invert(alg.field, [[b[r] for b in basis] for r in range(n)])
+    except StructuralError:
+        raise StructuralError("basis is dependent") from None
+    return _Rows(alg.field, inverse)
+
+
+def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> tuple:
+    """Rows of the linear maps x -> coords(x*b), b in elements, in that
+    order: row (b, k) holds coordinate k of e_i * b at position i."""
+    rows = []
+    for b in elements:
+        cols = [tuple(coords.values(alg.mul(alg.basis_vector(i), b))) for i in range(alg.dim)]
+        rows.extend(zip(*cols))
+    return tuple(rows)
 
 
 # --- validation -----------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ConfigError, DomainError, StructuralError
 from .numfield import (RationalFunction, ValuedField, is_prime, vp)
@@ -86,10 +87,7 @@ class BaseDomain:
         if not coeffs:
             return self.one
         if self.kind == Z:
-            m = 1
-            for c in coeffs:
-                m = _lcm(m, c.denominator)
-            return Fraction(m)
+            return Fraction(lcm(*(c.denominator for c in coeffs)))
         if self.kind == ZP or self.field.kind == "Q":
             p = self.p if self.kind == ZP else self.field.p
             e = max(0, max(-vp(p, c)[0] for c in coeffs))
@@ -194,8 +192,3 @@ def domain_from_descriptor(desc: dict, field: ValuedField) -> BaseDomain:
     if kind == "Ov":
         return valuation_ring(field)
     raise StructuralError(f"unknown domain descriptor {desc!r}")
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a // gcd(a, b) * b

@@ -9,8 +9,8 @@ counterexamples, with the witness printed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from fractions import Fraction
 
 from . import cuts
 from .basedomain import integers
@@ -36,12 +36,10 @@ def _tokenize(expr: str):
         elif ch in "+-*":
             out.append(ch)
             i += 1
-        elif ch == "(":
-            j = expr.index(")", i)
-            out.append(expr[i:j + 1])
-            i = j + 1
-        elif expr.startswith("AM(", i):
-            j = expr.index(")", i)
+        elif ch == "(" or expr.startswith("AM(", i):
+            j = expr.find(")", i)
+            if j < 0:
+                raise CutvalError(f"unclosed parenthesis in {expr[i:]!r}")
             out.append(expr[i:j + 1])
             i = j + 1
         else:
@@ -70,29 +68,30 @@ def eval_cut_expression(expr: str, rank: int | None = None) -> cuts.Value:
         else:
             rank = 1
 
-    def atom(tok: str) -> cuts.Value:
-        return cuts.parse_value(tok, rank)
+    def atom(pos: int) -> cuts.Value:
+        if pos >= len(tokens):
+            raise CutvalError(f"expression ends after an operator: {expr!r}")
+        return cuts.parse_value(tokens[pos], rank)
 
     def term(pos: int):
-        tok = tokens[pos]
         if pos + 1 < len(tokens) and tokens[pos + 1] == "*":
-            if not tok.isdigit():
-                raise CutvalError(f"scale factor must be a positive integer, got {tok!r}")
-            return cuts.value_scale(int(tok), atom(tokens[pos + 2])), pos + 3
-        return atom(tok), pos + 1
+            if not tokens[pos].isdigit():
+                raise CutvalError(f"scale factor must be a positive integer, got {tokens[pos]!r}")
+            return cuts.value_scale(int(tokens[pos]), atom(pos + 2)), pos + 3
+        return atom(pos), pos + 1
 
     value, pos = term(0)
     while pos < len(tokens):
         op = tokens[pos]
+        if op not in ("+", "-"):
+            raise CutvalError(f"unexpected token {op!r}")
         rhs, pos = term(pos + 1)
         if op == "+":
             value = cuts.value_add(value, rhs)
-        elif op == "-":
+        else:
             if rhs is cuts.INF or rhs.kind != cuts.ATMOST or rhs.level != 0:
                 raise CutvalError("can only subtract a group element (principal cut)")
             value = cuts.value_translate(value, rhs.bound)
-        else:
-            raise CutvalError(f"unexpected token {op!r}")
     return value
 
 
@@ -290,9 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except CutvalError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader left (`| head`): stdout, and its flush at exit, go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -111,12 +111,6 @@ class Polynomial:
                 return i
         return None
 
-    def lowest_coeff(self) -> Fraction:
-        o = self.ord()
-        if o is None:
-            raise ValueError("zero polynomial")
-        return self.coeffs[o]
-
     def leading_coeff(self) -> Fraction:
         if not self.coeffs:
             raise ValueError("zero polynomial")

@@ -1,11 +1,20 @@
 """Brute-force ground truth: window enumeration and support scans.
 
-`window_cut_sum` realizes the left-set sum of two cuts pointwise on a
-finite box and compares it with the closed-form `cut_add` prediction.
-Truncation control: the box bound must be at least 4 * (1 + largest bound
-coordinate of the operands), and the comparison is re-restricted to the
-inner half-bound box, so every inner point of the true sum is reachable
-from summands inside the box.
+`window_cut_sum` realizes the left-set sum of two cuts pointwise on the
+box [-B, B]^k and compares it with the closed-form `cut_add` prediction
+on the inner box [-h, h]^k, h = B // 2.  B must be at least 2 * (1 + m),
+m the largest bound coordinate of the operands; then every inner point of
+the true sum is a sum of two box points, by an argument from the
+definitions alone.  Let z = x + y, x in L(a), y in L(b), |z_i| <= h; let
+a', b' be the bounds padded with zeros to length k (points of L(a), L(b)
+with |coords| <= m); say level(a) >= level(b), and let P keep the first
+k - level(a) coordinates.  P(x) <=lex P(a'), and P(y) <=lex P(b') since
+truncation keeps <=lex; lex is a group order, so P(z - b') <=lex P(a'),
+that is z - b' is in L(a).  Both b' and z - b' lie in the box, since
+m <= B - h = ceil(B/2).  For level(b) > level(a) swap the roles; a TOP
+operand pairs z minus the other's padded bound (or 0) with it; a BOTTOM
+operand empties both sums.  So B >= 2m suffices: the enforced bound
+leaves a margin of two.
 
 `brute_support` rescans x*R against powers of the uniformizer using only
 membership tests, independent of the min-valuation formula it checks.
@@ -92,8 +101,7 @@ def window_cut_sum(a: Cut, b: Cut, win: Window) -> WindowSumResult:
     if a.rank != win.rank or b.rank != win.rank:
         raise DomainError("window rank differs from the cuts' rank")
     # Every point of the true sum inside the half-bound inner box is a sum
-    # of box points once bound >= inner + maxcoord; 2*(1 + maxcoord) keeps a
-    # comfortable margin on top of that.
+    # of box points once bound >= inner + maxcoord (module docstring).
     need = 2 * (1 + _max_bound_coord(a, b))
     if win.bound < need:
         raise DomainError(f"window bound {win.bound} below the safe margin {need}")

@@ -3,79 +3,31 @@
 A lattice M = sum_b S*b is given by a basis; its left order is
 R = { x : xM subset M }, realized as a conjunction of linear constraints
 "functional of x lands in S" (one functional per coordinate of each
-product x*b).  Over a valuation-like S (Z_(p) or O_v) the constraint rows
-are reduced by min-valuation-pivot elimination to a triangular system T,
-and R is the free S-lattice with basis the columns of T^-1; predicate and
-lattice agree and tests check it.  Over Z only the predicate is kept
-(R need not be a free Z-module in any preferred basis).
+product x*b: `algebra.product_rows`).  Over a valuation-like S (Z_(p) or
+O_v) the constraint rows are reduced by min-valuation-pivot elimination to
+a triangular system T, and R is the free S-lattice with basis the columns
+of T^-1; predicate and lattice agree and tests check it.  Over Z only the
+predicate is kept (R need not be a free Z-module in any preferred basis).
 
 The same constraint-group machinery hosts the ideal-containing variant,
 going-down, finite intersections, the strictly descending chains built
-from basis insertion, and the ascending matrix-algebra chain.
-
-Every membership test, lattice coordinate and evaluator coordinate is the
-value of a fixed linear row at a point x.  Over Q each row is cleared once,
-when its oracle or evaluator is built, to integers a_1..a_n over
-d = lcm of its denominators; each call clears x the same way to b_1..b_n
-over e, and each row value is then Fraction(sum a_i*b_i, d*e): integer
-multiplies and one normalizing gcd instead of a Fraction multiply and add
-(each with its own gcd) per entry.  The values are the same exact
-rationals.  Rows over Q(t) are summed term by term.
+from basis insertion, and the ascending matrix-algebra chain.  Rows are
+evaluated through `algebra._Rows`, built once per oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from operator import mul
 
-from .algebra import (PolynomialAlgebra, StructureAlgebra, extend_to_basis,
-                      in_span, is_independent, matrix_algebra, solve_columns)
+from .algebra import (PolynomialAlgebra, StructureAlgebra, _eliminate, _Rows,
+                      coordinate_rows, extend_to_basis, invert,
+                      is_independent, matrix_algebra, product_rows, solve_columns)
 from .basedomain import BaseDomain, is_subdomain
 from .errors import ConfigError, DomainError, StructuralError
 from .samplers import (sample_in_domain, sample_member, sample_scalar)
 from .sampling import SampleSpec, check_sample_count
 from .stability import StableBasisCertificate, insert_many, stabilizer_finite
-
-
-def _dot(row, x):
-    it = iter(zip(row, x))
-    r0, x0 = next(it)
-    acc = r0 * x0
-    for r, c in it:
-        if r and c:
-            acc = acc + r * c
-    return acc
-
-
-class _Rows:
-    """Fixed linear rows over the field `fieldobj`, evaluated at points x.
-
-    Over Q every row is stored cleared to integers: (a_1..a_n, d) with
-    row = (a_1..a_n) / d.  Rows over Q(t) are kept as they are.
-    """
-
-    __slots__ = ("rows", "cleared")
-
-    def __init__(self, fieldobj, rows):
-        self.rows = rows
-        self.cleared = (tuple(_clear(row) for row in rows)
-                        if fieldobj.kind == "Q" else None)
-
-    def values(self, x):
-        """The row values at x, in row order, computed as they are consumed."""
-        if self.cleared is None:
-            return (_dot(row, x) for row in self.rows)
-        b, e = _clear(x)
-        return (Fraction(sum(map(mul, a, b)), d * e) for a, d in self.cleared)
-
-
-def _clear(v):
-    """(integers, d) with v = integers / d and d the lcm of v's denominators."""
-    d = lcm(*(c.denominator for c in v))
-    return [c.numerator * (d // c.denominator) for c in v], d
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,58 +127,20 @@ class PolySubring:
         return all(self.domain.contains(c) for c in f.values())
 
 
-def _invert(fieldobj, rows):
-    """Exact inverse of a square matrix given as a list of rows."""
-    n = len(rows)
-    aug = [list(r) + [fieldobj.one if i == j else fieldobj.zero for j in range(n)]
-           for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise StructuralError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows):
+    """(lattice_basis, lattice_rows) of the S-module the rows generate.
 
-
-def _min_valuation_eliminate(domain: BaseDomain, rows, n: int):
-    """Triangular S-basis of the S-module generated by the rows.
-
-    Pivot rule: among remaining rows with a nonzero entry in the current
-    column, minimal valuation of that entry, ties to the lowest row index.
-    Every elimination coefficient then lies in S, so the S-span is
-    preserved; full column rank is required.
+    Min-valuation pivots make every elimination coefficient lie in S, so
+    the S-span is preserved; the pivot rows form the triangular system T
+    and the lattice basis is the columns of T^-1.  Full column rank is
+    required.
     """
-    pool = [list(r) for r in rows]
-    pivots = []
-    for col in range(n):
-        best = None
-        best_val = None
-        for idx, row in enumerate(pool):
-            if not row[col]:
-                continue
-            v = domain.value(row[col])
-            if best is None or v < best_val:
-                best, best_val = idx, v
-        if best is None:
-            raise StructuralError("constraint rows do not have full rank")
-        pivot = pool.pop(best)
-        pv = pivot[col]
-        for row in pool:
-            if row[col]:
-                f = row[col] / pv
-                for i in range(n):
-                    row[i] = row[i] - f * pivot[i]
-        pivots.append(pivot)
-    for row in pool:
-        if any(row):
-            raise StructuralError("elimination left a nonzero residual row")
-    return [tuple(r) for r in pivots]
+    t_rows, rest = _eliminate(rows, alg.dim, key=domain.value)
+    if any(r is None for r in t_rows):
+        raise StructuralError("constraint rows do not have full rank")
+    if any(any(r) for r in rest):
+        raise StructuralError("elimination left a nonzero residual row")
+    return tuple(zip(*invert(alg.field, t_rows))), tuple(tuple(r) for r in t_rows)
 
 
 def left_order(M: LatticeModule, stabilizer=None,
@@ -244,23 +158,13 @@ def left_order(M: LatticeModule, stabilizer=None,
     n = alg.dim
     if len(M.basis) != n:
         raise StructuralError("left order needs a full basis of A")
-    binv = _Rows(alg.field, _invert(alg.field, [[M.basis[i][r] for i in range(n)]
-                                                 for r in range(n)]))
-    rows = []
-    for b in M.basis:
-        # column i of the map x -> coords of x*b is coords(e_i * b)
-        cols = [list(binv.values(alg.mul(alg.basis_vector(i), b))) for i in range(n)]
-        for r in range(n):
-            rows.append(tuple(cols[i][r] for i in range(n)))
+    rows = product_rows(alg, coordinate_rows(alg, M.basis), M.basis)
     lattice_basis = lattice_rows = None
     if domain.is_valuation_like:
-        t_rows = _min_valuation_eliminate(domain, rows, n)
-        tinv = _invert(alg.field, [list(r) for r in t_rows])
-        lattice_basis = tuple(tuple(tinv[r][i] for r in range(n)) for i in range(n))
-        lattice_rows = tuple(t_rows)
+        lattice_basis, lattice_rows = _lattice(alg, domain, rows)
     oracle = SubringOracle(
         algebra=alg, domain=domain, provenance="left-order",
-        constraints=((domain, tuple(rows)),),
+        constraints=((domain, rows),),
         lattice_basis=lattice_basis, lattice_rows=lattice_rows,
         contained_basis=lattice_basis or (tuple(stabilizer) if stabilizer else None),
         certificate=certificate,
@@ -427,19 +331,24 @@ class IdealSpec:
     algebra: StructureAlgebra
     basis: tuple
 
-    def validate(self) -> None:
+    def validate(self) -> tuple:
+        """Check the ideal; return a basis of A extending its basis and the
+        rows of the coordinates over it outside the ideal (zero on I)."""
         alg = self.algebra
         if not self.basis or len(self.basis) >= alg.dim:
             raise DomainError("ideal must be proper and nonzero")
         if not is_independent(alg.field, self.basis):
             raise StructuralError("ideal basis is dependent")
+        basis = extend_to_basis(alg, list(self.basis))
+        outside = _Rows(alg.field, coordinate_rows(alg, basis).rows[len(self.basis):])
         for i in range(alg.dim):
             e = alg.basis_vector(i)
             for b in self.basis:
-                if not in_span(alg, alg.mul(e, b), self.basis):
+                if any(outside.values(alg.mul(e, b))):
                     raise DomainError(f"not a left ideal: e{i} * b escapes the span")
-                if not in_span(alg, alg.mul(b, e), self.basis):
+                if any(outside.values(alg.mul(b, e))):
                     raise DomainError(f"not a right ideal: b * e{i} escapes the span")
+        return basis, outside
 
 
 def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
@@ -448,24 +357,15 @@ def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
     x*I stays in I for any x, so membership only constrains the
     B-minus-B1 coordinates of the products x*b for b outside the ideal.
     """
-    ideal.validate()
+    basis, outside = ideal.validate()
     alg = ideal.algebra
     if alg.field.kind != domain.fraction_field_kind:
         raise ConfigError("domain fraction field differs from the algebra's field")
-    basis = extend_to_basis(alg, list(ideal.basis))
-    t = len(ideal.basis)
-    n = alg.dim
-    binv = _Rows(alg.field, _invert(alg.field, [[basis[i][r] for i in range(n)]
-                                                 for r in range(n)]))
-    rows = []
-    for b in basis[t:]:
-        cols = [list(binv.values(alg.mul(alg.basis_vector(i), b))) for i in range(n)]
-        for r in range(t, n):
-            rows.append(tuple(cols[i][r] for i in range(n)))
+    rows = product_rows(alg, outside, basis[len(ideal.basis):])
     cert = stabilizer_finite(alg, tuple(basis), domain)
     oracle = SubringOracle(
         algebra=alg, domain=domain, provenance="ideal-variant",
-        constraints=((domain, tuple(rows)),),
+        constraints=((domain, rows),),
         contained_basis=cert.stabilizer,
     )
     for c in cert.stabilizer:
@@ -515,11 +415,8 @@ def intersect_oracles(oracles, domain: BaseDomain | None = None,
     lattice_basis = lattice_rows = None
     if (domain.is_valuation_like
             and all(g[0] == domain for g in groups)):
-        rows = [r for _, rws in groups for r in rws]
-        t_rows = _min_valuation_eliminate(domain, rows, alg.dim)
-        tinv = _invert(alg.field, [list(r) for r in t_rows])
-        lattice_basis = tuple(tuple(tinv[r][i] for r in range(alg.dim)) for i in range(alg.dim))
-        lattice_rows = tuple(t_rows)
+        lattice_basis, lattice_rows = _lattice(
+            alg, domain, [r for _, rws in groups for r in rws])
     if lattice_basis is not None:
         contained = lattice_basis
     else:

@@ -54,8 +54,9 @@ class Problem:
 def load_problem(source) -> Problem:
     """Parse and validate a problem file (path, file object or dict).
 
-    A file that cannot be read, is not JSON or lacks a required key raises
-    StructuralError naming the file or the key.
+    A file that cannot be read, is not JSON, lacks a required key or gives
+    a `p` that is not an integer raises StructuralError naming the file or
+    the key.
     """
     if isinstance(source, dict):
         where, data = "problem", source
@@ -74,17 +75,31 @@ def load_problem(source) -> Problem:
     if not isinstance(data, dict):
         raise StructuralError(f"{where} is not a JSON object")
     try:
-        return _parse(data)
+        return _parse(data, where)
     except KeyError as exc:
         raise StructuralError(f"{where} lacks the required key {exc.args[0]!r}") from exc
 
 
-def _parse(data: dict) -> Problem:
+def _integer_p(desc: dict, section: str, where: str) -> int:
+    """desc["p"] given as an int or a decimal string."""
+    raw = desc["p"]
+    try:
+        if type(raw) in (int, str):
+            return int(raw)
+    except ValueError:
+        pass
+    raise StructuralError(f"{where}: key 'p' of {section!r} must be an integer, got {raw!r}")
+
+
+def _parse(data: dict, where: str) -> Problem:
     if data.get("format") != 1:
         raise StructuralError(f"unsupported format {data.get('format')!r} (need 1)")
     fdesc = data["field"]
-    field = ValuedField(fdesc["kind"], int(fdesc["p"]))
-    domain = domain_from_descriptor(data["domain"], field)
+    field = ValuedField(fdesc["kind"], _integer_p(fdesc, "field", where))
+    ddesc = data["domain"]
+    if isinstance(ddesc, dict) and "p" in ddesc:
+        ddesc = {**ddesc, "p": _integer_p(ddesc, "domain", where)}
+    domain = domain_from_descriptor(ddesc, field)
     adesc = data["algebra"]
     names = tuple(adesc["names"])
     n = len(names)

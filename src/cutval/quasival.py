@@ -31,12 +31,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .algebra import PolynomialAlgebra
+from .algebra import _Rows, product_rows
 from .basedomain import BaseDomain
 from .cuts import (INF, Value, embed_phi, format_value, value_add,
                    value_compare, value_min, value_translate, zero_cut)
 from .errors import ConfigError, DomainError
-from .orders import PolySubring, SubringOracle, _Rows
+from .orders import PolySubring, SubringOracle
 from .samplers import (sample_algebra_element, sample_in_domain,
                        sample_member, sample_poly_element, sample_scalar)
 from .sampling import SampleSpec, check_sample_count
@@ -53,7 +53,7 @@ class SupportValue:
 class FilterQV:
     oracle: object
     product_rows: tuple | None  # per lattice-basis element: rows of x -> coords(x * r_j)
-    # product_rows in evaluable form (see orders._Rows), built once per evaluator.
+    # product_rows in evaluable form (see algebra._Rows), built once per evaluator.
     _product_rows: _Rows | None = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -85,13 +85,8 @@ def filter_qv(oracle) -> FilterQV:
         return FilterQV(oracle, None)
     if not isinstance(oracle, SubringOracle) or oracle.lattice_basis is None:
         raise ConfigError("filter quasi-valuation needs a lattice-represented order")
-    alg = oracle.algebra
-    n = alg.dim
-    rows = []
-    for r in oracle.lattice_basis:
-        cols = [oracle.lattice_coords(alg.mul(alg.basis_vector(i), r)) for i in range(n)]
-        rows.extend(tuple(cols[i][k] for i in range(n)) for k in range(n))
-    return FilterQV(oracle, tuple(rows))
+    return FilterQV(oracle, product_rows(oracle.algebra, oracle._lattice_rows,
+                                         oracle.lattice_basis))
 
 
 def support_mu(qv: FilterQV, x) -> SupportValue:

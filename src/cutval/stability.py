@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import StructureAlgebra, coords_in_basis, is_independent
+from .algebra import StructureAlgebra, coordinate_rows, coords_in_basis, is_independent
 from .basedomain import BaseDomain
 from .errors import DomainError, StructuralError
 
@@ -51,15 +51,13 @@ class StabilityReport:
 def is_stable(alg: StructureAlgebra, basis, stabilizer, domain: BaseDomain) -> StabilityReport:
     """Check every product c*b has all B-coordinates in S."""
     basis, stabilizer = list(basis), list(stabilizer)
-    if not is_independent(alg.field, basis):
-        raise StructuralError("basis is dependent")
+    coords = coordinate_rows(alg, basis)
     if not is_independent(alg.field, stabilizer):
         raise StructuralError("stabilizer set is dependent")
     violations = []
     for ci, c in enumerate(stabilizer):
         for bi, b in enumerate(basis):
-            coords = coords_in_basis(alg, alg.mul(c, b), basis)
-            for k, coord in enumerate(coords):
+            for k, coord in enumerate(coords.values(alg.mul(c, b))):
                 if not domain.contains(coord):
                     violations.append((ci, bi, k, coord))
     return StabilityReport(not violations, tuple(violations))
@@ -69,21 +67,18 @@ def stabilizer_finite(alg: StructureAlgebra, basis, domain: BaseDomain) -> Stabl
     """Denominator-clearing stabilizer {delta_i * b_i}.
 
     delta_i is the product over j of gamma_ij, where gamma_ij clears every
-    coordinate of b_i * b_j at once; canonical because clearing is.
+    coordinate of b_i * b_j at once; canonical because clearing is.  The
+    coordinates are read off one inverse of the basis.
     """
     basis = tuple(basis)
-    if not is_independent(alg.field, basis):
-        raise StructuralError("basis is dependent")
-    n = len(basis)
-    deltas = []
-    for i in range(n):
+    coords = coordinate_rows(alg, basis)
+    stab = []
+    for bi in basis:
         delta = domain.one
-        for j in range(n):
-            coords = coords_in_basis(alg, alg.mul(basis[i], basis[j]), basis)
-            delta = delta * domain.clear_many(coords)
-        deltas.append(delta)
-    stab = tuple(alg.smul(deltas[i], basis[i]) for i in range(n))
-    return StableBasisCertificate(alg, domain, basis, stab)
+        for bj in basis:
+            delta = delta * domain.clear_many(coords.values(alg.mul(bi, bj)))
+        stab.append(alg.smul(delta, bi))
+    return StableBasisCertificate(alg, domain, basis, tuple(stab))
 
 
 @dataclass(frozen=True)
@@ -117,14 +112,13 @@ def insert_into_basis(cert: StableBasisCertificate, x0, protected=frozenset()) -
     new_basis[b0_idx] = x0
 
     # b0 = (1/c0) x0 - sum_(k != b0) (c_k/c0) b_k; s0 clears that expansion.
-    b0_coords = coords_in_basis(alg, cert.basis[b0_idx], new_basis)
-    s0 = domain.clear_many(b0_coords)
+    new_coords = coordinate_rows(alg, new_basis)
+    s0 = domain.clear_many(new_coords.values(cert.basis[b0_idx]))
 
     new_stab = []
     for c in cert.stabilizer:
         t = alg.smul(s0, c)
-        tc = coords_in_basis(alg, alg.mul(t, x0), new_basis)
-        s_c = domain.clear_many(tc)
+        s_c = domain.clear_many(new_coords.values(alg.mul(t, x0)))
         new_stab.append(alg.smul(s_c, t))
 
     primary = StableBasisCertificate(alg, domain, tuple(new_basis), tuple(new_stab))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -70,6 +72,28 @@ def test_cutcalc(capsys):
     assert format_value(eval_cut_expression("(1,2) + (3,-5)")) == "AM(0;4,-3)"
     rc, out = run(capsys, ["cutcalc", "INF + AM(0;7)"])
     assert rc == 0 and out.strip() == "INF"
+
+
+@pytest.mark.parametrize("expr, reason", [("AM(1;2", "unclosed parenthesis"),
+                                          ("3*", "ends after an operator"),
+                                          ("AM(0;1) +", "ends after an operator"),
+                                          ("AM(0;1) AM(0;2)", "unexpected token")])
+def test_cutcalc_malformed_fails_closed(capsys, expr, reason):
+    rc = main(["cutcalc", expr])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("FAIL: ") and reason in captured.err
+
+
+def test_broken_pipe_exits_without_traceback(capsys, monkeypatch, m2_file):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        rc = main(["stable", m2_file, "--basis", "units"])
+        monkeypatch.undo()
+    assert rc == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_algebra_check(capsys, m2_file):
@@ -175,8 +199,19 @@ def test_missing_problem_file_fails_closed(capsys, tmp_path):
     assert err.startswith("FAIL: cannot read problem file") and path in err
 
 
-@pytest.mark.parametrize("text, reason", [('{"format": 1, "field": ', "not valid JSON"),
-                                          ("[1, 2]", "not a JSON object")])
+def bad_p_problem(section, value):
+    """A valid M2(Q) problem over Z_(2) with `section`.p replaced."""
+    data = problem_dict(matrix_algebra(ValuedField("Q", 2), 2), {"kind": "Zp", "p": 2})
+    data[section]["p"] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"format": 1, "field": ', "not valid JSON"),
+    ("[1, 2]", "not a JSON object"),
+    (bad_p_problem("field", "two"), "key 'p' of 'field' must be an integer, got 'two'"),
+    (bad_p_problem("domain", "x"), "key 'p' of 'domain' must be an integer, got 'x'"),
+])
 def test_malformed_problem_json_fails_closed(capsys, tmp_path, text, reason):
     path = tmp_path / "broken.json"
     path.write_text(text)

@@ -1,0 +1,283 @@
+"""The elimination kernel and the coordinate map against the loops they
+replaced.
+
+Each reference below is one of the separate Gauss-Jordan loops the library
+used before it had a single elimination kernel, kept verbatim apart from
+its name: solve, rank, inverse, min-valuation lattice elimination, and the
+stabilizer, stability check and basis insertion that solved one linear
+system per product.  Coordinates over a basis are unique and the
+min-valuation pivot sequence is a function of the rows, so every result
+must be exactly equal.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from cutval.algebra import (_eliminate, invert, matrix_algebra, quadratic_algebra,
+                            rank_of, solve_columns)
+from cutval.basedomain import integers, p_local, valuation_ring
+from cutval.errors import StructuralError
+from cutval.numfield import RationalFunction, ValuedField
+from cutval.orders import LatticeModule, intersect_oracles, left_order
+from cutval.samplers import sample_algebra_element, sample_scalar
+from cutval.sampling import SampleSpec
+from cutval.stability import (StabilityReport, StableBasisCertificate, insert_into_basis,
+                              is_stable, stabilizer_finite)
+
+
+# --- the replaced loops ----------------------------------------------------------
+
+
+def solve_columns_reference(columns, target):
+    m = len(columns)
+    n = len(target)
+    rows = [[columns[i][r] for i in range(m)] + [target[r]] for r in range(n)]
+    piv_rows = []
+    r0 = 0
+    for col in range(m):
+        pivot = next((r for r in range(r0, n) if rows[r][col]), None)
+        if pivot is None:
+            raise StructuralError("dependent columns in linear solve")
+        rows[r0], rows[pivot] = rows[pivot], rows[r0]
+        pv = rows[r0][col]
+        rows[r0] = [a / pv for a in rows[r0]]
+        for r in range(n):
+            if r != r0 and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[r0])]
+        piv_rows.append(r0)
+        r0 += 1
+    for r in range(r0, n):
+        if rows[r][m]:
+            raise StructuralError("target outside the span of the columns")
+    return tuple(rows[piv_rows[col]][m] for col in range(m))
+
+
+def rank_reference(vectors):
+    vecs = [list(v) for v in vectors]
+    n = len(vecs[0]) if vecs else 0
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, len(vecs)) if vecs[r][col]), None)
+        if pivot is None:
+            continue
+        vecs[rank], vecs[pivot] = vecs[pivot], vecs[rank]
+        pv = vecs[rank][col]
+        vecs[rank] = [a / pv for a in vecs[rank]]
+        for r in range(len(vecs)):
+            if r != rank and vecs[r][col]:
+                f = vecs[r][col]
+                vecs[r] = [a - f * b for a, b in zip(vecs[r], vecs[rank])]
+        rank += 1
+    return rank
+
+
+def invert_reference(fieldobj, rows):
+    n = len(rows)
+    aug = [list(r) + [fieldobj.one if i == j else fieldobj.zero for j in range(n)]
+           for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise StructuralError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [a / pv for a in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def min_valuation_eliminate_reference(domain, rows, n):
+    pool = [list(r) for r in rows]
+    pivots = []
+    for col in range(n):
+        best = None
+        best_val = None
+        for idx, row in enumerate(pool):
+            if not row[col]:
+                continue
+            v = domain.value(row[col])
+            if best is None or v < best_val:
+                best, best_val = idx, v
+        if best is None:
+            raise StructuralError("constraint rows do not have full rank")
+        pivot = pool.pop(best)
+        pv = pivot[col]
+        for row in pool:
+            if row[col]:
+                f = row[col] / pv
+                for i in range(n):
+                    row[i] = row[i] - f * pivot[i]
+        pivots.append(pivot)
+    for row in pool:
+        if any(row):
+            raise StructuralError("elimination left a nonzero residual row")
+    return [tuple(r) for r in pivots]
+
+
+def coords_reference(x, basis):
+    return solve_columns_reference(list(basis), x)
+
+
+def stabilizer_reference(alg, basis, domain):
+    basis = tuple(basis)
+    if rank_reference(basis) != len(basis):
+        raise StructuralError("basis is dependent")
+    n = len(basis)
+    deltas = []
+    for i in range(n):
+        delta = domain.one
+        for j in range(n):
+            coords = coords_reference(alg.mul(basis[i], basis[j]), basis)
+            delta = delta * domain.clear_many(coords)
+        deltas.append(delta)
+    stab = tuple(alg.smul(deltas[i], basis[i]) for i in range(n))
+    return StableBasisCertificate(alg, domain, basis, stab)
+
+
+def is_stable_reference(alg, basis, stabilizer, domain):
+    violations = []
+    for ci, c in enumerate(stabilizer):
+        for bi, b in enumerate(basis):
+            coords = coords_reference(alg.mul(c, b), basis)
+            for k, coord in enumerate(coords):
+                if not domain.contains(coord):
+                    violations.append((ci, bi, k, coord))
+    return StabilityReport(not violations, tuple(violations))
+
+
+def insert_reference(cert, x0):
+    alg, domain = cert.algebra, cert.domain
+    coords = coords_reference(x0, cert.basis)
+    b0_idx = next(i for i, c in enumerate(coords) if c)
+    new_basis = list(cert.basis)
+    new_basis[b0_idx] = x0
+    s0 = domain.clear_many(coords_reference(cert.basis[b0_idx], new_basis))
+    new_stab = []
+    for c in cert.stabilizer:
+        t = alg.smul(s0, c)
+        s_c = domain.clear_many(coords_reference(alg.mul(t, x0), new_basis))
+        new_stab.append(alg.smul(s_c, t))
+    return tuple(new_basis), tuple(new_stab), b0_idx, s0
+
+
+# --- seeded random bases ------------------------------------------------------------
+
+Q3 = ValuedField("Q", 3)
+QT = ValuedField("Qt", 2)
+M3_DRAW = dict(coef_bound=5, max_p_exp=2)
+QT_DRAW = dict(coef_bound=3, max_p_exp=1, poly_degree=2)
+
+
+def draw_bases(alg, seed, draw, count):
+    """Invertible bases drawn coordinate by coordinate, rank-deficient draws
+    rejected by the reference rank."""
+    spec = SampleSpec(seed=seed, count=0, **draw)
+    rng = spec.rng()
+    bases = []
+    while len(bases) < count:
+        cand = [tuple(sample_scalar(rng, spec, alg.field) for _ in range(alg.dim))
+                for _ in range(alg.dim)]
+        if rank_reference(cand) == alg.dim:
+            bases.append(tuple(cand))
+    return bases
+
+
+# name: (algebra, domain, draw, draw seed, number of bases)
+CASES = {
+    "M3(Q)/Z_(3)": (lambda: matrix_algebra(Q3, 3), p_local(3), M3_DRAW, 301, 2),
+    "M3(Q)/Z": (lambda: matrix_algebra(Q3, 3), integers(), M3_DRAW, 302, 2),
+    "Q(t)[x]/(x^2-t)/O_v": (lambda: quadratic_algebra(QT, RationalFunction.T),
+                           valuation_ring(QT), QT_DRAW, 303, 5),
+}
+
+
+@pytest.fixture(params=sorted(CASES), scope="module")
+def case(request):
+    make, domain, draw, seed, count = CASES[request.param]
+    alg = make()
+    return alg, domain, draw_bases(alg, seed, draw, count)
+
+
+# --- differential tests ------------------------------------------------------------
+
+
+def test_min_valuation_path_matches_reference(case):
+    alg, domain, bases = case
+    if not domain.is_valuation_like:  # Z keeps only the predicate; reduce its bases over Z_(3)
+        domain = p_local(3)
+    n = alg.dim
+    units = tuple(alg.basis_vector(i) for i in range(n))
+    for basis in bases:
+        R = left_order(LatticeModule(alg, domain, basis))
+        rows = R.constraints[0][1]
+        expected = min_valuation_eliminate_reference(domain, rows, n)
+        pivots, rest = _eliminate(rows, n, key=domain.value)
+        assert [tuple(p) for p in pivots] == expected
+        assert not any(any(r) for r in rest)
+        assert R.lattice_rows == tuple(expected)
+        tinv = invert_reference(alg.field, [list(r) for r in expected])
+        assert R.lattice_basis == tuple(tuple(tinv[r][i] for r in range(n)) for i in range(n))
+        # stacked rows of two orders, as intersections eliminate them
+        both = intersect_oracles([R, left_order(LatticeModule(alg, domain, units))])
+        stacked = [r for _, rws in both.constraints for r in rws]
+        assert both.lattice_rows == tuple(min_valuation_eliminate_reference(domain, stacked, n))
+
+
+def test_solve_rank_invert_match_reference(case):
+    alg, domain, bases = case
+    field = alg.field
+    spec = SampleSpec(seed=303, count=0, **(QT_DRAW if field.kind == "Qt" else M3_DRAW))
+    rng = spec.rng()
+    for basis in bases:
+        assert invert(field, basis) == invert_reference(field, basis)
+        for _ in range(3):
+            x = sample_algebra_element(rng, spec, alg)
+            assert solve_columns(field, list(basis), x) == solve_columns_reference(list(basis), x)
+        # a dependent family: the last vector is a combination of the others
+        c = sample_scalar(rng, spec, field) or field.one
+        dependent = list(basis[:-1]) + [alg.add(basis[0], alg.smul(c, basis[-2]))]
+        for family in (basis, dependent, basis[:3], basis + basis[:2], dependent[1:]):
+            assert rank_of(field, family) == rank_reference(family)
+        with pytest.raises(StructuralError):
+            invert(field, dependent)
+        with pytest.raises(StructuralError):
+            solve_columns(field, dependent, basis[-1])
+        # fewer columns than coordinates: consistent and inconsistent targets
+        part = list(basis[:-1])
+        inside = alg.add(basis[0], alg.smul(c, basis[-2]))
+        assert solve_columns(field, part, inside) == solve_columns_reference(part, inside)
+        with pytest.raises(StructuralError):
+            solve_columns_reference(part, basis[-1])
+        with pytest.raises(StructuralError):
+            solve_columns(field, part, basis[-1])
+
+
+def test_stabilizer_and_stability_match_reference(case):
+    alg, domain, bases = case
+    for basis in bases:
+        cert = stabilizer_finite(alg, basis, domain)
+        ref = stabilizer_reference(alg, basis, domain)
+        assert (cert.basis, cert.stabilizer) == (ref.basis, ref.stabilizer)
+        assert is_stable(alg, basis, cert.stabilizer, domain) == is_stable_reference(
+            alg, basis, cert.stabilizer, domain)
+        # the basis rarely stabilizes itself: the violations must agree too
+        assert is_stable(alg, basis, basis, domain) == is_stable_reference(
+            alg, basis, basis, domain)
+        x0 = alg.add(basis[0], basis[-1])
+        res = insert_into_basis(cert, x0)
+        assert (res.certificate.basis, res.certificate.stabilizer,
+                res.removed_index, res.s0) == insert_reference(cert, x0)
+
+
+def test_coordinate_map_needs_a_full_independent_basis():
+    alg = matrix_algebra(Q3, 2)
+    units = [alg.basis_vector(i) for i in range(4)]
+    with pytest.raises(StructuralError, match="basis is dependent"):
+        stabilizer_finite(alg, units[:3] + [units[0]], integers())
+    with pytest.raises(StructuralError, match="a basis of A has 4 elements, got 3"):
+        is_stable(alg, units[:3], units[:3], integers())

@@ -5,7 +5,7 @@ import pytest
 from conftest import random_cut
 from cutval.algebra import matrix_algebra
 from cutval.basedomain import p_local
-from cutval.cuts import at_most, bottom, embed_phi, top
+from cutval.cuts import ATMOST, at_most, bottom, embed_phi, top
 from cutval.errors import BudgetError, DomainError
 from cutval.numfield import ValuedField
 from cutval.oracle import (Window, box_points, brute_support,
@@ -33,6 +33,22 @@ def test_window_preconditions():
         Window(3, 100)
     with pytest.raises(DomainError):
         window_cut_sum(embed_phi((1, 1)), embed_phi((1, 1)), Window(1, 16))
+
+
+@pytest.mark.parametrize("rank, pairs, bound", [(1, 200, 6), (2, 120, 5), (3, 25, 3)])
+def test_window_margin_boundary(rank, pairs, bound):
+    """One below the enforced margin 2*(1 + m) the window refuses; at it,
+    fuzzed pairs match cut_add."""
+    rng = SplitMix64(1200 + rank)
+    for _ in range(pairs):
+        a, b = random_cut(rng, rank, bound), random_cut(rng, rank, bound)
+        m = max([abs(c) for cut in (a, b) if cut.kind == ATMOST for c in cut.bound],
+                default=0)
+        need = 2 * (1 + m)
+        with pytest.raises(DomainError, match="below the safe margin"):
+            window_cut_sum(a, b, Window(rank, need - 1))
+        res = window_cut_sum(a, b, Window(rank, need))
+        assert res.match, str(res)
 
 
 def test_member_mask_is_definitional():

@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from cutval.algebra import (PolynomialAlgebra, coords_in_basis, matrix_algebra,
+from cutval.algebra import (PolynomialAlgebra, _Rows, coords_in_basis, matrix_algebra,
                             matrix_element, quadratic_algebra, rank_of)
 from cutval.basedomain import integers, p_local
 from cutval.cuts import INF, embed_phi, value_translate
 from cutval.errors import DomainError, StructuralError
 from cutval.numfield import RationalFunction, ValuedField
 from cutval.orders import (IdealSpec, LatticeModule, PolySubring,
-                           SubringOracle, _Rows, descend_chain, going_down,
+                           SubringOracle, descend_chain, going_down,
                            intersect_oracles, lattice_membership, left_order,
                            matrix_nice_chain, nice_from_certificate,
                            nice_with_ideal, verify_nice)
