@@ -22,6 +22,7 @@ monomial basis; elements are sparse exponent -> coefficient dicts.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -39,6 +40,9 @@ class StructureAlgebra:
     names: tuple[str, ...]
     table: tuple  # table[i][j] = coordinate vector of e_i * e_j
     unit: Element
+    # The nonzero cells of the table, (i, j, ((k, t), ...)) with t != 0,
+    # built once: mul walks these instead of all n^2 cells times n entries.
+    _cells: tuple = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.names)
@@ -52,6 +56,9 @@ class StructureAlgebra:
                     raise StructuralError("table entries must be coordinate vectors of length n")
         if len(self.unit) != n:
             raise StructuralError("unit coordinates must have length n")
+        object.__setattr__(self, "_cells", tuple(
+            (i, j, tuple((k, t) for k, t in enumerate(vec) if t))
+            for i, row in enumerate(self.table) for j, vec in enumerate(row) if any(vec)))
 
     @property
     def dim(self) -> int:
@@ -85,16 +92,12 @@ class StructureAlgebra:
         if len(x) != self.dim or len(y) != self.dim:
             raise ConfigError("element does not belong to this algebra")
         out = list(self.zero)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
+        for i, j, terms in self._cells:
+            xi, yj = x[i], y[j]
+            if xi and yj:
                 c = xi * yj
-                for k, t in enumerate(self.table[i][j]):
-                    if t:
-                        out[k] = out[k] + c * t
+                for k, t in terms:
+                    out[k] = out[k] + c * t
         return tuple(out)
 
     def is_zero(self, x: Element) -> bool:

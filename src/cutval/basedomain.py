@@ -1,9 +1,12 @@
 """Base rings S inside their fraction fields.
 
-Three kinds: the integers Z inside Q, the p-local integers Z_(p), and the
-valuation ring O_v of a :class:`~cutval.numfield.ValuedField`.  Each is an
-integral domain that is not a field, with decidable membership, canonical
-denominator clearing and a designated non-invertible element.
+Two kinds, as in the paper: the integers Z inside Q, and the valuation
+ring O_v = { f : v(f) >= 0 } of a :class:`~cutval.numfield.ValuedField`.
+The p-local integers Z_(p) are O_v for v_p on Q: they keep the label "Zp"
+(printed Z_(p), a distinct descriptor) but are built on ValuedField("Q", p)
+and behave exactly as that valuation ring.  Each S is an integral domain
+that is not a field, with decidable membership, canonical denominator
+clearing and a designated non-invertible element.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import ConfigError, DomainError, StructuralError
-from .numfield import (RationalFunction, ValuedField, is_prime, vp)
+from .errors import ConfigError, StructuralError
+from .numfield import RationalFunction, ValuedField, is_prime, vp
 
 Z = "Z"
 ZP = "Zp"
@@ -22,6 +25,9 @@ OV = "Ov"
 
 @dataclass(frozen=True)
 class BaseDomain:
+    """Z (field None) or the valuation ring of `field`; for Z_(p) the
+    field is ValuedField("Q", p), built here from p."""
+
     kind: str
     p: int | None = None
     field: ValuedField | None = None
@@ -35,6 +41,7 @@ class BaseDomain:
                 raise ConfigError(f"Zp needs a prime, got {self.p}")
             if self.field is not None:
                 raise ConfigError("Zp is parameterized by p only")
+            object.__setattr__(self, "field", ValuedField("Q", self.p))
         elif self.kind == OV:
             if self.field is None:
                 raise ConfigError("Ov needs its ValuedField")
@@ -45,51 +52,44 @@ class BaseDomain:
 
     @property
     def fraction_field_kind(self) -> str:
-        return self.field.kind if self.kind == OV else "Q"
+        return "Q" if self.field is None else self.field.kind
 
     @property
     def valued_field(self) -> ValuedField | None:
         """The valuation this domain is the ring of, when there is one."""
-        if self.kind == OV:
-            return self.field
-        if self.kind == ZP:
-            return ValuedField("Q", self.p)
-        return None
+        return self.field
 
     @property
     def is_valuation_like(self) -> bool:
-        """True when min-valuation elimination applies (Zp or Ov)."""
-        return self.kind in (ZP, OV)
+        """True when min-valuation elimination applies (a valuation ring)."""
+        return self.field is not None
 
     def value(self, f):
-        vf = self.valued_field
-        if vf is None:
+        if self.field is None:
             raise ConfigError("Z carries no valuation")
-        return vf.value(f)
+        return self.field.value(f)
 
     def contains(self, f) -> bool:
         self._check_element(f)
-        if self.kind == Z:
+        if self.field is None:
             return f.denominator == 1
-        if self.kind == ZP:
-            return f == 0 or vp(self.p, f) >= (0,)
         v = self.field.value(f)
         return v is None or v >= (0,) * self.field.rank
 
     def clear_many(self, coeffs):
         """Canonical minimal s in S, s != 0, with s*c in S for every c.
 
-        Z: lcm of denominators.  Z_(p) and O_v over Q: the minimal p-power.
+        Z: lcm of denominators.  O_v over Q: the minimal p-power.
         O_v over Q(t): p^M * t^N with N clearing the worst t-order and M
         clearing the worst p-exponent among coefficients at that order.
         """
         coeffs = [c for c in coeffs if c != 0 and not (isinstance(c, RationalFunction) and c.is_zero())]
         if not coeffs:
             return self.one
-        if self.kind == Z:
+        if self.field is None:
             return Fraction(lcm(*(c.denominator for c in coeffs)))
-        if self.kind == ZP or self.field.kind == "Q":
-            p = self.p if self.kind == ZP else self.field.p
+        if self.field.kind == "Q":
+            p = self.field.p
             e = max(0, max(-vp(p, c)[0] for c in coeffs))
             return Fraction(p) ** e
         vals = [self.field.value(c) for c in coeffs]
@@ -98,33 +98,18 @@ class BaseDomain:
         worst_m = max(0, max(-a for a in at_edge)) if at_edge else 0
         return self.field.element_with_value((worst_n, worst_m))
 
-    def clear_to_domain(self, f):
-        """s in S, nonzero, with s*f in S; s = 1 for f = 0."""
-        return self.clear_many([f])
-
     def noninvertible(self):
-        """The designated nonzero non-unit of S."""
-        if self.kind == Z:
+        """The designated nonzero non-unit of S: 2 in Z, p in O_v over Q
+        (its uniformizer), t in O_v over Q(t)."""
+        if self.field is None:
             return Fraction(2)
-        if self.kind == ZP:
-            return Fraction(self.p)
         if self.field.kind == "Q":
             return Fraction(self.field.p)
         return RationalFunction.T
 
-    def uniformizer(self):
-        """Generator of the maximal ideal; defined for rank-1 kinds only."""
-        if self.kind == ZP:
-            return Fraction(self.p)
-        if self.kind == OV and self.field.kind == "Q":
-            return Fraction(self.field.p)
-        raise DomainError("uniformizer defined for rank-1 valuation rings only")
-
     @property
     def one(self):
-        if self.kind == OV:
-            return self.field.one
-        return Fraction(1)
+        return Fraction(1) if self.field is None else self.field.one
 
     def _check_element(self, f):
         want_q = self.fraction_field_kind == "Q"
@@ -154,20 +139,11 @@ def valuation_ring(field: ValuedField) -> BaseDomain:
 
 
 def is_subdomain(s1: BaseDomain, s2: BaseDomain) -> bool:
-    """Structural S1 subset-of S2 over the same fraction field."""
-    if s1.fraction_field_kind != s2.fraction_field_kind:
-        return False
-    if s1 == s2:
-        return True
-    if s1.kind == Z:
-        return True
-    p1 = s1.p if s1.kind == ZP else s1.field.p
-    if s2.kind == Z:
-        return False
-    if s2.fraction_field_kind != "Q":
-        return False
-    p2 = s2.p if s2.kind == ZP else s2.field.p
-    return p1 == p2
+    """Structural S1 subset-of S2: Z lies in every base ring over Q, and a
+    valuation ring lies only in the valuation ring of the same valuation."""
+    if s1.field is None:
+        return s2.fraction_field_kind == "Q"
+    return s1.field == s2.field
 
 
 def domain_to_descriptor(domain: BaseDomain) -> dict:

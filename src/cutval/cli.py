@@ -9,12 +9,13 @@ counterexamples, with the witness printed.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
 from . import cuts
 from .basedomain import integers
-from .errors import CutvalError
+from .errors import CutvalError, StructuralError
 from .numfield import ValuedField, parse_rational
 from .orders import descend_chain, matrix_nice_chain, nice_from_certificate, nice_with_ideal, verify_nice
 from .problemfile import load_problem
@@ -107,8 +108,13 @@ def parse_element(alg, text: str):
     """Comma-separated rationals for Q; a JSON array of scalars for Q(t)."""
     if alg.field.kind == "Q":
         return alg.element([parse_rational(c) for c in text.split(",")])
-    import json
-    return alg.element(json.loads(text))
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StructuralError(f"--element is not valid JSON: {exc}") from exc
+    if not isinstance(raw, list):
+        raise StructuralError(f"--element must be a JSON array of scalars, got {text!r}")
+    return alg.element(raw)
 
 
 # --- subcommands -------------------------------------------------------------

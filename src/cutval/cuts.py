@@ -37,6 +37,11 @@ window oracle (:mod:`cutval.oracle`).
 A :class:`Value` is a cut or the adjoined ``INF``, which is strictly
 greater than every cut (including ``Top`` -- the two are distinct values)
 and absorbing for addition.
+
+The value group itself needs no module: an element of Z^k is a ``Vec``, a
+plain tuple of Python ints with the first coordinate most significant, so
+tuple comparison at equal length is the lexicographic order and group sums
+are componentwise tuple sums.  Its text form is ``(a1,...,ak)``.
 """
 
 from __future__ import annotations
@@ -44,7 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, RankMismatchError, StructuralError
-from .ordgroup import Vec, parse_group_element
+
+Vec = tuple[int, ...]
 
 BOTTOM = "bot"
 TOP = "top"
@@ -233,7 +239,18 @@ def value_min(values) -> Value:
     return best
 
 
-# --- text notation: "BOT", "TOP", "INF", "AM(j;b1,...,bm)" ---------------
+# --- text notation: "BOT", "TOP", "INF", "AM(j;b1,...,bm)", "(a,b)" -----
+
+
+def parse_group_element(text: str) -> Vec:
+    """A group element "(a1,...,ak)" of Z^k."""
+    s = text.strip()
+    if not (s.startswith("(") and s.endswith(")")):
+        raise StructuralError(f"not a group element: {text!r}")
+    try:
+        return tuple(int(c) for c in s[1:-1].split(","))
+    except ValueError as exc:
+        raise StructuralError(f"not a group element: {text!r}") from exc
 
 
 def format_value(x: Value) -> str:

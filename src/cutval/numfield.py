@@ -358,6 +358,9 @@ class ValuedField:
         if isinstance(obj, str):
             return parse_ratfunc(obj)
         if isinstance(obj, dict):
+            if not (isinstance(obj.get("num"), list) and isinstance(obj.get("den", []), list)):
+                raise StructuralError(f"a Q(t) scalar needs the coefficient lists 'num' "
+                                      f"(and 'den'), got {obj!r}")
             num = parse_poly_list(obj["num"])
             den = parse_poly_list(obj["den"]) if "den" in obj else Polynomial.ONE
             return RationalFunction(num, den)

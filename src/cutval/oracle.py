@@ -16,8 +16,9 @@ operand pairs z minus the other's padded bound (or 0) with it; a BOTTOM
 operand empties both sums.  So B >= 2m suffices: the enforced bound
 leaves a margin of two.
 
-`brute_support` rescans x*R against powers of the uniformizer using only
-membership tests, independent of the min-valuation formula it checks.
+`brute_support` rescans x*R against powers of the uniformizer (at rank 1
+the domain's designated non-unit) using only membership tests,
+independent of the min-valuation formula it checks.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def brute_support(oracle: SubringOracle, x, scan_bound: int) -> BruteSupportResu
     if not oracle.contains(x):
         raise DomainError("brute support requires x in R")
     alg = oracle.algebra
-    pi = domain.uniformizer()
+    pi = domain.noninvertible()  # the uniformizer, at rank 1
     if alg.is_zero(x):
         return BruteSupportResult(None, inconclusive=True)
     best = None

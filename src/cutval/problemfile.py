@@ -54,9 +54,9 @@ class Problem:
 def load_problem(source) -> Problem:
     """Parse and validate a problem file (path, file object or dict).
 
-    A file that cannot be read, is not JSON, lacks a required key or gives
-    a `p` that is not an integer raises StructuralError naming the file or
-    the key.
+    A file that cannot be read, is not JSON, lacks a required key, gives a
+    section of the wrong JSON type or a `p` that is not an integer raises
+    StructuralError naming the file or the key.
     """
     if isinstance(source, dict):
         where, data = "problem", source
@@ -91,30 +91,43 @@ def _integer_p(desc: dict, section: str, where: str) -> int:
     raise StructuralError(f"{where}: key 'p' of {section!r} must be an integer, got {raw!r}")
 
 
+def _typed(raw, kind: type, key: str, where: str):
+    """raw, checked to be a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(raw, kind):
+        name = "object" if kind is dict else "array"
+        raise StructuralError(f"{where}: key {key!r} must be a JSON {name}, got {raw!r}")
+    return raw
+
+
 def _parse(data: dict, where: str) -> Problem:
     if data.get("format") != 1:
         raise StructuralError(f"unsupported format {data.get('format')!r} (need 1)")
-    fdesc = data["field"]
+    fdesc = _typed(data["field"], dict, "field", where)
     field = ValuedField(fdesc["kind"], _integer_p(fdesc, "field", where))
-    ddesc = data["domain"]
-    if isinstance(ddesc, dict) and "p" in ddesc:
+    ddesc = _typed(data["domain"], dict, "domain", where)
+    if "p" in ddesc:
         ddesc = {**ddesc, "p": _integer_p(ddesc, "domain", where)}
     domain = domain_from_descriptor(ddesc, field)
-    adesc = data["algebra"]
-    names = tuple(adesc["names"])
+    adesc = _typed(data["algebra"], dict, "algebra", where)
+    names = tuple(_typed(adesc["names"], list, "algebra.names", where))
     n = len(names)
 
-    def vec(raw):
-        if len(raw) != n:
+    def vec(raw, key):
+        if len(_typed(raw, list, key, where)) != n:
             raise StructuralError(f"coordinate vector of length {len(raw)}, expected {n}")
         return tuple(field.scalar(c) for c in raw)
 
-    table = tuple(tuple(vec(cell) for cell in row) for row in adesc["table"])
-    alg = StructureAlgebra(field, names, table, vec(adesc["unit"]))
+    def vecs(raw, key):
+        return tuple(vec(v, key) for v in _typed(raw, list, key, where))
+
+    table = tuple(vecs(row, "algebra.table")
+                  for row in _typed(adesc["table"], list, "algebra.table", where))
+    alg = StructureAlgebra(field, names, table, vec(adesc["unit"], "algebra.unit"))
     report = check_associative_unital(alg)
     if not report.ok:
         raise StructuralError(str(report))
-    bases = {name: tuple(vec(v) for v in vs) for name, vs in data.get("bases", {}).items()}
-    ideals = {name: IdealSpec(alg, tuple(vec(v) for v in vs))
-              for name, vs in data.get("ideals", {}).items()}
+    bases = {name: vecs(vs, f"bases.{name}")
+             for name, vs in _typed(data.get("bases", {}), dict, "bases", where).items()}
+    ideals = {name: IdealSpec(alg, vecs(vs, f"ideals.{name}"))
+              for name, vs in _typed(data.get("ideals", {}), dict, "ideals", where).items()}
     return Problem(field, domain, alg, bases, ideals)

@@ -38,10 +38,11 @@ def sample_scalar(rng: SplitMix64, spec: SampleSpec, field: ValuedField):
 
 def sample_in_domain(rng: SplitMix64, spec: SampleSpec, domain: BaseDomain):
     """An element of S (not necessarily nonzero)."""
-    if domain.kind == "Z":
+    field = domain.valued_field
+    if field is None:
         return Fraction(sample_int(rng, spec.coef_bound))
-    if domain.fraction_field_kind == "Q":
-        p = domain.p if domain.kind == "Zp" else domain.field.p
+    if field.kind == "Q":
+        p = field.p
         num = sample_int(rng, spec.coef_bound) * p ** rng.randint(0, 1)
         den = 1
         while True:
@@ -51,7 +52,6 @@ def sample_in_domain(rng: SplitMix64, spec: SampleSpec, domain: BaseDomain):
         return Fraction(num, den)
     # O_v over Q(t): polynomial with p-integral lowest coefficient, at times
     # divided by a unit 1 + c*t.
-    field = domain.field
     f = sample_ratfunc(rng, spec, field.p)
     if f.is_zero():
         return f

@@ -6,7 +6,7 @@ import pytest
 
 from cutval.basedomain import (BaseDomain, domain_from_descriptor, integers,
                                is_subdomain, p_local, valuation_ring)
-from cutval.errors import ConfigError, DomainError
+from cutval.errors import ConfigError
 from cutval.numfield import Polynomial, RationalFunction, ValuedField
 from cutval.samplers import sample_scalar
 from cutval.sampling import SampleSpec, SplitMix64
@@ -23,13 +23,13 @@ def test_contains_examples(field_qt):
 
 
 def test_clear_examples(field_qt):
-    assert p_local(2).clear_to_domain(Fraction(3, 8)) == 8
-    assert integers().clear_to_domain(Fraction(5, 6)) == 6
+    assert p_local(2).clear_many([Fraction(3, 8)]) == 8
+    assert integers().clear_many([Fraction(5, 6)]) == 6
     ov = valuation_ring(field_qt)
-    s = ov.clear_to_domain(three_over_2t())
+    s = ov.clear_many([three_over_2t()])
     assert field_qt.value(s) == (1, 1)  # s = 2t
     assert ov.contains(s * three_over_2t())
-    assert integers().clear_to_domain(Fraction(0)) == 1
+    assert integers().clear_many([Fraction(0)]) == 1
 
 
 def test_noninvertible(field_qt, field_q):
@@ -57,7 +57,7 @@ def test_clear_fuzz(make):
     spec = SampleSpec(seed=17, count=500)
     for _ in range(500):
         f = sample_scalar(rng, spec, field)
-        s = dom.clear_to_domain(f)
+        s = dom.clear_many([f])
         assert s and dom.contains(s)
         assert dom.contains(s * f)
 
@@ -83,6 +83,32 @@ def test_is_subdomain():
     assert not is_subdomain(p_local(2), integers())
     assert not is_subdomain(integers(), valuation_ring(fqt))
     assert is_subdomain(valuation_ring(fqt), valuation_ring(fqt))
+    # every pair: Z lies in each ring over Q, a valuation ring only in the
+    # valuation ring of the same valuation (Z_(p) and O_v(Q, p) alike)
+    doms = [integers(), p_local(2), p_local(3), valuation_ring(fq),
+            valuation_ring(ValuedField("Q", 3)), valuation_ring(fqt),
+            valuation_ring(ValuedField("Qt", 3))]
+    for s1 in doms:
+        for s2 in doms:
+            expect = (s1 == s2
+                      or (s1.kind == "Z" and s2.fraction_field_kind == "Q")
+                      or (s1.kind != "Z" and s2.kind != "Z"
+                          and s1.fraction_field_kind == s2.fraction_field_kind == "Q"
+                          and s1.valued_field.p == s2.valued_field.p))
+            assert is_subdomain(s1, s2) == expect, (s1.describe(), s2.describe())
+
+
+def test_p_local_is_the_valuation_ring_of_vp():
+    zp, ov = p_local(3), valuation_ring(ValuedField("Q", 3))
+    assert zp.valued_field == ov.valued_field == ValuedField("Q", 3)
+    assert zp != ov and (zp.describe(), ov.describe()) == ("Z_(3)", "O_v(Q,p=3)")
+    assert zp.noninvertible() == ov.noninvertible() == 3
+    rng = SplitMix64(31)
+    spec = SampleSpec(seed=31, count=300)
+    for _ in range(300):
+        f = sample_scalar(rng, spec, zp.valued_field)
+        assert zp.contains(f) == ov.contains(f) == (f == 0 or zp.value(f) >= (0,))
+        assert zp.clear_many([f, 1 / (f * f + 1)]) == ov.clear_many([f, 1 / (f * f + 1)])
 
 
 def test_descriptor_parsing():
@@ -96,8 +122,3 @@ def test_descriptor_parsing():
     with pytest.raises(ConfigError):
         BaseDomain("Zp", p=4)
 
-
-def test_uniformizer_rank1_only(field_qt):
-    assert p_local(5).uniformizer() == 5
-    with pytest.raises(DomainError):
-        valuation_ring(field_qt).uniformizer()

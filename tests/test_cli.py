@@ -6,12 +6,14 @@ import sys
 
 import pytest
 
-from cutval.algebra import matrix_algebra, quadratic_algebra
+from cutval.algebra import matrix_algebra, quadratic_algebra, rank_of
 from cutval.cli import eval_cut_expression, main
 from cutval.cuts import format_value, parse_value
 from cutval.errors import StructuralError
-from cutval.numfield import ValuedField
+from cutval.numfield import RationalFunction, ValuedField
 from cutval.problemfile import load_problem
+from cutval.samplers import sample_scalar
+from cutval.sampling import SampleSpec
 
 
 def problem_dict(alg, domain_desc, bases=None, ideals=None):
@@ -199,18 +201,31 @@ def test_missing_problem_file_fails_closed(capsys, tmp_path):
     assert err.startswith("FAIL: cannot read problem file") and path in err
 
 
-def bad_p_problem(section, value):
-    """A valid M2(Q) problem over Z_(2) with `section`.p replaced."""
+def edited_problem(path, value):
+    """A valid M2(Q) problem over Z_(2), the entry at the key path replaced."""
     data = problem_dict(matrix_algebra(ValuedField("Q", 2), 2), {"kind": "Zp", "p": 2})
-    data[section]["p"] = value
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
     return json.dumps(data)
+
+
+def wrong_type(path, value, reason):
+    return pytest.param(edited_problem(path, value), reason, id="-".join(map(str, path)))
 
 
 @pytest.mark.parametrize("text, reason", [
     ('{"format": 1, "field": ', "not valid JSON"),
     ("[1, 2]", "not a JSON object"),
-    (bad_p_problem("field", "two"), "key 'p' of 'field' must be an integer, got 'two'"),
-    (bad_p_problem("domain", "x"), "key 'p' of 'domain' must be an integer, got 'x'"),
+    (edited_problem(("field", "p"), "two"), "key 'p' of 'field' must be an integer, got 'two'"),
+    (edited_problem(("domain", "p"), "x"), "key 'p' of 'domain' must be an integer, got 'x'"),
+    wrong_type(("domain",), "Zp", "key 'domain' must be a JSON object, got 'Zp'"),
+    wrong_type(("field",), ["Q", 2], "key 'field' must be a JSON object, got ['Q', 2]"),
+    wrong_type(("algebra", "unit"), 1, "key 'algebra.unit' must be a JSON array, got 1"),
+    wrong_type(("algebra", "names"), 4, "key 'algebra.names' must be a JSON array, got 4"),
+    wrong_type(("bases",), {"units": [1]}, "key 'bases.units' must be a JSON array, got 1"),
+    wrong_type(("bases",), [1], "key 'bases' must be a JSON object, got [1]"),
 ])
 def test_malformed_problem_json_fails_closed(capsys, tmp_path, text, reason):
     path = tmp_path / "broken.json"
@@ -245,6 +260,20 @@ def test_qt_problem_round_trip(tmp_path, capsys):
     assert rc == 0 and out.strip() == "AM(0;1,0)"
 
 
+@pytest.mark.parametrize("element, reason", [
+    ("1,2", "not valid JSON"),
+    ("[1,", "not valid JSON"),
+    ('[{"num": 5}, "0"]', "coefficient lists 'num'"),
+    ('["1/2", {"den": ["1"]}]', "coefficient lists 'num'"),
+    ('{"a": 1}', "must be a JSON array of scalars"),
+])
+def test_malformed_qt_element_fails_closed(capsys, qx_file, element, reason):
+    rc, err = run_failing(capsys, ["qv", "eval", qx_file, "--basis", "random",
+                                   "--element", element])
+    assert rc == 1
+    assert err.startswith("FAIL: ") and reason in err
+
+
 def test_nice_over_z_sampled(capsys, tmp_path, field_q):
     alg = matrix_algebra(field_q, 2)
     data = problem_dict(alg, {"kind": "Z"},
@@ -254,3 +283,87 @@ def test_nice_over_z_sampled(capsys, tmp_path, field_q):
     rc, out = run(capsys, ["nice", str(path), "--basis", "units", "--samples", "100"])
     assert rc == 0
     assert "PASS R cap F = S (sampled)" in out
+
+
+# --- golden stdout -------------------------------------------------------------
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "cli_stdout.json")
+FILE = "<problem file>"
+
+
+def random_basis_problem(tmp_path, name, alg, domain_desc, seed, **draw):
+    """A problem file with one basis, "random", drawn coordinate by
+    coordinate from `seed` (rank-deficient draws rejected)."""
+    spec = SampleSpec(seed=seed, count=0, **draw)
+    rng = spec.rng()
+    while True:
+        cand = [tuple(sample_scalar(rng, spec, alg.field) for _ in range(alg.dim))
+                for _ in range(alg.dim)]
+        if rank_of(alg.field, cand) == alg.dim:
+            break
+    path = tmp_path / name
+    path.write_text(json.dumps(problem_dict(alg, domain_desc, bases={"random": cand})))
+    return str(path)
+
+
+@pytest.fixture
+def m3_file(tmp_path):
+    alg = matrix_algebra(ValuedField("Q", 3), 3)
+    return random_basis_problem(tmp_path, "m3.json", alg, {"kind": "Zp", "p": 3}, 7,
+                                coef_bound=5, max_p_exp=2)
+
+
+@pytest.fixture
+def qx_file(tmp_path):
+    field = ValuedField("Qt", 2)
+    alg = quadratic_algebra(field, RationalFunction.T)
+    return random_basis_problem(tmp_path, "qx.json", alg, {"kind": "Ov"}, 303,
+                                coef_bound=3, max_p_exp=1, poly_degree=2)
+
+
+def _random_basis_cases(tag, fixture, element, samples):
+    rb = ["--basis", "random"]
+    audit = ["--samples", samples, "--seed", "5"]
+    return {
+        f"{tag}-stable": (fixture, ["stable", FILE] + rb),
+        f"{tag}-nice": (fixture, ["nice", FILE] + rb + audit),
+        f"{tag}-qv-audit": (fixture, ["qv", "audit", FILE] + rb + audit),
+        f"{tag}-qv-eval": (fixture, ["qv", "eval", FILE] + rb + ["--element", element]),
+        f"{tag}-chain-descend": (fixture, ["chain", "descend", FILE] + rb + ["--steps", "1"] + audit),
+    }
+
+
+# name: (problem-file fixture or None, argv with FILE standing for its path)
+GOLDEN_CASES = {
+    "readme-cutcalc": (None, ["cutcalc", "AM(1;2) + AM(0;1,7)"]),
+    "readme-algebra-check": ("m2_file", ["algebra", "check", FILE]),
+    "readme-stable": ("m2_file", ["stable", FILE, "--basis", "units"]),
+    "readme-nice": ("m2_file", ["nice", FILE, "--basis", "units", "--samples", "40"]),
+    "readme-qv-eval": ("m2_file", ["qv", "eval", FILE, "--basis", "units",
+                                   "--element", "1/2,0,0,4"]),
+    "readme-qv-audit": ("m2_file", ["qv", "audit", FILE, "--basis", "units",
+                                    "--samples", "40", "--seed", "42"]),
+    "readme-chain-descend": ("m2_file", ["chain", "descend", FILE, "--basis", "unital",
+                                         "--steps", "4", "--samples", "20"]),
+    "readme-ideal-nice": ("dual_file", ["ideal-nice", FILE, "--ideal", "rad",
+                                        "--samples", "40"]),
+    "readme-matrix-chain": (None, ["matrix-chain", "--n", "2", "--domain", "Z",
+                                   "--ideals", "4,2", "--samples", "40"]),
+    **_random_basis_cases("m3-z3", "m3_file", "1,2/3,0,0,3,0,-1/9,0,9", "12"),
+    **_random_basis_cases("qx-ov", "qx_file", '[{"num": ["1", "2"], "den": ["0", "1"]}, "1/2"]', "6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_stdout_matches_recording(request, capsys, name):
+    """Exit status and stdout, byte for byte, as recorded in
+    tests/golden/cli_stdout.json ({name: {"exit": ..., "stdout": ...}});
+    an intended output change re-records the cases it touches."""
+    fixture, argv = GOLDEN_CASES[name]
+    if fixture is not None:
+        path = request.getfixturevalue(fixture)
+        argv = [path if a == FILE else a for a in argv]
+    rc, out = run(capsys, argv)
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        recorded = json.load(fh)[name]
+    assert {"exit": rc, "stdout": out} == recorded

@@ -4,12 +4,12 @@ import pytest
 
 from conftest import random_cut, random_vec
 from cutval.cuts import (INF, at_most, bottom, cut_add, cut_compare, cut_scale,
-                         cut_translate, embed_phi, format_value, parse_value,
-                         top, value_add, value_compare, value_min,
-                         value_scale, value_translate, zero_cut)
+                         cut_translate, embed_phi, format_value,
+                         parse_group_element, parse_value, top, value_add,
+                         value_compare, value_min, value_scale,
+                         value_translate, zero_cut)
 from cutval.errors import DomainError, RankMismatchError, StructuralError
 from cutval.oracle import Window, window_cut_sum, window_left_set
-from cutval.ordgroup import group_add, group_neg
 from cutval.sampling import SplitMix64
 
 
@@ -155,11 +155,12 @@ def test_phi_homomorphism_and_translate(rank):
     rng = SplitMix64(400 + rank)
     for _ in range(1200):
         alpha, beta = random_vec(rng, rank), random_vec(rng, rank)
-        assert cut_add(embed_phi(alpha), embed_phi(beta)) == embed_phi(group_add(alpha, beta))
+        alpha_beta = tuple(x + y for x, y in zip(alpha, beta))
+        assert cut_add(embed_phi(alpha), embed_phi(beta)) == embed_phi(alpha_beta)
         lc = (alpha > beta) - (alpha < beta)
         assert cut_compare(embed_phi(alpha), embed_phi(beta)) == lc
         a = random_cut(rng, rank)
-        assert cut_translate(a, alpha) == cut_add(a, embed_phi(group_neg(alpha)))
+        assert cut_translate(a, alpha) == cut_add(a, embed_phi(tuple(-x for x in alpha)))
 
 
 def test_scale_matches_iterated_add_fuzz():
@@ -205,6 +206,17 @@ def test_notation_round_trip():
         rank = rng.choice((1, 2, 3))
         v = random_cut(rng, rank, bound=10 ** 9)
         assert parse_value(format_value(v), rank) == v
+
+
+def test_group_element_text_round_trip():
+    rng = SplitMix64(5)
+    for _ in range(200):
+        v = random_vec(rng, rng.choice((1, 2, 3)), bound=10 ** 6)
+        assert parse_group_element("(" + ",".join(map(str, v)) + ")") == v
+    assert parse_group_element("(3, -1)") == (3, -1)
+    for bad in ("3,-1", "()", "(1,x)"):
+        with pytest.raises(StructuralError):
+            parse_group_element(bad)
 
 
 def test_representation_completeness_rank1():

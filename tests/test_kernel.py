@@ -5,7 +5,8 @@ Each reference below is one of the separate Gauss-Jordan loops the library
 used before it had a single elimination kernel, kept verbatim apart from
 its name: solve, rank, inverse, min-valuation lattice elimination, and the
 stabilizer, stability check and basis insertion that solved one linear
-system per product.  Coordinates over a basis are unique and the
+system per product, and the dense product that walked every cell of the
+structure-constant table.  Coordinates over a basis are unique and the
 min-valuation pivot sequence is a function of the rows, so every result
 must be exactly equal.
 """
@@ -27,6 +28,22 @@ from cutval.stability import (StabilityReport, StableBasisCertificate, insert_in
 
 
 # --- the replaced loops ----------------------------------------------------------
+
+
+def mul_reference(alg, x, y):
+    out = list(alg.zero)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            c = xi * yj
+            for k, t in enumerate(alg.table[i][j]):
+                if t:
+                    out[k] = out[k] + c * t
+    return tuple(out)
+
 
 
 def solve_columns_reference(columns, target):
@@ -281,3 +298,20 @@ def test_coordinate_map_needs_a_full_independent_basis():
         stabilizer_finite(alg, units[:3] + [units[0]], integers())
     with pytest.raises(StructuralError, match="a basis of A has 4 elements, got 3"):
         is_stable(alg, units[:3], units[:3], integers())
+
+
+@pytest.mark.parametrize("name", ["M3(Q)", "M2(Q(t))", "Q(t)[x]/(x^2-t)", "Q[x]/(x^2)"])
+def test_sparse_mul_matches_dense_reference(name):
+    alg, draw = {
+        "M3(Q)": (matrix_algebra(Q3, 3), M3_DRAW),
+        "M2(Q(t))": (matrix_algebra(QT, 2), QT_DRAW),
+        "Q(t)[x]/(x^2-t)": (quadratic_algebra(QT, RationalFunction.T), QT_DRAW),
+        "Q[x]/(x^2)": (quadratic_algebra(Q3, 0), M3_DRAW),  # the cell s*s is all zero
+    }[name]
+    spec = SampleSpec(seed=311, count=0, **draw)
+    rng = spec.rng()
+    special = [alg.zero, alg.unit] + [alg.basis_vector(i) for i in range(alg.dim)]
+    drawn = [sample_algebra_element(rng, spec, alg) for _ in range(12)]
+    for x in special + drawn:
+        for y in special + drawn[:4]:
+            assert alg.mul(x, y) == mul_reference(alg, x, y)

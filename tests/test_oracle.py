@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_cut
 from cutval.algebra import matrix_algebra
-from cutval.basedomain import p_local
+from cutval.basedomain import p_local, valuation_ring
 from cutval.cuts import ATMOST, at_most, bottom, embed_phi, top
 from cutval.errors import BudgetError, DomainError
 from cutval.numfield import ValuedField
@@ -97,6 +97,14 @@ def test_brute_support_examples(m2_order):
     assert brute_support(R, alg.zero, 8).inconclusive
     with pytest.raises(DomainError):
         brute_support(R, alg.element(["1/2", "0", "0", "0"]), 8)
+
+
+def test_brute_support_needs_rank_1(field_qt):
+    # the scan steps through powers of a uniformizer, which only rank 1 has
+    alg = matrix_algebra(field_qt, 2)
+    M = LatticeModule(alg, valuation_ring(field_qt), tuple(alg.basis_vector(i) for i in range(4)))
+    with pytest.raises(DomainError, match="rank-1"):
+        brute_support(left_order(M), alg.unit, 4)
 
 
 def test_brute_support_agrees_with_mu(m2_order):

@@ -173,6 +173,28 @@ def test_verify_nice_detects_lying_over_failure(m2):
     assert not lying.ok and lying.method == "sampled"
 
 
+class EverythingPolySubring(PolySubring):
+    """A vacuous poly oracle: every polynomial is a member."""
+
+    def contains(self, f):
+        return True
+
+
+def test_poly_audit_refuses_vacuous_membership(field_q):
+    A = PolynomialAlgebra(field_q)
+    S = p_local(2)
+    spec = SampleSpec(seed=5, count=60)
+    genuine = verify_nice(left_order(LatticeModule(A, S, None)), spec)
+    assert genuine.ok, str(genuine)
+    assert [(c.name, c.method) for c in genuine.checks] == [
+        ("contains S*1", "sampled"), ("closed under + and *", "sampled"),
+        ("RF = A (monomials inside R)", "exact"), ("R cap F = S", "sampled")]
+    report = verify_nice(EverythingPolySubring(A, S), spec)
+    lying = next(c for c in report.checks if c.name == "R cap F = S")
+    assert not lying.ok and lying.detail.startswith("witness alpha = ")
+    assert not S.contains(field_q.scalar(lying.detail.removeprefix("witness alpha = ")))
+
+
 # --- ideal variant ----------------------------------------------------------
 
 
