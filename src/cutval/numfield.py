@@ -15,6 +15,12 @@ the value.
 Rationals are stdlib ``fractions.Fraction`` (already reduced, positive
 denominator, arbitrary precision).  ``v(0)`` is ``None`` everywhere in
 this module -- the cut-level infinity lives in :mod:`cutval.cuts` only.
+
+Elements of Q(t) are ``RationalFunction``s, always reduced with a monic
+denominator.  Only the public constructor reduces; the operators assume
+reduced operands and build their results by Henrici's cross-cancellation
+(Knuth, TAOCP vol. 2, 4.5.1), which yields a reduced result from reduced
+operands, so no result is re-reduced and no gcd is taken with a constant.
 """
 
 from __future__ import annotations
@@ -134,6 +140,10 @@ class Polynomial:
     def __mul__(self, other):
         if not self.coeffs or not other.coeffs:
             return Polynomial()
+        if len(self.coeffs) == 1:
+            return other.scale(self.coeffs[0])
+        if len(other.coeffs) == 1:
+            return self.scale(other.coeffs[0])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -144,6 +154,8 @@ class Polynomial:
         return Polynomial(out)
 
     def scale(self, c: Fraction) -> "Polynomial":
+        if c == 1:
+            return self
         return Polynomial(tuple(c * a for a in self.coeffs))
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
@@ -183,9 +195,22 @@ Polynomial.ONE = Polynomial((1,))
 Polynomial.T = Polynomial((0, 1))
 
 
+def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """poly_gcd(a, b), not called when either is constant; ONE for a zero
+    side, which only a numerator can be and which needs no cancelling."""
+    return poly_gcd(a, b) if a.degree > 0 and b.degree > 0 else Polynomial.ONE
+
+
+def _exact_quo(a: Polynomial, g: Polynomial) -> Polynomial:
+    """a / g for a monic divisor g of a."""
+    return a if g.degree == 0 else a.divmod(g)[0]
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic Euclidean gcd; each remainder is renormalized monic so the
     result is deterministic."""
+    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+        return Polynomial.ONE
     while not b.is_zero():
         _, r = a.divmod(b)
         a, b = b, r.monic()
@@ -193,7 +218,13 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 class RationalFunction:
-    """Reduced fraction of polynomials over Q with monic denominator."""
+    """Reduced fraction of polynomials over Q with monic denominator.
+
+    ``RationalFunction(num, den)`` reduces its arguments.  The operators
+    assume reduced operands and return reduced results without reducing
+    them again: results are built by the trusted ``_reduced``, which
+    stores its pair as given.
+    """
 
     __slots__ = ("num", "den")
 
@@ -203,7 +234,7 @@ class RationalFunction:
         if num.is_zero():
             num, den = Polynomial.ZERO, Polynomial.ONE
         else:
-            g = poly_gcd(num, den)
+            g = _gcd(num, den)
             if g.degree > 0:
                 num, _ = num.divmod(g)
                 den, _ = den.divmod(g)
@@ -214,13 +245,20 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @classmethod
+    def _reduced(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den for a coprime pair with monic den, stored without a gcd."""
+        out = object.__new__(cls)
+        out.num, out.den = (num, den) if num else (Polynomial.ZERO, Polynomial.ONE)
+        return out
+
     ZERO: "RationalFunction"
     ONE: "RationalFunction"
     T: "RationalFunction"
 
     @classmethod
     def constant(cls, q) -> "RationalFunction":
-        return cls(Polynomial((Fraction(q),)))
+        return cls._reduced(Polynomial((Fraction(q),)), Polynomial.ONE)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -229,22 +267,34 @@ class RationalFunction:
         return not self.num.is_zero()
 
     def __add__(self, other):
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        g = d1 if d1 == d2 else _gcd(d1, d2)
+        if g.degree == 0:
+            # coprime denominators: the cross sum is already reduced
+            return RationalFunction._reduced(n1 * d2 + n2 * d1, d1 * d2)
+        d1g, d2g = _exact_quo(d1, g), _exact_quo(d2, g)
+        # n1/d1 + n2/d2 = s / (d1g * d2g * g), and gcd(s, that) = gcd(s, g)
+        s = n1 * d2g + n2 * d1g
+        h = _gcd(s, g)
+        return RationalFunction._reduced(_exact_quo(s, h), d1g * _exact_quo(d2, h))
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        g1, g2 = _gcd(n1, d2), _gcd(n2, d1)
+        return RationalFunction._reduced(_exact_quo(n1, g1) * _exact_quo(n2, g2),
+                                         _exact_quo(d1, g2) * _exact_quo(d2, g1))
 
     def __truediv__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        inv = 1 / other.num.leading_coeff()
+        return self * RationalFunction._reduced(other.den.scale(inv), other.num.scale(inv))
 
     def __eq__(self, other):
         return (isinstance(other, RationalFunction)
@@ -301,6 +351,12 @@ def parse_ratfunc(text: str) -> RationalFunction:
     else:
         num = parse_poly_list(_split_list(s))
         den = Polynomial.ONE
+    return _parsed_ratfunc(num, den, text)
+
+
+def _parsed_ratfunc(num: Polynomial, den: Polynomial, source) -> RationalFunction:
+    if den.is_zero():
+        raise StructuralError(f"zero denominator in the Q(t) scalar {source!r}")
     return RationalFunction(num, den)
 
 
@@ -363,7 +419,7 @@ class ValuedField:
                                       f"(and 'den'), got {obj!r}")
             num = parse_poly_list(obj["num"])
             den = parse_poly_list(obj["den"]) if "den" in obj else Polynomial.ONE
-            return RationalFunction(num, den)
+            return _parsed_ratfunc(num, den, obj)
         raise StructuralError(f"cannot coerce {obj!r} into Q(t)")
 
     def scalar_text(self, x) -> str:

@@ -55,8 +55,9 @@ def load_problem(source) -> Problem:
     """Parse and validate a problem file (path, file object or dict).
 
     A file that cannot be read, is not JSON, lacks a required key, gives a
-    section of the wrong JSON type or a `p` that is not an integer raises
-    StructuralError naming the file or the key.
+    section of the wrong JSON type, a `p` that is not an integer or a
+    malformed scalar (such as a zero denominator) raises StructuralError
+    naming the file or the key.
     """
     if isinstance(source, dict):
         where, data = "problem", source
@@ -115,7 +116,10 @@ def _parse(data: dict, where: str) -> Problem:
     def vec(raw, key):
         if len(_typed(raw, list, key, where)) != n:
             raise StructuralError(f"coordinate vector of length {len(raw)}, expected {n}")
-        return tuple(field.scalar(c) for c in raw)
+        try:
+            return tuple(field.scalar(c) for c in raw)
+        except StructuralError as exc:
+            raise StructuralError(f"{where}: key {key!r}: {exc}") from exc
 
     def vecs(raw, key):
         return tuple(vec(v, key) for v in _typed(raw, list, key, where))

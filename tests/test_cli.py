@@ -201,9 +201,11 @@ def test_missing_problem_file_fails_closed(capsys, tmp_path):
     assert err.startswith("FAIL: cannot read problem file") and path in err
 
 
-def edited_problem(path, value):
-    """A valid M2(Q) problem over Z_(2), the entry at the key path replaced."""
-    data = problem_dict(matrix_algebra(ValuedField("Q", 2), 2), {"kind": "Zp", "p": 2})
+def edited_problem(path, value, kind="Q"):
+    """A valid M2(Q) problem over Z_(2), or M2(Q(t)) over O_v for kind "Qt",
+    the entry at the key path replaced."""
+    domain = {"kind": "Zp", "p": 2} if kind == "Q" else {"kind": "Ov"}
+    data = problem_dict(matrix_algebra(ValuedField(kind, 2), 2), domain)
     target = data
     for key in path[:-1]:
         target = target[key]
@@ -226,6 +228,10 @@ def wrong_type(path, value, reason):
     wrong_type(("algebra", "names"), 4, "key 'algebra.names' must be a JSON array, got 4"),
     wrong_type(("bases",), {"units": [1]}, "key 'bases.units' must be a JSON array, got 1"),
     wrong_type(("bases",), [1], "key 'bases' must be a JSON object, got [1]"),
+    pytest.param(edited_problem(("algebra", "unit", 0), {"num": ["1"], "den": ["0"]}, "Qt"),
+                 "key 'algebra.unit': zero denominator", id="qt-den-zero"),
+    pytest.param(edited_problem(("algebra", "unit", 0), {"num": ["1"], "den": []}, "Qt"),
+                 "key 'algebra.unit': zero denominator", id="qt-den-empty"),
 ])
 def test_malformed_problem_json_fails_closed(capsys, tmp_path, text, reason):
     path = tmp_path / "broken.json"
@@ -266,6 +272,9 @@ def test_qt_problem_round_trip(tmp_path, capsys):
     ('[{"num": 5}, "0"]', "coefficient lists 'num'"),
     ('["1/2", {"den": ["1"]}]', "coefficient lists 'num'"),
     ('{"a": 1}', "must be a JSON array of scalars"),
+    ('["[1,2]/[0]", "0"]', "zero denominator"),
+    ('["[1,2]/[]", "0"]', "zero denominator"),
+    ('[{"num": ["1"], "den": ["0"]}, "0"]', "zero denominator"),
 ])
 def test_malformed_qt_element_fails_closed(capsys, qx_file, element, reason):
     rc, err = run_failing(capsys, ["qv", "eval", qx_file, "--basis", "random",

@@ -5,13 +5,17 @@ Each reference below is one of the separate Gauss-Jordan loops the library
 used before it had a single elimination kernel, kept verbatim apart from
 its name: solve, rank, inverse, min-valuation lattice elimination, and the
 stabilizer, stability check and basis insertion that solved one linear
-system per product, and the dense product that walked every cell of the
-structure-constant table.  Coordinates over a basis are unique and the
-min-valuation pivot sequence is a function of the rows, so every result
+system per product, the dense product that walked every cell of the
+structure-constant table, and the Q(t) arithmetic that reduced every sum
+and product with a full gcd.  Coordinates over a basis are unique, the
+min-valuation pivot sequence is a function of the rows and a rational
+function has one reduced form with a monic denominator, so every result
 must be exactly equal.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +23,7 @@ from cutval.algebra import (_eliminate, invert, matrix_algebra, quadratic_algebr
                             rank_of, solve_columns)
 from cutval.basedomain import integers, p_local, valuation_ring
 from cutval.errors import StructuralError
-from cutval.numfield import RationalFunction, ValuedField
+from cutval.numfield import Polynomial, RationalFunction, ValuedField, poly_gcd
 from cutval.orders import LatticeModule, intersect_oracles, left_order
 from cutval.samplers import sample_algebra_element, sample_scalar
 from cutval.sampling import SampleSpec
@@ -44,6 +48,65 @@ def mul_reference(alg, x, y):
                     out[k] = out[k] + c * t
     return tuple(out)
 
+
+def poly_mul_reference(a, b):
+    if not a.coeffs or not b.coeffs:
+        return Polynomial()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x == 0:
+            continue
+        for j, y in enumerate(b.coeffs):
+            if y != 0:
+                out[i + j] += x * y
+    return Polynomial(out)
+
+
+def poly_gcd_reference(a, b):
+    while not b.is_zero():
+        _, r = a.divmod(b)
+        a, b = b, r.monic()
+    return a.monic()
+
+
+def reduce_reference(num, den):
+    """The reducing constructor every Q(t) result went through: (num, den)."""
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    if num.is_zero():
+        return Polynomial.ZERO, Polynomial.ONE
+    g = poly_gcd_reference(num, den)
+    if g.degree > 0:
+        num, _ = num.divmod(g)
+        den, _ = den.divmod(g)
+    lc = den.leading_coeff()
+    if lc != 1:
+        num = num.scale(1 / lc)
+        den = den.scale(1 / lc)
+    return num, den
+
+
+# the four operators on reduced (num, den) pairs
+def ratfunc_add_reference(f, g):
+    (n1, d1), (n2, d2) = f, g
+    return reduce_reference(poly_mul_reference(n1, d2) + poly_mul_reference(n2, d1),
+                            poly_mul_reference(d1, d2))
+
+
+def ratfunc_sub_reference(f, g):
+    return ratfunc_add_reference(f, reduce_reference(-g[0], g[1]))
+
+
+def ratfunc_mul_reference(f, g):
+    (n1, d1), (n2, d2) = f, g
+    return reduce_reference(poly_mul_reference(n1, n2), poly_mul_reference(d1, d2))
+
+
+def ratfunc_div_reference(f, g):
+    (n1, d1), (n2, d2) = f, g
+    if n2.is_zero():
+        raise ZeroDivisionError("division by zero rational function")
+    return reduce_reference(poly_mul_reference(n1, d2), poly_mul_reference(d1, n2))
 
 
 def solve_columns_reference(columns, target):
@@ -315,3 +378,67 @@ def test_sparse_mul_matches_dense_reference(name):
     for x in special + drawn:
         for y in special + drawn[:4]:
             assert alg.mul(x, y) == mul_reference(alg, x, y)
+
+
+# --- Q(t) arithmetic -----------------------------------------------------------------
+
+
+def rf(num, den=(1,)):
+    return RationalFunction(Polynomial(num), Polynomial(den))
+
+
+def pair(f):
+    return f.num, f.den
+
+
+T_TM1 = (0, -1, 1)        # t(t-1)
+T_TP2 = (0, 2, 1)         # t(t+2)
+TP1_SQ = (1, 2, 1)        # (t+1)^2
+SPECIAL_RF = [
+    RationalFunction.ZERO, RationalFunction.ONE, rf((-1,)), rf((Fraction(-3, 4),)),
+    rf((9,)), rf((Fraction(1, 27),)),                                 # constants, p = 3
+    RationalFunction.T, rf((1,), (0, 1)), rf((2, -1), (0, 0, 1)),     # dens 1, t, t^2
+    rf((Fraction(5, 3),), (1, Fraction(-2, 9))), rf((0, 1), (1, 3)),  # dens 1 + c t
+    rf((1, 1), T_TM1), rf(T_TM1, TP1_SQ),                             # product cancels to 1/(t+1)
+    rf((1,), T_TM1), rf((-2, 1), T_TM1), rf((2, -1), T_TM1),          # same den, sums cancel
+    rf((3, 1), T_TP2), rf((Fraction(-1, 3), 0, 1), T_TP2),            # dens share t
+    rf((0, 0, 0, 81), (1, 0, -1)), rf((-4, 0, 1), (2, 1)),            # reduces on construction
+]
+
+
+def ratfunc_pool():
+    """The special elements, seeded draws and products of draws, whose
+    denominators have several factors."""
+    spec = SampleSpec(seed=313, count=0, coef_bound=5, max_p_exp=2, poly_degree=2)
+    rng = spec.rng()
+    drawn = [sample_scalar(rng, spec, ValuedField("Qt", 3)) for _ in range(16)]
+    mixed = [RationalFunction(*ratfunc_mul_reference(pair(a), pair(b)))
+             for a, b in zip(drawn[::2], drawn[1::2])]
+    return SPECIAL_RF + drawn + mixed
+
+
+def test_ratfunc_arithmetic_matches_reference():
+    pool = ratfunc_pool()
+    for f in pool:
+        assert pair(-f) == reduce_reference(-f.num, f.den)
+        for g in pool:
+            for op, ref in ((f + g, ratfunc_add_reference), (f - g, ratfunc_sub_reference),
+                            (f * g, ratfunc_mul_reference)):
+                expected = ref(pair(f), pair(g))
+                assert (op.num.coeffs, op.den.coeffs) == (expected[0].coeffs, expected[1].coeffs)
+            if g:
+                q, expected = f / g, ratfunc_div_reference(pair(f), pair(g))
+                assert (q.num.coeffs, q.den.coeffs) == (expected[0].coeffs, expected[1].coeffs)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    f / g
+
+
+def test_poly_arithmetic_matches_reference():
+    polys = [Polynomial(), Polynomial.ONE, Polynomial((Fraction(-2, 9),)), Polynomial.T]
+    for f in ratfunc_pool():
+        polys += [f.num, f.den]
+    for a in polys:
+        for b in polys:
+            assert (a * b).coeffs == poly_mul_reference(a, b).coeffs
+            assert poly_gcd(a, b).coeffs == poly_gcd_reference(a, b).coeffs

@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutval.errors import ConfigError, StructuralError
 from cutval.numfield import (Polynomial, RationalFunction, ValuedField,
@@ -11,6 +13,7 @@ from cutval.numfield import (Polynomial, RationalFunction, ValuedField,
                              poly_gcd, vp)
 from cutval.samplers import sample_ratfunc, sample_scalar
 from cutval.sampling import SampleSpec, SplitMix64, sample_rational
+from test_kernel import ratfunc_add_reference, ratfunc_mul_reference
 
 
 def test_vp_examples():
@@ -123,3 +126,68 @@ def test_rational_sampler_shapes():
         if q != 0 and vp(2, q)[0] < 0:
             seen_powers = True
     assert seen_powers
+
+
+# --- properties ----------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+rationals = st.builds(lambda n, d, e: Fraction(n, d) * Fraction(3) ** e,
+                      st.integers(-9, 9), st.integers(1, 9), st.integers(-2, 2))
+def _product(fs):
+    out = Polynomial.ONE
+    for f in fs:
+        out = out * f
+    return out
+
+
+# products of a few linear factors, so that numerators and denominators
+# often share a factor
+factored = st.builds(
+    lambda c, fs: Polynomial((c,)) * _product(fs),
+    rationals.filter(bool),
+    st.lists(st.sampled_from([Polynomial.T, Polynomial((-1, 1)), Polynomial((1, 1)),
+                              Polynomial((2, 1)), Polynomial((1, 3))]), max_size=3))
+polys = st.one_of(st.lists(rationals, max_size=4).map(Polynomial), factored)
+ratfuncs = st.builds(RationalFunction, polys, polys.filter(bool))
+
+
+def assert_canonical(f):
+    assert f.den.leading_coeff() == 1
+    assert poly_gcd(f.num, f.den) == Polynomial.ONE
+    if f.is_zero():
+        assert f.den == Polynomial.ONE
+
+
+@PROPERTY
+@given(rationals)
+def test_rational_text_round_trip(q):
+    s = format_rational(q)
+    assert parse_rational(s) == q and format_rational(parse_rational(s)) == s
+
+
+@PROPERTY
+@given(ratfuncs)
+def test_ratfunc_text_round_trip(f):
+    s = format_ratfunc(f)
+    assert parse_ratfunc(s) == f and format_ratfunc(parse_ratfunc(s)) == s
+
+
+@PROPERTY
+@given(ratfuncs, ratfuncs)
+def test_ratfunc_results_are_canonical_and_match_reference(f, g):
+    results = [f + g, f - g, f * g, -f] + ([f / g] if g else [])
+    for r in results:
+        assert_canonical(r)
+    assert ((f + g).num, (f + g).den) == ratfunc_add_reference((f.num, f.den), (g.num, g.den))
+    assert ((f * g).num, (f * g).den) == ratfunc_mul_reference((f.num, f.den), (g.num, g.den))
+
+
+@PROPERTY
+@given(ratfuncs, ratfuncs, ratfuncs)
+def test_ratfunc_field_laws(a, b, c):
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) - b == a
+    if b:
+        assert (a * b) / b == a
+    assert a - a == RationalFunction.ZERO
