@@ -82,9 +82,6 @@ class StructureAlgebra:
     def add(self, x: Element, y: Element) -> Element:
         return tuple(a + b for a, b in zip(x, y))
 
-    def sub(self, x: Element, y: Element) -> Element:
-        return tuple(a - b for a, b in zip(x, y))
-
     def smul(self, c, x: Element) -> Element:
         return tuple(c * a for a in x)
 
@@ -196,11 +193,6 @@ def invert(fieldobj: ValuedField, rows) -> list:
 def is_independent(fieldobj: ValuedField, vectors) -> bool:
     vectors = list(vectors)
     return rank_of(fieldobj, vectors) == len(vectors)
-
-
-def coords_in_basis(alg: StructureAlgebra, x: Element, basis) -> tuple:
-    """Expand x in an independent family; unique exact coordinates."""
-    return solve_columns(alg.field, list(basis), x)
 
 
 def extend_to_basis(alg: StructureAlgebra, vectors) -> list:
@@ -404,9 +396,6 @@ class PolynomialAlgebra:
             else:
                 out.pop(n, None)
         return out
-
-    def sub(self, f: dict, g: dict) -> dict:
-        return self.add(f, self.smul(-self.field.one, g))
 
     def smul(self, c, f: dict) -> dict:
         if not c:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ConfigError, StructuralError
-from .numfield import RationalFunction, ValuedField, is_prime, vp
+from .numfield import RationalFunction, ValuedField, is_prime
 
 Z = "Z"
 ZP = "Zp"
@@ -79,33 +79,26 @@ class BaseDomain:
     def clear_many(self, coeffs):
         """Canonical minimal s in S, s != 0, with s*c in S for every c.
 
-        Z: lcm of denominators.  O_v over Q: the minimal p-power.
-        O_v over Q(t): p^M * t^N with N clearing the worst t-order and M
-        clearing the worst p-exponent among coefficients at that order.
+        Z: lcm of denominators.  O_v: the element of value -min v(c),
+        clipped to nonnegative components (p^M over Q, p^M * t^N over
+        Q(t)), or 1 when that value is <= 0.
         """
-        coeffs = [c for c in coeffs if c != 0 and not (isinstance(c, RationalFunction) and c.is_zero())]
+        coeffs = [c for c in coeffs if c]
         if not coeffs:
             return self.one
         if self.field is None:
             return Fraction(lcm(*(c.denominator for c in coeffs)))
-        if self.field.kind == "Q":
-            p = self.field.p
-            e = max(0, max(-vp(p, c)[0] for c in coeffs))
-            return Fraction(p) ** e
-        vals = [self.field.value(c) for c in coeffs]
-        worst_n = max(0, max(-n for n, _ in vals))
-        at_edge = [a for n, a in vals if n == -worst_n]
-        worst_m = max(0, max(-a for a in at_edge)) if at_edge else 0
-        return self.field.element_with_value((worst_n, worst_m))
+        worst = tuple(-g for g in min(self.field.value(c) for c in coeffs))
+        if worst <= (0,) * self.field.rank:
+            return self.one
+        return self.field.element_with_value(tuple(max(0, g) for g in worst))
 
     def noninvertible(self):
-        """The designated nonzero non-unit of S: 2 in Z, p in O_v over Q
-        (its uniformizer), t in O_v over Q(t)."""
+        """The designated nonzero non-unit of S: 2 in Z, the element of value
+        (1, 0, ...) in O_v (p over Q, t over Q(t))."""
         if self.field is None:
             return Fraction(2)
-        if self.field.kind == "Q":
-            return Fraction(self.field.p)
-        return RationalFunction.T
+        return self.field.element_with_value((1,) + (0,) * (self.field.rank - 1))
 
     @property
     def one(self):

@@ -110,7 +110,7 @@ def parse_element(alg, text: str):
         return alg.element([parse_rational(c) for c in text.split(",")])
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
         raise StructuralError(f"--element is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise StructuralError(f"--element must be a JSON array of scalars, got {text!r}")

@@ -30,9 +30,6 @@ from fractions import Fraction
 
 from .errors import ConfigError, StructuralError
 
-Rational = Fraction
-
-
 def is_prime(p: int) -> bool:
     if p < 2:
         return False

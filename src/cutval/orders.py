@@ -4,10 +4,12 @@ A lattice M = sum_b S*b is given by a basis; its left order is
 R = { x : xM subset M }, realized as a conjunction of linear constraints
 "functional of x lands in S" (one functional per coordinate of each
 product x*b: `algebra.product_rows`).  Over a valuation-like S (Z_(p) or
-O_v) the constraint rows are reduced by min-valuation-pivot elimination to
-a triangular system T, and R is the free S-lattice with basis the columns
-of T^-1; predicate and lattice agree and tests check it.  Over Z only the
-predicate is kept (R need not be a free Z-module in any preferred basis).
+O_v) those n^2 rows are reduced by min-valuation-pivot elimination to a
+triangular system T of n rows.  Every elimination multiplier lies in S, so
+T spans the same S-module as the rows it came from and decides the same
+membership: T is the oracle's only row set, and R is the free S-lattice
+with basis the columns of T^-1.  Over Z only the predicate on the full
+rows is kept (R need not be a free Z-module in any preferred basis).
 
 The same constraint-group machinery hosts the ideal-containing variant,
 going-down, finite intersections, the strictly descending chains built
@@ -65,10 +67,12 @@ class SubringOracle:
     """Membership oracle for an S-subring of A.
 
     constraints: groups (domain, rows); x is a member when every row of
-    every group lands in that group's domain.  lattice_basis/lattice_rows
-    are the free-module representation when S is valuation-like (x's
-    coordinates in the lattice basis are lattice_rows @ x).
-    contained_basis certifies RF = A.
+    every group lands in that group's domain.  A lattice oracle (S
+    valuation-like) has one group, the dim triangular rows T over S, and
+    lattice_basis, the columns of T^-1: x's coordinates in that basis are
+    the values of T at x (lattice_rows, lattice_coords).
+    contained_basis certifies RF = A; a lattice oracle sets it to its
+    lattice basis.
     """
 
     algebra: object
@@ -76,19 +80,24 @@ class SubringOracle:
     provenance: str
     constraints: tuple
     lattice_basis: tuple | None = None
-    lattice_rows: tuple | None = None
     contained_basis: tuple | None = None
     certificate: StableBasisCertificate | None = None
     # The rows above in evaluable form (see _Rows), built once per oracle.
     _constraint_rows: tuple = dataclasses.field(init=False, repr=False, compare=False)
-    _lattice_rows: _Rows | None = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.lattice_basis is not None and not (
+                len(self.constraints) == 1 and self.constraints[0][0] == self.domain
+                and len(self.constraints[0][1]) == self.algebra.dim):
+            raise ConfigError("a lattice oracle needs one constraint group of dim rows over its domain")
         fieldobj = self.algebra.field
         object.__setattr__(self, "_constraint_rows", tuple(
             (dom, _Rows(fieldobj, rows)) for dom, rows in self.constraints))
-        object.__setattr__(self, "_lattice_rows", None if self.lattice_rows is None
-                           else _Rows(fieldobj, self.lattice_rows))
+
+    @property
+    def lattice_rows(self) -> tuple | None:
+        """T, whose values at x are x's lattice coordinates; None off a lattice."""
+        return None if self.lattice_basis is None else self.constraints[0][1]
 
     def contains(self, x) -> bool:
         if len(x) != self.algebra.dim:
@@ -97,9 +106,9 @@ class SubringOracle:
                    for c in rows.values(x))
 
     def lattice_coords(self, x) -> tuple:
-        if self._lattice_rows is None:
+        if self.lattice_basis is None:
             raise ConfigError("oracle has no lattice representation")
-        return tuple(self._lattice_rows.values(x))
+        return tuple(self._constraint_rows[0][1].values(x))
 
 
 def oracle_to_json(oracle: "SubringOracle") -> dict:
@@ -129,63 +138,61 @@ class PolySubring:
         return all(self.domain.contains(c) for c in f.values())
 
 
-def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows):
-    """(lattice_basis, lattice_rows) of the S-module the rows generate.
+def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
+             certificate: StableBasisCertificate | None) -> SubringOracle:
+    """The lattice oracle of { x : every row lands in S }.
 
-    Min-valuation pivots make every elimination coefficient lie in S, so
-    the S-span is preserved; the pivot rows form the triangular system T
-    and the lattice basis is the columns of T^-1.  Full column rank is
-    required.
+    Min-valuation pivots make every elimination multiplier lie in S, so the
+    pivot rows T span the same S-module as the rows and become the oracle's
+    one row set; the lattice basis is the columns of T^-1, checked against
+    the full rows.  Full column rank is required.
     """
     t_rows, rest = _eliminate(rows, alg.dim, key=domain.value)
     if any(r is None for r in t_rows):
         raise StructuralError("constraint rows do not have full rank")
     if any(any(r) for r in rest):
         raise StructuralError("elimination left a nonzero residual row")
-    return tuple(zip(*invert(alg.field, t_rows))), tuple(tuple(r) for r in t_rows)
+    basis = tuple(zip(*invert(alg.field, t_rows)))
+    full = _Rows(alg.field, rows)
+    if not all(domain.contains(c) for b in basis for c in full.values(b)):
+        raise StructuralError("lattice basis disagrees with the predicate")
+    return SubringOracle(
+        algebra=alg, domain=domain, provenance=provenance,
+        constraints=((domain, tuple(tuple(r) for r in t_rows)),),
+        lattice_basis=basis, contained_basis=basis, certificate=certificate,
+    )
 
 
-def left_order(M: LatticeModule, stabilizer=None,
-               certificate: StableBasisCertificate | None = None):
+def left_order(M: LatticeModule, certificate: StableBasisCertificate | None = None):
     """R = { x : xM subset M } as a membership oracle.
 
     Finite-dimensional case: M's basis must be a full basis of A; the
     constraint rows are the coordinates of x*b over that basis.  When S is
-    valuation-like the free-lattice representation is computed as well.
-    The polynomial backend returns the S-coefficient polynomial subring.
+    valuation-like they are reduced to the lattice oracle (see _lattice);
+    over Z the certificate's stabilizer, when given, is the contained
+    basis.  The polynomial backend returns the S-coefficient polynomial
+    subring.
     """
     alg, domain = M.algebra, M.domain
     if isinstance(alg, PolynomialAlgebra):
         return PolySubring(alg, domain)
-    n = alg.dim
-    if len(M.basis) != n:
+    if len(M.basis) != alg.dim:
         raise StructuralError("left order needs a full basis of A")
     rows = product_rows(alg, coordinate_rows(alg, M.basis), M.basis)
-    lattice_basis = lattice_rows = None
     if domain.is_valuation_like:
-        lattice_basis, lattice_rows = _lattice(alg, domain, rows)
-    oracle = SubringOracle(
+        return _lattice(alg, domain, rows, "left-order", certificate)
+    return SubringOracle(
         algebra=alg, domain=domain, provenance="left-order",
         constraints=((domain, rows),),
-        lattice_basis=lattice_basis, lattice_rows=lattice_rows,
-        contained_basis=lattice_basis or (tuple(stabilizer) if stabilizer else None),
+        contained_basis=certificate.stabilizer if certificate else None,
         certificate=certificate,
     )
-    if lattice_basis is not None:
-        for e in lattice_basis:
-            if not oracle.contains(e):
-                raise StructuralError("lattice basis disagrees with the predicate")
-    if oracle.contained_basis and oracle.lattice_basis is None:
-        for e in oracle.contained_basis:
-            if not oracle.contains(e):
-                raise StructuralError("stabilizer element fails left-order membership")
-    return oracle
 
 
 def nice_from_certificate(cert: StableBasisCertificate) -> SubringOracle:
     """Left order of the certificate's lattice, carrying the certificate."""
     M = LatticeModule(cert.algebra, cert.domain, cert.basis)
-    return left_order(M, stabilizer=cert.stabilizer, certificate=cert)
+    return left_order(M, certificate=cert)
 
 
 # --- verification ----------------------------------------------------------
@@ -263,7 +270,7 @@ def verify_nice(oracle, spec: SampleSpec) -> NiceReport:
     if isinstance(oracle, PolySubring):
         checks.append(NiceCheck("RF = A (monomials inside R)", "exact",
                                 all(oracle.contains(alg.monomial(n)) for n in range(8))))
-    elif (basis := oracle.lattice_basis or oracle.contained_basis) is None:
+    elif (basis := oracle.contained_basis) is None:
         checks.append(NiceCheck("RF = A (basis inside R)", "exact", False,
                                 "no contained basis available"))
     else:
@@ -360,17 +367,15 @@ def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
 # --- intersections, going down, chains ---------------------------------------
 
 
-def _scale_into_all(oracles, element, domain: BaseDomain, tries: int = 64):
-    """s * element lying in every oracle, for s a power of the designated
-    non-invertible element of the target domain."""
-    s0 = domain.noninvertible()
-    s = domain.one
-    for _ in range(tries):
-        scaled = oracles[0].algebra.smul(s, element)
-        if all(o.contains(scaled) for o in oracles):
-            return scaled
-        s = s * s0
-    raise StructuralError("could not scale a basis element into the intersection")
+def _scale_into_all(oracles, element, domain: BaseDomain):
+    """s * element lying in every oracle, s = domain.clear_many of the
+    element's row values in every group."""
+    s = domain.clear_many([c for o in oracles for _, rows in o._constraint_rows
+                           for c in rows.values(element)])
+    scaled = oracles[0].algebra.smul(s, element)
+    if not all(o.contains(scaled) for o in oracles):
+        raise StructuralError("could not scale a basis element into the intersection")
+    return scaled
 
 
 def intersect_oracles(oracles, domain: BaseDomain | None = None,
@@ -379,9 +384,9 @@ def intersect_oracles(oracles, domain: BaseDomain | None = None,
     """Conjunction of finitely many subring oracles.
 
     When every constraint group lives over the same valuation-like domain
-    the free-lattice representation of the intersection is recomputed from
-    the stacked rows; otherwise only the predicate (and a rescaled
-    contained basis, when obtainable) survives.
+    the lattice oracle of the intersection is recomputed from the stacked
+    rows; otherwise only the predicate (and a rescaled contained basis,
+    when obtainable) survives.
     """
     oracles = list(oracles)
     if not oracles:
@@ -391,25 +396,17 @@ def intersect_oracles(oracles, domain: BaseDomain | None = None,
         if o.algebra is not alg:
             raise ConfigError("oracles live over different algebras")
     domain = domain or oracles[0].domain
+    provenance = provenance or ("intersection(" + ", ".join(o.provenance for o in oracles) + ")")
     groups = tuple(g for o in oracles for g in o.constraints)
-    lattice_basis = lattice_rows = None
-    if (domain.is_valuation_like
-            and all(g[0] == domain for g in groups)):
-        lattice_basis, lattice_rows = _lattice(
-            alg, domain, [r for _, rws in groups for r in rws])
-    if lattice_basis is not None:
-        contained = lattice_basis
-    else:
-        seed = next((o.lattice_basis or o.contained_basis for o in oracles
-                     if o.lattice_basis or o.contained_basis), None)
-        contained = (tuple(_scale_into_all(oracles, b, domain) for b in seed)
-                     if seed is not None else None)
+    if domain.is_valuation_like and all(g[0] == domain for g in groups):
+        return _lattice(alg, domain, [r for _, rws in groups for r in rws],
+                        provenance, certificate)
+    seed = next((o.contained_basis for o in oracles if o.contained_basis), None)
     return SubringOracle(
-        algebra=alg, domain=domain,
-        provenance=provenance or ("intersection(" + ", ".join(o.provenance for o in oracles) + ")"),
-        constraints=groups,
-        lattice_basis=lattice_basis, lattice_rows=lattice_rows,
-        contained_basis=contained, certificate=certificate,
+        algebra=alg, domain=domain, provenance=provenance, constraints=groups,
+        contained_basis=(tuple(_scale_into_all(oracles, b, domain) for b in seed)
+                         if seed is not None else None),
+        certificate=certificate,
     )
 
 

@@ -54,7 +54,8 @@ class Problem:
 def load_problem(source) -> Problem:
     """Parse and validate a problem file (path, file object or dict).
 
-    A file that cannot be read, is not JSON, lacks a required key, gives a
+    A file that cannot be read, is not JSON (or nests or spells a number
+    beyond the decoder's limits), lacks a required key, gives a
     section of the wrong JSON type, a `p` that is not an integer or a
     malformed scalar (such as a zero denominator) raises StructuralError
     naming the file or the key.
@@ -71,7 +72,7 @@ def load_problem(source) -> Problem:
                     data = json.load(fh)
         except OSError as exc:
             raise StructuralError(f"cannot read {where}: {exc.strerror}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
             raise StructuralError(f"{where} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise StructuralError(f"{where} is not a JSON object")

@@ -35,7 +35,7 @@ from .algebra import _Rows, product_rows
 from .basedomain import BaseDomain
 from .cuts import (INF, Value, embed_phi, format_value, value_add,
                    value_compare, value_min, value_translate, zero_cut)
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .orders import PolySubring, SubringOracle
 from .samplers import (sample_algebra_element, sample_in_domain,
                        sample_member, sample_poly_element, sample_scalar)
@@ -85,7 +85,7 @@ def filter_qv(oracle) -> FilterQV:
         return FilterQV(oracle, None)
     if not isinstance(oracle, SubringOracle) or oracle.lattice_basis is None:
         raise ConfigError("filter quasi-valuation needs a lattice-represented order")
-    return FilterQV(oracle, product_rows(oracle.algebra, oracle._lattice_rows,
+    return FilterQV(oracle, product_rows(oracle.algebra, oracle._constraint_rows[0][1],
                                          oracle.lattice_basis))
 
 
@@ -294,11 +294,3 @@ def qv_compare(q1: FilterQV, q2: FilterQV, spec: SampleSpec,
     else:
         relation = "incomparable-on-samples"
     return CompareVerdict(relation, lt, gt, total)
-
-
-def qv_chain_values(values) -> Value:
-    """Greatest lower bound of finitely many chain values (their minimum)."""
-    values = list(values)
-    if not values:
-        raise DomainError("empty value list")
-    return value_min(values)

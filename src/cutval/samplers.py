@@ -91,7 +91,7 @@ def sample_member(rng: SplitMix64, spec: SampleSpec, oracle):
             if c:
                 out[n] = c
         return out
-    basis = oracle.lattice_basis or oracle.contained_basis
+    basis = oracle.contained_basis
     if basis is None:
         raise StructuralError("oracle carries no basis to sample members from")
     x = alg.zero

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import StructureAlgebra, coordinate_rows, coords_in_basis, is_independent
+from .algebra import StructureAlgebra, coordinate_rows, is_independent, solve_columns
 from .basedomain import BaseDomain
 from .errors import DomainError, StructuralError
 
@@ -100,7 +100,7 @@ def insert_into_basis(cert: StableBasisCertificate, x0, protected=frozenset()) -
         raise DomainError("cannot insert 0 into a basis")
     if x0 in cert.basis:
         raise DomainError("element is already in the basis")
-    coords = coords_in_basis(alg, x0, cert.basis)
+    coords = solve_columns(alg.field, list(cert.basis), x0)
     b0_idx = next(
         (i for i, c in enumerate(coords) if c and cert.basis[i] not in protected),
         None,

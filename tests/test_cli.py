@@ -232,6 +232,8 @@ def wrong_type(path, value, reason):
                  "key 'algebra.unit': zero denominator", id="qt-den-zero"),
     pytest.param(edited_problem(("algebra", "unit", 0), {"num": ["1"], "den": []}, "Qt"),
                  "key 'algebra.unit': zero denominator", id="qt-den-empty"),
+    pytest.param("[" * 100_000, "not valid JSON", id="nested-100000"),
+    pytest.param('{"format": ' + "1" * 4301 + "}", "not valid JSON", id="int-4301-digits"),
 ])
 def test_malformed_problem_json_fails_closed(capsys, tmp_path, text, reason):
     path = tmp_path / "broken.json"
@@ -275,6 +277,8 @@ def test_qt_problem_round_trip(tmp_path, capsys):
     ('["[1,2]/[0]", "0"]', "zero denominator"),
     ('["[1,2]/[]", "0"]', "zero denominator"),
     ('[{"num": ["1"], "den": ["0"]}, "0"]', "zero denominator"),
+    pytest.param("[" * 100_000, "not valid JSON", id="nested-100000"),
+    pytest.param("[" + "1" * 4301 + ', "0"]', "not valid JSON", id="int-4301-digits"),
 ])
 def test_malformed_qt_element_fails_closed(capsys, qx_file, element, reason):
     rc, err = run_failing(capsys, ["qv", "eval", qx_file, "--basis", "random",

@@ -133,6 +133,15 @@ def test_value_semantics():
     assert value_min([INF, embed_phi((0,))]) == embed_phi((0,))
 
 
+def test_value_min():
+    assert value_min([embed_phi((3,)), embed_phi((1,)), embed_phi((2,))]) == embed_phi((1,))
+    assert value_min([at_most(2, 1, (2,)), at_most(2, 0, (2, 9))]) == at_most(2, 0, (2, 9))
+    assert value_min([INF, embed_phi((0,))]) == embed_phi((0,))
+    assert value_min([INF, INF]) is INF
+    with pytest.raises(DomainError):
+        value_min([])
+
+
 # --- monoid laws (fuzzed, both ranks) ---------------------------------------
 
 

@@ -6,8 +6,9 @@ used before it had a single elimination kernel, kept verbatim apart from
 its name: solve, rank, inverse, min-valuation lattice elimination, and the
 stabilizer, stability check and basis insertion that solved one linear
 system per product, the dense product that walked every cell of the
-structure-constant table, and the Q(t) arithmetic that reduced every sum
-and product with a full gcd.  Coordinates over a basis are unique, the
+structure-constant table, the Q(t) arithmetic that reduced every sum
+and product with a full gcd, and the separate Q and Q(t) branches of
+valuation-ring denominator clearing.  Coordinates over a basis are unique, the
 min-valuation pivot sequence is a function of the rows and a rational
 function has one reduced form with a monic denominator, so every result
 must be exactly equal.
@@ -23,7 +24,7 @@ from cutval.algebra import (_eliminate, invert, matrix_algebra, quadratic_algebr
                             rank_of, solve_columns)
 from cutval.basedomain import integers, p_local, valuation_ring
 from cutval.errors import StructuralError
-from cutval.numfield import Polynomial, RationalFunction, ValuedField, poly_gcd
+from cutval.numfield import Polynomial, RationalFunction, ValuedField, poly_gcd, vp
 from cutval.orders import LatticeModule, intersect_oracles, left_order
 from cutval.samplers import sample_algebra_element, sample_scalar
 from cutval.sampling import SampleSpec
@@ -203,6 +204,34 @@ def coords_reference(x, basis):
     return solve_columns_reference(list(basis), x)
 
 
+def product_rows_reference(alg, basis):
+    """The n^2 left-order rows: row (b, k) holds coordinate k of e_i * b
+    over the basis at position i."""
+    rows = []
+    for b in basis:
+        cols = [coords_reference(alg.mul(alg.basis_vector(i), b), basis) for i in range(alg.dim)]
+        rows.extend(zip(*cols))
+    return rows
+
+
+def clear_many_reference(domain, coeffs):
+    """Valuation-ring clearing with its separate Q (v_p) and Q(t)
+    (edge-order) branches."""
+    coeffs = [c for c in coeffs if c != 0 and not (isinstance(c, RationalFunction) and c.is_zero())]
+    if not coeffs:
+        return domain.one
+    field = domain.valued_field
+    if field.kind == "Q":
+        p = field.p
+        e = max(0, max(-vp(p, c)[0] for c in coeffs))
+        return Fraction(p) ** e
+    vals = [field.value(c) for c in coeffs]
+    worst_n = max(0, max(-n for n, _ in vals))
+    at_edge = [a for n, a in vals if n == -worst_n]
+    worst_m = max(0, max(-a for a in at_edge)) if at_edge else 0
+    return field.element_with_value((worst_n, worst_m))
+
+
 def stabilizer_reference(alg, basis, domain):
     basis = tuple(basis)
     if rank_reference(basis) != len(basis):
@@ -294,7 +323,7 @@ def test_min_valuation_path_matches_reference(case):
     units = tuple(alg.basis_vector(i) for i in range(n))
     for basis in bases:
         R = left_order(LatticeModule(alg, domain, basis))
-        rows = R.constraints[0][1]
+        rows = product_rows_reference(alg, basis)
         expected = min_valuation_eliminate_reference(domain, rows, n)
         pivots, rest = _eliminate(rows, n, key=domain.value)
         assert [tuple(p) for p in pivots] == expected
@@ -302,9 +331,11 @@ def test_min_valuation_path_matches_reference(case):
         assert R.lattice_rows == tuple(expected)
         tinv = invert_reference(alg.field, [list(r) for r in expected])
         assert R.lattice_basis == tuple(tuple(tinv[r][i] for r in range(n)) for i in range(n))
-        # stacked rows of two orders, as intersections eliminate them
-        both = intersect_oracles([R, left_order(LatticeModule(alg, domain, units))])
-        stacked = [r for _, rws in both.constraints for r in rws]
+        # the stacked triangular rows of two orders, as intersections eliminate them
+        U = left_order(LatticeModule(alg, domain, units))
+        stacked = list(R.lattice_rows) + list(U.lattice_rows)
+        both = intersect_oracles([R, U])
+        assert both.constraints == ((domain, both.lattice_rows),)
         assert both.lattice_rows == tuple(min_valuation_eliminate_reference(domain, stacked, n))
 
 
@@ -442,3 +473,48 @@ def test_poly_arithmetic_matches_reference():
         for b in polys:
             assert (a * b).coeffs == poly_mul_reference(a, b).coeffs
             assert poly_gcd(a, b).coeffs == poly_gcd_reference(a, b).coeffs
+
+
+# --- valuation-ring clearing ---------------------------------------------------------
+
+
+def clearing_pool(field, rng, spec):
+    """Coefficient lists: empty, all zero, values of both signs of order and
+    p-exponent, and seeded draws with zeros mixed in."""
+    p, z = field.p, field.zero
+    if field.kind == "Q":
+        scalars = [Fraction(p) ** e * u for e in (-3, -1, 0, 1, 2) for u in (1, Fraction(-5, 7))]
+    else:
+        t = RationalFunction.T
+        scalars = [field.element_with_value((n, a)) * u
+                   for n in (-2, -1, 0, 1, 2) for a in (-2, 0, 1)
+                   for u in (field.one, field.one + t, field.scalar("-5/7") / (field.one - t))]
+        scalars.append(t + field.scalar(Fraction(1, p)) * t * t)
+    pool = [[], [z], [z, z]] + [[c] for c in scalars]
+    pool += [[scalars[i], z, scalars[j]] for i in range(0, len(scalars), 3)
+             for j in range(1, len(scalars), 4)]
+    for _ in range(60):
+        pool.append([sample_scalar(rng, spec, field) if rng.randrange(4) else z
+                     for _ in range(rng.randint(1, 6))])
+    return pool
+
+
+@pytest.mark.parametrize("domain", [p_local(2), p_local(3), valuation_ring(QT)],
+                         ids=["Z_(2)", "Z_(3)", "O_v(Qt)"])
+def test_clear_many_matches_reference(domain):
+    field = domain.valued_field
+    spec = SampleSpec(seed=307, count=0, coef_bound=9, max_p_exp=3, poly_degree=2)
+    rng = spec.rng()
+    zero = (0,) * field.rank
+    kinds = set()
+    for coeffs in clearing_pool(field, rng, spec):
+        got = domain.clear_many(coeffs)
+        assert got == clear_many_reference(domain, coeffs)
+        assert all(domain.contains(got * c) for c in coeffs)
+        vals = [field.value(c) for c in coeffs if c]
+        worst = min(vals, default=None)
+        kinds.add("all zero" if worst is None else "negative" if worst < zero
+                  else "zero" if worst == zero else "positive")
+    assert kinds == {"all zero", "negative", "zero", "positive"}
+    reference_noninvertible = Fraction(field.p) if field.kind == "Q" else RationalFunction.T
+    assert domain.noninvertible() == reference_noninvertible

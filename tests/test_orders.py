@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from cutval.algebra import (PolynomialAlgebra, _Rows, coords_in_basis, matrix_algebra,
-                            matrix_element, quadratic_algebra, rank_of)
-from cutval.basedomain import integers, p_local
+from cutval.algebra import (PolynomialAlgebra, _Rows, matrix_algebra, matrix_element,
+                            quadratic_algebra, rank_of, solve_columns)
+from cutval.basedomain import integers, p_local, valuation_ring
 from cutval.cuts import INF, embed_phi, value_translate
-from cutval.errors import DomainError, StructuralError
+from cutval.errors import ConfigError, DomainError, StructuralError
 from cutval.numfield import RationalFunction, ValuedField
 from cutval.orders import (IdealSpec, LatticeModule, PolySubring,
                            SubringOracle, descend_chain, going_down,
@@ -61,7 +61,7 @@ def lattices_equal(oracle, basis, domain, alg):
     """Mutual S-membership of the two generating sets."""
     return (all(oracle.contains(b) for b in basis)
             and all(all(domain.contains(c)
-                        for c in coords_in_basis(alg, r, list(basis)))
+                        for c in solve_columns(alg.field, list(basis), r))
                     for r in oracle.lattice_basis))
 
 
@@ -404,13 +404,22 @@ def test_exact_lying_over_failure_witness(m2):
     basis = (m2.smul(F(1, 2), m2.unit), m2.basis_vector(1), m2.basis_vector(2),
              m2.basis_vector(3))
     fake = SubringOracle(algebra=m2, domain=S, provenance="half-unit-lattice",
-                         constraints=rows, lattice_basis=basis,
-                         lattice_rows=rows[0][1], contained_basis=basis)
+                         constraints=rows, lattice_basis=basis, contained_basis=basis)
     assert fake.contains(m2.smul(F(1, 2), m2.unit))
     report = verify_nice(fake, SampleSpec(seed=43, count=50))
     lying = next(c for c in report.checks if c.name == "R cap F = S")
     assert not lying.ok and lying.method == "exact"
     assert "1/2" in lying.detail
+
+
+def test_lattice_oracle_needs_one_group_of_dim_rows(m2):
+    R = m2_z2_order(m2)
+    (group,) = R.constraints
+    for constraints in ((group, group), ((group[0], group[1][:-1]),),
+                        ((p_local(3), group[1]),)):
+        with pytest.raises(ConfigError):
+            SubringOracle(algebra=m2, domain=R.domain, provenance="bad", constraints=constraints,
+                          lattice_basis=R.lattice_basis, contained_basis=R.lattice_basis)
 
 
 def test_left_order_composite_nontrivial_basis(field_qt):
@@ -450,6 +459,17 @@ def test_descend_chain_from_plain_units(m2):
 
 
 # --- row evaluation against the term-by-term Fraction reference --------------
+
+
+def full_product_rows(alg, basis):
+    """The n^2 rows of the left order of the lattice on `basis`, rebuilt by
+    one solve per product: row (b, k) holds coordinate k of e_i * b."""
+    rows = []
+    for b in basis:
+        cols = [solve_columns(alg.field, list(basis), alg.mul(alg.basis_vector(i), b))
+                for i in range(alg.dim)]
+        rows.extend(zip(*cols))
+    return rows
 
 
 def dot_reference(row, x):
@@ -534,14 +554,14 @@ def test_m3_random_basis_rows_match_reference(domain):
         if rank_of(field, cand) == alg.dim:
             basis = tuple(cand)
     R = nice_from_certificate(stabilizer_finite(alg, basis, domain))
+    rows = full_product_rows(alg, R.certificate.basis)
     qv = filter_qv(R) if domain.is_valuation_like else None
     spec = SampleSpec(seed=101, count=12)
     rng = spec.rng()
     members = 0
     for k in range(12):
         x = sample_member(rng, spec, R) if k % 2 else sample_algebra_element(rng, spec, alg)
-        inside = all(dom.contains(dot_reference(row, x))
-                     for dom, rows in R.constraints for row in rows)
+        inside = all(domain.contains(dot_reference(row, x)) for row in rows)
         assert R.contains(x) == inside
         members += inside
         if qv is None:
@@ -552,3 +572,75 @@ def test_m3_random_basis_rows_match_reference(domain):
         assert support_mu(qv, x).mu == (min(vals) if vals else None)
         assert eval_via_clearing(qv, x) == clearing_reference(qv, x)
     assert members >= 6
+
+
+# --- lattice oracles against their full product rows ------------------------------
+
+
+def random_basis(alg, seed, **draw):
+    spec = SampleSpec(seed=seed, count=0, **draw)
+    rng = spec.rng()
+    while True:
+        cand = [tuple(sample_scalar(rng, spec, alg.field) for _ in range(alg.dim))
+                for _ in range(alg.dim)]
+        if rank_of(alg.field, cand) == alg.dim:
+            return tuple(cand)
+
+
+def assert_lattice_matches_full_rows(R, rows, spec):
+    """contains and lattice_coords in S^n both equal "every full row lands
+    in S" on random elements, members, and members pushed out by 1/s0."""
+    alg, domain = R.algebra, R.domain
+    assert len(R.constraints) == 1 and len(R.lattice_rows) == alg.dim
+    assert R.contained_basis == R.lattice_basis
+    rng = spec.rng()
+    out_by = domain.one / domain.noninvertible()
+    points = list(R.lattice_basis) + [alg.smul(out_by, b) for b in R.lattice_basis]
+    for k in range(spec.count):
+        x = sample_member(rng, spec, R) if k % 2 else sample_algebra_element(rng, spec, alg)
+        points += [x, alg.smul(out_by, x)]
+    verdicts = set()
+    for x in points:
+        inside = all(domain.contains(dot_reference(row, x)) for row in rows)
+        assert R.contains(x) == inside
+        assert all(domain.contains(c) for c in R.lattice_coords(x)) == inside
+        verdicts.add(inside)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", ["M3(Q)/Z_(3)", "Q(t)[x]/(x^2-t)/O_v"])
+def test_lattice_oracle_matches_full_product_rows(name):
+    if name == "M3(Q)/Z_(3)":
+        alg, domain = matrix_algebra(ValuedField("Q", 3), 3), p_local(3)
+        bases = [random_basis(alg, seed, coef_bound=5, max_p_exp=2) for seed in (7, 8)]
+        spec = SampleSpec(seed=109, count=10)
+    else:
+        field = ValuedField("Qt", 2)
+        alg, domain = quadratic_algebra(field, RationalFunction.T), valuation_ring(field)
+        bases = [random_basis(alg, seed, coef_bound=3, max_p_exp=1, poly_degree=2)
+                 for seed in (303, 304, 305)]
+        spec = SampleSpec(seed=109, count=10, poly_degree=1)
+    for basis in bases:
+        R = left_order(LatticeModule(alg, domain, basis))
+        assert_lattice_matches_full_rows(R, full_product_rows(alg, basis), spec)
+
+
+def test_descend_chain_steps_match_full_product_rows(m2):
+    # step k is the intersection of the left orders of the first k + 1
+    # certificates' lattices: its full rows are theirs, stacked
+    chain = descend_chain(chain_entry(m2), 2)
+    rows = []
+    for oracle in chain.oracles:
+        rows += full_product_rows(m2, oracle.certificate.basis)
+        assert_lattice_matches_full_rows(oracle, rows, SampleSpec(seed=113, count=20))
+
+
+def test_going_down_scales_by_the_target_denominators(m2):
+    # Z_(3) -> Z on {1, e12/3, 3*e21, e22}: powers of 2 cannot clear the 1/3
+    r2 = left_order(LatticeModule(m2, p_local(3), units_of(m2)))
+    basis = (m2.unit, m2.smul(Fraction(1, 3), m2.basis_vector(1)),
+             m2.smul(Fraction(3), m2.basis_vector(2)), m2.basis_vector(3))
+    r1 = going_down(r2, integers(), basis)
+    assert all(r1.contains(b) for b in r1.contained_basis)
+    report = verify_nice(r1, SampleSpec(seed=127, count=60))
+    assert report.ok, str(report)

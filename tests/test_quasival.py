@@ -7,10 +7,10 @@ import pytest
 from cutval.algebra import PolynomialAlgebra, matrix_algebra, matrix_element, quadratic_algebra
 from cutval.basedomain import integers, p_local, valuation_ring
 from cutval.cuts import INF, at_most, embed_phi, value_compare, zero_cut
-from cutval.errors import ConfigError, DomainError
+from cutval.errors import ConfigError
 from cutval.orders import LatticeModule, SubringOracle, descend_chain, left_order, nice_from_certificate
 from cutval.quasival import (eval_via_clearing, filter_qv, filter_qv_eval,
-                             qv_audit, qv_chain_values, qv_compare, support_mu)
+                             qv_audit, qv_compare, support_mu)
 from cutval.samplers import sample_algebra_element, sample_poly_element
 from cutval.sampling import SampleSpec, SplitMix64
 from cutval.stability import stabilizer_finite
@@ -176,12 +176,3 @@ def test_qv_compare_self_and_mismatch(m2, m2_qv, field_q):
                                                (sqrt2.unit, sqrt2.basis_vector(1)))))
     with pytest.raises(ConfigError):
         qv_compare(m2_qv, other, spec)
-
-
-def test_qv_chain_values():
-    assert qv_chain_values([embed_phi((3,)), embed_phi((1,)), embed_phi((2,))]) == embed_phi((1,))
-    assert qv_chain_values([at_most(2, 1, (2,)), at_most(2, 0, (2, 9))]) == at_most(2, 0, (2, 9))
-    assert qv_chain_values([INF, embed_phi((0,))]) == embed_phi((0,))
-    assert qv_chain_values([INF, INF]) is INF
-    with pytest.raises(DomainError):
-        qv_chain_values([])
