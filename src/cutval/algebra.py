@@ -231,18 +231,22 @@ def _clear(v):
 
 
 class _Rows:
-    """Fixed linear rows over `fieldobj`, evaluated at points x; over Q
-    each row is stored as (a_1..a_n, d) with row = (a_1..a_n) / d."""
+    """Fixed linear rows over `fieldobj` of one width, evaluated at points x;
+    over Q each row is stored as (a_1..a_n, d) with row = (a_1..a_n) / d."""
 
-    __slots__ = ("rows", "cleared")
+    __slots__ = ("rows", "cleared", "width")
 
     def __init__(self, fieldobj, rows):
         self.rows = rows
+        self.width = len(rows[0])
         self.cleared = (tuple(_clear(row) for row in rows)
                         if fieldobj.kind == "Q" else None)
 
     def values(self, x):
-        """The row values at x, in row order, computed as they are consumed."""
+        """The row values at x, in row order, computed as they are consumed;
+        an x whose length is not the rows' width is refused at once."""
+        if len(x) != self.width:
+            raise ConfigError(f"element has {len(x)} coordinates, the rows take {self.width}")
         if self.cleared is None:
             return (_dot(row, x) for row in self.rows)
         b, e = _clear(x)

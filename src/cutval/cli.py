@@ -76,9 +76,13 @@ def eval_cut_expression(expr: str, rank: int | None = None) -> cuts.Value:
 
     def term(pos: int):
         if pos + 1 < len(tokens) and tokens[pos + 1] == "*":
-            if not tokens[pos].isdigit():
-                raise CutvalError(f"scale factor must be a positive integer, got {tokens[pos]!r}")
-            return cuts.value_scale(int(tokens[pos]), atom(pos + 2)), pos + 3
+            try:  # int() refuses digits such as '²' that isdigit() admits, and 4,301 digits
+                factor = int(tokens[pos]) if tokens[pos].isdigit() else 0
+            except ValueError:
+                factor = 0
+            if factor < 1:
+                raise CutvalError(f"scale factor must be a positive integer, got {tokens[pos][:40]!r}")
+            return cuts.value_scale(factor, atom(pos + 2)), pos + 3
         return atom(pos), pos + 1
 
     value, pos = term(0)

@@ -12,9 +12,11 @@ with basis the columns of T^-1.  Over Z only the predicate on the full
 rows is kept (R need not be a free Z-module in any preferred basis).
 
 The same constraint-group machinery hosts the ideal-containing variant,
-going-down, finite intersections, the strictly descending chains built
-from basis insertion, and the ascending matrix-algebra chain.  Rows are
-evaluated through `algebra._Rows`, built once per oracle.
+going-down, finite intersections and the strictly descending chains built
+from basis insertion.  The ascending matrix-algebra chain writes no rows of
+its own: each term is the left order of its lattice.  Rows are evaluated
+only through `algebra._Rows`, built once per oracle, which refuses an
+element of the wrong length.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 from .algebra import (PolynomialAlgebra, StructureAlgebra, _eliminate, _Rows,
                       coordinate_rows, extend_to_basis, invert,
-                      is_independent, matrix_algebra, product_rows, solve_columns)
+                      is_independent, matrix_algebra, product_rows)
 from .basedomain import BaseDomain, is_subdomain
 from .errors import ConfigError, DomainError, StructuralError
 from .samplers import (sample_in_domain, sample_member, sample_scalar)
@@ -54,11 +56,8 @@ class LatticeModule:
 
 
 def lattice_membership(M: LatticeModule, x) -> bool:
-    if isinstance(M.algebra, PolynomialAlgebra):
-        return all(M.domain.contains(c) for c in x.values())
-    if len(x) != M.algebra.dim:
-        raise ConfigError("element does not belong to the lattice's algebra")
-    coords = solve_columns(M.algebra.field, list(M.basis), x)
+    coords = (x.values() if isinstance(M.algebra, PolynomialAlgebra)
+              else coordinate_rows(M.algebra, M.basis).values(x))
     return all(M.domain.contains(c) for c in coords)
 
 
@@ -100,8 +99,6 @@ class SubringOracle:
         return None if self.lattice_basis is None else self.constraints[0][1]
 
     def contains(self, x) -> bool:
-        if len(x) != self.algebra.dim:
-            raise ConfigError("element does not belong to the oracle's algebra")
         return all(dom.contains(c) for dom, rows in self._constraint_rows
                    for c in rows.values(x))
 
@@ -489,7 +486,9 @@ def matrix_nice_chain(fieldobj, domain: BaseDomain, ideal_gens, n: int) -> Matri
     """Ascending chain of C-nice subalgebras of M_n(F): entries of rows
     1..n-1 in the last column confined to the principal ideal (g_k), all
     other entries in C.  Ideals must ascend strictly: g_{k+1} properly
-    divides g_k."""
+    divides g_k.  Term g is the left order of M_g, the matrix units with
+    g*e_in in place of e_in for i < n: M_g holds 1 and is closed under *,
+    so that left order, and the stabilizer of M_g, is M_g itself."""
     if n < 2:
         raise DomainError("matrix chain needs n >= 2")
     gens = [fieldobj.scalar(g) for g in ideal_gens]
@@ -503,23 +502,14 @@ def matrix_nice_chain(fieldobj, domain: BaseDomain, ideal_gens, n: int) -> Matri
             raise DomainError(f"ideals must ascend strictly: ({fieldobj.scalar_text(g)}) "
                               f"is not properly inside ({fieldobj.scalar_text(h)})")
     alg = matrix_algebra(fieldobj, n)
-    z, o = fieldobj.zero, fieldobj.one
+    last_column = {i * n + n - 1 for i in range(n - 1)}
     oracles = []
     for g in gens:
-        rows = []
-        contained = []
-        for a in range(alg.dim):
-            i, j = divmod(a, n)
-            scale = (o / g) if (j == n - 1 and i < n - 1) else o
-            rows.append(tuple(scale if b == a else z for b in range(alg.dim)))
-            contained.append(alg.smul(g if (j == n - 1 and i < n - 1) else o,
-                                      alg.basis_vector(a)))
-        oracles.append(SubringOracle(
-            algebra=alg, domain=domain,
-            provenance=f"matrix-chain(I=({fieldobj.scalar_text(g)}))",
-            constraints=((domain, tuple(rows)),),
-            contained_basis=tuple(contained),
-        ))
+        M_g = tuple(alg.smul(g, alg.basis_vector(a)) if a in last_column else alg.basis_vector(a)
+                    for a in range(alg.dim))
+        oracles.append(dataclasses.replace(
+            nice_from_certificate(stabilizer_finite(alg, M_g, domain)),
+            provenance=f"matrix-chain(I=({fieldobj.scalar_text(g)}))"))
     witnesses = []
     for (g, h), (o1, o2) in zip(zip(gens, gens[1:]), zip(oracles, oracles[1:])):
         w = alg.smul(h, alg.basis_vector(n - 1))  # h * e_{1,n}

@@ -22,13 +22,14 @@ w(c*1) = v(c) + w(1) differs from v(c); for the unital lattice orders
 built here w(1) = phi(0) always (1's coordinates in its own order's basis
 include a unit), and the audit asserts it.
 
-The polynomial backend's evaluator is the min-coefficient (Gauss)
-valuation, the same formula over the monomial basis.
+The coordinates of every x*r_j are read through one `algebra._Rows`
+(`FilterQV.rows`).  On F[y] they are x's own coefficients and the
+evaluator is the min-coefficient (Gauss) valuation; `FilterQV.coefficients`
+gives either set to `support_mu` and to the clearing path.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .algebra import _Rows, product_rows
@@ -52,13 +53,11 @@ class SupportValue:
 @dataclass(frozen=True, eq=False)
 class FilterQV:
     oracle: object
-    product_rows: tuple | None  # per lattice-basis element: rows of x -> coords(x * r_j)
-    # product_rows in evaluable form (see algebra._Rows), built once per evaluator.
-    _product_rows: _Rows | None = dataclasses.field(init=False, repr=False, compare=False)
+    rows: _Rows | None  # x -> coords(x * r_j) per lattice-basis element r_j; None on F[y]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_product_rows", None if self.product_rows is None
-                           else _Rows(self.algebra.field, self.product_rows))
+    def coefficients(self, x):
+        """The coordinates of every x*r_j (x's own on F[y]); mu(x) is their least value."""
+        return x.values() if self.rows is None else self.rows.values(x)
 
     @property
     def algebra(self):
@@ -85,22 +84,16 @@ def filter_qv(oracle) -> FilterQV:
         return FilterQV(oracle, None)
     if not isinstance(oracle, SubringOracle) or oracle.lattice_basis is None:
         raise ConfigError("filter quasi-valuation needs a lattice-represented order")
-    return FilterQV(oracle, product_rows(oracle.algebra, oracle._constraint_rows[0][1],
-                                         oracle.lattice_basis))
+    alg = oracle.algebra
+    return FilterQV(oracle, _Rows(alg.field, product_rows(
+        alg, oracle._constraint_rows[0][1], oracle.lattice_basis)))
 
 
 def support_mu(qv: FilterQV, x) -> SupportValue:
     """Minimum coordinate valuation of the products x*r_j; None iff x = 0."""
     field = qv.field
-    if qv.product_rows is None:
-        vals = [field.value(c) for c in x.values() if c]
-    else:
-        if len(x) != qv.algebra.dim:
-            raise ConfigError("element does not belong to the evaluator's algebra")
-        vals = [field.value(c) for c in qv._product_rows.values(x) if c]
-    if not vals:
-        return SupportValue(None)
-    return SupportValue(min(vals))
+    vals = [field.value(c) for c in qv.coefficients(x) if c]
+    return SupportValue(min(vals) if vals else None)
 
 
 def filter_qv_eval(qv: FilterQV, x) -> Value:
@@ -112,16 +105,12 @@ def filter_qv_eval(qv: FilterQV, x) -> Value:
 
 def eval_via_clearing(qv: FilterQV, x) -> Value:
     """Second path: clear x into R, evaluate there, translate back."""
-    field = qv.field
-    if qv.product_rows is None:
-        coeffs = list(x.values())
-    else:
-        coeffs = list(qv._product_rows.values(x))
+    coeffs = list(qv.coefficients(x))
     if all(not c for c in coeffs):
         return INF
     s = qv.domain.clear_many(coeffs)
     inner = filter_qv_eval(qv, qv.algebra.smul(s, x))
-    return value_translate(inner, field.value(s))
+    return value_translate(inner, qv.field.value(s))
 
 
 # --- audits -----------------------------------------------------------------
@@ -159,11 +148,8 @@ class AuditReport:
 
 
 def _sample_pair(rng, spec, qv):
-    if qv.product_rows is None:
-        return (sample_poly_element(rng, spec, qv.algebra),
-                sample_poly_element(rng, spec, qv.algebra))
-    return (sample_algebra_element(rng, spec, qv.algebra),
-            sample_algebra_element(rng, spec, qv.algebra))
+    sample = sample_poly_element if qv.rows is None else sample_algebra_element
+    return sample(rng, spec, qv.algebra), sample(rng, spec, qv.algebra)
 
 
 def _fmt(qv, x) -> str:

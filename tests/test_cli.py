@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,7 @@ from cutval.errors import StructuralError
 from cutval.numfield import RationalFunction, ValuedField
 from cutval.problemfile import load_problem
 from cutval.samplers import sample_scalar
-from cutval.sampling import SampleSpec
+from cutval.sampling import SampleSpec, SplitMix64
 
 
 def problem_dict(alg, domain_desc, bases=None, ideals=None):
@@ -79,7 +80,11 @@ def test_cutcalc(capsys):
 @pytest.mark.parametrize("expr, reason", [("AM(1;2", "unclosed parenthesis"),
                                           ("3*", "ends after an operator"),
                                           ("AM(0;1) +", "ends after an operator"),
-                                          ("AM(0;1) AM(0;2)", "unexpected token")])
+                                          ("AM(0;1) AM(0;2)", "unexpected token"),
+                                          pytest.param("9" * 5000 + "*(1)", "scale factor",
+                                                       id="scale-5000-digits"),
+                                          pytest.param("\u00b2*(1)", "scale factor",
+                                                       id="scale-superscript-two")])
 def test_cutcalc_malformed_fails_closed(capsys, expr, reason):
     rc = main(["cutcalc", expr])
     captured = capsys.readouterr()
@@ -243,6 +248,14 @@ def test_malformed_problem_json_fails_closed(capsys, tmp_path, text, reason):
     assert err.startswith(f"FAIL: problem file {path}") and reason in err
 
 
+def test_prime_past_the_bound_fails_closed(capsys, tmp_path):
+    path = tmp_path / "bigp.json"
+    path.write_text(edited_problem(("field", "p"), "1000000000000000000000000000057"))
+    rc, err = run_failing(capsys, ["stable", str(path), "--basis", "units"])
+    assert rc == 1
+    assert err.startswith("FAIL: p must be below 2^64")
+
+
 def test_problem_missing_key_fails_closed(capsys, tmp_path, field_q):
     data = problem_dict(matrix_algebra(field_q, 2), {"kind": "Zp", "p": 2})
     del data["field"]["p"]
@@ -380,3 +393,68 @@ def test_stdout_matches_recording(request, capsys, name):
     with open(GOLDEN_PATH, encoding="utf-8") as fh:
         recorded = json.load(fh)[name]
     assert {"exit": rc, "stdout": out} == recorded
+
+
+# --- CLI contract fuzz ------------------------------------------------------------
+
+FUZZ_BYTES = b'0123456789[]{}",:/- .ea'
+FUZZ_TOKENS = ["AM(", "AM(0;", "AM(1;", ";", ",", "(", ")", "+", "-", "*", " ",
+               "BOT", "TOP", "INF", "x", "\u00b2", "9" * 5000]
+
+
+def mutate_bytes(rng, data: bytes) -> bytes:
+    """One to three byte edits: overwrite (from JSON's alphabet or any
+    byte), delete, or duplicate a short run."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        kind, i = rng.randrange(4), rng.randrange(len(out))
+        if kind == 0:
+            out[i] = FUZZ_BYTES[rng.randrange(len(FUZZ_BYTES))]
+        elif kind == 1:
+            out[i] = rng.randrange(256)
+        elif kind == 2:
+            del out[i]
+        else:
+            out[i:i] = out[i:i + rng.randint(1, 8)]
+    return bytes(out)
+
+
+def random_cut_expression(rng) -> str:
+    return "".join(str(rng.randint(-12, 12)) if rng.randrange(3) == 0 else rng.choice(FUZZ_TOKENS)
+                   for _ in range(rng.randint(1, 8)))
+
+
+def assert_contract(capsys, argv):
+    """Exit 0, exit 1 with a FAIL: line, or argparse's usage exit 2; any
+    other exception propagates and fails the test."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = ("usage", exc.code)
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    ok = rc in (0, ("usage", 2)) or (rc == 1 and any(ln.startswith("FAIL:") for ln in lines))
+    assert ok, f"{[a[:60] for a in argv]} -> {rc}: {captured.err[-300:]!r}"
+
+
+def test_cli_contract_under_fuzz(capsys, tmp_path, m2_file, qx_file, dual_file):
+    """Seeded byte mutations of three problem files through stable, nice,
+    qv audit, ideal-nice and chain descend, and random cutcalc expressions."""
+    bases = [(Path(m2_file).read_bytes(), "unital"), (Path(qx_file).read_bytes(), "random"),
+             (Path(dual_file).read_bytes(), "std")]
+    audit = ["--samples", "3", "--seed", "5"]
+    rng = SplitMix64(2024)
+    path = str(tmp_path / "mutated.json")
+    for k in range(210):
+        data, basis = bases[k % 3]
+        with open(path, "wb") as fh:
+            fh.write(mutate_bytes(rng, data))
+        for argv in (["stable", path, "--basis", basis],
+                     ["nice", path, "--basis", basis] + audit,
+                     ["qv", "audit", path, "--basis", basis] + audit,
+                     ["ideal-nice", path, "--ideal", "rad"] + audit,
+                     ["chain", "descend", path, "--basis", basis, "--steps", "1"] + audit):
+            assert_contract(capsys, argv)
+    for _ in range(1000):
+        rank = ["--rank", str(rng.randint(-1, 3))] if rng.randrange(3) == 0 else []
+        assert_contract(capsys, ["cutcalc", random_cut_expression(rng)] + rank)

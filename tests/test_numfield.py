@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from cutval.errors import ConfigError, StructuralError
 from cutval.numfield import (Polynomial, RationalFunction, ValuedField,
                              composite_valuation, format_rational,
-                             format_ratfunc, parse_ratfunc, parse_rational,
-                             poly_gcd, vp)
+                             format_ratfunc, is_prime, parse_ratfunc,
+                             parse_rational, poly_gcd, vp)
 from cutval.samplers import sample_ratfunc, sample_scalar
 from cutval.sampling import SampleSpec, SplitMix64, sample_rational
 from test_kernel import ratfunc_add_reference, ratfunc_mul_reference
@@ -22,6 +22,23 @@ def test_vp_examples():
     assert vp(2, Fraction(0)) is None
     with pytest.raises(ConfigError):
         vp(4, Fraction(1))
+
+
+def test_is_prime_matches_trial_division():
+    small = [d for d in range(2, 317) if all(d % e for e in range(2, d))]  # 316^2 < 10^5
+
+    def by_trial_division(k):
+        return k >= 2 and all(k % d for d in small if d * d <= k)
+
+    n = 10 ** 5
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if by_trial_division(k)]
+    assert not is_prime(561) and not is_prime(-7)  # 561: the least Carmichael number
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 64 - 59) and not is_prime(2 ** 64 - 1)
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
+    with pytest.raises(ConfigError, match="below 2\\^64"):
+        is_prime(2 ** 64)
+    with pytest.raises(ConfigError, match="below 2\\^64"):
+        ValuedField("Q", 10 ** 30 + 57)
 
 
 def test_composite_examples():

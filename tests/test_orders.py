@@ -344,6 +344,73 @@ def test_matrix_chain_requires_ascending(field_q):
         matrix_nice_chain(field_q, integers(), ["2", "2"], 2)
 
 
+def matrix_chain_reference(fieldobj, domain, gens, n):
+    """The chain's terms as hand-written constraint rows: entry a of x is
+    divided by g when it sits in the last column above the last row, so
+    that entry must lie in gS and every other entry in S."""
+    alg = matrix_algebra(fieldobj, n)
+    z, o = fieldobj.zero, fieldobj.one
+    oracles = []
+    for g in (fieldobj.scalar(g) for g in gens):
+        rows, contained = [], []
+        for a in range(alg.dim):
+            i, j = divmod(a, n)
+            in_ideal = j == n - 1 and i < n - 1
+            rows.append(tuple(((o / g) if in_ideal else o) if b == a else z
+                              for b in range(alg.dim)))
+            contained.append(alg.smul(g if in_ideal else o, alg.basis_vector(a)))
+        oracles.append(SubringOracle(
+            algebra=alg, domain=domain,
+            provenance=f"matrix-chain(I=({fieldobj.scalar_text(g)}))",
+            constraints=((domain, tuple(rows)),), contained_basis=tuple(contained)))
+    return alg, oracles
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("domain", [integers(), p_local(2)], ids=["Z", "Z_(2)"])
+def test_matrix_chain_matches_hand_written_rows(field_q, domain, n):
+    gens = ["8", "2", "1"]
+    chain = matrix_nice_chain(field_q, domain, gens, n)
+    alg, reference = matrix_chain_reference(field_q, domain, gens, n)
+    spec = SampleSpec(seed=40 + n, count=300, coef_bound=9, max_p_exp=3)
+    rng = spec.rng()
+    for oracle, ref in zip(chain.oracles, reference):
+        assert oracle.provenance == ref.provenance
+        assert oracle.contained_basis == ref.contained_basis
+        verdicts = []
+        for k in range(spec.count):
+            x = sample_member(rng, spec, ref) if k % 3 == 0 else sample_algebra_element(rng, spec, alg)
+            verdicts.append(ref.contains(x))
+            assert oracle.contains(x) == verdicts[-1], alg.format_element(x)
+        assert 100 <= verdicts.count(True) < spec.count
+        if domain.is_valuation_like:
+            assert lattices_equal(oracle, ref.contained_basis, domain, alg)
+            lying_over = verify_nice(oracle, SampleSpec(seed=5, count=20)).checks[-1]
+            assert lying_over.method == "exact" and lying_over.ok
+        else:
+            audit = SampleSpec(seed=90 + n, count=60)
+            assert str(verify_nice(oracle, audit)) == str(verify_nice(ref, audit))
+
+
+@pytest.mark.parametrize("case", ["M2(Q)/Z_(2)", "M2(Q)/Z", "M2(Q(t))/O_v"])
+def test_wrong_length_element_is_refused(case, field_q, field_qt):
+    fieldobj, domain = {"M2(Q)/Z_(2)": (field_q, p_local(2)),
+                        "M2(Q)/Z": (field_q, integers()),
+                        "M2(Q(t))/O_v": (field_qt, valuation_ring(field_qt))}[case]
+    alg = matrix_algebra(fieldobj, 2)
+    R = left_order(LatticeModule(alg, domain, units_of(alg)))
+    half = fieldobj.scalar("1/2")
+    for x in ((fieldobj.one, half), alg.unit + (half,)):
+        with pytest.raises(ConfigError):
+            R.contains(x)
+        if not domain.is_valuation_like:
+            continue
+        with pytest.raises(ConfigError):
+            R.lattice_coords(x)
+        with pytest.raises(ConfigError):
+            support_mu(filter_qv(R), x)
+
+
 # --- remarks ---------------------------------------------------------------------
 
 
@@ -532,12 +599,12 @@ def test_rows_over_qt_keep_the_term_loop(field_qt):
 
 def clearing_reference(qv, x):
     """eval_via_clearing on reference row values."""
-    coeffs = [dot_reference(row, x) for row in qv.product_rows]
+    coeffs = [dot_reference(row, x) for row in qv.rows.rows]
     if not any(coeffs):
         return INF
     s = qv.domain.clear_many(coeffs)
     sx = qv.algebra.smul(s, x)
-    vals = [qv.field.value(c) for c in (dot_reference(row, sx) for row in qv.product_rows) if c]
+    vals = [qv.field.value(c) for c in (dot_reference(row, sx) for row in qv.rows.rows) if c]
     return value_translate(embed_phi(min(vals)), qv.field.value(s))
 
 
@@ -567,7 +634,7 @@ def test_m3_random_basis_rows_match_reference(domain):
         if qv is None:
             continue
         assert R.lattice_coords(x) == tuple(dot_reference(row, x) for row in R.lattice_rows)
-        vals = [qv.field.value(c) for c in (dot_reference(row, x) for row in qv.product_rows)
+        vals = [qv.field.value(c) for c in (dot_reference(row, x) for row in qv.rows.rows)
                 if c]
         assert support_mu(qv, x).mu == (min(vals) if vals else None)
         assert eval_via_clearing(qv, x) == clearing_reference(qv, x)
