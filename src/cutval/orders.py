@@ -134,6 +134,10 @@ class PolySubring:
     def contains(self, f: dict) -> bool:
         return all(self.domain.contains(c) for c in f.values())
 
+    def lattice_coords(self, f: dict) -> tuple:
+        """f's coordinates in the monomial basis: its coefficients."""
+        return tuple(f.values())
+
 
 def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
              certificate: StableBasisCertificate | None) -> SubringOracle:
@@ -380,10 +384,10 @@ def intersect_oracles(oracles, domain: BaseDomain | None = None,
                       certificate: StableBasisCertificate | None = None) -> SubringOracle:
     """Conjunction of finitely many subring oracles.
 
-    When every constraint group lives over the same valuation-like domain
-    the lattice oracle of the intersection is recomputed from the stacked
-    rows; otherwise only the predicate (and a rescaled contained basis,
-    when obtainable) survives.
+    When every constraint group lives over the valuation ring of one
+    valuation (Z_(p) is O_v(Q, p)) the lattice oracle of the intersection
+    is recomputed from the stacked rows; otherwise only the predicate (and
+    a rescaled contained basis, when obtainable) survives.
     """
     oracles = list(oracles)
     if not oracles:
@@ -395,7 +399,8 @@ def intersect_oracles(oracles, domain: BaseDomain | None = None,
     domain = domain or oracles[0].domain
     provenance = provenance or ("intersection(" + ", ".join(o.provenance for o in oracles) + ")")
     groups = tuple(g for o in oracles for g in o.constraints)
-    if domain.is_valuation_like and all(g[0] == domain for g in groups):
+    vf = domain.valued_field
+    if domain.is_valuation_like and all(g[0].valued_field == vf for g in groups):
         return _lattice(alg, domain, [r for _, rws in groups for r in rws],
                         provenance, certificate)
     seed = next((o.contained_basis for o in oracles if o.contained_basis), None)

@@ -1,10 +1,13 @@
 """Filter quasi-valuations of lattice orders, with audits.
 
-For a lattice order R with basis {r_1..r_n} over the valuation ring O_v,
-the support of x in R is { a in O_v : xR subset aR }; writing x*r_j in the
-basis {r}, a clears every coordinate exactly when v(a) <= mu(x), the
-minimum coordinate valuation.  The corresponding initial subset of the
-value group is { g <= mu(x) }, so the evaluator is
+For a lattice order R over the valuation ring O_v, the support of x in R
+is { a in O_v : xR subset aR }.  Every R here holds 1 and is closed under
+products, so xR subset aR iff x in aR: x = a*r gives xR = a*rR, and x = x*1
+lies in xR.  So a clears x exactly when v(a) <= mu(x), the least valuation
+of x's coordinates in R's basis, the values of the rows T that decide
+membership (`lattice_coords`; on F[y] the coefficients, giving the Gauss
+valuation).  The corresponding initial subset of the value group is
+{ g <= mu(x) }, so the evaluator is
 
     W(x) = phi(mu(x))   for x != 0,      W(0) = INF.
 
@@ -15,24 +18,18 @@ Evaluation is extended from R to all of A = RF through the same formula:
 scaling x by c multiplies every coordinate by c, so mu(cx) = v(c) + mu(x),
 which is exactly the scalar law the localization construction needs.  The
 audit cross-checks this against the explicit clearing path
-W(x) = W(s*x) - v(s) on every sample.
+W(x) = W(s*x) - v(s) on every sample, and O_W = R against xR subset R.
 
 Caveat recorded: for a general O_v-algebra w(1) need not be zero, and then
 w(c*1) = v(c) + w(1) differs from v(c); for the unital lattice orders
 built here w(1) = phi(0) always (1's coordinates in its own order's basis
 include a unit), and the audit asserts it.
-
-The coordinates of every x*r_j are read through one `algebra._Rows`
-(`FilterQV.rows`).  On F[y] they are x's own coefficients and the
-evaluator is the min-coefficient (Gauss) valuation; `FilterQV.coefficients`
-gives either set to `support_mu` and to the clearing path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import _Rows, product_rows
 from .basedomain import BaseDomain
 from .cuts import (INF, Value, embed_phi, format_value, value_add,
                    value_compare, value_min, value_translate, zero_cut)
@@ -53,11 +50,6 @@ class SupportValue:
 @dataclass(frozen=True, eq=False)
 class FilterQV:
     oracle: object
-    rows: _Rows | None  # x -> coords(x * r_j) per lattice-basis element r_j; None on F[y]
-
-    def coefficients(self, x):
-        """The coordinates of every x*r_j (x's own on F[y]); mu(x) is their least value."""
-        return x.values() if self.rows is None else self.rows.values(x)
 
     @property
     def algebra(self):
@@ -71,28 +63,20 @@ class FilterQV:
     def field(self):
         return self.domain.valued_field
 
-    @property
-    def rank(self) -> int:
-        return self.field.rank
-
 
 def filter_qv(oracle) -> FilterQV:
     """Build the evaluator for a lattice order or the polynomial subring."""
     if not oracle.domain.is_valuation_like:
         raise ConfigError("filter quasi-valuation needs a valuation ring as base")
-    if isinstance(oracle, PolySubring):
-        return FilterQV(oracle, None)
-    if not isinstance(oracle, SubringOracle) or oracle.lattice_basis is None:
+    if isinstance(oracle, SubringOracle) and oracle.lattice_basis is None:
         raise ConfigError("filter quasi-valuation needs a lattice-represented order")
-    alg = oracle.algebra
-    return FilterQV(oracle, _Rows(alg.field, product_rows(
-        alg, oracle._constraint_rows[0][1], oracle.lattice_basis)))
+    return FilterQV(oracle)
 
 
 def support_mu(qv: FilterQV, x) -> SupportValue:
-    """Minimum coordinate valuation of the products x*r_j; None iff x = 0."""
+    """Least valuation of x's coordinates in R's basis; None iff x = 0."""
     field = qv.field
-    vals = [field.value(c) for c in qv.coefficients(x) if c]
+    vals = [field.value(c) for c in qv.oracle.lattice_coords(x) if c]
     return SupportValue(min(vals) if vals else None)
 
 
@@ -105,7 +89,7 @@ def filter_qv_eval(qv: FilterQV, x) -> Value:
 
 def eval_via_clearing(qv: FilterQV, x) -> Value:
     """Second path: clear x into R, evaluate there, translate back."""
-    coeffs = list(qv.coefficients(x))
+    coeffs = qv.oracle.lattice_coords(x)
     if all(not c for c in coeffs):
         return INF
     s = qv.domain.clear_many(coeffs)
@@ -148,12 +132,20 @@ class AuditReport:
 
 
 def _sample_pair(rng, spec, qv):
-    sample = sample_poly_element if qv.rows is None else sample_algebra_element
+    sample = sample_poly_element if isinstance(qv.oracle, PolySubring) else sample_algebra_element
     return sample(rng, spec, qv.algebra), sample(rng, spec, qv.algebra)
 
 
 def _fmt(qv, x) -> str:
     return qv.algebra.format_element(x)
+
+
+def _clears_order(oracle, x) -> bool:
+    """xR subset R by its definition: x*r in R for every lattice-basis
+    element r (on F[y], x in R)."""
+    if isinstance(oracle, PolySubring):
+        return oracle.contains(x)
+    return all(oracle.contains(oracle.algebra.mul(x, r)) for r in oracle.lattice_basis)
 
 
 def qv_audit(qv: FilterQV, spec: SampleSpec) -> AuditReport:
@@ -163,8 +155,7 @@ def qv_audit(qv: FilterQV, spec: SampleSpec) -> AuditReport:
     check_sample_count(spec)
     alg, field, domain = qv.algebra, qv.field, qv.domain
     rng = spec.rng()
-    rank = qv.rank
-    zc = zero_cut(rank)
+    zc = zero_cut(field.rank)
 
     b1_fail = () if filter_qv_eval(qv, alg.zero) is INF else ("W(0) != INF",)
     unit_fail = () if filter_qv_eval(qv, alg.unit) == zc else ("W(1) != phi(0)",)
@@ -216,9 +207,9 @@ def qv_audit(qv: FilterQV, spec: SampleSpec) -> AuditReport:
         else:
             x = sample_member(rng, spec, qv.oracle)
         w = filter_qv_eval(qv, x)
-        nonneg = value_compare(w, zc) >= 0
-        if nonneg != qv.oracle.contains(x):
-            ow.append(f"x={_fmt(qv, x)}: W={format_value(w)} vs member={qv.oracle.contains(x)}")
+        member = _clears_order(qv.oracle, x)
+        if (value_compare(w, zc) >= 0) != member:
+            ow.append(f"x={_fmt(qv, x)}: W={format_value(w)} vs xR in R={member}")
 
     checks = (
         AuditCheck("B1: W(0) = INF", 1, b1_fail),

@@ -458,3 +458,73 @@ def test_cli_contract_under_fuzz(capsys, tmp_path, m2_file, qx_file, dual_file):
     for _ in range(1000):
         rank = ["--rank", str(rng.randint(-1, 3))] if rng.randrange(3) == 0 else []
         assert_contract(capsys, ["cutcalc", random_cut_expression(rng)] + rank)
+
+
+Q_SCALARS = ["0", "1", "-1", "1/2", "-3/4", "12", "5/9"]
+Q_TOKENS = Q_SCALARS + ["1/0", "2/-3", "x", "/", ",", ",,", " ", "", "1e3", "0x1f", "_1",
+                        "\u00b2", "9" * 5000, "nan"]
+QT_SCALARS = ['"1/2"', "3", "-1", '{"num": ["0", "1"]}', '{"num": ["1", "2"], "den": ["0", "1"]}']
+QT_TOKENS = QT_SCALARS + ['"x"', "null", "true", "[]", '{"num": ["1"], "den": ["0"]}',
+                          '{"den": ["1"]}', '{"num": "1"}', '"' + "9" * 5000 + '"',
+                          "[", "]", ",", "{", "}", ":", '"num"', " "]
+IDEAL_TOKENS = ["1", "2", "4", "8", "3", "9", "27", "1/2", "3/4", "0", "-4", "x", "",
+                " ", "/", "2/0", "9" * 5000]
+
+
+def random_tokens(rng, tokens, low, high) -> str:
+    return "".join(rng.choice(tokens) for _ in range(rng.randint(low, high)))
+
+
+def random_element(rng, scalars, tokens, dim, join):
+    """Mostly dim scalars joined as the CLI reads them; at times one part
+    mangled, a part too few or too many, or only noise."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return random_tokens(rng, tokens, 0, 9)
+    parts = [rng.choice(scalars) for _ in range(dim + (kind == 1) - (kind == 2))]
+    if kind == 3:
+        parts[rng.randrange(len(parts))] = random_tokens(rng, tokens, 0, 3)
+    return join(parts)
+
+
+def mutate_digit(rng, data: bytes) -> bytes:
+    """One digit replaced by a digit: the JSON stays valid, its table may not."""
+    out = bytearray(data)
+    digits = [i for i, b in enumerate(out) if chr(b).isdigit()]
+    out[rng.choice(digits)] = ord("0") + rng.randrange(10)
+    return bytes(out)
+
+
+def random_matrix_chain_args(rng) -> list:
+    ideals = [rng.choice(IDEAL_TOKENS) for _ in range(rng.randint(1, 4))]
+    if rng.randrange(3):  # a chain that ascends, in powers of p
+        p = rng.choice([2, 3])
+        ideals = [str(p ** e) for e in range(rng.randint(1, 3), 0, -1)]
+    else:
+        p = rng.choice([2, 3, 5, 0, 1, -2, 4, 9, 2 ** 64 + 13])
+    return ["matrix-chain", "--n", str(rng.choice([-1, 0, 1, 2, 2, 3, 3])),
+            "--domain", rng.choice(["Z", "Z", "Z", "Z", "Zp", "Ov", ""]),
+            "--ideals=" + ",".join(ideals), "--p", str(p), "--samples", "3", "--seed", "5"]
+
+
+def test_cli_contract_under_fuzz_eval_check_and_matrix_chain(capsys, tmp_path, m2_file,
+                                                             qx_file, dual_file):
+    """qv eval with random --element strings, algebra check on mutated
+    problem files, and matrix-chain with random --n, --domain, --ideals, --p."""
+    rng = SplitMix64(2025)
+    for _ in range(300):
+        element = random_element(rng, Q_SCALARS, Q_TOKENS, 4, ",".join)
+        assert_contract(capsys, ["qv", "eval", m2_file, "--basis", "unital",
+                                 "--element=" + element])
+    for _ in range(50):
+        element = random_element(rng, QT_SCALARS, QT_TOKENS, 2,
+                                 lambda parts: "[" + ", ".join(parts) + "]")
+        assert_contract(capsys, ["qv", "eval", qx_file, "--basis", "random",
+                                 "--element=" + element])
+    files = [Path(f).read_bytes() for f in (m2_file, qx_file, dual_file)]
+    path = tmp_path / "mutated.json"
+    for k in range(90):
+        path.write_bytes((mutate_digit if k % 2 else mutate_bytes)(rng, files[k % 3]))
+        assert_contract(capsys, ["algebra", "check", str(path)])
+    for _ in range(80):
+        assert_contract(capsys, random_matrix_chain_args(rng))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_cut, random_vec
 from cutval.cuts import (INF, at_most, bottom, cut_add, cut_compare, cut_scale,
@@ -215,6 +217,26 @@ def test_notation_round_trip():
         rank = rng.choice((1, 2, 3))
         v = random_cut(rng, rank, bound=10 ** 9)
         assert parse_value(format_value(v), rank) == v
+
+
+def _cut(rank, kind, level, bound):
+    if kind != "atmost":
+        return bottom(rank) if kind == "bot" else top(rank)
+    level %= rank
+    return at_most(rank, level, tuple(bound[:rank - level]))
+
+
+cut_values = st.one_of(
+    st.builds(_cut, st.integers(1, 3), st.sampled_from(["bot", "top", "atmost", "atmost"]),
+              st.integers(0, 2), st.lists(st.integers(), min_size=3, max_size=3)),
+    st.just(INF))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(cut_values, st.integers(1, 3))
+def test_notation_round_trip_property(v, rank):
+    rank = rank if v is INF else v.rank
+    assert parse_value(format_value(v), rank) == v
 
 
 def test_group_element_text_round_trip():

@@ -15,7 +15,7 @@ from cutval.orders import (IdealSpec, LatticeModule, PolySubring,
                            intersect_oracles, lattice_membership, left_order,
                            matrix_nice_chain, nice_from_certificate,
                            nice_with_ideal, verify_nice)
-from cutval.quasival import eval_via_clearing, filter_qv, support_mu
+from cutval.quasival import eval_via_clearing, filter_qv, qv_audit, support_mu
 from cutval.samplers import (sample_algebra_element, sample_member,
                              sample_poly_element, sample_scalar)
 from cutval.sampling import SampleSpec, SplitMix64
@@ -267,6 +267,31 @@ def test_intersection_examples(m2):
         assert single.contains(x) == R2.contains(x)
     with pytest.raises(DomainError):
         intersect_oracles([])
+
+
+def test_z_p_and_o_v_of_q_p_are_one_ring(m2, field_q):
+    # p_local(2) and valuation_ring(Q, 2) print differently but are the same
+    # ring: their intersection and going-down between them stay lattices
+    ov = valuation_ring(field_q)
+    r_ov = left_order(LatticeModule(m2, ov, units_of(m2)))
+    half_e12 = m2.smul(Fraction(1, 2), m2.basis_vector(1))
+    r_zp = left_order(LatticeModule(m2, p_local(2), (m2.unit, half_e12, m2.basis_vector(2),
+                                                     m2.basis_vector(3))))
+    both = intersect_oracles([r_zp, r_ov])
+    assert both.lattice_basis is not None and len(both.constraints) == 1
+    rng = SplitMix64(131)
+    spec = SampleSpec(seed=131, count=60)
+    for k in range(60):
+        x = sample_member(rng, spec, r_ov) if k % 2 else sample_algebra_element(rng, spec, m2)
+        assert both.contains(x) == (r_zp.contains(x) and r_ov.contains(x))
+    down = going_down(r_ov, p_local(2), units_of(m2))
+    assert down.lattice_basis is not None
+    report = verify_nice(down, spec)
+    assert report.ok, str(report)
+    lying_over = next(c for c in report.checks if c.name == "R cap F = S")
+    assert lying_over.method == "exact"
+    audit = qv_audit(filter_qv(down), spec)
+    assert audit.ok, str(audit)
 
 
 # --- descending chain ---------------------------------------------------------
@@ -597,15 +622,21 @@ def test_rows_over_qt_keep_the_term_loop(field_qt):
     assert list(_Rows(field_qt, rows).values(x)) == [dot_reference(r, x) for r in rows]
 
 
-def clearing_reference(qv, x):
-    """eval_via_clearing on reference row values."""
-    coeffs = [dot_reference(row, x) for row in qv.rows.rows]
+def mu_reference(qv, rows, x):
+    """mu(x) by the definition of the support: the least valuation of the
+    coordinates of every x*r_j in R's basis, read on R's n^2 product rows."""
+    vals = [qv.field.value(c) for c in (dot_reference(row, x) for row in rows) if c]
+    return min(vals) if vals else None
+
+
+def clearing_reference(qv, rows, x):
+    """eval_via_clearing on the n^2 product rows' values."""
+    coeffs = [dot_reference(row, x) for row in rows]
     if not any(coeffs):
         return INF
     s = qv.domain.clear_many(coeffs)
-    sx = qv.algebra.smul(s, x)
-    vals = [qv.field.value(c) for c in (dot_reference(row, sx) for row in qv.rows.rows) if c]
-    return value_translate(embed_phi(min(vals)), qv.field.value(s))
+    return value_translate(embed_phi(mu_reference(qv, rows, qv.algebra.smul(s, x))),
+                           qv.field.value(s))
 
 
 @pytest.mark.parametrize("domain", [p_local(3), integers()], ids=["Z_(3)", "Z"])
@@ -623,6 +654,7 @@ def test_m3_random_basis_rows_match_reference(domain):
     R = nice_from_certificate(stabilizer_finite(alg, basis, domain))
     rows = full_product_rows(alg, R.certificate.basis)
     qv = filter_qv(R) if domain.is_valuation_like else None
+    qv_rows = full_product_rows(alg, R.lattice_basis) if qv else None
     spec = SampleSpec(seed=101, count=12)
     rng = spec.rng()
     members = 0
@@ -634,10 +666,8 @@ def test_m3_random_basis_rows_match_reference(domain):
         if qv is None:
             continue
         assert R.lattice_coords(x) == tuple(dot_reference(row, x) for row in R.lattice_rows)
-        vals = [qv.field.value(c) for c in (dot_reference(row, x) for row in qv.rows.rows)
-                if c]
-        assert support_mu(qv, x).mu == (min(vals) if vals else None)
-        assert eval_via_clearing(qv, x) == clearing_reference(qv, x)
+        assert support_mu(qv, x).mu == mu_reference(qv, qv_rows, x)
+        assert eval_via_clearing(qv, x) == clearing_reference(qv, qv_rows, x)
     assert members >= 6
 
 

@@ -4,16 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from cutval.algebra import PolynomialAlgebra, matrix_algebra, matrix_element, quadratic_algebra
+from cutval.algebra import (PolynomialAlgebra, coordinate_rows, matrix_algebra,
+                            matrix_element, quadratic_algebra)
 from cutval.basedomain import integers, p_local, valuation_ring
 from cutval.cuts import INF, at_most, embed_phi, value_compare, zero_cut
 from cutval.errors import ConfigError
-from cutval.orders import LatticeModule, SubringOracle, descend_chain, left_order, nice_from_certificate
+from cutval.numfield import RationalFunction, ValuedField
+from cutval.oracle import brute_support
+from cutval.orders import (LatticeModule, SubringOracle, _lattice, descend_chain, left_order,
+                           nice_from_certificate)
 from cutval.quasival import (eval_via_clearing, filter_qv, filter_qv_eval,
                              qv_audit, qv_compare, support_mu)
-from cutval.samplers import sample_algebra_element, sample_poly_element
+from cutval.samplers import sample_algebra_element, sample_member, sample_poly_element
 from cutval.sampling import SampleSpec, SplitMix64
 from cutval.stability import stabilizer_finite
+from test_orders import (chain_entry, clearing_reference, full_product_rows,
+                         mu_reference, random_basis)
 
 
 @pytest.fixture
@@ -176,3 +182,80 @@ def test_qv_compare_self_and_mismatch(m2, m2_qv, field_q):
                                                (sqrt2.unit, sqrt2.basis_vector(1)))))
     with pytest.raises(ConfigError):
         qv_compare(m2_qv, other, spec)
+
+
+# --- against the n^2-row reference evaluator ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def families():
+    """Lattice orders of every kind filter_qv takes: random left orders over
+    Z_(2), Z_(3) and O_v, descend-chain intersections, the unit M2(Q(t))."""
+    q2, q3, qt = ValuedField("Q", 2), ValuedField("Q", 3), ValuedField("Qt", 2)
+    m3 = matrix_algebra(q3, 3)
+    m2q = matrix_algebra(q2, 2)
+    sqrt2 = quadratic_algebra(q2, 2)
+    qx = quadratic_algebra(qt, RationalFunction.T)
+    m2t = matrix_algebra(qt, 2)
+
+    def orders(alg, domain, seeds, **draw):
+        return [left_order(LatticeModule(alg, domain, random_basis(alg, seed, **draw)))
+                for seed in seeds]
+
+    return {
+        "M3(Q)/Z_(3)": orders(m3, p_local(3), range(7, 11), coef_bound=5, max_p_exp=2),
+        "M2(Q)/Z_(2)": orders(m2q, p_local(2), range(20, 26), coef_bound=5, max_p_exp=2),
+        "Q(sqrt2)/Z_(2)": orders(sqrt2, p_local(2), range(30, 36), coef_bound=5, max_p_exp=2),
+        "descend chain": list(descend_chain(chain_entry(m2q), 4).oracles),
+        "M2(Q(t))/O_v": [left_order(LatticeModule(m2t, valuation_ring(qt),
+                                                  tuple(m2t.basis_vector(i) for i in range(4))))],
+        "Q(t)[x]/(x^2-t)/O_v": orders(qx, valuation_ring(qt), range(303, 309),
+                                      coef_bound=3, max_p_exp=1, poly_degree=2),
+    }
+
+
+def probe_points(R, spec):
+    """0, 1, the lattice basis, random elements, members and members pushed
+    out of R by 1/s0."""
+    alg = R.algebra
+    rng = spec.rng()
+    out_by = R.domain.one / R.domain.noninvertible()
+    points = [alg.zero, alg.unit] + list(R.lattice_basis)
+    for _ in range(spec.count):
+        x = sample_member(rng, spec, R)
+        points += [sample_algebra_element(rng, spec, alg), x, alg.smul(out_by, x)]
+    return points
+
+
+@pytest.mark.parametrize("name", ["M3(Q)/Z_(3)", "M2(Q)/Z_(2)", "Q(sqrt2)/Z_(2)",
+                                  "descend chain", "M2(Q(t))/O_v", "Q(t)[x]/(x^2-t)/O_v"])
+def test_evaluator_matches_product_row_reference(families, name):
+    """support_mu, filter_qv_eval and eval_via_clearing read R's n rows T;
+    the reference reads the n^2 rows of every x*r_j.  On rank-1 families
+    brute_support rescans members by membership alone."""
+    poly_degree = 1 if "Q(t)" in name else 0
+    for k, R in enumerate(families[name]):
+        qv = filter_qv(R)
+        rows = full_product_rows(R.algebra, R.lattice_basis)
+        spec = SampleSpec(seed=400 + k, count=4, poly_degree=poly_degree)
+        for x in probe_points(R, spec):
+            mu = mu_reference(qv, rows, x)
+            assert support_mu(qv, x).mu == mu
+            assert filter_qv_eval(qv, x) == (INF if mu is None else embed_phi(mu))
+            assert eval_via_clearing(qv, x) == clearing_reference(qv, rows, x)
+            if qv.field.rank == 1 and mu is not None and R.contains(x):
+                brute = brute_support(R, x, 6)
+                assert brute.inconclusive or brute.exponent == mu[0]
+
+
+def test_non_ring_lattice_fails_o_w_and_b2(m2):
+    """Z_(2){e11, e12/2, e21/2, e22} holds 1 but (e12/2)(e21/2) = e11/4 leaves
+    it: W >= 0 no longer means xR inside R, and W(xy) drops below W(x)+W(y)."""
+    half = Fraction(1, 2)
+    basis = (m2.basis_vector(0), m2.smul(half, m2.basis_vector(1)),
+             m2.smul(half, m2.basis_vector(2)), m2.basis_vector(3))
+    lattice = _lattice(m2, p_local(2), coordinate_rows(m2, basis).rows, "non-ring", None)
+    report = qv_audit(filter_qv(lattice), SampleSpec(seed=61, count=60))
+    failed = {c.name for c in report.checks if not c.ok}
+    assert "O_W = R (W >= 0 iff membership)" in failed
+    assert "B2: W(xy) >= W(x) + W(y)" in failed
