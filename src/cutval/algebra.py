@@ -13,8 +13,15 @@ the rows of `coordinate_rows`, the basis's inverse, and `product_rows`
 stacks the rows of x -> coords(x*b).  `_Rows` evaluates fixed rows: over Q
 each row is cleared once to integers a_i over d = lcm of its denominators,
 each x to b_i over e, and a row value is Fraction(sum a_i*b_i, d*e), one
-normalizing gcd instead of a Fraction multiply and add per entry.  Rows
-over Q(t) are summed term by term.
+normalizing gcd instead of a Fraction multiply and add per entry.  Where
+only a valuation is read, `_Rows.valuations` takes v_p(sum a_i*b_i) -
+v_p(d) - v_p(e) off the integers and reduces nothing.  Rows over Q(t) are
+summed term by term.
+
+Over Q, `StructureAlgebra.mul` clears the same way: the table once, over
+one denominator D, and x and y per call, so a product is integer sums
+with one reducing Fraction per nonzero coordinate.  Over Q(t) it sums
+the table's cells term by term.
 
 The polynomial backend :class:`PolynomialAlgebra` represents F[y] with the
 monomial basis; elements are sparse exponent -> coefficient dicts.
@@ -29,7 +36,7 @@ from math import lcm
 from operator import mul
 
 from .errors import ConfigError, StructuralError
-from .numfield import ValuedField
+from .numfield import ValuedField, _int_p_exponent
 
 Element = tuple  # tuple of field scalars
 
@@ -42,7 +49,10 @@ class StructureAlgebra:
     unit: Element
     # The nonzero cells of the table, (i, j, ((k, t), ...)) with t != 0,
     # built once: mul walks these instead of all n^2 cells times n entries.
+    # Over Q each t is stored cleared, as the integer t*D over one table
+    # denominator _den = D; over Q(t) t is the scalar and _den is None.
     _cells: tuple = dataclasses.field(init=False, repr=False)
+    _den: int | None = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.names)
@@ -56,9 +66,15 @@ class StructureAlgebra:
                     raise StructuralError("table entries must be coordinate vectors of length n")
         if len(self.unit) != n:
             raise StructuralError("unit coordinates must have length n")
-        object.__setattr__(self, "_cells", tuple(
-            (i, j, tuple((k, t) for k, t in enumerate(vec) if t))
-            for i, row in enumerate(self.table) for j, vec in enumerate(row) if any(vec)))
+        cells = [(i, j, tuple((k, t) for k, t in enumerate(vec) if t))
+                 for i, row in enumerate(self.table) for j, vec in enumerate(row) if any(vec)]
+        den = None
+        if self.field.kind == "Q":
+            den = lcm(*(t.denominator for _, _, terms in cells for _, t in terms))
+            cells = [(i, j, tuple((k, t.numerator * (den // t.denominator)) for k, t in terms))
+                     for i, j, terms in cells]
+        object.__setattr__(self, "_cells", tuple(cells))
+        object.__setattr__(self, "_den", den)
 
     @property
     def dim(self) -> int:
@@ -88,14 +104,23 @@ class StructureAlgebra:
     def mul(self, x: Element, y: Element) -> Element:
         if len(x) != self.dim or len(y) != self.dim:
             raise ConfigError("element does not belong to this algebra")
-        out = list(self.zero)
+        # Over Q: x = a/d, y = b/e and the table is T/D, so the product is
+        # the integer sums over d*e*D, one reducing Fraction per coordinate.
+        if self._den is None:
+            (a, b), zero = (x, y), self.field.zero
+        else:
+            (a, d), (b, e), zero = _clear(x), _clear(y), 0
+        out = [zero] * self.dim
         for i, j, terms in self._cells:
-            xi, yj = x[i], y[j]
-            if xi and yj:
-                c = xi * yj
+            ai, bj = a[i], b[j]
+            if ai and bj:
+                c = ai * bj
                 for k, t in terms:
                     out[k] = out[k] + c * t
-        return tuple(out)
+        if self._den is None:
+            return tuple(out)
+        den, zero = d * e * self._den, self.field.zero
+        return tuple(Fraction(v, den) if v else zero for v in out)
 
     def is_zero(self, x: Element) -> bool:
         return all(not c for c in x)
@@ -245,12 +270,29 @@ class _Rows:
     def values(self, x):
         """The row values at x, in row order, computed as they are consumed;
         an x whose length is not the rows' width is refused at once."""
-        if len(x) != self.width:
-            raise ConfigError(f"element has {len(x)} coordinates, the rows take {self.width}")
+        self._check_width(x)
         if self.cleared is None:
             return (_dot(row, x) for row in self.rows)
         b, e = _clear(x)
         return (Fraction(sum(map(mul, a, b)), d * e) for a, d in self.cleared)
+
+    def valuations(self, x, vf: ValuedField):
+        """vf's value of each row value at x (None for a zero value), in row
+        order and as consumed.  Over Q, v_p(sum a_i*b_i) - v_p(d) - v_p(e)
+        for vf's p, which need not be the algebra field's: no Fraction is
+        built and no gcd taken.  Over Q(t), vf.value of each value."""
+        if self.cleared is None:
+            return map(vf.value, self.values(x))
+        self._check_width(x)
+        b, e = _clear(x)
+        p = vf.p
+        ve = _int_p_exponent(e, p)
+        return ((_int_p_exponent(s, p) - _int_p_exponent(d, p) - ve,)
+                if (s := sum(map(mul, a, b))) else None for a, d in self.cleared)
+
+    def _check_width(self, x):
+        if len(x) != self.width:
+            raise ConfigError(f"element has {len(x)} coordinates, the rows take {self.width}")
 
 
 def coordinate_rows(alg: StructureAlgebra, basis) -> _Rows:
@@ -292,22 +334,41 @@ class TableReport:
         return f"FAIL: {self.failure} at {self.witness}"
 
 
+def _combine(pairs, products, zero, n) -> list:
+    """sum c * products[l] over (l, c) in pairs, each products[l] the
+    (k, t) terms of one table cell."""
+    out = [zero] * n
+    for l, c in pairs:
+        for k, t in products[l]:
+            out[k] = out[k] + c * t
+    return out
+
+
 def check_associative_unital(alg: StructureAlgebra) -> TableReport:
-    """Exhaustive scan of all n^3 associativity triples and the unit laws."""
+    """Exhaustive scan of all n^3 associativity triples and the unit laws.
+
+    Both sides are summed off the table's nonzero cells (`_cells`), with
+    no general product: (e_i e_j) e_k = sum_l t_ij^l e_l e_k and
+    e_i (e_j e_k) = sum_l t_jk^l e_i e_l.  Over Q the cells are the
+    cleared integers, which scales both sides by D^2.
+    """
     n = alg.dim
-    basis = [alg.basis_vector(i) for i in range(n)]
     for i in range(n):
-        ei = basis[i]
+        ei = alg.basis_vector(i)
         if alg.mul(alg.unit, ei) != ei:
             return TableReport(False, n, "left unit law fails", (i,))
         if alg.mul(ei, alg.unit) != ei:
             return TableReport(False, n, "right unit law fails", (i,))
+    zero = alg.field.zero if alg._den is None else 0
+    rows = [[()] * n for _ in range(n)]  # rows[i][j]: terms of e_i e_j
+    for i, j, terms in alg._cells:
+        rows[i][j] = terms
+    columns = [list(col) for col in zip(*rows)]  # columns[k][l]: e_l e_k
     for i in range(n):
         for j in range(n):
-            ij = alg.mul(basis[i], basis[j])
             for k in range(n):
-                left = alg.mul(ij, basis[k])
-                right = alg.mul(basis[i], alg.mul(basis[j], basis[k]))
+                left = _combine(rows[i][j], columns[k], zero, n)
+                right = _combine(rows[j][k], rows[i], zero, n)
                 if left != right:
                     return TableReport(False, n, "associativity fails", (i, j, k))
     return TableReport(True, n)

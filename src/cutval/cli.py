@@ -14,6 +14,7 @@ import os
 import sys
 
 from . import cuts
+from .algebra import TableReport
 from .basedomain import integers
 from .errors import CutvalError, StructuralError
 from .numfield import ValuedField, parse_rational
@@ -135,8 +136,8 @@ def _cmd_algebra_check(args) -> int:
     except CutvalError as exc:
         print(f"FAIL: {exc}")
         return 1
-    from .algebra import check_associative_unital
-    print(check_associative_unital(prob.algebra))
+    # load_problem has scanned the table and raised on a failure
+    print(TableReport(True, prob.algebra.dim))
     return 0
 
 

@@ -71,7 +71,8 @@ class SubringOracle:
     lattice_basis, the columns of T^-1: x's coordinates in that basis are
     the values of T at x (lattice_rows, lattice_coords).
     contained_basis certifies RF = A; a lattice oracle sets it to its
-    lattice basis.
+    lattice basis.  Membership reads, on each group over a valuation ring
+    of Q, only the row values' valuations (`_Rows.valuations`).
     """
 
     algebra: object
@@ -81,8 +82,10 @@ class SubringOracle:
     lattice_basis: tuple | None = None
     contained_basis: tuple | None = None
     certificate: StableBasisCertificate | None = None
-    # The rows above in evaluable form (see _Rows), built once per oracle.
+    # The rows above in evaluable form (see _Rows), built once per oracle,
+    # and the contained basis as the columns of rows (None without one).
     _constraint_rows: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    _basis_rows: _Rows | None = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lattice_basis is not None and not (
@@ -92,6 +95,8 @@ class SubringOracle:
         fieldobj = self.algebra.field
         object.__setattr__(self, "_constraint_rows", tuple(
             (dom, _Rows(fieldobj, rows)) for dom, rows in self.constraints))
+        object.__setattr__(self, "_basis_rows", _Rows(fieldobj, tuple(zip(*self.contained_basis)))
+                           if self.contained_basis else None)
 
     @property
     def lattice_rows(self) -> tuple | None:
@@ -99,13 +104,33 @@ class SubringOracle:
         return None if self.lattice_basis is None else self.constraints[0][1]
 
     def contains(self, x) -> bool:
-        return all(dom.contains(c) for dom, rows in self._constraint_rows
-                   for c in rows.values(x))
+        for dom, rows in self._constraint_rows:
+            vf = dom.valued_field
+            if vf is not None and vf.kind == "Q":
+                if any(v is not None and v[0] < 0 for v in rows.valuations(x, vf)):
+                    return False
+            elif not all(dom.contains(c) for c in rows.values(x)):
+                return False
+        return True
 
     def lattice_coords(self, x) -> tuple:
+        return tuple(self._lattice_rows().values(x))
+
+    def lattice_valuations(self, x):
+        """The domain's valuation of each lattice coordinate of x (None for
+        a zero one), read without building the coordinates over Q."""
+        return self._lattice_rows().valuations(x, self.domain.valued_field)
+
+    def basis_combination(self, coeffs) -> tuple:
+        """sum c_i * b_i over the contained basis, as one row evaluation."""
+        if self._basis_rows is None:
+            raise StructuralError("oracle carries no basis to sample members from")
+        return tuple(self._basis_rows.values(coeffs))
+
+    def _lattice_rows(self) -> _Rows:
         if self.lattice_basis is None:
             raise ConfigError("oracle has no lattice representation")
-        return tuple(self._constraint_rows[0][1].values(x))
+        return self._constraint_rows[0][1]
 
 
 def oracle_to_json(oracle: "SubringOracle") -> dict:
@@ -137,6 +162,10 @@ class PolySubring:
     def lattice_coords(self, f: dict) -> tuple:
         """f's coordinates in the monomial basis: its coefficients."""
         return tuple(f.values())
+
+    def lattice_valuations(self, f: dict):
+        """The valuations of f's coefficients."""
+        return map(self.domain.value, f.values())
 
 
 def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
@@ -282,9 +311,7 @@ def verify_nice(oracle, spec: SampleSpec) -> NiceReport:
 
     # Lying over: R cap F subset S.
     if oracle.lattice_rows is not None:
-        u = oracle.lattice_coords(alg.unit)
-        vals = [domain.value(c) for c in u if c]
-        m = min(vals)
+        m = min(v for v in oracle.lattice_valuations(alg.unit) if v is not None)
         zero = (0,) * len(m)
         if m == zero:
             checks.append(NiceCheck("R cap F = S", "exact", True,

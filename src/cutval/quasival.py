@@ -74,9 +74,12 @@ def filter_qv(oracle) -> FilterQV:
 
 
 def support_mu(qv: FilterQV, x) -> SupportValue:
-    """Least valuation of x's coordinates in R's basis; None iff x = 0."""
-    field = qv.field
-    vals = [field.value(c) for c in qv.oracle.lattice_coords(x) if c]
+    """Least valuation of x's coordinates in R's basis; None iff x = 0.
+
+    The valuations come from `lattice_valuations`: over Q they are read
+    off the integer-cleared rows T, and no coordinate is built.
+    """
+    vals = [v for v in qv.oracle.lattice_valuations(x) if v is not None]
     return SupportValue(min(vals) if vals else None)
 
 

@@ -11,23 +11,28 @@ from fractions import Fraction
 
 from .algebra import PolynomialAlgebra, StructureAlgebra
 from .basedomain import BaseDomain
-from .errors import StructuralError
-from .numfield import Polynomial, RationalFunction, ValuedField
+from .numfield import Polynomial, RationalFunction, ValuedField, _t_power
 from .sampling import SampleSpec, SplitMix64, sample_int, sample_rational
 
 
 def sample_ratfunc(rng: SplitMix64, spec: SampleSpec, p: int) -> RationalFunction:
+    """num / den with den 1, t^k (k = 1, 2) or 1 + c*t, built reduced
+    without Euclid: gcd(num, t^k) = t^min(ord num, k), and 1 + c*t divides
+    num iff num(-1/c), the remainder of the division, is 0."""
     deg = rng.randint(0, spec.poly_degree)
     num = Polynomial(tuple(sample_rational(rng, spec, p) for _ in range(deg + 1)))
     shape = rng.randrange(3)
     if shape == 0 or num.is_zero():
-        den = Polynomial.ONE
-    elif shape == 1:
-        den = Polynomial((0,) * rng.randint(1, 2) + (1,))
-    else:
-        c1 = sample_rational(rng, spec, p)
-        den = Polynomial((Fraction(1), c1))
-    return RationalFunction(num, den)
+        return RationalFunction._reduced(num, Polynomial.ONE)
+    if shape == 1:
+        k = rng.randint(1, 2)
+        j = min(num.ord(), k)
+        return RationalFunction._reduced(Polynomial(num.coeffs[j:]), _t_power(k - j))
+    c = sample_rational(rng, spec, p)  # for c = 0 the divisor is 1
+    quo, rem = num.divmod(Polynomial((Fraction(1), c)))
+    if not rem:
+        return RationalFunction._reduced(quo, Polynomial.ONE)
+    return RationalFunction._reduced(num.scale(1 / c), Polynomial((1 / c, Fraction(1))))
 
 
 def sample_scalar(rng: SplitMix64, spec: SampleSpec, field: ValuedField):
@@ -91,10 +96,5 @@ def sample_member(rng: SplitMix64, spec: SampleSpec, oracle):
             if c:
                 out[n] = c
         return out
-    basis = oracle.contained_basis
-    if basis is None:
-        raise StructuralError("oracle carries no basis to sample members from")
-    x = alg.zero
-    for b in basis:
-        x = alg.add(x, alg.smul(sample_in_domain(rng, spec, oracle.domain), b))
-    return x
+    basis = oracle.contained_basis or ()  # without one, basis_combination refuses
+    return oracle.basis_combination([sample_in_domain(rng, spec, oracle.domain) for _ in basis])

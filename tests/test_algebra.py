@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from cutval.algebra import (PolynomialAlgebra, StructureAlgebra,
+from cutval.algebra import (PolynomialAlgebra, StructureAlgebra, TableReport,
                             check_associative_unital, extend_to_basis,
                             is_independent, matrix_algebra, matrix_element,
                             quadratic_algebra, solve_columns)
 from cutval.errors import StructuralError
-from cutval.numfield import ValuedField
+from cutval.numfield import RationalFunction, ValuedField
 from cutval.samplers import sample_algebra_element, sample_scalar
 from cutval.sampling import SampleSpec, SplitMix64
+from test_kernel import FRACTIONAL
 
 
 @pytest.fixture
@@ -119,3 +120,54 @@ def test_qt_matrix_algebra(field_qt):
     y = sample_algebra_element(rng, spec, alg)
     prod = _matmul(_as_matrix(x), _as_matrix(y))
     assert alg.mul(x, y) == matrix_element(alg, prod)
+
+
+def table_check_reference(alg):
+    """The scan the cell-based check replaced: 3n^3 general products."""
+    n = alg.dim
+    basis = [alg.basis_vector(i) for i in range(n)]
+    for i in range(n):
+        ei = basis[i]
+        if alg.mul(alg.unit, ei) != ei:
+            return TableReport(False, n, "left unit law fails", (i,))
+        if alg.mul(ei, alg.unit) != ei:
+            return TableReport(False, n, "right unit law fails", (i,))
+    for i in range(n):
+        for j in range(n):
+            ij = alg.mul(basis[i], basis[j])
+            for k in range(n):
+                left = alg.mul(ij, basis[k])
+                right = alg.mul(basis[i], alg.mul(basis[j], basis[k]))
+                if left != right:
+                    return TableReport(False, n, "associativity fails", (i, j, k))
+    return TableReport(True, n)
+
+
+def table_algebras():
+    q, qt = ValuedField("Q", 3), ValuedField("Qt", 3)
+    algs = [matrix_algebra(q, 2), matrix_algebra(q, 3), quadratic_algebra(q, 0),
+            quadratic_algebra(q, 2), matrix_algebra(qt, 2),
+            quadratic_algebra(qt, RationalFunction.T)]
+    return algs + [make() for make in FRACTIONAL.values()]
+
+
+def test_cell_table_check_matches_full_scan():
+    """Same report, text and first witness, on valid tables and on tables
+    with one structure constant replaced."""
+    rng = SplitMix64(331)
+    spec = SampleSpec(seed=331, count=0, coef_bound=3, max_p_exp=1, poly_degree=1)
+    failures = set()
+    for alg in table_algebras():
+        report = check_associative_unital(alg)
+        assert report.ok and report == table_check_reference(alg)
+        for _ in range(12):
+            i, j, k = (rng.randrange(alg.dim) for _ in range(3))
+            table = [[list(vec) for vec in row] for row in alg.table]
+            table[i][j][k] = table[i][j][k] + (sample_scalar(rng, spec, alg.field) or alg.field.one)
+            bad = StructureAlgebra(alg.field, alg.names,
+                                   tuple(tuple(map(tuple, row)) for row in table), alg.unit)
+            report = check_associative_unital(bad)
+            assert report == table_check_reference(bad)
+            assert str(report) == str(table_check_reference(bad))
+            failures.add(report.failure)
+    assert failures >= {"associativity fails", "left unit law fails", "right unit law fails"}

@@ -109,6 +109,21 @@ def test_algebra_check(capsys, m2_file):
     assert out.strip() == "OK: associative, unital (n=4)"
 
 
+def test_algebra_check_scans_the_table_once(capsys, monkeypatch, m2_file):
+    import cutval.algebra
+    import cutval.problemfile
+    scan, scans = cutval.algebra.check_associative_unital, []
+
+    def counted(alg):
+        scans.append(alg.dim)
+        return scan(alg)
+
+    monkeypatch.setattr(cutval.problemfile, "check_associative_unital", counted)
+    monkeypatch.setattr(cutval.algebra, "check_associative_unital", counted)
+    rc, out = run(capsys, ["algebra", "check", m2_file])
+    assert (rc, out, scans) == (0, "OK: associative, unital (n=4)\n", [4])
+
+
 def test_algebra_check_rejects_corrupt_table(capsys, tmp_path, field_q):
     alg = matrix_algebra(field_q, 2)
     data = problem_dict(alg, {"kind": "Zp", "p": 2})

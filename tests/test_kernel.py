@@ -6,9 +6,11 @@ used before it had a single elimination kernel, kept verbatim apart from
 its name: solve, rank, inverse, min-valuation lattice elimination, and the
 stabilizer, stability check and basis insertion that solved one linear
 system per product, the dense product that walked every cell of the
-structure-constant table, the Q(t) arithmetic that reduced every sum
-and product with a full gcd, and the separate Q and Q(t) branches of
-valuation-ring denominator clearing.  Coordinates over a basis are unique, the
+structure-constant table (also the reference for the integer-cleared
+product over Q), the Q(t) arithmetic that reduced every sum and product
+with a full gcd, the Q(t) sampler that reduced each draw with Euclid, and
+the separate Q and Q(t) branches of valuation-ring denominator clearing.
+Coordinates over a basis are unique, the
 min-valuation pivot sequence is a function of the rows and a rational
 function has one reduced form with a monic denominator, so every result
 must be exactly equal.
@@ -19,15 +21,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cutval.algebra import (_eliminate, invert, matrix_algebra, quadratic_algebra,
-                            rank_of, solve_columns)
+from cutval.algebra import (StructureAlgebra, _eliminate, coordinate_rows, invert,
+                            matrix_algebra, quadratic_algebra, rank_of, solve_columns)
 from cutval.basedomain import integers, p_local, valuation_ring
 from cutval.errors import StructuralError
 from cutval.numfield import Polynomial, RationalFunction, ValuedField, poly_gcd, vp
 from cutval.orders import LatticeModule, intersect_oracles, left_order
-from cutval.samplers import sample_algebra_element, sample_scalar
-from cutval.sampling import SampleSpec
+from cutval.samplers import sample_algebra_element, sample_ratfunc, sample_scalar
+from cutval.sampling import SampleSpec, sample_rational
 from cutval.stability import (StabilityReport, StableBasisCertificate, insert_into_basis,
                               is_stable, stabilizer_finite)
 
@@ -411,6 +415,56 @@ def test_sparse_mul_matches_dense_reference(name):
             assert alg.mul(x, y) == mul_reference(alg, x, y)
 
 
+def rebased(alg, basis):
+    """alg with its structure constants written over another basis: the
+    table entry (i, j) holds the coordinates of b_i * b_j over `basis`."""
+    coords = coordinate_rows(alg, basis)
+    table = tuple(tuple(tuple(coords.values(alg.mul(bi, bj))) for bj in basis) for bi in basis)
+    return StructureAlgebra(alg.field, tuple(f"b{i}" for i in range(alg.dim)), table,
+                            tuple(coords.values(alg.unit)))
+
+
+# algebras over Q whose tables have non-integer constants, so the cleared
+# table has a denominator D > 1
+REBASED_M2 = rebased(matrix_algebra(Q3, 2), draw_bases(matrix_algebra(Q3, 2), 317, M3_DRAW, 1)[0])
+FRACTIONAL = {
+    "Q[x]/(x^2-3/4)": lambda: quadratic_algebra(Q3, Fraction(3, 4)),
+    "M2(Q) rebased": lambda: REBASED_M2,
+    "M3(Q) rebased": lambda: rebased(matrix_algebra(Q3, 3),
+                                     draw_bases(matrix_algebra(Q3, 3), 319, M3_DRAW, 1)[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRACTIONAL))
+def test_cleared_mul_matches_termwise_reference(name):
+    alg = FRACTIONAL[name]()
+    assert alg._den > 1
+    spec = SampleSpec(seed=321, count=0, **M3_DRAW)
+    rng = spec.rng()
+    special = [alg.zero, alg.unit] + [alg.basis_vector(i) for i in range(alg.dim)]
+    drawn = [sample_algebra_element(rng, spec, alg) for _ in range(12)]
+    drawn += [alg.mul(x, y) for x, y in zip(drawn[::2], drawn[1::2])]  # larger entries
+    for x in special + drawn:
+        for y in special + drawn[:6]:
+            got = alg.mul(x, y)
+            assert got == mul_reference(alg, x, y)
+            assert all(type(c) is Fraction for c in got)
+
+
+big_rationals = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 12))
+m2_elements = st.lists(st.one_of(st.just(Fraction(0)), big_rationals),
+                       min_size=4, max_size=4).map(tuple)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(m2_elements, m2_elements, m2_elements)
+def test_cleared_mul_property(x, y, z):
+    alg = REBASED_M2
+    xy = alg.mul(x, y)
+    assert xy == mul_reference(alg, x, y)
+    assert alg.mul(xy, z) == alg.mul(x, alg.mul(y, z))
+
+
 # --- Q(t) arithmetic -----------------------------------------------------------------
 
 
@@ -473,6 +527,40 @@ def test_poly_arithmetic_matches_reference():
         for b in polys:
             assert (a * b).coeffs == poly_mul_reference(a, b).coeffs
             assert poly_gcd(a, b).coeffs == poly_gcd_reference(a, b).coeffs
+
+
+def sample_ratfunc_reference(rng, spec, p):
+    """The sampler that reduced every draw with the Euclidean gcd; it also
+    returns the denominator drawn, before reduction."""
+    deg = rng.randint(0, spec.poly_degree)
+    num = Polynomial(tuple(sample_rational(rng, spec, p) for _ in range(deg + 1)))
+    shape = rng.randrange(3)
+    if shape == 0 or num.is_zero():
+        den = Polynomial.ONE
+    elif shape == 1:
+        den = Polynomial((0,) * rng.randint(1, 2) + (1,))
+    else:
+        c1 = sample_rational(rng, spec, p)
+        den = Polynomial((Fraction(1), c1))
+    return RationalFunction(num, den), den
+
+
+def test_sample_ratfunc_matches_euclid_reference():
+    shapes, cancelled = set(), {1: 0, 2: 0}
+    for seed, draw in ((323, QT_DRAW), (325, dict(coef_bound=1, max_p_exp=1, poly_degree=1))):
+        spec = SampleSpec(seed=seed, count=0, **draw)
+        rng, ref_rng = spec.rng(), spec.rng()
+        for _ in range(3000):
+            got = sample_ratfunc(rng, spec, 3)
+            expected, den = sample_ratfunc_reference(ref_rng, spec, 3)
+            assert (got.num.coeffs, got.den.coeffs) == (expected.num.coeffs, expected.den.coeffs)
+            assert rng.state == ref_rng.state
+            shapes.add((got.den.degree, got.den.ord() or 0))
+            if got.den.degree < den.degree:
+                cancelled[2 if den.ord() == 0 else 1] += 1
+    # denominators 1, t, t^2 and 1/c + t all occur, and both kinds cancel
+    assert {(0, 0), (1, 1), (2, 2), (1, 0)} <= shapes
+    assert cancelled[1] >= 100 and cancelled[2] >= 5, cancelled
 
 
 # --- valuation-ring clearing ---------------------------------------------------------

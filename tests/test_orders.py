@@ -16,7 +16,7 @@ from cutval.orders import (IdealSpec, LatticeModule, PolySubring,
                            matrix_nice_chain, nice_from_certificate,
                            nice_with_ideal, verify_nice)
 from cutval.quasival import eval_via_clearing, filter_qv, qv_audit, support_mu
-from cutval.samplers import (sample_algebra_element, sample_member,
+from cutval.samplers import (sample_algebra_element, sample_in_domain, sample_member,
                              sample_poly_element, sample_scalar)
 from cutval.sampling import SampleSpec, SplitMix64
 from cutval.stability import stabilizer_finite
@@ -620,6 +620,99 @@ def test_rows_over_qt_keep_the_term_loop(field_qt):
     rows = [(one / t, field_qt.scalar(3), field_qt.zero), (t * t, one / (one + t), t)]
     x = (t, field_qt.scalar("1/2"), one / (t + one))
     assert list(_Rows(field_qt, rows).values(x)) == [dot_reference(r, x) for r in rows]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_row_valuations_match_reduced_values(p):
+    """Rows over Q with p = 3, read by v_p for p = 2, 3, 5; zero rows and
+    nonzero rows with a zero value included."""
+    vf = ValuedField("Q", p)
+    rng = SplitMix64(131 + p)
+    zeros, signs = 0, set()
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        rows = [tuple(random_entry(rng, integral=rng.randrange(3) == 0) for _ in range(n))
+                for _ in range(rng.randint(1, 6))]
+        x = tuple(random_entry(rng, integral=rng.randrange(3) == 0) for _ in range(n))
+        x = x[:-1] + (x[-1] or Fraction(1),)
+        rows.append((Fraction(0),) * n)
+        rows.append((x[-1],) + (Fraction(0),) * (n - 2) + (-x[0],))  # row . x = 0
+        cleared = _Rows(ValuedField("Q", 3), rows)
+        got = list(cleared.valuations(x, vf))
+        assert got == [vf.value(c) for c in cleared.values(x)]
+        zeros += got.count(None)
+        signs.update((v[0] > 0) - (v[0] < 0) for v in got if v is not None)
+    assert zeros >= 300 and signs == {-1, 0, 1}
+    with pytest.raises(ConfigError):
+        _Rows(vf, [(Fraction(1), Fraction(2))]).valuations((Fraction(1),), vf)
+
+
+def test_row_valuations_over_qt_are_the_values_valuations(field_qt):
+    t = RationalFunction.T
+    one = field_qt.one
+    rows = [(one / t, field_qt.scalar(3), field_qt.zero), (t * t, one / (one + t), t),
+            (field_qt.zero,) * 3]
+    x = (t, field_qt.scalar("1/2"), one / (t + one))
+    cleared = _Rows(field_qt, rows)
+    assert list(cleared.valuations(x, field_qt)) == [field_qt.value(c) for c in cleared.values(x)]
+
+
+def test_membership_reads_the_domain_prime():
+    """M2 over Q with p = 3 and its left orders over Z_(2): contains and
+    support_mu read v_2, checked against the full product rows and the
+    reduced coordinates."""
+    alg, domain = matrix_algebra(ValuedField("Q", 3), 2), p_local(2)
+    vf = domain.valued_field
+    for seed in (11, 12, 13):
+        basis = random_basis(alg, seed, coef_bound=5, max_p_exp=2)
+        R = left_order(LatticeModule(alg, domain, basis))
+        assert_lattice_matches_full_rows(R, full_product_rows(alg, basis),
+                                         SampleSpec(seed=seed, count=12))
+        qv = filter_qv(R)
+        spec = SampleSpec(seed=seed, count=12)
+        rng = spec.rng()
+        for k in range(12):
+            x = sample_member(rng, spec, R) if k % 2 else sample_algebra_element(rng, spec, alg)
+            vals = [vf.value(c) for c in R.lattice_coords(x) if c]
+            assert support_mu(qv, x).mu == (min(vals) if vals else None)
+        assert support_mu(qv, alg.zero).mu is None
+
+
+def sample_member_reference(rng, spec, oracle):
+    """The member draw that folded add and smul over the contained basis."""
+    alg = oracle.algebra
+    x = alg.zero
+    for b in oracle.contained_basis:
+        x = alg.add(x, alg.smul(sample_in_domain(rng, spec, oracle.domain), b))
+    return x
+
+
+@pytest.mark.parametrize("name", ["M3(Q)/Z_(3) lattice", "M3(Q)/Z predicate",
+                                  "M2(Q(t))/O_v", "Q(t)[x]/(x^2-t)/O_v"])
+def test_sample_member_matches_fold(name):
+    q3, qt = ValuedField("Q", 3), ValuedField("Qt", 2)
+    spec = SampleSpec(seed=137, count=0)
+    if name.startswith("M3"):
+        alg = matrix_algebra(q3, 3)
+        domain = p_local(3) if "Z_(3)" in name else integers()
+        R = nice_from_certificate(stabilizer_finite(
+            alg, random_basis(alg, 7, coef_bound=5, max_p_exp=2), domain))
+    elif name.startswith("M2"):
+        alg = matrix_algebra(qt, 2)
+        R = left_order(LatticeModule(alg, valuation_ring(qt), units_of(alg)))
+        spec = SampleSpec(seed=137, count=0, poly_degree=1)
+    else:
+        alg = quadratic_algebra(qt, RationalFunction.T)
+        R = left_order(LatticeModule(alg, valuation_ring(qt), random_basis(
+            alg, 303, coef_bound=3, max_p_exp=1, poly_degree=2)))
+        spec = SampleSpec(seed=137, count=0, poly_degree=1)
+    assert (R.lattice_basis is None) == (name == "M3(Q)/Z predicate")
+    rng, ref_rng = spec.rng(), spec.rng()
+    for _ in range(40):
+        x = sample_member(rng, spec, R)
+        assert x == sample_member_reference(ref_rng, spec, R)
+        assert rng.state == ref_rng.state
+        assert R.contains(x)
 
 
 def mu_reference(qv, rows, x):
