@@ -21,6 +21,11 @@ denominator.  Only the public constructor reduces; the operators assume
 reduced operands and build their results by Henrici's cross-cancellation
 (Knuth, TAOCP vol. 2, 4.5.1), which yields a reduced result from reduced
 operands, so no result is re-reduced and no gcd is taken with a constant.
+The two kernels under them work in Z[t]: ``poly_gcd`` runs the primitive
+polynomial remainder sequence on the primitive integer multiples of its
+operands (Knuth, 4.6.1, Algorithm E), and ``_exact_quo`` divides the cleared
+dividend by the primitive multiple of the divisor, a division that Gauss's
+lemma makes exact.  Each converts back to ``Fraction`` once, at the end.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import ConfigError, StructuralError
 
@@ -210,19 +216,82 @@ def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def _exact_quo(a: Polynomial, g: Polynomial) -> Polynomial:
-    """a / g for a monic divisor g of a."""
-    return a if g.degree == 0 else a.divmod(g)[0]
+    """a / g for a monic divisor g of a, computed in Z[t].
+
+    With a = A/d for the integer list A and g = G/lc(G) for the primitive
+    G, Gauss's lemma makes A = G*Q with Q in Z[t], so a/g = Q*lc(G)/d.
+    Raises ArithmeticError when g does not divide a."""
+    if g.degree == 0:
+        return a
+    rem, d = _cleared(a.coeffs)
+    div = _primitive(g.coeffs)
+    n, lc = len(div) - 1, div[-1]
+    quo = []
+    for k in range(len(rem) - 1, n - 1, -1):
+        q = rem[k] // lc
+        if q:
+            for i, c in enumerate(div, k - n):
+                rem[i] -= q * c
+        quo.append(q * lc)
+    if any(rem):
+        raise ArithmeticError(f"{g!r} does not divide {a!r}")
+    return Polynomial([Fraction(q, d) for q in reversed(quo)])
+
+
+def _cleared(coeffs) -> tuple[list[int], int]:
+    """(A, d) with coeffs = A/d, for d the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _primitive_part(ints: list[int]) -> list[int]:
+    """ints over its content, with a positive leading coefficient."""
+    c = gcd(*ints)
+    c = -c if ints[-1] < 0 else c
+    return ints if c == 1 else [x // c for x in ints]
+
+
+def _primitive(coeffs) -> list[int]:
+    """The primitive integer multiple of a nonzero polynomial over Q."""
+    return _primitive_part(_cleared(coeffs)[0])
+
+
+def _pseudo_rem(u: list[int], v: list[int]) -> list[int]:
+    """A nonzero integer multiple of u mod v, as a list without leading
+    zeros, made from u in place: each step scales u only by
+    lc(v)/gcd(lc(v), lc(u))."""
+    n, lc = len(v) - 1, v[-1]
+    for k in range(len(u) - 1, n - 1, -1):
+        c = u.pop()
+        if c:
+            g = gcd(c, lc)
+            m, c, s = lc // g, c // g, k - n
+            if m != 1:
+                u = [m * x for x in u]
+            for i in range(n):
+                u[s + i] -= c * v[i]
+    while u and not u[-1]:
+        u.pop()
+    return u
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic Euclidean gcd; each remainder is renormalized monic so the
-    result is deterministic."""
+    """Monic gcd, so the result is unique: 0 for two zeros, the other side
+    made monic for one zero side.  It runs the primitive remainder sequence
+    in Z[t] and stops as soon as a constant appears."""
     if len(a.coeffs) == 1 or len(b.coeffs) == 1:
         return Polynomial.ONE
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r.monic()
-    return a.monic()
+    if not (a and b):
+        return (a or b).monic()
+    u, v = _primitive(a.coeffs), _primitive(b.coeffs)
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        r = _pseudo_rem(u, v)
+        if not r:
+            return Polynomial([Fraction(c, v[-1]) for c in v])
+        u, v = v, _primitive_part(r)
+    return Polynomial.ONE
 
 
 class RationalFunction:
@@ -243,9 +312,7 @@ class RationalFunction:
             num, den = Polynomial.ZERO, Polynomial.ONE
         else:
             g = _gcd(num, den)
-            if g.degree > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
+            num, den = _exact_quo(num, g), _exact_quo(den, g)
             lc = den.leading_coeff()
             if lc != 1:
                 num = num.scale(1 / lc)
@@ -327,8 +394,9 @@ def composite_valuation(p: int, f: RationalFunction) -> tuple[int, int] | None:
     if f.is_zero():
         return None
     on, od = f.num.ord(), f.den.ord()
-    c = f.num.coeffs[on] / f.den.coeffs[od]
-    (e,) = vp(p, c)
+    cn, cd = f.num.coeffs[on], f.den.coeffs[od]
+    e = (_int_p_exponent(cn.numerator, p) - _int_p_exponent(cn.denominator, p)
+         - _int_p_exponent(cd.numerator, p) + _int_p_exponent(cd.denominator, p))
     return (on - od, e)
 
 

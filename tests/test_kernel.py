@@ -19,6 +19,7 @@ must be exactly equal.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,8 @@ from cutval.algebra import (StructureAlgebra, _eliminate, coordinate_rows, inver
                             matrix_algebra, quadratic_algebra, rank_of, solve_columns)
 from cutval.basedomain import integers, p_local, valuation_ring
 from cutval.errors import StructuralError
-from cutval.numfield import Polynomial, RationalFunction, ValuedField, poly_gcd, vp
+from cutval.numfield import (Polynomial, RationalFunction, ValuedField, _exact_quo, poly_gcd,
+                             vp)
 from cutval.orders import LatticeModule, intersect_oracles, left_order
 from cutval.samplers import sample_algebra_element, sample_ratfunc, sample_scalar
 from cutval.sampling import SampleSpec, sample_rational
@@ -527,6 +529,29 @@ def test_poly_arithmetic_matches_reference():
         for b in polys:
             assert (a * b).coeffs == poly_mul_reference(a, b).coeffs
             assert poly_gcd(a, b).coeffs == poly_gcd_reference(a, b).coeffs
+
+
+# products of up to four factors of degree at most 3 with numerators and
+# denominators up to 2^64, zero when a factor is; a and b share the factor
+# g, of degree 0 or >= 2
+rationals_64 = st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64), st.integers(1, 2 ** 64))
+factors_64 = st.lists(rationals_64, min_size=1, max_size=4).map(Polynomial)
+cofactors_64 = st.lists(factors_64, max_size=3).map(lambda fs: prod(fs, start=Polynomial.ONE))
+shared_64 = st.one_of(factors_64.filter(lambda f: f.degree >= 2), st.just(Polynomial.ONE))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(cofactors_64, cofactors_64, shared_64)
+def test_integer_gcd_and_quotient_match_reference(x, y, g):
+    a, b = x * g, y * g
+    h = poly_gcd(a, b)
+    assert h.coeffs == poly_gcd_reference(a, b).coeffs
+    for divisor in (h, g.monic()):
+        if divisor:
+            assert _exact_quo(a, divisor).coeffs == a.divmod(divisor)[0].coeffs
+    if g.degree > 0:
+        with pytest.raises(ArithmeticError):
+            _exact_quo(a + Polynomial.ONE, g.monic())
 
 
 def sample_ratfunc_reference(rng, spec, p):

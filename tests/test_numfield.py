@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutval.errors import ConfigError, StructuralError
-from cutval.numfield import (Polynomial, RationalFunction, ValuedField,
+from cutval.numfield import (Polynomial, RationalFunction, ValuedField, _exact_quo,
                              composite_valuation, format_rational,
                              format_ratfunc, is_prime, parse_ratfunc,
                              parse_rational, poly_gcd, vp)
@@ -39,6 +39,18 @@ def test_is_prime_matches_trial_division():
         is_prime(2 ** 64)
     with pytest.raises(ConfigError, match="below 2\\^64"):
         ValuedField("Q", 10 ** 30 + 57)
+
+
+def test_exact_quo_refuses_a_non_divisor():
+    a = Polynomial((1, 1, 1))                       # t^2 + t + 1
+    for g in (Polynomial.T,                         # quotient t + 1 in Z[t], remainder 1
+              Polynomial((Fraction(1, 2), 1)),      # 2t + 1 does not divide lc(a)
+              Polynomial((1, 0, 1)),                # same degree, remainder t
+              Polynomial((0, 0, 0, 1))):            # higher degree
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            _exact_quo(a, g)
+    assert _exact_quo(a * Polynomial((Fraction(1, 2), 1)), Polynomial((Fraction(1, 2), 1))) == a
+    assert _exact_quo(Polynomial.ZERO, Polynomial.T) == Polynomial.ZERO
 
 
 def test_composite_examples():
@@ -198,6 +210,23 @@ def test_ratfunc_results_are_canonical_and_match_reference(f, g):
         assert_canonical(r)
     assert ((f + g).num, (f + g).den) == ratfunc_add_reference((f.num, f.den), (g.num, g.den))
     assert ((f * g).num, (f * g).den) == ratfunc_mul_reference((f.num, f.den), (g.num, g.den))
+
+
+def composite_valuation_reference(p, f):
+    """v_p of the lowest coefficient taken as one Fraction quotient."""
+    if f.is_zero():
+        return None
+    on, od = f.num.ord(), f.den.ord()
+    (e,) = vp(p, f.num.coeffs[on] / f.den.coeffs[od])
+    return (on - od, e)
+
+
+@PROPERTY
+@given(ratfuncs, st.sampled_from([2, 3, 5]))
+def test_composite_valuation_matches_quotient_reference(f, p):
+    assert composite_valuation(p, f) == composite_valuation_reference(p, f)
+    with pytest.raises(ConfigError):
+        composite_valuation(p * p, f)
 
 
 @PROPERTY

@@ -19,7 +19,7 @@ from cutval.quasival import eval_via_clearing, filter_qv, qv_audit, support_mu
 from cutval.samplers import (sample_algebra_element, sample_in_domain, sample_member,
                              sample_poly_element, sample_scalar)
 from cutval.sampling import SampleSpec, SplitMix64
-from cutval.stability import stabilizer_finite
+from cutval.stability import is_stable, stabilizer_finite
 
 
 @pytest.fixture
@@ -798,12 +798,22 @@ def assert_lattice_matches_full_rows(R, rows, spec):
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("name", ["M3(Q)/Z_(3)", "Q(t)[x]/(x^2-t)/O_v"])
+@pytest.mark.parametrize("name", ["M3(Q)/Z_(3)", "Q(t)[x]/(x^2-t)/O_v", "M2(Qt)/O_v"])
 def test_lattice_oracle_matches_full_product_rows(name):
     if name == "M3(Q)/Z_(3)":
         alg, domain = matrix_algebra(ValuedField("Q", 3), 3), p_local(3)
         bases = [random_basis(alg, seed, coef_bound=5, max_p_exp=2) for seed in (7, 8)]
         spec = SampleSpec(seed=109, count=10)
+    elif name == "M2(Qt)/O_v":
+        # the random M2(Q(t)) basis of the ROADMAP baseline, whose lattice
+        # entries reach t-degree 21; its points are the basis and the basis
+        # pushed out, as one sampled member costs seconds on that basis
+        field = ValuedField("Qt", 2)
+        alg, domain = matrix_algebra(field, 2), valuation_ring(field)
+        bases = [random_basis(alg, 7, coef_bound=4, max_p_exp=2, poly_degree=1)]
+        cert = stabilizer_finite(alg, bases[0], domain)
+        assert is_stable(alg, cert.basis, cert.stabilizer, domain).ok
+        spec = SampleSpec(seed=109, count=0)
     else:
         field = ValuedField("Qt", 2)
         alg, domain = quadratic_algebra(field, RationalFunction.T), valuation_ring(field)
