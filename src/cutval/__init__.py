@@ -16,7 +16,7 @@ from .algebra import (PolynomialAlgebra, StructureAlgebra,
 from .stability import (InsertResult, StableBasisCertificate,
                         certificate_from_json, certificate_to_json,
                         insert_into_basis, insert_many, is_stable,
-                        monomial_basis_stability, stabilizer_finite)
+                        stabilizer_finite)
 from .orders import (DescendChain, IdealSpec, LatticeModule, MatrixChain,
                      PolySubring, SubringOracle, descend_chain, going_down,
                      intersect_oracles, lattice_membership, left_order,

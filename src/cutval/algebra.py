@@ -9,19 +9,18 @@ is the first row with a nonzero entry in the column or, given a key such
 as a domain's valuation, the row of least key (ties to the lowest index).
 `solve_columns`, `rank_of`, `invert` and the lattice elimination of
 `orders` are calls into it.  Coordinates over a basis are the values of
-the rows of `coordinate_rows`, the basis's inverse, and `product_rows`
-stacks the rows of x -> coords(x*b).  `_Rows` evaluates fixed rows: over Q
-each row is cleared once to integers a_i over d = lcm of its denominators,
-each x to b_i over e, and a row value is Fraction(sum a_i*b_i, d*e), one
-normalizing gcd instead of a Fraction multiply and add per entry.  Where
-only a valuation is read, `_Rows.valuations` takes v_p(sum a_i*b_i) -
-v_p(d) - v_p(e) off the integers and reduces nothing.  Rows over Q(t) are
-summed term by term.
+the rows of `coordinate_rows`, the basis's inverse, which is where a basis
+is checked, and `product_rows` stacks the rows of x -> coords(x*b).
 
-Over Q, `StructureAlgebra.mul` clears the same way: the table once, over
-one denominator D, and x and y per call, so a product is integer sums
-with one reducing Fraction per nonzero coordinate.  Over Q(t) it sums
-the table's cells term by term.
+Over Q every vector is cleared once by `numfield._cleared`, to integers
+over the lcm of its denominators.  `_Rows` holds each row as a_i over d
+and clears each x to b_i over e: a row value is Fraction(sum a_i*b_i, d*e),
+one normalizing gcd instead of a Fraction multiply and add per entry, and
+`_Rows.valuations` takes v_p(sum a_i*b_i) - v_p(d) - v_p(e) off the
+integers, reducing nothing.  `StructureAlgebra.mul` clears the table over
+one denominator D, so a product is integer sums with one reducing
+Fraction per nonzero coordinate.  Over Q(t) rows and products are summed
+term by term, and a valuation is read off each value.
 
 The polynomial backend :class:`PolynomialAlgebra` represents F[y] with the
 monomial basis; elements are sparse exponent -> coefficient dicts.
@@ -32,11 +31,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .errors import ConfigError, StructuralError
-from .numfield import ValuedField, _int_p_exponent
+from .numfield import ValuedField, _cleared, _int_p_exponent
 
 Element = tuple  # tuple of field scalars
 
@@ -70,9 +68,9 @@ class StructureAlgebra:
                  for i, row in enumerate(self.table) for j, vec in enumerate(row) if any(vec)]
         den = None
         if self.field.kind == "Q":
-            den = lcm(*(t.denominator for _, _, terms in cells for _, t in terms))
-            cells = [(i, j, tuple((k, t.numerator * (den // t.denominator)) for k, t in terms))
-                     for i, j, terms in cells]
+            ints, den = _cleared([t for _, _, terms in cells for _, t in terms])
+            ints = iter(ints)
+            cells = [(i, j, tuple((k, next(ints)) for k, _ in terms)) for i, j, terms in cells]
         object.__setattr__(self, "_cells", tuple(cells))
         object.__setattr__(self, "_den", den)
 
@@ -109,7 +107,7 @@ class StructureAlgebra:
         if self._den is None:
             (a, b), zero = (x, y), self.field.zero
         else:
-            (a, d), (b, e), zero = _clear(x), _clear(y), 0
+            (a, d), (b, e), zero = _cleared(x), _cleared(y), 0
         out = [zero] * self.dim
         for i, j, terms in self._cells:
             ai, bj = a[i], b[j]
@@ -249,22 +247,17 @@ def _dot(row, x):
     return acc
 
 
-def _clear(v):
-    """(integers, d) with v = integers / d and d the lcm of v's denominators."""
-    d = lcm(*(c.denominator for c in v))
-    return [c.numerator * (d // c.denominator) for c in v], d
-
-
 class _Rows:
     """Fixed linear rows over `fieldobj` of one width, evaluated at points x;
-    over Q each row is stored as (a_1..a_n, d) with row = (a_1..a_n) / d."""
+    over Q each row is stored as (a_1..a_n, d) = _cleared(row).  Every
+    membership test over a valuation ring, of Q or Q(t), reads `valuations`."""
 
     __slots__ = ("rows", "cleared", "width")
 
     def __init__(self, fieldobj, rows):
         self.rows = rows
         self.width = len(rows[0])
-        self.cleared = (tuple(_clear(row) for row in rows)
+        self.cleared = (tuple(_cleared(row) for row in rows)
                         if fieldobj.kind == "Q" else None)
 
     def values(self, x):
@@ -273,7 +266,7 @@ class _Rows:
         self._check_width(x)
         if self.cleared is None:
             return (_dot(row, x) for row in self.rows)
-        b, e = _clear(x)
+        b, e = _cleared(x)
         return (Fraction(sum(map(mul, a, b)), d * e) for a, d in self.cleared)
 
     def valuations(self, x, vf: ValuedField):
@@ -284,7 +277,7 @@ class _Rows:
         if self.cleared is None:
             return map(vf.value, self.values(x))
         self._check_width(x)
-        b, e = _clear(x)
+        b, e = _cleared(x)
         p = vf.p
         ve = _int_p_exponent(e, p)
         return ((_int_p_exponent(s, p) - _int_p_exponent(d, p) - ve,)

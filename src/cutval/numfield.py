@@ -474,18 +474,19 @@ class ValuedField:
         return Fraction(1) if self.kind == "Q" else RationalFunction.ONE
 
     def scalar(self, obj):
-        """Coerce ints, 'a/b' strings, JSON objects or existing scalars."""
+        """Coerce ints, 'a/b' strings, JSON objects or existing scalars;
+        a bool (JSON true or false) is refused, not read as 1 or 0."""
         if self.kind == "Q":
             if isinstance(obj, Fraction):
                 return obj
-            if isinstance(obj, int):
+            if isinstance(obj, int) and not isinstance(obj, bool):
                 return Fraction(obj)
             if isinstance(obj, str):
                 return parse_rational(obj)
             raise StructuralError(f"cannot coerce {obj!r} into Q")
         if isinstance(obj, RationalFunction):
             return obj
-        if isinstance(obj, (int, Fraction)):
+        if isinstance(obj, (int, Fraction)) and not isinstance(obj, bool):
             return RationalFunction.constant(obj)
         if isinstance(obj, str):
             return parse_ratfunc(obj)

@@ -36,7 +36,8 @@ from .stability import StableBasisCertificate, insert_many, stabilizer_finite
 
 @dataclass(frozen=True, eq=False)
 class LatticeModule:
-    """M = sum_b S*b; basis None marks the monomial lattice of F[y]."""
+    """M = sum_b S*b; basis None marks the monomial lattice of F[y].  The
+    basis is validated when its coordinate map is built (coordinate_rows)."""
 
     algebra: object
     domain: BaseDomain
@@ -51,8 +52,6 @@ class LatticeModule:
                 raise ConfigError("finite-dimensional lattice needs a basis")
             if self.algebra.field.kind != self.domain.fraction_field_kind:
                 raise ConfigError("domain fraction field differs from the algebra's field")
-            if not is_independent(self.algebra.field, self.basis):
-                raise StructuralError("lattice basis is dependent")
 
 
 def lattice_membership(M: LatticeModule, x) -> bool:
@@ -72,7 +71,7 @@ class SubringOracle:
     the values of T at x (lattice_rows, lattice_coords).
     contained_basis certifies RF = A; a lattice oracle sets it to its
     lattice basis.  Membership reads, on each group over a valuation ring
-    of Q, only the row values' valuations (`_Rows.valuations`).
+    (of Q or of Q(t)), only the row values' valuations (`_lands_in`).
     """
 
     algebra: object
@@ -104,14 +103,7 @@ class SubringOracle:
         return None if self.lattice_basis is None else self.constraints[0][1]
 
     def contains(self, x) -> bool:
-        for dom, rows in self._constraint_rows:
-            vf = dom.valued_field
-            if vf is not None and vf.kind == "Q":
-                if any(v is not None and v[0] < 0 for v in rows.valuations(x, vf)):
-                    return False
-            elif not all(dom.contains(c) for c in rows.values(x)):
-                return False
-        return True
+        return all(_lands_in(dom, rows, x) for dom, rows in self._constraint_rows)
 
     def lattice_coords(self, x) -> tuple:
         return tuple(self._lattice_rows().values(x))
@@ -131,6 +123,15 @@ class SubringOracle:
         if self.lattice_basis is None:
             raise ConfigError("oracle has no lattice representation")
         return self._constraint_rows[0][1]
+
+
+def _lands_in(dom: BaseDomain, rows: _Rows, x) -> bool:
+    """Whether every value of rows at x lies in dom: over a valuation ring,
+    no valuation (`_Rows.valuations`) is below 0; over Z, by the values."""
+    if (vf := dom.valued_field) is None:
+        return all(dom.contains(c) for c in rows.values(x))
+    zero = (0,) * vf.rank
+    return not any(v is not None and v < zero for v in rows.valuations(x, vf))
 
 
 def oracle_to_json(oracle: "SubringOracle") -> dict:
@@ -184,7 +185,7 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
         raise StructuralError("elimination left a nonzero residual row")
     basis = tuple(zip(*invert(alg.field, t_rows)))
     full = _Rows(alg.field, rows)
-    if not all(domain.contains(c) for b in basis for c in full.values(b)):
+    if not all(_lands_in(domain, full, b) for b in basis):
         raise StructuralError("lattice basis disagrees with the predicate")
     return SubringOracle(
         algebra=alg, domain=domain, provenance=provenance,
@@ -196,18 +197,15 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
 def left_order(M: LatticeModule, certificate: StableBasisCertificate | None = None):
     """R = { x : xM subset M } as a membership oracle.
 
-    Finite-dimensional case: M's basis must be a full basis of A; the
-    constraint rows are the coordinates of x*b over that basis.  When S is
-    valuation-like they are reduced to the lattice oracle (see _lattice);
-    over Z the certificate's stabilizer, when given, is the contained
-    basis.  The polynomial backend returns the S-coefficient polynomial
-    subring.
+    Finite-dimensional case: M's basis must be a basis of A; the constraint
+    rows are the coordinates of x*b over that basis.  Over a valuation ring
+    they are reduced to the lattice oracle (see _lattice); over Z the
+    certificate's stabilizer, when given, is the contained basis.  The
+    polynomial backend returns the S-coefficient polynomial subring.
     """
     alg, domain = M.algebra, M.domain
     if isinstance(alg, PolynomialAlgebra):
         return PolySubring(alg, domain)
-    if len(M.basis) != alg.dim:
-        raise StructuralError("left order needs a full basis of A")
     rows = product_rows(alg, coordinate_rows(alg, M.basis), M.basis)
     if domain.is_valuation_like:
         return _lattice(alg, domain, rows, "left-order", certificate)

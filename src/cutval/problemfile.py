@@ -102,8 +102,9 @@ def _typed(raw, kind: type, key: str, where: str):
 
 
 def _parse(data: dict, where: str) -> Problem:
-    if data.get("format") != 1:
-        raise StructuralError(f"unsupported format {data.get('format')!r} (need 1)")
+    fmt = data.get("format")
+    if type(fmt) is not int or fmt != 1:  # not true, not 1.0
+        raise StructuralError(f"{where}: unsupported format {fmt!r} (need the integer 1)")
     fdesc = _typed(data["field"], dict, "field", where)
     field = ValuedField(fdesc["kind"], _integer_p(fdesc, "field", where))
     ddesc = _typed(data["domain"], dict, "domain", where)

@@ -164,16 +164,3 @@ def certificate_from_json(alg: StructureAlgebra, domain: BaseDomain,
     stab = tuple(alg.element(v) for v in data["stabilizer"])
     return StableBasisCertificate(alg, domain, basis, stab)
 
-
-def monomial_basis_stability(alg, domain: BaseDomain, degree_bound: int = 16) -> StabilityReport:
-    """Truncated spot check for the F[y] monomial basis: products of
-    monomials up to the degree bound stay in the S-span.  The basis is
-    closed under multiplication, so this can only confirm."""
-    violations = []
-    for i in range(degree_bound + 1):
-        for j in range(degree_bound + 1 - i):
-            prod = alg.mul(alg.monomial(i), alg.monomial(j))
-            for n, c in prod.items():
-                if not domain.contains(c):
-                    violations.append((i, j, n, c))
-    return StabilityReport(not violations, tuple(violations))

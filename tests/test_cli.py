@@ -254,6 +254,10 @@ def wrong_type(path, value, reason):
                  "key 'algebra.unit': zero denominator", id="qt-den-empty"),
     pytest.param("[" * 100_000, "not valid JSON", id="nested-100000"),
     pytest.param('{"format": ' + "1" * 4301 + "}", "not valid JSON", id="int-4301-digits"),
+    pytest.param(edited_problem(("algebra", "unit", 0), True),
+                 "key 'algebra.unit': cannot coerce True into Q", id="unit-true"),
+    pytest.param(edited_problem(("format",), True), "unsupported format True", id="format-true"),
+    pytest.param(edited_problem(("format",), 1.0), "unsupported format 1.0", id="format-1.0"),
 ])
 def test_malformed_problem_json_fails_closed(capsys, tmp_path, text, reason):
     path = tmp_path / "broken.json"
@@ -307,6 +311,7 @@ def test_qt_problem_round_trip(tmp_path, capsys):
     ('[{"num": ["1"], "den": ["0"]}, "0"]', "zero denominator"),
     pytest.param("[" * 100_000, "not valid JSON", id="nested-100000"),
     pytest.param("[" + "1" * 4301 + ', "0"]', "not valid JSON", id="int-4301-digits"),
+    pytest.param('[true, "1/2"]', "cannot coerce True into Q(t)", id="true"),
 ])
 def test_malformed_qt_element_fails_closed(capsys, qx_file, element, reason):
     rc, err = run_failing(capsys, ["qv", "eval", qx_file, "--basis", "random",

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cutval import orders
 from cutval.algebra import (PolynomialAlgebra, _Rows, matrix_algebra, matrix_element,
                             quadratic_algebra, rank_of, solve_columns)
 from cutval.basedomain import integers, p_local, valuation_ring
@@ -117,6 +118,25 @@ def test_left_order_requires_full_basis(m2):
     M = LatticeModule(m2, p_local(2), (m2.unit, m2.basis_vector(1)))
     with pytest.raises(StructuralError):
         left_order(M)
+
+
+@pytest.mark.parametrize("kind", ["Q", "Qt"])
+def test_lattice_self_check_fires(monkeypatch, kind):
+    """_lattice checks its basis against the full rows: a basis pushed out
+    by 1/s0 is refused; a dependent full-length basis never gets that far."""
+    field = ValuedField(kind, 2)
+    alg = matrix_algebra(field, 2)
+    domain = p_local(2) if kind == "Q" else valuation_ring(field)
+    dependent = LatticeModule(alg, domain, units_of(alg)[:3] + (alg.basis_vector(0),))
+    with pytest.raises(StructuralError, match="basis is dependent"):
+        left_order(dependent)
+    with pytest.raises(StructuralError, match="basis is dependent"):
+        lattice_membership(dependent, alg.unit)
+    invert, s0 = orders.invert, domain.noninvertible()
+    monkeypatch.setattr(orders, "invert", lambda fieldobj, rows: [
+        [c / s0 for c in row] for row in invert(fieldobj, rows)])
+    with pytest.raises(StructuralError, match="lattice basis disagrees with the predicate"):
+        left_order(LatticeModule(alg, domain, units_of(alg)))
 
 
 def test_predicate_lattice_agreement_fuzz(m2):

@@ -4,15 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from cutval.algebra import (PolynomialAlgebra, is_independent, matrix_algebra,
-                            quadratic_algebra, rank_of)
+from cutval.algebra import is_independent, matrix_algebra, quadratic_algebra, rank_of
 from cutval.basedomain import integers, p_local
 from cutval.errors import DomainError
 from cutval.samplers import sample_scalar
 from cutval.sampling import SampleSpec, SplitMix64
 from cutval.stability import (StableBasisCertificate, insert_into_basis,
-                              insert_many, is_stable, monomial_basis_stability,
-                              stabilizer_finite)
+                              insert_many, is_stable, stabilizer_finite)
 
 
 @pytest.fixture
@@ -37,11 +35,6 @@ def test_is_stable_examples(m2, sqrt2, z):
     assert not rep.ok
     # the violation is (s/3)*(s/3) = 2/9
     assert any(coord == Fraction(2, 9) for (_, _, _, coord) in rep.violations)
-
-
-def test_monomial_basis_closed_under_multiplication(field_q, z):
-    A = PolynomialAlgebra(field_q)
-    assert monomial_basis_stability(A, z, degree_bound=16).ok
 
 
 def test_stabilizer_examples(m2, sqrt2, z):
