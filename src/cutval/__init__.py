@@ -13,10 +13,9 @@ from .basedomain import BaseDomain, integers, is_subdomain, p_local, valuation_r
 from .algebra import (PolynomialAlgebra, StructureAlgebra,
                       check_associative_unital, matrix_algebra,
                       matrix_element, quadratic_algebra)
-from .stability import (InsertResult, StableBasisCertificate,
-                        certificate_from_json, certificate_to_json,
-                        insert_into_basis, insert_many, is_stable,
-                        stabilizer_finite)
+from .stability import (StableBasisCertificate, certificate_from_json,
+                        certificate_to_json, insert_into_basis, insert_many,
+                        is_stable, stabilizer_finite)
 from .orders import (DescendChain, IdealSpec, LatticeModule, MatrixChain,
                      PolySubring, SubringOracle, descend_chain, going_down,
                      intersect_oracles, lattice_membership, left_order,

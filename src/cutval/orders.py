@@ -3,16 +3,18 @@
 A lattice M = sum_b S*b is given by a basis; its left order is
 R = { x : xM subset M }, realized as a conjunction of linear constraints
 "functional of x lands in S" (one functional per coordinate of each
-product x*b: `algebra.product_rows`).  Over a valuation-like S (Z_(p) or
+product x*b), read off the product rows of the lattice's stable-basis
+certificate, their only builder.  Over a valuation-like S (Z_(p) or
 O_v) those n^2 rows are reduced by min-valuation-pivot elimination to a
 triangular system T of n rows.  Every elimination multiplier lies in S, so
 T spans the same S-module as the rows it came from and decides the same
 membership: T is the oracle's only row set, and R is the free S-lattice
 with basis the columns of T^-1.  Over Z only the predicate on the full
-rows is kept (R need not be a free Z-module in any preferred basis).
+rows is kept (R need not be a free Z-module in any preferred basis), and
+the certificate's stabilizer is the basis contained in R.
 
-The same constraint-group machinery hosts the ideal-containing variant,
-going-down, finite intersections and the strictly descending chains built
+The same machinery hosts the ideal-containing variant (a subset of its
+certificate's rows), going-down, finite intersections and the chains built
 from basis insertion.  The ascending matrix-algebra chain writes no rows of
 its own: each term is the left order of its lattice.  Rows are evaluated
 only through `algebra._Rows`, built once per oracle, which refuses an
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 from .algebra import (PolynomialAlgebra, StructureAlgebra, _eliminate, _Rows,
                       coordinate_rows, extend_to_basis, invert,
-                      is_independent, matrix_algebra, product_rows)
+                      is_independent, matrix_algebra)
 from .basedomain import BaseDomain, is_subdomain
 from .errors import ConfigError, DomainError, StructuralError
 from .samplers import (sample_in_domain, sample_member, sample_scalar)
@@ -197,23 +199,24 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
 def left_order(M: LatticeModule, certificate: StableBasisCertificate | None = None):
     """R = { x : xM subset M } as a membership oracle.
 
-    Finite-dimensional case: M's basis must be a basis of A; the constraint
-    rows are the coordinates of x*b over that basis.  Over a valuation ring
-    they are reduced to the lattice oracle (see _lattice); over Z the
-    certificate's stabilizer, when given, is the contained basis.  The
-    polynomial backend returns the S-coefficient polynomial subring.
+    Finite-dimensional case: the rows are the product rows of the given
+    certificate of M's basis, else of its clearing one, which R carries.
+    Over a valuation ring they are reduced to the lattice oracle (see
+    _lattice); over Z the certificate's stabilizer is the contained basis.
+    The polynomial backend returns the S-coefficient polynomial subring.
     """
     alg, domain = M.algebra, M.domain
     if isinstance(alg, PolynomialAlgebra):
         return PolySubring(alg, domain)
-    rows = product_rows(alg, coordinate_rows(alg, M.basis), M.basis)
+    cert = certificate or stabilizer_finite(alg, M.basis, domain)
+    if (cert.algebra, cert.domain, tuple(cert.basis)) != (alg, domain, tuple(M.basis)):
+        raise ConfigError("certificate is for another lattice")
     if domain.is_valuation_like:
-        return _lattice(alg, domain, rows, "left-order", certificate)
+        return _lattice(alg, domain, cert.rows, "left-order", cert)
     return SubringOracle(
         algebra=alg, domain=domain, provenance="left-order",
-        constraints=((domain, rows),),
-        contained_basis=certificate.stabilizer if certificate else None,
-        certificate=certificate,
+        constraints=((domain, cert.rows),),
+        contained_basis=cert.stabilizer, certificate=cert,
     )
 
 
@@ -345,8 +348,7 @@ class IdealSpec:
     basis: tuple
 
     def validate(self) -> tuple:
-        """Check the ideal; return a basis of A extending its basis and the
-        rows of the coordinates over it outside the ideal (zero on I)."""
+        """Check the ideal; return a basis of A extending its basis."""
         alg = self.algebra
         if not self.basis or len(self.basis) >= alg.dim:
             raise DomainError("ideal must be proper and nonzero")
@@ -361,21 +363,23 @@ class IdealSpec:
                     raise DomainError(f"not a left ideal: e{i} * b escapes the span")
                 if any(outside.values(alg.mul(b, e))):
                     raise DomainError(f"not a right ideal: b * e{i} escapes the span")
-        return basis, outside
+        return tuple(basis)
 
 
 def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
     """R = { x : xN subset N } for N = I + sum_{b in B \\ B1} S*b.
 
     x*I stays in I for any x, so membership only constrains the
-    B-minus-B1 coordinates of the products x*b for b outside the ideal.
+    B-minus-B1 coordinates of the products x*b for b outside the ideal:
+    the certificate's product rows (b_j, k) with j, k >= |B1|.
     """
-    basis, outside = ideal.validate()
+    basis = ideal.validate()
     alg = ideal.algebra
     if alg.field.kind != domain.fraction_field_kind:
         raise ConfigError("domain fraction field differs from the algebra's field")
-    rows = product_rows(alg, outside, basis[len(ideal.basis):])
-    cert = stabilizer_finite(alg, tuple(basis), domain)
+    cert = stabilizer_finite(alg, basis, domain)
+    m, n = len(ideal.basis), alg.dim
+    rows = tuple(cert.rows[j * n + k] for j in range(m, n) for k in range(m, n))
     oracle = SubringOracle(
         algebra=alg, domain=domain, provenance="ideal-variant",
         constraints=((domain, rows),),

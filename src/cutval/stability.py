@@ -6,6 +6,10 @@ b in B); C is said to stabilize B.  At finite dimension every basis is
 stable: clearing the denominators of each product row by row yields
 multipliers delta_i with C = {delta_i * b_i}.
 
+A certificate builds B's product rows, x -> coords_B(x*b_j), once and is
+their only builder: the clearing stabilizer and the orders of `orders`
+read them.  `is_stable` forms its own products, as the independent check.
+
 Insertion swaps a new element x0 into a stable basis in place of some
 basis element carrying a nonzero coordinate of x0, rescaling the
 stabilizer so stability is preserved.  Iterating insertion embeds any
@@ -15,22 +19,40 @@ elements are protected from eviction.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
-from .algebra import StructureAlgebra, coordinate_rows, is_independent, solve_columns
+from .algebra import (StructureAlgebra, _Rows, coordinate_rows, is_independent,
+                      product_rows, solve_columns)
 from .basedomain import BaseDomain
 from .errors import DomainError, StructuralError
 
 
 @dataclass(frozen=True)
 class StableBasisCertificate:
+    """A basis of A, checked to be one, with a stabilizer (by default the
+    clearing one) and its product rows: row j*n + k of
+    `algebra.product_rows`, whose value at x is coordinate k of x*b_j."""
+
     algebra: StructureAlgebra
     domain: BaseDomain
     basis: tuple
-    stabilizer: tuple
+    stabilizer: tuple | None = None
+    rows: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.basis) != len(self.stabilizer):
+        alg, domain = self.algebra, self.domain
+        rows = product_rows(alg, coordinate_rows(alg, self.basis), self.basis)
+        object.__setattr__(self, "rows", rows)
+        if self.stabilizer is None:
+            n, stab, evaluate = alg.dim, [], _Rows(alg.field, rows).values
+            for b in self.basis:
+                values, delta = tuple(evaluate(b)), domain.one
+                for j in range(0, n * n, n):
+                    delta = delta * domain.clear_many(values[j:j + n])
+                stab.append(alg.smul(delta, b))
+            object.__setattr__(self, "stabilizer", tuple(stab))
+        elif len(self.basis) != len(self.stabilizer):
             raise StructuralError("basis and stabilizer must have the same size")
 
 
@@ -64,37 +86,17 @@ def is_stable(alg: StructureAlgebra, basis, stabilizer, domain: BaseDomain) -> S
 
 
 def stabilizer_finite(alg: StructureAlgebra, basis, domain: BaseDomain) -> StableBasisCertificate:
-    """Denominator-clearing stabilizer {delta_i * b_i}.
-
-    delta_i is the product over j of gamma_ij, where gamma_ij clears every
-    coordinate of b_i * b_j at once; canonical because clearing is.  The
-    coordinates are read off one inverse of the basis.
-    """
-    basis = tuple(basis)
-    coords = coordinate_rows(alg, basis)
-    stab = []
-    for bi in basis:
-        delta = domain.one
-        for bj in basis:
-            delta = delta * domain.clear_many(coords.values(alg.mul(bi, bj)))
-        stab.append(alg.smul(delta, bi))
-    return StableBasisCertificate(alg, domain, basis, tuple(stab))
+    """Denominator-clearing stabilizer {delta_i * b_i}: delta_i is the product
+    over j of the clearing of coords(b_i * b_j), read off the certificate's
+    product rows.  Canonical because clearing is."""
+    return StableBasisCertificate(alg, domain, tuple(basis))
 
 
-@dataclass(frozen=True)
-class InsertResult:
-    """Primary certificate has x0 swapped in; `scaled` is the variant that
-    instead keeps s0*b0 in place of b0 (stabilized by {s0*c})."""
-
-    certificate: StableBasisCertificate
-    scaled: StableBasisCertificate
-    removed_index: int
-    s0: object
-
-
-def insert_into_basis(cert: StableBasisCertificate, x0, protected=frozenset()) -> InsertResult:
-    """Swap x0 into the basis in place of the first basis element that has
-    a nonzero coordinate in x0's expansion and is not protected."""
+def insert_into_basis(cert: StableBasisCertificate, x0,
+                      protected=frozenset()) -> StableBasisCertificate:
+    """The certificate with x0 swapped into the basis in place of the first
+    basis element b0 that has a nonzero coordinate in x0's expansion and
+    is not protected; each stabilizer element c becomes s_c * s0 * c."""
     alg, domain = cert.algebra, cert.domain
     if alg.is_zero(x0):
         raise DomainError("cannot insert 0 into a basis")
@@ -120,16 +122,7 @@ def insert_into_basis(cert: StableBasisCertificate, x0, protected=frozenset()) -
         t = alg.smul(s0, c)
         s_c = domain.clear_many(new_coords.values(alg.mul(t, x0)))
         new_stab.append(alg.smul(s_c, t))
-
-    primary = StableBasisCertificate(alg, domain, tuple(new_basis), tuple(new_stab))
-
-    scaled_basis = list(cert.basis)
-    scaled_basis[b0_idx] = alg.smul(s0, cert.basis[b0_idx])
-    scaled = StableBasisCertificate(
-        alg, domain, tuple(scaled_basis),
-        tuple(alg.smul(s0, c) for c in cert.stabilizer),
-    )
-    return InsertResult(primary, scaled, b0_idx, s0)
+    return StableBasisCertificate(alg, domain, tuple(new_basis), tuple(new_stab))
 
 
 def insert_many(cert: StableBasisCertificate, elements) -> StableBasisCertificate:
@@ -142,7 +135,7 @@ def insert_many(cert: StableBasisCertificate, elements) -> StableBasisCertificat
         if x in current.basis:
             protected.add(x)
             continue
-        current = insert_into_basis(current, x, frozenset(protected)).certificate
+        current = insert_into_basis(current, x, frozenset(protected))
         protected.add(x)
     return current
 

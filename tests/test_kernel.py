@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutval import algebra, orders
 from cutval.algebra import (StructureAlgebra, _eliminate, coordinate_rows, invert,
                             matrix_algebra, quadratic_algebra, rank_of, solve_columns)
 from cutval.basedomain import integers, p_local, valuation_ring
@@ -380,6 +381,7 @@ def test_stabilizer_and_stability_match_reference(case):
         cert = stabilizer_finite(alg, basis, domain)
         ref = stabilizer_reference(alg, basis, domain)
         assert (cert.basis, cert.stabilizer) == (ref.basis, ref.stabilizer)
+        assert cert.rows == tuple(product_rows_reference(alg, basis))
         assert is_stable(alg, basis, cert.stabilizer, domain) == is_stable_reference(
             alg, basis, cert.stabilizer, domain)
         # the basis rarely stabilizes itself: the violations must agree too
@@ -387,8 +389,30 @@ def test_stabilizer_and_stability_match_reference(case):
             alg, basis, basis, domain)
         x0 = alg.add(basis[0], basis[-1])
         res = insert_into_basis(cert, x0)
-        assert (res.certificate.basis, res.certificate.stabilizer,
-                res.removed_index, res.s0) == insert_reference(cert, x0)
+        assert (res.basis, res.stabilizer) == insert_reference(cert, x0)[:2]
+
+
+def test_one_inverse_and_n2_products_per_build(case, monkeypatch):
+    """A build inverts the basis once, for the certificate's product rows,
+    plus T over a valuation ring, and forms only the n^2 products e_i*b_j."""
+    alg, domain, bases = case
+    calls = {"mul": 0, "invert": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(StructureAlgebra, "mul", counted("mul", StructureAlgebra.mul))
+    inv = counted("invert", invert)
+    monkeypatch.setattr(algebra, "invert", inv)
+    monkeypatch.setattr(orders, "invert", inv)
+    for basis in bases:
+        calls.update(mul=0, invert=0)
+        orders.nice_from_certificate(stabilizer_finite(alg, basis, domain))
+        assert calls == {"mul": alg.dim ** 2,
+                         "invert": 2 if domain.is_valuation_like else 1}
 
 
 def test_coordinate_map_needs_a_full_independent_basis():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from cutval import orders
-from cutval.algebra import (PolynomialAlgebra, _Rows, matrix_algebra, matrix_element,
+from cutval.algebra import (PolynomialAlgebra, StructureAlgebra, _Rows, coordinate_rows,
+                            extend_to_basis, matrix_algebra, matrix_element, product_rows,
                             quadratic_algebra, rank_of, solve_columns)
 from cutval.basedomain import integers, p_local, valuation_ring
 from cutval.cuts import INF, embed_phi, value_translate
@@ -238,6 +240,40 @@ def test_nice_with_ideal_closed_form(dual):
         assert report.ok, str(report)
 
 
+def table_algebra(field, names, products, unit):
+    """The algebra on `names` whose nonzero products of basis vectors are
+    products[(i, j)] = k, meaning e_i * e_j = e_k."""
+    n = len(names)
+    vec = lambda k: tuple(field.one if i == k else field.zero for i in range(n))
+    table = tuple(tuple(vec(products.get((i, j))) for j in range(n)) for i in range(n))
+    return StructureAlgebra(field, names, table, unit)
+
+
+@pytest.mark.parametrize("name", ["(x^2) in Q[x]/(x^3)", "(e12) in T2(Q)"])
+def test_ideal_variant_rows_match_reference(field_q, name):
+    """The ideal variant's rows are the product rows of x -> coords(x*b) for
+    b outside the ideal, at the coordinates outside it, in that order."""
+    one, zero = field_q.one, field_q.zero
+    if name.startswith("(x^2)"):
+        alg = table_algebra(field_q, ("1", "x", "x2"),
+                            {(i, j): i + j for i in range(3) for j in range(3) if i + j < 3},
+                            (one, zero, zero))
+        ideal = IdealSpec(alg, (alg.basis_vector(2),))
+    else:  # upper-triangular 2x2 matrices on e11, e12, e22
+        alg = table_algebra(field_q, ("e11", "e12", "e22"),
+                            {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}, (one, zero, one))
+        ideal = IdealSpec(alg, (alg.basis_vector(1),))
+    m = len(ideal.basis)
+    basis = extend_to_basis(alg, list(ideal.basis))
+    assert alg.dim - m >= 2
+    outside = _Rows(field_q, coordinate_rows(alg, basis).rows[m:])
+    expected = product_rows(alg, outside, basis[m:])
+    for domain in (integers(), p_local(2)):
+        R = nice_with_ideal(ideal, domain)
+        assert R.constraints == ((domain, expected),)
+        assert verify_nice(R, SampleSpec(seed=41, count=30)).ok
+
+
 def test_ideal_validation(dual, m2):
     with pytest.raises(DomainError):
         IdealSpec(dual, (dual.unit, dual.basis_vector(1))).validate()  # not proper
@@ -359,9 +395,26 @@ def test_descend_chain_sqrt2(sqrt2):
 
 
 def test_descend_chain_needs_certificate(m2):
-    R = m2_z2_order(m2)  # built without a certificate
+    R = dataclasses.replace(m2_z2_order(m2), certificate=None)
     with pytest.raises(DomainError):
         descend_chain(R, 1)
+
+
+def test_bare_left_order_carries_its_clearing_certificate(m2):
+    e = units_of(m2)
+    B = (m2.unit, m2.smul(Fraction(1, 3), e[1]), e[2], e[3])
+    R = left_order(LatticeModule(m2, integers(), B))
+    assert R.certificate == stabilizer_finite(m2, B, integers())
+    assert R.contained_basis == R.certificate.stabilizer
+    with pytest.raises(ConfigError, match="certificate is for another lattice"):
+        left_order(LatticeModule(m2, integers(), e), certificate=R.certificate)
+    report = verify_nice(R, SampleSpec(seed=37, count=40))
+    assert report.ok and len(report.checks) == 4, str(report)
+    # a bare Z_(2) left order starts a descending chain
+    chain = descend_chain(left_order(LatticeModule(m2, p_local(2), B)), 2)
+    assert len(chain.oracles) == 3
+    for step, (outer, inner) in zip(chain.steps, zip(chain.oracles, chain.oracles[1:])):
+        assert outer.contains(step.witness) and not inner.contains(step.witness)
 
 
 # --- matrix chain ---------------------------------------------------------------

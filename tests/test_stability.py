@@ -6,7 +6,7 @@ import pytest
 
 from cutval.algebra import is_independent, matrix_algebra, quadratic_algebra, rank_of
 from cutval.basedomain import integers, p_local
-from cutval.errors import DomainError
+from cutval.errors import DomainError, StructuralError
 from cutval.samplers import sample_scalar
 from cutval.sampling import SampleSpec, SplitMix64
 from cutval.stability import (StableBasisCertificate, insert_into_basis,
@@ -60,11 +60,9 @@ def test_insert_example_sqrt2(sqrt2, z):
     cert = StableBasisCertificate(sqrt2, z, B, B)
     x0 = sqrt2.element(["0", "1/6"])
     res = insert_into_basis(cert, x0)
-    assert res.certificate.basis == (sqrt2.unit, x0)
-    assert res.certificate.stabilizer == (sqrt2.unit, sqrt2.element(["0", "3"]))
-    assert is_stable(sqrt2, res.certificate.basis, res.certificate.stabilizer, z).ok
-    # the scaled variant keeps s0*b0 and is stabilized by {s0*c}
-    assert is_stable(sqrt2, res.scaled.basis, res.scaled.stabilizer, z).ok
+    assert res.basis == (sqrt2.unit, x0)
+    assert res.stabilizer == (sqrt2.unit, sqrt2.element(["0", "3"]))
+    assert is_stable(sqrt2, res.basis, res.stabilizer, z).ok
 
 
 def test_insert_example_m2(m2, z):
@@ -72,9 +70,8 @@ def test_insert_example_m2(m2, z):
     cert = StableBasisCertificate(m2, z, units, units)
     x0 = m2.smul(Fraction(2), m2.basis_vector(1))  # 2*e12
     res = insert_into_basis(cert, x0)
-    assert res.removed_index == 1
-    assert x0 in res.certificate.basis
-    assert is_stable(m2, res.certificate.basis, res.certificate.stabilizer, z).ok
+    assert res.basis == (units[0], x0, units[2], units[3])
+    assert is_stable(m2, res.basis, res.stabilizer, z).ok
 
 
 def test_insert_errors(m2, z):
@@ -129,11 +126,11 @@ def test_insert_preserves_span_and_stability(m2, z2):
         if m2.is_zero(x0) or x0 in cert.basis:
             continue
         res = insert_into_basis(cert, x0)
-        newb = res.certificate.basis
+        newb = res.basis
         assert x0 in newb
         assert len(newb) == 4
         assert rank_of(m2.field, list(newb)) == 4
-        assert is_stable(m2, newb, res.certificate.stabilizer, z2).ok
+        assert is_stable(m2, newb, res.stabilizer, z2).ok
 
 
 def test_z_stable_verifies_over_zp(m2):
@@ -156,6 +153,18 @@ def test_certificate_json_round_trip(m2, z2):
     assert data["domain"] == {"kind": "Zp", "p": 2}
     back = certificate_from_json(m2, z2, data)
     assert back.basis == cert.basis and back.stabilizer == cert.stabilizer
+
+
+def test_certificate_refuses_a_non_basis(m2, z2):
+    from cutval.stability import certificate_from_json, certificate_to_json
+    units = tuple(units_of(m2))
+    data = certificate_to_json(stabilizer_finite(m2, units, z2))
+    repeated = dict(data, basis=data["basis"][:3] + data["basis"][:1])
+    with pytest.raises(StructuralError, match="basis is dependent"):
+        certificate_from_json(m2, z2, repeated)
+    short = dict(data, basis=data["basis"][:3], stabilizer=data["stabilizer"][:3])
+    with pytest.raises(StructuralError, match="a basis of A has 4 elements, got 3"):
+        certificate_from_json(m2, z2, short)
 
 
 def test_stabilizer_over_composite_valuation_ring(field_qt):
