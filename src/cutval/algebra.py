@@ -5,22 +5,25 @@ Elements of a :class:`StructureAlgebra` are plain tuples of field scalars
 methods taking those tuples.
 
 Exact linear algebra has one elimination loop, `_eliminate`, whose pivot
-is the first row with a nonzero entry in the column or, given a key such
-as a domain's valuation, the row of least key (ties to the lowest index).
-`solve_columns`, `rank_of`, `invert` and the lattice elimination of
-`orders` are calls into it.  Coordinates over a basis are the values of
-the rows of `coordinate_rows`, the basis's inverse, which is where a basis
-is checked, and `product_rows` stacks the rows of x -> coords(x*b).
+is the first row with a nonzero entry in the column or, given a domain,
+the row of least valuation (ties to the lowest index).  `solve_columns`,
+`rank_of`, `invert` and the lattice elimination of `orders` are calls
+into it.  Coordinates over a basis are the values of the rows of
+`coordinate_rows`, the basis's inverse, which is where a basis is checked,
+and `product_rows` stacks the rows of x -> coords(x*b).
 
 Over Q every vector is cleared once by `numfield._cleared`, to integers
-over the lcm of its denominators.  `_Rows` holds each row as a_i over d
-and clears each x to b_i over e: a row value is Fraction(sum a_i*b_i, d*e),
-one normalizing gcd instead of a Fraction multiply and add per entry, and
-`_Rows.valuations` takes v_p(sum a_i*b_i) - v_p(d) - v_p(e) off the
-integers, reducing nothing.  `StructureAlgebra.mul` clears the table over
-one denominator D, so a product is integer sums with one reducing
-Fraction per nonzero coordinate.  Over Q(t) rows and products are summed
-term by term, and a valuation is read off each value.
+over the lcm of its denominators.  The elimination loop runs on cleared
+integer rows, one gcd per row update instead of a Fraction multiply and
+subtract per entry; over Q(t) it keeps the scalar loop.  `_Rows` holds
+each row as a_i over d and clears each x to b_i over e: a row value is
+Fraction(sum a_i*b_i, d*e), one normalizing gcd instead of a Fraction
+multiply and add per entry, and `_Rows.valuations` takes
+v_p(sum a_i*b_i) - v_p(d) - v_p(e) off the integers, reducing nothing.
+`StructureAlgebra.mul` clears the table over one denominator D, so a
+product is integer sums with one reducing Fraction per nonzero
+coordinate.  Over Q(t) rows and products are summed term by term, and a
+valuation is read off each value.
 
 The polynomial backend :class:`PolynomialAlgebra` represents F[y] with the
 monomial basis; elements are sparse exponent -> coefficient dicts.
@@ -31,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .errors import ConfigError, StructuralError
@@ -138,14 +142,18 @@ class StructureAlgebra:
 # --- exact linear algebra -------------------------------------------------
 
 
-def _eliminate(rows, ncols, key=None):
+def _eliminate(fieldobj: ValuedField, rows, ncols, domain=None):
     """Forward elimination on the first ncols columns: (pivots, rest).
 
     Each pivot row (see the module docstring) leaves the pool unscaled and
     its column is cleared from the rest, across whole rows, so entries past
     ncols ride along as right-hand sides.  pivots[col] is None when no row
-    is nonzero in the column; rest is the pool left at the end.
+    is nonzero in the column; rest is the pool left at the end.  Given a
+    domain, the pivot is the live row of least domain.value.
     """
+    if fieldobj.kind == "Q":
+        return _eliminate_cleared(rows, ncols, None if domain is None else domain.valued_field.p)
+    key = None if domain is None else domain.value
     pool = [list(r) for r in rows]
     pivots = []
     for col in range(ncols):
@@ -164,6 +172,33 @@ def _eliminate(rows, ncols, key=None):
                         row[i] = row[i] - f * p
         pivots.append(pivot)
     return pivots, pool
+
+
+def _eliminate_cleared(rows, ncols, p):
+    """_eliminate over Q on rows cleared once to (a, d).  A pivot P/D at
+    column c takes a row a/d to (a*P_c - a_c*P) / (d*P_c), divided by one
+    gcd of the row and its denominator, which stays positive.  Given p,
+    the pivot is the live row of least v_p(a_c) - v_p(d)."""
+    pool = [_cleared(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        live = [k for k, (a, _) in enumerate(pool) if a[col]]
+        if not live:
+            pivots.append(None)
+            continue
+        best = live[0] if p is None else min(live, key=lambda k: (
+            _int_p_exponent(pool[k][0][col], p) - _int_p_exponent(pool[k][1], p)))
+        pa, pd = pool.pop(best)
+        pv = pa[col]
+        for k, (a, d) in enumerate(pool):
+            f = a[col]
+            if f:
+                a = [x * pv - f * y if y else x * pv for x, y in zip(a, pa)]
+                d *= pv
+                g = gcd(*a, d) if d > 0 else -gcd(*a, d)
+                pool[k] = ([x // g for x in a], d // g)
+        pivots.append([Fraction(x, pd) for x in pa])
+    return pivots, [[Fraction(x, d) for x in a] for a, d in pool]
 
 
 def _back_substitute(pivots, ncols):
@@ -188,7 +223,7 @@ def solve_columns(fieldobj: ValuedField, columns, target):
     """
     m = len(columns)
     rows = [[col[r] for col in columns] + [t] for r, t in enumerate(target)]
-    pivots, rest = _eliminate(rows, m)
+    pivots, rest = _eliminate(fieldobj, rows, m)
     if any(p is None for p in pivots):
         raise StructuralError("dependent columns in linear solve")
     if any(row[m] for row in rest):
@@ -198,7 +233,7 @@ def solve_columns(fieldobj: ValuedField, columns, target):
 
 def rank_of(fieldobj: ValuedField, vectors) -> int:
     vectors = list(vectors)
-    pivots, _ = _eliminate(vectors, len(vectors[0]) if vectors else 0)
+    pivots, _ = _eliminate(fieldobj, vectors, len(vectors[0]) if vectors else 0)
     return sum(p is not None for p in pivots)
 
 
@@ -207,7 +242,7 @@ def invert(fieldobj: ValuedField, rows) -> list:
     n = len(rows)
     one, zero = fieldobj.one, fieldobj.zero
     aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
-    pivots, _ = _eliminate(aug, n)
+    pivots, _ = _eliminate(fieldobj, aug, n)
     if any(p is None for p in pivots):
         raise StructuralError("singular matrix")
     return _back_substitute(pivots, n)

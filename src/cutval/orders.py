@@ -180,7 +180,7 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
     one row set; the lattice basis is the columns of T^-1, checked against
     the full rows.  Full column rank is required.
     """
-    t_rows, rest = _eliminate(rows, alg.dim, key=domain.value)
+    t_rows, rest = _eliminate(alg.field, rows, alg.dim, domain)
     if any(r is None for r in t_rows):
         raise StructuralError("constraint rows do not have full rank")
     if any(any(r) for r in rest):

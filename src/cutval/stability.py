@@ -114,8 +114,10 @@ def insert_into_basis(cert: StableBasisCertificate, x0,
     new_basis[b0_idx] = x0
 
     # b0 = (1/c0) x0 - sum_(k != b0) (c_k/c0) b_k; s0 clears that expansion.
+    c0 = coords[b0_idx]
+    s0 = domain.clear_many([alg.field.one / c0 if k == b0_idx else -c / c0
+                            for k, c in enumerate(coords)])
     new_coords = coordinate_rows(alg, new_basis)
-    s0 = domain.clear_many(new_coords.values(cert.basis[b0_idx]))
 
     new_stab = []
     for c in cert.stabilizer:

@@ -10,19 +10,21 @@ structure-constant table (also the reference for the integer-cleared
 product over Q), the Q(t) arithmetic that reduced every sum and product
 with a full gcd, the Q(t) sampler that reduced each draw with Euclid, and
 the separate Q and Q(t) branches of valuation-ring denominator clearing.
-Coordinates over a basis are unique, the
-min-valuation pivot sequence is a function of the rows and a rational
-function has one reduced form with a monic denominator, so every result
-must be exactly equal.
+The single kernel's own Fraction loop, which the Q(t) path still runs, is
+the reference for its cleared integer loop over Q.  Coordinates over a
+basis are unique, the min-valuation pivot sequence is a function of the
+rows and a rational function has one reduced form with a monic
+denominator, so every result must be exactly equal.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutval import algebra, orders
@@ -179,6 +181,29 @@ def invert_reference(fieldobj, rows):
     return [row[n:] for row in aug]
 
 
+def eliminate_reference(rows, ncols, key=None):
+    """The elimination kernel as it ran over Q before rows were cleared to
+    integers: one Fraction multiply and subtract per entry."""
+    pool = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        live = [k for k, row in enumerate(pool) if row[col]]
+        if not live:
+            pivots.append(None)
+            continue
+        best = live[0] if key is None else min(live, key=lambda k: key(pool[k][col]))
+        pivot = pool.pop(best)
+        pv = pivot[col]
+        for row in pool:
+            if row[col]:
+                f = row[col] / pv
+                for i, p in enumerate(pivot):
+                    if p:
+                        row[i] = row[i] - f * p
+        pivots.append(pivot)
+    return pivots, pool
+
+
 def min_valuation_eliminate_reference(domain, rows, n):
     pool = [list(r) for r in rows]
     pivots = []
@@ -332,7 +357,7 @@ def test_min_valuation_path_matches_reference(case):
         R = left_order(LatticeModule(alg, domain, basis))
         rows = product_rows_reference(alg, basis)
         expected = min_valuation_eliminate_reference(domain, rows, n)
-        pivots, rest = _eliminate(rows, n, key=domain.value)
+        pivots, rest = _eliminate(alg.field, rows, n, domain)
         assert [tuple(p) for p in pivots] == expected
         assert not any(any(r) for r in rest)
         assert R.lattice_rows == tuple(expected)
@@ -413,6 +438,105 @@ def test_one_inverse_and_n2_products_per_build(case, monkeypatch):
         orders.nice_from_certificate(stabilizer_finite(alg, basis, domain))
         assert calls == {"mul": alg.dim ** 2,
                          "invert": 2 if domain.is_valuation_like else 1}
+
+
+# --- the cleared kernel over Q against the Fraction loop ---------------------------
+
+
+def q_entry(rng, kind):
+    if kind == "zero":
+        return Fraction(0)
+    if kind == "small":  # many ties on v_2 and v_3, and negative pivots
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    if kind == "2,3-powers":
+        num, den = (2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 3) for _ in range(2))
+        return Fraction(rng.choice((1, -1)) * num, den)
+    return Fraction(rng.randint(-2 ** 200, 2 ** 200), rng.randint(1, 2 ** 200))
+
+
+ENTRY_KINDS = ("zero", "small", "2,3-powers", "200-bit")
+
+
+def q_matrix(seed, nrows, ncols, extra, kinds, inserts=()):
+    """nrows rows of ncols columns plus `extra` right-hand sides, entries of
+    the given kinds drawn from `seed`; then each (at, source, factor) of
+    `inserts` puts a zero row (source None) or factor times row `source` at
+    position `at`, so ranks fall short."""
+    rng = random.Random(seed)
+    rows = [[q_entry(rng, rng.choice(kinds)) for _ in range(ncols + extra)]
+            for _ in range(nrows)]
+    for at, source, factor in inserts:
+        new = ([Fraction(0)] * (ncols + extra) if source is None
+               else [factor * x for x in rows[source % len(rows)]])
+        rows.insert(at % (len(rows) + 1), new)
+    return rows, ncols
+
+
+@st.composite
+def q_matrices(draw):
+    """Up to 81 rows of 1 to 9 columns and up to two right-hand sides."""
+    ncols = draw(st.integers(1, 9))
+    inserts = draw(st.lists(st.tuples(
+        st.integers(0, 90), st.one_of(st.none(), st.integers(0, 90)),
+        st.sampled_from((Fraction(1), Fraction(-1), Fraction(-3, 2), Fraction(4))),
+    ), max_size=4))
+    return q_matrix(draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 81)), ncols,
+                    draw(st.integers(0, 2)),
+                    draw(st.lists(st.sampled_from(ENTRY_KINDS), min_size=1, max_size=4,
+                                  unique=True)),
+                    inserts)
+
+
+TALL = q_matrix(1, 78, 9, 0, ENTRY_KINDS, ((5, None, None), (40, 3, Fraction(1)),
+                                          (80, 17, Fraction(-3, 2))))
+WIDE_200_BIT = q_matrix(2, 12, 5, 2, ("200-bit",), ((3, 0, Fraction(-1)),))
+# column 0 ties on v_2 (rows 0-2) and on v_3 (rows 1-3); row 4, the negative
+# min-valuation pivot for both primes, takes its valuation from the denominator
+TIES = ([[Fraction(3), Fraction(1)], [Fraction(-1), Fraction(2)], [Fraction(5), Fraction(-7)],
+         [Fraction(-2), Fraction(1)], [Fraction(-1, 6), Fraction(1)]], 2)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(q_matrices())
+@example(TALL)
+@example(WIDE_200_BIT)
+@example(TIES)
+@example(([[Fraction(-5)]], 1))
+def test_cleared_kernel_matches_fraction_loop(matrix):
+    rows, ncols = matrix
+    field = ValuedField("Q", 3)
+    for domain in (None, p_local(2), p_local(3)):
+        got = _eliminate(field, rows, ncols, domain)
+        assert got == eliminate_reference(rows, ncols, None if domain is None else domain.value)
+        pivots, rest = got
+        assert all(type(c) is Fraction for row in rest + [r for r in pivots if r] for c in row)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(q_matrices())
+@example(TALL)
+def test_cleared_solve_columns_matches_reference(matrix):
+    """The first ncols columns as the system's columns and the last as its
+    target: the solution, or the same StructuralError."""
+    rows, ncols = matrix
+    columns = [tuple(r[j] for r in rows) for j in range(ncols)]
+    target = tuple(r[-1] for r in rows)
+    try:
+        expected = solve_columns_reference(columns, target)
+    except StructuralError as exc:
+        with pytest.raises(StructuralError, match=str(exc)):
+            solve_columns(ValuedField("Q", 2), columns, target)
+    else:
+        got = solve_columns(ValuedField("Q", 2), columns, target)
+        assert got == expected and all(type(c) is Fraction for c in got)
+
+
+def test_solve_columns_refuses_dependent_columns_and_outside_targets_over_q():
+    field, (a, b, c) = ValuedField("Q", 2), (Fraction(1, 3), Fraction(-2), Fraction(5, 4))
+    with pytest.raises(StructuralError, match="dependent columns in linear solve"):
+        solve_columns(field, [(a, b, c), (-2 * a, -2 * b, -2 * c)], (a, b, c))
+    with pytest.raises(StructuralError, match="target outside the span of the columns"):
+        solve_columns(field, [(a, b, c), (b, c, a)], (c, a, b))
 
 
 def test_coordinate_map_needs_a_full_independent_basis():
