@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import ConfigError, StructuralError
 from .numfield import RationalFunction, ValuedField, is_prime
@@ -83,15 +83,23 @@ class BaseDomain:
         clipped to nonnegative components (p^M over Q, p^M * t^N over
         Q(t)), or 1 when that value is <= 0.
         """
-        coeffs = [c for c in coeffs if c]
-        if not coeffs:
-            return self.one
+        if self.field is not None:
+            coeffs = [self.field.value(c) for c in coeffs if c]
+        return self._clearing([coeffs])
+
+    def _clearing(self, blocks):
+        """The product over blocks of each block's clear_many, a block given
+        by its coefficients over Z and by their values (None for 0) over a
+        valuation ring: there the clipped values above are summed, and no
+        coefficient is needed.  The one copy of clear_many's rule."""
         if self.field is None:
-            return Fraction(lcm(*(c.denominator for c in coeffs)))
-        worst = tuple(-g for g in min(self.field.value(c) for c in coeffs))
-        if worst <= (0,) * self.field.rank:
-            return self.one
-        return self.field.element_with_value(tuple(max(0, g) for g in worst))
+            return prod((Fraction(lcm(*(c.denominator for c in b))) for b in blocks), start=self.one)
+        zero = total = (0,) * self.field.rank
+        for values in blocks:
+            worst = tuple(-g for g in min((v for v in values if v is not None), default=zero))
+            if worst > zero:
+                total = tuple(t + max(0, g) for t, g in zip(total, worst))
+        return self.field.element_with_value(total) if any(total) else self.one
 
     def noninvertible(self):
         """The designated nonzero non-unit of S: 2 in Z, the element of value

@@ -342,55 +342,51 @@ def verify_nice(oracle, spec: SampleSpec) -> NiceReport:
 
 @dataclass(frozen=True, eq=False)
 class IdealSpec:
-    """Basis of a proper two-sided ideal of a finite-dimensional algebra."""
+    """Basis of a proper two-sided ideal (`nice_with_ideal` checks it is one)."""
 
     algebra: StructureAlgebra
     basis: tuple
 
     def validate(self) -> tuple:
-        """Check the ideal; return a basis of A extending its basis."""
+        """Check it is nonzero, proper and independent; extend it by ambient e_i."""
         alg = self.algebra
         if not self.basis or len(self.basis) >= alg.dim:
             raise DomainError("ideal must be proper and nonzero")
         if not is_independent(alg.field, self.basis):
             raise StructuralError("ideal basis is dependent")
-        basis = extend_to_basis(alg, list(self.basis))
-        outside = _Rows(alg.field, coordinate_rows(alg, basis).rows[len(self.basis):])
-        for i in range(alg.dim):
-            e = alg.basis_vector(i)
-            for b in self.basis:
-                if any(outside.values(alg.mul(e, b))):
-                    raise DomainError(f"not a left ideal: e{i} * b escapes the span")
-                if any(outside.values(alg.mul(b, e))):
-                    raise DomainError(f"not a right ideal: b * e{i} escapes the span")
-        return tuple(basis)
+        return tuple(extend_to_basis(alg, list(self.basis)))
 
 
 def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
     """R = { x : xN subset N } for N = I + sum_{b in B \\ B1} S*b.
 
-    x*I stays in I for any x, so membership only constrains the
-    B-minus-B1 coordinates of the products x*b for b outside the ideal:
-    the certificate's product rows (b_j, k) with j, k >= |B1|.
+    The ideal is checked on the certificate's product rows (b_j, k), with
+    m = |B1|.  Entry i of row (b_j, k) is coordinate k of e_i*b_j, so I is
+    a left ideal when the rows with j < m <= k are zero.  Then x*I stays in
+    I, membership only constrains the rows with j, k >= m, and I is a
+    right ideal when they vanish on B1 (b_j = e_i for j >= m).
     """
-    basis = ideal.validate()
-    alg = ideal.algebra
+    alg, basis = ideal.algebra, ideal.validate()
     if alg.field.kind != domain.fraction_field_kind:
         raise ConfigError("domain fraction field differs from the algebra's field")
     cert = stabilizer_finite(alg, basis, domain)
     m, n = len(ideal.basis), alg.dim
+    left = [r for j in range(m) for r in cert.rows[j * n + m:j * n + n] if any(r)]
+    if left:
+        i = next(i for i, c in enumerate(left[0]) if c)
+        raise DomainError(f"not a left ideal: e{i} * b escapes the span")
     rows = tuple(cert.rows[j * n + k] for j in range(m, n) for k in range(m, n))
-    oracle = SubringOracle(
-        algebra=alg, domain=domain, provenance="ideal-variant",
-        constraints=((domain, rows),),
-        contained_basis=cert.stabilizer,
-    )
-    for c in cert.stabilizer:
-        if not oracle.contains(c):
-            raise StructuralError("stabilizer element fails ideal-variant membership")
-    for b in ideal.basis:
-        if not oracle.contains(b):
-            raise StructuralError("ideal element fails ideal-variant membership")
+    oracle = SubringOracle(algebra=alg, domain=domain, provenance="ideal-variant",
+                           constraints=((domain, rows),), contained_basis=cert.stabilizer)
+    values = oracle._constraint_rows[0][1].values
+    right = [r for b in ideal.basis for r, v in enumerate(values(b)) if v]
+    if right:
+        i = basis[m + right[0] // (n - m)].index(alg.field.one)
+        raise DomainError(f"not a right ideal: b * e{i} escapes the span")
+    if not all(map(oracle.contains, cert.stabilizer)):
+        raise StructuralError("stabilizer element fails ideal-variant membership")
+    if not all(map(oracle.contains, ideal.basis)):
+        raise StructuralError("ideal element fails ideal-variant membership")
     return oracle
 
 

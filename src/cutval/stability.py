@@ -6,9 +6,10 @@ b in B); C is said to stabilize B.  At finite dimension every basis is
 stable: clearing the denominators of each product row by row yields
 multipliers delta_i with C = {delta_i * b_i}.
 
-A certificate builds B's product rows, x -> coords_B(x*b_j), once and is
-their only builder: the clearing stabilizer and the orders of `orders`
-read them.  `is_stable` forms its own products, as the independent check.
+A certificate inverts B once, for its coordinate rows, and builds its
+product rows x -> coords_B(x*b_j) from them: it is their only builder,
+and the clearing stabilizer, insertion and `orders` read them.
+`is_stable` forms its own products, as the independent check.
 
 Insertion swaps a new element x0 into a stable basis in place of some
 basis element carrying a nonzero coordinate of x0, rescaling the
@@ -23,7 +24,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .algebra import (StructureAlgebra, _Rows, coordinate_rows, is_independent,
-                      product_rows, solve_columns)
+                      product_rows)
 from .basedomain import BaseDomain
 from .errors import DomainError, StructuralError
 
@@ -31,26 +32,25 @@ from .errors import DomainError, StructuralError
 @dataclass(frozen=True)
 class StableBasisCertificate:
     """A basis of A, checked to be one, with a stabilizer (by default the
-    clearing one) and its product rows: row j*n + k of
-    `algebra.product_rows`, whose value at x is coordinate k of x*b_j."""
+    clearing one), its coordinate rows `coords` and its product rows: row
+    j*n + k of `algebra.product_rows`, whose value at x is coordinate k of x*b_j."""
 
     algebra: StructureAlgebra
     domain: BaseDomain
     basis: tuple
     stabilizer: tuple | None = None
+    coords: _Rows = dataclasses.field(init=False, repr=False, compare=False)
     rows: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alg, domain = self.algebra, self.domain
-        rows = product_rows(alg, coordinate_rows(alg, self.basis), self.basis)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "coords", coordinate_rows(alg, self.basis))
+        object.__setattr__(self, "rows", product_rows(alg, self.coords, self.basis))
         if self.stabilizer is None:
-            n, stab, evaluate = alg.dim, [], _Rows(alg.field, rows).values
-            for b in self.basis:
-                values, delta = tuple(evaluate(b)), domain.one
-                for j in range(0, n * n, n):
-                    delta = delta * domain.clear_many(values[j:j + n])
-                stab.append(alg.smul(delta, b))
+            n, vf, rows, stab = alg.dim, domain.valued_field, _Rows(alg.field, self.rows), []
+            for b in self.basis:  # block j of the row values at b: coords(b*b_j)
+                v = tuple(rows.values(b) if vf is None else rows.valuations(b, vf))
+                stab.append(alg.smul(domain._clearing(v[j:j + n] for j in range(0, n * n, n)), b))
             object.__setattr__(self, "stabilizer", tuple(stab))
         elif len(self.basis) != len(self.stabilizer):
             raise StructuralError("basis and stabilizer must have the same size")
@@ -71,11 +71,11 @@ class StabilityReport:
 
 
 def is_stable(alg: StructureAlgebra, basis, stabilizer, domain: BaseDomain) -> StabilityReport:
-    """Check every product c*b has all B-coordinates in S."""
+    """Check every product c*b has all B-coordinates in S; C must be a basis."""
     basis, stabilizer = list(basis), list(stabilizer)
     coords = coordinate_rows(alg, basis)
-    if not is_independent(alg.field, stabilizer):
-        raise StructuralError("stabilizer set is dependent")
+    if len(stabilizer) != alg.dim or not is_independent(alg.field, stabilizer):
+        raise StructuralError("stabilizer is not a basis of A")
     violations = []
     for ci, c in enumerate(stabilizer):
         for bi, b in enumerate(basis):
@@ -88,7 +88,7 @@ def is_stable(alg: StructureAlgebra, basis, stabilizer, domain: BaseDomain) -> S
 def stabilizer_finite(alg: StructureAlgebra, basis, domain: BaseDomain) -> StableBasisCertificate:
     """Denominator-clearing stabilizer {delta_i * b_i}: delta_i is the product
     over j of the clearing of coords(b_i * b_j), read off the certificate's
-    product rows.  Canonical because clearing is."""
+    product rows (their valuations, over S = O_v).  Canonical as clearing is."""
     return StableBasisCertificate(alg, domain, tuple(basis))
 
 
@@ -96,48 +96,42 @@ def insert_into_basis(cert: StableBasisCertificate, x0,
                       protected=frozenset()) -> StableBasisCertificate:
     """The certificate with x0 swapped into the basis in place of the first
     basis element b0 that has a nonzero coordinate in x0's expansion and
-    is not protected; each stabilizer element c becomes s_c * s0 * c."""
+    is not protected; each stabilizer element c becomes s_c * s0 * c, s0
+    clearing b0's coordinates over the new basis and s_c those of s0*c*x0.
+    They are read off the old coordinate rows by the swap update."""
     alg, domain = cert.algebra, cert.domain
     if alg.is_zero(x0):
         raise DomainError("cannot insert 0 into a basis")
     if x0 in cert.basis:
         raise DomainError("element is already in the basis")
-    coords = solve_columns(alg.field, list(cert.basis), x0)
-    b0_idx = next(
-        (i for i, c in enumerate(coords) if c and cert.basis[i] not in protected),
-        None,
-    )
+    coords = tuple(cert.coords.values(x0))
+    b0_idx = next((i for i, c in enumerate(coords) if c and cert.basis[i] not in protected), None)
     if b0_idx is None:
         raise StructuralError("x0 lies in the span of the protected elements")
-
-    new_basis = list(cert.basis)
-    new_basis[b0_idx] = x0
-
-    # b0 = (1/c0) x0 - sum_(k != b0) (c_k/c0) b_k; s0 clears that expansion.
+    new_basis = tuple(x0 if i == b0_idx else b for i, b in enumerate(cert.basis))
     c0 = coords[b0_idx]
-    s0 = domain.clear_many([alg.field.one / c0 if k == b0_idx else -c / c0
-                            for k, c in enumerate(coords)])
-    new_coords = coordinate_rows(alg, new_basis)
 
+    def swapped(a):  # sum a_k b_k = f x0 + sum_(k != b0) (a_k - f c_k) b_k
+        f = a[b0_idx] / c0
+        return [f if k == b0_idx else ak - f * ck for k, (ak, ck) in enumerate(zip(a, coords))]
+
+    s0 = domain.clear_many(swapped(alg.basis_vector(b0_idx)))  # b0's old coordinates
     new_stab = []
     for c in cert.stabilizer:
         t = alg.smul(s0, c)
-        s_c = domain.clear_many(new_coords.values(alg.mul(t, x0)))
+        s_c = domain.clear_many(swapped(tuple(cert.coords.values(alg.mul(t, x0)))))
         new_stab.append(alg.smul(s_c, t))
-    return StableBasisCertificate(alg, domain, tuple(new_basis), tuple(new_stab))
+    return StableBasisCertificate(alg, domain, new_basis, tuple(new_stab))
 
 
 def insert_many(cert: StableBasisCertificate, elements) -> StableBasisCertificate:
     """Insert a finite independent set, protecting earlier insertions (and
     elements already present) from eviction.  Members of the current basis
     are kept as they are."""
-    protected = set()
-    current = cert
+    protected, current = set(), cert
     for x in elements:
-        if x in current.basis:
-            protected.add(x)
-            continue
-        current = insert_into_basis(current, x, frozenset(protected))
+        if x not in current.basis:
+            current = insert_into_basis(current, x, frozenset(protected))
         protected.add(x)
     return current
 

@@ -27,10 +27,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutval import algebra, orders
-from cutval.algebra import (StructureAlgebra, _eliminate, coordinate_rows, invert,
+from cutval import algebra, orders, stability
+from cutval.algebra import (StructureAlgebra, _eliminate, _Rows, coordinate_rows, invert,
                             matrix_algebra, quadratic_algebra, rank_of, solve_columns)
-from cutval.basedomain import integers, p_local, valuation_ring
+from cutval.basedomain import BaseDomain, integers, p_local, valuation_ring
 from cutval.errors import StructuralError
 from cutval.numfield import (Polynomial, RationalFunction, ValuedField, _exact_quo, poly_gcd,
                              vp)
@@ -438,6 +438,99 @@ def test_one_inverse_and_n2_products_per_build(case, monkeypatch):
         orders.nice_from_certificate(stabilizer_finite(alg, basis, domain))
         assert calls == {"mul": alg.dim ** 2,
                          "invert": 2 if domain.is_valuation_like else 1}
+
+
+def test_insertion_clears_the_coordinates_over_the_new_basis(case, monkeypatch):
+    """The swap update hands clear_many exactly the coordinates over the new
+    basis that the reference solves for: b0's (for s0), then those of
+    s0*c*x0 for each stabilizer element c, in order."""
+    alg, domain, bases = case
+    seen, clear_many = [], BaseDomain.clear_many
+    monkeypatch.setattr(BaseDomain, "clear_many",
+                        lambda self, coeffs: seen.append(tuple(coeffs)) or clear_many(self, coeffs))
+    for basis in bases:
+        cert = stabilizer_finite(alg, basis, domain)
+        x0 = alg.add(basis[0], basis[-1])
+        seen.clear()
+        new_basis = insert_into_basis(cert, x0).basis
+        b0 = next(i for i, (old, new) in enumerate(zip(basis, new_basis)) if old != new)
+        s0 = clear_many(domain, seen[0])
+        assert seen == [coords_reference(basis[b0], new_basis)] + [
+            coords_reference(alg.mul(alg.smul(s0, c), x0), new_basis) for c in cert.stabilizer]
+
+
+def count_calls(monkeypatch, calls, owner, name, key=None):
+    """Replace owner.name by a wrapper that counts its calls in
+    calls[key or name]."""
+    f, key = getattr(owner, name), key or name
+
+    def wrapper(*args):
+        calls[key] += 1
+        return f(*args)
+    calls[key] = 0
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_one_inverse_per_insertion_and_chain_step(case, monkeypatch):
+    """Insertion reads x0's coordinates and every new coordinate off the old
+    certificate: no solve, and one inverse, the new certificate's, with n
+    stabilizer products beside its n^2 row products.  A descend_chain step
+    inverts one basis per element it inserts, plus T for the step's two
+    lattices over a valuation ring."""
+    alg, domain, bases = case
+    n, calls = alg.dim, {}
+    count_calls(monkeypatch, calls, StructureAlgebra, "mul")
+    count_calls(monkeypatch, calls, algebra, "invert")
+    count_calls(monkeypatch, calls, algebra, "solve_columns")
+    count_calls(monkeypatch, calls, orders, "invert", "lattice_invert")
+    count_calls(monkeypatch, calls, stability, "insert_into_basis")
+    cert = stabilizer_finite(alg, bases[0], domain)
+    start = orders.nice_from_certificate(cert)
+    calls.update(dict.fromkeys(calls, 0))
+    insert_into_basis(cert, alg.add(bases[0][0], bases[0][-1]))
+    assert calls == {"mul": n + n * n, "invert": 1, "solve_columns": 0,
+                     "lattice_invert": 0, "insert_into_basis": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    orders.descend_chain(start, 1)
+    assert calls["insert_into_basis"] == 2  # 1 and s0*y, neither in the basis
+    assert calls["invert"] == calls["insert_into_basis"]
+    assert calls["solve_columns"] == 0
+    assert calls["lattice_invert"] == (2 if domain.is_valuation_like else 0)
+
+
+def test_ideal_variant_inverts_once_and_forms_n2_products(monkeypatch):
+    """(x^2) in Q[x]/(x^3) over Z_(2): the ideal is checked on the
+    certificate's rows, so the variant costs one inverse and 9 products."""
+    field = ValuedField("Q", 2)
+    one, zero = field.one, field.zero
+    e = lambda k: tuple(one if i == k else zero for i in range(3))
+    table = tuple(tuple(e(i + j) if i + j < 3 else (zero,) * 3 for j in range(3))
+                  for i in range(3))
+    alg = StructureAlgebra(field, ("1", "x", "x2"), table, e(0))
+    calls = {}
+    count_calls(monkeypatch, calls, StructureAlgebra, "mul")
+    count_calls(monkeypatch, calls, algebra, "invert")
+    count_calls(monkeypatch, calls, orders, "invert", "lattice_invert")
+    orders.nice_with_ideal(orders.IdealSpec(alg, (e(2),)), p_local(2))
+    assert calls == {"mul": 9, "invert": 1, "lattice_invert": 0}
+
+
+def test_clearing_stabilizer_calls_no_clear_many(case, monkeypatch):
+    """The clearing stabilizer clears each basis element's n blocks of row
+    values in one call, never through clear_many: over Z_(p) and O_v it
+    reads only the rows' valuations, over Z the values' denominators."""
+    alg, domain, bases = case
+    calls = {}
+    count_calls(monkeypatch, calls, BaseDomain, "clear_many")
+    count_calls(monkeypatch, calls, BaseDomain, "_clearing")
+    count_calls(monkeypatch, calls, _Rows, "values")
+    for basis in bases:
+        stabilizer_finite(alg, basis, domain)
+    n = alg.dim
+    assert calls["clear_many"] == 0 and calls["_clearing"] == len(bases) * n
+    if domain.is_valuation_like and alg.field.kind == "Q":
+        # no Fraction row value: values() only gives the n^2 products' coordinates
+        assert calls["values"] == len(bases) * n * n
 
 
 # --- the cleared kernel over Q against the Fraction loop ---------------------------

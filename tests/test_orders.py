@@ -277,8 +277,33 @@ def test_ideal_variant_rows_match_reference(field_q, name):
 def test_ideal_validation(dual, m2):
     with pytest.raises(DomainError):
         IdealSpec(dual, (dual.unit, dual.basis_vector(1))).validate()  # not proper
-    with pytest.raises(DomainError):
-        nice_with_ideal(IdealSpec(m2, (m2.basis_vector(1),)), integers())  # not an ideal
+    with pytest.raises(DomainError, match="not a left ideal: e2 \\* b escapes the span"):
+        nice_with_ideal(IdealSpec(m2, (m2.basis_vector(1),)), integers())  # e21*e12 = e22
+    first_column = IdealSpec(m2, (m2.basis_vector(0), m2.basis_vector(2)))  # e11, e21
+    with pytest.raises(DomainError, match="not a right ideal: b \\* e1 escapes the span"):
+        nice_with_ideal(first_column, integers())  # e11*e12 = e12
+
+
+@pytest.mark.parametrize("scale", ["1/2", "2"])
+def test_ideal_variant_post_checks_fire(monkeypatch, dual, scale):
+    """nice_with_ideal checks its stabilizer and the ideal inside R: a
+    stabilizer pushed out by 1/2 is refused, and with a stabilizer scaled
+    by 2 a membership that refuses the ideal's own elements is caught."""
+    ideal = IdealSpec(dual, (dual.basis_vector(1),))
+    c = dual.field.scalar(scale)
+    stabilizer_finite = orders.stabilizer_finite
+
+    def scaled(alg, basis, domain):
+        cert = stabilizer_finite(alg, basis, domain)
+        return dataclasses.replace(cert, stabilizer=tuple(alg.smul(c, s) for s in cert.stabilizer))
+    monkeypatch.setattr(orders, "stabilizer_finite", scaled)
+    if scale == "1/2":
+        message = "stabilizer element fails ideal-variant membership"
+    else:
+        message = "ideal element fails ideal-variant membership"
+        monkeypatch.setattr(SubringOracle, "contains", lambda self, x: x not in ideal.basis)
+    with pytest.raises(StructuralError, match=message):
+        nice_with_ideal(ideal, p_local(2))
 
 
 # --- going down, intersections ------------------------------------------------

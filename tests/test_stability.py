@@ -37,6 +37,15 @@ def test_is_stable_examples(m2, sqrt2, z):
     assert any(coord == Fraction(2, 9) for (_, _, _, coord) in rep.violations)
 
 
+def test_is_stable_refuses_a_stabilizer_that_is_not_a_basis(m2, z):
+    """A stabilizer must be a basis of A: a short or empty one, which has
+    no product to fail, is refused rather than passed."""
+    units = units_of(m2)
+    for stabilizer in ([m2.unit], [], units[:3] + [units[0]]):
+        with pytest.raises(StructuralError, match="stabilizer is not a basis of A"):
+            is_stable(m2, units, stabilizer, z)
+
+
 def test_stabilizer_examples(m2, sqrt2, z):
     B = (sqrt2.unit, sqrt2.element(["0", "1/3"]))
     cert = stabilizer_finite(sqrt2, B, z)
@@ -81,6 +90,9 @@ def test_insert_errors(m2, z):
         insert_into_basis(cert, m2.zero)
     with pytest.raises(DomainError):
         insert_into_basis(cert, m2.basis_vector(0))
+    # 2*e11 only has a coordinate on e11, which is protected
+    with pytest.raises(StructuralError, match="x0 lies in the span of the protected elements"):
+        insert_into_basis(cert, m2.smul(Fraction(2), units[0]), frozenset([units[0]]))
 
 
 def test_iterated_insertion_keeps_both(m2, z):
