@@ -10,20 +10,26 @@ the row of least valuation (ties to the lowest index).  `solve_columns`,
 `rank_of`, `invert` and the lattice elimination of `orders` are calls
 into it.  Coordinates over a basis are the values of the rows of
 `coordinate_rows`, the basis's inverse, which is where a basis is checked,
-and `product_rows` stacks the rows of x -> coords(x*b).
+and `product_rows` stacks the rows of x -> coords(x*b) with no product
+formed: coords' rows times b's right-multiplication matrix, read off the
+table's cells.
 
 Over Q every vector is cleared once by `numfield._cleared`, to integers
 over the lcm of its denominators.  The elimination loop runs on cleared
 integer rows, one gcd per row update instead of a Fraction multiply and
-subtract per entry; over Q(t) it keeps the scalar loop.  `_Rows` holds
-each row as a_i over d and clears each x to b_i over e: a row value is
-Fraction(sum a_i*b_i, d*e), one normalizing gcd instead of a Fraction
-multiply and add per entry, and `_Rows.valuations` takes
-v_p(sum a_i*b_i) - v_p(d) - v_p(e) off the integers, reducing nothing.
+subtract per entry; over Q(t) it keeps the scalar loop.  `_Rows` is a
+tuple of rows that holds each row as a_i over d and clears each x to b_i
+over e: a row value is Fraction(sum a_i*b_i, d*e), one normalizing gcd
+instead of a Fraction multiply and add per entry, `_Rows.valuations`
+takes v_p(sum a_i*b_i) - v_p(d) - v_p(e) off the integers, reducing
+nothing, and `_Rows.denominators` reads d*e / gcd(sum a_i*b_i, d*e).
 `StructureAlgebra.mul` clears the table over one denominator D, so a
 product is integer sums with one reducing Fraction per nonzero
-coordinate.  Over Q(t) rows and products are summed term by term, and a
-valuation is read off each value.
+coordinate.  `product_rows` is one integer matrix product over the same
+cells, each row divided by one gcd into its (a, d); its `_Rows` keeps
+those clearings, and every reader of the rows, the elimination included,
+takes them as they are.  Over Q(t) rows and products are summed term by
+term, and a valuation is read off each value.
 
 The polynomial backend :class:`PolynomialAlgebra` represents F[y] with the
 monomial basis; elements are sparse exponent -> coefficient dicts.
@@ -175,11 +181,12 @@ def _eliminate(fieldobj: ValuedField, rows, ncols, domain=None):
 
 
 def _eliminate_cleared(rows, ncols, p):
-    """_eliminate over Q on rows cleared once to (a, d).  A pivot P/D at
-    column c takes a row a/d to (a*P_c - a_c*P) / (d*P_c), divided by one
-    gcd of the row and its denominator, which stays positive.  Given p,
-    the pivot is the live row of least v_p(a_c) - v_p(d)."""
-    pool = [_cleared(r) for r in rows]
+    """_eliminate over Q on rows cleared once to (a, d), or on the clearing
+    a _Rows carries, taken as it is.  A pivot P/D at column c takes a row
+    a/d to (a*P_c - a_c*P) / (d*P_c), divided by one gcd of the row and
+    its denominator, which stays positive.  Given p, the pivot is the live
+    row of least v_p(a_c) - v_p(d)."""
+    pool = list(rows.cleared) if isinstance(rows, _Rows) else [_cleared(r) for r in rows]
     pivots = []
     for col in range(ncols):
         live = [k for k, (a, _) in enumerate(pool) if a[col]]
@@ -282,25 +289,37 @@ def _dot(row, x):
     return acc
 
 
-class _Rows:
-    """Fixed linear rows over `fieldobj` of one width, evaluated at points x;
-    over Q each row is stored as (a_1..a_n, d) = _cleared(row).  Every
-    membership test over a valuation ring, of Q or Q(t), reads `valuations`."""
+class _Rows(tuple):
+    """Fixed linear rows over a field, of one width, evaluated at points x:
+    the tuple of the rows, each a tuple of scalars, that over Q carries each
+    row cleared once, (a_1..a_n, d) = _cleared(row), in `cleared` (None
+    over Q(t)).  _Rows(fieldobj, rows) is rows itself when it is a _Rows.
+    Every membership test over a valuation ring, of Q or Q(t), reads
+    `valuations`."""
 
-    __slots__ = ("rows", "cleared", "width")
+    def __new__(cls, fieldobj, rows):
+        if isinstance(rows, _Rows):
+            return rows
+        rows = tuple(map(tuple, rows))
+        return cls._make(rows, tuple(map(_cleared, rows)) if fieldobj.kind == "Q" else None)
 
-    def __init__(self, fieldobj, rows):
-        self.rows = rows
-        self.width = len(rows[0])
-        self.cleared = (tuple(_cleared(row) for row in rows)
-                        if fieldobj.kind == "Q" else None)
+    @classmethod
+    def _make(cls, rows, cleared):
+        self = tuple.__new__(cls, rows)
+        self.cleared, self.width = cleared, len(rows[0]) if rows else 0
+        return self
+
+    def subset(self, indices: list) -> _Rows:
+        """The rows at indices, in that order, with their clearings."""
+        return _Rows._make([self[i] for i in indices],
+                           None if self.cleared is None else [self.cleared[i] for i in indices])
 
     def values(self, x):
         """The row values at x, in row order, computed as they are consumed;
         an x whose length is not the rows' width is refused at once."""
         self._check_width(x)
         if self.cleared is None:
-            return (_dot(row, x) for row in self.rows)
+            return (_dot(row, x) for row in self)
         b, e = _cleared(x)
         return (Fraction(sum(map(mul, a, b)), d * e) for a, d in self.cleared)
 
@@ -318,6 +337,14 @@ class _Rows:
         return ((_int_p_exponent(s, p) - _int_p_exponent(d, p) - ve,)
                 if (s := sum(map(mul, a, b))) else None for a, d in self.cleared)
 
+    def denominators(self, x):
+        """Over Q, the reduced denominator of each row value at x, in row
+        order and as consumed: d*e / gcd(sum a_i*b_i, d*e), 1 for a zero
+        value, with no Fraction built."""
+        self._check_width(x)
+        b, e = _cleared(x)
+        return ((de := d * e) // gcd(sum(map(mul, a, b)), de) for a, d in self.cleared)
+
     def _check_width(self, x):
         if len(x) != self.width:
             raise ConfigError(f"element has {len(x)} coordinates, the rows take {self.width}")
@@ -325,10 +352,14 @@ class _Rows:
 
 def coordinate_rows(alg: StructureAlgebra, basis) -> _Rows:
     """Rows whose values at x are x's coordinates over a basis of A: the
-    rows of the inverse of the matrix with the basis vectors as columns."""
+    rows of the inverse of the matrix with the basis vectors as columns.
+    A basis of the wrong size, with a vector of the wrong length or
+    dependent is refused here."""
     n = alg.dim
     if len(basis) != n:
         raise StructuralError(f"a basis of A has {n} elements, got {len(basis)}")
+    if (bad := next((len(b) for b in basis if len(b) != n), None)) is not None:
+        raise StructuralError(f"a basis vector of A has {n} coordinates, got {bad}")
     try:
         inverse = invert(alg.field, [[b[r] for b in basis] for r in range(n)])
     except StructuralError:
@@ -336,14 +367,39 @@ def coordinate_rows(alg: StructureAlgebra, basis) -> _Rows:
     return _Rows(alg.field, inverse)
 
 
-def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> tuple:
+def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> _Rows:
     """Rows of the linear maps x -> coords(x*b), b in elements, in that
-    order: row (b, k) holds coordinate k of e_i * b at position i."""
-    rows = []
+    order: row (b, k) holds coordinate k of e_i * b at position i.
+
+    No product is formed.  b's rows are coords' rows times b's right-
+    multiplication matrix, whose column i is e_i*b summed off the table's
+    nonzero cells.  Over Q that is one integer matrix product: for b =
+    beta/e, coords' row a/d and the cleared cells over D, row (b, k) is the
+    integers sum_r a_r * (sum_j beta_j * D*t_ij^r) over d*e*D, divided by
+    one gcd into the (A, d) that _cleared gives, and that clearing is kept
+    with the rows.  Over Q(t) the same matrix is summed on scalars."""
+    n, den = alg.dim, alg._den
+    zero = alg.field.zero if den is None else 0
+    rows, cleared = [], []
     for b in elements:
-        cols = [tuple(coords.values(alg.mul(alg.basis_vector(i), b))) for i in range(alg.dim)]
-        rows.extend(zip(*cols))
-    return tuple(rows)
+        beta, e = (b, None) if den is None else _cleared(b)
+        # right[i][r]: coordinate r of e_i*b, times e*D over Q
+        right = [[zero] * n for _ in range(n)]
+        for i, j, terms in alg._cells:
+            if bj := beta[j]:
+                col = right[i]
+                for r, t in terms:
+                    col[r] = col[r] + bj * t
+        if den is None:
+            rows.extend(tuple(_dot(row, col) for col in right) for row in coords)
+            continue
+        for a, d in coords.cleared:
+            ints, d = [sum(map(mul, a, col)) for col in right], d * e * den
+            g = gcd(*ints, d)
+            ints, d = tuple(x // g for x in ints), d // g
+            cleared.append((ints, d))
+            rows.append(tuple(Fraction(x, d) for x in ints))
+    return _Rows._make(rows, None if den is None else cleared)
 
 
 # --- validation -----------------------------------------------------------
@@ -377,21 +433,23 @@ def check_associative_unital(alg: StructureAlgebra) -> TableReport:
 
     Both sides are summed off the table's nonzero cells (`_cells`), with
     no general product: (e_i e_j) e_k = sum_l t_ij^l e_l e_k and
-    e_i (e_j e_k) = sum_l t_jk^l e_i e_l.  Over Q the cells are the
-    cleared integers, which scales both sides by D^2.
+    e_i (e_j e_k) = sum_l t_jk^l e_i e_l, and 1 e_i = sum_l u_l e_l e_i
+    for the unit u, likewise e_i 1.  Over Q the cells are the cleared
+    integers, which scales both sides by D^2 (by D in the unit laws).
     """
     n = alg.dim
-    for i in range(n):
-        ei = alg.basis_vector(i)
-        if alg.mul(alg.unit, ei) != ei:
-            return TableReport(False, n, "left unit law fails", (i,))
-        if alg.mul(ei, alg.unit) != ei:
-            return TableReport(False, n, "right unit law fails", (i,))
-    zero = alg.field.zero if alg._den is None else 0
+    zero, one = (alg.field.zero, alg.field.one) if alg._den is None else (0, alg._den)
     rows = [[()] * n for _ in range(n)]  # rows[i][j]: terms of e_i e_j
     for i, j, terms in alg._cells:
         rows[i][j] = terms
     columns = [list(col) for col in zip(*rows)]  # columns[k][l]: e_l e_k
+    unit = [(l, u) for l, u in enumerate(alg.unit) if u]
+    for i in range(n):
+        ei = [one if k == i else zero for k in range(n)]
+        if _combine(unit, columns[i], zero, n) != ei:
+            return TableReport(False, n, "left unit law fails", (i,))
+        if _combine(unit, rows[i], zero, n) != ei:
+            return TableReport(False, n, "right unit law fails", (i,))
     for i in range(n):
         for j in range(n):
             for k in range(n):

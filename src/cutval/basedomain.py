@@ -83,17 +83,18 @@ class BaseDomain:
         clipped to nonnegative components (p^M over Q, p^M * t^N over
         Q(t)), or 1 when that value is <= 0.
         """
-        if self.field is not None:
-            coeffs = [self.field.value(c) for c in coeffs if c]
-        return self._clearing([coeffs])
+        if self.field is None:
+            return self._clearing([[c.denominator for c in coeffs]])
+        return self._clearing([[self.field.value(c) for c in coeffs if c]])
 
     def _clearing(self, blocks):
         """The product over blocks of each block's clear_many, a block given
-        by its coefficients over Z and by their values (None for 0) over a
-        valuation ring: there the clipped values above are summed, and no
-        coefficient is needed.  The one copy of clear_many's rule."""
+        by its coefficients' reduced denominators over Z and by their values
+        (None for 0) over a valuation ring: there the clipped values above
+        are summed.  No coefficient is needed.  The one copy of clear_many's
+        rule."""
         if self.field is None:
-            return prod((Fraction(lcm(*(c.denominator for c in b))) for b in blocks), start=self.one)
+            return prod((Fraction(lcm(*b)) for b in blocks), start=self.one)
         zero = total = (0,) * self.field.rank
         for values in blocks:
             worst = tuple(-g for g in min((v for v in values if v is not None), default=zero))

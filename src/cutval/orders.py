@@ -18,7 +18,7 @@ certificate's rows), going-down, finite intersections and the chains built
 from basis insertion.  The ascending matrix-algebra chain writes no rows of
 its own: each term is the left order of its lattice.  Rows are evaluated
 only through `algebra._Rows`, built once per oracle, which refuses an
-element of the wrong length.
+element of the wrong length; a certificate's product rows are already one.
 """
 
 from __future__ import annotations
@@ -178,16 +178,17 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
     Min-valuation pivots make every elimination multiplier lie in S, so the
     pivot rows T span the same S-module as the rows and become the oracle's
     one row set; the lattice basis is the columns of T^-1, checked against
-    the full rows.  Full column rank is required.
+    the full rows, both read off one `_Rows` (a certificate's own, with its
+    clearing).  Full column rank is required.
     """
+    rows = _Rows(alg.field, rows)
     t_rows, rest = _eliminate(alg.field, rows, alg.dim, domain)
     if any(r is None for r in t_rows):
         raise StructuralError("constraint rows do not have full rank")
     if any(any(r) for r in rest):
         raise StructuralError("elimination left a nonzero residual row")
     basis = tuple(zip(*invert(alg.field, t_rows)))
-    full = _Rows(alg.field, rows)
-    if not all(_lands_in(domain, full, b) for b in basis):
+    if not all(_lands_in(domain, rows, b) for b in basis):
         raise StructuralError("lattice basis disagrees with the predicate")
     return SubringOracle(
         algebra=alg, domain=domain, provenance=provenance,
@@ -375,7 +376,7 @@ def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
     if left:
         i = next(i for i, c in enumerate(left[0]) if c)
         raise DomainError(f"not a left ideal: e{i} * b escapes the span")
-    rows = tuple(cert.rows[j * n + k] for j in range(m, n) for k in range(m, n))
+    rows = cert.rows.subset([j * n + k for j in range(m, n) for k in range(m, n)])
     oracle = SubringOracle(algebra=alg, domain=domain, provenance="ideal-variant",
                            constraints=((domain, rows),), contained_basis=cert.stabilizer)
     values = oracle._constraint_rows[0][1].values

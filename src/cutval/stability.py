@@ -7,9 +7,13 @@ stable: clearing the denominators of each product row by row yields
 multipliers delta_i with C = {delta_i * b_i}.
 
 A certificate inverts B once, for its coordinate rows, and builds its
-product rows x -> coords_B(x*b_j) from them: it is their only builder,
-and the clearing stabilizer, insertion and `orders` read them.
-`is_stable` forms its own products, as the independent check.
+product rows x -> coords_B(x*b_j) from them with no product formed
+(`algebra.product_rows`; over Q the rows are cleared once, as they are
+built): it is their only builder, and the clearing stabilizer, insertion
+and `orders` read them and that one clearing.  Over Z the stabilizer reads
+the row values' denominators and over a valuation ring their valuations,
+each off the integers over Q.  `is_stable` forms its own products with
+`StructureAlgebra.mul`, as the independent check.
 
 Insertion swaps a new element x0 into a stable basis in place of some
 basis element carrying a nonzero coordinate of x0, rescaling the
@@ -33,23 +37,26 @@ from .errors import DomainError, StructuralError
 class StableBasisCertificate:
     """A basis of A, checked to be one, with a stabilizer (by default the
     clearing one), its coordinate rows `coords` and its product rows: row
-    j*n + k of `algebra.product_rows`, whose value at x is coordinate k of x*b_j."""
+    j*n + k of `algebra.product_rows`, whose value at x is coordinate k of
+    x*b_j.  `rows` is a `_Rows`, so it compares equal to the plain tuple of
+    its rows, and over Q it carries their clearing, which the stabilizer,
+    the left order and the ideal variant read instead of clearing again."""
 
     algebra: StructureAlgebra
     domain: BaseDomain
     basis: tuple
     stabilizer: tuple | None = None
     coords: _Rows = dataclasses.field(init=False, repr=False, compare=False)
-    rows: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    rows: _Rows = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alg, domain = self.algebra, self.domain
         object.__setattr__(self, "coords", coordinate_rows(alg, self.basis))
         object.__setattr__(self, "rows", product_rows(alg, self.coords, self.basis))
         if self.stabilizer is None:
-            n, vf, rows, stab = alg.dim, domain.valued_field, _Rows(alg.field, self.rows), []
+            n, vf, rows, stab = alg.dim, domain.valued_field, self.rows, []
             for b in self.basis:  # block j of the row values at b: coords(b*b_j)
-                v = tuple(rows.values(b) if vf is None else rows.valuations(b, vf))
+                v = tuple(rows.denominators(b) if vf is None else rows.valuations(b, vf))
                 stab.append(alg.smul(domain._clearing(v[j:j + n] for j in range(0, n * n, n)), b))
             object.__setattr__(self, "stabilizer", tuple(stab))
         elif len(self.basis) != len(self.stabilizer):

@@ -29,11 +29,12 @@ from hypothesis import strategies as st
 
 from cutval import algebra, orders, stability
 from cutval.algebra import (StructureAlgebra, _eliminate, _Rows, coordinate_rows, invert,
-                            matrix_algebra, quadratic_algebra, rank_of, solve_columns)
+                            matrix_algebra, product_rows, quadratic_algebra, rank_of,
+                            solve_columns)
 from cutval.basedomain import BaseDomain, integers, p_local, valuation_ring
 from cutval.errors import StructuralError
-from cutval.numfield import (Polynomial, RationalFunction, ValuedField, _exact_quo, poly_gcd,
-                             vp)
+from cutval.numfield import (Polynomial, RationalFunction, ValuedField, _cleared, _exact_quo,
+                             poly_gcd, vp)
 from cutval.orders import LatticeModule, intersect_oracles, left_order
 from cutval.samplers import sample_algebra_element, sample_ratfunc, sample_scalar
 from cutval.sampling import SampleSpec, sample_rational
@@ -417,9 +418,10 @@ def test_stabilizer_and_stability_match_reference(case):
         assert (res.basis, res.stabilizer) == insert_reference(cert, x0)[:2]
 
 
-def test_one_inverse_and_n2_products_per_build(case, monkeypatch):
+def test_one_inverse_and_no_products_per_build(case, monkeypatch):
     """A build inverts the basis once, for the certificate's product rows,
-    plus T over a valuation ring, and forms only the n^2 products e_i*b_j."""
+    plus T over a valuation ring, and forms no product: the rows are summed
+    off the table's cells."""
     alg, domain, bases = case
     calls = {"mul": 0, "invert": 0}
 
@@ -436,8 +438,7 @@ def test_one_inverse_and_n2_products_per_build(case, monkeypatch):
     for basis in bases:
         calls.update(mul=0, invert=0)
         orders.nice_from_certificate(stabilizer_finite(alg, basis, domain))
-        assert calls == {"mul": alg.dim ** 2,
-                         "invert": 2 if domain.is_valuation_like else 1}
+        assert calls == {"mul": 0, "invert": 2 if domain.is_valuation_like else 1}
 
 
 def test_insertion_clears_the_coordinates_over_the_new_basis(case, monkeypatch):
@@ -473,8 +474,8 @@ def count_calls(monkeypatch, calls, owner, name, key=None):
 
 def test_one_inverse_per_insertion_and_chain_step(case, monkeypatch):
     """Insertion reads x0's coordinates and every new coordinate off the old
-    certificate: no solve, and one inverse, the new certificate's, with n
-    stabilizer products beside its n^2 row products.  A descend_chain step
+    certificate: no solve, and one inverse, the new certificate's, with the
+    n stabilizer products s0*c*x0 and none for its rows.  A descend_chain step
     inverts one basis per element it inserts, plus T for the step's two
     lattices over a valuation ring."""
     alg, domain, bases = case
@@ -488,7 +489,7 @@ def test_one_inverse_per_insertion_and_chain_step(case, monkeypatch):
     start = orders.nice_from_certificate(cert)
     calls.update(dict.fromkeys(calls, 0))
     insert_into_basis(cert, alg.add(bases[0][0], bases[0][-1]))
-    assert calls == {"mul": n + n * n, "invert": 1, "solve_columns": 0,
+    assert calls == {"mul": n, "invert": 1, "solve_columns": 0,
                      "lattice_invert": 0, "insert_into_basis": 0}
     calls.update(dict.fromkeys(calls, 0))
     orders.descend_chain(start, 1)
@@ -498,9 +499,9 @@ def test_one_inverse_per_insertion_and_chain_step(case, monkeypatch):
     assert calls["lattice_invert"] == (2 if domain.is_valuation_like else 0)
 
 
-def test_ideal_variant_inverts_once_and_forms_n2_products(monkeypatch):
+def test_ideal_variant_inverts_once_and_forms_no_products(monkeypatch):
     """(x^2) in Q[x]/(x^3) over Z_(2): the ideal is checked on the
-    certificate's rows, so the variant costs one inverse and 9 products."""
+    certificate's rows, so the variant costs one inverse and no product."""
     field = ValuedField("Q", 2)
     one, zero = field.one, field.zero
     e = lambda k: tuple(one if i == k else zero for i in range(3))
@@ -511,14 +512,20 @@ def test_ideal_variant_inverts_once_and_forms_n2_products(monkeypatch):
     count_calls(monkeypatch, calls, StructureAlgebra, "mul")
     count_calls(monkeypatch, calls, algebra, "invert")
     count_calls(monkeypatch, calls, orders, "invert", "lattice_invert")
-    orders.nice_with_ideal(orders.IdealSpec(alg, (e(2),)), p_local(2))
-    assert calls == {"mul": 9, "invert": 1, "lattice_invert": 0}
+    seen = spy_cleared(monkeypatch)
+    R = orders.nice_with_ideal(orders.IdealSpec(alg, (e(2),)), p_local(2))
+    assert calls == {"mul": 0, "invert": 1, "lattice_invert": 0}
+    # the variant's rows keep the certificate's clearing
+    rows = R.constraints[0][1]
+    assert len(rows) == 4 and R._constraint_rows[0][1] is rows
+    assert not any(v is r for v in seen for r in rows)
 
 
 def test_clearing_stabilizer_calls_no_clear_many(case, monkeypatch):
     """The clearing stabilizer clears each basis element's n blocks of row
     values in one call, never through clear_many: over Z_(p) and O_v it
-    reads only the rows' valuations, over Z the values' denominators."""
+    reads only the rows' valuations, over Z the values' denominators, and
+    over Q it builds no row value."""
     alg, domain, bases = case
     calls = {}
     count_calls(monkeypatch, calls, BaseDomain, "clear_many")
@@ -528,9 +535,34 @@ def test_clearing_stabilizer_calls_no_clear_many(case, monkeypatch):
         stabilizer_finite(alg, basis, domain)
     n = alg.dim
     assert calls["clear_many"] == 0 and calls["_clearing"] == len(bases) * n
-    if domain.is_valuation_like and alg.field.kind == "Q":
-        # no Fraction row value: values() only gives the n^2 products' coordinates
-        assert calls["values"] == len(bases) * n * n
+    if alg.field.kind == "Q":
+        assert calls["values"] == 0
+
+
+def spy_cleared(monkeypatch) -> list:
+    """Record every vector that the algebra module hands to _cleared."""
+    seen, cleared = [], algebra._cleared
+    monkeypatch.setattr(algebra, "_cleared", lambda v: seen.append(v) or cleared(v))
+    return seen
+
+
+@pytest.mark.parametrize("name", ["M3(Q)/Z", "M3(Q)/Z_(3)"])
+def test_left_order_clears_no_certificate_row_again(name, monkeypatch):
+    """The certificate's product rows are cleared once, as they are built:
+    the left order (the elimination and the self-check of _lattice, or the
+    Z oracle's constraint group) reads that clearing and hands none of the
+    rows to _cleared again."""
+    make, domain, draw, seed, count = CASES[name]
+    alg = make()
+    seen = spy_cleared(monkeypatch)
+    for basis in draw_bases(alg, seed, draw, count):
+        cert = stabilizer_finite(alg, basis, domain)
+        assert len(cert.rows.cleared) == len(cert.rows) == alg.dim ** 2
+        seen.clear()
+        R = orders.nice_from_certificate(cert)
+        assert seen and not any(v is r for v in seen for r in cert.rows)
+        if not domain.is_valuation_like:
+            assert R._constraint_rows[0][1] is cert.rows
 
 
 # --- the cleared kernel over Q against the Fraction loop ---------------------------
@@ -641,6 +673,20 @@ def test_coordinate_map_needs_a_full_independent_basis():
         is_stable(alg, units[:3], units[:3], integers())
 
 
+@pytest.mark.parametrize("domain", [integers(), p_local(3)], ids=["Z", "Z_(3)"])
+def test_basis_vectors_of_the_wrong_length_are_refused(domain):
+    """coordinate_rows checks every basis vector's length, for a
+    certificate and for a left order alike."""
+    alg = matrix_algebra(Q3, 2)
+    units = [alg.basis_vector(i) for i in range(4)]
+    for bad, got in (([u[:3] for u in units], 3), (units[:3] + [units[3] + (Fraction(1),)], 5)):
+        message = f"a basis vector of A has 4 coordinates, got {got}"
+        with pytest.raises(StructuralError, match=message):
+            stabilizer_finite(alg, bad, domain)
+        with pytest.raises(StructuralError, match=message):
+            left_order(LatticeModule(alg, domain, tuple(bad)))
+
+
 @pytest.mark.parametrize("name", ["M3(Q)", "M2(Q(t))", "Q(t)[x]/(x^2-t)", "Q[x]/(x^2)"])
 def test_sparse_mul_matches_dense_reference(name):
     alg, draw = {
@@ -692,6 +738,42 @@ def test_cleared_mul_matches_termwise_reference(name):
             got = alg.mul(x, y)
             assert got == mul_reference(alg, x, y)
             assert all(type(c) is Fraction for c in got)
+
+
+PRODUCT_ROW_ALGEBRAS = {
+    **{name: (make, M3_DRAW) for name, make in FRACTIONAL.items()},
+    "Q[x]/(x^2)": (lambda: quadratic_algebra(Q3, 0), M3_DRAW),  # the cell s*s is zero
+    "M3(Q)": (lambda: matrix_algebra(Q3, 3), M3_DRAW),
+    "M2(Q(t))": (lambda: matrix_algebra(QT, 2), QT_DRAW),
+    "Q(t)[x]/(x^2-t)": (lambda: quadratic_algebra(QT, RationalFunction.T), QT_DRAW),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_ROW_ALGEBRAS))
+def test_product_rows_match_reference(name):
+    """The rows summed off the table's cells, over Q as one cleared integer
+    product, equal the rows of one product and one solve per e_i * b; over
+    Q each row's clearing is the one _cleared gives its Fraction row, so the
+    cleared elimination sees the pool it would clear itself."""
+    make, draw = PRODUCT_ROW_ALGEBRAS[name]
+    alg = make()
+    spec = SampleSpec(seed=331, count=0, **draw)
+    rng = spec.rng()
+    for basis in draw_bases(alg, 331, draw, 2):
+        coords = coordinate_rows(alg, basis)
+        rows = product_rows(alg, coords, basis)
+        assert rows == tuple(product_rows_reference(alg, basis))
+        # any elements, against the dense product: zero, unit, drawn
+        elements = [alg.zero, alg.unit] + [sample_algebra_element(rng, spec, alg) for _ in range(3)]
+        assert product_rows(alg, coords, elements) == tuple(
+            row for b in elements for row in zip(*(
+                coords_reference(mul_reference(alg, alg.basis_vector(i), b), basis)
+                for i in range(alg.dim))))
+        if alg.field.kind == "Q":
+            assert all(type(c) is Fraction for row in rows for c in row)
+            assert [(list(a), d) for a, d in rows.cleared] == [_cleared(row) for row in rows]
+        else:
+            assert rows.cleared is None
 
 
 big_rationals = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 12))

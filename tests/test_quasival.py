@@ -254,7 +254,7 @@ def test_non_ring_lattice_fails_o_w_and_b2(m2):
     half = Fraction(1, 2)
     basis = (m2.basis_vector(0), m2.smul(half, m2.basis_vector(1)),
              m2.smul(half, m2.basis_vector(2)), m2.basis_vector(3))
-    lattice = _lattice(m2, p_local(2), coordinate_rows(m2, basis).rows, "non-ring", None)
+    lattice = _lattice(m2, p_local(2), coordinate_rows(m2, basis), "non-ring", None)
     report = qv_audit(filter_qv(lattice), SampleSpec(seed=61, count=60))
     failed = {c.name for c in report.checks if not c.ok}
     assert "O_W = R (W >= 0 iff membership)" in failed
