@@ -21,11 +21,14 @@ denominator.  Only the public constructor reduces; the operators assume
 reduced operands and build their results by Henrici's cross-cancellation
 (Knuth, TAOCP vol. 2, 4.5.1), which yields a reduced result from reduced
 operands, so no result is re-reduced and no gcd is taken with a constant.
-The two kernels under them work in Z[t]: ``poly_gcd`` runs the primitive
-polynomial remainder sequence on the primitive integer multiples of its
-operands (Knuth, 4.6.1, Algorithm E), and ``_exact_quo`` divides the cleared
-dividend by the primitive multiple of the divisor, a division that Gauss's
-lemma makes exact.  Each converts back to ``Fraction`` once, at the end.
+The three kernels under them work in Z[t]: the product of two non-constant
+polynomials is an integer convolution of their cleared coefficients,
+``poly_gcd`` runs the primitive polynomial remainder sequence on the
+primitive integer multiples of its operands (Knuth, 4.6.1, Algorithm E), and
+``_exact_quo`` divides the cleared dividend by the primitive multiple of the
+divisor, a division that Gauss's lemma makes exact.  They read the clearing
+that every ``Polynomial`` carries, so no polynomial is cleared twice.  A
+product with a constant side stays a ``Fraction`` scaling.
 """
 
 from __future__ import annotations
@@ -100,15 +103,44 @@ def format_rational(q: Fraction) -> str:
 
 
 class Polynomial:
-    """Univariate polynomial over Q, coefficients lowest-degree-first."""
+    """Univariate polynomial over Q, coefficients lowest-degree-first.
 
-    __slots__ = ("coeffs",)
+    Besides ``coeffs`` it carries its clearing ``(A, d)``, the pair that
+    ``_cleared(coeffs)`` gives: coeffs = A/d for the integer list A and the
+    lcm d > 0 of the denominators, so gcd(A..., d) = 1.  The integer
+    kernels that make a polynomial (``*`` of two non-constant operands,
+    ``_exact_quo`` and the monic ``poly_gcd``) store the clearing they
+    computed, made canonical by one gcd; any other polynomial clears its
+    ``coeffs`` on the first read of ``cleared()``, and never again.
+    Readers copy A before they change it.
+    """
+
+    __slots__ = ("coeffs", "_clearing")
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self.coeffs = tuple(cs)
+        self._clearing = None
+
+    @classmethod
+    def _from_ints(cls, ints: list[int], d: int) -> "Polynomial":
+        """ints/d for a list of integers without a leading zero and d > 0,
+        carrying its clearing; takes ownership of ints."""
+        g = gcd(d, *ints)
+        if g != 1:
+            ints, d = [x // g for x in ints], d // g
+        out = object.__new__(cls)
+        out.coeffs = tuple(map(Fraction, ints) if d == 1 else (Fraction(x, d) for x in ints))
+        out._clearing = (ints, d)
+        return out
+
+    def cleared(self) -> tuple[list[int], int]:
+        """(A, d) with coeffs = A/d, d the lcm of the denominators."""
+        if self._clearing is None:
+            self._clearing = _cleared(self.coeffs)
+        return self._clearing
 
     ZERO: "Polynomial"
     ONE: "Polynomial"
@@ -158,14 +190,13 @@ class Polynomial:
             return other.scale(self.coeffs[0])
         if len(other.coeffs) == 1:
             return self.scale(other.coeffs[0])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return Polynomial(out)
+        (a, d), (b, e) = self.cleared(), other.cleared()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        return Polynomial._from_ints(out, d * e)
 
     def scale(self, c: Fraction) -> "Polynomial":
         if c == 1:
@@ -223,8 +254,9 @@ def _exact_quo(a: Polynomial, g: Polynomial) -> Polynomial:
     Raises ArithmeticError when g does not divide a."""
     if g.degree == 0:
         return a
-    rem, d = _cleared(a.coeffs)
-    div = _primitive(g.coeffs)
+    ints, d = a.cleared()
+    rem = ints[:]
+    div = _primitive(g)
     n, lc = len(div) - 1, div[-1]
     quo = []
     for k in range(len(rem) - 1, n - 1, -1):
@@ -235,7 +267,8 @@ def _exact_quo(a: Polynomial, g: Polynomial) -> Polynomial:
         quo.append(q * lc)
     if any(rem):
         raise ArithmeticError(f"{g!r} does not divide {a!r}")
-    return Polynomial([Fraction(q, d) for q in reversed(quo)])
+    quo.reverse()
+    return Polynomial._from_ints(quo, d)
 
 
 def _cleared(coeffs) -> tuple[list[int], int]:
@@ -251,9 +284,9 @@ def _primitive_part(ints: list[int]) -> list[int]:
     return ints if c == 1 else [x // c for x in ints]
 
 
-def _primitive(coeffs) -> list[int]:
-    """The primitive integer multiple of a nonzero polynomial over Q."""
-    return _primitive_part(_cleared(coeffs)[0])
+def _primitive(a: Polynomial) -> list[int]:
+    """The primitive integer multiple of a nonzero polynomial, a new list."""
+    return _primitive_part(a.cleared()[0][:])
 
 
 def _pseudo_rem(u: list[int], v: list[int]) -> list[int]:
@@ -283,13 +316,13 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return Polynomial.ONE
     if not (a and b):
         return (a or b).monic()
-    u, v = _primitive(a.coeffs), _primitive(b.coeffs)
+    u, v = _primitive(a), _primitive(b)
     if len(u) < len(v):
         u, v = v, u
     while len(v) > 1:
         r = _pseudo_rem(u, v)
         if not r:
-            return Polynomial([Fraction(c, v[-1]) for c in v])
+            return Polynomial._from_ints(v, v[-1])
         u, v = v, _primitive_part(r)
     return Polynomial.ONE
 

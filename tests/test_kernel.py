@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutval import algebra, orders, stability
+from cutval import algebra, numfield, orders, quasival, stability
 from cutval.algebra import (StructureAlgebra, _eliminate, _Rows, coordinate_rows, invert,
                             matrix_algebra, product_rows, quadratic_algebra, rank_of,
                             solve_columns)
@@ -565,6 +565,21 @@ def test_left_order_clears_no_certificate_row_again(name, monkeypatch):
             assert R._constraint_rows[0][1] is cert.rows
 
 
+def test_qt_build_clears_no_polynomial_twice(monkeypatch):
+    """Every polynomial carries its clearing: while a Q(t) basis is built
+    into its stabilizer, left order and filter quasi-valuation, no
+    coefficient tuple reaches numfield._cleared twice."""
+    make, domain, draw, seed, count = CASES["Q(t)[x]/(x^2-t)/O_v"]
+    alg = make()
+    bases = draw_bases(alg, seed, draw, count)
+    seen, cleared = [], numfield._cleared
+    monkeypatch.setattr(numfield, "_cleared", lambda cs: seen.append(cs) or cleared(cs))
+    for basis in bases:
+        cert = stabilizer_finite(alg, basis, domain)
+        quasival.filter_qv(orders.nice_from_certificate(cert))
+    assert seen and len({id(cs) for cs in seen}) == len(seen)
+
+
 # --- the cleared kernel over Q against the Fraction loop ---------------------------
 
 
@@ -863,8 +878,23 @@ cofactors_64 = st.lists(factors_64, max_size=3).map(lambda fs: prod(fs, start=Po
 shared_64 = st.one_of(factors_64.filter(lambda f: f.degree >= 2), st.just(Polynomial.ONE))
 
 
+def seeded_product(seed, degrees, den):
+    """A product of factors of the given degrees, each coefficient drawn in
+    [-9, 9] over [1, den] with a nonzero leading one, from a seeded stream."""
+    rng = random.Random(seed)
+    out = Polynomial.ONE
+    for d in degrees:
+        cs = [Fraction(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(d)]
+        out = out * Polynomial(cs + [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, den))])
+    return out
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(cofactors_64, cofactors_64, shared_64)
+# degree about 120: a shared factor of degree 40 or 60, and none
+@example(seeded_product(1, (40, 40), 1), seeded_product(2, (40, 20), 1), seeded_product(3, (40,), 1))
+@example(seeded_product(4, (30, 30), 2), seeded_product(5, (30,), 2), seeded_product(6, (60,), 2))
+@example(seeded_product(7, (60, 60), 1), seeded_product(8, (50, 50), 1), Polynomial.ONE)
 def test_integer_gcd_and_quotient_match_reference(x, y, g):
     a, b = x * g, y * g
     h = poly_gcd(a, b)

@@ -3,17 +3,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutval.errors import ConfigError, StructuralError
-from cutval.numfield import (Polynomial, RationalFunction, ValuedField, _exact_quo,
+from cutval.numfield import (Polynomial, RationalFunction, ValuedField, _cleared, _exact_quo,
                              composite_valuation, format_rational,
                              format_ratfunc, is_prime, parse_ratfunc,
                              parse_rational, poly_gcd, vp)
 from cutval.samplers import sample_ratfunc, sample_scalar
 from cutval.sampling import SampleSpec, SplitMix64, sample_rational
-from test_kernel import ratfunc_add_reference, ratfunc_mul_reference
+from test_kernel import poly_mul_reference, ratfunc_add_reference, ratfunc_mul_reference
 
 
 def test_vp_examples():
@@ -237,3 +237,41 @@ def test_ratfunc_field_laws(a, b, c):
     if b:
         assert (a * b) / b == a
     assert a - a == RationalFunction.ZERO
+
+
+def assert_clearing(poly, carried=False):
+    """poly carries the clearing _cleared(coeffs) gives, when it carries one
+    (as it must when an integer kernel made it), and reads it."""
+    assert poly._clearing is not None or not carried
+    if poly._clearing is not None:
+        assert poly._clearing == _cleared(poly.coeffs)
+    assert poly.cleared() == _cleared(poly.coeffs)
+
+
+HALF = Polynomial((Fraction(-1, 2),))
+
+
+@PROPERTY
+@given(polys, polys, polys)
+@example(Polynomial(), Polynomial((Fraction(3, 4), -2)), Polynomial.T)          # a zero side
+@example(HALF, Polynomial((Fraction(3, 4), -2)), Polynomial.ONE)                # a constant side
+@example(Polynomial((Fraction(-2, 3), 0, Fraction(9, 4))), Polynomial((6, Fraction(-1, 6))),
+         Polynomial((Fraction(1, 3), 1)))                                       # both non-constant
+def test_kernels_carry_the_canonical_clearing(a, b, c):
+    ab = a * b
+    assert ab.coeffs == poly_mul_reference(a, b).coeffs
+    assert_clearing(ab, carried=a.degree > 0 and b.degree > 0)
+    ac, bc = a * c, b * c
+    h = poly_gcd(ac, bc)
+    assert_clearing(h, carried=min(h.degree, ac.degree, bc.degree) > 0)
+    if c:
+        q = _exact_quo(ac, c.monic())
+        assert q.coeffs == a.scale(c.leading_coeff()).coeffs
+        assert_clearing(q, carried=c.degree > 0)
+    if b:
+        r = RationalFunction(a, b)
+        f = RationalFunction(b, c) if c else r
+        results = [r, r + f, r - f, r * f] + ([r / f] if f else [])
+        for g in results:
+            assert_clearing(g.num)
+            assert_clearing(g.den)

@@ -172,6 +172,25 @@ def test_chain_evaluators_monotone(m2):
         # the step witness itself is strict
         assert value_compare(filter_qv_eval(lo, step.witness),
                              filter_qv_eval(hi, step.witness)) < 0
+        swapped = qv_compare(hi, lo, spec, extra_points=[step.witness])
+        assert swapped.relation == "ge" and swapped.lt_witness is None
+        assert value_compare(filter_qv_eval(hi, swapped.gt_witness),
+                             filter_qv_eval(lo, swapped.gt_witness)) > 0
+
+
+def test_qv_compare_incomparable_orders(m2, m2_qv):
+    """M2(Z_(2)) and its conjugate by diag(2, 1), the order of the matrices
+    (a, 2b; c/2, d): e12 lies only in the first and e21/2 only in the
+    second, so the conjugate's W is lower at e12 and higher at e21."""
+    conj = filter_qv(left_order(LatticeModule(m2, p_local(2), (
+        matrix_element(m2, [["1", "0"], ["0", "0"]]), matrix_element(m2, [["0", "2"], ["0", "0"]]),
+        matrix_element(m2, [["0", "0"], ["1/2", "0"]]), matrix_element(m2, [["0", "0"], ["0", "1"]])))))
+    e12, e21 = m2.basis_vector(1), m2.basis_vector(2)
+    verdict = qv_compare(conj, m2_qv, SampleSpec(seed=61, count=20), extra_points=[e12, e21])
+    assert verdict.relation == "incomparable-on-samples" and verdict.samples == 42
+    assert (verdict.lt_witness, verdict.gt_witness) == (e12, e21)
+    assert value_compare(filter_qv_eval(conj, e12), filter_qv_eval(m2_qv, e12)) < 0
+    assert value_compare(filter_qv_eval(conj, e21), filter_qv_eval(m2_qv, e21)) > 0
 
 
 def test_qv_compare_self_and_mismatch(m2, m2_qv, field_q):
