@@ -21,14 +21,14 @@ denominator.  Only the public constructor reduces; the operators assume
 reduced operands and build their results by Henrici's cross-cancellation
 (Knuth, TAOCP vol. 2, 4.5.1), which yields a reduced result from reduced
 operands, so no result is re-reduced and no gcd is taken with a constant.
-The three kernels under them work in Z[t]: the product of two non-constant
-polynomials is an integer convolution of their cleared coefficients,
-``poly_gcd`` runs the primitive polynomial remainder sequence on the
-primitive integer multiples of its operands (Knuth, 4.6.1, Algorithm E), and
-``_exact_quo`` divides the cleared dividend by the primitive multiple of the
-divisor, a division that Gauss's lemma makes exact.  They read the clearing
-that every ``Polynomial`` carries, so no polynomial is cleared twice.  A
-product with a constant side stays a ``Fraction`` scaling.
+A ``Polynomial`` has one form, its clearing: integer coefficients over one
+positive denominator, with no common factor.  All its arithmetic works in
+Z[t] on that pair: a product is an integer convolution, ``poly_gcd`` runs
+the primitive polynomial remainder sequence on the primitive integer
+multiples of its operands (Knuth, 4.6.1, Algorithm E), and ``_exact_quo``
+divides the dividend's integers by the primitive multiple of the divisor, a
+division that Gauss's lemma makes exact.  ``Fraction`` coefficients are
+built only to be read, as in formatting.
 """
 
 from __future__ import annotations
@@ -102,134 +102,138 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _cleared(coeffs) -> tuple[list[int], int]:
+    """(A, d) with coeffs = A/d, for d the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
 class Polynomial:
     """Univariate polynomial over Q, coefficients lowest-degree-first.
 
-    Besides ``coeffs`` it carries its clearing ``(A, d)``, the pair that
-    ``_cleared(coeffs)`` gives: coeffs = A/d for the integer list A and the
-    lcm d > 0 of the denominators, so gcd(A..., d) = 1.  The integer
-    kernels that make a polynomial (``*`` of two non-constant operands,
-    ``_exact_quo`` and the monic ``poly_gcd``) store the clearing they
-    computed, made canonical by one gcd; any other polynomial clears its
-    ``coeffs`` on the first read of ``cleared()``, and never again.
-    Readers copy A before they change it.
+    It is stored as its clearing only: the coefficients are ints/den for
+    the integer list ints without a leading zero and den > 0 with
+    gcd(ints..., den) = 1, the pair that ``_cleared(coeffs)`` gives.  Every
+    operation reads and makes that pair, and ``_from_ints`` makes any
+    integer result canonical with one gcd; ``coeffs`` builds the
+    ``Fraction`` coefficients on each read.  Readers copy ints before they
+    change it.
     """
 
-    __slots__ = ("coeffs", "_clearing")
+    __slots__ = ("ints", "den")
 
-    def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-        self._clearing = None
+    def __new__(cls, coeffs=()):
+        return cls._from_ints(*_cleared([c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]))
 
     @classmethod
     def _from_ints(cls, ints: list[int], d: int) -> "Polynomial":
-        """ints/d for a list of integers without a leading zero and d > 0,
-        carrying its clearing; takes ownership of ints."""
+        """ints/d for a list of integers and d > 0, made canonical; takes
+        ownership of ints."""
+        while ints and not ints[-1]:
+            ints.pop()
         g = gcd(d, *ints)
         if g != 1:
             ints, d = [x // g for x in ints], d // g
         out = object.__new__(cls)
-        out.coeffs = tuple(map(Fraction, ints) if d == 1 else (Fraction(x, d) for x in ints))
-        out._clearing = (ints, d)
+        out.ints, out.den = ints, d
         return out
-
-    def cleared(self) -> tuple[list[int], int]:
-        """(A, d) with coeffs = A/d, d the lcm of the denominators."""
-        if self._clearing is None:
-            self._clearing = _cleared(self.coeffs)
-        return self._clearing
 
     ZERO: "Polynomial"
     ONE: "Polynomial"
     T: "Polynomial"
 
     @property
+    def coeffs(self) -> tuple:
+        d = self.den
+        return tuple(map(Fraction, self.ints) if d == 1 else (Fraction(x, d) for x in self.ints))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def ord(self) -> int | None:
         """Lowest exponent with a nonzero coefficient; None for 0."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, c in enumerate(self.ints):
+            if c:
                 return i
         return None
 
     def leading_coeff(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        (a, d), (b, e) = (self.ints, self.den), (other.ints, other.den)
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            (a, d), (b, e) = (b, e), (a, d)
+        g = gcd(d, e)
+        m, n = e // g, d // g
+        out = [x * m for x in a]
+        for i, y in enumerate(b):
+            out[i] += y * n
+        return Polynomial._from_ints(out, d * m)
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial._from_ints([-x for x in self.ints], self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return Polynomial()
-        if len(self.coeffs) == 1:
-            return other.scale(self.coeffs[0])
-        if len(other.coeffs) == 1:
-            return self.scale(other.coeffs[0])
-        (a, d), (b, e) = self.cleared(), other.cleared()
+        a, b = self.ints, other.ints
+        if len(a) == 1 and a[0] == self.den or not b:  # 1 * other, or other = 0
+            return other
+        if len(b) == 1 and b[0] == other.den or not a:
+            return self
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for k, y in enumerate(b, i):
                     out[k] += x * y
-        return Polynomial._from_ints(out, d * e)
+        return Polynomial._from_ints(out, self.den * other.den)
 
     def scale(self, c: Fraction) -> "Polynomial":
         if c == 1:
             return self
-        return Polynomial(tuple(c * a for a in self.coeffs))
+        n = c.numerator
+        return Polynomial._from_ints([x * n for x in self.ints], self.den * c.denominator)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """Long division over Q, the reference for the integer kernels."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        rem, div = list(self.coeffs), other.coeffs
+        dq = len(rem) - len(div)
         if dq < 0:
             return Polynomial(), self
         quo = [Fraction(0)] * (dq + 1)
-        lc = other.leading_coeff()
+        n, lc = other.degree, div[-1]
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lc
+            c = rem[k + n] / lc
             quo[k] = c
             if c != 0:
-                for i, b in enumerate(other.coeffs):
+                for i, b in enumerate(div):
                     rem[k + i] -= c * b
-        return Polynomial(quo), Polynomial(rem[: other.degree if other.degree > 0 else 0])
+        return Polynomial(quo), Polynomial(rem[:n])
 
     def monic(self) -> "Polynomial":
-        if self.is_zero():
+        a = self.ints
+        if not a or a[-1] == self.den:
             return self
-        return self.scale(1 / self.leading_coeff())
+        return Polynomial._from_ints(a[:] if a[-1] > 0 else [-x for x in a], abs(a[-1]))
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return isinstance(other, Polynomial) and self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        return hash(("Polynomial", self.coeffs))
+        return hash((tuple(self.ints), self.den))
 
     def __repr__(self):
         return f"Polynomial({[format_rational(c) for c in self.coeffs]})"
@@ -249,14 +253,12 @@ def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 def _exact_quo(a: Polynomial, g: Polynomial) -> Polynomial:
     """a / g for a monic divisor g of a, computed in Z[t].
 
-    With a = A/d for the integer list A and g = G/lc(G) for the primitive
-    G, Gauss's lemma makes A = G*Q with Q in Z[t], so a/g = Q*lc(G)/d.
-    Raises ArithmeticError when g does not divide a."""
+    With a = A/d for the integer list A, the monic g is stored as G/lc(G)
+    for the primitive G, and Gauss's lemma makes A = G*Q with Q in Z[t],
+    so a/g = Q*lc(G)/d.  Raises ArithmeticError when g does not divide a."""
     if g.degree == 0:
         return a
-    ints, d = a.cleared()
-    rem = ints[:]
-    div = _primitive(g)
+    rem, d, div = a.ints[:], a.den, g.ints
     n, lc = len(div) - 1, div[-1]
     quo = []
     for k in range(len(rem) - 1, n - 1, -1):
@@ -271,22 +273,11 @@ def _exact_quo(a: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial._from_ints(quo, d)
 
 
-def _cleared(coeffs) -> tuple[list[int], int]:
-    """(A, d) with coeffs = A/d, for d the lcm of the denominators."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
 def _primitive_part(ints: list[int]) -> list[int]:
     """ints over its content, with a positive leading coefficient."""
     c = gcd(*ints)
     c = -c if ints[-1] < 0 else c
     return ints if c == 1 else [x // c for x in ints]
-
-
-def _primitive(a: Polynomial) -> list[int]:
-    """The primitive integer multiple of a nonzero polynomial, a new list."""
-    return _primitive_part(a.cleared()[0][:])
 
 
 def _pseudo_rem(u: list[int], v: list[int]) -> list[int]:
@@ -312,11 +303,11 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd, so the result is unique: 0 for two zeros, the other side
     made monic for one zero side.  It runs the primitive remainder sequence
     in Z[t] and stops as soon as a constant appears."""
-    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+    if len(a.ints) == 1 or len(b.ints) == 1:
         return Polynomial.ONE
     if not (a and b):
         return (a or b).monic()
-    u, v = _primitive(a), _primitive(b)
+    u, v = _primitive_part(a.ints[:]), _primitive_part(b.ints[:])  # new lists
     if len(u) < len(v):
         u, v = v, u
     while len(v) > 1:
@@ -346,10 +337,8 @@ class RationalFunction:
         else:
             g = _gcd(num, den)
             num, den = _exact_quo(num, g), _exact_quo(den, g)
-            lc = den.leading_coeff()
-            if lc != 1:
-                num = num.scale(1 / lc)
-                den = den.scale(1 / lc)
+            if (lc := den.leading_coeff()) != 1:
+                num, den = num.scale(1 / lc), den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -402,14 +391,14 @@ class RationalFunction:
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         inv = 1 / other.num.leading_coeff()
-        return self * RationalFunction._reduced(other.den.scale(inv), other.num.scale(inv))
+        return self * RationalFunction._reduced(other.den.scale(inv), other.num.monic())
 
     def __eq__(self, other):
         return (isinstance(other, RationalFunction)
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return format_ratfunc(self)
@@ -427,14 +416,14 @@ def composite_valuation(p: int, f: RationalFunction) -> tuple[int, int] | None:
     if f.is_zero():
         return None
     on, od = f.num.ord(), f.den.ord()
-    cn, cd = f.num.coeffs[on], f.den.coeffs[od]
-    e = (_int_p_exponent(cn.numerator, p) - _int_p_exponent(cn.denominator, p)
-         - _int_p_exponent(cd.numerator, p) + _int_p_exponent(cd.denominator, p))
+    e = (_int_p_exponent(f.num.ints[on], p) - _int_p_exponent(f.num.den, p)
+         - _int_p_exponent(f.den.ints[od], p) + _int_p_exponent(f.den.den, p))
     return (on - od, e)
 
 
 def format_poly_list(poly: Polynomial) -> list[str]:
-    return [format_rational(c) for c in poly.coeffs]
+    d = poly.den
+    return [str(x) if d == 1 else format_rational(Fraction(x, d)) for x in poly.ints]
 
 
 def parse_poly_list(coeffs) -> Polynomial:
@@ -562,4 +551,4 @@ class ValuedField:
 
 
 def _t_power(n: int) -> Polynomial:
-    return Polynomial((0,) * n + (1,))
+    return Polynomial._from_ints([0] * n + [1], 1)

@@ -67,7 +67,8 @@ class SubringOracle:
     """Membership oracle for an S-subring of A.
 
     constraints: groups (domain, rows); x is a member when every row of
-    every group lands in that group's domain.  A lattice oracle (S
+    every group lands in that group's domain.  Construction makes each
+    rows a _Rows, the evaluable tuple of its rows.  A lattice oracle (S
     valuation-like) has one group, the dim triangular rows T over S, and
     lattice_basis, the columns of T^-1: x's coordinates in that basis are
     the values of T at x (lattice_rows, lattice_coords).
@@ -83,9 +84,7 @@ class SubringOracle:
     lattice_basis: tuple | None = None
     contained_basis: tuple | None = None
     certificate: StableBasisCertificate | None = None
-    # The rows above in evaluable form (see _Rows), built once per oracle,
-    # and the contained basis as the columns of rows (None without one).
-    _constraint_rows: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    # The contained basis as the columns of rows (None without one).
     _basis_rows: _Rows | None = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -94,7 +93,7 @@ class SubringOracle:
                 and len(self.constraints[0][1]) == self.algebra.dim):
             raise ConfigError("a lattice oracle needs one constraint group of dim rows over its domain")
         fieldobj = self.algebra.field
-        object.__setattr__(self, "_constraint_rows", tuple(
+        object.__setattr__(self, "constraints", tuple(
             (dom, _Rows(fieldobj, rows)) for dom, rows in self.constraints))
         object.__setattr__(self, "_basis_rows", _Rows(fieldobj, tuple(zip(*self.contained_basis)))
                            if self.contained_basis else None)
@@ -105,7 +104,7 @@ class SubringOracle:
         return None if self.lattice_basis is None else self.constraints[0][1]
 
     def contains(self, x) -> bool:
-        return all(_lands_in(dom, rows, x) for dom, rows in self._constraint_rows)
+        return all(_lands_in(dom, rows, x) for dom, rows in self.constraints)
 
     def lattice_coords(self, x) -> tuple:
         return tuple(self._lattice_rows().values(x))
@@ -124,7 +123,7 @@ class SubringOracle:
     def _lattice_rows(self) -> _Rows:
         if self.lattice_basis is None:
             raise ConfigError("oracle has no lattice representation")
-        return self._constraint_rows[0][1]
+        return self.constraints[0][1]
 
 
 def _lands_in(dom: BaseDomain, rows: _Rows, x) -> bool:
@@ -379,7 +378,7 @@ def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
     rows = cert.rows.subset([j * n + k for j in range(m, n) for k in range(m, n)])
     oracle = SubringOracle(algebra=alg, domain=domain, provenance="ideal-variant",
                            constraints=((domain, rows),), contained_basis=cert.stabilizer)
-    values = oracle._constraint_rows[0][1].values
+    values = rows.values
     right = [r for b in ideal.basis for r, v in enumerate(values(b)) if v]
     if right:
         i = basis[m + right[0] // (n - m)].index(alg.field.one)
@@ -397,7 +396,7 @@ def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
 def _scale_into_all(oracles, element, domain: BaseDomain):
     """s * element lying in every oracle, s = domain.clear_many of the
     element's row values in every group."""
-    s = domain.clear_many([c for o in oracles for _, rows in o._constraint_rows
+    s = domain.clear_many([c for o in oracles for _, rows in o.constraints
                            for c in rows.values(element)])
     scaled = oracles[0].algebra.smul(s, element)
     if not all(o.contains(scaled) for o in oracles):

@@ -11,14 +11,14 @@ from fractions import Fraction
 
 from .algebra import PolynomialAlgebra, StructureAlgebra
 from .basedomain import BaseDomain
-from .numfield import Polynomial, RationalFunction, ValuedField, _t_power
+from .numfield import Polynomial, RationalFunction, ValuedField, _exact_quo, _t_power
 from .sampling import SampleSpec, SplitMix64, sample_int, sample_rational
 
 
 def sample_ratfunc(rng: SplitMix64, spec: SampleSpec, p: int) -> RationalFunction:
     """num / den with den 1, t^k (k = 1, 2) or 1 + c*t, built reduced
-    without Euclid: gcd(num, t^k) = t^min(ord num, k), and 1 + c*t divides
-    num iff num(-1/c), the remainder of the division, is 0."""
+    without Euclid: gcd(num, t^k) = t^min(ord num, k), and the irreducible
+    1 + c*t either divides num, which _exact_quo finds, or is coprime to it."""
     deg = rng.randint(0, spec.poly_degree)
     num = Polynomial(tuple(sample_rational(rng, spec, p) for _ in range(deg + 1)))
     shape = rng.randrange(3)
@@ -27,12 +27,13 @@ def sample_ratfunc(rng: SplitMix64, spec: SampleSpec, p: int) -> RationalFunctio
     if shape == 1:
         k = rng.randint(1, 2)
         j = min(num.ord(), k)
-        return RationalFunction._reduced(Polynomial(num.coeffs[j:]), _t_power(k - j))
+        return RationalFunction._reduced(Polynomial._from_ints(num.ints[j:], num.den), _t_power(k - j))
     c = sample_rational(rng, spec, p)  # for c = 0 the divisor is 1
-    quo, rem = num.divmod(Polynomial((Fraction(1), c)))
-    if not rem:
-        return RationalFunction._reduced(quo, Polynomial.ONE)
-    return RationalFunction._reduced(num.scale(1 / c), Polynomial((1 / c, Fraction(1))))
+    num, den = (num.scale(1 / c), Polynomial((1 / c, 1))) if c else (num, Polynomial.ONE)
+    try:  # for c != 0, den is the monic (1 + c*t)/c
+        return RationalFunction._reduced(_exact_quo(num, den), Polynomial.ONE)
+    except ArithmeticError:
+        return RationalFunction._reduced(num, den)
 
 
 def sample_scalar(rng: SplitMix64, spec: SampleSpec, field: ValuedField):

@@ -517,7 +517,7 @@ def test_ideal_variant_inverts_once_and_forms_no_products(monkeypatch):
     assert calls == {"mul": 0, "invert": 1, "lattice_invert": 0}
     # the variant's rows keep the certificate's clearing
     rows = R.constraints[0][1]
-    assert len(rows) == 4 and R._constraint_rows[0][1] is rows
+    assert len(rows) == len(rows.cleared) == 4
     assert not any(v is r for v in seen for r in rows)
 
 
@@ -562,13 +562,14 @@ def test_left_order_clears_no_certificate_row_again(name, monkeypatch):
         R = orders.nice_from_certificate(cert)
         assert seen and not any(v is r for v in seen for r in cert.rows)
         if not domain.is_valuation_like:
-            assert R._constraint_rows[0][1] is cert.rows
+            assert R.constraints[0][1] is cert.rows
 
 
 def test_qt_build_clears_no_polynomial_twice(monkeypatch):
-    """Every polynomial carries its clearing: while a Q(t) basis is built
-    into its stabilizer, left order and filter quasi-valuation, no
-    coefficient tuple reaches numfield._cleared twice."""
+    """Every polynomial is stored as its clearing: while a Q(t) basis is
+    built into its stabilizer, left order and filter quasi-valuation, only
+    the constructor clears, and no coefficient list reaches
+    numfield._cleared twice."""
     make, domain, draw, seed, count = CASES["Q(t)[x]/(x^2-t)/O_v"]
     alg = make()
     bases = draw_bases(alg, seed, draw, count)

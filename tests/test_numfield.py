@@ -182,6 +182,8 @@ ratfuncs = st.builds(RationalFunction, polys, polys.filter(bool))
 
 
 def assert_canonical(f):
+    assert_clearing(f.num)
+    assert_clearing(f.den)
     assert f.den.leading_coeff() == 1
     assert poly_gcd(f.num, f.den) == Polynomial.ONE
     if f.is_zero():
@@ -239,13 +241,12 @@ def test_ratfunc_field_laws(a, b, c):
     assert a - a == RationalFunction.ZERO
 
 
-def assert_clearing(poly, carried=False):
-    """poly carries the clearing _cleared(coeffs) gives, when it carries one
-    (as it must when an integer kernel made it), and reads it."""
-    assert poly._clearing is not None or not carried
-    if poly._clearing is not None:
-        assert poly._clearing == _cleared(poly.coeffs)
-    assert poly.cleared() == _cleared(poly.coeffs)
+def assert_clearing(poly):
+    """poly is stored as the canonical clearing: no leading zero, a positive
+    denominator, and the pair that _cleared gives its coefficients."""
+    assert not poly.ints or poly.ints[-1] != 0
+    assert poly.den > 0
+    assert (poly.ints, poly.den) == _cleared(poly.coeffs)
 
 
 HALF = Polynomial((Fraction(-1, 2),))
@@ -260,14 +261,14 @@ HALF = Polynomial((Fraction(-1, 2),))
 def test_kernels_carry_the_canonical_clearing(a, b, c):
     ab = a * b
     assert ab.coeffs == poly_mul_reference(a, b).coeffs
-    assert_clearing(ab, carried=a.degree > 0 and b.degree > 0)
+    assert_clearing(ab)
     ac, bc = a * c, b * c
     h = poly_gcd(ac, bc)
-    assert_clearing(h, carried=min(h.degree, ac.degree, bc.degree) > 0)
+    assert_clearing(h)
     if c:
         q = _exact_quo(ac, c.monic())
         assert q.coeffs == a.scale(c.leading_coeff()).coeffs
-        assert_clearing(q, carried=c.degree > 0)
+        assert_clearing(q)
     if b:
         r = RationalFunction(a, b)
         f = RationalFunction(b, c) if c else r
@@ -275,3 +276,95 @@ def test_kernels_carry_the_canonical_clearing(a, b, c):
         for g in results:
             assert_clearing(g.num)
             assert_clearing(g.den)
+
+
+def strip_reference(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+@PROPERTY
+@given(polys, polys, rationals)
+@example(Polynomial((1, 2, 3)), Polynomial((1, 2, 3)), Fraction(0))           # a - b = 0
+@example(Polynomial((0, 1, 1)), Polynomial((0, 0, -1)), Fraction(-1, 3))      # top terms cancel
+@example(Polynomial.ONE, Polynomial((Fraction(1, 2), 1)), Fraction(2))       # a side is 1
+def test_every_polynomial_result_is_canonical(a, b, c):
+    """The constructor, _from_ints, + - scale monic and * (for its shortcut
+    by 1) give the canonical clearing, with the coefficients of the Fraction
+    reference; the kernels' results are checked above."""
+    ints, den = _cleared(a.coeffs)
+    made = [Polynomial(a.coeffs + (Fraction(0),)),
+            Polynomial._from_ints([6 * x for x in ints] + [0], 6 * den)]
+    for p in made:
+        assert_clearing(p)
+        assert p == a and hash(p) == hash(a)
+    n = max(len(a.coeffs), len(b.coeffs))
+    pad = lambda p: p.coeffs + (Fraction(0),) * (n - len(p.coeffs))
+    expected = [
+        (a + b, strip_reference(x + y for x, y in zip(pad(a), pad(b)))),
+        (a - b, strip_reference(x - y for x, y in zip(pad(a), pad(b)))),
+        (-a, tuple(-x for x in a.coeffs)),
+        (a * b, poly_mul_reference(a, b).coeffs),
+        (a.scale(c), strip_reference(c * x for x in a.coeffs)),
+        (a.monic(), tuple(x / a.coeffs[-1] for x in a.coeffs) if a else ()),
+    ]
+    for p, coeffs in expected:
+        assert_clearing(p)
+        assert p.coeffs == coeffs
+
+
+def test_equal_polynomials_by_different_routes_are_equal():
+    half_plus_t = Polynomial((Fraction(1, 2), 1))
+    routes = [Polynomial._from_ints([2, 4], 4), Polynomial._from_ints([-3, -6, 0], 6).scale(-1),
+              Polynomial((1, 2)).scale(Fraction(1, 2)), Polynomial((1, 2)).monic(),
+              Polynomial.T + Polynomial((Fraction(1, 2),)),
+              (Polynomial((1, 2)) * Polynomial((3,))).scale(Fraction(1, 6)),
+              Polynomial((Fraction(1, 2), 1, 5)) - Polynomial((0, 0, 5)),
+              _exact_quo(half_plus_t * Polynomial.T, Polynomial.T)]
+    for p in routes:
+        assert p == half_plus_t and hash(p) == hash(half_plus_t)
+        assert (p.ints, p.den) == ([1, 2], 2)
+    assert len({RationalFunction(p, Polynomial.T) for p in routes}) == 1
+    for zero in (Polynomial.T - Polynomial.T, Polynomial._from_ints([0, 0], 7), Polynomial.T.scale(0)):
+        assert zero == Polynomial.ZERO and (zero.ints, zero.den) == ([], 1)
+
+
+def sample_ratfunc_divmod_reference(rng, spec, p):
+    """The sampler as it was with the 1 + c*t branch on Polynomial.divmod."""
+    deg = rng.randint(0, spec.poly_degree)
+    num = Polynomial(tuple(sample_rational(rng, spec, p) for _ in range(deg + 1)))
+    shape = rng.randrange(3)
+    if shape == 0 or num.is_zero():
+        return RationalFunction._reduced(num, Polynomial.ONE), False
+    if shape == 1:
+        k = rng.randint(1, 2)
+        j = min(num.ord(), k)
+        den = Polynomial((0,) * (k - j) + (1,))
+        return RationalFunction._reduced(Polynomial(num.coeffs[j:]), den), False
+    c = sample_rational(rng, spec, p)  # for c = 0 the divisor is 1
+    quo, rem = num.divmod(Polynomial((Fraction(1), c)))
+    if not rem:
+        return RationalFunction._reduced(quo, Polynomial.ONE), c != 0
+    return RationalFunction._reduced(num.scale(1 / c), Polynomial((1 / c, Fraction(1)))), False
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_sample_ratfunc_matches_divmod_reference(p, degree):
+    """2,000 draws with the 1 + c*t branch on _exact_quo are the draws of the
+    divmod branch, and leave the stream where it did."""
+    spec = SampleSpec(seed=400 + 10 * p + degree, count=0, coef_bound=2, max_p_exp=1,
+                      poly_degree=degree)
+    rng, ref_rng = spec.rng(), spec.rng()
+    divided = 0
+    for _ in range(2000):
+        got = sample_ratfunc(rng, spec, p)
+        expected, by_divisor = sample_ratfunc_divmod_reference(ref_rng, spec, p)
+        assert (got.num.coeffs, got.den.coeffs) == (expected.num.coeffs, expected.den.coeffs)
+        assert rng.state == ref_rng.state
+        assert_clearing(got.num)
+        assert_clearing(got.den)
+        divided += by_divisor
+    assert divided > 0  # 1 + c*t divided the numerator in some draws
