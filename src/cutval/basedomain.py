@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 from .errors import ConfigError, StructuralError
 from .numfield import RationalFunction, ValuedField, is_prime
@@ -84,23 +84,19 @@ class BaseDomain:
         Q(t)), or 1 when that value is <= 0.
         """
         if self.field is None:
-            return self._clearing([[c.denominator for c in coeffs]])
-        return self._clearing([[self.field.value(c) for c in coeffs if c]])
+            return self._clearing(c.denominator for c in coeffs)
+        return self._clearing(self.field.value(c) for c in coeffs if c)
 
-    def _clearing(self, blocks):
-        """The product over blocks of each block's clear_many, a block given
-        by its coefficients' reduced denominators over Z and by their values
-        (None for 0) over a valuation ring: there the clipped values above
-        are summed.  No coefficient is needed.  The one copy of clear_many's
-        rule."""
+    def _clearing(self, reads):
+        """clear_many's rule, its one copy, on the coefficients' reads: reduced
+        denominators over Z, values (None for 0) over a valuation ring."""
         if self.field is None:
-            return prod((Fraction(lcm(*b)) for b in blocks), start=self.one)
-        zero = total = (0,) * self.field.rank
-        for values in blocks:
-            worst = tuple(-g for g in min((v for v in values if v is not None), default=zero))
-            if worst > zero:
-                total = tuple(t + max(0, g) for t, g in zip(total, worst))
-        return self.field.element_with_value(total) if any(total) else self.one
+            return Fraction(lcm(*reads))
+        zero = (0,) * self.field.rank
+        worst = tuple(-g for g in min((v for v in reads if v is not None), default=zero))
+        if worst <= zero:
+            return self.one
+        return self.field.element_with_value(tuple(max(0, g) for g in worst))
 
     def noninvertible(self):
         """The designated nonzero non-unit of S: 2 in Z, the element of value

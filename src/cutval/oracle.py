@@ -39,15 +39,14 @@ DEFAULT_BUDGET = 4_000_000
 class Window:
     rank: int
     bound: int
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.bound < 1:
             raise DomainError("window bound must be >= 1")
-        if (2 * self.bound + 1) ** self.rank > self.budget:
+        if (2 * self.bound + 1) ** self.rank > DEFAULT_BUDGET:
             raise BudgetError(
                 f"window of {(2 * self.bound + 1) ** self.rank} points exceeds "
-                f"budget {self.budget}")
+                f"budget {DEFAULT_BUDGET}")
 
 
 def box_points(rank: int, bound: int) -> np.ndarray:

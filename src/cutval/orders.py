@@ -178,14 +178,13 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
     pivot rows T span the same S-module as the rows and become the oracle's
     one row set; the lattice basis is the columns of T^-1, checked against
     the full rows, both read off one `_Rows` (a certificate's own, with its
-    clearing).  Full column rank is required.
+    clearing).  Full column rank is required; the rows have dim columns,
+    so elimination leaves an all-zero pool.
     """
     rows = _Rows(alg.field, rows)
-    t_rows, rest = _eliminate(alg.field, rows, alg.dim, domain)
+    t_rows, _ = _eliminate(alg.field, rows, alg.dim, domain)
     if any(r is None for r in t_rows):
         raise StructuralError("constraint rows do not have full rank")
-    if any(any(r) for r in rest):
-        raise StructuralError("elimination left a nonzero residual row")
     basis = tuple(zip(*invert(alg.field, t_rows)))
     if not all(_lands_in(domain, rows, b) for b in basis):
         raise StructuralError("lattice basis disagrees with the predicate")

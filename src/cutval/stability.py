@@ -3,8 +3,8 @@
 A basis B of A over F is S-stable when some basis C multiplies it into the
 S-span of B (all coordinates of c*b on B lie in S, for every c in C and
 b in B); C is said to stabilize B.  At finite dimension every basis is
-stable: clearing the denominators of each product row by row yields
-multipliers delta_i with C = {delta_i * b_i}.
+stable: C = {delta_i * b_i} for delta_i one clearing of the coordinates of
+every product b_i * b_j.
 
 A certificate inverts B once, for its coordinate rows, and builds its
 product rows x -> coords_B(x*b_j) from them with no product formed
@@ -54,11 +54,10 @@ class StableBasisCertificate:
         object.__setattr__(self, "coords", coordinate_rows(alg, self.basis))
         object.__setattr__(self, "rows", product_rows(alg, self.coords, self.basis))
         if self.stabilizer is None:
-            n, vf, rows, stab = alg.dim, domain.valued_field, self.rows, []
-            for b in self.basis:  # block j of the row values at b: coords(b*b_j)
-                v = tuple(rows.denominators(b) if vf is None else rows.valuations(b, vf))
-                stab.append(alg.smul(domain._clearing(v[j:j + n] for j in range(0, n * n, n)), b))
-            object.__setattr__(self, "stabilizer", tuple(stab))
+            vf, rows = domain.valued_field, self.rows  # the row values at b: coords(b*b_j), all j
+            object.__setattr__(self, "stabilizer", tuple(alg.smul(domain._clearing(
+                rows.denominators(b) if vf is None else rows.valuations(b, vf)), b)
+                for b in self.basis))
         elif len(self.basis) != len(self.stabilizer):
             raise StructuralError("basis and stabilizer must have the same size")
 
@@ -93,9 +92,10 @@ def is_stable(alg: StructureAlgebra, basis, stabilizer, domain: BaseDomain) -> S
 
 
 def stabilizer_finite(alg: StructureAlgebra, basis, domain: BaseDomain) -> StableBasisCertificate:
-    """Denominator-clearing stabilizer {delta_i * b_i}: delta_i is the product
-    over j of the clearing of coords(b_i * b_j), read off the certificate's
-    product rows (their valuations, over S = O_v).  Canonical as clearing is."""
+    """Denominator-clearing stabilizer {delta_i * b_i}: delta_i is one
+    clear_many of coords(b_i * b_j) for all j (the lcm of the denominators
+    over Z, the least p^M over Z_(p)), read off the certificate's product
+    rows.  Canonical as clearing is."""
     return StableBasisCertificate(alg, domain, tuple(basis))
 
 

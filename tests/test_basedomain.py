@@ -30,6 +30,11 @@ def test_clear_examples(field_qt):
     assert field_qt.value(s) == (1, 1)  # s = 2t
     assert ov.contains(s * three_over_2t())
     assert integers().clear_many([Fraction(0)]) == 1
+    # one clearing of all the coefficients: the lcm, the largest p-power, and
+    # over O_v no clearing for t/8 of value (1, -3) > 0, which needs none
+    assert integers().clear_many([Fraction(1, 4), Fraction(5, 6)]) == 12
+    assert p_local(2).clear_many([Fraction(1, 4), Fraction(3, 8), Fraction(1, 2)]) == 8
+    assert ov.clear_many([RationalFunction(Polynomial((0, Fraction(1, 8))))]) == ov.one
 
 
 def test_noninvertible(field_qt, field_q):

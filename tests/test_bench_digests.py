@@ -18,10 +18,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = {
-    "build-q": "b1b2b217eeaafffec5dafe8e498b3eec0cfc8a6533f915ca9315fe2289b6620c",
+    "build-q": "6e2fd6a82aa9a54c83389860943516dd2be38dd8071135c4306f0e70bd98b154",
     "audit-q": "64a73a732688eff368760934779c84e6f762022af0e10aa1a03d74600b021862",
     "audit-qt": "8fc44fa34a2f10d394de5e21c5bc335bb5394a013371a0d98d3adde33424279a",
-    "build-qt": "ea6ff7e868466422a90eadd7731bc2a625618ba21a6d1f482f344b39f7fbf044",
+    "build-qt": "9950b43429f0e1fe13dc83e1eedd51cf5a92a5adaae5756d867c7d7be306d165",
 }
 
 

@@ -11,17 +11,19 @@ product over Q), the Q(t) arithmetic that reduced every sum and product
 with a full gcd, the Q(t) sampler that reduced each draw with Euclid, and
 the separate Q and Q(t) branches of valuation-ring denominator clearing.
 The single kernel's own Fraction loop, which the Q(t) path still runs, is
-the reference for its cleared integer loop over Q.  Coordinates over a
-basis are unique, the min-valuation pivot sequence is a function of the
-rows and a rational function has one reduced form with a monic
-denominator, so every result must be exactly equal.
+the reference for its cleared integer loop over Q.  The stabilizer
+reference keeps its per-product solves but clears all n^2 coordinates at
+b_i at once, the rule that replaced a product of n clearings.
+Coordinates over a basis are unique, the min-valuation pivot sequence is
+a function of the rows and a rational function has one reduced form with
+a monic denominator, so every result must be exactly equal.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -269,16 +271,17 @@ def stabilizer_reference(alg, basis, domain):
     basis = tuple(basis)
     if rank_reference(basis) != len(basis):
         raise StructuralError("basis is dependent")
-    n = len(basis)
-    deltas = []
-    for i in range(n):
-        delta = domain.one
-        for j in range(n):
-            coords = coords_reference(alg.mul(basis[i], basis[j]), basis)
-            delta = delta * domain.clear_many(coords)
-        deltas.append(delta)
-    stab = tuple(alg.smul(deltas[i], basis[i]) for i in range(n))
+    stab = tuple(alg.smul(clearing_delta_reference(alg, basis, domain, b), b) for b in basis)
     return StableBasisCertificate(alg, domain, basis, stab)
+
+
+def clearing_delta_reference(alg, basis, domain, b):
+    """One clearing of every coordinate of every product b * b_j: the lcm of
+    their denominators over Z, clear_many_reference over a valuation ring."""
+    coords = [c for bj in basis for c in coords_reference(alg.mul(b, bj), basis)]
+    if domain.valued_field is None:
+        return Fraction(lcm(*(c.denominator for c in coords)))
+    return clear_many_reference(domain, coords)
 
 
 def is_stable_reference(alg, basis, stabilizer, domain):
@@ -305,6 +308,42 @@ def insert_reference(cert, x0):
         s_c = domain.clear_many(coords_reference(alg.mul(t, x0), new_basis))
         new_stab.append(alg.smul(s_c, t))
     return tuple(new_basis), tuple(new_stab), b0_idx, s0
+
+
+def prime_factors(n):
+    """The primes dividing n > 0: trial division below 1000, then Pollard's
+    rho, splitting until Miller-Rabin on the first thirteen prime bases,
+    exact below 3.3e24, calls a part prime."""
+    out = {q for q in range(2, 1000) if n % q == 0 and all(q % r for r in range(2, q))}
+    for q in out:
+        while n % q == 0:
+            n //= q
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        assert m < 3.3e24, "past the exact range of the prime test"
+        if miller_rabin(m):
+            out.add(m)
+            continue
+        c = d = 0
+        while d in (0, m):  # rho's x -> x^2 + c, a new c when the cycle finds m itself
+            c, x, y, d = c + 1, 2, 2, 1
+            while d == 1:
+                x, y = (x * x + c) % m, ((y * y + c) ** 2 + c) % m
+                d = gcd(x - y, m)
+        parts += [d, m // d]
+    return out
+
+
+def miller_rabin(m):
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, d, m)
+        if x not in (1, m - 1) and all((x := x * x % m) != m - 1 for _ in range(r - 1)):
+            return False
+    return True
 
 
 # --- seeded random bases ------------------------------------------------------------
@@ -418,6 +457,41 @@ def test_stabilizer_and_stability_match_reference(case):
         assert (res.basis, res.stabilizer) == insert_reference(cert, x0)[:2]
 
 
+# the random M3(Q) basis of the ROADMAP baseline
+M3_SEED7 = draw_bases(matrix_algebra(Q3, 3), 7, M3_DRAW, 1)[0]
+
+
+@pytest.mark.parametrize("name,domain", [
+    ("M3(Q)/Z", integers()), ("M3(Q)/Z_(3)", p_local(3)),
+    ("seed 7", integers()), ("seed 7", p_local(3)),
+], ids=["M3(Q)/Z", "M3(Q)/Z_(3)", "seed 7/Z", "seed 7/Z_(3)"])
+def test_clearing_stabilizer_is_least(name, domain):
+    """Each delta_i is one clearing of every coordinate of every b_i*b_j,
+    and no proper divisor stabilizes: with delta_i/q in its place, q a
+    prime dividing delta_i (q = p over Z_(p)), is_stable finds a
+    violation.  A product of per-j clearings also stabilizes, but a prime
+    can be taken out of it."""
+    alg = matrix_algebra(Q3, 3)
+    if name == "seed 7":
+        bases = [M3_SEED7]
+    else:
+        _, _, draw, seed, count = CASES[name]
+        bases = draw_bases(alg, seed, draw, count)
+    for basis in bases:
+        cert = stabilizer_finite(alg, basis, domain)
+        assert is_stable(alg, basis, cert.stabilizer, domain).ok
+        for i, b in enumerate(basis):
+            delta = clearing_delta_reference(alg, basis, domain, b)
+            assert cert.stabilizer[i] == alg.smul(delta, b)
+            assert delta.denominator == 1
+            primes = prime_factors(delta.numerator) if domain.valued_field is None else (
+                {domain.p} if delta != 1 else set())
+            for q in primes:
+                smaller = list(cert.stabilizer)
+                smaller[i] = alg.smul(delta / q, b)
+                assert not is_stable(alg, basis, smaller, domain).ok, (i, q)
+
+
 def test_one_inverse_and_no_products_per_build(case, monkeypatch):
     """A build inverts the basis once, for the certificate's product rows,
     plus T over a valuation ring, and forms no product: the rows are summed
@@ -522,8 +596,8 @@ def test_ideal_variant_inverts_once_and_forms_no_products(monkeypatch):
 
 
 def test_clearing_stabilizer_calls_no_clear_many(case, monkeypatch):
-    """The clearing stabilizer clears each basis element's n blocks of row
-    values in one call, never through clear_many: over Z_(p) and O_v it
+    """The clearing stabilizer clears each basis element's n^2 row values in
+    one call, never through clear_many: over Z_(p) and O_v it
     reads only the rows' valuations, over Z the values' denominators, and
     over Q it builds no row value."""
     alg, domain, bases = case
@@ -565,20 +639,30 @@ def test_left_order_clears_no_certificate_row_again(name, monkeypatch):
             assert R.constraints[0][1] is cert.rows
 
 
-def test_qt_build_clears_no_polynomial_twice(monkeypatch):
-    """Every polynomial is stored as its clearing: while a Q(t) basis is
-    built into its stabilizer, left order and filter quasi-valuation, only
-    the constructor clears, and no coefficient list reaches
-    numfield._cleared twice."""
+def test_qt_build_makes_kernel_results_from_integers(monkeypatch):
+    """Every Q(t) kernel makes its result from integers: while Q(t) bases
+    are built into their stabilizer, left order and filter
+    quasi-valuation, the Fraction-input Polynomial constructor (the one
+    caller of numfield._cleared) runs only inside
+    ValuedField.element_with_value, for the constant p^a it multiplies."""
     make, domain, draw, seed, count = CASES["Q(t)[x]/(x^2-t)/O_v"]
     alg = make()
     bases = draw_bases(alg, seed, draw, count)
-    seen, cleared = [], numfield._cleared
-    monkeypatch.setattr(numfield, "_cleared", lambda cs: seen.append(cs) or cleared(cs))
+    inside, seen = [False], []
+    cleared, element_with_value = numfield._cleared, ValuedField.element_with_value
+
+    def spied(self, gamma):
+        inside[0] = True
+        try:
+            return element_with_value(self, gamma)
+        finally:
+            inside[0] = False
+    monkeypatch.setattr(ValuedField, "element_with_value", spied)
+    monkeypatch.setattr(numfield, "_cleared", lambda cs: seen.append(inside[0]) or cleared(cs))
     for basis in bases:
         cert = stabilizer_finite(alg, basis, domain)
         quasival.filter_qv(orders.nice_from_certificate(cert))
-    assert seen and len({id(cs) for cs in seen}) == len(seen)
+    assert seen and all(seen)
 
 
 # --- the cleared kernel over Q against the Fraction loop ---------------------------
