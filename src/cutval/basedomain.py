@@ -5,8 +5,8 @@ ring O_v = { f : v(f) >= 0 } of a :class:`~cutval.numfield.ValuedField`.
 The p-local integers Z_(p) are O_v for v_p on Q: they keep the label "Zp"
 (printed Z_(p), a distinct descriptor) but are built on ValuedField("Q", p)
 and behave exactly as that valuation ring.  Each S is an integral domain
-that is not a field, with decidable membership, canonical denominator
-clearing and a designated non-invertible element.
+that is not a field, with a designated non-invertible element and one rule
+each for membership and canonical clearing, on integers (see `reads`).
 """
 
 from __future__ import annotations
@@ -71,10 +71,23 @@ class BaseDomain:
 
     def contains(self, f) -> bool:
         self._check_element(f)
+        return self._accepts((f.denominator if self.field is None else self.field.value(f),))
+
+    def reads(self, rows, x):
+        """What S reads off the values of `_Rows` rows at x, building none:
+        reduced denominators over Z, values (None for 0) over O_v."""
+        return rows.denominators(x) if self.field is None else rows.valuations(x, self.field)
+
+    def admits(self, rows, x) -> bool:
+        """Whether every value of rows at x lies in S, read off `reads`."""
+        return self._accepts(self.reads(rows, x))
+
+    def _accepts(self, reads) -> bool:
+        """contains's rule, its one copy, on reads: all 1 over Z, none below 0 over O_v."""
         if self.field is None:
-            return f.denominator == 1
-        v = self.field.value(f)
-        return v is None or v >= (0,) * self.field.rank
+            return all(d == 1 for d in reads)
+        zero = (0,) * self.field.rank
+        return not any(v is not None and v < zero for v in reads)
 
     def clear_many(self, coeffs):
         """Canonical minimal s in S, s != 0, with s*c in S for every c.
@@ -88,8 +101,8 @@ class BaseDomain:
         return self._clearing(self.field.value(c) for c in coeffs if c)
 
     def _clearing(self, reads):
-        """clear_many's rule, its one copy, on the coefficients' reads: reduced
-        denominators over Z, values (None for 0) over a valuation ring."""
+        """clear_many's rule, its one copy, on reads (the coefficients', or
+        `reads` of rows): denominators over Z, values over a valuation ring."""
         if self.field is None:
             return Fraction(lcm(*reads))
         zero = (0,) * self.field.rank

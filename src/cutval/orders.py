@@ -16,9 +16,9 @@ the certificate's stabilizer is the basis contained in R.
 The same machinery hosts the ideal-containing variant (a subset of its
 certificate's rows), going-down, finite intersections and the chains built
 from basis insertion.  The ascending matrix-algebra chain writes no rows of
-its own: each term is the left order of its lattice.  Rows are evaluated
+its own: each term is the left order of its lattice.  Rows are read
 only through `algebra._Rows`, built once per oracle, which refuses an
-element of the wrong length; a certificate's product rows are already one.
+element of the wrong length; membership reads them through the domain.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class SubringOracle:
     lattice_basis, the columns of T^-1: x's coordinates in that basis are
     the values of T at x (lattice_rows, lattice_coords).
     contained_basis certifies RF = A; a lattice oracle sets it to its
-    lattice basis.  Membership reads, on each group over a valuation ring
-    (of Q or of Q(t)), only the row values' valuations (`_lands_in`).
+    lattice basis.  Membership asks each group's domain (`BaseDomain.admits`),
+    which reads the row values' denominators or valuations, never the values.
     """
 
     algebra: object
@@ -104,15 +104,14 @@ class SubringOracle:
         return None if self.lattice_basis is None else self.constraints[0][1]
 
     def contains(self, x) -> bool:
-        return all(_lands_in(dom, rows, x) for dom, rows in self.constraints)
+        return all(dom.admits(rows, x) for dom, rows in self.constraints)
 
     def lattice_coords(self, x) -> tuple:
         return tuple(self._lattice_rows().values(x))
 
     def lattice_valuations(self, x):
-        """The domain's valuation of each lattice coordinate of x (None for
-        a zero one), read without building the coordinates over Q."""
-        return self._lattice_rows().valuations(x, self.domain.valued_field)
+        """x's lattice coordinates as the domain reads them: valuations, None for 0."""
+        return self.domain.reads(self._lattice_rows(), x)
 
     def basis_combination(self, coeffs) -> tuple:
         """sum c_i * b_i over the contained basis, as one row evaluation."""
@@ -124,15 +123,6 @@ class SubringOracle:
         if self.lattice_basis is None:
             raise ConfigError("oracle has no lattice representation")
         return self.constraints[0][1]
-
-
-def _lands_in(dom: BaseDomain, rows: _Rows, x) -> bool:
-    """Whether every value of rows at x lies in dom: over a valuation ring,
-    no valuation (`_Rows.valuations`) is below 0; over Z, by the values."""
-    if (vf := dom.valued_field) is None:
-        return all(dom.contains(c) for c in rows.values(x))
-    zero = (0,) * vf.rank
-    return not any(v is not None and v < zero for v in rows.valuations(x, vf))
 
 
 def oracle_to_json(oracle: "SubringOracle") -> dict:
@@ -186,7 +176,7 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
     if any(r is None for r in t_rows):
         raise StructuralError("constraint rows do not have full rank")
     basis = tuple(zip(*invert(alg.field, t_rows)))
-    if not all(_lands_in(domain, rows, b) for b in basis):
+    if not all(domain.admits(rows, b) for b in basis):
         raise StructuralError("lattice basis disagrees with the predicate")
     return SubringOracle(
         algebra=alg, domain=domain, provenance=provenance,
@@ -363,7 +353,7 @@ def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
     m = |B1|.  Entry i of row (b_j, k) is coordinate k of e_i*b_j, so I is
     a left ideal when the rows with j < m <= k are zero.  Then x*I stays in
     I, membership only constrains the rows with j, k >= m, and I is a
-    right ideal when they vanish on B1 (b_j = e_i for j >= m).
+    right ideal when they vanish on B1 (b_j = e_i for j >= m): I is in R.
     """
     alg, basis = ideal.algebra, ideal.validate()
     if alg.field.kind != domain.fraction_field_kind:
@@ -377,15 +367,12 @@ def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
     rows = cert.rows.subset([j * n + k for j in range(m, n) for k in range(m, n)])
     oracle = SubringOracle(algebra=alg, domain=domain, provenance="ideal-variant",
                            constraints=((domain, rows),), contained_basis=cert.stabilizer)
-    values = rows.values
-    right = [r for b in ideal.basis for r, v in enumerate(values(b)) if v]
+    right = [r for b in ideal.basis for r, v in enumerate(rows.values(b)) if v]
     if right:
         i = basis[m + right[0] // (n - m)].index(alg.field.one)
         raise DomainError(f"not a right ideal: b * e{i} escapes the span")
     if not all(map(oracle.contains, cert.stabilizer)):
         raise StructuralError("stabilizer element fails ideal-variant membership")
-    if not all(map(oracle.contains, ideal.basis)):
-        raise StructuralError("ideal element fails ideal-variant membership")
     return oracle
 
 
@@ -393,10 +380,10 @@ def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
 
 
 def _scale_into_all(oracles, element, domain: BaseDomain):
-    """s * element lying in every oracle, s = domain.clear_many of the
-    element's row values in every group."""
-    s = domain.clear_many([c for o in oracles for _, rows in o.constraints
-                           for c in rows.values(element)])
+    """s * element lying in every oracle, s the domain's clearing of the
+    element's row values in every group, read off `domain.reads`."""
+    s = domain._clearing(r for o in oracles for _, rows in o.constraints
+                         for r in domain.reads(rows, element))
     scaled = oracles[0].algebra.smul(s, element)
     if not all(o.contains(scaled) for o in oracles):
         raise StructuralError("could not scale a basis element into the intersection")
@@ -423,8 +410,7 @@ def intersect_oracles(oracles, domain: BaseDomain | None = None,
     domain = domain or oracles[0].domain
     provenance = provenance or ("intersection(" + ", ".join(o.provenance for o in oracles) + ")")
     groups = tuple(g for o in oracles for g in o.constraints)
-    vf = domain.valued_field
-    if domain.is_valuation_like and all(g[0].valued_field == vf for g in groups):
+    if domain.is_valuation_like and all(g[0].valued_field == domain.valued_field for g in groups):
         return _lattice(alg, domain, [r for _, rws in groups for r in rws],
                         provenance, certificate)
     seed = next((o.contained_basis for o in oracles if o.contained_basis), None)

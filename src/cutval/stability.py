@@ -10,10 +10,10 @@ A certificate inverts B once, for its coordinate rows, and builds its
 product rows x -> coords_B(x*b_j) from them with no product formed
 (`algebra.product_rows`; over Q the rows are cleared once, as they are
 built): it is their only builder, and the clearing stabilizer, insertion
-and `orders` read them and that one clearing.  Over Z the stabilizer reads
-the row values' denominators and over a valuation ring their valuations,
-each off the integers over Q.  `is_stable` forms its own products with
-`StructureAlgebra.mul`, as the independent check.
+and `orders` read them and that one clearing.  The stabilizer clears
+what `BaseDomain.reads` takes off the row values, with no value built
+over Q.  `is_stable` forms its own products with `StructureAlgebra.mul`
+and tests them with `contains`, as the independent check.
 
 Insertion swaps a new element x0 into a stable basis in place of some
 basis element carrying a nonzero coordinate of x0, rescaling the
@@ -53,11 +53,9 @@ class StableBasisCertificate:
         alg, domain = self.algebra, self.domain
         object.__setattr__(self, "coords", coordinate_rows(alg, self.basis))
         object.__setattr__(self, "rows", product_rows(alg, self.coords, self.basis))
-        if self.stabilizer is None:
-            vf, rows = domain.valued_field, self.rows  # the row values at b: coords(b*b_j), all j
-            object.__setattr__(self, "stabilizer", tuple(alg.smul(domain._clearing(
-                rows.denominators(b) if vf is None else rows.valuations(b, vf)), b)
-                for b in self.basis))
+        if self.stabilizer is None:  # delta_i clears the row values at b_i: coords(b_i*b_j), all j
+            object.__setattr__(self, "stabilizer", tuple(
+                alg.smul(domain._clearing(domain.reads(self.rows, b)), b) for b in self.basis))
         elif len(self.basis) != len(self.stabilizer):
             raise StructuralError("basis and stabilizer must have the same size")
 

@@ -13,7 +13,9 @@ the separate Q and Q(t) branches of valuation-ring denominator clearing.
 The single kernel's own Fraction loop, which the Q(t) path still runs, is
 the reference for its cleared integer loop over Q.  The stabilizer
 reference keeps its per-product solves but clears all n^2 coordinates at
-b_i at once, the rule that replaced a product of n clearings.
+b_i at once, the rule that replaced a product of n clearings.  Asking
+`contains` of every row value, and `clear_many` of them all, is the
+reference for membership and clearing on the domain's integer reads.
 Coordinates over a basis are unique, the min-valuation pivot sequence is
 a function of the rows and a rational function has one reduced form with
 a monic denominator, so every result must be exactly equal.
@@ -611,6 +613,85 @@ def test_clearing_stabilizer_calls_no_clear_many(case, monkeypatch):
     assert calls["clear_many"] == 0 and calls["_clearing"] == len(bases) * n
     if alg.field.kind == "Q":
         assert calls["values"] == 0
+
+
+# --- membership and clearing on the domain's integer reads ------------------------
+
+
+def read_row_sets(alg, basis):
+    """Rows of one basis that the library reads membership off: its product
+    rows, its T rows (those of the Z_(3) lattice over Q), the subset an
+    ideal variant with m = 1 keeps, and each of them with a zero row added."""
+    cert = stabilizer_finite(alg, basis, p_local(3) if alg.field.kind == "Q" else valuation_ring(QT))
+    n, zero = alg.dim, (alg.field.zero,) * alg.dim
+    R = orders.nice_from_certificate(cert)
+    sets = [cert.rows, R.lattice_rows,
+            cert.rows.subset([j * n + k for j in range(1, n) for k in range(1, n)])]
+    return R, sets + [_Rows(alg.field, list(rows) + [zero]) for rows in sets]
+
+
+def read_points(alg, R, spec):
+    """0, the basis, drawn elements and lattice basis vectors, unscaled and
+    scaled by a p-free and a pure p-power denominator (and t^-1 over Q(t)):
+    on a lattice basis vector T takes the one nonzero value c."""
+    field, p = alg.field, (3 if alg.field.kind == "Q" else QT.p)
+    q = 7 if field.kind == "Q" else 3
+    scales = [field.one, field.scalar(f"1/{q}"), field.scalar(f"1/{p ** 2}")]
+    if field.kind == "Qt":
+        scales.append(field.one / RationalFunction.T)
+    rng = spec.rng()
+    drawn = [sample_algebra_element(rng, spec, alg) for _ in range(3)]
+    points = [alg.zero] + [alg.basis_vector(i) for i in range(alg.dim)]
+    return points + [alg.smul(c, x) for x in drawn + list(R.lattice_basis) for c in scales]
+
+
+def test_admits_and_reads_match_the_row_values(case):
+    """domain.admits(rows, x) is `contains` on every row value at x, and the
+    clearing of domain.reads(rows, x) is clear_many of those values, on the
+    drawn bases' product, T and ideal-variant rows, for Z and Z_(3) over Q
+    and O_v over Q(t)."""
+    alg, _, bases = case
+    domains = (integers(), p_local(3)) if alg.field.kind == "Q" else (valuation_ring(QT),)
+    spec = SampleSpec(seed=311, count=0, **(QT_DRAW if alg.field.kind == "Qt" else M3_DRAW))
+    verdicts = {d: set() for d in domains}
+    for basis in bases:
+        R, row_sets = read_row_sets(alg, basis)
+        for x in read_points(alg, R, spec):
+            for rows in row_sets:
+                values = list(rows.values(x))
+                for domain in domains:
+                    admitted = domain.admits(rows, x)
+                    assert admitted == all(domain.contains(v) for v in values)
+                    assert list(domain.reads(rows, x)) == (
+                        [v.denominator for v in values] if domain.valued_field is None
+                        else [domain.value(v) if v else None for v in values])
+                    assert domain._clearing(domain.reads(rows, x)) == domain.clear_many(values)
+                    verdicts[domain].add(admitted)
+    assert all(v == {True, False} for v in verdicts.values())
+
+
+@pytest.mark.parametrize("name", ["M3(Q)/Z", "M3(Q)/Z_(3)"])
+def test_membership_and_rescaling_build_no_row_value(name, monkeypatch):
+    """contains on Z and Z_(3) oracles, and the rescaling of a Z
+    intersection's contained basis, read integers off the rows: with
+    _Rows.values refusing to run they still give the values' answers."""
+    make, domain, draw, seed, count = CASES[name]
+    alg = make()
+    spec = SampleSpec(seed=seed, count=0, **draw)
+    rng = spec.rng()
+    oracles = [left_order(LatticeModule(alg, domain, b)) for b in draw_bases(alg, seed, draw, count)]
+    points = [x for R in oracles for x in R.contained_basis]
+    points += [sample_algebra_element(rng, spec, alg) for _ in range(10)]
+    expected = [[all(dom.contains(v) for dom, rows in R.constraints for v in rows.values(x))
+                 for x in points] for R in oracles]
+    assert {v for row in expected for v in row} == {True, False}
+
+    def refuse(self, x):
+        raise AssertionError("a row value was built")
+    monkeypatch.setattr(_Rows, "values", refuse)
+    assert [[R.contains(x) for x in points] for R in oracles] == expected
+    both = intersect_oracles(oracles)
+    assert all(R.contains(b) for b in both.contained_basis for R in oracles)
 
 
 def spy_cleared(monkeypatch) -> list:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import random_cut
+from cutval import oracle
 from cutval.algebra import matrix_algebra
 from cutval.basedomain import p_local, valuation_ring
 from cutval.cuts import ATMOST, at_most, bottom, embed_phi, top
@@ -51,6 +52,20 @@ def test_window_margin_boundary(rank, pairs, bound):
         assert res.match, str(res)
 
 
+def test_window_reports_a_wrong_prediction(monkeypatch):
+    """The window cross-check can fail: with cut_add predicting AM(1;4) for
+    AM(1;2) + AM(0;1,7), whose sum is AM(1;3), the window finds a point
+    predicted in the sum that no pair of box points reaches, and says so."""
+    wrong = at_most(2, 1, (4,))
+    monkeypatch.setattr(oracle, "cut_add", lambda a, b: wrong)
+    res = window_cut_sum(at_most(2, 1, (2,)), at_most(2, 0, (1, 7)), Window(2, 16))
+    assert not res.match and res.predicted == wrong
+    point, predicted, achieved = res.first_diff
+    assert point[0] == 4 and (predicted, achieved) == (True, False)
+    assert str(res) == (f"window sum differs from {wrong!r} at {point}: "
+                        "predicted True, achieved False")
+
+
 def test_member_mask_is_definitional():
     pts = box_points(2, 3)
     cut = at_most(2, 0, (1, -2))
@@ -97,6 +112,14 @@ def test_brute_support_examples(m2_order):
     assert brute_support(R, alg.zero, 8).inconclusive
     with pytest.raises(DomainError):
         brute_support(R, alg.element(["1/2", "0", "0", "0"]), 8)
+
+
+def test_brute_support_is_inconclusive_at_its_scan_bound(m2_order):
+    """2^9 * 1 lies in pi^k R for every k <= 9, so a scan that stops at 8
+    finds no failure and reports 8 as a lower bound only."""
+    alg, R = m2_order
+    res = brute_support(R, alg.smul(alg.field.scalar(2 ** 9), alg.unit), 8)
+    assert res.inconclusive and res.exponent == 8
 
 
 def test_brute_support_needs_rank_1(field_qt):
