@@ -17,19 +17,19 @@ table's cells.
 Over Q every vector is cleared once by `numfield._cleared`, to integers
 over the lcm of its denominators.  The elimination loop runs on cleared
 integer rows, one gcd per row update instead of a Fraction multiply and
-subtract per entry; over Q(t) it keeps the scalar loop.  `_Rows` is a
-tuple of rows that holds each row as a_i over d and clears each x to b_i
-over e: a row value is Fraction(sum a_i*b_i, d*e), one normalizing gcd
-instead of a Fraction multiply and add per entry, `_Rows.valuations`
-takes v_p(sum a_i*b_i) - v_p(d) - v_p(e) off the integers, reducing
-nothing, and `_Rows.denominators` reads d*e / gcd(sum a_i*b_i, d*e).
-`StructureAlgebra.mul` clears the table over one denominator D, so a
-product is integer sums with one reducing Fraction per nonzero
-coordinate.  `product_rows` is one integer matrix product over the same
-cells, each row divided by one gcd into its (a, d); its `_Rows` keeps
-those clearings, and every reader of the rows, the elimination included,
-takes them as they are.  Over Q(t) rows and products are summed term by
-term, and a valuation is read off each value.
+subtract per entry; over Q(t) it keeps the scalar loop.  A `_Rows` over
+Q stores each row only as a_i over d, builds the Fraction row only when
+iterated, and clears each x to b_i over e: a row value is Fraction(sum
+a_i*b_i, d*e), one normalizing gcd instead of a Fraction multiply and
+add per entry, `_Rows.valuations` takes v_p(sum a_i*b_i) - v_p(d) -
+v_p(e) off the integers, reducing nothing, and `_Rows.denominators`
+reads d*e / gcd(sum a_i*b_i, d*e).  `StructureAlgebra.mul` clears the
+table over one denominator D, so a product is integer sums with one
+reducing Fraction per nonzero coordinate.  `product_rows` is one integer
+matrix product over the same cells, each row divided by one gcd into the
+(a, d) its `_Rows` stores, and every reader of the rows, the elimination
+included, takes them as they are.  Over Q(t) rows and products are
+summed term by term, and a valuation is read off each value.
 
 The polynomial backend :class:`PolynomialAlgebra` represents F[y] with the
 monomial basis; elements are sparse exponent -> coefficient dicts.
@@ -182,10 +182,10 @@ def _eliminate(fieldobj: ValuedField, rows, ncols, domain=None):
 
 def _eliminate_cleared(rows, ncols, p):
     """_eliminate over Q on rows cleared once to (a, d), or on the clearing
-    a _Rows carries, taken as it is.  A pivot P/D at column c takes a row
+    a _Rows stores, taken as it is.  A pivot P/D at column c takes a row
     a/d to (a*P_c - a_c*P) / (d*P_c), divided by one gcd of the row and
     its denominator, which stays positive.  Given p, the pivot is the live
-    row of least v_p(a_c) - v_p(d)."""
+    row of least v_p(a_c) - v_p(d); the pool left is a _Rows."""
     pool = list(rows.cleared) if isinstance(rows, _Rows) else [_cleared(r) for r in rows]
     pivots = []
     for col in range(ncols):
@@ -205,7 +205,7 @@ def _eliminate_cleared(rows, ncols, p):
                 g = gcd(*a, d) if d > 0 else -gcd(*a, d)
                 pool[k] = ([x // g for x in a], d // g)
         pivots.append([Fraction(x, pd) for x in pa])
-    return pivots, [[Fraction(x, d) for x in a] for a, d in pool]
+    return pivots, _Rows._make(pool, True)
 
 
 def _back_substitute(pivots, ncols):
@@ -289,37 +289,44 @@ def _dot(row, x):
     return acc
 
 
-class _Rows(tuple):
-    """Fixed linear rows over a field, of one width, evaluated at points x:
-    the tuple of the rows, each a tuple of scalars, that over Q carries each
-    row cleared once, (a_1..a_n, d) = _cleared(row), in `cleared` (None
-    over Q(t)).  _Rows(fieldobj, rows) is rows itself when it is a _Rows.
-    Every membership test over a valuation ring, of Q or Q(t), reads
-    `valuations`."""
+class _Rows:
+    """Fixed linear rows over a field, of one width, evaluated at points x.
+    `stored` holds each row over Q only as (a_1..a_n, d) = _cleared(row),
+    and `cleared` is the same tuple; over Q(t) it holds the scalar rows and
+    `cleared` is None.  Iterating yields the rows, over Q built on each
+    read.  _Rows(fieldobj, rows) is rows itself when it is a _Rows.  Every
+    membership test over a valuation ring, of Q or Q(t), reads `valuations`."""
 
     def __new__(cls, fieldobj, rows):
         if isinstance(rows, _Rows):
             return rows
-        rows = tuple(map(tuple, rows))
-        return cls._make(rows, tuple(map(_cleared, rows)) if fieldobj.kind == "Q" else None)
+        q = fieldobj.kind == "Q"
+        return cls._make(tuple(map(_cleared if q else tuple, rows)), q)
 
     @classmethod
-    def _make(cls, rows, cleared):
-        self = tuple.__new__(cls, rows)
-        self.cleared, self.width = cleared, len(rows[0]) if rows else 0
+    def _make(cls, stored, cleared: bool):
+        self = object.__new__(cls)
+        self.stored, self.cleared = stored, stored if cleared else None
+        self.width = len(stored[0][0] if cleared else stored[0]) if stored else 0
         return self
 
+    def __iter__(self):
+        return iter(self.stored) if self.cleared is None else (
+            tuple(Fraction(x, d) for x in a) for a, d in self.stored)
+
+    def __len__(self):
+        return len(self.stored)
+
     def subset(self, indices: list) -> _Rows:
-        """The rows at indices, in that order, with their clearings."""
-        return _Rows._make([self[i] for i in indices],
-                           None if self.cleared is None else [self.cleared[i] for i in indices])
+        """The rows at indices, in that order."""
+        return _Rows._make([self.stored[i] for i in indices], self.cleared is not None)
 
     def values(self, x):
         """The row values at x, in row order, computed as they are consumed;
         an x whose length is not the rows' width is refused at once."""
         self._check_width(x)
         if self.cleared is None:
-            return (_dot(row, x) for row in self)
+            return (_dot(row, x) for row in self.stored)
         b, e = _cleared(x)
         return (Fraction(sum(map(mul, a, b)), d * e) for a, d in self.cleared)
 
@@ -376,11 +383,11 @@ def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> _Rows:
     nonzero cells.  Over Q that is one integer matrix product: for b =
     beta/e, coords' row a/d and the cleared cells over D, row (b, k) is the
     integers sum_r a_r * (sum_j beta_j * D*t_ij^r) over d*e*D, divided by
-    one gcd into the (A, d) that _cleared gives, and that clearing is kept
-    with the rows.  Over Q(t) the same matrix is summed on scalars."""
+    one gcd into the (A, d) that _cleared gives, which is all the row
+    stores.  Over Q(t) the same matrix is summed on scalars."""
     n, den = alg.dim, alg._den
     zero = alg.field.zero if den is None else 0
-    rows, cleared = [], []
+    rows = []
     for b in elements:
         beta, e = (b, None) if den is None else _cleared(b)
         # right[i][r]: coordinate r of e_i*b, times e*D over Q
@@ -396,10 +403,8 @@ def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> _Rows:
         for a, d in coords.cleared:
             ints, d = [sum(map(mul, a, col)) for col in right], d * e * den
             g = gcd(*ints, d)
-            ints, d = tuple(x // g for x in ints), d // g
-            cleared.append((ints, d))
-            rows.append(tuple(Fraction(x, d) for x in ints))
-    return _Rows._make(rows, None if den is None else cleared)
+            rows.append((tuple(x // g for x in ints), d // g))
+    return _Rows._make(rows, den is not None)
 
 
 # --- validation -----------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (PolynomialAlgebra, StructureAlgebra, _eliminate, _Rows,
                       coordinate_rows, extend_to_basis, invert,
@@ -39,7 +40,8 @@ from .stability import StableBasisCertificate, insert_many, stabilizer_finite
 @dataclass(frozen=True, eq=False)
 class LatticeModule:
     """M = sum_b S*b; basis None marks the monomial lattice of F[y].  The
-    basis is validated when its coordinate map is built (coordinate_rows)."""
+    basis is validated when its coordinate rows `coords` are built, on
+    first use, and membership reads them through the domain."""
 
     algebra: object
     domain: BaseDomain
@@ -55,11 +57,15 @@ class LatticeModule:
             if self.algebra.field.kind != self.domain.fraction_field_kind:
                 raise ConfigError("domain fraction field differs from the algebra's field")
 
+    @cached_property
+    def coords(self) -> _Rows:
+        return coordinate_rows(self.algebra, self.basis)
+
 
 def lattice_membership(M: LatticeModule, x) -> bool:
-    coords = (x.values() if isinstance(M.algebra, PolynomialAlgebra)
-              else coordinate_rows(M.algebra, M.basis).values(x))
-    return all(M.domain.contains(c) for c in coords)
+    if isinstance(M.algebra, PolynomialAlgebra):
+        return all(M.domain.contains(c) for c in x.values())
+    return M.domain.admits(M.coords, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +74,11 @@ class SubringOracle:
 
     constraints: groups (domain, rows); x is a member when every row of
     every group lands in that group's domain.  Construction makes each
-    rows a _Rows, the evaluable tuple of its rows.  A lattice oracle (S
-    valuation-like) has one group, the dim triangular rows T over S, and
-    lattice_basis, the columns of T^-1: x's coordinates in that basis are
-    the values of T at x (lattice_rows, lattice_coords).
+    rows a _Rows, which evaluates the rows and iterates as them.  A
+    lattice oracle (S valuation-like) has one group, the dim triangular
+    rows T over S, and lattice_basis, the columns of T^-1: x's
+    coordinates in that basis are the values of T at x (lattice_rows,
+    lattice_coords).
     contained_basis certifies RF = A; a lattice oracle sets it to its
     lattice basis.  Membership asks each group's domain (`BaseDomain.admits`),
     which reads the row values' denominators or valuations, never the values.
@@ -168,13 +175,15 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
     pivot rows T span the same S-module as the rows and become the oracle's
     one row set; the lattice basis is the columns of T^-1, checked against
     the full rows, both read off one `_Rows` (a certificate's own, with its
-    clearing).  Full column rank is required; the rows have dim columns,
-    so elimination leaves an all-zero pool.
+    clearing).  None when the rows lack full column rank, as an ideal
+    variant's always do; a left order's never do, since x = sum u_j*(x*b_j)
+    for the unit 1 = sum u_j*b_j.  The rows have dim columns, so
+    elimination leaves an all-zero pool.
     """
     rows = _Rows(alg.field, rows)
     t_rows, _ = _eliminate(alg.field, rows, alg.dim, domain)
     if any(r is None for r in t_rows):
-        raise StructuralError("constraint rows do not have full rank")
+        return None
     basis = tuple(zip(*invert(alg.field, t_rows)))
     if not all(domain.admits(rows, b) for b in basis):
         raise StructuralError("lattice basis disagrees with the predicate")
@@ -360,7 +369,7 @@ def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
         raise ConfigError("domain fraction field differs from the algebra's field")
     cert = stabilizer_finite(alg, basis, domain)
     m, n = len(ideal.basis), alg.dim
-    left = [r for j in range(m) for r in cert.rows[j * n + m:j * n + n] if any(r)]
+    left = [r for r in cert.rows.subset([j * n + k for j in range(m) for k in range(m, n)]) if any(r)]
     if left:
         i = next(i for i, c in enumerate(left[0]) if c)
         raise DomainError(f"not a left ideal: e{i} * b escapes the span")
@@ -396,9 +405,10 @@ def intersect_oracles(oracles, domain: BaseDomain | None = None,
     """Conjunction of finitely many subring oracles.
 
     When every constraint group lives over the valuation ring of one
-    valuation (Z_(p) is O_v(Q, p)) the lattice oracle of the intersection
-    is recomputed from the stacked rows; otherwise only the predicate (and
-    a rescaled contained basis, when obtainable) survives.
+    valuation (Z_(p) is O_v(Q, p)) and the groups' stored rows, stacked,
+    have full rank, the lattice oracle of the intersection is recomputed
+    from them; otherwise only the predicate (and a rescaled contained
+    basis, when obtainable) survives.
     """
     oracles = list(oracles)
     if not oracles:
@@ -411,8 +421,9 @@ def intersect_oracles(oracles, domain: BaseDomain | None = None,
     provenance = provenance or ("intersection(" + ", ".join(o.provenance for o in oracles) + ")")
     groups = tuple(g for o in oracles for g in o.constraints)
     if domain.is_valuation_like and all(g[0].valued_field == domain.valued_field for g in groups):
-        return _lattice(alg, domain, [r for _, rws in groups for r in rws],
-                        provenance, certificate)
+        stacked = _Rows._make([r for _, rows in groups for r in rows.stored], alg.field.kind == "Q")
+        if (oracle := _lattice(alg, domain, stacked, provenance, certificate)) is not None:
+            return oracle
     seed = next((o.contained_basis for o in oracles if o.contained_basis), None)
     return SubringOracle(
         algebra=alg, domain=domain, provenance=provenance, constraints=groups,

@@ -38,9 +38,9 @@ class StableBasisCertificate:
     """A basis of A, checked to be one, with a stabilizer (by default the
     clearing one), its coordinate rows `coords` and its product rows: row
     j*n + k of `algebra.product_rows`, whose value at x is coordinate k of
-    x*b_j.  `rows` is a `_Rows`, so it compares equal to the plain tuple of
-    its rows, and over Q it carries their clearing, which the stabilizer,
-    the left order and the ideal variant read instead of clearing again."""
+    x*b_j.  `rows` is a `_Rows`, which iterates as the rows and over Q
+    stores only their clearing, which the stabilizer, the left order and
+    the ideal variant read instead of clearing again."""
 
     algebra: StructureAlgebra
     domain: BaseDomain

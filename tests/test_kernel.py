@@ -402,7 +402,7 @@ def test_min_valuation_path_matches_reference(case):
         pivots, rest = _eliminate(alg.field, rows, n, domain)
         assert [tuple(p) for p in pivots] == expected
         assert not any(any(r) for r in rest)
-        assert R.lattice_rows == tuple(expected)
+        assert tuple(R.lattice_rows) == tuple(expected)
         tinv = invert_reference(alg.field, [list(r) for r in expected])
         assert R.lattice_basis == tuple(tuple(tinv[r][i] for r in range(n)) for i in range(n))
         # the stacked triangular rows of two orders, as intersections eliminate them
@@ -410,7 +410,7 @@ def test_min_valuation_path_matches_reference(case):
         stacked = list(R.lattice_rows) + list(U.lattice_rows)
         both = intersect_oracles([R, U])
         assert both.constraints == ((domain, both.lattice_rows),)
-        assert both.lattice_rows == tuple(min_valuation_eliminate_reference(domain, stacked, n))
+        assert tuple(both.lattice_rows) == tuple(min_valuation_eliminate_reference(domain, stacked, n))
 
 
 def test_solve_rank_invert_match_reference(case):
@@ -448,7 +448,7 @@ def test_stabilizer_and_stability_match_reference(case):
         cert = stabilizer_finite(alg, basis, domain)
         ref = stabilizer_reference(alg, basis, domain)
         assert (cert.basis, cert.stabilizer) == (ref.basis, ref.stabilizer)
-        assert cert.rows == tuple(product_rows_reference(alg, basis))
+        assert tuple(cert.rows) == tuple(product_rows_reference(alg, basis))
         assert is_stable(alg, basis, cert.stabilizer, domain) == is_stable_reference(
             alg, basis, cert.stabilizer, domain)
         # the basis rarely stabilizes itself: the violations must agree too
@@ -588,13 +588,14 @@ def test_ideal_variant_inverts_once_and_forms_no_products(monkeypatch):
     count_calls(monkeypatch, calls, StructureAlgebra, "mul")
     count_calls(monkeypatch, calls, algebra, "invert")
     count_calls(monkeypatch, calls, orders, "invert", "lattice_invert")
-    seen = spy_cleared(monkeypatch)
+    certs, stabilizer = [], orders.stabilizer_finite
+    monkeypatch.setattr(orders, "stabilizer_finite", lambda *a: certs.append(stabilizer(*a)) or certs[-1])
     R = orders.nice_with_ideal(orders.IdealSpec(alg, (e(2),)), p_local(2))
     assert calls == {"mul": 0, "invert": 1, "lattice_invert": 0}
-    # the variant's rows keep the certificate's clearing
-    rows = R.constraints[0][1]
-    assert len(rows) == len(rows.cleared) == 4
-    assert not any(v is r for v in seen for r in rows)
+    # the variant's rows are the certificate's own clearings, none cleared again
+    rows, (cert,) = R.constraints[0][1], certs
+    assert len(rows) == 4
+    assert all(any(pair is own for own in cert.rows.cleared) for pair in rows.cleared)
 
 
 def test_clearing_stabilizer_calls_no_clear_many(case, monkeypatch):
@@ -709,13 +710,15 @@ def test_left_order_clears_no_certificate_row_again(name, monkeypatch):
     rows to _cleared again."""
     make, domain, draw, seed, count = CASES[name]
     alg = make()
-    seen = spy_cleared(monkeypatch)
+    seen, calls = spy_cleared(monkeypatch), {}
+    count_calls(monkeypatch, calls, _Rows, "__iter__")
     for basis in draw_bases(alg, seed, draw, count):
         cert = stabilizer_finite(alg, basis, domain)
-        assert len(cert.rows.cleared) == len(cert.rows) == alg.dim ** 2
+        assert len(cert.rows) == alg.dim ** 2
         seen.clear()
         R = orders.nice_from_certificate(cert)
-        assert seen and not any(v is r for v in seen for r in cert.rows)
+        # a row could only reach _cleared through the rows' Fraction view
+        assert seen and calls["__iter__"] == 0
         if not domain.is_valuation_like:
             assert R.constraints[0][1] is cert.rows
 
@@ -812,9 +815,9 @@ def test_cleared_kernel_matches_fraction_loop(matrix):
     rows, ncols = matrix
     field = ValuedField("Q", 3)
     for domain in (None, p_local(2), p_local(3)):
-        got = _eliminate(field, rows, ncols, domain)
-        assert got == eliminate_reference(rows, ncols, None if domain is None else domain.value)
-        pivots, rest = got
+        pivots, rest = _eliminate(field, rows, ncols, domain)
+        rest = [list(r) for r in rest]
+        assert (pivots, rest) == eliminate_reference(rows, ncols, None if domain is None else domain.value)
         assert all(type(c) is Fraction for row in rest + [r for r in pivots if r] for c in row)
 
 
@@ -942,19 +945,94 @@ def test_product_rows_match_reference(name):
     rng = spec.rng()
     for basis in draw_bases(alg, 331, draw, 2):
         coords = coordinate_rows(alg, basis)
-        rows = product_rows(alg, coords, basis)
-        assert rows == tuple(product_rows_reference(alg, basis))
+        rows, expected = product_rows(alg, coords, basis), product_rows_reference(alg, basis)
+        assert tuple(rows) == tuple(expected)
         # any elements, against the dense product: zero, unit, drawn
         elements = [alg.zero, alg.unit] + [sample_algebra_element(rng, spec, alg) for _ in range(3)]
-        assert product_rows(alg, coords, elements) == tuple(
+        assert tuple(product_rows(alg, coords, elements)) == tuple(
             row for b in elements for row in zip(*(
                 coords_reference(mul_reference(alg, alg.basis_vector(i), b), basis)
                 for i in range(alg.dim))))
+        # over Q the rows are stored only as their clearings, over Q(t) as scalars
         if alg.field.kind == "Q":
             assert all(type(c) is Fraction for row in rows for c in row)
-            assert [(list(a), d) for a, d in rows.cleared] == [_cleared(row) for row in rows]
+            assert rows.cleared is rows.stored
+            assert [(list(a), d) for a, d in rows.stored] == [_cleared(row) for row in expected]
         else:
-            assert rows.cleared is None
+            assert rows.cleared is None and list(rows.stored) == list(map(tuple, expected))
+
+
+def read_view_case(name, kind):
+    """One row set of a drawn basis and the rows it must read as: the
+    product rows, T over the valuation ring, the subset an ideal variant
+    with m = 1 keeps, the product rows with a zero row, and their first
+    column as a width-1 set."""
+    make, draw = PRODUCT_ROW_ALGEBRAS[name]
+    alg = make()
+    domain = p_local(3) if alg.field.kind == "Q" else valuation_ring(QT)
+    basis = draw_bases(alg, 337, draw, 1)[0]
+    cert, n = stabilizer_finite(alg, basis, domain), alg.dim
+    expected = [tuple(r) for r in product_rows_reference(alg, basis)]
+    if kind == "T":
+        return alg, orders.nice_from_certificate(cert).lattice_rows, [
+            tuple(r) for r in min_valuation_eliminate_reference(domain, expected, n)]
+    if kind == "ideal subset":
+        keep = [j * n + k for j in range(1, n) for k in range(1, n)]
+        return alg, cert.rows.subset(keep), [expected[i] for i in keep]
+    if kind == "zero row":
+        expected.append(alg.zero)
+    elif kind == "width 1":
+        expected = [r[:1] for r in expected]
+    return alg, (cert.rows if kind == "product" else _Rows(alg.field, expected)), expected
+
+
+@pytest.mark.parametrize("kind", ["product", "T", "ideal subset", "zero row", "width 1"])
+@pytest.mark.parametrize("name", ["M3(Q)", "Q(t)[x]/(x^2-t)"])
+def test_rows_read_view(name, kind):
+    """A _Rows reads as the rows it was built from, in order: over Q it
+    stores each row only as the clearing _cleared gives, and builds the
+    Fraction rows when it is iterated."""
+    alg, rows, expected = read_view_case(name, kind)
+    field = alg.field
+    assert tuple(rows) == tuple(expected)
+    assert all(type(c) is type(field.zero) for row in rows for c in row)
+    assert len(rows) == len(expected) and rows.width == len(expected[0])
+    assert _Rows(field, rows) is rows
+    order = list(range(len(expected) - 1, -1, -2)) + [0, 0]
+    part = rows.subset(order)
+    assert tuple(part) == tuple(expected[i] for i in order)
+    assert len(part) == len(order) and part.width == rows.width
+    if field.kind == "Q":
+        assert rows.cleared is rows.stored
+        assert [(list(a), d) for a, d in rows.stored] == [_cleared(row) for row in expected]
+    else:
+        assert rows.cleared is None
+
+
+def test_q_builds_and_audits_read_no_fraction_row(monkeypatch):
+    """Over Q no build or audit reads a row as Fractions: product_rows
+    builds no Fraction, and the rows' Fraction view never runs while drawn
+    M3(Q) bases are built over Z and Z_(3) or the audit-q order (the
+    seed-7 basis over Z_(3)) is audited."""
+    alg = matrix_algebra(Q3, 3)
+    bases = draw_bases(alg, 341, M3_DRAW, 2)
+    coords, calls = coordinate_rows(alg, bases[0]), {}
+    count_calls(monkeypatch, calls, algebra, "Fraction")
+    product_rows(alg, coords, bases[0])
+    assert calls["Fraction"] == 0
+
+    def refuse(self):
+        raise AssertionError("a row set was read as Fractions")
+    monkeypatch.setattr(_Rows, "__iter__", refuse)
+    for basis in bases:
+        for domain in (integers(), p_local(3)):
+            R = orders.nice_from_certificate(stabilizer_finite(alg, basis, domain))
+            if domain.is_valuation_like:
+                quasival.filter_qv(R)
+    R = orders.nice_from_certificate(stabilizer_finite(alg, M3_SEED7, p_local(3)))
+    qv = quasival.filter_qv(R)
+    spec = SampleSpec(seed=341, count=3, poly_degree=2)
+    assert orders.verify_nice(R, spec).ok and quasival.qv_audit(qv, spec).ok
 
 
 big_rationals = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 12))
