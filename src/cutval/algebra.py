@@ -6,13 +6,16 @@ methods taking those tuples.
 
 Exact linear algebra has one elimination loop, `_eliminate`, whose pivot
 is the first row with a nonzero entry in the column or, given a domain,
-the row of least valuation (ties to the lowest index).  `solve_columns`,
-`rank_of`, `invert` and the lattice elimination of `orders` are calls
-into it.  Coordinates over a basis are the values of the rows of
-`coordinate_rows`, the basis's inverse, which is where a basis is checked,
-and `product_rows` stacks the rows of x -> coords(x*b) with no product
-formed: coords' rows times b's right-multiplication matrix, read off the
-table's cells.
+the row of least valuation (ties to the lowest index), and one
+triangular solver, `_back_substitute`.  `solve_columns`, `rank_of`,
+`invert` over Q(t) and the lattice elimination of `orders` are calls
+into the loop; the lattice's triangular T is inverted by the solver
+alone.  A dense inverse over Q is `invert`'s fraction-free Gauss-Jordan
+in Z, which hands back each row as its clearing.  Coordinates over a
+basis are the values of the rows of `coordinate_rows`, the basis's
+inverse, which is where a basis is checked, and `product_rows` stacks
+the rows of x -> coords(x*b) with no product formed: coords' rows times
+b's right-multiplication matrix, read off the table's cells.
 
 Over Q every vector is cleared once by `numfield._cleared`, to integers
 over the lcm of its denominators.  The elimination loop runs on cleared
@@ -155,7 +158,8 @@ def _eliminate(fieldobj: ValuedField, rows, ncols, domain=None):
     its column is cleared from the rest, across whole rows, so entries past
     ncols ride along as right-hand sides.  pivots[col] is None when no row
     is nonzero in the column; rest is the pool left at the end.  Given a
-    domain, the pivot is the live row of least domain.value.
+    domain, the pivot is the live row of least domain.value.  A dense
+    inverse over Q does not come here (see `invert`).
     """
     if fieldobj.kind == "Q":
         return _eliminate_cleared(rows, ncols, None if domain is None else domain.valued_field.p)
@@ -209,8 +213,9 @@ def _eliminate_cleared(rows, ncols, p):
 
 
 def _back_substitute(pivots, ncols):
-    """X with U X = R for full-rank pivot rows [U | R] from _eliminate;
-    X[k] lists row k of the solution over R's columns."""
+    """X with U X = R for full-rank upper triangular rows [U | R], as
+    _eliminate's pivot rows are; X[k] lists row k of the solution over
+    R's columns."""
     xs = [None] * ncols
     for k in range(ncols - 1, -1, -1):
         row = pivots[k]
@@ -244,15 +249,53 @@ def rank_of(fieldobj: ValuedField, vectors) -> int:
     return sum(p is not None for p in pivots)
 
 
-def invert(fieldobj: ValuedField, rows) -> list:
-    """Exact inverse of a square matrix given as a list of rows."""
-    n = len(rows)
+def _with_identity(fieldobj: ValuedField, rows) -> list:
+    """[rows | I] as lists, for an inverse by elimination."""
     one, zero = fieldobj.one, fieldobj.zero
-    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
-    pivots, _ = _eliminate(fieldobj, aug, n)
-    if any(p is None for p in pivots):
-        raise StructuralError("singular matrix")
-    return _back_substitute(pivots, n)
+    return [list(r) + [one if i == j else zero for j in range(len(rows))]
+            for i, r in enumerate(rows)]
+
+
+def invert(fieldobj: ValuedField, rows) -> _Rows:
+    """Exact inverse of a square matrix given as a list of rows, as a _Rows.
+
+    Over Q it is a fraction-free Gauss-Jordan (Bareiss) in Z: each row
+    cleared once, a_i/d_i, gives [A | diag(d_i)] in integers.  Column k
+    pivots on the first nonzero row at or below k, swapped up, and every
+    other row M becomes (p*M - M_k*P) // prev for the pivot row P with
+    P_k = p and prev the last pivot; each division is exact.  At the end
+    row i of the inverse is its right half over det, the last pivot, and
+    one gcd, signed as det, makes it the (a, d) with d > 0 that _cleared
+    gives, stored as it is.  Over Q(t), _eliminate on [rows | I] and
+    _back_substitute."""
+    n = len(rows)
+    if fieldobj.kind != "Q":
+        pivots, _ = _eliminate(fieldobj, _with_identity(fieldobj, rows), n)
+        if any(p is None for p in pivots):
+            raise StructuralError("singular matrix")
+        return _Rows(fieldobj, _back_substitute(pivots, n))
+    m = []
+    for i, r in enumerate(rows):
+        a, d = _cleared(r)
+        m.append(a + [d if j == i else 0 for j in range(n)])
+    prev = 1
+    for k in range(n):  # m holds columns k.. of each row
+        piv = next((r for r in range(k, n) if m[r][0]), None)
+        if piv is None:
+            raise StructuralError("singular matrix")
+        m[k], m[piv] = m[piv], m[k]
+        p, tail = m[k][0], m[k][1:]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[0]
+                m[i] = ([(p * x - f * y) // prev for x, y in zip(row[1:], tail)] if f
+                        else [p * x // prev for x in row[1:]])
+        m[k], prev = tail, p
+    out = []
+    for row in m:
+        g = gcd(*row, prev) if prev > 0 else -gcd(*row, prev)
+        out.append((tuple(x // g for x in row), prev // g))
+    return _Rows._make(out, True)
 
 
 def is_independent(fieldobj: ValuedField, vectors) -> bool:
@@ -368,10 +411,9 @@ def coordinate_rows(alg: StructureAlgebra, basis) -> _Rows:
     if (bad := next((len(b) for b in basis if len(b) != n), None)) is not None:
         raise StructuralError(f"a basis vector of A has {n} coordinates, got {bad}")
     try:
-        inverse = invert(alg.field, [[b[r] for b in basis] for r in range(n)])
+        return invert(alg.field, [[b[r] for b in basis] for r in range(n)])
     except StructuralError:
         raise StructuralError("basis is dependent") from None
-    return _Rows(alg.field, inverse)
 
 
 def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> _Rows:

@@ -58,7 +58,10 @@ def _tokenize(expr: str):
 def eval_cut_expression(expr: str, rank: int | None = None) -> cuts.Value:
     """Left-associative +/- over atoms BOT, TOP, INF, AM(j;...) and group
     literals (a,b) read as their principal cuts; n*atom scales.  '-' is
-    translation and needs a principal right operand."""
+    translation and needs a principal right operand.  A given rank below 1
+    is refused before the expression is read."""
+    if rank is not None and rank < 1:
+        raise CutvalError("rank must be >= 1")
     tokens = _tokenize(expr)
     if not tokens:
         raise CutvalError("empty expression")

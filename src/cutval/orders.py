@@ -27,8 +27,8 @@ import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import (PolynomialAlgebra, StructureAlgebra, _eliminate, _Rows,
-                      coordinate_rows, extend_to_basis, invert,
+from .algebra import (PolynomialAlgebra, StructureAlgebra, _back_substitute, _eliminate,
+                      _Rows, _with_identity, coordinate_rows, extend_to_basis,
                       is_independent, matrix_algebra)
 from .basedomain import BaseDomain, is_subdomain
 from .errors import ConfigError, DomainError, StructuralError
@@ -173,8 +173,9 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
 
     Min-valuation pivots make every elimination multiplier lie in S, so the
     pivot rows T span the same S-module as the rows and become the oracle's
-    one row set; the lattice basis is the columns of T^-1, checked against
-    the full rows, both read off one `_Rows` (a certificate's own, with its
+    one row set; the lattice basis is the columns of T^-1, by back
+    substitution alone since T is upper triangular, checked against the
+    full rows, both read off one `_Rows` (a certificate's own, with its
     clearing).  None when the rows lack full column rank, as an ideal
     variant's always do; a left order's never do, since x = sum u_j*(x*b_j)
     for the unit 1 = sum u_j*b_j.  The rows have dim columns, so
@@ -184,7 +185,7 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
     t_rows, _ = _eliminate(alg.field, rows, alg.dim, domain)
     if any(r is None for r in t_rows):
         return None
-    basis = tuple(zip(*invert(alg.field, t_rows)))
+    basis = tuple(zip(*_back_substitute(_with_identity(alg.field, t_rows), alg.dim)))
     if not all(domain.admits(rows, b) for b in basis):
         raise StructuralError("lattice basis disagrees with the predicate")
     return SubringOracle(

@@ -92,6 +92,16 @@ def test_cutcalc_malformed_fails_closed(capsys, expr, reason):
     assert captured.err.startswith("FAIL: ") and reason in captured.err
 
 
+@pytest.mark.parametrize("rank, expr", [("-2", "INF"), ("0", "(1)"), ("0", "AM(1;2)"),
+                                        ("-1", "BOT + TOP"), ("0", "AM(1;2")])
+def test_cutcalc_refuses_a_rank_below_one(capsys, rank, expr):
+    """--rank R with R < 1 fails before the expression is read, whatever it is."""
+    rc = main(["cutcalc", "--rank", rank, expr])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "FAIL: rank must be >= 1\n"
+
+
 def test_broken_pipe_exits_without_traceback(capsys, monkeypatch, m2_file):
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -283,6 +293,20 @@ def test_problem_missing_key_fails_closed(capsys, tmp_path, field_q):
     rc, err = run_failing(capsys, ["stable", str(path), "--basis", "units"])
     assert rc == 1
     assert err.startswith("FAIL: problem file") and "required key 'p'" in err
+
+
+@pytest.mark.parametrize("command", [["stable"], ["nice", "--samples", "5"]])
+def test_dependent_basis_fails_closed(capsys, tmp_path, field_q, command):
+    """A named basis that is dependent (1 = e11 + e22 beside e11 and e22)."""
+    alg = matrix_algebra(field_q, 2)
+    dependent = [alg.unit, alg.basis_vector(0), alg.basis_vector(1), alg.basis_vector(3)]
+    path = tmp_path / "dependent.json"
+    path.write_text(json.dumps(problem_dict(alg, {"kind": "Zp", "p": 2},
+                                            bases={"dependent": dependent})))
+    rc = main([command[0], str(path), "--basis", "dependent"] + command[1:])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "FAIL: basis is dependent\n"
 
 
 def test_qt_problem_round_trip(tmp_path, capsys):

@@ -419,7 +419,7 @@ def test_solve_rank_invert_match_reference(case):
     spec = SampleSpec(seed=303, count=0, **(QT_DRAW if field.kind == "Qt" else M3_DRAW))
     rng = spec.rng()
     for basis in bases:
-        assert invert(field, basis) == invert_reference(field, basis)
+        assert list(invert(field, basis)) == list(map(tuple, invert_reference(field, basis)))
         for _ in range(3):
             x = sample_algebra_element(rng, spec, alg)
             assert solve_columns(field, list(basis), x) == solve_columns_reference(list(basis), x)
@@ -440,6 +440,50 @@ def test_solve_rank_invert_match_reference(case):
             solve_columns_reference(part, basis[-1])
         with pytest.raises(StructuralError):
             solve_columns(field, part, basis[-1])
+
+
+def rational_rows(rows):
+    return [[Fraction(c) for c in row] for row in rows]
+
+
+# hand-built matrices over Q: a zero (0,0) entry, so the first column
+# pivots on a swapped-up row; and rows cleared to [1, 4]/2 and [9, 4]/3,
+# whose integer determinant is 4 - 36 < 0
+SWAP = rational_rows([[0, 1, "2/3"], [3, 0, "1/2"], [1, "-5/7", 1]])
+NEGATIVE_DET = rational_rows([["1/2", 2], [3, "4/3"]])
+
+
+def drawn_matrices(n, seed, count):
+    """The basis matrices, basis vectors as columns, of drawn M_n(Q) bases."""
+    bases = draw_bases(matrix_algebra(Q3, n), seed, M3_DRAW, count)
+    return [pytest.param([[b[r] for b in basis] for r in range(n * n)], id=f"M{n}-seed-{seed}-{i}")
+            for i, basis in enumerate(bases)]
+
+
+@pytest.mark.parametrize("rows", [pytest.param(SWAP, id="row-swap"),
+                                  pytest.param(NEGATIVE_DET, id="negative-det")]
+                         + drawn_matrices(3, 201, 4) + drawn_matrices(4, 7, 2))
+def test_fraction_free_inverse_matches_reference(rows):
+    """The inverse over Q, a fraction-free Gauss-Jordan in Z, stores each
+    row as the (a, d) that _cleared gives of the Fraction inverse's row:
+    d > 0 and gcd(a..., d) = 1."""
+    got = invert(Q3, rows)
+    expected = invert_reference(Q3, rows)
+    assert len(got) == len(expected) and got.width == len(rows)
+    for (a, d), row in zip(got.cleared, expected):
+        assert d > 0
+        assert (list(a), d) == _cleared(row)
+
+
+def test_fraction_free_inverse_refuses_a_singular_matrix():
+    singular = rational_rows([[1, "1/2", 3], [2, 1, 6], [0, "1/3", 1]])  # row 1 is twice row 0
+    with pytest.raises(StructuralError):
+        invert_reference(Q3, singular)
+    with pytest.raises(StructuralError, match="singular matrix"):
+        invert(Q3, singular)
+    alg = matrix_algebra(Q3, 2)
+    with pytest.raises(StructuralError, match="basis is dependent"):
+        coordinate_rows(alg, [alg.unit, alg.basis_vector(0), alg.basis_vector(1), alg.basis_vector(3)])
 
 
 def test_stabilizer_and_stability_match_reference(case):
@@ -496,25 +540,21 @@ def test_clearing_stabilizer_is_least(name, domain):
 
 def test_one_inverse_and_no_products_per_build(case, monkeypatch):
     """A build inverts the basis once, for the certificate's product rows,
-    plus T over a valuation ring, and forms no product: the rows are summed
-    off the table's cells."""
+    back-substitutes T once over a valuation ring, and forms no product:
+    the rows are summed off the table's cells.  Over Q the dense inverse
+    back-substitutes nothing; over Q(t) it makes the one back substitution
+    of its own elimination."""
     alg, domain, bases = case
-    calls = {"mul": 0, "invert": 0}
-
-    def counted(name, f):
-        def wrapper(*args):
-            calls[name] += 1
-            return f(*args)
-        return wrapper
-
-    monkeypatch.setattr(StructureAlgebra, "mul", counted("mul", StructureAlgebra.mul))
-    inv = counted("invert", invert)
-    monkeypatch.setattr(algebra, "invert", inv)
-    monkeypatch.setattr(orders, "invert", inv)
+    calls = {}
+    count_calls(monkeypatch, calls, StructureAlgebra, "mul")
+    count_calls(monkeypatch, calls, algebra, "invert")
+    count_calls(monkeypatch, calls, algebra, "_back_substitute")
+    count_calls(monkeypatch, calls, orders, "_back_substitute", "t_solve")
     for basis in bases:
-        calls.update(mul=0, invert=0)
+        calls.update(dict.fromkeys(calls, 0))
         orders.nice_from_certificate(stabilizer_finite(alg, basis, domain))
-        assert calls == {"mul": 0, "invert": 2 if domain.is_valuation_like else 1}
+        assert calls == {"mul": 0, "invert": 1, "_back_substitute": 1 if alg.field.kind == "Qt" else 0,
+                         "t_solve": 1 if domain.is_valuation_like else 0}
 
 
 def test_insertion_clears_the_coordinates_over_the_new_basis(case, monkeypatch):
@@ -552,32 +592,34 @@ def test_one_inverse_per_insertion_and_chain_step(case, monkeypatch):
     """Insertion reads x0's coordinates and every new coordinate off the old
     certificate: no solve, and one inverse, the new certificate's, with the
     n stabilizer products s0*c*x0 and none for its rows.  A descend_chain step
-    inverts one basis per element it inserts, plus T for the step's two
-    lattices over a valuation ring."""
+    makes one dense inverse per element it inserts, and one back
+    substitution of T for each of the step's two lattices over a
+    valuation ring."""
     alg, domain, bases = case
     n, calls = alg.dim, {}
     count_calls(monkeypatch, calls, StructureAlgebra, "mul")
     count_calls(monkeypatch, calls, algebra, "invert")
     count_calls(monkeypatch, calls, algebra, "solve_columns")
-    count_calls(monkeypatch, calls, orders, "invert", "lattice_invert")
+    count_calls(monkeypatch, calls, orders, "_back_substitute", "t_solve")
     count_calls(monkeypatch, calls, stability, "insert_into_basis")
     cert = stabilizer_finite(alg, bases[0], domain)
     start = orders.nice_from_certificate(cert)
     calls.update(dict.fromkeys(calls, 0))
     insert_into_basis(cert, alg.add(bases[0][0], bases[0][-1]))
     assert calls == {"mul": n, "invert": 1, "solve_columns": 0,
-                     "lattice_invert": 0, "insert_into_basis": 0}
+                     "t_solve": 0, "insert_into_basis": 0}
     calls.update(dict.fromkeys(calls, 0))
     orders.descend_chain(start, 1)
     assert calls["insert_into_basis"] == 2  # 1 and s0*y, neither in the basis
     assert calls["invert"] == calls["insert_into_basis"]
     assert calls["solve_columns"] == 0
-    assert calls["lattice_invert"] == (2 if domain.is_valuation_like else 0)
+    assert calls["t_solve"] == (2 if domain.is_valuation_like else 0)
 
 
 def test_ideal_variant_inverts_once_and_forms_no_products(monkeypatch):
     """(x^2) in Q[x]/(x^3) over Z_(2): the ideal is checked on the
-    certificate's rows, so the variant costs one inverse and no product."""
+    certificate's rows, so the variant costs one dense inverse, no product
+    and no back substitution: it keeps its rows as a predicate, with no T."""
     field = ValuedField("Q", 2)
     one, zero = field.one, field.zero
     e = lambda k: tuple(one if i == k else zero for i in range(3))
@@ -587,11 +629,11 @@ def test_ideal_variant_inverts_once_and_forms_no_products(monkeypatch):
     calls = {}
     count_calls(monkeypatch, calls, StructureAlgebra, "mul")
     count_calls(monkeypatch, calls, algebra, "invert")
-    count_calls(monkeypatch, calls, orders, "invert", "lattice_invert")
+    count_calls(monkeypatch, calls, orders, "_back_substitute", "t_solve")
     certs, stabilizer = [], orders.stabilizer_finite
     monkeypatch.setattr(orders, "stabilizer_finite", lambda *a: certs.append(stabilizer(*a)) or certs[-1])
     R = orders.nice_with_ideal(orders.IdealSpec(alg, (e(2),)), p_local(2))
-    assert calls == {"mul": 0, "invert": 1, "lattice_invert": 0}
+    assert calls == {"mul": 0, "invert": 1, "t_solve": 0}
     # the variant's rows are the certificate's own clearings, none cleared again
     rows, (cert,) = R.constraints[0][1], certs
     assert len(rows) == 4

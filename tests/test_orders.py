@@ -60,8 +60,9 @@ def test_lattice_membership_examples(m2, field_q):
 @pytest.mark.parametrize("domain", [integers(), p_local(3)], ids=["Z", "Z_(3)"])
 def test_lattice_membership_inverts_once(domain, monkeypatch):
     """M's coordinate rows are built on the first call and kept: 90 calls
-    make one inverse, and each verdict is the one that asks `contains` of
-    every coordinate solved afresh, both verdicts occurring."""
+    make one dense inverse and no back substitution, and each verdict is
+    the one that asks `contains` of every coordinate solved afresh, both
+    verdicts occurring."""
     field = ValuedField("Q", 3)
     alg = matrix_algebra(field, 3)
     spec = SampleSpec(seed=91, count=0, coef_bound=5, max_p_exp=2)
@@ -74,11 +75,13 @@ def test_lattice_membership_inverts_once(domain, monkeypatch):
     assert len(points) == 90
     expected = [all(map(domain.contains, solve_columns(field, basis, x))) for x in points]
     assert True in expected and False in expected
-    calls, invert = [], algebra.invert
-    monkeypatch.setattr(algebra, "invert", lambda *a: calls.append(1) or invert(*a))
+    calls, invert, back_substitute = [], algebra.invert, algebra._back_substitute
+    monkeypatch.setattr(algebra, "invert", lambda *a: calls.append("invert") or invert(*a))
+    monkeypatch.setattr(algebra, "_back_substitute",
+                        lambda *a: calls.append("back substitution") or back_substitute(*a))
     M = LatticeModule(alg, domain, basis)
     assert [lattice_membership(M, x) for x in points] == expected
-    assert len(calls) == 1
+    assert calls == ["invert"]
 
 
 # --- left orders ------------------------------------------------------------
@@ -158,9 +161,9 @@ def test_lattice_self_check_fires(monkeypatch, kind):
         left_order(dependent)
     with pytest.raises(StructuralError, match="basis is dependent"):
         lattice_membership(dependent, alg.unit)
-    invert, s0 = orders.invert, domain.noninvertible()
-    monkeypatch.setattr(orders, "invert", lambda fieldobj, rows: [
-        [c / s0 for c in row] for row in invert(fieldobj, rows)])
+    back_substitute, s0 = orders._back_substitute, domain.noninvertible()
+    monkeypatch.setattr(orders, "_back_substitute", lambda pivots, ncols: [
+        [c / s0 for c in row] for row in back_substitute(pivots, ncols)])
     with pytest.raises(StructuralError, match="lattice basis disagrees with the predicate"):
         left_order(LatticeModule(alg, domain, units_of(alg)))
 
@@ -217,6 +220,62 @@ def test_verify_nice_detects_lying_over_failure(m2):
     report = verify_nice(fake, SampleSpec(seed=11, count=400))
     lying = next(c for c in report.checks if c.name == "R cap F = S")
     assert not lying.ok and lying.method == "sampled"
+
+
+def refusing(oracle, refused):
+    """A copy of a SubringOracle with the elements in refused taken out."""
+    class Refusing(SubringOracle):
+        def contains(self, x):
+            return x not in refused and super().contains(x)
+    return Refusing(**{f.name: getattr(oracle, f.name)
+                       for f in dataclasses.fields(oracle) if f.init})
+
+
+def failing_checks(report):
+    """(name, detail) of each failed check, each also rendered in the report."""
+    failed, lines = [c for c in report.checks if not c.ok], str(report).splitlines()
+    for c in failed:
+        assert f"  FAIL {c.name} ({c.method}) -- {c.detail}" in lines
+    return [(c.name, c.detail) for c in failed]
+
+
+def test_verify_nice_contains_s1_failures(m2):
+    """Each witness of "contains S*1": 1 itself, s0*1, and the first sampled
+    s*1, on M2(Z_(2)) with that one element refused."""
+    R, S = m2_z2_order(m2), p_local(2)
+    spec = SampleSpec(seed=42, count=20)
+    s = sample_in_domain(spec.rng(), spec, S)  # verify_nice's first draw
+    assert s not in (1, S.noninvertible())
+    for refused, witness in [(m2.unit, "1"), (m2.smul(S.noninvertible(), m2.unit), "s0*1"),
+                             (m2.smul(s, m2.unit), f"{m2.field.scalar_text(s)}*1")]:
+        report = verify_nice(refusing(R, [refused]), spec)
+        assert failing_checks(report) == [("contains S*1", f"witness {witness}")]
+
+
+def test_verify_nice_without_a_contained_basis(m2):
+    """A predicate oracle with no contained basis: RF = A has nothing to
+    exhibit, and closure has nothing to sample members from."""
+    S = p_local(2)
+    bare = SubringOracle(algebra=m2, domain=S, provenance="no-basis",
+                         constraints=((S, coordinate_rows(m2, units_of(m2))),))
+    report = verify_nice(bare, SampleSpec(seed=42, count=20))
+    assert failing_checks(report) == [
+        ("closed under + and *", "oracle carries no basis to sample members from"),
+        ("RF = A (basis inside R)", "no contained basis available")]
+
+
+def test_verify_nice_unit_expansion_leaves_s(m2):
+    """The lattice 2*M2(Z_(2)) as a lattice oracle: 1 has coordinates 1/2,
+    so the exact lying-over test finds the unit outside the lattice."""
+    S = p_local(2)
+    basis = tuple(m2.smul(Fraction(2), b) for b in units_of(m2))
+    lattice = SubringOracle(algebra=m2, domain=S, provenance="2*M2",
+                            constraints=((S, coordinate_rows(m2, basis)),),
+                            lattice_basis=basis, contained_basis=basis)
+    report = verify_nice(lattice, SampleSpec(seed=42, count=20))
+    assert failing_checks(report) == [
+        ("contains S*1", "witness 1"),
+        ("R cap F = S", "unit expansion leaves S (1 is not in the lattice)")]
 
 
 class EverythingPolySubring(PolySubring):
