@@ -32,7 +32,7 @@ reducing Fraction per nonzero coordinate.  `product_rows` is one integer
 matrix product over the same cells, each row divided by one gcd into the
 (a, d) its `_Rows` stores, and every reader of the rows, the elimination
 included, takes them as they are.  Over Q(t) rows and products are
-summed term by term, and a valuation is read off each value.
+summed term by term, and valuations are read in Z[t] (see `numfield`).
 
 The polynomial backend :class:`PolynomialAlgebra` represents F[y] with the
 monomial basis; elements are sparse exponent -> coefficient dicts.
@@ -47,7 +47,8 @@ from math import gcd
 from operator import mul
 
 from .errors import ConfigError, StructuralError
-from .numfield import ValuedField, _cleared, _int_p_exponent
+from .numfield import (RationalFunction, ValuedField, _cleared, _int_p_exponent, _zt_clearing,
+                       _zt_valuations)
 
 Element = tuple  # tuple of field scalars
 
@@ -323,20 +324,19 @@ def extend_to_basis(alg: StructureAlgebra, vectors) -> list:
 
 
 def _dot(row, x):
-    it = iter(zip(row, x))
-    r0, x0 = next(it)
-    acc = r0 * x0
-    for r, c in it:
+    acc = None
+    for r, c in zip(row, x):
         if r and c:
-            acc = acc + r * c
-    return acc
+            acc = r * c if acc is None else acc + r * c
+    return RationalFunction.ZERO if acc is None else acc
 
 
 class _Rows:
     """Fixed linear rows over a field, of one width, evaluated at points x.
     `stored` holds each row over Q only as (a_1..a_n, d) = _cleared(row),
-    and `cleared` is the same tuple; over Q(t) it holds the scalar rows and
-    `cleared` is None.  Iterating yields the rows, over Q built on each
+    and `cleared` is the same tuple; over Q(t) it holds the scalar rows,
+    `cleared` is None and `zt` their Z[t] clearings, made on the first
+    `valuations` read.  Iterating yields the rows, over Q built on each
     read.  _Rows(fieldobj, rows) is rows itself when it is a _Rows.  Every
     membership test over a valuation ring, of Q or Q(t), reads `valuations`."""
 
@@ -349,7 +349,7 @@ class _Rows:
     @classmethod
     def _make(cls, stored, cleared: bool):
         self = object.__new__(cls)
-        self.stored, self.cleared = stored, stored if cleared else None
+        self.stored, self.cleared, self.zt = stored, stored if cleared else None, None
         self.width = len(stored[0][0] if cleared else stored[0]) if stored else 0
         return self
 
@@ -375,12 +375,14 @@ class _Rows:
 
     def valuations(self, x, vf: ValuedField):
         """vf's value of each row value at x (None for a zero value), in row
-        order and as consumed.  Over Q, v_p(sum a_i*b_i) - v_p(d) - v_p(e)
-        for vf's p, which need not be the algebra field's: no Fraction is
-        built and no gcd taken.  Over Q(t), vf.value of each value."""
-        if self.cleared is None:
-            return map(vf.value, self.values(x))
+        order and as consumed, building no value and taking no gcd.  Over
+        Q, v_p(sum a_i*b_i) - v_p(d) - v_p(e) for vf's p, which need not be
+        the algebra field's; over Q(t), `_zt_valuations` of the rows."""
         self._check_width(x)
+        if self.cleared is None:
+            if self.zt is None:
+                self.zt = tuple(map(_zt_clearing, self.stored))
+            return _zt_valuations(self.zt, x, vf.p)
         b, e = _cleared(x)
         p = vf.p
         ve = _int_p_exponent(e, p)

@@ -16,7 +16,7 @@ import sys
 from . import cuts
 from .algebra import TableReport
 from .basedomain import integers
-from .errors import CutvalError, StructuralError
+from .errors import CutvalError, DomainError, StructuralError
 from .numfield import ValuedField, parse_rational
 from .orders import descend_chain, matrix_nice_chain, nice_from_certificate, nice_with_ideal, verify_nice
 from .problemfile import load_problem
@@ -213,8 +213,7 @@ def _cmd_ideal_nice(args) -> int:
 
 def _cmd_matrix_chain(args) -> int:
     if args.domain != "Z":
-        print("FAIL: only --domain Z is supported")
-        return 1
+        raise DomainError("only --domain Z is supported")
     field = ValuedField("Q", args.p)
     gens = [parse_rational(g) for g in args.ideals.split(",")]
     chain = matrix_nice_chain(field, integers(), gens, args.n)

@@ -29,13 +29,20 @@ multiples of its operands (Knuth, 4.6.1, Algorithm E), and ``_exact_quo``
 divides the dividend's integers by the primitive multiple of the divisor, a
 division that Gauss's lemma makes exact.  ``Fraction`` coefficients are
 built only to be read, as in formatting.
+
+Both parts of v are multiplicative, so v(S/D) = v(S) - v(D) for any
+representation in Z[t], reduced or not, where v(P) for P in Z[t] is
+(ord_t P, v_p of its lowest coefficient).  A row of scalars read against
+a point needs only v of its value: `_zt_clearing` writes the row once
+over the product of its distinct denominators, and `_zt_value_at` reads v
+of the value at a point off integer products, with no gcd and no scalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
 
 from .errors import ConfigError, StructuralError
@@ -106,6 +113,16 @@ def _cleared(coeffs) -> tuple[list[int], int]:
     """(A, d) with coeffs = A/d, for d the lcm of the denominators."""
     d = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The product in Z[t] of two nonempty coefficient lists, as a new list."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
 
 
 class Polynomial:
@@ -192,12 +209,7 @@ class Polynomial:
             return other
         if len(b) == 1 and b[0] == other.den or not a:
             return self
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for k, y in enumerate(b, i):
-                    out[k] += x * y
-        return Polynomial._from_ints(out, self.den * other.den)
+        return Polynomial._from_ints(_convolve(a, b), self.den * other.den)
 
     def scale(self, c: Fraction) -> "Polynomial":
         if c == 1:
@@ -409,16 +421,82 @@ RationalFunction.ONE = RationalFunction(Polynomial.ONE)
 RationalFunction.T = RationalFunction(Polynomial.T)
 
 
+def _zt_value(ints: list[int], p: int) -> tuple[int, int] | None:
+    """v(P) = (ord_t P, v_p of its lowest coefficient) for P in Z[t]; None for 0."""
+    for k, c in enumerate(ints):
+        if c:
+            return k, _int_p_exponent(c, p)
+    return None
+
+
 def composite_valuation(p: int, f: RationalFunction) -> tuple[int, int] | None:
     """(t-adic order, v_p of the lowest Laurent coefficient); None for 0."""
     if not is_prime(p):
         raise ConfigError(f"{p} is not prime")
     if f.is_zero():
         return None
-    on, od = f.num.ord(), f.den.ord()
-    e = (_int_p_exponent(f.num.ints[on], p) - _int_p_exponent(f.num.den, p)
-         - _int_p_exponent(f.den.ints[od], p) + _int_p_exponent(f.den.den, p))
-    return (on - od, e)
+    (on, en), (od, ed) = _zt_value(f.num.ints, p), _zt_value(f.den.ints, p)
+    return on - od, en - ed - _int_p_exponent(f.num.den, p) + _int_p_exponent(f.den.den, p)
+
+
+def _zt_split(c: RationalFunction) -> tuple[list[int], list[int]]:
+    """A nonzero scalar as integer coefficient lists (n, d) with c = n/d in
+    Z[t], read off the clearings that its two Polynomials carry."""
+    num, den = c.num, c.den
+    return (num.ints if den.den == 1 else [y * den.den for y in num.ints],
+            den.ints if num.den == 1 else [y * num.den for y in den.ints])
+
+
+def _over_distinct(pairs) -> tuple[list, list]:
+    """For fractions n/d in Z[t] given as (n, d): the distinct d other than
+    1, whose product D takes no gcd, and each n*(D/d), its fraction over D."""
+    dens = []
+    for _, d in pairs:
+        if d != [1] and d not in dens:
+            dens.append(d)
+    return dens, [reduce(_convolve, [e for e in dens if e != d], n) for n, d in pairs]
+
+
+def _zt_clearing(row) -> tuple:
+    """A row of Q(t) scalars as its clearing in Z[t] over its support:
+    ((i, A_i), ...) and Q, integer coefficient lists with row_i = A_i/Q."""
+    support = [(i, _zt_split(c)) for i, c in enumerate(row) if c]
+    dens, nums = _over_distinct([nd for _, nd in support])
+    return tuple(zip([i for i, _ in support], nums)), reduce(_convolve, dens, [1])
+
+
+def _zt_value_at(row, split, p: int) -> tuple[int, int] | None:
+    """v(sum A_i*x_i / Q) for a row's clearing (terms, Q) from _zt_clearing,
+    at x split by _zt_split (None for x_i = 0); None for a zero value.  One
+    live term gives v(A_i) + v(n_i) - v(d_i) - v(Q); more give v(S) - v(D)
+    - v(Q), for D and S = sum A_i*n_i*(D/d_i) from _over_distinct."""
+    terms, q = row
+    live = [(a, split[i]) for i, a in terms if split[i]]
+    if len(live) == 1:
+        ((a, (n, d)),) = live
+        ups, downs = (a, n), (d, q)
+    else:
+        dens, nums = _over_distinct([(_convolve(a, n), d) for a, (n, d) in live])
+        s = [0] * max(map(len, nums), default=0)
+        for n in nums:
+            for k, c in enumerate(n):
+                s[k] += c
+        ups, downs = (s,), dens + [q]
+    t = e = 0
+    for n in ups:
+        if (v := _zt_value(n, p)) is None:
+            return None
+        t, e = t + v[0], e + v[1]
+    for d in downs:
+        dt, de = _zt_value(d, p)
+        t, e = t - dt, e - de
+    return t, e
+
+
+def _zt_valuations(rows, x, p: int):
+    """_zt_value_at of each row clearing at the point x, as consumed."""
+    split = [_zt_split(c) if c else None for c in x]
+    return (_zt_value_at(row, split, p) for row in rows)
 
 
 def format_poly_list(poly: Polynomial) -> list[str]:

@@ -199,6 +199,15 @@ def test_matrix_chain(capsys):
     assert out.count("nice audit PASS") == 2
 
 
+@pytest.mark.parametrize("domain", ["Zp", "Ov"])
+def test_matrix_chain_refuses_other_domains_on_stderr(capsys, domain):
+    """A domain other than Z is refused as every other refusal is: a FAIL:
+    line on stderr, nothing on stdout, exit 1."""
+    rc = main(["matrix-chain", "--n", "2", "--domain", domain, "--ideals", "4,2"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (1, "", "FAIL: only --domain Z is supported\n")
+
+
 def test_report_values_round_trip(capsys, m2_file):
     _, out = run(capsys, ["qv", "eval", m2_file, "--basis", "units",
                           "--element", "3,0,0,12"])

@@ -15,7 +15,9 @@ the reference for its cleared integer loop over Q.  The stabilizer
 reference keeps its per-product solves but clears all n^2 coordinates at
 b_i at once, the rule that replaced a product of n clearings.  Asking
 `contains` of every row value, and `clear_many` of them all, is the
-reference for membership and clearing on the domain's integer reads.
+reference for membership and clearing on the domain's integer reads, and
+vf.value of each scalar row value is the reference for the valuations
+that a row set over Q(t) reads off its clearing in Z[t].
 Coordinates over a basis are unique, the min-valuation pivot sequence is
 a function of the rows and a rational function has one reduced form with
 a monic denominator, so every result must be exactly equal.
@@ -40,7 +42,7 @@ from cutval.errors import StructuralError
 from cutval.numfield import (Polynomial, RationalFunction, ValuedField, _cleared, _exact_quo,
                              poly_gcd, vp)
 from cutval.orders import LatticeModule, intersect_oracles, left_order
-from cutval.samplers import sample_algebra_element, sample_ratfunc, sample_scalar
+from cutval.samplers import sample_algebra_element, sample_member, sample_ratfunc, sample_scalar
 from cutval.sampling import SampleSpec, sample_rational
 from cutval.stability import (StabilityReport, StableBasisCertificate, insert_into_basis,
                               is_stable, stabilizer_finite)
@@ -789,6 +791,118 @@ def test_qt_build_makes_kernel_results_from_integers(monkeypatch):
         cert = stabilizer_finite(alg, basis, domain)
         quasival.filter_qv(orders.nice_from_certificate(cert))
     assert seen and all(seen)
+
+
+# --- Q(t) valuations read in Z[t] against the scalar values -------------------------
+
+
+QT_READ_DRAW = dict(coef_bound=3, max_p_exp=1, poly_degree=1)
+
+
+def qt_read_sets(alg, seeds):
+    """(order, row sets) over O_v of Q(t): the product rows, coordinate rows
+    and T of the first basis drawn at each seed, then of the unit basis,
+    whose left order is the audit-qt order."""
+    domain, out = valuation_ring(QT), []
+    bases = [draw_bases(alg, seed, QT_READ_DRAW, 1)[0] for seed in seeds]
+    for basis in bases + [tuple(alg.basis_vector(i) for i in range(alg.dim))]:
+        cert = stabilizer_finite(alg, basis, domain)
+        R = orders.nice_from_certificate(cert)
+        out.append((R, [cert.rows, cert.coords, R.lattice_rows]))
+    return out
+
+
+def qt_hand_points(alg, rows):
+    """A zero coordinate, repeated denominators (one polynomial over 1 + t,
+    once with other integer content), negative values, and for the first
+    row with two nonzero entries r_i, r_j a point at which it cancels to
+    0: w*(r_j e_i - r_i e_j)."""
+    f = QT.scalar
+    w = f({"num": ["1", "2"], "den": ["1", "1"]})
+    sparse = [f(0)] * alg.dim
+    sparse[0], sparse[-1] = f({"num": ["0", "3"], "den": ["1", "1"]}), f("5/2")
+    points = [tuple(sparse),
+              tuple(f({"num": [str(k + 1), "1"], "den": ["1", "1"]}) for k in range(alg.dim)),
+              tuple(f({"num": [str(k), "1/2"], "den": ["1", "1"]}) for k in range(alg.dim)),
+              tuple(f({"num": ["1", "-4"], "den": ["0", "0", "2"]}) if k % 2 else f("3/8")
+                    for k in range(alg.dim))]
+    for row in rows:
+        live = [k for k, r in enumerate(row) if r]
+        if len(live) >= 2:
+            i, j = live[:2]
+            x = [f(0)] * alg.dim
+            x[i], x[j] = w * row[j], -(w * row[i])
+            points.append(tuple(x))
+            break
+    return points
+
+
+# the scalar reference is slow on some M2(Q(t)) draws (seed 7: 10 s), not the read
+@pytest.mark.parametrize("name, seeds", [("M2(Q(t))", (9, 10)), ("Q(t)[x]/(x^2-t)", (7, 8, 9))])
+def test_qt_valuations_match_the_scalar_values(name, seeds):
+    """_Rows.valuations over Q(t), read off each row's Z[t] clearing, is
+    vf.value of each scalar row value, None for 0: on the drawn bases'
+    product rows, coordinate rows and T and the unit basis's, at drawn
+    elements, sampled members and hand-built points."""
+    make, _ = PRODUCT_ROW_ALGEBRAS[name]
+    alg = make()
+    spec = SampleSpec(seed=343, count=0, **QT_READ_DRAW)
+    rng, seen = spec.rng(), set()
+    for R, row_sets in qt_read_sets(alg, seeds):
+        drawn = [sample_algebra_element(rng, spec, alg) for _ in range(4)]
+        members = [sample_member(rng, spec, R) for _ in range(2)]
+        for rows in row_sets:
+            for x in drawn + members + qt_hand_points(alg, tuple(rows)):
+                got = list(rows.valuations(x, QT))
+                assert got == [QT.value(v) if v else None for v in rows.values(x)]
+                seen.update("zero" if v is None else "negative" if v < (0, 0) else "other"
+                            for v in got)
+    assert seen == {"zero", "negative", "other"}
+
+
+def test_qt_reads_call_no_poly_gcd(monkeypatch):
+    """Over O_v of Q(t) every valuation read is taken in Z[t]: the
+    stabilizer's clearing (`BaseDomain._clearing` of `reads`), _lattice's
+    self-check and membership (`admits`) and support_mu call poly_gcd zero
+    times, the first read that builds a row set's clearing included, while
+    the scalar work around them calls it."""
+    gcd_calls, entered, inside = {"in reads": 0, "outside": 0}, {}, [0]
+    gcd = numfield.poly_gcd
+
+    def counted(a, b):
+        gcd_calls["in reads" if inside[0] else "outside"] += 1
+        return gcd(a, b)
+
+    def guarded(owner, name):
+        f, entered[name] = getattr(owner, name), 0
+
+        def wrapper(*args):
+            entered[name] += 1
+            inside[0] += 1
+            try:
+                return f(*args)
+            finally:
+                inside[0] -= 1
+        monkeypatch.setattr(owner, name, wrapper)
+    monkeypatch.setattr(numfield, "poly_gcd", counted)
+    for name in ("reads", "_clearing", "admits"):
+        guarded(BaseDomain, name)
+    guarded(quasival, "support_mu")
+    spec = SampleSpec(seed=347, count=0, **QT_READ_DRAW)
+    rng, dims = spec.rng(), 0
+    for alg in (matrix_algebra(QT, 2), quadratic_algebra(QT, RationalFunction.T)):
+        for R, _ in qt_read_sets(alg, (7,)):  # a drawn basis and the unit basis
+            dims += alg.dim
+            qv = quasival.filter_qv(R)
+            for _ in range(3):
+                x = sample_algebra_element(rng, spec, alg)
+                R.contains(x)
+                quasival.filter_qv_eval(qv, x)
+    # per basis vector one stabilizer clearing and one self-check, per point
+    # one membership and one support_mu: each of them one read
+    assert entered == {"_clearing": dims, "admits": dims + 12, "reads": 2 * dims + 24,
+                       "support_mu": 12}
+    assert gcd_calls["in reads"] == 0 and gcd_calls["outside"] > 0
 
 
 # --- the cleared kernel over Q against the Fraction loop ---------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutval.algebra import (PolynomialAlgebra, coordinate_rows, matrix_algebra,
+from cutval.algebra import (PolynomialAlgebra, _Rows, coordinate_rows, matrix_algebra,
                             matrix_element, quadratic_algebra)
 from cutval.basedomain import integers, p_local, valuation_ring
 from cutval.cuts import INF, at_most, embed_phi, value_compare, zero_cut
@@ -93,6 +93,33 @@ def test_composite_rank2_audit(field_qt):
     # rank-2 values
     t_unit = alg.smul(field_qt.scalar({"num": ["0", "1"]}), alg.unit)
     assert filter_qv_eval(qv, t_unit) == embed_phi((1, 0))
+
+
+def test_audit_reports_a_wrong_valuation_read(field_qt, monkeypatch):
+    """The unit-basis M2(Q(t)) order over O_v, with the valuation read of
+    its first row (0, 1) too high wherever it is negative: W no longer
+    agrees with the clearing path, which scales x into R first, nor with
+    xR inside R, and the report renders both witnesses.  A read too high
+    everywhere would commute with that scaling, and the clearing path
+    could not see it."""
+    alg = matrix_algebra(field_qt, 2)
+    S = valuation_ring(field_qt)
+    qv = filter_qv(left_order(LatticeModule(alg, S, tuple(alg.basis_vector(i) for i in range(4)))))
+    spec = SampleSpec(seed=48, count=10, poly_degree=1)
+    assert qv_audit(qv, spec).ok
+    reads = _Rows.valuations
+
+    def wrong(self, x, vf):
+        for k, v in enumerate(reads(self, x, vf)):
+            yield (v[0], v[1] + 1) if k == 0 and v is not None and v < (0, 0) else v
+    monkeypatch.setattr(_Rows, "valuations", wrong)
+    report = qv_audit(qv, spec)
+    failed = {c.name: c.failures[0] for c in report.checks if not c.ok}
+    assert failed["clearing-path agreement"].startswith("clearing path disagrees at ([")
+    assert failed["O_W = R (W >= 0 iff membership)"].endswith(": W=AM(0;0,0) vs xR in R=False")
+    text = str(report)
+    for name, witness in failed.items():
+        assert f"FAIL {name} (n=" in text and witness in text
 
 
 def test_gauss_case(field_q):
