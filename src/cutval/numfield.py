@@ -217,24 +217,6 @@ class Polynomial:
         n = c.numerator
         return Polynomial._from_ints([x * n for x in self.ints], self.den * c.denominator)
 
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Long division over Q, the reference for the integer kernels."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem, div = list(self.coeffs), other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return Polynomial(), self
-        quo = [Fraction(0)] * (dq + 1)
-        n, lc = other.degree, div[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + n] / lc
-            quo[k] = c
-            if c != 0:
-                for i, b in enumerate(div):
-                    rem[k + i] -= c * b
-        return Polynomial(quo), Polynomial(rem[:n])
-
     def monic(self) -> "Polynomial":
         a = self.ints
         if not a or a[-1] == self.den:

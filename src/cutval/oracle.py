@@ -16,6 +16,20 @@ operand pairs z minus the other's padded bound (or 0) with it; a BOTTOM
 operand empties both sums.  So B >= 2m suffices: the enforced bound
 leaves a margin of two.
 
+Membership is the definition: a point is in L(AtMost(j, beta)) when its
+first k - j coordinates are <=lex beta, a tuple comparison.  The sum of
+the two window left sets is a Minkowski sum of bitsets.  A box point x is
+the base-W integer, W = 4B + 1, whose digits are x_i + B, in [0, 2B],
+first coordinate most significant.  Two such digits sum to at most 4B < W,
+so adding the integers of x and y carries nowhere, and the sum's digits
+are x_i + y_i + 2B: the integer of x + y at offset 2B.  OR-ing the
+bitset of L(b) shifted by the integer of each x in L(a) marks every
+reachable sum, and an inner point z is read as the one bit with digits
+z_i + 2B.  Width W = 4B would also be correct: a digit sum of 4B then
+carries, and the lowest carrying digit is left 0, while an inner point's
+digits lie in [2B - h, 2B + h], never 0, so no carried sum is read as an
+inner point.
+
 `brute_support` rescans x*R against powers of the uniformizer (at rank 1
 the domain's designated non-unit) using only membership tests,
 independent of the min-valuation formula it checks.
@@ -26,9 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .cuts import ATMOST, BOTTOM, TOP, Cut, at_most, bottom, cut_add, top
+from .cuts import ATMOST, TOP, Cut, at_most, bottom, cut_add, top
 from .errors import BudgetError, DomainError
 from .orders import SubringOracle
 
@@ -49,28 +61,16 @@ class Window:
                 f"budget {DEFAULT_BUDGET}")
 
 
-def box_points(rank: int, bound: int) -> np.ndarray:
-    axes = [np.arange(-bound, bound + 1, dtype=np.int64)] * rank
-    grid = np.meshgrid(*axes, indexing="ij")
-    return np.stack(grid, axis=-1).reshape(-1, rank)
+def box_points(rank: int, bound: int) -> list[tuple[int, ...]]:
+    """The points of [-bound, bound]^rank in lex order."""
+    return list(itertools.product(range(-bound, bound + 1), repeat=rank))
 
 
-def member_mask(cut: Cut, pts: np.ndarray) -> np.ndarray:
-    """Vectorized definitional membership in the cut's left set."""
-    n = len(pts)
-    if cut.kind == BOTTOM:
-        return np.zeros(n, dtype=bool)
-    if cut.kind == TOP:
-        return np.ones(n, dtype=bool)
-    m = cut.rank - cut.level
-    le = np.zeros(n, dtype=bool)
-    eq = np.ones(n, dtype=bool)
-    for col in range(m):
-        c = pts[:, col]
-        b = cut.bound[col]
-        le |= eq & (c < b)
-        eq &= c == b
-    return le | eq
+def in_left_set(cut: Cut, pt: tuple[int, ...]) -> bool:
+    """Definitional membership of a point in the cut's left set."""
+    if cut.kind == ATMOST:
+        return pt[:cut.rank - cut.level] <= cut.bound
+    return cut.kind == TOP
 
 
 def _max_bound_coord(*cuts: Cut) -> int:
@@ -105,33 +105,31 @@ def window_cut_sum(a: Cut, b: Cut, win: Window) -> WindowSumResult:
     need = 2 * (1 + _max_bound_coord(a, b))
     if win.bound < need:
         raise DomainError(f"window bound {win.bound} below the safe margin {need}")
-    pts = box_points(win.rank, win.bound)
-    inner = pts[np.all(np.abs(pts) <= win.bound // 2, axis=1)]
+    bound, rank, h = win.bound, win.rank, win.bound // 2
+    weights = [(4 * bound + 1) ** i for i in reversed(range(rank))]
+
+    def codes(lo, hi):
+        """The base-W integers with every digit in [lo, hi], in lex order."""
+        return map(sum, itertools.product(*(range(lo * w, (hi + 1) * w, w) for w in weights)))
+
+    box = list(zip(box_points(rank, bound), codes(0, 2 * bound)))  # digits x_i + B
+    b_bits = sum(1 << i for y, i in box if in_left_set(b, y))
+    achieved = 0
+    for x, i in box:
+        if in_left_set(a, x):
+            achieved |= b_bits << i
     predicted_cut = cut_add(a, b)
-    predicted = member_mask(predicted_cut, inner)
-    a_pts = pts[member_mask(a, pts)]
-    achieved = np.zeros(len(inner), dtype=bool)
-    if len(a_pts):
-        chunk = max(1, 2_000_000 // max(1, len(a_pts)))
-        for lo in range(0, len(inner), chunk):
-            part = inner[lo:lo + chunk]
-            diff = part[:, None, :] - a_pts[None, :, :]
-            in_box = np.all(np.abs(diff) <= win.bound, axis=2)
-            memb = member_mask(b, diff.reshape(-1, win.rank)).reshape(diff.shape[:2])
-            achieved[lo:lo + len(part)] = np.any(in_box & memb, axis=1)
-    diffs = np.nonzero(predicted != achieved)[0]
-    if len(diffs) == 0:
-        return WindowSumResult(True, predicted_cut, len(inner))
-    i = int(diffs[0])
-    return WindowSumResult(False, predicted_cut, len(inner),
-                           (tuple(int(v) for v in inner[i]), bool(predicted[i]), bool(achieved[i])))
+    inner = box_points(rank, h)
+    for z, i in zip(inner, codes(2 * bound - h, 2 * bound + h)):  # digits z_i + 2B
+        pb, ab = in_left_set(predicted_cut, z), bool(achieved >> i & 1)
+        if pb != ab:
+            return WindowSumResult(False, predicted_cut, len(inner), (z, pb, ab))
+    return WindowSumResult(True, predicted_cut, len(inner))
 
 
 def window_left_set(cut: Cut, bound: int) -> frozenset:
     """The left set restricted to the box, as a frozenset of tuples."""
-    pts = box_points(cut.rank, bound)
-    sel = pts[member_mask(cut, pts)]
-    return frozenset(tuple(int(v) for v in p) for p in sel)
+    return frozenset(p for p in box_points(cut.rank, bound) if in_left_set(cut, p))
 
 
 def enumerate_canonical(rank: int, bound_box: int):

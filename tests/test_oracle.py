@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import random_cut
@@ -10,7 +14,7 @@ from cutval.cuts import ATMOST, at_most, bottom, embed_phi, top
 from cutval.errors import BudgetError, DomainError
 from cutval.numfield import ValuedField
 from cutval.oracle import (Window, box_points, brute_support,
-                           enumerate_canonical, member_mask, window_cut_sum,
+                           enumerate_canonical, in_left_set, window_cut_sum,
                            window_left_set)
 from cutval.orders import LatticeModule, left_order
 from cutval.quasival import filter_qv, support_mu
@@ -66,12 +70,13 @@ def test_window_reports_a_wrong_prediction(monkeypatch):
                         "predicted True, achieved False")
 
 
-def test_member_mask_is_definitional():
+def test_in_left_set_is_definitional():
     pts = box_points(2, 3)
+    assert len(pts) == 49 and pts == sorted(pts)
     cut = at_most(2, 0, (1, -2))
-    mask = member_mask(cut, pts)
-    for p, m in zip(pts, mask):
-        assert m == (tuple(p) <= (1, -2))
+    for p in pts:
+        assert in_left_set(cut, p) == (p <= (1, -2))
+        assert in_left_set(top(2), p) and not in_left_set(bottom(2), p)
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -82,6 +87,18 @@ def test_oracle_agreement_fuzz(rank):
         a, b = random_cut(rng, rank), random_cut(rng, rank)
         res = window_cut_sum(a, b, win)
         assert res.match, str(res)
+
+
+def test_package_imports_without_numpy():
+    """The package runs on the standard library alone: importing it and its
+    CLI loads no numpy (only the benchmark's span store uses numpy)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import cutval, cutval.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    run = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_enumerate_canonical_counts():

@@ -9,7 +9,7 @@ from cutval import algebra, orders
 from cutval.algebra import (PolynomialAlgebra, StructureAlgebra, _Rows, coordinate_rows,
                             extend_to_basis, matrix_algebra, matrix_element, product_rows,
                             quadratic_algebra, rank_of, solve_columns)
-from cutval.basedomain import integers, p_local, valuation_ring
+from cutval.basedomain import BaseDomain, integers, p_local, valuation_ring
 from cutval.cuts import INF, embed_phi, value_translate
 from cutval.errors import ConfigError, DomainError, StructuralError
 from cutval.numfield import RationalFunction, ValuedField
@@ -445,6 +445,22 @@ def test_intersection_examples(m2):
         intersect_oracles([])
 
 
+def test_intersection_scaling_self_check_fires(m2, monkeypatch):
+    """Over Z the intersection keeps the predicate and scales the first
+    contained basis into every term; a clearing that ignores the reads
+    leaves e12 outside {[a, 3b], [c/3, d]}, and the scaling check says so."""
+    e = units_of(m2)
+    R1 = left_order(LatticeModule(m2, integers(), e))
+    R3 = left_order(LatticeModule(m2, integers(), (e[0], e[1], m2.smul(Fraction(1, 3), e[2]),
+                                                   m2.smul(Fraction(1, 3), e[3]))))
+    assert not R3.contains(e[1]) and R3.contains(m2.smul(Fraction(3), e[1]))
+    assert intersect_oracles([R1, R3]).contained_basis is not None
+    monkeypatch.setattr(BaseDomain, "_clearing", lambda self, reads: self.one)
+    with pytest.raises(StructuralError,
+                       match="^could not scale a basis element into the intersection$"):
+        intersect_oracles([R1, R3])
+
+
 def test_z_p_and_o_v_of_q_p_are_one_ring(m2, field_q):
     # p_local(2) and valuation_ring(Q, 2) print differently but are the same
     # ring: their intersection and going-down between them stay lattices
@@ -514,6 +530,25 @@ def test_descend_chain_sqrt2(sqrt2):
     assert start.contains(s) and not chain.oracles[1].contains(s)
 
 
+def test_descend_chain_self_checks_fire(m2, monkeypatch):
+    """Each step checks that its witness y lies in the current term and
+    leaves the next: a membership that loses y breaks the first check, and
+    an insertion that keeps the old basis breaks the second."""
+    start = chain_entry(m2)
+    e12 = m2.basis_vector(1)
+    contains = SubringOracle.contains
+    with monkeypatch.context() as patch:
+        patch.setattr(SubringOracle, "contains", lambda self, x: x != e12 and contains(self, x))
+        with pytest.raises(StructuralError,
+                           match="^chain invariant broken: y escaped the current term$"):
+            descend_chain(start, 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(orders, "insert_many", lambda cert, elements: cert)
+        with pytest.raises(StructuralError,
+                           match="^descent witness failed to leave the next term$"):
+            descend_chain(start, 1)
+
+
 def test_descend_chain_needs_certificate(m2):
     R = dataclasses.replace(m2_z2_order(m2), certificate=None)
     with pytest.raises(DomainError):
@@ -553,6 +588,16 @@ def test_matrix_chain_example(field_q):
     for oracle in chain.oracles:
         report = verify_nice(oracle, spec)
         assert report.ok, str(report)
+
+
+def test_matrix_chain_strictness_self_check_fires(field_q, monkeypatch):
+    """A chain whose terms all stabilize the unit basis does not ascend:
+    2*e12 already lies in the first term, and the witness check says so."""
+    unit_stabilizer = orders.stabilizer_finite
+    monkeypatch.setattr(orders, "stabilizer_finite", lambda alg, basis, domain: unit_stabilizer(
+        alg, tuple(alg.basis_vector(a) for a in range(alg.dim)), domain))
+    with pytest.raises(StructuralError, match="^matrix-chain strictness witness failed$"):
+        matrix_nice_chain(field_q, integers(), ["4", "2"], 2)
 
 
 def test_matrix_chain_requires_ascending(field_q):
