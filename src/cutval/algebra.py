@@ -4,24 +4,27 @@ Elements of a :class:`StructureAlgebra` are plain tuples of field scalars
 (coordinates in the ambient basis); all operations are free functions or
 methods taking those tuples.
 
-Exact linear algebra has one elimination loop, `_eliminate`, whose pivot
+Exact linear algebra has one elimination entry, `_eliminate`, whose pivot
 is the first row with a nonzero entry in the column or, given a domain,
 the row of least valuation (ties to the lowest index), and one
 triangular solver, `_back_substitute`.  `solve_columns`, `rank_of`,
 `invert` over Q(t) and the lattice elimination of `orders` are calls
-into the loop; the lattice's triangular T is inverted by the solver
-alone.  A dense inverse over Q is `invert`'s fraction-free Gauss-Jordan
-in Z, which hands back each row as its clearing.  Coordinates over a
-basis are the values of the rows of `coordinate_rows`, the basis's
-inverse, which is where a basis is checked, and `product_rows` stacks
-the rows of x -> coords(x*b) with no product formed: coords' rows times
-b's right-multiplication matrix, read off the table's cells.
+into it; over Q(t) it runs one loop for both pivots.  Over Z_(p) the
+pivots are chosen in Z/p^K and only they are built exactly
+(`_padic_pivots`); every exact row update over Q is `_reduce`.  The
+lattice's triangular T is inverted by the solver alone.  A dense inverse
+over Q is `invert`'s fraction-free Gauss-Jordan in Z, which hands back
+each row as its clearing.  Coordinates over a basis are the values of
+the rows of `coordinate_rows`, the basis's inverse, which is where a
+basis is checked, and `product_rows` stacks the rows of x -> coords(x*b)
+with no product formed: coords' rows times b's right-multiplication
+matrix, read off the table's cells.
 
 Over Q every vector is cleared once by `numfield._cleared`, to integers
-over the lcm of its denominators.  The elimination loop runs on cleared
-integer rows, one gcd per row update instead of a Fraction multiply and
-subtract per entry; over Q(t) it keeps the scalar loop.  A `_Rows` over
-Q stores each row only as a_i over d, builds the Fraction row only when
+over the lcm of its denominators.  Elimination runs on cleared integer
+rows, one gcd per row update instead of a Fraction multiply and subtract
+per entry; over Q(t) it keeps the scalar loop.  A `_Rows` over Q stores
+each row only as a_i over d, builds the Fraction row only when
 iterated, and clears each x to b_i over e: a row value is Fraction(sum
 a_i*b_i, d*e), one normalizing gcd instead of a Fraction multiply and
 add per entry, `_Rows.valuations` takes v_p(sum a_i*b_i) - v_p(d) -
@@ -43,7 +46,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
 from operator import mul
 
 from .errors import ConfigError, StructuralError
@@ -159,8 +162,10 @@ def _eliminate(fieldobj: ValuedField, rows, ncols, domain=None):
     its column is cleared from the rest, across whole rows, so entries past
     ncols ride along as right-hand sides.  pivots[col] is None when no row
     is nonzero in the column; rest is the pool left at the end.  Given a
-    domain, the pivot is the live row of least domain.value.  A dense
-    inverse over Q does not come here (see `invert`).
+    domain, the pivot is the live row of least domain.value; over Q those
+    rows come from `_padic_pivots`, which stops at the first column with
+    no pivot and leaves no pool (rest is None).  A dense inverse over Q
+    does not come here (see `invert`).
     """
     if fieldobj.kind == "Q":
         return _eliminate_cleared(rows, ncols, None if domain is None else domain.valued_field.p)
@@ -187,30 +192,90 @@ def _eliminate(fieldobj: ValuedField, rows, ncols, domain=None):
 
 def _eliminate_cleared(rows, ncols, p):
     """_eliminate over Q on rows cleared once to (a, d), or on the clearing
-    a _Rows stores, taken as it is.  A pivot P/D at column c takes a row
-    a/d to (a*P_c - a_c*P) / (d*P_c), divided by one gcd of the row and
-    its denominator, which stays positive.  Given p, the pivot is the live
-    row of least v_p(a_c) - v_p(d); the pool left is a _Rows."""
+    a _Rows stores, taken as it is: the first live row is the pivot, and
+    `_reduce` clears its column from the pool, which is left as a _Rows.
+    Given p, `_padic_pivots`."""
     pool = list(rows.cleared) if isinstance(rows, _Rows) else [_cleared(r) for r in rows]
+    if p is not None:
+        return _padic_pivots(pool, ncols, p), None
     pivots = []
     for col in range(ncols):
-        live = [k for k, (a, _) in enumerate(pool) if a[col]]
-        if not live:
+        k = next((k for k, (a, _) in enumerate(pool) if a[col]), None)
+        if k is None:
             pivots.append(None)
             continue
-        best = live[0] if p is None else min(live, key=lambda k: (
-            _int_p_exponent(pool[k][0][col], p) - _int_p_exponent(pool[k][1], p)))
-        pa, pd = pool.pop(best)
-        pv = pa[col]
-        for k, (a, d) in enumerate(pool):
-            f = a[col]
-            if f:
-                a = [x * pv - f * y if y else x * pv for x, y in zip(a, pa)]
-                d *= pv
-                g = gcd(*a, d) if d > 0 else -gcd(*a, d)
-                pool[k] = ([x // g for x in a], d // g)
-        pivots.append([Fraction(x, pd) for x in pa])
+        pivot = pool.pop(k)
+        pool = [_reduce(row, ((col, pivot),)) for row in pool]
+        pivots.append([Fraction(x, pivot[1]) for x in pivot[0]])
     return pivots, _Rows._make(pool, True)
+
+
+def _reduce(row, pivots):
+    """A cleared row a/d with its entries at the columns c of the cleared
+    pivots P/D, (c, (P, D)) in order, cleared: each takes it to (a*P_c -
+    a_c*P) / (d*P_c), divided by one gcd of the row and its denominator,
+    which stays positive."""
+    a, d = row
+    for col, (pa, _) in pivots:
+        if f := a[col]:
+            pv = pa[col]
+            a = [x * pv - f * y if y else x * pv for x, y in zip(a, pa)]
+            d *= pv
+            g = gcd(*a, d) if d > 0 else -gcd(*a, d)
+            a, d = [x // g for x in a], d // g
+    return a, d
+
+
+def _residues(pool, ncols, p, e, q):
+    """The first ncols columns of the rows p^e*a/d of a cleared pool, mod q."""
+    scale = []
+    for _, d in pool:
+        v = _int_p_exponent(d, p)
+        scale.append(p ** (e - v) * pow(d // p ** v, -1, q))
+    return [[a[j] * s % q for (a, _), s in zip(pool, scale)] for j in range(ncols)]
+
+
+def _padic_pivots(pool, ncols, p):
+    """The pivot rows of the min-valuation elimination of a cleared pool at
+    p (ties to the lowest index), chosen in Z/p^K and built exactly.
+
+    Rows scaled by one p^e, e the largest v_p(d), are p-integral; mod p^K
+    the least valuation read in a column picks the pivot, whose multiples
+    clear the columns ahead.  A pivot of valuation k leaves the rows known
+    mod p^(K-k) (Caruso, Roe and Vaccon, Tracking p-adic precision, 2014),
+    so a valuation is read only below the precision left.  Each pivot is
+    its original row `_reduce`d against the pivots before it, the one such
+    row zero before its column, and must have its residue's valuation.  A
+    column with no valuation to read is settled exactly: all zero ends the
+    list with None there, else K doubles and the search runs again."""
+    e = max((_int_p_exponent(d, p) for _, d in pool), default=0)
+    K = max(1, int(64 / log2(p)))  # p^K about one machine word
+    while True:
+        res, pivots, left = _residues(pool, ncols, p, e, p ** K), [], K
+        live = list(range(len(pool)))
+        for c in range(ncols):
+            q = p ** left
+            col = [r % q for r in res[c]]
+            if (pk := gcd(q, *col)) == q:  # p^k for the least valuation k read
+                if any(_reduce(pool[i], enumerate(pivots))[0][c] for i in live):
+                    break
+                return [[Fraction(x, d) for x in a] for a, d in pivots] + [None]
+            j = next(j for j, r in enumerate(col) if r % (pk * p))
+            best, k = live.pop(j), _int_p_exponent(pk, p)
+            pivot = pa, pd = _reduce(pool[best], enumerate(pivots))
+            if not pa[c] or _int_p_exponent(pa[c], p) - _int_p_exponent(pd, p) + e != k:
+                raise StructuralError(f"pivot {c} has not the valuation {k} of its residue")
+            pivots.append(pivot)
+            left -= k
+            qk = p ** left
+            u = pow(col.pop(j) // pk, -1, qk)
+            ms = [r // pk * u % qk for r in col]
+            for ahead in res[c + 1:]:
+                y = ahead.pop(j)
+                ahead[:] = [(x - m * y) % qk for x, m in zip(ahead, ms)]
+        else:
+            return [[Fraction(x, d) for x in a] for a, d in pivots]
+        K *= 2
 
 
 def _back_substitute(pivots, ncols):

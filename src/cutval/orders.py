@@ -6,10 +6,11 @@ R = { x : xM subset M }, realized as a conjunction of linear constraints
 product x*b), read off the product rows of the lattice's stable-basis
 certificate, their only builder.  Over a valuation-like S (Z_(p) or
 O_v) those n^2 rows are reduced by min-valuation-pivot elimination to a
-triangular system T of n rows.  Every elimination multiplier lies in S, so
-T spans the same S-module as the rows it came from and decides the same
-membership: T is the oracle's only row set, and R is the free S-lattice
-with basis the columns of T^-1.  Over Z only the predicate on the full
+triangular system T of n rows; over Z_(p) the pivots are chosen in
+Z/p^K and only the n pivot rows are built exactly.  Every elimination
+multiplier lies in S, so T spans the same S-module as the rows it came
+from and decides the same membership: T is the oracle's only row set,
+and R is the free S-lattice with basis the columns of T^-1.  Over Z only the predicate on the full
 rows is kept (R need not be a free Z-module in any preferred basis), and
 the certificate's stabilizer is the basis contained in R.
 
@@ -173,13 +174,13 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
 
     Min-valuation pivots make every elimination multiplier lie in S, so the
     pivot rows T span the same S-module as the rows and become the oracle's
-    one row set; the lattice basis is the columns of T^-1, by back
-    substitution alone since T is upper triangular, checked against the
-    full rows, both read off one `_Rows` (a certificate's own, with its
-    clearing).  None when the rows lack full column rank, as an ideal
-    variant's always do; a left order's never do, since x = sum u_j*(x*b_j)
-    for the unit 1 = sum u_j*b_j.  The rows have dim columns, so
-    elimination leaves an all-zero pool.
+    one row set; over Z_(p) they are chosen in Z/p^K and only they are
+    built (`algebra._padic_pivots`), the same T.  The lattice basis is the
+    columns of T^-1, by back substitution alone since T is upper
+    triangular, checked against the full rows, both read off one `_Rows`
+    (a certificate's own, with its clearing).  None when the rows lack
+    full column rank, as an ideal variant's always do; a left order's
+    never do, since x = sum u_j*(x*b_j) for the unit 1 = sum u_j*b_j.
     """
     rows = _Rows(alg.field, rows)
     t_rows, _ = _eliminate(alg.field, rows, alg.dim, domain)

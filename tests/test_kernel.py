@@ -231,6 +231,12 @@ def eliminate_reference(rows, ncols, key=None):
     return pivots, pool
 
 
+def reference_pivots(rows, ncols, p):
+    """The Fraction loop's pivots up to its first empty column, if any."""
+    expected, _ = eliminate_reference(rows, ncols, p_local(p).value)
+    return expected[:expected.index(None) + 1] if None in expected else expected
+
+
 def min_valuation_eliminate_reference(domain, rows, n):
     pool = [list(r) for r in rows]
     pivots = []
@@ -421,9 +427,8 @@ def test_min_valuation_path_matches_reference(case):
         R = left_order(LatticeModule(alg, domain, basis))
         rows = product_rows_reference(alg, basis)
         expected = min_valuation_eliminate_reference(domain, rows, n)
-        pivots, rest = _eliminate(alg.field, rows, n, domain)
+        pivots, _ = _eliminate(alg.field, rows, n, domain)
         assert [tuple(p) for p in pivots] == expected
-        assert not any(any(r) for r in rest)
         assert tuple(R.lattice_rows) == tuple(expected)
         tinv = invert_reference(alg.field, [list(r) for r in expected])
         assert R.lattice_basis == tuple(tuple(tinv[r][i] for r in range(n)) for i in range(n))
@@ -958,14 +963,14 @@ def q_matrix(seed, nrows, ncols, extra, kinds, inserts=()):
 
 
 @st.composite
-def q_matrices(draw):
-    """Up to 81 rows of 1 to 9 columns and up to two right-hand sides."""
+def q_matrices(draw, max_rows=81):
+    """Up to max_rows rows of 1 to 9 columns and up to two right-hand sides."""
     ncols = draw(st.integers(1, 9))
     inserts = draw(st.lists(st.tuples(
         st.integers(0, 90), st.one_of(st.none(), st.integers(0, 90)),
         st.sampled_from((Fraction(1), Fraction(-1), Fraction(-3, 2), Fraction(4))),
     ), max_size=4))
-    return q_matrix(draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 81)), ncols,
+    return q_matrix(draw(st.integers(0, 2 ** 32)), draw(st.integers(1, max_rows)), ncols,
                     draw(st.integers(0, 2)),
                     draw(st.lists(st.sampled_from(ENTRY_KINDS), min_size=1, max_size=4,
                                   unique=True)),
@@ -981,8 +986,10 @@ TIES = ([[Fraction(3), Fraction(1)], [Fraction(-1), Fraction(2)], [Fraction(5), 
          [Fraction(-2), Fraction(1)], [Fraction(-1, 6), Fraction(1)]], 2)
 
 
+# Drawn matrices of up to 27 rows, as three stacked M3 lattices have: the
+# Fraction loop's time grows fast with the rows, and TALL keeps 81.
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(q_matrices())
+@given(q_matrices(max_rows=27))
 @example(TALL)
 @example(WIDE_200_BIT)
 @example(TIES)
@@ -990,11 +997,89 @@ TIES = ([[Fraction(3), Fraction(1)], [Fraction(-1), Fraction(2)], [Fraction(5), 
 def test_cleared_kernel_matches_fraction_loop(matrix):
     rows, ncols = matrix
     field = ValuedField("Q", 3)
-    for domain in (None, p_local(2), p_local(3)):
-        pivots, rest = _eliminate(field, rows, ncols, domain)
-        rest = [list(r) for r in rest]
-        assert (pivots, rest) == eliminate_reference(rows, ncols, None if domain is None else domain.value)
-        assert all(type(c) is Fraction for row in rest + [r for r in pivots if r] for c in row)
+    pivots, rest = _eliminate(field, rows, ncols)
+    rest = [list(r) for r in rest]
+    assert (pivots, rest) == eliminate_reference(rows, ncols)
+    assert all(type(c) is Fraction for row in rest + [r for r in pivots if r] for c in row)
+    # over Z_(p) the pivots alone, up to the first column without one: no lattice
+    for p in (2, 3):
+        pivots, rest = _eliminate(field, rows, ncols, p_local(p))
+        assert pivots == reference_pivots(rows, ncols, p) and rest is None
+        assert all(type(c) is Fraction for row in pivots if row for c in row)
+
+
+# --- the Z_(p) pivots, chosen in Z/p^K --------------------------------------------
+
+
+def count_searches(monkeypatch, limit=6) -> list:
+    """The modulus of each run of the Z/p^K pivot search, one `_residues`
+    call a run; a run past `limit` fails, since a search whose K does not
+    grow would run forever."""
+    runs, residues = [], algebra._residues
+
+    def counted(pool, ncols, p, e, q):
+        runs.append(q)
+        assert len(runs) <= limit, "the pivot search does not stop"
+        return residues(pool, ncols, p, e, q)
+    monkeypatch.setattr(algebra, "_residues", counted)
+    return runs
+
+
+F = Fraction
+# Column 0's least 2-adic valuation, 70, lies above the first K (64 for p = 2)
+# and rows 0 and 2 tie on it; rows 1 and 2 take valuations 2 and 3 in column 1.
+DEEP = [[F(3 * 2 ** 70), F(1), F(-5, 7)], [F(2 ** 71, 9), F(2), F(1)],
+        [F(-2 ** 70), F(7, 3), F(2)]]
+# The pivot 2^40 leaves 24 of the first 64 digits, below column 1's least
+# valuation, 30: read off residues mod 2^64 it would come out as 24.
+SPENT = [[F(2 ** 40), F(1)], [F(-2 ** 41), F(2 ** 30 - 2)]]
+# Column 1 reduces to exactly zero, after a rerun for column 0.
+ZERO_AFTER_RERUN = [[F(2 ** 70), F(1), F(3)], [F(2 ** 71), F(2), F(5)]]
+# Over Z_(2) rows 0 and 1 tie at valuation 1 in column 0.
+TIED_AT_1 = [[F(2), F(1)], [F(6), F(5)], [F(-10, 3), F(3)]]
+
+
+@pytest.mark.parametrize("rows, ncols, p, runs", [
+    (DEEP, 3, 2, 2), (SPENT, 2, 2, 2), (ZERO_AFTER_RERUN, 3, 2, 2), (TIED_AT_1, 2, 2, 1),
+    (TIES[0], 2, 2, 1), (TIES[0], 2, 3, 1), ([[F(1), F(0)], [F(-3), F(0)]], 2, 3, 1),
+])
+def test_padic_pivots_rerun_settle_and_tie_as_the_reference(rows, ncols, p, runs, monkeypatch):
+    """Pivots above the precision left make the search rerun with K
+    doubled; an exactly zero column ends the pivots with None at once; ties
+    go to the lowest index: every time the Fraction loop's pivots."""
+    searches = count_searches(monkeypatch)
+    pivots, rest = _eliminate(ValuedField("Q", p), rows, ncols, p_local(p))
+    assert pivots == reference_pivots(rows, ncols, p) and rest is None
+    assert len(searches) == runs and all(b == a * a for a, b in zip(searches, searches[1:]))
+
+
+def test_rank_deficient_stack_gives_no_lattice_in_one_search(monkeypatch):
+    """The stacked rows of two ideal variants have an exactly zero column:
+    one search, no lattice, and the intersection keeps its predicate."""
+    dual = quadratic_algebra(ValuedField("Q", 2), 0)
+    R = orders.nice_with_ideal(orders.IdealSpec(dual, (dual.basis_vector(1),)), p_local(2))
+    searches = count_searches(monkeypatch)
+    stacked = list(R.constraints[0][1]) * 2
+    pivots, _ = _eliminate(dual.field, stacked, 2, p_local(2))
+    assert pivots == reference_pivots(stacked, 2, 2) and pivots[-1] is None
+    both = intersect_oracles([R, R])
+    assert both.lattice_basis is None and both.constraints == R.constraints * 2
+    assert len(searches) == 2
+
+
+@pytest.mark.parametrize("rows, col, row", [(TIES[0], 0, 0), ([[F(1), F(0)], [F(-3), F(0)]], 1, 1)])
+def test_a_wrong_residue_trips_the_pivot_check(rows, col, row, monkeypatch):
+    """A residue that reads as a unit where the exact entry is divisible by
+    p, or is 0, picks a pivot whose exact valuation is not the residue's."""
+    residues = algebra._residues
+
+    def mutant(pool, ncols, p, e, q):
+        out = residues(pool, ncols, p, e, q)
+        out[col][row] += 1  # _residues gives the columns
+        return out
+    monkeypatch.setattr(algebra, "_residues", mutant)
+    with pytest.raises(StructuralError, match="not the valuation 0 of its residue"):
+        _eliminate(ValuedField("Q", 3), rows, 2, p_local(3))
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

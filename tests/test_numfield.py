@@ -120,6 +120,12 @@ def test_polynomial_arithmetic():
     assert Polynomial().is_zero()
 
 
+def test_ratfunc_repr_is_its_canonical_text():
+    f = parse_ratfunc("[1,-1/2,3]/[0,2]")  # reduced to a monic denominator
+    assert (repr(f), repr(RationalFunction.T), repr(RationalFunction.ZERO)) == (
+        "[1/2,-1/4,3/2]/[0,1]", "[0,1]", "[]")
+
+
 def test_ratfunc_canonical_and_roundtrip():
     f = RationalFunction(Polynomial((1, 0, -1)), Polynomial((2, 2)))  # (1-t^2)/(2+2t)
     assert f.den == Polynomial.ONE  # reduces to (1-t)/2

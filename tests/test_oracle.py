@@ -31,6 +31,11 @@ def test_window_examples():
     assert res.match and res.predicted == bottom(2)
 
 
+def test_window_renders_a_match():
+    res = window_cut_sum(embed_phi((2,)), embed_phi((3,)), Window(1, 16))
+    assert str(res) == "window sum matches AM(0;5) on 17 points"
+
+
 def test_window_preconditions():
     with pytest.raises(DomainError):
         window_cut_sum(embed_phi((4,)), embed_phi((4,)), Window(1, 8))

@@ -220,6 +220,11 @@ def test_qv_compare_incomparable_orders(m2, m2_qv):
     assert value_compare(filter_qv_eval(conj, e21), filter_qv_eval(m2_qv, e21)) > 0
 
 
+def test_compare_verdict_renders_relation_and_samples(m2_qv):
+    verdict = qv_compare(m2_qv, m2_qv, SampleSpec(seed=59, count=5))
+    assert str(verdict) == "qv-compare: equal-on-samples (n=10)"
+
+
 def test_qv_compare_self_and_mismatch(m2, m2_qv, field_q):
     spec = SampleSpec(seed=59, count=100)
     assert qv_compare(m2_qv, m2_qv, spec).relation == "equal-on-samples"
