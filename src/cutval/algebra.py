@@ -4,26 +4,22 @@ Elements of a :class:`StructureAlgebra` are plain tuples of field scalars
 (coordinates in the ambient basis); all operations are free functions or
 methods taking those tuples.
 
-Exact linear algebra has one elimination entry, `_eliminate`, whose pivot
-is the first row with a nonzero entry in the column or, given a domain,
-the row of least valuation (ties to the lowest index), and one
-triangular solver, `_back_substitute`.  `solve_columns`, `rank_of`,
-`invert` over Q(t) and the lattice elimination of `orders` are calls
-into it; over Q(t) it runs one loop for both pivots.  Over Z_(p) the
-pivots are chosen in Z/p^K and only they are built exactly
-(`_padic_pivots`); every exact row update over Q is `_reduce`.  The
-lattice's triangular T is inverted by the solver alone.  A dense inverse
-over Q is `invert`'s fraction-free Gauss-Jordan in Z, which hands back
-each row as its clearing.  Coordinates over a basis are the values of
+Exact linear algebra over Q runs on integers.  A dense inverse and a rank
+are one fraction-free kernel, `_bareiss`: `invert` runs it as
+Gauss-Jordan and hands back each row as its clearing, `rank_of` runs it
+forward only.  The Z_(p) lattice pivots are chosen in Z/p^K and only
+they are built exactly, by `_reduce` (`_padic_pivots`), and kept as
+their clearings.  `_eliminate` is the scalar loop with first-nonzero
+or, given a domain, least-valuation pivots: over Q(t) it is every
+elimination, over Q only `solve_columns`'.  `_back_substitute` inverts
+a lattice's triangular T.  Coordinates over a basis are the values of
 the rows of `coordinate_rows`, the basis's inverse, which is where a
 basis is checked, and `product_rows` stacks the rows of x -> coords(x*b)
 with no product formed: coords' rows times b's right-multiplication
 matrix, read off the table's cells.
 
 Over Q every vector is cleared once by `numfield._cleared`, to integers
-over the lcm of its denominators.  Elimination runs on cleared integer
-rows, one gcd per row update instead of a Fraction multiply and subtract
-per entry; over Q(t) it keeps the scalar loop.  A `_Rows` over Q stores
+over the lcm of its denominators.  A `_Rows` over Q stores
 each row only as a_i over d, builds the Fraction row only when
 iterated, and clears each x to b_i over e: a row value is Fraction(sum
 a_i*b_i, d*e), one normalizing gcd instead of a Fraction multiply and
@@ -33,8 +29,8 @@ reads d*e / gcd(sum a_i*b_i, d*e).  `StructureAlgebra.mul` clears the
 table over one denominator D, so a product is integer sums with one
 reducing Fraction per nonzero coordinate.  `product_rows` is one integer
 matrix product over the same cells, each row divided by one gcd into the
-(a, d) its `_Rows` stores, and every reader of the rows, the elimination
-included, takes them as they are.  Over Q(t) rows and products are
+(a, d) its `_Rows` stores, and every reader of the rows, the lattice
+pivots included, takes them as they are.  Over Q(t) rows and products are
 summed term by term, and valuations are read in Z[t] (see `numfield`).
 
 The polynomial backend :class:`PolynomialAlgebra` represents F[y] with the
@@ -155,20 +151,17 @@ class StructureAlgebra:
 # --- exact linear algebra -------------------------------------------------
 
 
-def _eliminate(fieldobj: ValuedField, rows, ncols, domain=None):
-    """Forward elimination on the first ncols columns: (pivots, rest).
+def _eliminate(rows, ncols, domain=None):
+    """Forward elimination of scalar rows on their first ncols columns:
+    (pivots, rest).
 
-    Each pivot row (see the module docstring) leaves the pool unscaled and
-    its column is cleared from the rest, across whole rows, so entries past
-    ncols ride along as right-hand sides.  pivots[col] is None when no row
-    is nonzero in the column; rest is the pool left at the end.  Given a
-    domain, the pivot is the live row of least domain.value; over Q those
-    rows come from `_padic_pivots`, which stops at the first column with
-    no pivot and leaves no pool (rest is None).  A dense inverse over Q
-    does not come here (see `invert`).
+    The pivot is the first live row or, given a domain, the live row of
+    least domain.value (ties to the lowest index); it leaves the pool
+    unscaled and its column is cleared from the rest, across whole rows,
+    so entries past ncols ride along as right-hand sides.  pivots[col] is
+    None when no row is nonzero in the column; rest is the pool left at
+    the end.  Over Q only `solve_columns` comes here.
     """
-    if fieldobj.kind == "Q":
-        return _eliminate_cleared(rows, ncols, None if domain is None else domain.valued_field.p)
     key = None if domain is None else domain.value
     pool = [list(r) for r in rows]
     pivots = []
@@ -188,26 +181,6 @@ def _eliminate(fieldobj: ValuedField, rows, ncols, domain=None):
                         row[i] = row[i] - f * p
         pivots.append(pivot)
     return pivots, pool
-
-
-def _eliminate_cleared(rows, ncols, p):
-    """_eliminate over Q on rows cleared once to (a, d), or on the clearing
-    a _Rows stores, taken as it is: the first live row is the pivot, and
-    `_reduce` clears its column from the pool, which is left as a _Rows.
-    Given p, `_padic_pivots`."""
-    pool = list(rows.cleared) if isinstance(rows, _Rows) else [_cleared(r) for r in rows]
-    if p is not None:
-        return _padic_pivots(pool, ncols, p), None
-    pivots = []
-    for col in range(ncols):
-        k = next((k for k, (a, _) in enumerate(pool) if a[col]), None)
-        if k is None:
-            pivots.append(None)
-            continue
-        pivot = pool.pop(k)
-        pool = [_reduce(row, ((col, pivot),)) for row in pool]
-        pivots.append([Fraction(x, pivot[1]) for x in pivot[0]])
-    return pivots, _Rows._make(pool, True)
 
 
 def _reduce(row, pivots):
@@ -237,7 +210,9 @@ def _residues(pool, ncols, p, e, q):
 
 def _padic_pivots(pool, ncols, p):
     """The pivot rows of the min-valuation elimination of a cleared pool at
-    p (ties to the lowest index), chosen in Z/p^K and built exactly.
+    p (ties to the lowest index), chosen in Z/p^K and built exactly, as
+    their clearings (a, d); None when a column has no pivot, so that the
+    rows span no lattice.
 
     Rows scaled by one p^e, e the largest v_p(d), are p-integral; mod p^K
     the least valuation read in a column picks the pivot, whose multiples
@@ -246,8 +221,8 @@ def _padic_pivots(pool, ncols, p):
     so a valuation is read only below the precision left.  Each pivot is
     its original row `_reduce`d against the pivots before it, the one such
     row zero before its column, and must have its residue's valuation.  A
-    column with no valuation to read is settled exactly: all zero ends the
-    list with None there, else K doubles and the search runs again."""
+    column with no valuation to read is settled exactly: all zero gives
+    None, else K doubles and the search runs again."""
     e = max((_int_p_exponent(d, p) for _, d in pool), default=0)
     K = max(1, int(64 / log2(p)))  # p^K about one machine word
     while True:
@@ -259,7 +234,7 @@ def _padic_pivots(pool, ncols, p):
             if (pk := gcd(q, *col)) == q:  # p^k for the least valuation k read
                 if any(_reduce(pool[i], enumerate(pivots))[0][c] for i in live):
                     break
-                return [[Fraction(x, d) for x in a] for a, d in pivots] + [None]
+                return None
             j = next(j for j, r in enumerate(col) if r % (pk * p))
             best, k = live.pop(j), _int_p_exponent(pk, p)
             pivot = pa, pd = _reduce(pool[best], enumerate(pivots))
@@ -274,13 +249,13 @@ def _padic_pivots(pool, ncols, p):
                 y = ahead.pop(j)
                 ahead[:] = [(x - m * y) % qk for x, m in zip(ahead, ms)]
         else:
-            return [[Fraction(x, d) for x in a] for a, d in pivots]
+            return pivots
         K *= 2
 
 
 def _back_substitute(pivots, ncols):
     """X with U X = R for full-rank upper triangular rows [U | R], as
-    _eliminate's pivot rows are; X[k] lists row k of the solution over
+    an elimination's pivot rows are; X[k] lists row k of the solution over
     R's columns."""
     xs = [None] * ncols
     for k in range(ncols - 1, -1, -1):
@@ -301,7 +276,7 @@ def solve_columns(fieldobj: ValuedField, columns, target):
     """
     m = len(columns)
     rows = [[col[r] for col in columns] + [t] for r, t in enumerate(target)]
-    pivots, rest = _eliminate(fieldobj, rows, m)
+    pivots, rest = _eliminate(rows, m)
     if any(p is None for p in pivots):
         raise StructuralError("dependent columns in linear solve")
     if any(row[m] for row in rest):
@@ -309,9 +284,41 @@ def solve_columns(fieldobj: ValuedField, columns, target):
     return tuple(x[0] for x in _back_substitute(pivots, m))
 
 
+def _bareiss(m, ncols, above):
+    """Fraction-free elimination (Bareiss) of the integer rows m, in place,
+    on their first ncols columns: (rank, the last pivot).  A column pivots
+    on the first nonzero row at or below the rank so far, swapped up, or
+    is skipped.  Each updated row M becomes (p*M - M_c*P) // prev, exactly,
+    for the pivot row P with P_c = p and prev the last pivot: the rows
+    below P, and given above the rows above it too (Gauss-Jordan).  Every
+    updated row and P drop column c; forward only, P stays as chosen."""
+    r, prev = 0, 1
+    for _ in range(ncols):  # every row still updated holds the columns c..
+        live = range(0 if above else r, len(m))
+        piv = next((i for i in range(r, len(m)) if m[i][0]), None)
+        if piv is None:
+            for i in live:
+                m[i] = m[i][1:]
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p, tail = m[r][0], m[r][1:]
+        for i in live:
+            if i != r:
+                row, f = m[i], m[i][0]
+                m[i] = ([(p * x - f * y) // prev for x, y in zip(row[1:], tail)] if f
+                        else [p * x // prev for x in row[1:]])
+        m[r], prev, r = tail, p, r + 1
+    return r, prev
+
+
 def rank_of(fieldobj: ValuedField, vectors) -> int:
+    """The rank of the vectors: over Q `_bareiss` forward only on each
+    vector cleared, a nonzero multiple of it; over Q(t) `_eliminate`."""
     vectors = list(vectors)
-    pivots, _ = _eliminate(fieldobj, vectors, len(vectors[0]) if vectors else 0)
+    ncols = len(vectors[0]) if vectors else 0
+    if fieldobj.kind == "Q":
+        return _bareiss([_cleared(v)[0] for v in vectors], ncols, False)[0]
+    pivots, _ = _eliminate(vectors, ncols)
     return sum(p is not None for p in pivots)
 
 
@@ -325,18 +332,15 @@ def _with_identity(fieldobj: ValuedField, rows) -> list:
 def invert(fieldobj: ValuedField, rows) -> _Rows:
     """Exact inverse of a square matrix given as a list of rows, as a _Rows.
 
-    Over Q it is a fraction-free Gauss-Jordan (Bareiss) in Z: each row
-    cleared once, a_i/d_i, gives [A | diag(d_i)] in integers.  Column k
-    pivots on the first nonzero row at or below k, swapped up, and every
-    other row M becomes (p*M - M_k*P) // prev for the pivot row P with
-    P_k = p and prev the last pivot; each division is exact.  At the end
-    row i of the inverse is its right half over det, the last pivot, and
-    one gcd, signed as det, makes it the (a, d) with d > 0 that _cleared
-    gives, stored as it is.  Over Q(t), _eliminate on [rows | I] and
+    Over Q it is `_bareiss` as Gauss-Jordan in Z: each row cleared once,
+    a_i/d_i, gives [A | diag(d_i)] in integers, and at the end row i of
+    the inverse is its right half over det, the last pivot.  One gcd,
+    signed as det, makes it the (a, d) with d > 0 that _cleared gives,
+    stored as it is.  Over Q(t), _eliminate on [rows | I] and
     _back_substitute."""
     n = len(rows)
     if fieldobj.kind != "Q":
-        pivots, _ = _eliminate(fieldobj, _with_identity(fieldobj, rows), n)
+        pivots, _ = _eliminate(_with_identity(fieldobj, rows), n)
         if any(p is None for p in pivots):
             raise StructuralError("singular matrix")
         return _Rows(fieldobj, _back_substitute(pivots, n))
@@ -344,23 +348,13 @@ def invert(fieldobj: ValuedField, rows) -> _Rows:
     for i, r in enumerate(rows):
         a, d = _cleared(r)
         m.append(a + [d if j == i else 0 for j in range(n)])
-    prev = 1
-    for k in range(n):  # m holds columns k.. of each row
-        piv = next((r for r in range(k, n) if m[r][0]), None)
-        if piv is None:
-            raise StructuralError("singular matrix")
-        m[k], m[piv] = m[piv], m[k]
-        p, tail = m[k][0], m[k][1:]
-        for i, row in enumerate(m):
-            if i != k:
-                f = row[0]
-                m[i] = ([(p * x - f * y) // prev for x, y in zip(row[1:], tail)] if f
-                        else [p * x // prev for x in row[1:]])
-        m[k], prev = tail, p
+    rank, det = _bareiss(m, n, True)
+    if rank < n:
+        raise StructuralError("singular matrix")
     out = []
     for row in m:
-        g = gcd(*row, prev) if prev > 0 else -gcd(*row, prev)
-        out.append((tuple(x // g for x in row), prev // g))
+        g = gcd(*row, det) if det > 0 else -gcd(*row, det)
+        out.append((tuple(x // g for x in row), det // g))
     return _Rows._make(out, True)
 
 
@@ -678,9 +672,6 @@ class PolynomialAlgebra:
                 else:
                     out.pop(n, None)
         return out
-
-    def is_zero(self, f: dict) -> bool:
-        return not f
 
     def format_element(self, f: dict) -> str:
         if not f:

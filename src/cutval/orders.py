@@ -7,7 +7,7 @@ product x*b), read off the product rows of the lattice's stable-basis
 certificate, their only builder.  Over a valuation-like S (Z_(p) or
 O_v) those n^2 rows are reduced by min-valuation-pivot elimination to a
 triangular system T of n rows; over Z_(p) the pivots are chosen in
-Z/p^K and only the n pivot rows are built exactly.  Every elimination
+Z/p^K and T holds them built exactly, as clearings.  Every elimination
 multiplier lies in S, so T spans the same S-module as the rows it came
 from and decides the same membership: T is the oracle's only row set,
 and R is the free S-lattice with basis the columns of T^-1.  Over Z only the predicate on the full
@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .algebra import (PolynomialAlgebra, StructureAlgebra, _back_substitute, _eliminate,
-                      _Rows, _with_identity, coordinate_rows, extend_to_basis,
-                      is_independent, matrix_algebra)
+                      _padic_pivots, _Rows, _with_identity, coordinate_rows,
+                      extend_to_basis, is_independent, matrix_algebra)
 from .basedomain import BaseDomain, is_subdomain
 from .errors import ConfigError, DomainError, StructuralError
 from .samplers import (sample_in_domain, sample_member, sample_scalar)
@@ -75,7 +76,8 @@ class SubringOracle:
 
     constraints: groups (domain, rows); x is a member when every row of
     every group lands in that group's domain.  Construction makes each
-    rows a _Rows, which evaluates the rows and iterates as them.  A
+    rows a _Rows, which evaluates the rows and iterates as them; a _Rows,
+    such as a lattice's cleared T over Q, is kept as it is.  A
     lattice oracle (S valuation-like) has one group, the dim triangular
     rows T over S, and lattice_basis, the columns of T^-1: x's
     coordinates in that basis are the values of T at x (lattice_rows,
@@ -174,24 +176,30 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
 
     Min-valuation pivots make every elimination multiplier lie in S, so the
     pivot rows T span the same S-module as the rows and become the oracle's
-    one row set; over Z_(p) they are chosen in Z/p^K and only they are
-    built (`algebra._padic_pivots`), the same T.  The lattice basis is the
+    one row set: over Q `algebra._padic_pivots`, kept as the clearings they
+    were built in, over Q(t) `_eliminate`.  The lattice basis is the
     columns of T^-1, by back substitution alone since T is upper
-    triangular, checked against the full rows, both read off one `_Rows`
-    (a certificate's own, with its clearing).  None when the rows lack
-    full column rank, as an ideal variant's always do; a left order's
-    never do, since x = sum u_j*(x*b_j) for the unit 1 = sum u_j*b_j.
+    triangular, checked against the full rows (a certificate's own `_Rows`,
+    with its clearing).  None when the rows lack full column rank, as an
+    ideal variant's always do; a left order's never do, since x = sum
+    u_j*(x*b_j) for the unit 1 = sum u_j*b_j.
     """
-    rows = _Rows(alg.field, rows)
-    t_rows, _ = _eliminate(alg.field, rows, alg.dim, domain)
-    if any(r is None for r in t_rows):
-        return None
-    basis = tuple(zip(*_back_substitute(_with_identity(alg.field, t_rows), alg.dim)))
+    rows, n = _Rows(alg.field, rows), alg.dim
+    if alg.field.kind == "Q":
+        if (cleared := _padic_pivots(rows.cleared, n, domain.valued_field.p)) is None:
+            return None
+        t_rows = _Rows._make(cleared, True)
+        pivots = [[Fraction(x, d) for x in a] for a, d in cleared]
+    else:
+        pivots, _ = _eliminate(rows, n, domain)
+        if any(r is None for r in pivots):
+            return None
+        t_rows = pivots
+    basis = tuple(zip(*_back_substitute(_with_identity(alg.field, pivots), n)))
     if not all(domain.admits(rows, b) for b in basis):
         raise StructuralError("lattice basis disagrees with the predicate")
     return SubringOracle(
-        algebra=alg, domain=domain, provenance=provenance,
-        constraints=((domain, tuple(tuple(r) for r in t_rows)),),
+        algebra=alg, domain=domain, provenance=provenance, constraints=((domain, t_rows),),
         lattice_basis=basis, contained_basis=basis, certificate=certificate,
     )
 

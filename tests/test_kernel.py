@@ -11,8 +11,10 @@ product over Q), the Q(t) arithmetic that reduced every sum and product
 with a full gcd (and the Fraction long division it reduced by, once
 `Polynomial.divmod`), the Q(t) sampler that reduced each draw with Euclid, and
 the separate Q and Q(t) branches of valuation-ring denominator clearing.
-The single kernel's own Fraction loop, which the Q(t) path still runs, is
-the reference for its cleared integer loop over Q.  The stabilizer
+The elimination's own Fraction loop, which the Q(t) path still runs, is
+the reference for the Z_(p) lattice pivots over Q, and the rank and
+inverse loops are the references for the fraction-free kernel in Z
+that replaced them over Q.  The stabilizer
 reference keeps its per-product solves but clears all n^2 coordinates at
 b_i at once, the rule that replaced a product of n clearings.  Asking
 `contains` of every row value, and `clear_many` of them all, is the
@@ -31,12 +33,12 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from cutval import algebra, numfield, orders, quasival, stability
-from cutval.algebra import (StructureAlgebra, _eliminate, _Rows, coordinate_rows, invert,
-                            matrix_algebra, product_rows, quadratic_algebra, rank_of,
+from cutval.algebra import (StructureAlgebra, _bareiss, _eliminate, _Rows, coordinate_rows,
+                            invert, matrix_algebra, product_rows, quadratic_algebra, rank_of,
                             solve_columns)
 from cutval.basedomain import BaseDomain, integers, p_local, valuation_ring
 from cutval.errors import StructuralError
@@ -232,9 +234,16 @@ def eliminate_reference(rows, ncols, key=None):
 
 
 def reference_pivots(rows, ncols, p):
-    """The Fraction loop's pivots up to its first empty column, if any."""
+    """The Fraction loop's pivots, or None when a column has none: no lattice."""
     expected, _ = eliminate_reference(rows, ncols, p_local(p).value)
-    return expected[:expected.index(None) + 1] if None in expected else expected
+    return None if None in expected else expected
+
+
+def padic_pivots(rows, ncols, p):
+    """The Z_(p) lattice pivots of rows over Q, as `orders._lattice` takes
+    them, read as Fraction rows; None for no lattice."""
+    pivots = algebra._padic_pivots([_cleared(r) for r in rows], ncols, p)
+    return None if pivots is None else [[Fraction(x, d) for x in a] for a, d in pivots]
 
 
 def min_valuation_eliminate_reference(domain, rows, n):
@@ -427,7 +436,10 @@ def test_min_valuation_path_matches_reference(case):
         R = left_order(LatticeModule(alg, domain, basis))
         rows = product_rows_reference(alg, basis)
         expected = min_valuation_eliminate_reference(domain, rows, n)
-        pivots, _ = _eliminate(alg.field, rows, n, domain)
+        if alg.field.kind == "Q":
+            pivots = padic_pivots(rows, n, domain.p)
+        else:
+            pivots, _ = _eliminate(rows, n, domain)
         assert [tuple(p) for p in pivots] == expected
         assert tuple(R.lattice_rows) == tuple(expected)
         tinv = invert_reference(alg.field, [list(r) for r in expected])
@@ -792,6 +804,25 @@ def test_left_order_clears_no_certificate_row_again(name, monkeypatch):
             assert R.constraints[0][1] is cert.rows
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_lattice_keeps_t_as_the_clearings_of_its_pivots(p, monkeypatch):
+    """T over Z_(p) is stored as the clearings its pivots were built in,
+    which are the ones _cleared gives its rows, and no row of T reaches
+    _cleared while the left order is built: only the lattice basis does,
+    each vector once as the self-check reads it and each row of the
+    basis matrix once as the oracle stores it."""
+    alg = matrix_algebra(ValuedField("Q", p), 3)
+    seen = spy_cleared(monkeypatch)
+    for basis in draw_bases(alg, 340 + p, M3_DRAW, 3):
+        cert = stabilizer_finite(alg, basis, p_local(p))
+        seen.clear()
+        R = orders.nice_from_certificate(cert)
+        lattice = R.lattice_basis
+        assert seen == list(lattice) + list(zip(*lattice))
+        T = R.lattice_rows
+        assert [(list(a), d) for a, d in T.cleared] == [_cleared(row) for row in T]
+
+
 def test_qt_build_makes_kernel_results_from_integers(monkeypatch):
     """Every Q(t) kernel makes its result from integers: while Q(t) bases
     are built into their stabilizer, left order and filter
@@ -987,25 +1018,54 @@ TIES = ([[Fraction(3), Fraction(1)], [Fraction(-1), Fraction(2)], [Fraction(5), 
 
 
 # Drawn matrices of up to 27 rows, as three stacked M3 lattices have: the
-# Fraction loop's time grows fast with the rows, and TALL keeps 81.
+# Fraction loop's time grows fast with the rows, and TALL keeps 81.  Each
+# derandomized test here pins the seed that derandomize=True had derived
+# from its source when it was pinned, so an edit to its body keeps its draws.
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@seed(28070105990167521653369309045826312463226444790234988457966209312442162292824124367824831867828352758392782764730381)
 @given(q_matrices(max_rows=27))
 @example(TALL)
 @example(WIDE_200_BIT)
 @example(TIES)
 @example(([[Fraction(-5)]], 1))
 def test_cleared_kernel_matches_fraction_loop(matrix):
+    """Over Q, rank_of and invert (fraction-free, in Z) against the
+    Fraction loops, the inverse on square nonsingular draws; over Z_(p)
+    the lattice pivots chosen in Z/p^K against the min-valuation loop's."""
     rows, ncols = matrix
     field = ValuedField("Q", 3)
-    pivots, rest = _eliminate(field, rows, ncols)
-    rest = [list(r) for r in rest]
-    assert (pivots, rest) == eliminate_reference(rows, ncols)
-    assert all(type(c) is Fraction for row in rest + [r for r in pivots if r] for c in row)
-    # over Z_(p) the pivots alone, up to the first column without one: no lattice
+    assert rank_of(field, rows) == rank_reference(rows)
+    square = [r[:ncols] for r in rows]
+    if len(square) == ncols and rank_reference(square) == ncols:
+        got = [(list(a), d) for a, d in invert(field, square).cleared]
+        assert got == [_cleared(row) for row in invert_reference(field, square)]
     for p in (2, 3):
-        pivots, rest = _eliminate(field, rows, ncols, p_local(p))
-        assert pivots == reference_pivots(rows, ncols, p) and rest is None
-        assert all(type(c) is Fraction for row in pivots if row for c in row)
+        assert padic_pivots(rows, ncols, p) == reference_pivots(rows, ncols, p)
+
+
+# rank_of over Q on hand-built integer rows, with the rank and the rows that
+# _bareiss forward only leaves: each pivot row as it was chosen, right of
+# its column, and every other row emptied
+FORWARD_BAREISS = {
+    # column 1 has no pivot once column 0 is cleared
+    "skipped column": ([[1, 2, 3], [2, 4, 7], [3, 6, 10]], 2, [[2, 3], [], []]),
+    # column 0 pivots on row 1, swapped up; det = -2, so the last pivot is 2
+    "row swap": ([[0, 1, 2], [2, 3, 4], [4, 6, 9]], 3, [[3, 4], [4], []]),
+    "zero rows": ([[0, 0, 0], [3, 1, 2], [0, 0, 0], [6, 5, 1]], 2, [[1, 2], [-9], [], []]),
+    "more vectors than columns": ([[2, 1], [1, 3], [4, 5], [0, 7]], 2, [[1], [], [], []]),
+}
+
+
+@pytest.mark.parametrize("name", list(FORWARD_BAREISS))
+def test_rank_of_is_a_forward_bareiss(name):
+    """Forward only, _bareiss leaves each pivot row as it was chosen and
+    updates no row above a pivot.  rank_of clears each row first, so rows
+    scaled by denominators have the same rank, the Fraction loop's."""
+    rows, rank, left = FORWARD_BAREISS[name]
+    m = [list(r) for r in rows]
+    assert _bareiss(m, len(rows[0]), False)[0] == rank and m == left
+    scaled = [[Fraction(x, i + 2) for x in r] for i, r in enumerate(rows)]
+    assert rank_of(ValuedField("Q", 3), scaled) == rank_reference(scaled) == rank
 
 
 # --- the Z_(p) pivots, chosen in Z/p^K --------------------------------------------
@@ -1045,11 +1105,10 @@ TIED_AT_1 = [[F(2), F(1)], [F(6), F(5)], [F(-10, 3), F(3)]]
 ])
 def test_padic_pivots_rerun_settle_and_tie_as_the_reference(rows, ncols, p, runs, monkeypatch):
     """Pivots above the precision left make the search rerun with K
-    doubled; an exactly zero column ends the pivots with None at once; ties
+    doubled; an exactly zero column gives None, no lattice, at once; ties
     go to the lowest index: every time the Fraction loop's pivots."""
     searches = count_searches(monkeypatch)
-    pivots, rest = _eliminate(ValuedField("Q", p), rows, ncols, p_local(p))
-    assert pivots == reference_pivots(rows, ncols, p) and rest is None
+    assert padic_pivots(rows, ncols, p) == reference_pivots(rows, ncols, p)
     assert len(searches) == runs and all(b == a * a for a, b in zip(searches, searches[1:]))
 
 
@@ -1060,8 +1119,7 @@ def test_rank_deficient_stack_gives_no_lattice_in_one_search(monkeypatch):
     R = orders.nice_with_ideal(orders.IdealSpec(dual, (dual.basis_vector(1),)), p_local(2))
     searches = count_searches(monkeypatch)
     stacked = list(R.constraints[0][1]) * 2
-    pivots, _ = _eliminate(dual.field, stacked, 2, p_local(2))
-    assert pivots == reference_pivots(stacked, 2, 2) and pivots[-1] is None
+    assert padic_pivots(stacked, 2, 2) is None and reference_pivots(stacked, 2, 2) is None
     both = intersect_oracles([R, R])
     assert both.lattice_basis is None and both.constraints == R.constraints * 2
     assert len(searches) == 2
@@ -1079,10 +1137,11 @@ def test_a_wrong_residue_trips_the_pivot_check(rows, col, row, monkeypatch):
         return out
     monkeypatch.setattr(algebra, "_residues", mutant)
     with pytest.raises(StructuralError, match="not the valuation 0 of its residue"):
-        _eliminate(ValuedField("Q", 3), rows, 2, p_local(3))
+        padic_pivots(rows, 2, 3)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@seed(8572976935447168453823604537305117467269400384967429566352553453460141615507380400789678195388327243814932798074328)
 @given(q_matrices())
 @example(TALL)
 def test_cleared_solve_columns_matches_reference(matrix):
@@ -1302,6 +1361,7 @@ m2_elements = st.lists(st.one_of(st.just(Fraction(0)), big_rationals),
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@seed(15772905412536987512710095630158067295529066046432101627872595041705064590902507419254122656188954290368687129194323)
 @given(m2_elements, m2_elements, m2_elements)
 def test_cleared_mul_property(x, y, z):
     alg = REBASED_M2
@@ -1395,6 +1455,7 @@ def seeded_product(seed, degrees, den):
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@seed(1856013592080364728348593209572396538336280939441807522886421080733687907548521135110296099305308101072486063356066)
 @given(cofactors_64, cofactors_64, shared_64)
 # degree about 120: a shared factor of degree 40 or 60, and none
 @example(seeded_product(1, (40, 40), 1), seeded_product(2, (40, 20), 1), seeded_product(3, (40,), 1))

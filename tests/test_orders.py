@@ -300,6 +300,20 @@ def test_poly_audit_refuses_vacuous_membership(field_q):
     assert not S.contains(field_q.scalar(lying.detail.removeprefix("witness alpha = ")))
 
 
+def test_poly_audit_renders_a_refused_product(field_q, monkeypatch):
+    """A PolySubring whose contains refuses every product fails the closure
+    check on the first sampled pair, rendered by format_element."""
+    A, S = PolynomialAlgebra(field_q), p_local(2)
+    products, mul, contains = [], PolynomialAlgebra.mul, PolySubring.contains
+    monkeypatch.setattr(PolynomialAlgebra, "mul",
+                        lambda self, f, g: products.append(mul(self, f, g)) or products[-1])
+    monkeypatch.setattr(PolySubring, "contains",
+                        lambda self, f: all(f is not q for q in products) and contains(self, f))
+    report = verify_nice(PolySubring(A, S), SampleSpec(seed=5, count=3))
+    assert failing_checks(report) == [
+        ("closed under + and *", "x*y with x=-2/3*y^0 + -3*y^1 y=1/3*y^0 + 9/7*y^1")]
+
+
 # --- ideal variant ----------------------------------------------------------
 
 
