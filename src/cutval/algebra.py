@@ -7,16 +7,16 @@ methods taking those tuples.
 Exact linear algebra over Q runs on integers.  A dense inverse and a rank
 are one fraction-free kernel, `_bareiss`: `invert` runs it as
 Gauss-Jordan and hands back each row as its clearing, `rank_of` runs it
-forward only.  The Z_(p) lattice pivots are chosen in Z/p^K and only
-they are built exactly, by `_reduce` (`_padic_pivots`), and kept as
-their clearings.  `_eliminate` is the scalar loop with first-nonzero
-or, given a domain, least-valuation pivots: over Q(t) it is every
-elimination, over Q only `solve_columns`'.  `_back_substitute` inverts
-a lattice's triangular T.  Coordinates over a basis are the values of
-the rows of `coordinate_rows`, the basis's inverse, which is where a
-basis is checked, and `product_rows` stacks the rows of x -> coords(x*b)
-with no product formed: coords' rows times b's right-multiplication
-matrix, read off the table's cells.
+forward only.  A Z_(p) lattice is its Hermite form, read off a pivot
+search in Z/p^K with no pivot row built exactly (`_padic_pivots`), and
+kept as the clearings of its rows.  `_eliminate` is the scalar loop with
+first-nonzero or, given a domain, least-valuation pivots: over Q(t) it
+is every elimination, over Q only `solve_columns`'.  `_back_substitute`
+inverts a triangular T over Q(t).  Coordinates over a basis are the
+values of the rows of `coordinate_rows`, the basis's inverse, which is
+where a basis is checked, and `product_rows` stacks the rows of x ->
+coords(x*b) with no product formed: coords' rows times b's
+right-multiplication matrix, read off the table's cells.
 
 Over Q every vector is cleared once by `numfield._cleared`, to integers
 over the lcm of its denominators.  A `_Rows` over Q stores
@@ -29,9 +29,10 @@ reads d*e / gcd(sum a_i*b_i, d*e).  `StructureAlgebra.mul` clears the
 table over one denominator D, so a product is integer sums with one
 reducing Fraction per nonzero coordinate.  `product_rows` is one integer
 matrix product over the same cells, each row divided by one gcd into the
-(a, d) its `_Rows` stores, and every reader of the rows, the lattice
-pivots included, takes them as they are.  Over Q(t) rows and products are
-summed term by term, and valuations are read in Z[t] (see `numfield`).
+(a, d) its `_Rows` stores, and every reader of the rows, the lattice's
+Z/p^K search included, takes them as they are.  Over Q(t) rows and
+products are summed term by term, and valuations are read in Z[t] (see
+`numfield`).
 
 The polynomial backend :class:`PolynomialAlgebra` represents F[y] with the
 monomial basis; elements are sparse exponent -> coefficient dicts.
@@ -183,22 +184,6 @@ def _eliminate(rows, ncols, domain=None):
     return pivots, pool
 
 
-def _reduce(row, pivots):
-    """A cleared row a/d with its entries at the columns c of the cleared
-    pivots P/D, (c, (P, D)) in order, cleared: each takes it to (a*P_c -
-    a_c*P) / (d*P_c), divided by one gcd of the row and its denominator,
-    which stays positive."""
-    a, d = row
-    for col, (pa, _) in pivots:
-        if f := a[col]:
-            pv = pa[col]
-            a = [x * pv - f * y if y else x * pv for x, y in zip(a, pa)]
-            d *= pv
-            g = gcd(*a, d) if d > 0 else -gcd(*a, d)
-            a, d = [x // g for x in a], d // g
-    return a, d
-
-
 def _residues(pool, ncols, p, e, q):
     """The first ncols columns of the rows p^e*a/d of a cleared pool, mod q."""
     scale = []
@@ -209,48 +194,63 @@ def _residues(pool, ncols, p, e, q):
 
 
 def _padic_pivots(pool, ncols, p):
-    """The pivot rows of the min-valuation elimination of a cleared pool at
-    p (ties to the lowest index), chosen in Z/p^K and built exactly, as
-    their clearings (a, d); None when a column has no pivot, so that the
+    """The Hermite form of the Z_(p)-span L of a cleared pool's first ncols
+    columns, read off a min-valuation pivot search in Z/p^K and built from
+    residues alone: its rows H_i/p^e as their clearings, or None when the
     rows span no lattice.
 
-    Rows scaled by one p^e, e the largest v_p(d), are p-integral; mod p^K
-    the least valuation read in a column picks the pivot, whose multiples
-    clear the columns ahead.  A pivot of valuation k leaves the rows known
-    mod p^(K-k) (Caruso, Roe and Vaccon, Tracking p-adic precision, 2014),
-    so a valuation is read only below the precision left.  Each pivot is
-    its original row `_reduce`d against the pivots before it, the one such
-    row zero before its column, and must have its residue's valuation.  A
-    column with no valuation to read is settled exactly: all zero gives
-    None, else K doubles and the search runs again."""
+    Rows scaled by one p^e, e the largest v_p(d), are p-integral and span
+    p^e*L.  Mod p^K the least valuation k read in a column picks the pivot
+    (ties to the lowest index), whose multiples clear the columns ahead.  A
+    pivot of valuation k leaves the rows known mod p^(left-k) (Caruso, Roe
+    and Vaccon, Tracking p-adic precision, 2014), so a valuation is read
+    only below the precision left.  A pivot keeps its residues in the
+    columns ahead, times the inverse of its unit part, and the pivot
+    itself becomes exactly p^k; then every entry above a pivot p^k is
+    reduced into [0, p^k), left to right (an HNF modulo a prime power,
+    Cohen, GTM 138, Alg. 2.4.8).  A column with no valuation to read is
+    settled by one exact rank of the pool (`_bareiss`): below ncols gives
+    None, else K doubles and the search runs again.
+
+    This is exact.  Pivot i is known mod p^left_i, left_i = (K - D) +
+    sum_{l>=i} k_l > sum_{l>=i} k_l for D the sum of all k_l, since each
+    k is read below the precision left.  The exact pivots from i on span,
+    in the columns from i on, a lattice of index p^(sum_{l>=i} k_l), which
+    holds p^left_i times every vector there.  So each lifted row differs
+    from a unit multiple of its exact pivot by an element of the span of
+    the later pivots, and the lifted rows span p^e*L exactly, with no
+    generator p^K e_j pushed back."""
     e = max((_int_p_exponent(d, p) for _, d in pool), default=0)
-    K = max(1, int(64 / log2(p)))  # p^K about one machine word
+    K, full = max(1, int(64 / log2(p))), None  # p^K about one machine word
     while True:
-        res, pivots, left = _residues(pool, ncols, p, e, p ** K), [], K
-        live = list(range(len(pool)))
+        res, lifted, left = _residues(pool, ncols, p, e, p ** K), [], K
         for c in range(ncols):
             q = p ** left
             col = [r % q for r in res[c]]
             if (pk := gcd(q, *col)) == q:  # p^k for the least valuation k read
-                if any(_reduce(pool[i], enumerate(pivots))[0][c] for i in live):
+                if full is None:
+                    full = _bareiss([a[:ncols] for a, _ in pool], ncols, False)[0] == ncols
+                if full:
                     break
                 return None
             j = next(j for j, r in enumerate(col) if r % (pk * p))
-            best, k = live.pop(j), _int_p_exponent(pk, p)
-            pivot = pa, pd = _reduce(pool[best], enumerate(pivots))
-            if not pa[c] or _int_p_exponent(pa[c], p) - _int_p_exponent(pd, p) + e != k:
-                raise StructuralError(f"pivot {c} has not the valuation {k} of its residue")
-            pivots.append(pivot)
-            left -= k
+            w = pow(col.pop(j) // pk, -1, q)
+            ahead = [r.pop(j) for r in res[c + 1:]]
+            lifted.append([0] * c + [pk] + [y * w % q for y in ahead])
+            left -= _int_p_exponent(pk, p)
             qk = p ** left
-            u = pow(col.pop(j) // pk, -1, qk)
-            ms = [r // pk * u % qk for r in col]
-            for ahead in res[c + 1:]:
-                y = ahead.pop(j)
-                ahead[:] = [(x - m * y) % qk for x, m in zip(ahead, ms)]
+            ms = [r // pk * w % qk for r in col]
+            for r, y in zip(res[c + 1:], ahead):
+                r[:] = [(x - m * y) % qk for x, m in zip(r, ms)]
         else:
-            return pivots
+            break
         K *= 2
+    for j, pivot in enumerate(lifted):
+        for row in lifted[:j]:
+            if f := row[j] // pivot[j]:
+                row[j:] = [x - f * y for x, y in zip(row[j:], pivot[j:])]
+    pe = p ** e
+    return [(tuple(x // g for x in h), pe // g) for h in lifted for g in (gcd(*h, pe),)]
 
 
 def _back_substitute(pivots, ncols):
@@ -332,8 +332,8 @@ def _with_identity(fieldobj: ValuedField, rows) -> list:
 def invert(fieldobj: ValuedField, rows) -> _Rows:
     """Exact inverse of a square matrix given as a list of rows, as a _Rows.
 
-    Over Q it is `_bareiss` as Gauss-Jordan in Z: each row cleared once,
-    a_i/d_i, gives [A | diag(d_i)] in integers, and at the end row i of
+    Over Q it is `_bareiss` as Gauss-Jordan in Z: each row cleared once
+    (or read off a `_Rows`' clearing), a_i/d_i, gives [A | diag(d_i)] in integers, and at the end row i of
     the inverse is its right half over det, the last pivot.  One gcd,
     signed as det, makes it the (a, d) with d > 0 that _cleared gives,
     stored as it is.  Over Q(t), _eliminate on [rows | I] and
@@ -344,10 +344,8 @@ def invert(fieldobj: ValuedField, rows) -> _Rows:
         if any(p is None for p in pivots):
             raise StructuralError("singular matrix")
         return _Rows(fieldobj, _back_substitute(pivots, n))
-    m = []
-    for i, r in enumerate(rows):
-        a, d = _cleared(r)
-        m.append(a + [d if j == i else 0 for j in range(n)])
+    cleared = rows.cleared if isinstance(rows, _Rows) else map(_cleared, rows)
+    m = [[*a] + [d if j == i else 0 for j in range(n)] for i, (a, d) in enumerate(cleared)]
     rank, det = _bareiss(m, n, True)
     if rank < n:
         raise StructuralError("singular matrix")

@@ -6,13 +6,15 @@ R = { x : xM subset M }, realized as a conjunction of linear constraints
 product x*b), read off the product rows of the lattice's stable-basis
 certificate, their only builder.  Over a valuation-like S (Z_(p) or
 O_v) those n^2 rows are reduced by min-valuation-pivot elimination to a
-triangular system T of n rows; over Z_(p) the pivots are chosen in
-Z/p^K and T holds them built exactly, as clearings.  Every elimination
-multiplier lies in S, so T spans the same S-module as the rows it came
-from and decides the same membership: T is the oracle's only row set,
-and R is the free S-lattice with basis the columns of T^-1.  Over Z only the predicate on the full
-rows is kept (R need not be a free Z-module in any preferred basis), and
-the certificate's stabilizer is the basis contained in R.
+triangular system T of n rows.  Every elimination multiplier lies in S,
+so T spans the same S-module as the rows it came from and decides the
+same membership.  Over Z_(p) T is that module's Hermite form, read off
+the pivot search in Z/p^K, with pivots p^k and every entry above a
+pivot p^k in [0, p^k): canonical, and a few bits wide.  T is the
+oracle's only row set, and R is the free S-lattice with basis the
+columns of T^-1.  Over Z only the predicate on the full rows is kept (R
+need not be a free Z-module in any preferred basis), and the
+certificate's stabilizer is the basis contained in R.
 
 The same machinery hosts the ideal-containing variant (a subset of its
 certificate's rows), going-down, finite intersections and the chains built
@@ -31,7 +33,7 @@ from functools import cached_property
 
 from .algebra import (PolynomialAlgebra, StructureAlgebra, _back_substitute, _eliminate,
                       _padic_pivots, _Rows, _with_identity, coordinate_rows,
-                      extend_to_basis, is_independent, matrix_algebra)
+                      extend_to_basis, invert, is_independent, matrix_algebra)
 from .basedomain import BaseDomain, is_subdomain
 from .errors import ConfigError, DomainError, StructuralError
 from .samplers import (sample_in_domain, sample_member, sample_scalar)
@@ -77,11 +79,11 @@ class SubringOracle:
     constraints: groups (domain, rows); x is a member when every row of
     every group lands in that group's domain.  Construction makes each
     rows a _Rows, which evaluates the rows and iterates as them; a _Rows,
-    such as a lattice's cleared T over Q, is kept as it is.  A
-    lattice oracle (S valuation-like) has one group, the dim triangular
-    rows T over S, and lattice_basis, the columns of T^-1: x's
-    coordinates in that basis are the values of T at x (lattice_rows,
-    lattice_coords).
+    such as a lattice's T over Q, its Hermite form over Z_(p) stored as
+    clearings, is kept as it is.  A lattice oracle (S valuation-like) has
+    one group, the dim triangular rows T over S, and lattice_basis, the
+    columns of T^-1: x's coordinates in that basis are the values of T at
+    x (lattice_rows, lattice_coords).
     contained_basis certifies RF = A; a lattice oracle sets it to its
     lattice basis.  Membership asks each group's domain (`BaseDomain.admits`),
     which reads the row values' denominators or valuations, never the values.
@@ -176,26 +178,29 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
 
     Min-valuation pivots make every elimination multiplier lie in S, so the
     pivot rows T span the same S-module as the rows and become the oracle's
-    one row set: over Q `algebra._padic_pivots`, kept as the clearings they
-    were built in, over Q(t) `_eliminate`.  The lattice basis is the
-    columns of T^-1, by back substitution alone since T is upper
-    triangular, checked against the full rows (a certificate's own `_Rows`,
-    with its clearing).  None when the rows lack full column rank, as an
-    ideal variant's always do; a left order's never do, since x = sum
+    one row set.  Over Q, T is the Hermite form of that module, from
+    `algebra._padic_pivots`, kept as the clearings it was built in, and
+    the lattice basis, the columns of T^-1, comes from `invert` on them.
+    Over Q(t), T is the pivot rows of `_eliminate`, and T^-1 comes from
+    back substitution alone, since T is upper triangular.  The basis is
+    checked against the full rows (a certificate's own `_Rows`, with its
+    clearing); `left_order` also checks that 1 and the stabilizer lie in
+    the lattice over Z_(p).  None when the rows lack full column rank, as
+    an ideal variant's always do; a left order's never do, since x = sum
     u_j*(x*b_j) for the unit 1 = sum u_j*b_j.
     """
     rows, n = _Rows(alg.field, rows), alg.dim
     if alg.field.kind == "Q":
-        if (cleared := _padic_pivots(rows.cleared, n, domain.valued_field.p)) is None:
+        if (hermite := _padic_pivots(rows.cleared, n, domain.valued_field.p)) is None:
             return None
-        t_rows = _Rows._make(cleared, True)
-        pivots = [[Fraction(x, d) for x in a] for a, d in cleared]
+        t_rows = _Rows._make(hermite, True)
+        inverse = invert(alg.field, t_rows).cleared
+        basis = tuple(zip(*([Fraction(x, d) for x in a] for a, d in inverse)))
     else:
-        pivots, _ = _eliminate(rows, n, domain)
-        if any(r is None for r in pivots):
+        t_rows, _ = _eliminate(rows, n, domain)
+        if any(r is None for r in t_rows):
             return None
-        t_rows = pivots
-    basis = tuple(zip(*_back_substitute(_with_identity(alg.field, pivots), n)))
+        basis = tuple(zip(*_back_substitute(_with_identity(alg.field, t_rows), n)))
     if not all(domain.admits(rows, b) for b in basis):
         raise StructuralError("lattice basis disagrees with the predicate")
     return SubringOracle(
@@ -210,7 +215,8 @@ def left_order(M: LatticeModule, certificate: StableBasisCertificate | None = No
     Finite-dimensional case: the rows are the product rows of the given
     certificate of M's basis, else of its clearing one, which R carries.
     Over a valuation ring they are reduced to the lattice oracle (see
-    _lattice); over Z the certificate's stabilizer is the contained basis.
+    _lattice), which over Z_(p) must hold 1 and the certificate's
+    stabilizer; over Z the stabilizer is the contained basis.
     The polynomial backend returns the S-coefficient polynomial subring.
     """
     alg, domain = M.algebra, M.domain
@@ -220,7 +226,10 @@ def left_order(M: LatticeModule, certificate: StableBasisCertificate | None = No
     if (cert.algebra, cert.domain, tuple(cert.basis)) != (alg, domain, tuple(M.basis)):
         raise ConfigError("certificate is for another lattice")
     if domain.is_valuation_like:
-        return _lattice(alg, domain, cert.rows, "left-order", cert)
+        oracle = _lattice(alg, domain, cert.rows, "left-order", cert)
+        if alg.field.kind == "Q" and not all(map(oracle.contains, (alg.unit, *cert.stabilizer))):
+            raise StructuralError("1 or the stabilizer lies outside the left order")
+        return oracle
     return SubringOracle(
         algebra=alg, domain=domain, provenance="left-order",
         constraints=((domain, cert.rows),),

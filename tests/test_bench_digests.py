@@ -18,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = {
-    "build-q": "6e2fd6a82aa9a54c83389860943516dd2be38dd8071135c4306f0e70bd98b154",
+    "build-q": "807a51b6a7bfd53b2440a5a36605c0f2e9eef903c31fd6eefac7e7c6d2c188fd",
     "audit-q": "64a73a732688eff368760934779c84e6f762022af0e10aa1a03d74600b021862",
     "audit-qt": "8fc44fa34a2f10d394de5e21c5bc335bb5394a013371a0d98d3adde33424279a",
     "build-qt": "9950b43429f0e1fe13dc83e1eedd51cf5a92a5adaae5756d867c7d7be306d165",

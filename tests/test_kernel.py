@@ -12,7 +12,8 @@ with a full gcd (and the Fraction long division it reduced by, once
 `Polynomial.divmod`), the Q(t) sampler that reduced each draw with Euclid, and
 the separate Q and Q(t) branches of valuation-ring denominator clearing.
 The elimination's own Fraction loop, which the Q(t) path still runs, is
-the reference for the Z_(p) lattice pivots over Q, and the rank and
+the reference for the Z_(p) lattices over Q: the Hermite form of its
+pivots, also computed in Fractions, is the reference for T, and the rank and
 inverse loops are the references for the fraction-free kernel in Z
 that replaced them over Q.  The stabilizer
 reference keeps its per-product solves but clears all n^2 coordinates at
@@ -22,8 +23,9 @@ reference for membership and clearing on the domain's integer reads, and
 vf.value of each scalar row value is the reference for the valuations
 that a row set over Q(t) reads off its clearing in Z[t].
 Coordinates over a basis are unique, the min-valuation pivot sequence is
-a function of the rows and a rational function has one reduced form with
-a monic denominator, so every result must be exactly equal.
+a function of the rows, a Z_(p) lattice has one Hermite form and a
+rational function has one reduced form with a monic denominator, so
+every result must be exactly equal.
 """
 
 from __future__ import annotations
@@ -239,11 +241,50 @@ def reference_pivots(rows, ncols, p):
     return None if None in expected else expected
 
 
-def padic_pivots(rows, ncols, p):
-    """The Z_(p) lattice pivots of rows over Q, as `orders._lattice` takes
-    them, read as Fraction rows; None for no lattice."""
-    pivots = algebra._padic_pivots([_cleared(r) for r in rows], ncols, p)
-    return None if pivots is None else [[Fraction(x, d) for x in a] for a, d in pivots]
+def hermite_reference(pivots, p):
+    """The Hermite form over Z_(p) of the span of triangular Fraction rows,
+    in Fractions: the rows scaled by p^e to be p-integral, each divided by
+    its pivot's unit part, every entry x above a pivot p^k replaced by its
+    residue in [0, p^k) by subtracting (x - residue)/p^k times that pivot's
+    row, column by column from the left, and the rows divided by p^e."""
+    e = max([0] + [-vp(p, x)[0] for row in pivots for x in row if x])
+    rows = []
+    for i, row in enumerate(pivots):
+        unit = row[i] / Fraction(p) ** vp(p, row[i])[0]
+        rows.append([x * p ** e / unit for x in row])
+    for j, pivot in enumerate(rows):
+        pk = int(pivot[j])
+        for i in range(j):
+            x = rows[i][j]
+            f = (x - x.numerator * pow(x.denominator, -1, pk) % pk) / pk
+            rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
+    return [tuple(x / p ** e for x in row) for row in rows]
+
+
+def reference_hermite(rows, ncols, p):
+    """The Hermite form of the Fraction loop's pivots on the first ncols
+    columns, or None when the rows span no lattice."""
+    pivots = reference_pivots(rows, ncols, p)
+    return None if pivots is None else hermite_reference([r[:ncols] for r in pivots], p)
+
+
+def padic_hermite(rows, ncols, p):
+    """The Z_(p) Hermite form of rows over Q as `orders._lattice` takes it,
+    read as Fraction rows; None for no lattice."""
+    hermite = algebra._padic_pivots([_cleared(r) for r in rows], ncols, p)
+    return None if hermite is None else [tuple(Fraction(x, d) for x in a) for a, d in hermite]
+
+
+def assert_reference_lattice(R, pivots):
+    """R's T is the Hermite form of the reference pivots' span, and each
+    lattice basis lies in the other's oracle: R's basis lands every pivot
+    row in S, and R contains the columns of the pivots' inverse."""
+    domain, field = R.domain, R.algebra.field
+    assert tuple(R.lattice_rows) == tuple(hermite_reference(pivots, domain.p))
+    inverse = invert_reference(field, [list(r) for r in pivots])
+    assert all(R.contains(b) for b in zip(*inverse))
+    assert all(domain.contains(sum(a * c for a, c in zip(r, b)))
+               for b in R.lattice_basis for r in pivots)
 
 
 def min_valuation_eliminate_reference(domain, rows, n):
@@ -427,28 +468,36 @@ def case(request):
 
 
 def test_min_valuation_path_matches_reference(case):
+    """Over O_v of Q(t) T is the min-valuation loop's pivot rows and the
+    basis the columns of their inverse.  Over Z_(p) the lattice is the
+    loop's, with T its Hermite form (`assert_reference_lattice`).  Both
+    hold for the intersection with the unit basis's order too, whose
+    stacked rows are those of the two orders."""
     alg, domain, bases = case
     if not domain.is_valuation_like:  # Z keeps only the predicate; reduce its bases over Z_(3)
         domain = p_local(3)
     n = alg.dim
     units = tuple(alg.basis_vector(i) for i in range(n))
+    U = left_order(LatticeModule(alg, domain, units))
+    unit_pivots = min_valuation_eliminate_reference(domain, product_rows_reference(alg, units), n)
     for basis in bases:
         R = left_order(LatticeModule(alg, domain, basis))
         rows = product_rows_reference(alg, basis)
         expected = min_valuation_eliminate_reference(domain, rows, n)
+        both = intersect_oracles([R, U])
+        assert both.constraints == ((domain, both.lattice_rows),)
         if alg.field.kind == "Q":
-            pivots = padic_pivots(rows, n, domain.p)
-        else:
-            pivots, _ = _eliminate(rows, n, domain)
+            assert padic_hermite(rows, n, domain.p) == hermite_reference(expected, domain.p)
+            assert_reference_lattice(R, expected)
+            assert_reference_lattice(both, min_valuation_eliminate_reference(
+                domain, expected + unit_pivots, n))
+            continue
+        pivots, _ = _eliminate(rows, n, domain)
         assert [tuple(p) for p in pivots] == expected
         assert tuple(R.lattice_rows) == tuple(expected)
         tinv = invert_reference(alg.field, [list(r) for r in expected])
         assert R.lattice_basis == tuple(tuple(tinv[r][i] for r in range(n)) for i in range(n))
-        # the stacked triangular rows of two orders, as intersections eliminate them
-        U = left_order(LatticeModule(alg, domain, units))
         stacked = list(R.lattice_rows) + list(U.lattice_rows)
-        both = intersect_oracles([R, U])
-        assert both.constraints == ((domain, both.lattice_rows),)
         assert tuple(both.lattice_rows) == tuple(min_valuation_eliminate_reference(domain, stacked, n))
 
 
@@ -579,8 +628,9 @@ def test_clearing_stabilizer_is_least(name, domain):
 
 def test_one_inverse_and_no_products_per_build(case, monkeypatch):
     """A build inverts the basis once, for the certificate's product rows,
-    back-substitutes T once over a valuation ring, and forms no product:
-    the rows are summed off the table's cells.  Over Q the dense inverse
+    solves T once over a valuation ring (over Z_(p) by the dense inverse,
+    over O_v by back substitution), and forms no product: the rows are
+    summed off the table's cells.  Over Q the dense inverse
     back-substitutes nothing; over Q(t) it makes the one back substitution
     of its own elimination."""
     alg, domain, bases = case
@@ -589,6 +639,7 @@ def test_one_inverse_and_no_products_per_build(case, monkeypatch):
     count_calls(monkeypatch, calls, algebra, "invert")
     count_calls(monkeypatch, calls, algebra, "_back_substitute")
     count_calls(monkeypatch, calls, orders, "_back_substitute", "t_solve")
+    count_calls(monkeypatch, calls, orders, "invert", "t_solve")
     for basis in bases:
         calls.update(dict.fromkeys(calls, 0))
         orders.nice_from_certificate(stabilizer_finite(alg, basis, domain))
@@ -631,15 +682,16 @@ def test_one_inverse_per_insertion_and_chain_step(case, monkeypatch):
     """Insertion reads x0's coordinates and every new coordinate off the old
     certificate: no solve, and one inverse, the new certificate's, with the
     n stabilizer products s0*c*x0 and none for its rows.  A descend_chain step
-    makes one dense inverse per element it inserts, and one back
-    substitution of T for each of the step's two lattices over a
-    valuation ring."""
+    makes one dense inverse per element it inserts, and one solve of T
+    (an inverse over Z_(p), a back substitution over O_v) for each of the
+    step's two lattices over a valuation ring."""
     alg, domain, bases = case
     n, calls = alg.dim, {}
     count_calls(monkeypatch, calls, StructureAlgebra, "mul")
     count_calls(monkeypatch, calls, algebra, "invert")
     count_calls(monkeypatch, calls, algebra, "solve_columns")
     count_calls(monkeypatch, calls, orders, "_back_substitute", "t_solve")
+    count_calls(monkeypatch, calls, orders, "invert", "t_solve")
     count_calls(monkeypatch, calls, stability, "insert_into_basis")
     cert = stabilizer_finite(alg, bases[0], domain)
     start = orders.nice_from_certificate(cert)
@@ -806,11 +858,13 @@ def test_left_order_clears_no_certificate_row_again(name, monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_lattice_keeps_t_as_the_clearings_of_its_pivots(p, monkeypatch):
-    """T over Z_(p) is stored as the clearings its pivots were built in,
-    which are the ones _cleared gives its rows, and no row of T reaches
-    _cleared while the left order is built: only the lattice basis does,
-    each vector once as the self-check reads it and each row of the
-    basis matrix once as the oracle stores it."""
+    """T over Z_(p) is stored as the clearings its Hermite rows were built
+    in, which are the ones _cleared gives its rows, and no row of T
+    reaches _cleared while the left order is built (its inverse reads
+    them as they are): only the lattice basis does, each vector once as
+    the self-check reads it and each row of the basis matrix once as the
+    oracle stores it, and then 1 and the stabilizer, as the left order
+    checks that they lie in it."""
     alg = matrix_algebra(ValuedField("Q", p), 3)
     seen = spy_cleared(monkeypatch)
     for basis in draw_bases(alg, 340 + p, M3_DRAW, 3):
@@ -818,7 +872,7 @@ def test_lattice_keeps_t_as_the_clearings_of_its_pivots(p, monkeypatch):
         seen.clear()
         R = orders.nice_from_certificate(cert)
         lattice = R.lattice_basis
-        assert seen == list(lattice) + list(zip(*lattice))
+        assert seen == list(lattice) + list(zip(*lattice)) + [alg.unit, *cert.stabilizer]
         T = R.lattice_rows
         assert [(list(a), d) for a, d in T.cleared] == [_cleared(row) for row in T]
 
@@ -1015,6 +1069,8 @@ WIDE_200_BIT = q_matrix(2, 12, 5, 2, ("200-bit",), ((3, 0, Fraction(-1)),))
 # min-valuation pivot for both primes, takes its valuation from the denominator
 TIES = ([[Fraction(3), Fraction(1)], [Fraction(-1), Fraction(2)], [Fraction(5), Fraction(-7)],
          [Fraction(-2), Fraction(1)], [Fraction(-1, 6), Fraction(1)]], 2)
+# square n x n draws with no zero kind, nonsingular, for the inverse: SQUARE[n]
+SQUARE = {n: q_matrix(400 + n, n, n, 0, ENTRY_KINDS[1:]) for n in range(2, 10)}
 
 
 # Drawn matrices of up to 27 rows, as three stacked M3 lattices have: the
@@ -1028,19 +1084,33 @@ TIES = ([[Fraction(3), Fraction(1)], [Fraction(-1), Fraction(2)], [Fraction(5), 
 @example(WIDE_200_BIT)
 @example(TIES)
 @example(([[Fraction(-5)]], 1))
+@example(SQUARE[2])
+@example(SQUARE[3])
+@example(SQUARE[4])
+@example(SQUARE[5])
+@example(SQUARE[6])
+@example(SQUARE[7])
+@example(SQUARE[8])
+@example(SQUARE[9])
 def test_cleared_kernel_matches_fraction_loop(matrix):
     """Over Q, rank_of and invert (fraction-free, in Z) against the
-    Fraction loops, the inverse on square nonsingular draws; over Z_(p)
-    the lattice pivots chosen in Z/p^K against the min-valuation loop's."""
+    Fraction loops, the inverse on each draw's square n x n block, its
+    first ncols rows (n up to 9), or its refusal when the block is
+    singular, and on the nonsingular SQUARE examples; over Z_(p) the
+    Hermite form read off Z/p^K against that of the min-valuation loop's
+    pivots."""
     rows, ncols = matrix
     field = ValuedField("Q", 3)
     assert rank_of(field, rows) == rank_reference(rows)
-    square = [r[:ncols] for r in rows]
+    square = [r[:ncols] for r in rows[:ncols]]
     if len(square) == ncols and rank_reference(square) == ncols:
         got = [(list(a), d) for a, d in invert(field, square).cleared]
         assert got == [_cleared(row) for row in invert_reference(field, square)]
+    elif len(square) == ncols:
+        with pytest.raises(StructuralError, match="singular matrix"):
+            invert(field, square)
     for p in (2, 3):
-        assert padic_pivots(rows, ncols, p) == reference_pivots(rows, ncols, p)
+        assert padic_hermite(rows, ncols, p) == reference_hermite(rows, ncols, p)
 
 
 # rank_of over Q on hand-built integer rows, with the rank and the rows that
@@ -1068,7 +1138,7 @@ def test_rank_of_is_a_forward_bareiss(name):
     assert rank_of(ValuedField("Q", 3), scaled) == rank_reference(scaled) == rank
 
 
-# --- the Z_(p) pivots, chosen in Z/p^K --------------------------------------------
+# --- the Z_(p) Hermite form, read off Z/p^K ---------------------------------------
 
 
 def count_searches(monkeypatch, limit=6) -> list:
@@ -1093,22 +1163,24 @@ DEEP = [[F(3 * 2 ** 70), F(1), F(-5, 7)], [F(2 ** 71, 9), F(2), F(1)],
 # The pivot 2^40 leaves 24 of the first 64 digits, below column 1's least
 # valuation, 30: read off residues mod 2^64 it would come out as 24.
 SPENT = [[F(2 ** 40), F(1)], [F(-2 ** 41), F(2 ** 30 - 2)]]
-# Column 1 reduces to exactly zero, after a rerun for column 0.
-ZERO_AFTER_RERUN = [[F(2 ** 70), F(1), F(3)], [F(2 ** 71), F(2), F(5)]]
+# Column 1 reduces to exactly zero, behind column 0 of valuation 70: the
+# rank, 2 of 3, settles it in the first search, with no rerun for column 0.
+ZERO_BEHIND_DEEP = [[F(2 ** 70), F(1), F(3)], [F(2 ** 71), F(2), F(5)]]
 # Over Z_(2) rows 0 and 1 tie at valuation 1 in column 0.
 TIED_AT_1 = [[F(2), F(1)], [F(6), F(5)], [F(-10, 3), F(3)]]
 
 
 @pytest.mark.parametrize("rows, ncols, p, runs", [
-    (DEEP, 3, 2, 2), (SPENT, 2, 2, 2), (ZERO_AFTER_RERUN, 3, 2, 2), (TIED_AT_1, 2, 2, 1),
+    (DEEP, 3, 2, 2), (SPENT, 2, 2, 2), (ZERO_BEHIND_DEEP, 3, 2, 1), (TIED_AT_1, 2, 2, 1),
     (TIES[0], 2, 2, 1), (TIES[0], 2, 3, 1), ([[F(1), F(0)], [F(-3), F(0)]], 2, 3, 1),
 ])
 def test_padic_pivots_rerun_settle_and_tie_as_the_reference(rows, ncols, p, runs, monkeypatch):
     """Pivots above the precision left make the search rerun with K
-    doubled; an exactly zero column gives None, no lattice, at once; ties
-    go to the lowest index: every time the Fraction loop's pivots."""
+    doubled; a column with no valuation to read, in rows of rank below
+    ncols, gives None, no lattice, at once; ties pick the lowest index:
+    every time the Hermite form of the Fraction loop's pivots."""
     searches = count_searches(monkeypatch)
-    assert padic_pivots(rows, ncols, p) == reference_pivots(rows, ncols, p)
+    assert padic_hermite(rows, ncols, p) == reference_hermite(rows, ncols, p)
     assert len(searches) == runs and all(b == a * a for a, b in zip(searches, searches[1:]))
 
 
@@ -1119,25 +1191,95 @@ def test_rank_deficient_stack_gives_no_lattice_in_one_search(monkeypatch):
     R = orders.nice_with_ideal(orders.IdealSpec(dual, (dual.basis_vector(1),)), p_local(2))
     searches = count_searches(monkeypatch)
     stacked = list(R.constraints[0][1]) * 2
-    assert padic_pivots(stacked, 2, 2) is None and reference_pivots(stacked, 2, 2) is None
+    assert padic_hermite(stacked, 2, 2) is None and reference_hermite(stacked, 2, 2) is None
     both = intersect_oracles([R, R])
     assert both.lattice_basis is None and both.constraints == R.constraints * 2
     assert len(searches) == 2
 
 
-@pytest.mark.parametrize("rows, col, row", [(TIES[0], 0, 0), ([[F(1), F(0)], [F(-3), F(0)]], 1, 1)])
-def test_a_wrong_residue_trips_the_pivot_check(rows, col, row, monkeypatch):
-    """A residue that reads as a unit where the exact entry is divisible by
-    p, or is 0, picks a pivot whose exact valuation is not the residue's."""
-    residues = algebra._residues
+@pytest.mark.parametrize("rows, p, col, row", [(TIES[0], 2, 0, 4), ([[F(1), F(0)], [F(-3), F(0)]], 3, 1, 1)])
+def test_a_wrong_residue_gives_another_hermite_form(rows, p, col, row, monkeypatch):
+    """A residue off by one reads a valuation the exact entry has not:
+    the unit in row 4 of TIES reads as even at p = 2, which halves the
+    lattice, and a zero column reads as a unit, which makes a lattice of
+    rows of rank 1.  The Hermite form is not the reference's either way."""
+    expected, residues = reference_hermite(rows, 2, p), algebra._residues
 
     def mutant(pool, ncols, p, e, q):
         out = residues(pool, ncols, p, e, q)
         out[col][row] += 1  # _residues gives the columns
         return out
     monkeypatch.setattr(algebra, "_residues", mutant)
-    with pytest.raises(StructuralError, match="not the valuation 0 of its residue"):
-        padic_pivots(rows, 2, 3)
+    assert padic_hermite(rows, 2, p) != expected
+
+
+# name: (n, p, draw seed) of the M_n(Q) bases whose left orders over Z_(p)
+# are drawn against the reference lattice
+HERMITE_DRAWS = {"M3(Q)/Z_(2)": (3, 2, 361), "M3(Q)/Z_(3)": (3, 3, 362),
+                 "M4(Q)/Z_(2)": (4, 2, 363)}
+
+
+def hermite_draws(name):
+    """Seven drawn left orders over Z_(p), each with the certificate's
+    product rows, and each intersected with the order before it (the first
+    with the unit basis's order), whose stacked T's it reduces."""
+    n, p, seed = HERMITE_DRAWS[name]
+    alg, domain = matrix_algebra(ValuedField("Q", p), n), p_local(p)
+    last = None
+    for basis in [tuple(alg.basis_vector(i) for i in range(n * n))] + draw_bases(alg, seed, M3_DRAW, 7):
+        cert = stabilizer_finite(alg, basis, domain)
+        R = orders.nice_from_certificate(cert)
+        if last is not None:
+            yield R, cert.rows, intersect_oracles([R, last[0]]), last[1]
+        last = R, cert.rows
+
+
+@pytest.mark.parametrize("name", sorted(HERMITE_DRAWS))
+def test_hermite_lattice_is_the_reference_lattice(name):
+    """Each drawn lattice and each intersection is the one the Fraction
+    min-valuation loop spans, on the product rows or on both orders'
+    stacked reference pivots: T is the Hermite form of its pivots, and
+    each lattice basis lies inside the other oracle."""
+    domain, n = p_local(HERMITE_DRAWS[name][1]), HERMITE_DRAWS[name][0] ** 2
+    pivots = {}
+    for R, rows, both, last_rows in hermite_draws(name):
+        for key in (rows, last_rows):
+            if key not in pivots:
+                pivots[key] = min_valuation_eliminate_reference(domain, list(key), n)
+        assert_reference_lattice(R, pivots[rows])
+        assert_reference_lattice(both, min_valuation_eliminate_reference(
+            domain, pivots[rows] + pivots[last_rows], n))
+
+
+def assert_hermite_form(T, p):
+    """p^e*T, p^e the largest denominator of T's clearings, is upper
+    triangular, each pivot a power p^k of p and every entry above it in
+    [0, p^k)."""
+    pe = max(d for _, d in T)
+    H = [[x * (pe // d) for x in a] for a, d in T]
+    for j, row in enumerate(H):
+        pk = row[j]
+        assert not any(row[:j]) and pk > 0 and pk == p ** vp(p, Fraction(pk))[0]
+        assert all(0 <= above[j] < pk for above in H[:j])
+
+
+# Rows already triangular, with pivots 1, 2 and 4 over Z_(2): reducing row
+# 0 at column 1 by row 1 takes its column 2 to -1, so its reduction there
+# must come after, left to right; from the right the -1 would stay.
+LEFT_TO_RIGHT = [[F(1), F(3), F(0)], [F(0), F(2), F(1)], [F(0), F(0), F(4)]]
+
+
+@pytest.mark.parametrize("name", sorted(HERMITE_DRAWS))
+def test_t_is_in_hermite_form(name):
+    """T of every drawn order and intersection is in Hermite form, and so
+    is the form of rows that must be reduced left to right."""
+    p = HERMITE_DRAWS[name][1]
+    for R, _, both, _ in hermite_draws(name):
+        assert_hermite_form(R.lattice_rows.cleared, p)
+        assert_hermite_form(both.lattice_rows.cleared, p)
+    hermite = algebra._padic_pivots([_cleared(r) for r in LEFT_TO_RIGHT], 3, 2)
+    assert_hermite_form(hermite, 2)
+    assert hermite == [((1, 1, 3), 1), ((0, 2, 1), 1), ((0, 0, 4), 1)]
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -1284,7 +1426,7 @@ def test_product_rows_match_reference(name):
 
 def read_view_case(name, kind):
     """One row set of a drawn basis and the rows it must read as: the
-    product rows, T over the valuation ring, the subset an ideal variant
+    product rows, T over the valuation ring (in Hermite form over Z_(3)), the subset an ideal variant
     with m = 1 keeps, the product rows with a zero row, and their first
     column as a width-1 set."""
     make, draw = PRODUCT_ROW_ALGEBRAS[name]
@@ -1293,9 +1435,10 @@ def read_view_case(name, kind):
     basis = draw_bases(alg, 337, draw, 1)[0]
     cert, n = stabilizer_finite(alg, basis, domain), alg.dim
     expected = [tuple(r) for r in product_rows_reference(alg, basis)]
-    if kind == "T":
-        return alg, orders.nice_from_certificate(cert).lattice_rows, [
-            tuple(r) for r in min_valuation_eliminate_reference(domain, expected, n)]
+    if kind == "T":  # over Q, the Hermite form of the reference pivots
+        pivots = min_valuation_eliminate_reference(domain, expected, n)
+        return alg, orders.nice_from_certificate(cert).lattice_rows, [tuple(r) for r in (
+            hermite_reference(pivots, 3) if alg.field.kind == "Q" else pivots)]
     if kind == "ideal subset":
         keep = [j * n + k for j in range(1, n) for k in range(1, n)]
         return alg, cert.rows.subset(keep), [expected[i] for i in keep]

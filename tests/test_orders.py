@@ -161,11 +161,26 @@ def test_lattice_self_check_fires(monkeypatch, kind):
         left_order(dependent)
     with pytest.raises(StructuralError, match="basis is dependent"):
         lattice_membership(dependent, alg.unit)
-    back_substitute, s0 = orders._back_substitute, domain.noninvertible()
+    # T^-1 comes from the dense inverse over Q, from back substitution over Q(t)
+    back_substitute, invert, s0 = orders._back_substitute, orders.invert, domain.noninvertible()
     monkeypatch.setattr(orders, "_back_substitute", lambda pivots, ncols: [
         [c / s0 for c in row] for row in back_substitute(pivots, ncols)])
+    monkeypatch.setattr(orders, "invert", lambda fieldobj, rows: _Rows(fieldobj, [
+        [c / s0 for c in row] for row in invert(fieldobj, rows)]))
     with pytest.raises(StructuralError, match="lattice basis disagrees with the predicate"):
         left_order(LatticeModule(alg, domain, units_of(alg)))
+
+
+def test_left_order_refuses_an_order_without_1(monkeypatch):
+    """T over Z_(2) divided by 2 spans a lattice too large, whose order 2R
+    is too small: its basis passes the check against the full rows, and
+    the left order refuses it because 1 and the stabilizer are not in it."""
+    alg = matrix_algebra(ValuedField("Q", 2), 2)
+    padic_pivots = orders._padic_pivots
+    monkeypatch.setattr(orders, "_padic_pivots", lambda pool, ncols, p: [
+        (a, 2 * d) for a, d in padic_pivots(pool, ncols, p)])
+    with pytest.raises(StructuralError, match="1 or the stabilizer lies outside the left order"):
+        left_order(LatticeModule(alg, p_local(2), units_of(alg)))
 
 
 def test_predicate_lattice_agreement_fuzz(m2):
