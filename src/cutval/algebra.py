@@ -11,8 +11,9 @@ forward only.  A Z_(p) lattice is its Hermite form, read off a pivot
 search in Z/p^K with no pivot row built exactly (`_padic_pivots`), and
 kept as the clearings of its rows.  `_eliminate` is the scalar loop with
 first-nonzero or, given a domain, least-valuation pivots: over Q(t) it
-is every elimination, over Q only `solve_columns`'.  `_back_substitute`
-inverts a triangular T over Q(t).  Coordinates over a basis are the
+is every elimination, over Q only `solve_columns`'.  Over Q(t) `invert`
+is `_eliminate`, then `_back_substitute`, on [rows | I]; on a triangular
+T the elimination updates no row.  Coordinates over a basis are the
 values of the rows of `coordinate_rows`, the basis's inverse, which is
 where a basis is checked, and `product_rows` stacks the rows of x ->
 coords(x*b) with no product formed: coords' rows times b's
@@ -256,7 +257,7 @@ def _padic_pivots(pool, ncols, p):
 def _back_substitute(pivots, ncols):
     """X with U X = R for full-rank upper triangular rows [U | R], as
     an elimination's pivot rows are; X[k] lists row k of the solution over
-    R's columns."""
+    R's columns.  Only `invert` (R = I) and `solve_columns` call it."""
     xs = [None] * ncols
     for k in range(ncols - 1, -1, -1):
         row = pivots[k]
@@ -322,13 +323,6 @@ def rank_of(fieldobj: ValuedField, vectors) -> int:
     return sum(p is not None for p in pivots)
 
 
-def _with_identity(fieldobj: ValuedField, rows) -> list:
-    """[rows | I] as lists, for an inverse by elimination."""
-    one, zero = fieldobj.one, fieldobj.zero
-    return [list(r) + [one if i == j else zero for j in range(len(rows))]
-            for i, r in enumerate(rows)]
-
-
 def invert(fieldobj: ValuedField, rows) -> _Rows:
     """Exact inverse of a square matrix given as a list of rows, as a _Rows.
 
@@ -336,11 +330,14 @@ def invert(fieldobj: ValuedField, rows) -> _Rows:
     (or read off a `_Rows`' clearing), a_i/d_i, gives [A | diag(d_i)] in integers, and at the end row i of
     the inverse is its right half over det, the last pivot.  One gcd,
     signed as det, makes it the (a, d) with d > 0 that _cleared gives,
-    stored as it is.  Over Q(t), _eliminate on [rows | I] and
-    _back_substitute."""
-    n = len(rows)
+    stored as it is.  Over Q(t), _eliminate on [rows | I], built here,
+    and _back_substitute.  On an upper triangular matrix, such as a
+    lattice's T, the elimination finds one live row per column and
+    updates none, so the inverse costs that one back substitution."""
+    n, one, zero = len(rows), fieldobj.one, fieldobj.zero
     if fieldobj.kind != "Q":
-        pivots, _ = _eliminate(_with_identity(fieldobj, rows), n)
+        pivots, _ = _eliminate([[*r] + [one if j == i else zero for j in range(n)]
+                                for i, r in enumerate(rows)], n)
         if any(p is None for p in pivots):
             raise StructuralError("singular matrix")
         return _Rows(fieldobj, _back_substitute(pivots, n))

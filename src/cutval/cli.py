@@ -187,19 +187,26 @@ def _cmd_qv_audit(args) -> int:
     return 0 if report.ok else 1
 
 
+def _audit_chain(args, terms) -> bool:
+    """verify_nice on each (oracle, label) term of a chain: its label's PASS
+    or FAIL line, and the report when it fails.  True when all pass."""
+    spec, ok = SampleSpec(seed=args.seed, count=args.samples), True
+    for oracle, label in terms:
+        report = verify_nice(oracle, spec)
+        ok = ok and report.ok
+        print(f"{label}nice audit {'PASS' if report.ok else 'FAIL'}")
+        if not report.ok:
+            print(report)
+    return ok
+
+
 def _cmd_chain_descend(args) -> int:
     prob = load_problem(args.file)
     chain = descend_chain(_build_order(prob, args.basis), args.steps)
-    spec = SampleSpec(seed=args.seed, count=args.samples)
-    ok = True
-    for i, step in enumerate(chain.steps, start=1):
-        report = verify_nice(step.oracle, spec)
-        ok = ok and report.ok
-        print(f"step {i}: witness {prob.algebra.format_element(step.witness)} "
-              f"excluded after inserting {prob.algebra.format_element(step.inserted)}; "
-              f"nice audit {'PASS' if report.ok else 'FAIL'}")
-        if not report.ok:
-            print(report)
+    fmt = prob.algebra.format_element
+    ok = _audit_chain(args, ((step.oracle, f"step {i}: witness {fmt(step.witness)} "
+                                           f"excluded after inserting {fmt(step.inserted)}; ")
+                             for i, step in enumerate(chain.steps, start=1)))
     return 0 if ok else 1
 
 
@@ -217,14 +224,8 @@ def _cmd_matrix_chain(args) -> int:
     field = ValuedField("Q", args.p)
     gens = [parse_rational(g) for g in args.ideals.split(",")]
     chain = matrix_nice_chain(field, integers(), gens, args.n)
-    spec = SampleSpec(seed=args.seed, count=args.samples)
-    ok = True
-    for g, oracle in zip(chain.generators, chain.oracles):
-        report = verify_nice(oracle, spec)
-        ok = ok and report.ok
-        print(f"ideal ({field.scalar_text(g)}): nice audit {'PASS' if report.ok else 'FAIL'}")
-        if not report.ok:
-            print(report)
+    ok = _audit_chain(args, ((oracle, f"ideal ({field.scalar_text(g)}): ")
+                             for g, oracle in zip(chain.generators, chain.oracles)))
     for w in chain.witnesses:
         print(f"strictness witness {chain.algebra.format_element(w)} verified")
     return 0 if ok else 1

@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import (PolynomialAlgebra, StructureAlgebra, _back_substitute, _eliminate,
-                      _padic_pivots, _Rows, _with_identity, coordinate_rows,
-                      extend_to_basis, invert, is_independent, matrix_algebra)
+from .algebra import (PolynomialAlgebra, StructureAlgebra, _eliminate, _padic_pivots, _Rows,
+                      coordinate_rows, extend_to_basis, invert, is_independent, matrix_algebra)
 from .basedomain import BaseDomain, is_subdomain
 from .errors import ConfigError, DomainError, StructuralError
 from .samplers import (sample_in_domain, sample_member, sample_scalar)
@@ -82,8 +81,8 @@ class SubringOracle:
     such as a lattice's T over Q, its Hermite form over Z_(p) stored as
     clearings, is kept as it is.  A lattice oracle (S valuation-like) has
     one group, the dim triangular rows T over S, and lattice_basis, the
-    columns of T^-1: x's coordinates in that basis are the values of T at
-    x (lattice_rows, lattice_coords).
+    columns of T^-1 (one `invert` on both fields): x's coordinates in that
+    basis are the values of T at x (lattice_rows, lattice_coords).
     contained_basis certifies RF = A; a lattice oracle sets it to its
     lattice basis.  Membership asks each group's domain (`BaseDomain.admits`),
     which reads the row values' denominators or valuations, never the values.
@@ -179,28 +178,28 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
     Min-valuation pivots make every elimination multiplier lie in S, so the
     pivot rows T span the same S-module as the rows and become the oracle's
     one row set.  Over Q, T is the Hermite form of that module, from
-    `algebra._padic_pivots`, kept as the clearings it was built in, and
-    the lattice basis, the columns of T^-1, comes from `invert` on them.
-    Over Q(t), T is the pivot rows of `_eliminate`, and T^-1 comes from
-    back substitution alone, since T is upper triangular.  The basis is
-    checked against the full rows (a certificate's own `_Rows`, with its
-    clearing); `left_order` also checks that 1 and the stabilizer lie in
-    the lattice over Z_(p).  None when the rows lack full column rank, as
-    an ideal variant's always do; a left order's never do, since x = sum
-    u_j*(x*b_j) for the unit 1 = sum u_j*b_j.
+    `algebra._padic_pivots`, kept as the clearings it was built in; over
+    Q(t), T is the pivot rows of `_eliminate`.  On both fields the lattice
+    basis, the columns of T^-1, comes from one `invert`, read over Q off
+    the inverse's clearing.  The basis is checked against the full rows
+    (a certificate's own `_Rows`, with its clearing); `left_order` also
+    checks that 1 and the stabilizer lie in the lattice over Z_(p).  None
+    when the rows lack full column rank, as an ideal variant's always do;
+    a left order's never do, since x = sum u_j*(x*b_j) for the unit
+    1 = sum u_j*b_j.
     """
     rows, n = _Rows(alg.field, rows), alg.dim
     if alg.field.kind == "Q":
         if (hermite := _padic_pivots(rows.cleared, n, domain.valued_field.p)) is None:
             return None
         t_rows = _Rows._make(hermite, True)
-        inverse = invert(alg.field, t_rows).cleared
-        basis = tuple(zip(*([Fraction(x, d) for x in a] for a, d in inverse)))
     else:
         t_rows, _ = _eliminate(rows, n, domain)
         if any(r is None for r in t_rows):
             return None
-        basis = tuple(zip(*_back_substitute(_with_identity(alg.field, t_rows), n)))
+    inverse = invert(alg.field, t_rows)
+    basis = tuple(zip(*inverse if inverse.cleared is None else
+                      ([Fraction(x, d) for x in a] for a, d in inverse.cleared)))
     if not all(domain.admits(rows, b) for b in basis):
         raise StructuralError("lattice basis disagrees with the predicate")
     return SubringOracle(

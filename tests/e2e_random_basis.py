@@ -1,0 +1,76 @@
+"""One random-basis order end to end, with each stage timed.
+
+The first seed-7 basis of cutbench's draw for the named case: its
+certificate, left order and is_stable, then verify_nice and, where the
+case has one, qv_audit.  The left order runs `_lattice`'s check of the
+lattice basis against every product row and, over Z_(p), the check that
+1 and the stabilizer lie in it, which raise on a disagreement.  It exits 1
+unless those checks pass and every report is ok; the stage times, and for
+M6(Q) the largest bit length of T, are printed, not gated.  Run from the
+repository root, which holds `cutbench`:
+
+    PYTHONPATH=src:. python3 tests/e2e_random_basis.py "M6(Q)"
+
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+
+from cutbench.workloads import draw_bases
+from cutval.algebra import matrix_algebra
+from cutval.basedomain import p_local, valuation_ring
+from cutval.numfield import ValuedField
+from cutval.orders import nice_from_certificate, verify_nice
+from cutval.quasival import filter_qv, qv_audit
+from cutval.sampling import SampleSpec
+from cutval.stability import is_stable, stabilizer_finite
+
+Q2, QT = ValuedField("Q", 2), ValuedField("Qt", 2)
+Q_DRAW = dict(coef_bound=5, max_p_exp=2)
+
+# name: (field, n, domain, draw, left order stage, verify_nice spec,
+#        qv_audit spec or None, print T's largest entry)
+CASES = {
+    "M5(Q)": (Q2, 5, p_local(2), Q_DRAW, "left order", SampleSpec(seed=7, count=5), None, False),
+    "M6(Q)": (Q2, 6, p_local(2), Q_DRAW, "left order, row check included",
+              SampleSpec(seed=62, count=50), SampleSpec(seed=63, count=50), True),
+    # dense rows with distinct denominators, which no benchmark workload reads
+    "M2(Q(t))": (QT, 2, valuation_ring(QT), dict(coef_bound=4, max_p_exp=2, poly_degree=1),
+                 "left order", SampleSpec(seed=62, count=2), SampleSpec(seed=63, count=2), False),
+}
+
+
+def stage(name, f, *args):
+    start = time.perf_counter()
+    out = f(*args)
+    print(f"{name}: {time.perf_counter() - start:.2f} s", flush=True)
+    return out
+
+
+def main(name: str) -> int:
+    field, n, domain, draw, order_stage, nice_spec, audit_spec, show_bits = CASES[name]
+    alg = matrix_algebra(field, n)
+    basis = draw_bases(alg, SampleSpec(seed=7, count=0, **draw), 1)[0]
+    cert = stage("certificate", stabilizer_finite, alg, basis, domain)
+    order = stage(order_stage, nice_from_certificate, cert)
+    reports = [stage("is_stable", is_stable, alg, cert.basis, cert.stabilizer, domain)]
+    if show_bits:
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                   for row in order.lattice_rows for c in row)
+        print(f"T: {len(order.lattice_rows)} rows, largest entry {bits} bits")
+    reports.append(stage(f"verify_nice ({nice_spec.count} samples)", verify_nice, order, nice_spec))
+    if audit_spec is not None:
+        reports.append(stage(f"qv_audit ({audit_spec.count} samples)", qv_audit,
+                             filter_qv(order), audit_spec))
+    for report in reports:
+        print(report)
+    return 0 if all(report.ok for report in reports) else 1
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2 or sys.argv[1] not in CASES:
+        sys.exit(f"usage: e2e_random_basis.py {' | '.join(CASES)}")
+    sys.exit(main(sys.argv[1]))

@@ -12,6 +12,7 @@ from cutval.cli import eval_cut_expression, main
 from cutval.cuts import format_value, parse_value
 from cutval.errors import StructuralError
 from cutval.numfield import RationalFunction, ValuedField
+from cutval.orders import NiceCheck, NiceReport
 from cutval.problemfile import load_problem
 from cutval.samplers import sample_scalar
 from cutval.sampling import SampleSpec, SplitMix64
@@ -197,6 +198,35 @@ def test_matrix_chain(capsys):
     assert rc == 0
     assert "strictness witness (0, 2, 0, 0) verified" in out
     assert out.count("nice audit PASS") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "descend", "{m2}", "--basis", "unital", "--steps", "2", "--samples", "80"],
+    ["matrix-chain", "--n", "2", "--domain", "Z", "--ideals", "4,2", "--samples", "100"],
+], ids=["chain-descend", "matrix-chain"])
+def test_chain_audit_failure_prints_the_report(capsys, monkeypatch, m2_file, argv):
+    """A chain whose first term fails its nice audit prints that term's FAIL
+    line and its full report, the later terms as before, and exits 1."""
+    import cutval.cli
+    argv = [a.format(m2=m2_file) for a in argv]
+    rc, passing = run(capsys, argv)
+    assert rc == 0 and passing.count("nice audit PASS") == 2
+    verify, reports = cutval.cli.verify_nice, []
+
+    def first_fails(oracle, spec):
+        report = verify(oracle, spec)
+        if not reports:
+            report = NiceReport(report.provenance, report.spec_text,
+                                report.checks + (NiceCheck("forced", "exact", False, "in the test"),))
+        reports.append(report)
+        return report
+    monkeypatch.setattr(cutval.cli, "verify_nice", first_fails)
+    rc, out = run(capsys, argv)
+    first, rest = passing.split("\n", 1)
+    assert first.endswith("nice audit PASS") and not reports[0].ok and reports[1].ok
+    assert rc == 1
+    assert out == f"{first[:-4]}FAIL\n{reports[0]}\n{rest}"
+    assert "  FAIL forced (exact) -- in the test" in out
 
 
 @pytest.mark.parametrize("domain", ["Zp", "Ov"])

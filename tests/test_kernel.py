@@ -628,23 +628,22 @@ def test_clearing_stabilizer_is_least(name, domain):
 
 def test_one_inverse_and_no_products_per_build(case, monkeypatch):
     """A build inverts the basis once, for the certificate's product rows,
-    solves T once over a valuation ring (over Z_(p) by the dense inverse,
-    over O_v by back substitution), and forms no product: the rows are
-    summed off the table's cells.  Over Q the dense inverse
-    back-substitutes nothing; over Q(t) it makes the one back substitution
-    of its own elimination."""
+    solves T once over a valuation ring, by `invert` on both fields, and
+    forms no product: the rows are summed off the table's cells.  Over Q
+    the dense inverse back-substitutes nothing; over Q(t) each of the two
+    inverses makes the one back substitution of its own elimination."""
     alg, domain, bases = case
     calls = {}
     count_calls(monkeypatch, calls, StructureAlgebra, "mul")
     count_calls(monkeypatch, calls, algebra, "invert")
     count_calls(monkeypatch, calls, algebra, "_back_substitute")
-    count_calls(monkeypatch, calls, orders, "_back_substitute", "t_solve")
     count_calls(monkeypatch, calls, orders, "invert", "t_solve")
     for basis in bases:
         calls.update(dict.fromkeys(calls, 0))
         orders.nice_from_certificate(stabilizer_finite(alg, basis, domain))
-        assert calls == {"mul": 0, "invert": 1, "_back_substitute": 1 if alg.field.kind == "Qt" else 0,
-                         "t_solve": 1 if domain.is_valuation_like else 0}
+        t_solves = 1 if domain.is_valuation_like else 0
+        assert calls == {"mul": 0, "invert": 1, "t_solve": t_solves,
+                         "_back_substitute": 1 + t_solves if alg.field.kind == "Qt" else 0}
 
 
 def test_insertion_clears_the_coordinates_over_the_new_basis(case, monkeypatch):
@@ -682,15 +681,14 @@ def test_one_inverse_per_insertion_and_chain_step(case, monkeypatch):
     """Insertion reads x0's coordinates and every new coordinate off the old
     certificate: no solve, and one inverse, the new certificate's, with the
     n stabilizer products s0*c*x0 and none for its rows.  A descend_chain step
-    makes one dense inverse per element it inserts, and one solve of T
-    (an inverse over Z_(p), a back substitution over O_v) for each of the
-    step's two lattices over a valuation ring."""
+    makes one dense inverse per element it inserts, and one solve of T,
+    an `invert`, for each of the step's two lattices over a valuation
+    ring."""
     alg, domain, bases = case
     n, calls = alg.dim, {}
     count_calls(monkeypatch, calls, StructureAlgebra, "mul")
     count_calls(monkeypatch, calls, algebra, "invert")
     count_calls(monkeypatch, calls, algebra, "solve_columns")
-    count_calls(monkeypatch, calls, orders, "_back_substitute", "t_solve")
     count_calls(monkeypatch, calls, orders, "invert", "t_solve")
     count_calls(monkeypatch, calls, stability, "insert_into_basis")
     cert = stabilizer_finite(alg, bases[0], domain)
@@ -707,10 +705,37 @@ def test_one_inverse_per_insertion_and_chain_step(case, monkeypatch):
     assert calls["t_solve"] == (2 if domain.is_valuation_like else 0)
 
 
+@pytest.mark.parametrize("make", [lambda: matrix_algebra(QT, 2),
+                                  lambda: quadratic_algebra(QT, RationalFunction.T)],
+                         ids=["M2(Q(t))", "Q(t)[x]/(x^2-t)"])
+def test_inverting_t_costs_one_back_substitution(make, monkeypatch):
+    """Over O_v of Q(t) `invert` on a lattice's upper triangular T makes
+    exactly the RationalFunction +, -, * and / of `_back_substitute` on
+    [T | I], and returns its rows: the forward elimination before it finds
+    one live row per column and updates none."""
+    alg, domain = make(), valuation_ring(QT)
+    n, one, zero = alg.dim, QT.one, QT.zero
+    ts = [list(orders.nice_from_certificate(stabilizer_finite(alg, basis, domain)).lattice_rows)
+          for basis in draw_bases(alg, 8, QT_READ_DRAW, 3)]
+    ops = {}
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        count_calls(monkeypatch, ops, RationalFunction, name, "ops")
+    for t in ts:
+        assert all(not t[i][j] for i in range(n) for j in range(i))
+        ops["ops"] = 0
+        inverse = list(algebra.invert(QT, t))
+        inverted = ops["ops"]
+        ops["ops"] = 0
+        solved = algebra._back_substitute(
+            [[*r] + [one if j == i else zero for j in range(n)] for i, r in enumerate(t)], n)
+        assert ops["ops"] == inverted > 0
+        assert inverse == [tuple(r) for r in solved]
+
+
 def test_ideal_variant_inverts_once_and_forms_no_products(monkeypatch):
     """(x^2) in Q[x]/(x^3) over Z_(2): the ideal is checked on the
     certificate's rows, so the variant costs one dense inverse, no product
-    and no back substitution: it keeps its rows as a predicate, with no T."""
+    and no solve of T: it keeps its rows as a predicate, with no T."""
     field = ValuedField("Q", 2)
     one, zero = field.one, field.zero
     e = lambda k: tuple(one if i == k else zero for i in range(3))
@@ -720,7 +745,7 @@ def test_ideal_variant_inverts_once_and_forms_no_products(monkeypatch):
     calls = {}
     count_calls(monkeypatch, calls, StructureAlgebra, "mul")
     count_calls(monkeypatch, calls, algebra, "invert")
-    count_calls(monkeypatch, calls, orders, "_back_substitute", "t_solve")
+    count_calls(monkeypatch, calls, orders, "invert", "t_solve")
     certs, stabilizer = [], orders.stabilizer_finite
     monkeypatch.setattr(orders, "stabilizer_finite", lambda *a: certs.append(stabilizer(*a)) or certs[-1])
     R = orders.nice_with_ideal(orders.IdealSpec(alg, (e(2),)), p_local(2))
