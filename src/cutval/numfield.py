@@ -604,10 +604,9 @@ class ValuedField:
             (a,) = gamma
             return Fraction(self.p) ** a
         n, a = gamma
-        c = Polynomial((Fraction(self.p) ** a,))
-        if n >= 0:
-            return RationalFunction(c * _t_power(n))
-        return RationalFunction(c, _t_power(-n))
+        top, bottom = (self.p ** a, 1) if a >= 0 else (1, self.p ** -a)
+        num = Polynomial._from_ints([0] * n + [top], bottom)
+        return RationalFunction._reduced(num, _t_power(-n) if n < 0 else Polynomial.ONE)
 
 
 def _t_power(n: int) -> Polynomial:

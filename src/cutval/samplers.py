@@ -2,25 +2,31 @@
 
 Everything draws from a :class:`~cutval.sampling.SplitMix64` stream shaped
 by a :class:`~cutval.sampling.SampleSpec`, so audits and tests are
-reproducible from (seed, spec) alone.
+reproducible from (seed, spec) alone: each draw's value and the stream
+position after it are fixed.  Q(t) draws are made from the stream's integer
+pairs in Z[t], with no ``Fraction`` and no product of scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .algebra import PolynomialAlgebra, StructureAlgebra
 from .basedomain import BaseDomain
 from .numfield import Polynomial, RationalFunction, ValuedField, _exact_quo, _t_power
-from .sampling import SampleSpec, SplitMix64, sample_int, sample_rational
+from .sampling import SampleSpec, SplitMix64, rational_pair, sample_int, sample_rational
 
 
 def sample_ratfunc(rng: SplitMix64, spec: SampleSpec, p: int) -> RationalFunction:
     """num / den with den 1, t^k (k = 1, 2) or 1 + c*t, built reduced
     without Euclid: gcd(num, t^k) = t^min(ord num, k), and the irreducible
-    1 + c*t either divides num, which _exact_quo finds, or is coprime to it."""
+    1 + c*t for c = a/b divides num, when sum x_i*(-b)^i*a^(deg-i) = 0 for
+    num = (x_0 + ... + x_deg*t^deg)/d, or is coprime to it."""
     deg = rng.randint(0, spec.poly_degree)
-    num = Polynomial(tuple(sample_rational(rng, spec, p) for _ in range(deg + 1)))
+    pairs = [rational_pair(rng, spec, p) for _ in range(deg + 1)]
+    d = lcm(*(b for _, b in pairs))
+    num = Polynomial._from_ints([a * (d // b) for a, b in pairs], d)
     shape = rng.randrange(3)
     if shape == 0 or num.is_zero():
         return RationalFunction._reduced(num, Polynomial.ONE)
@@ -28,12 +34,18 @@ def sample_ratfunc(rng: SplitMix64, spec: SampleSpec, p: int) -> RationalFunctio
         k = rng.randint(1, 2)
         j = min(num.ord(), k)
         return RationalFunction._reduced(Polynomial._from_ints(num.ints[j:], num.den), _t_power(k - j))
-    c = sample_rational(rng, spec, p)  # for c = 0 the divisor is 1
-    num, den = (num.scale(1 / c), Polynomial((1 / c, 1))) if c else (num, Polynomial.ONE)
-    try:  # for c != 0, den is the monic (1 + c*t)/c
-        return RationalFunction._reduced(_exact_quo(num, den), Polynomial.ONE)
-    except ArithmeticError:
+    a, b = rational_pair(rng, spec, p)  # for c = 0 the divisor is 1
+    if not a:
+        return RationalFunction._reduced(num, Polynomial.ONE)
+    a, b = (a, b) if a > 0 else (-a, -b)
+    root, power = 0, 1  # sum x_i * (-b)^i * a^(j - i) over the first j + 1 coefficients
+    for x in num.ints:
+        root, power = root * a + x * power, -power * b
+    num = Polynomial._from_ints([x * b for x in num.ints], num.den * a)  # num / c
+    den = Polynomial._from_ints([b, a], a)  # the monic (1 + c*t)/c
+    if root:
         return RationalFunction._reduced(num, den)
+    return RationalFunction._reduced(_exact_quo(num, den), Polynomial.ONE)
 
 
 def sample_scalar(rng: SplitMix64, spec: SampleSpec, field: ValuedField):
@@ -43,28 +55,30 @@ def sample_scalar(rng: SplitMix64, spec: SampleSpec, field: ValuedField):
 
 
 def sample_in_domain(rng: SplitMix64, spec: SampleSpec, domain: BaseDomain):
-    """An element of S (not necessarily nonzero)."""
+    """An element of S (not necessarily nonzero).  Over O_v, a Q(t) draw f
+    times p^a * t^n for the negative parts (n, a) of v(f), where the den 1,
+    t^k or t + 1/c of f shares t^m, m = min(n, ord_t den), with t^n."""
     field = domain.valued_field
     if field is None:
         return Fraction(sample_int(rng, spec.coef_bound))
     if field.kind == "Q":
         p = field.p
         num = sample_int(rng, spec.coef_bound) * p ** rng.randint(0, 1)
-        den = 1
         while True:
             den = rng.randint(1, 9)
             if den % p != 0:
                 break
         return Fraction(num, den)
-    # O_v over Q(t): polynomial with p-integral lowest coefficient, at times
-    # divided by a unit 1 + c*t.
     f = sample_ratfunc(rng, spec, field.p)
     if f.is_zero():
         return f
     v = field.value(f)
     if v >= (0, 0):
         return f
-    return f * field.element_with_value((max(0, -v[0]), max(0, -v[1])))
+    n, a, den = max(0, -v[0]), max(0, -v[1]), f.den
+    m = min(n, den.ord())
+    num = Polynomial._from_ints([0] * (n - m) + [x * field.p ** a for x in f.num.ints], f.num.den)
+    return RationalFunction._reduced(num, Polynomial._from_ints(den.ints[m:], den.den) if m else den)
 
 
 def sample_algebra_element(rng: SplitMix64, spec: SampleSpec, alg: StructureAlgebra):

@@ -54,8 +54,10 @@ class SplitMix64:
         return self.next_u64() % n
 
     def randint(self, lo: int, hi: int) -> int:
-        """Draw from the inclusive range [lo, hi]."""
-        return lo + self.randrange(hi - lo + 1)
+        """Draw from the inclusive range [lo, hi]: lo + randrange(hi - lo + 1)."""
+        if hi < lo:
+            raise ValueError("randint needs lo <= hi")
+        return lo + self.next_u64() % (hi - lo + 1)
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
@@ -70,6 +72,11 @@ class SampleSpec:
     coef_bound: int = 9
     max_p_exp: int = 3
     poly_degree: int = 2
+
+    def __post_init__(self):
+        for name, least in (("coef_bound", 0), ("max_p_exp", 1), ("poly_degree", 0)):
+            if getattr(self, name) < least:
+                raise DomainError(f"a sample spec needs {name} >= {least}, got {getattr(self, name)}")
 
     def describe(self) -> str:
         return (
@@ -95,6 +102,11 @@ def sample_int(rng: SplitMix64, bound: int) -> int:
 
 def sample_rational(rng: SplitMix64, spec: SampleSpec, p: int) -> Fraction:
     """A rational with denominators mixing powers of p and p-free parts."""
+    return Fraction(*rational_pair(rng, spec, p))
+
+
+def rational_pair(rng: SplitMix64, spec: SampleSpec, p: int) -> tuple[int, int]:
+    """sample_rational's draw as (num, den) with den > 0, not reduced."""
     num = sample_int(rng, spec.coef_bound)
     shape = rng.randrange(4)
     if shape == 0:
@@ -105,7 +117,7 @@ def sample_rational(rng: SplitMix64, spec: SampleSpec, p: int) -> Fraction:
         den = _small_coprime(rng, p)
         if shape == 3:
             den *= p ** rng.randint(1, spec.max_p_exp)
-    return Fraction(num, den)
+    return num, den
 
 
 def _small_coprime(rng: SplitMix64, p: int) -> int:

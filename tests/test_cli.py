@@ -430,6 +430,13 @@ def qx_file(tmp_path):
                                 coef_bound=3, max_p_exp=1, poly_degree=2)
 
 
+@pytest.fixture
+def m2qt_file():
+    """audit-qt's problem: M2(Q(t)) over O_v with the unit basis b0,
+    written by cutbench.workloads.write_problem."""
+    return os.path.join(os.path.dirname(__file__), "golden", "m2-qt-units.json")
+
+
 def _random_basis_cases(tag, fixture, element, samples):
     rb = ["--basis", "random"]
     audit = ["--samples", samples, "--seed", "5"]
@@ -459,6 +466,9 @@ GOLDEN_CASES = {
     "readme-matrix-chain": (None, ["matrix-chain", "--n", "2", "--domain", "Z",
                                    "--ideals", "4,2", "--samples", "40"]),
     **_random_basis_cases("m3-z3", "m3_file", "1,2/3,0,0,3,0,-1/9,0,9", "12"),
+    "m2qt-nice": ("m2qt_file", ["nice", FILE, "--basis", "b0", "--samples", "10", "--seed", "5"]),
+    "m2qt-qv-audit": ("m2qt_file", ["qv", "audit", FILE, "--basis", "b0",
+                                    "--samples", "10", "--seed", "5"]),
     **_random_basis_cases("qx-ov", "qx_file", '[{"num": ["1", "2"], "den": ["0", "1"]}, "1/2"]', "6"),
 }
 

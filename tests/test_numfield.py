@@ -100,6 +100,21 @@ def test_surjectivity_constructive(kind):
         assert field.value(x) == gamma
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_element_with_value_over_qt_is_the_reduced_quotient(p):
+    """p^a * t^n on n, a in [-3, 3], built as its canonical clearing, is
+    RationalFunction(num, den) of the same p^a and t^n."""
+    field = ValuedField("Qt", p)
+    for n in range(-3, 4):
+        for a in range(-3, 4):
+            num = Polynomial((Fraction(p) ** a,)) * Polynomial((0,) * max(n, 0) + (1,))
+            expected = RationalFunction(num, Polynomial((0,) * max(-n, 0) + (1,)))
+            got = field.element_with_value((n, a))
+            assert got == expected and field.value(got) == (n, a)
+            assert_clearing(got.num)
+            assert_clearing(got.den)
+
+
 def test_rational_text():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-7") == Fraction(-7)
