@@ -54,6 +54,11 @@ class BaseDomain:
     def fraction_field_kind(self) -> str:
         return "Q" if self.field is None else self.field.kind
 
+    def check_field(self, field: ValuedField) -> None:
+        """Refuse an algebra over the other fraction field."""
+        if field.kind != self.fraction_field_kind:
+            raise ConfigError("domain fraction field differs from the algebra's field")
+
     @property
     def valued_field(self) -> ValuedField | None:
         """The valuation this domain is the ring of, when there is one."""

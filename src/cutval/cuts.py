@@ -30,8 +30,16 @@ k in {1, 2}.
 No "strictly below beta" variant exists: in the discrete quotient Z^(k-j),
 ``{ g < beta }`` equals ``{ g <= beta - (0,...,0,1) }``.
 
-The closed forms for addition, scaling, translation and comparison below
-are implementation-derived; the ground truth in tests is the brute-force
+One projection rule.  Two AtMost cuts are summed and ordered at the
+coarser level j = max(levels), their bounds projected there by dropping
+low coordinates (`_dropped_bound`): projecting {<= beta} to a coarser lex
+level gives {<= projected beta}, and {<= x} + {<= y} = {<= x + y} in any
+ordered abelian group.  `cut_add` adds the projected bounds; `cut_compare`
+orders Bottom < AtMost < Top and two AtMost cuts as (projected bound,
+level), since at equal projections the finer left set lies strictly
+inside the coarser one; `cut_translate(a, alpha)` is
+`cut_add(a, embed_phi(-alpha))`.  These closed forms are
+implementation-derived; the ground truth in tests is the brute-force
 window oracle (:mod:`cutval.oracle`).
 
 A :class:`Value` is a cut or the adjoined ``INF``, which is strictly
@@ -47,6 +55,7 @@ are componentwise tuple sums.  Its text form is ``(a1,...,ak)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from .errors import DomainError, RankMismatchError, StructuralError
 
@@ -55,6 +64,7 @@ Vec = tuple[int, ...]
 BOTTOM = "bot"
 TOP = "top"
 ATMOST = "atmost"
+_KIND_ORDER = {BOTTOM: 0, ATMOST: 1, TOP: 2}
 
 
 @dataclass(frozen=True)
@@ -133,15 +143,12 @@ def _check_ranks(a: Cut, b: Cut) -> None:
 
 def _dropped_bound(c: Cut, level: int) -> Vec:
     """Bound of c re-expressed at a coarser level (drop low coordinates)."""
-    extra = level - c.level
-    return c.bound[: len(c.bound) - extra] if extra else c.bound
+    return c.bound[: c.rank - level]
 
 
 def cut_add(a: Cut, b: Cut) -> Cut:
-    """Left-set sum.  For AtMost operands the sum lives at the coarser
-    level and adds the bounds there, since {<=x} + {<=y} = {<=x+y} in any
-    ordered abelian group and projecting {<=beta} to a coarser lex level
-    yields {<= projected beta}."""
+    """Left-set sum.  Bottom absorbs, then Top; AtMost bounds add at the
+    coarser level (module docstring)."""
     _check_ranks(a, b)
     if a.kind == BOTTOM or b.kind == BOTTOM:
         return bottom(a.rank)
@@ -162,39 +169,23 @@ def cut_scale(n: int, a: Cut) -> Cut:
 
 
 def cut_translate(a: Cut, alpha: Vec) -> Cut:
-    """Left set shifted by -alpha; equals cut_add(a, embed_phi(-alpha))."""
+    """Left set shifted by -alpha: cut_add(a, embed_phi(-alpha))."""
     if len(alpha) != a.rank:
         raise RankMismatchError("translation rank differs from cut rank")
-    if a.kind != ATMOST:
-        return a
-    proj = alpha[: a.rank - a.level]
-    return at_most(a.rank, a.level, tuple(x - y for x, y in zip(a.bound, proj)))
+    return cut_add(a, embed_phi(tuple(-x for x in alpha)))
 
 
 def cut_compare(a: Cut, b: Cut) -> int:
-    """Total order by left-set inclusion: -1, 0 or +1.
-
-    Between levels the finer descriptor (smaller level) is below the
-    coarser one exactly when its bound, projected to the coarser level,
-    is lex <= the coarser bound; descriptors at distinct levels are never
-    equal.
-    """
+    """Total order by left-set inclusion: -1, 0 or +1.  Bottom < AtMost <
+    Top; two AtMost cuts compare as (bound projected to the coarser level,
+    level), so at equal projections the finer cut is below."""
     _check_ranks(a, b)
-    if a == b:
-        return 0
-    if a.kind == BOTTOM:
-        return -1
-    if b.kind == BOTTOM:
-        return 1
-    if a.kind == TOP:
-        return 1
-    if b.kind == TOP:
-        return -1
-    if a.level == b.level:
-        return -1 if a.bound < b.bound else 1
-    if a.level < b.level:
-        return -1 if _dropped_bound(a, b.level) <= b.bound else 1
-    return 1 if _dropped_bound(b, a.level) <= a.bound else -1
+    if a.kind != ATMOST or b.kind != ATMOST:
+        ka, kb = _KIND_ORDER[a.kind], _KIND_ORDER[b.kind]
+    else:
+        j = max(a.level, b.level)
+        ka, kb = (_dropped_bound(a, j), a.level), (_dropped_bound(b, j), b.level)
+    return (ka > kb) - (ka < kb)
 
 
 def value_add(x: Value, y: Value) -> Value:
@@ -218,24 +209,18 @@ def value_scale(n: int, x: Value) -> Value:
 
 
 def value_compare(x: Value, y: Value) -> int:
-    if x is INF and y is INF:
-        return 0
-    if x is INF:
-        return 1
-    if y is INF:
-        return -1
+    if x is INF or y is INF:
+        return (x is INF) - (y is INF)
     return cut_compare(x, y)
 
 
+_VALUE_KEY = cmp_to_key(value_compare)
+
+
 def value_min(values) -> Value:
-    """Greatest lower bound of a nonempty finite family (its minimum)."""
-    values = list(values)
-    if not values:
+    """Greatest lower bound of a nonempty finite family (its first minimum)."""
+    if (best := min(values, key=_VALUE_KEY, default=None)) is None:
         raise DomainError("value_min of empty list")
-    best = values[0]
-    for v in values[1:]:
-        if value_compare(v, best) < 0:
-            best = v
     return best
 
 

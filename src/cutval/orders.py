@@ -51,14 +51,12 @@ class LatticeModule:
     basis: tuple | None
 
     def __post_init__(self):
+        self.domain.check_field(self.algebra.field)
         if isinstance(self.algebra, PolynomialAlgebra):
             if self.basis is not None:
                 raise ConfigError("polynomial backend uses the monomial lattice")
-        else:
-            if self.basis is None:
-                raise ConfigError("finite-dimensional lattice needs a basis")
-            if self.algebra.field.kind != self.domain.fraction_field_kind:
-                raise ConfigError("domain fraction field differs from the algebra's field")
+        elif self.basis is None:
+            raise ConfigError("finite-dimensional lattice needs a basis")
 
     @cached_property
     def coords(self) -> _Rows:
@@ -383,8 +381,6 @@ def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
     right ideal when they vanish on B1 (b_j = e_i for j >= m): I is in R.
     """
     alg, basis = ideal.algebra, ideal.validate()
-    if alg.field.kind != domain.fraction_field_kind:
-        raise ConfigError("domain fraction field differs from the algebra's field")
     cert = stabilizer_finite(alg, basis, domain)
     m, n = len(ideal.basis), alg.dim
     left = [r for r in cert.rows.subset([j * n + k for j in range(m) for k in range(m, n)]) if any(r)]
@@ -436,6 +432,7 @@ def intersect_oracles(oracles, domain: BaseDomain | None = None,
         if o.algebra is not alg:
             raise ConfigError("oracles live over different algebras")
     domain = domain or oracles[0].domain
+    domain.check_field(alg.field)
     provenance = provenance or ("intersection(" + ", ".join(o.provenance for o in oracles) + ")")
     groups = tuple(g for o in oracles for g in o.constraints)
     if domain.is_valuation_like and all(g[0].valued_field == domain.valued_field for g in groups):

@@ -51,6 +51,7 @@ class StableBasisCertificate:
 
     def __post_init__(self):
         alg, domain = self.algebra, self.domain
+        domain.check_field(alg.field)
         object.__setattr__(self, "coords", coordinate_rows(alg, self.basis))
         object.__setattr__(self, "rows", product_rows(alg, self.coords, self.basis))
         if self.stabilizer is None:  # delta_i clears the row values at b_i: coords(b_i*b_j), all j

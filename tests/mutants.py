@@ -1,0 +1,170 @@
+"""Registered mutants, each of which the named tests must catch.
+
+Each entry names a file, a text that must occur in it exactly once, its
+replacement, and the tests that must fail once it is applied.  For each
+entry the runner copies `src/`, `tests/`, `cutbench/` and `pyproject.toml`
+to a temporary directory, applies the patch there and runs the named tests
+with pytest; the entry passes when pytest reports failed tests (exit code
+1).  A patch that does not match exactly once, a mutant that passes, and a
+run that ends in anything but test failures (a collection error, say) fail
+the runner.  First, the named tests of every entry run once unpatched
+and must pass, so a test that fails anyway cannot catch a mutant.
+The repository itself is never changed.  Run from anywhere:
+
+    python3 tests/mutants.py
+
+It exits 0 when every mutant is caught.  pytest does not collect
+this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "cutbench", "pyproject.toml")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple  # pytest node ids, relative to the repository root
+    why: str
+
+
+MUTANTS = (
+    Mutant(
+        "compare-level-tie-reversed", "src/cutval/cuts.py",
+        "ka, kb = (_dropped_bound(a, j), a.level), (_dropped_bound(b, j), b.level)",
+        "ka, kb = (_dropped_bound(a, j), -a.level), (_dropped_bound(b, j), -b.level)",
+        ("tests/test_cuts.py",),
+        "at equal projections the coarser cut taken as below"),
+    Mutant(
+        "compare-projects-to-finer-level", "src/cutval/cuts.py",
+        "        j = max(a.level, b.level)\n        ka, kb",
+        "        j = min(a.level, b.level)\n        ka, kb",
+        ("tests/test_cuts.py",),
+        "cut_compare projects both bounds to the finer level"),
+    Mutant(
+        "add-bottom-not-absorbing", "src/cutval/cuts.py",
+        "    if a.kind == BOTTOM or b.kind == BOTTOM:\n        return bottom(a.rank)\n"
+        "    if a.kind == TOP or b.kind == TOP:\n        return top(a.rank)\n",
+        "    if a.kind == TOP or b.kind == TOP:\n        return top(a.rank)\n"
+        "    if a.kind == BOTTOM or b.kind == BOTTOM:\n        return bottom(a.rank)\n",
+        ("tests/test_cuts.py",),
+        "Top absorbs Bottom in cut_add"),
+    Mutant(
+        "ratfunc-root-test-plus-b", "src/cutval/samplers.py",
+        "root, power = root * a + x * power, -power * b",
+        "root, power = root * a + x * power, power * b",
+        ("tests/test_numfield.py::test_sample_ratfunc_matches_divmod_reference",),
+        "the root test of 1 + c*t in sample_ratfunc evaluates at +b/a"),
+    Mutant(
+        "ov-lift-no-t-cancellation", "src/cutval/samplers.py",
+        "m = min(n, den.ord())",
+        "m = 0",
+        ("tests/test_sampling.py::test_sample_in_domain_over_ov_matches_the_product_lift",),
+        "sample_in_domain over O_v does not cancel t^m against the denominator"),
+    Mutant(
+        "hermite-reduction-right-to-left", "src/cutval/algebra.py",
+        "    for j, pivot in enumerate(lifted):\n",
+        "    for j, pivot in reversed(list(enumerate(lifted))):\n",
+        ("tests/test_kernel.py::test_t_is_in_hermite_form",),
+        "_padic_pivots reduces above the pivots from the last column first"),
+    Mutant(
+        "bareiss-divides-by-pivot", "src/cutval/algebra.py",
+        "m[i] = ([(p * x - f * y) // prev for x, y in zip(row[1:], tail)] if f\n"
+        "                        else [p * x // prev for x in row[1:]])",
+        "m[i] = ([(p * x - f * y) // p for x, y in zip(row[1:], tail)] if f\n"
+        "                        else [p * x // p for x in row[1:]])",
+        ("tests/test_kernel.py::test_rank_of_is_a_forward_bareiss",
+         "tests/test_kernel.py::test_fraction_free_inverse_matches_reference"),
+        "_bareiss divides each updated row by the pivot instead of the previous pivot"),
+    Mutant(
+        "ov-lift-power-on-den", "src/cutval/samplers.py",
+        "[x * field.p ** a for x in f.num.ints], f.num.den)",
+        "f.num.ints, f.num.den * field.p ** a)",
+        ("tests/test_sampling.py::test_sample_in_domain_over_ov_matches_the_product_lift",),
+        "sample_in_domain over O_v divides by p^a instead of multiplying"),
+    Mutant(
+        "accepts-nonpositive-as-negative", "src/cutval/basedomain.py",
+        "v is not None and v < zero",
+        "v is not None and v <= zero",
+        ("tests/test_kernel.py::test_admits_and_reads_match_the_row_values",),
+        "a valuation ring refuses the units"),
+    Mutant(
+        "window-width-2b", "src/cutval/oracle.py",
+        "weights = [(4 * bound + 1) ** i",
+        "weights = [(2 * bound + 1) ** i",
+        ("tests/test_oracle.py::test_window_margin_boundary",),
+        "window_cut_sum encodes box points in base 2B+1, so digit sums carry"),
+)
+
+
+def _copy(dest: Path) -> None:
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def _patched(text: str, m: Mutant) -> str:
+    if (count := text.count(m.old)) != 1:
+        raise SystemExit(f"FAIL: {m.name}: the patch matches {m.path} {count} times, not once")
+    return text.replace(m.old, m.new)
+
+
+def _pytest(cwd: Path, tests) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(("src", ".")), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                         cwd=cwd, env=env, capture_output=True, text=True)
+    lines = run.stdout.strip().splitlines()
+    return run.returncode, lines[-1] if lines else run.stderr.strip()[-200:]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="cutval-mutants-") as tmp:
+        base = Path(tmp) / "unpatched"
+        _copy(base)
+        for m in MUTANTS:  # every patch matches once before any test runs
+            _patched((base / m.path).read_text(), m)
+        tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        code, last = _pytest(base, tests)
+        if code != 0:
+            print(f"FAIL: the named tests do not pass unpatched: {last}")
+            return 1
+        print(f"unpatched: {last}")
+        survivors = []
+        for m in MUTANTS:
+            start = time.perf_counter()
+            work = Path(tmp) / m.name
+            _copy(work)
+            path = work / m.path
+            path.write_text(_patched(path.read_text(), m))
+            code, last = _pytest(work, m.tests)
+            shutil.rmtree(work)
+            verdict = "caught" if code == 1 else f"NOT CAUGHT, {m.why}"
+            print(f"{m.name}: {verdict} ({last}; {time.perf_counter() - start:.1f} s)")
+            if code != 1:
+                survivors.append(m.name)
+    if survivors:
+        print(f"FAIL: {len(survivors)} of {len(MUTANTS)} mutants not caught: {', '.join(survivors)}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants caught")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -41,6 +41,8 @@ def test_poly_backend_product(field_q):
     one_plus_y = A.element({0: 1, 1: 1})
     one_minus_y = A.element({0: 1, 1: -1})
     assert A.mul(one_plus_y, one_minus_y) == A.element({0: 1, 2: -1})
+    assert A.format_element(A.zero) == "0"
+    assert A.format_element(one_minus_y) == "1*y^0 + -1*y^1"
 
 
 def test_coords_examples(m2, sqrt2):

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from cutval.algebra import matrix_algebra
 from cutval.basedomain import (BaseDomain, domain_from_descriptor, integers,
                                is_subdomain, p_local, valuation_ring)
 from cutval.errors import ConfigError
 from cutval.numfield import Polynomial, RationalFunction, ValuedField
+from cutval.orders import intersect_oracles, nice_from_certificate
 from cutval.samplers import sample_scalar
 from cutval.sampling import SampleSpec, SplitMix64
+from cutval.stability import stabilizer_finite
 
 
 def three_over_2t():
@@ -127,3 +130,29 @@ def test_descriptor_parsing():
     with pytest.raises(ConfigError):
         BaseDomain("Zp", p=4)
 
+
+
+M2_QT, M2_Q = (matrix_algebra(ValuedField(kind, 2), 2) for kind in ("Qt", "Q"))
+OV_QT = valuation_ring(ValuedField("Qt", 2))
+
+
+def _units(alg):
+    return [alg.basis_vector(i) for i in range(alg.dim)]
+
+
+def _intersect_over_ov():
+    R = nice_from_certificate(stabilizer_finite(M2_Q, _units(M2_Q), p_local(2)))
+    return intersect_oracles([R], domain=OV_QT)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: stabilizer_finite(M2_QT, _units(M2_QT), integers()),
+    lambda: stabilizer_finite(M2_QT, _units(M2_QT), p_local(2)),
+    lambda: stabilizer_finite(M2_Q, _units(M2_Q), OV_QT),
+    _intersect_over_ov,
+], ids=["M2(Q(t))/Z", "M2(Q(t))/Z_(2)", "M2(Q)/O_v", "intersection over O_v"])
+def test_a_base_ring_over_the_other_fraction_field_is_refused(build):
+    """One rule, `BaseDomain.check_field`, refuses each of these before any
+    row is read: the certificate, and an intersection given its domain."""
+    with pytest.raises(ConfigError, match="domain fraction field differs from the algebra's field"):
+        build()

@@ -93,6 +93,14 @@ def test_cutcalc_malformed_fails_closed(capsys, expr, reason):
     assert captured.err.startswith("FAIL: ") and reason in captured.err
 
 
+@pytest.mark.parametrize("expr", ["AM(1;2) - AM(1;1)", "AM(0;2) - TOP", "(1) - INF"])
+def test_cutcalc_subtracts_only_a_group_element(capsys, expr):
+    rc = main(["cutcalc", expr])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "FAIL: can only subtract a group element (principal cut)\n"
+
+
 @pytest.mark.parametrize("rank, expr", [("-2", "INF"), ("0", "(1)"), ("0", "AM(1;2)"),
                                         ("-1", "BOT + TOP"), ("0", "AM(1;2")])
 def test_cutcalc_refuses_a_rank_below_one(capsys, rank, expr):

@@ -1,17 +1,26 @@
+"""Cut arithmetic against the window oracle, the monoid laws and the
+closed forms the library used before `cut_compare`, `cut_add` and
+`cut_translate` shared one projection rule: `reference_cut_compare`,
+`reference_cut_add`, `reference_cut_translate`, `reference_value_compare`
+and `reference_value_min` are those functions verbatim, apart from their
+names and the reference helpers they call."""
+
 from __future__ import annotations
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_cut, random_vec
-from cutval.cuts import (INF, at_most, bottom, cut_add, cut_compare, cut_scale,
-                         cut_translate, embed_phi, format_value,
+from cutval.cuts import (ATMOST, BOTTOM, INF, TOP, _check_ranks, at_most, bottom, cut_add,
+                         cut_compare, cut_scale, cut_translate, embed_phi, format_value,
                          parse_group_element, parse_value, top, value_add,
                          value_compare, value_min, value_scale,
                          value_translate, zero_cut)
 from cutval.errors import DomainError, RankMismatchError, StructuralError
-from cutval.oracle import Window, window_cut_sum, window_left_set
+from cutval.oracle import Window, enumerate_canonical, window_cut_sum, window_left_set
 from cutval.sampling import SplitMix64
 
 
@@ -98,6 +107,8 @@ def test_cut_compare_examples():
     assert cut_compare(bottom(1), at_most(1, 0, (0,))) == -1
     assert cut_compare(at_most(1, 0, (0,)), top(1)) == -1
     assert cut_compare(at_most(2, 0, (3, 9)), at_most(2, 1, (3,))) == -1
+    # the coarser level decides: the finer bound's low coordinate 9 does not
+    assert cut_compare(at_most(3, 1, (1, 2)), at_most(3, 0, (1, 2, 9))) == 1
     # derived: coarse below fine when the coarse bound is strictly smaller
     a, b = at_most(2, 1, (2,)), at_most(2, 0, (3, 0))
     assert cut_compare(a, b) == -1
@@ -187,6 +198,17 @@ def test_scale_matches_iterated_add_fuzz():
 
 
 # --- canonical form constraints ---------------------------------------------
+
+
+def test_rank_and_scale_refusals():
+    with pytest.raises(RankMismatchError, match="translation rank differs from cut rank"):
+        cut_translate(at_most(2, 0, (1, 2)), (1,))
+    with pytest.raises(DomainError, match="scale factor must be >= 1, got 0"):
+        value_scale(0, INF)
+    with pytest.raises(RankMismatchError, match="notation rank 2 differs from expected 3"):
+        parse_value("AM(1;4)", 3)
+    with pytest.raises(RankMismatchError, match="element rank 2 differs from expected 1"):
+        parse_value("(1,2)", 1)
 
 
 def test_descriptor_validation():
@@ -294,3 +316,123 @@ def test_cut_order_transitive_fuzz():
         ab, ba = cut_compare(a, b), cut_compare(b, a)
         assert ab == -ba
         assert (ab == 0) == (a == b)
+
+
+# --- the closed forms before the one projection rule, verbatim ---------------
+
+
+def _reference_dropped_bound(c, level):
+    """Bound of c re-expressed at a coarser level (drop low coordinates)."""
+    extra = level - c.level
+    return c.bound[: len(c.bound) - extra] if extra else c.bound
+
+
+def reference_cut_add(a, b):
+    """Left-set sum.  For AtMost operands the sum lives at the coarser
+    level and adds the bounds there, since {<=x} + {<=y} = {<=x+y} in any
+    ordered abelian group and projecting {<=beta} to a coarser lex level
+    yields {<= projected beta}."""
+    _check_ranks(a, b)
+    if a.kind == BOTTOM or b.kind == BOTTOM:
+        return bottom(a.rank)
+    if a.kind == TOP or b.kind == TOP:
+        return top(a.rank)
+    j = max(a.level, b.level)
+    pa, pb = _reference_dropped_bound(a, j), _reference_dropped_bound(b, j)
+    return at_most(a.rank, j, tuple(x + y for x, y in zip(pa, pb)))
+
+
+def reference_cut_translate(a, alpha):
+    """Left set shifted by -alpha; equals cut_add(a, embed_phi(-alpha))."""
+    if len(alpha) != a.rank:
+        raise RankMismatchError("translation rank differs from cut rank")
+    if a.kind != ATMOST:
+        return a
+    proj = alpha[: a.rank - a.level]
+    return at_most(a.rank, a.level, tuple(x - y for x, y in zip(a.bound, proj)))
+
+
+def reference_cut_compare(a, b):
+    """Total order by left-set inclusion: -1, 0 or +1.
+
+    Between levels the finer descriptor (smaller level) is below the
+    coarser one exactly when its bound, projected to the coarser level,
+    is lex <= the coarser bound; descriptors at distinct levels are never
+    equal.
+    """
+    _check_ranks(a, b)
+    if a == b:
+        return 0
+    if a.kind == BOTTOM:
+        return -1
+    if b.kind == BOTTOM:
+        return 1
+    if a.kind == TOP:
+        return 1
+    if b.kind == TOP:
+        return -1
+    if a.level == b.level:
+        return -1 if a.bound < b.bound else 1
+    if a.level < b.level:
+        return -1 if _reference_dropped_bound(a, b.level) <= b.bound else 1
+    return 1 if _reference_dropped_bound(b, a.level) <= a.bound else -1
+
+
+def reference_value_compare(x, y):
+    if x is INF and y is INF:
+        return 0
+    if x is INF:
+        return 1
+    if y is INF:
+        return -1
+    return reference_cut_compare(x, y)
+
+
+def reference_value_min(values):
+    """Greatest lower bound of a nonempty finite family (its minimum)."""
+    values = list(values)
+    if not values:
+        raise DomainError("value_min of empty list")
+    best = values[0]
+    for v in values[1:]:
+        if reference_value_compare(v, best) < 0:
+            best = v
+    return best
+
+
+DESCRIPTORS = {rank: enumerate_canonical(rank, 2) for rank in (1, 2, 3)}
+
+
+def test_descriptor_counts():
+    """Every level of every rank up to 3, bounds in [-2, 2]: 2 + 5 + 25 + 125 at rank 3."""
+    assert [len(DESCRIPTORS[r]) for r in (1, 2, 3)] == [7, 32, 157]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_add_and_compare_match_the_reference_on_every_pair(rank):
+    for a, b in itertools.product(DESCRIPTORS[rank], repeat=2):
+        assert cut_add(a, b) == reference_cut_add(a, b), (a, b)
+        assert cut_compare(a, b) == reference_cut_compare(a, b), (a, b)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_translate_matches_the_reference_on_every_shift(rank):
+    for a in DESCRIPTORS[rank]:
+        for alpha in itertools.product(range(-2, 3), repeat=rank):
+            assert cut_translate(a, alpha) == reference_cut_translate(a, alpha), (a, alpha)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_values_with_inf_match_the_reference(rank):
+    """value_compare on every pair and value_min on every triple of the
+    descriptors with INF and repeats mixed in, first minimum kept: equal
+    cuts from distinct objects tell the first from a later one."""
+    values = DESCRIPTORS[rank] + [INF, INF]
+    for x, y in itertools.product(values, repeat=2):
+        assert value_compare(x, y) == reference_value_compare(x, y), (x, y)
+    some = DESCRIPTORS[rank][::4]
+    copies = [at_most(c.rank, c.level, c.bound) if c.kind == "atmost" else c for c in some]
+    for family in itertools.product(some + [INF] + copies, repeat=3):
+        assert value_min(family) is reference_value_min(family), family
+        assert value_min(iter(family)) is reference_value_min(family)
+

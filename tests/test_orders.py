@@ -431,6 +431,22 @@ def test_intersecting_ideal_variants_over_a_valuation_ring(dual):
     assert True in verdicts and False in verdicts
 
 
+def test_intersecting_ideal_variants_over_ov_gives_no_lattice(field_qt):
+    """Over Q(t) too: `_eliminate` leaves a pivot of the stacked ideal
+    variant rows empty, so the intersection keeps the predicate."""
+    dual = quadratic_algebra(field_qt, 0)
+    R = nice_with_ideal(IdealSpec(dual, (dual.basis_vector(1),)), valuation_ring(field_qt))
+    both = intersect_oracles([R, R])
+    assert both.lattice_basis is None and both.constraints == R.constraints * 2
+    spec = SampleSpec(seed=18, count=10)
+    rng = SplitMix64(18)
+    points = [sample_algebra_element(rng, spec, dual) for _ in range(30)]
+    verdicts = [R.contains(x) for x in points]
+    assert [both.contains(x) for x in points] == verdicts
+    assert True in verdicts and False in verdicts
+    assert all(map(both.contains, both.contained_basis))
+
+
 def test_going_down_example(m2):
     r2 = m2_z2_order(m2)
     R = going_down(r2, integers(), units_of(m2))

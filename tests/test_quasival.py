@@ -11,8 +11,8 @@ from cutval.cuts import INF, at_most, embed_phi, value_compare, zero_cut
 from cutval.errors import ConfigError
 from cutval.numfield import RationalFunction, ValuedField
 from cutval.oracle import brute_support
-from cutval.orders import (LatticeModule, SubringOracle, _lattice, descend_chain, left_order,
-                           nice_from_certificate)
+from cutval.orders import (IdealSpec, LatticeModule, SubringOracle, _lattice, descend_chain,
+                           left_order, nice_from_certificate, nice_with_ideal)
 from cutval.quasival import (eval_via_clearing, filter_qv, filter_qv_eval,
                              qv_audit, qv_compare, support_mu)
 from cutval.samplers import sample_algebra_element, sample_member, sample_poly_element
@@ -151,6 +151,15 @@ def test_filter_qv_requires_valuation_ring(m2):
                          constraints=R.constraints, contained_basis=R.contained_basis)
     with pytest.raises(ConfigError):
         filter_qv(fake)
+
+
+def test_filter_qv_refuses_an_order_without_a_lattice(field_q):
+    """An ideal variant over Z_(2) has no lattice rows to read values off."""
+    dual = quadratic_algebra(field_q, 0)
+    R = nice_with_ideal(IdealSpec(dual, (dual.basis_vector(1),)), p_local(2))
+    assert R.lattice_basis is None
+    with pytest.raises(ConfigError, match="filter quasi-valuation needs a lattice-represented order"):
+        filter_qv(R)
 
 
 # --- invariants ----------------------------------------------------------------

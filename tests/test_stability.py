@@ -35,6 +35,7 @@ def test_is_stable_examples(m2, sqrt2, z):
     assert not rep.ok
     # the violation is (s/3)*(s/3) = 2/9
     assert any(coord == Fraction(2, 9) for (_, _, _, coord) in rep.violations)
+    assert str(rep) == "stable: no (1 violations; first at c[1]*b[1] coordinate 0 = 2/9)"
 
 
 def test_is_stable_refuses_a_stabilizer_that_is_not_a_basis(m2, z):
