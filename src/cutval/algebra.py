@@ -1,8 +1,8 @@
 """Finite-dimensional F-algebras by structure constants, plus F[y].
 
-Elements of a :class:`StructureAlgebra` are plain tuples of field scalars
-(coordinates in the ambient basis); all operations are free functions or
-methods taking those tuples.
+Elements of a :class:`StructureAlgebra` are coordinates in the ambient
+basis: over Q a `numfield.QVector` (integers over one denominator), which
+`QVector.of` makes of a tuple of Fractions, and over Q(t) a tuple.
 
 Exact linear algebra over Q runs on integers.  A dense inverse and a rank
 are one fraction-free kernel, `_bareiss`: `invert` runs it as
@@ -19,19 +19,19 @@ where a basis is checked, and `product_rows` stacks the rows of x ->
 coords(x*b) with no product formed: coords' rows times b's
 right-multiplication matrix, read off the table's cells.
 
-Over Q every vector is cleared once by `numfield._cleared`, to integers
-over the lcm of its denominators.  A `_Rows` over Q stores
-each row only as a_i over d, builds the Fraction row only when
-iterated, and clears each x to b_i over e: a row value is Fraction(sum
-a_i*b_i, d*e), one normalizing gcd instead of a Fraction multiply and
-add per entry, `_Rows.valuations` takes v_p(sum a_i*b_i) - v_p(d) -
-v_p(e) off the integers, reducing nothing, and `_Rows.denominators`
-reads d*e / gcd(sum a_i*b_i, d*e).  `StructureAlgebra.mul` clears the
-table over one denominator D, so a product is integer sums with one
-reducing Fraction per nonzero coordinate.  `product_rows` is one integer
-matrix product over the same cells, each row divided by one gcd into the
-(a, d) its `_Rows` stores, and every reader of the rows, the lattice's
-Z/p^K search included, takes them as they are.  Over Q(t) rows and
+Over Q every row is cleared once by `numfield._cleared`, to integers
+over the lcm of its denominators, and every element is born cleared:
+`add`, `smul` and `mul` (over the table cleared over one denominator D)
+make each result with one gcd.  A `_Rows` over Q stores each row only as
+a_i over d, builds the Fraction row only when iterated, and reads x as
+its b_i over e: a row value is Fraction(sum a_i*b_i, d*e),
+`_Rows.valuations` takes v_p(sum a_i*b_i) - v_p(d) - v_p(e) off the
+integers, reducing nothing, and `_Rows.denominators` reads d*e /
+gcd(sum a_i*b_i, d*e).  `product_rows` is one integer matrix product
+over the same cells, each row divided by one gcd into the (a, d) its
+`_Rows` stores, and every reader of the rows, the lattice's Z/p^K search
+included, takes them as they are; `_transpose` turns the clearings of
+the columns of a matrix into those of its rows.  Over Q(t) rows and
 products are summed term by term, and valuations are read in Z[t] (see
 `numfield`).
 
@@ -44,14 +44,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log2
+from math import gcd, lcm, log2
 from operator import mul
 
 from .errors import ConfigError, StructuralError
-from .numfield import (RationalFunction, ValuedField, _cleared, _int_p_exponent, _zt_clearing,
-                       _zt_valuations)
+from .numfield import (QVector, RationalFunction, ValuedField, _cleared, _int_p_exponent,
+                       _zt_clearing, _zt_valuations)
 
-Element = tuple  # tuple of field scalars
+Element = QVector | tuple  # a QVector over Q, a tuple of scalars over Q(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +79,8 @@ class StructureAlgebra:
                     raise StructuralError("table entries must be coordinate vectors of length n")
         if len(self.unit) != n:
             raise StructuralError("unit coordinates must have length n")
+        if self.field.kind == "Q":
+            object.__setattr__(self, "unit", QVector.of(self.unit))
         cells = [(i, j, tuple((k, t) for k, t in enumerate(vec) if t))
                  for i, row in enumerate(self.table) for j, vec in enumerate(row) if any(vec)]
         den = None
@@ -95,10 +97,13 @@ class StructureAlgebra:
 
     @property
     def zero(self) -> Element:
-        z = self.field.zero
-        return (z,) * self.dim
+        if self._den is not None:
+            return QVector._canonical((0,) * self.dim, 1)
+        return (self.field.zero,) * self.dim
 
     def basis_vector(self, i: int) -> Element:
+        if self._den is not None:
+            return QVector._canonical([int(k == i) for k in range(self.dim)], 1)
         z, o = self.field.zero, self.field.one
         return tuple(o if k == i else z for k in range(self.dim))
 
@@ -106,23 +111,31 @@ class StructureAlgebra:
         coords = tuple(self.field.scalar(c) for c in coords)
         if len(coords) != self.dim:
             raise StructuralError(f"expected {self.dim} coordinates, got {len(coords)}")
-        return coords
+        return coords if self._den is None else QVector.of(coords)
 
     def add(self, x: Element, y: Element) -> Element:
-        return tuple(a + b for a, b in zip(x, y))
+        if self._den is None:
+            return tuple(a + b for a, b in zip(x, y))
+        (a, d), (b, e) = QVector.pair(x), QVector.pair(y)
+        g = gcd(d, e)
+        m, k = e // g, d // g  # a/d + b/e = (a*m + b*k) / (d*m)
+        return QVector._canonical([s * m + t * k for s, t in zip(a, b)], d * m)
 
     def smul(self, c, x: Element) -> Element:
-        return tuple(c * a for a in x)
+        if self._den is None:
+            return tuple(c * a for a in x)
+        (a, d), n = QVector.pair(x), c.numerator
+        return QVector._canonical([s * n for s in a], d * c.denominator)
 
     def mul(self, x: Element, y: Element) -> Element:
         if len(x) != self.dim or len(y) != self.dim:
             raise ConfigError("element does not belong to this algebra")
         # Over Q: x = a/d, y = b/e and the table is T/D, so the product is
-        # the integer sums over d*e*D, one reducing Fraction per coordinate.
+        # the integer sums over d*e*D, made canonical with one gcd.
         if self._den is None:
             (a, b), zero = (x, y), self.field.zero
         else:
-            (a, d), (b, e), zero = _cleared(x), _cleared(y), 0
+            (a, d), (b, e), zero = QVector.pair(x), QVector.pair(y), 0
         out = [zero] * self.dim
         for i, j, terms in self._cells:
             ai, bj = a[i], b[j]
@@ -132,11 +145,10 @@ class StructureAlgebra:
                     out[k] = out[k] + c * t
         if self._den is None:
             return tuple(out)
-        den, zero = d * e * self._den, self.field.zero
-        return tuple(Fraction(v, den) if v else zero for v in out)
+        return QVector._canonical(out, d * e * self._den)
 
     def is_zero(self, x: Element) -> bool:
-        return all(not c for c in x)
+        return all(not c for c in x) if self._den is None else not any(QVector.pair(x)[0])
 
     def scalar_of(self, x: Element):
         """alpha with x = alpha * 1, or None when x is not scalar."""
@@ -314,11 +326,11 @@ def _bareiss(m, ncols, above):
 
 def rank_of(fieldobj: ValuedField, vectors) -> int:
     """The rank of the vectors: over Q `_bareiss` forward only on each
-    vector cleared, a nonzero multiple of it; over Q(t) `_eliminate`."""
+    vector's clearing, a nonzero multiple of it; over Q(t) `_eliminate`."""
     vectors = list(vectors)
     ncols = len(vectors[0]) if vectors else 0
     if fieldobj.kind == "Q":
-        return _bareiss([_cleared(v)[0] for v in vectors], ncols, False)[0]
+        return _bareiss([QVector.pair(v)[0] for v in vectors], ncols, False)[0]
     pivots, _ = _eliminate(vectors, ncols)
     return sum(p is not None for p in pivots)
 
@@ -392,7 +404,8 @@ class _Rows:
     `cleared` is None and `zt` their Z[t] clearings, made on the first
     `valuations` read.  Iterating yields the rows, over Q built on each
     read.  _Rows(fieldobj, rows) is rows itself when it is a _Rows.  Every
-    membership test over a valuation ring, of Q or Q(t), reads `valuations`."""
+    membership test over a valuation ring, of Q or Q(t), reads `valuations`.
+    Over Q a point x is read as its QVector's integers and denominator."""
 
     def __new__(cls, fieldobj, rows):
         if isinstance(rows, _Rows):
@@ -424,8 +437,17 @@ class _Rows:
         self._check_width(x)
         if self.cleared is None:
             return (_dot(row, x) for row in self.stored)
-        b, e = _cleared(x)
+        b, e = QVector.pair(x)
         return (Fraction(sum(map(mul, a, b)), d * e) for a, d in self.cleared)
+
+    def element(self, x) -> Element:
+        """The row values at x as one element; over Q made from the integer
+        sums over the lcm of the rows' denominators, with one gcd."""
+        if self.cleared is None:
+            return tuple(self.values(x))
+        self._check_width(x)
+        (b, e), den = QVector.pair(x), lcm(*(d for _, d in self.cleared))
+        return QVector._canonical([sum(map(mul, a, b)) * (den // d) for a, d in self.cleared], den * e)
 
     def valuations(self, x, vf: ValuedField):
         """vf's value of each row value at x (None for a zero value), in row
@@ -437,8 +459,7 @@ class _Rows:
             if self.zt is None:
                 self.zt = tuple(map(_zt_clearing, self.stored))
             return _zt_valuations(self.zt, x, vf.p)
-        b, e = _cleared(x)
-        p = vf.p
+        (b, e), p = QVector.pair(x), vf.p
         ve = _int_p_exponent(e, p)
         return ((_int_p_exponent(s, p) - _int_p_exponent(d, p) - ve,)
                 if (s := sum(map(mul, a, b))) else None for a, d in self.cleared)
@@ -448,7 +469,7 @@ class _Rows:
         order and as consumed: d*e / gcd(sum a_i*b_i, d*e), 1 for a zero
         value, with no Fraction built."""
         self._check_width(x)
-        b, e = _cleared(x)
+        b, e = QVector.pair(x)
         return ((de := d * e) // gcd(sum(map(mul, a, b)), de) for a, d in self.cleared)
 
     def _check_width(self, x):
@@ -458,7 +479,8 @@ class _Rows:
 
 def coordinate_rows(alg: StructureAlgebra, basis) -> _Rows:
     """Rows whose values at x are x's coordinates over a basis of A: the
-    rows of the inverse of the matrix with the basis vectors as columns.
+    rows of the inverse of the matrix with the basis vectors as columns
+    (`column_rows`).
     A basis of the wrong size, with a vector of the wrong length or
     dependent is refused here."""
     n = alg.dim
@@ -467,9 +489,27 @@ def coordinate_rows(alg: StructureAlgebra, basis) -> _Rows:
     if (bad := next((len(b) for b in basis if len(b) != n), None)) is not None:
         raise StructuralError(f"a basis vector of A has {n} coordinates, got {bad}")
     try:
-        return invert(alg.field, [[b[r] for b in basis] for r in range(n)])
+        return invert(alg.field, column_rows(alg, basis))
     except StructuralError:
         raise StructuralError("basis is dependent") from None
+
+
+def _transpose(cleared) -> list:
+    """The columns of the rows a_i/d_i, given as (a_i, d_i), as canonical
+    clearings: a_i[j]*(L/d_i) over the lcm L of the d_i, over one gcd."""
+    cleared = list(cleared)
+    den = lcm(*(d for _, d in cleared))
+    scaled = [[x * (den // d) for x in a] for a, d in cleared]
+    return [(tuple(x // g for x in col), den // g) for col in zip(*scaled)
+            for g in (gcd(den, *col),)]
+
+
+def column_rows(alg: StructureAlgebra, vectors) -> _Rows:
+    """The rows of the matrix with the given elements as its columns; over
+    Q read off their clearings (`_transpose`), building no Fraction."""
+    if alg._den is None:
+        return _Rows(alg.field, tuple(zip(*vectors)))
+    return _Rows._make(_transpose(map(QVector.pair, vectors)), True)
 
 
 def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> _Rows:
@@ -478,8 +518,8 @@ def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> _Rows:
 
     No product is formed.  b's rows are coords' rows times b's right-
     multiplication matrix, whose column i is e_i*b summed off the table's
-    nonzero cells.  Over Q that is one integer matrix product: for b =
-    beta/e, coords' row a/d and the cleared cells over D, row (b, k) is the
+    nonzero cells.  Over Q that is one integer matrix product: for b's
+    clearing beta/e, coords' row a/d and the cleared cells over D, row (b, k) is the
     integers sum_r a_r * (sum_j beta_j * D*t_ij^r) over d*e*D, divided by
     one gcd into the (A, d) that _cleared gives, which is all the row
     stores.  Over Q(t) the same matrix is summed on scalars."""
@@ -487,7 +527,7 @@ def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> _Rows:
     zero = alg.field.zero if den is None else 0
     rows = []
     for b in elements:
-        beta, e = (b, None) if den is None else _cleared(b)
+        beta, e = (b, None) if den is None else QVector.pair(b)
         # right[i][r]: coordinate r of e_i*b, times e*D over Q
         right = [[zero] * n for _ in range(n)]
         for i, j, terms in alg._cells:

@@ -13,8 +13,10 @@ agree and the lowest coefficients add, where cancellation only increases
 the value.
 
 Rationals are stdlib ``fractions.Fraction`` (already reduced, positive
-denominator, arbitrary precision).  ``v(0)`` is ``None`` everywhere in
-this module -- the cut-level infinity lives in :mod:`cutval.cuts` only.
+denominator, arbitrary precision), and a vector over Q, such as an algebra
+element, is one ``QVector``: integers over one denominator.  ``v(0)`` is
+``None`` everywhere in this module -- the cut-level infinity lives in
+:mod:`cutval.cuts` only.
 
 Elements of Q(t) are ``RationalFunction``s, always reduced with a monic
 denominator.  Only the public constructor reduces; the operators assume
@@ -75,6 +77,8 @@ def is_prime(p: int) -> bool:
 def _int_p_exponent(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("0 has no p-exponent")
+    if p == 2:  # the lowest set bit, of n and of -n alike
+        return (n & -n).bit_length() - 1
     e = 0
     n = abs(n)
     while n % p == 0:
@@ -113,6 +117,58 @@ def _cleared(coeffs) -> tuple[list[int], int]:
     """(A, d) with coeffs = A/d, for d the lcm of the denominators."""
     d = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+class QVector:
+    """A vector over Q as one canonical clearing: the integers ``ints``
+    over one denominator ``den > 0`` with gcd(ints..., den) = 1, so 0 is
+    (0, ..., 0) over 1; how a StructureAlgebra over Q holds its elements.
+    ``of`` is the one place where another sequence of rationals becomes
+    one.  Iterating or indexing yields ``Fraction``s, built on each read,
+    and a QVector equals, and hashes as, the tuple of those ``Fraction``s.
+    """
+
+    __slots__ = ("ints", "den")
+
+    @classmethod
+    def of(cls, x) -> "QVector":
+        """x itself when it is a QVector, else its Fractions (or ints) cleared."""
+        return x if type(x) is cls else cls._canonical(*_cleared(x))
+
+    @classmethod
+    def pair(cls, x) -> tuple:
+        """(ints, den) of ``of(x)``."""
+        x = cls.of(x)
+        return x.ints, x.den
+
+    @classmethod
+    def _canonical(cls, ints, den: int) -> "QVector":
+        """ints/den for integers and den > 0, divided by their one gcd."""
+        g = gcd(den, *ints)
+        out = object.__new__(cls)
+        out.ints, out.den = (tuple(ints), den) if g == 1 else (tuple(x // g for x in ints), den // g)
+        return out
+
+    def __len__(self):
+        return len(self.ints)
+
+    def __iter__(self):
+        d = self.den
+        return map(Fraction, self.ints) if d == 1 else (Fraction(x, d) for x in self.ints)
+
+    def __getitem__(self, i):
+        return tuple(self)[i] if isinstance(i, slice) else Fraction(self.ints[i], self.den)
+
+    def __eq__(self, other):
+        if type(other) is QVector:
+            return self.den == other.den and self.ints == other.ints
+        return isinstance(other, tuple) and tuple(self) == other
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"QVector({list(self.ints)}, {self.den})"
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .algebra import (PolynomialAlgebra, StructureAlgebra, _eliminate, _padic_pivots, _Rows,
-                      coordinate_rows, extend_to_basis, invert, is_independent, matrix_algebra)
+                      _transpose, column_rows, coordinate_rows, extend_to_basis, invert,
+                      is_independent, matrix_algebra)
 from .basedomain import BaseDomain, is_subdomain
 from .errors import ConfigError, DomainError, StructuralError
+from .numfield import QVector
 from .samplers import (sample_in_domain, sample_member, sample_scalar)
 from .sampling import SampleSpec, check_sample_count
 from .stability import StableBasisCertificate, insert_many, stabilizer_finite
@@ -104,7 +105,7 @@ class SubringOracle:
         fieldobj = self.algebra.field
         object.__setattr__(self, "constraints", tuple(
             (dom, _Rows(fieldobj, rows)) for dom, rows in self.constraints))
-        object.__setattr__(self, "_basis_rows", _Rows(fieldobj, tuple(zip(*self.contained_basis)))
+        object.__setattr__(self, "_basis_rows", column_rows(self.algebra, self.contained_basis)
                            if self.contained_basis else None)
 
     @property
@@ -122,11 +123,12 @@ class SubringOracle:
         """x's lattice coordinates as the domain reads them: valuations, None for 0."""
         return self.domain.reads(self._lattice_rows(), x)
 
-    def basis_combination(self, coeffs) -> tuple:
-        """sum c_i * b_i over the contained basis, as one row evaluation."""
+    def basis_combination(self, coeffs):
+        """sum c_i * b_i over the contained basis, as one row evaluation
+        (`_Rows.element`)."""
         if self._basis_rows is None:
             raise StructuralError("oracle carries no basis to sample members from")
-        return tuple(self._basis_rows.values(coeffs))
+        return self._basis_rows.element(coeffs)
 
     def _lattice_rows(self) -> _Rows:
         if self.lattice_basis is None:
@@ -196,8 +198,8 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
         if any(r is None for r in t_rows):
             return None
     inverse = invert(alg.field, t_rows)
-    basis = tuple(zip(*inverse if inverse.cleared is None else
-                      ([Fraction(x, d) for x in a] for a, d in inverse.cleared)))
+    basis = tuple(zip(*inverse) if inverse.cleared is None else
+                  (QVector._canonical(*col) for col in _transpose(inverse.cleared)))
     if not all(domain.admits(rows, b) for b in basis):
         raise StructuralError("lattice basis disagrees with the predicate")
     return SubringOracle(
@@ -392,7 +394,7 @@ def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
                            constraints=((domain, rows),), contained_basis=cert.stabilizer)
     right = [r for b in ideal.basis for r, v in enumerate(rows.values(b)) if v]
     if right:
-        i = basis[m + right[0] // (n - m)].index(alg.field.one)
+        i = list(basis[m + right[0] // (n - m)]).index(alg.field.one)
         raise DomainError(f"not a right ideal: b * e{i} escapes the span")
     if not all(map(oracle.contains, cert.stabilizer)):
         raise StructuralError("stabilizer element fails ideal-variant membership")

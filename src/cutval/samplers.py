@@ -4,7 +4,9 @@ Everything draws from a :class:`~cutval.sampling.SplitMix64` stream shaped
 by a :class:`~cutval.sampling.SampleSpec`, so audits and tests are
 reproducible from (seed, spec) alone: each draw's value and the stream
 position after it are fixed.  Q(t) draws are made from the stream's integer
-pairs in Z[t], with no ``Fraction`` and no product of scalars.
+pairs in Z[t], with no ``Fraction`` and no product of scalars, and an
+algebra element or a member over Q from its integer pairs, as one
+``QVector``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from math import lcm
 
 from .algebra import PolynomialAlgebra, StructureAlgebra
 from .basedomain import BaseDomain
-from .numfield import Polynomial, RationalFunction, ValuedField, _exact_quo, _t_power
+from .numfield import Polynomial, QVector, RationalFunction, ValuedField, _exact_quo, _t_power
 from .sampling import SampleSpec, SplitMix64, rational_pair, sample_int, sample_rational
 
 
@@ -59,16 +61,8 @@ def sample_in_domain(rng: SplitMix64, spec: SampleSpec, domain: BaseDomain):
     times p^a * t^n for the negative parts (n, a) of v(f), where the den 1,
     t^k or t + 1/c of f shares t^m, m = min(n, ord_t den), with t^n."""
     field = domain.valued_field
-    if field is None:
-        return Fraction(sample_int(rng, spec.coef_bound))
-    if field.kind == "Q":
-        p = field.p
-        num = sample_int(rng, spec.coef_bound) * p ** rng.randint(0, 1)
-        while True:
-            den = rng.randint(1, 9)
-            if den % p != 0:
-                break
-        return Fraction(num, den)
+    if field is None or field.kind == "Q":
+        return Fraction(*_q_domain_pair(rng, spec, domain))
     f = sample_ratfunc(rng, spec, field.p)
     if f.is_zero():
         return f
@@ -81,14 +75,33 @@ def sample_in_domain(rng: SplitMix64, spec: SampleSpec, domain: BaseDomain):
     return RationalFunction._reduced(num, Polynomial._from_ints(den.ints[m:], den.den) if m else den)
 
 
+def _q_domain_pair(rng: SplitMix64, spec: SampleSpec, domain: BaseDomain) -> tuple[int, int]:
+    """sample_in_domain's draw in Z or Z_(p) as (num, den), den > 0, not reduced."""
+    if domain.valued_field is None:
+        return sample_int(rng, spec.coef_bound), 1
+    p = domain.valued_field.p
+    num = sample_int(rng, spec.coef_bound) * p ** rng.randint(0, 1)
+    while True:
+        den = rng.randint(1, 9)
+        if den % p != 0:
+            return num, den
+
+
+def _vector(pairs) -> QVector:
+    """The QVector of the rationals a/b, b > 0, given as pairs (a, b): one lcm."""
+    d = lcm(*(b for _, b in pairs))
+    return QVector._canonical([a * (d // b) for a, b in pairs], d)
+
+
 def sample_algebra_element(rng: SplitMix64, spec: SampleSpec, alg: StructureAlgebra):
-    coords = []
-    for _ in range(alg.dim):
-        if rng.randrange(4) == 0:
-            coords.append(alg.field.zero)
-        else:
-            coords.append(sample_scalar(rng, spec, alg.field))
-    return tuple(coords)
+    """Each coordinate 0 with odds 1/4, else a sample_scalar draw; over Q
+    made from rational_pair's integers (`_vector`)."""
+    field = alg.field
+    if field.kind == "Q":
+        return _vector([(0, 1) if rng.randrange(4) == 0 else rational_pair(rng, spec, field.p)
+                        for _ in range(alg.dim)])
+    return tuple(field.zero if rng.randrange(4) == 0 else sample_scalar(rng, spec, field)
+                 for _ in range(alg.dim))
 
 
 def sample_poly_element(rng: SplitMix64, spec: SampleSpec, palg: PolynomialAlgebra) -> dict:
@@ -112,4 +125,7 @@ def sample_member(rng: SplitMix64, spec: SampleSpec, oracle):
                 out[n] = c
         return out
     basis = oracle.contained_basis or ()  # without one, basis_combination refuses
+    if alg.field.kind == "Q":  # sample_in_domain's draws as integer pairs (`_vector`)
+        return oracle.basis_combination(_vector([_q_domain_pair(rng, spec, oracle.domain)
+                                                 for _ in basis]))
     return oracle.basis_combination([sample_in_domain(rng, spec, oracle.domain) for _ in basis])

@@ -103,6 +103,37 @@ MUTANTS = (
         ("tests/test_kernel.py::test_admits_and_reads_match_the_row_values",),
         "a valuation ring refuses the units"),
     Mutant(
+        "qvector-canonical-gcd-dropped", "src/cutval/numfield.py",
+        "        g = gcd(den, *ints)\n",
+        "        g = 1\n",
+        ("tests/test_algebra.py::test_cleared_elements_match_the_fraction_tuples",),
+        "an element over Q keeps a common factor of its integers and denominator"),
+    Mutant(
+        "add-cofactors-swapped", "src/cutval/algebra.py",
+        "[s * m + t * k for s, t in zip(a, b)]",
+        "[s * k + t * m for s, t in zip(a, b)]",
+        ("tests/test_algebra.py::test_cleared_elements_match_the_fraction_tuples",),
+        "add scales each side by its own denominator's cofactor"),
+    Mutant(
+        "padic-unit-part-not-inverted", "src/cutval/algebra.py",
+        "w = pow(col.pop(j) // pk, -1, q)",
+        "w = col.pop(j) // pk % q",
+        ("tests/test_kernel.py::test_padic_pivots_rerun_settle_and_tie_as_the_reference",
+         "tests/test_kernel.py::test_hermite_lattice_is_the_reference_lattice[M3(Q)/Z_(3)]"),
+        "_padic_pivots scales a pivot's row by its unit part instead of the unit's inverse"),
+    Mutant(
+        "bareiss-forward-updates-above", "src/cutval/algebra.py",
+        "live = range(0 if above else r, len(m))",
+        "live = range(0, len(m))",
+        ("tests/test_kernel.py::test_rank_of_is_a_forward_bareiss",),
+        "_bareiss forward only also updates the rows above each pivot"),
+    Mutant(
+        "zt-value-drops-q", "src/cutval/numfield.py",
+        "ups, downs = (s,), dens + [q]",
+        "ups, downs = (s,), dens",
+        ("tests/test_kernel.py::test_qt_valuations_match_the_scalar_values",),
+        "a Q(t) row value read with several live terms leaves out v(Q) of the row's denominator"),
+    Mutant(
         "window-width-2b", "src/cutval/oracle.py",
         "weights = [(4 * bound + 1) ** i",
         "weights = [(2 * bound + 1) ** i",

@@ -4,15 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from cutval.algebra import (PolynomialAlgebra, StructureAlgebra, TableReport,
+from cutval.algebra import (PolynomialAlgebra, StructureAlgebra, TableReport, _Rows,
                             check_associative_unital, extend_to_basis,
                             is_independent, matrix_algebra, matrix_element,
                             quadratic_algebra, solve_columns)
+from cutval.basedomain import integers, p_local
 from cutval.errors import StructuralError
-from cutval.numfield import RationalFunction, ValuedField
-from cutval.samplers import sample_algebra_element, sample_scalar
-from cutval.sampling import SampleSpec, SplitMix64
-from test_kernel import FRACTIONAL
+from cutval.numfield import QVector, RationalFunction, ValuedField, _cleared
+from cutval.orders import LatticeModule, left_order
+from cutval.samplers import sample_algebra_element, sample_in_domain, sample_member, sample_scalar
+from cutval.sampling import SampleSpec, SplitMix64, sample_int
+from test_kernel import FRACTIONAL, M3_DRAW, draw_bases, mul_reference
 
 
 @pytest.fixture
@@ -173,3 +175,163 @@ def test_cell_table_check_matches_full_scan():
             assert str(report) == str(table_check_reference(bad))
             failures.add(report.failure)
     assert failures >= {"associativity fails", "left unit law fails", "right unit law fails"}
+
+
+# --- elements over Q as one clearing, against the Fraction tuples they replaced ---
+
+
+def add_reference(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def smul_reference(c, x):
+    return tuple(c * a for a in x)
+
+
+def is_zero_reference(x):
+    return all(not c for c in x)
+
+
+def scalar_of_reference(unit, x):
+    pivot = next((i for i, u in enumerate(unit) if u), None)
+    alpha = x[pivot] / unit[pivot]
+    if x == smul_reference(alpha, unit):
+        return alpha
+    return None
+
+
+def sample_algebra_element_reference(rng, spec, alg):
+    """The Fraction sampler that the cleared one replaced, verbatim."""
+    coords = []
+    for _ in range(alg.dim):
+        if rng.randrange(4) == 0:
+            coords.append(alg.field.zero)
+        else:
+            coords.append(sample_scalar(rng, spec, alg.field))
+    return tuple(coords)
+
+
+def sample_in_domain_reference(rng, spec, domain):
+    """sample_in_domain's Fraction draw in Z or Z_(p), as it was written."""
+    field = domain.valued_field
+    if field is None:
+        return Fraction(sample_int(rng, spec.coef_bound))
+    p = field.p
+    num = sample_int(rng, spec.coef_bound) * p ** rng.randint(0, 1)
+    while True:
+        den = rng.randint(1, 9)
+        if den % p != 0:
+            break
+    return Fraction(num, den)
+
+
+def sample_member_reference(rng, spec, oracle):
+    """The member draw that the cleared one replaced: sample_in_domain
+    coefficients of the contained basis, summed in Fractions."""
+    basis = [tuple(b) for b in oracle.contained_basis]
+    coeffs = [sample_in_domain_reference(rng, spec, oracle.domain) for _ in basis]
+    return tuple(sum((c * b[k] for c, b in zip(coeffs, basis)), Fraction(0))
+                 for k in range(oracle.algebra.dim))
+
+
+def assert_cleared(got, ref):
+    """got is the QVector of the Fraction tuple ref: its one canonical
+    clearing, equal to ref both ways, hashed as ref, and read back as ref."""
+    assert type(got) is QVector
+    assert (list(got.ints), got.den) == _cleared(ref)
+    assert got == ref and ref == got and not got != ref and hash(got) == hash(ref)
+    assert tuple(got) == ref and tuple(got[i] for i in range(len(ref))) == ref == got[:]
+
+
+Q_ELEMENT_ALGEBRAS = {
+    "M3(Q)": lambda: matrix_algebra(ValuedField("Q", 3), 3),
+    "Q(sqrt 2)": lambda: quadratic_algebra(ValuedField("Q", 2), 2),
+    "Q[x]/(x^2-3/4)": FRACTIONAL["Q[x]/(x^2-3/4)"],  # a table over D = 4
+}
+
+
+@pytest.mark.parametrize("name", sorted(Q_ELEMENT_ALGEBRAS))
+def test_cleared_elements_match_the_fraction_tuples(name):
+    """Over Q, sample_algebra_element draws the Fraction sampler's values
+    and leaves the stream where it did; add, smul, mul, is_zero and
+    scalar_of agree with the Fraction tuple arithmetic they replaced, on
+    drawn elements, 0, 1, the basis vectors and scalars, given as QVectors
+    or as tuples; equality and hashing are the tuple's."""
+    alg = Q_ELEMENT_ALGEBRAS[name]()
+    spec = SampleSpec(seed=71, count=0, coef_bound=5, max_p_exp=2)
+    rng, ref_rng = spec.rng(), spec.rng()
+    points = []
+    for _ in range(24):
+        x = sample_algebra_element(rng, spec, alg)
+        ref = sample_algebra_element_reference(ref_rng, spec, alg)
+        assert_cleared(x, ref)
+        assert rng.state == ref_rng.state
+        points.append((x, ref))
+    unit = tuple(alg.unit)
+    special = [alg.zero, alg.unit] + [alg.basis_vector(i) for i in range(alg.dim)]
+    special.append(alg.smul(Fraction(-9, 4), alg.unit))
+    assert_cleared(alg.zero, (Fraction(0),) * alg.dim)
+    assert alg.zero.den == 1 and alg.add(alg.unit, alg.smul(Fraction(-1), alg.unit)) == alg.zero
+    points += [(x, tuple(x)) for x in special]
+    scalars = [Fraction(0), Fraction(1), Fraction(-1), Fraction(-7, 12), Fraction(27, 2)]
+    pairs = [(a, b) for a in points[:10] + points[-4:] for b in points[5:15] + points[-4:]]
+    for (x, xr), (y, yr) in pairs:
+        assert_cleared(alg.add(x, y), add_reference(xr, yr))
+        assert_cleared(alg.mul(x, y), mul_reference(alg, xr, yr))
+        assert alg.mul(xr, yr) == alg.mul(x, y) and alg.add(xr, y) == alg.add(x, yr)
+        assert (x == y) == (xr == yr) and (x == yr) == (xr == y)
+    for x, xr in points:
+        for c in scalars:
+            assert_cleared(alg.smul(c, x), smul_reference(c, xr))
+            assert alg.scalar_of(alg.smul(c, alg.unit)) == c
+        assert alg.is_zero(x) == alg.is_zero(xr) == is_zero_reference(xr)
+        assert alg.scalar_of(x) == scalar_of_reference(unit, xr)
+        assert xr in {x} and x in {xr} and {x: 1}[xr] == 1
+        bumped = (xr[0] + 1,) + xr[1:]
+        assert x != bumped and bumped != x and x != list(xr)
+
+
+def test_arithmetic_over_q_builds_no_fraction(monkeypatch):
+    """On QVectors add, smul, mul and is_zero, and the valuation and
+    denominator reads of a _Rows, make no Fraction."""
+    alg = matrix_algebra(ValuedField("Q", 3), 3)
+    spec = SampleSpec(seed=72, count=0, coef_bound=5, max_p_exp=2)
+    rng = spec.rng()
+    xs = [sample_algebra_element(rng, spec, alg) for _ in range(8)]
+    rows = _Rows(alg.field, [tuple(x) for x in xs])
+    made, new = [0], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert Fraction(1, 2) and made == [1]
+    c = xs[0][0] or Fraction(5, 3)
+    made[0] = 0
+    for x, y in zip(xs, xs[1:]):
+        alg.add(x, y), alg.smul(c, x), alg.mul(x, y), alg.is_zero(x)
+        list(rows.valuations(x, alg.field)), list(rows.denominators(x))
+    assert made == [0]
+
+
+@pytest.mark.parametrize("case", ["M3(Q)/Z_(3)", "Q(sqrt 2)/Z_(2)", "Q(sqrt 2)/Z"])
+def test_sample_member_draws_the_fraction_members(case):
+    """sample_member, now integer draws and one integer evaluation of the
+    basis rows, draws the members that the Fraction sum of sample_in_domain
+    coefficients times the contained basis drew, and leaves the stream
+    where it did; sample_in_domain still draws its Fractions."""
+    if case == "M3(Q)/Z_(3)":
+        alg = matrix_algebra(ValuedField("Q", 3), 3)
+        basis, domain = draw_bases(alg, 73, M3_DRAW, 1)[0], p_local(3)
+    else:
+        alg = quadratic_algebra(ValuedField("Q", 2), 2)
+        basis = (alg.unit, alg.smul(Fraction(1, 4), alg.basis_vector(1)))
+        domain = p_local(2) if case.endswith("Z_(2)") else integers()
+    R = left_order(LatticeModule(alg, domain, basis))
+    spec = SampleSpec(seed=74, count=0, coef_bound=9, max_p_exp=3)
+    rng, ref_rng = spec.rng(), spec.rng()
+    for _ in range(30):
+        assert_cleared(sample_member(rng, spec, R), sample_member_reference(ref_rng, spec, R))
+        assert rng.state == ref_rng.state
+        assert sample_in_domain(rng, spec, domain) == sample_in_domain_reference(ref_rng, spec, domain)
+        assert rng.state == ref_rng.state

@@ -423,11 +423,27 @@ def random_basis_problem(tmp_path, name, alg, domain_desc, seed, **draw):
     return str(path)
 
 
-@pytest.fixture
-def m3_file(tmp_path):
+M3_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "m3-q-random.json")
+
+
+def write_m3_problem(tmp_path):
+    """M3(Q) over Z_(3) with the seed-7 random basis."""
     alg = matrix_algebra(ValuedField("Q", 3), 3)
     return random_basis_problem(tmp_path, "m3.json", alg, {"kind": "Zp", "p": 3}, 7,
                                 coef_bound=5, max_p_exp=2)
+
+
+@pytest.fixture
+def m3_file():
+    """write_m3_problem's file, checked in as tests/golden/m3-q-random.json
+    (test_m3_golden_problem_is_the_random_basis_draw)."""
+    return M3_GOLDEN
+
+
+def test_m3_golden_problem_is_the_random_basis_draw(tmp_path):
+    """The checked-in problem is the one write_m3_problem writes, byte for byte."""
+    with open(write_m3_problem(tmp_path), "rb") as written, open(M3_GOLDEN, "rb") as golden:
+        assert written.read() == golden.read()
 
 
 @pytest.fixture

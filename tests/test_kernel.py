@@ -854,9 +854,15 @@ def test_membership_and_rescaling_build_no_row_value(name, monkeypatch):
 
 
 def spy_cleared(monkeypatch) -> list:
-    """Record every vector that the algebra module hands to _cleared."""
-    seen, cleared = [], algebra._cleared
-    monkeypatch.setattr(algebra, "_cleared", lambda v: seen.append(v) or cleared(v))
+    """Record every vector handed to _cleared, by the algebra module or by
+    numfield's QVector.of."""
+    seen, cleared = [], numfield._cleared
+
+    def spy(v):
+        seen.append(v)
+        return cleared(v)
+    monkeypatch.setattr(algebra, "_cleared", spy)
+    monkeypatch.setattr(numfield, "_cleared", spy)
     return seen
 
 
@@ -864,8 +870,8 @@ def spy_cleared(monkeypatch) -> list:
 def test_left_order_clears_no_certificate_row_again(name, monkeypatch):
     """The certificate's product rows are cleared once, as they are built:
     the left order (the elimination and the self-check of _lattice, or the
-    Z oracle's constraint group) reads that clearing and hands none of the
-    rows to _cleared again."""
+    Z oracle's constraint group) reads that clearing, and no vector at all
+    reaches _cleared."""
     make, domain, draw, seed, count = CASES[name]
     alg = make()
     seen, calls = spy_cleared(monkeypatch), {}
@@ -876,7 +882,7 @@ def test_left_order_clears_no_certificate_row_again(name, monkeypatch):
         seen.clear()
         R = orders.nice_from_certificate(cert)
         # a row could only reach _cleared through the rows' Fraction view
-        assert seen and calls["__iter__"] == 0
+        assert not seen and calls["__iter__"] == 0
         if not domain.is_valuation_like:
             assert R.constraints[0][1] is cert.rows
 
@@ -884,20 +890,23 @@ def test_left_order_clears_no_certificate_row_again(name, monkeypatch):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_lattice_keeps_t_as_the_clearings_of_its_pivots(p, monkeypatch):
     """T over Z_(p) is stored as the clearings its Hermite rows were built
-    in, which are the ones _cleared gives its rows, and no row of T
-    reaches _cleared while the left order is built (its inverse reads
-    them as they are): only the lattice basis does, each vector once as
-    the self-check reads it and each row of the basis matrix once as the
-    oracle stores it, and then 1 and the stabilizer, as the left order
-    checks that they lie in it."""
+    in, which are the ones _cleared gives its rows.  Nothing reaches
+    _cleared while the left order is built and audited: the left order
+    reads T and its inverse as they are and makes the lattice basis off
+    the inverse's clearing, and verify_nice and qv_audit draw, multiply,
+    add, scale and read elements that are born cleared, sampled members
+    (basis_combination) included."""
     alg = matrix_algebra(ValuedField("Q", p), 3)
-    seen = spy_cleared(monkeypatch)
-    for basis in draw_bases(alg, 340 + p, M3_DRAW, 3):
+    seen, calls = spy_cleared(monkeypatch), {}
+    count_calls(monkeypatch, calls, orders.SubringOracle, "basis_combination")
+    for k, basis in enumerate(draw_bases(alg, 340 + p, M3_DRAW, 3)):
         cert = stabilizer_finite(alg, basis, p_local(p))
         seen.clear()
         R = orders.nice_from_certificate(cert)
-        lattice = R.lattice_basis
-        assert seen == list(lattice) + list(zip(*lattice)) + [alg.unit, *cert.stabilizer]
+        spec = SampleSpec(seed=k, count=8)
+        assert orders.verify_nice(R, spec).ok
+        assert quasival.qv_audit(quasival.filter_qv(R), spec).ok
+        assert not seen and calls["basis_combination"] > 0
         T = R.lattice_rows
         assert [(list(a), d) for a, d in T.cleared] == [_cleared(row) for row in T]
 
@@ -1347,7 +1356,7 @@ def test_basis_vectors_of_the_wrong_length_are_refused(domain):
     certificate and for a left order alike."""
     alg = matrix_algebra(Q3, 2)
     units = [alg.basis_vector(i) for i in range(4)]
-    for bad, got in (([u[:3] for u in units], 3), (units[:3] + [units[3] + (Fraction(1),)], 5)):
+    for bad, got in (([u[:3] for u in units], 3), (units[:3] + [tuple(units[3]) + (Fraction(1),)], 5)):
         message = f"a basis vector of A has 4 coordinates, got {got}"
         with pytest.raises(StructuralError, match=message):
             stabilizer_finite(alg, bad, domain)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cutval.errors import ConfigError, StructuralError
 from cutval.numfield import (Polynomial, RationalFunction, ValuedField, _cleared, _exact_quo,
-                             composite_valuation, format_rational,
+                             _int_p_exponent, composite_valuation, format_rational,
                              format_ratfunc, is_prime, parse_ratfunc,
                              parse_rational, poly_gcd, vp)
 from cutval.samplers import sample_ratfunc, sample_scalar
@@ -23,6 +23,37 @@ def test_vp_examples():
     assert vp(2, Fraction(0)) is None
     with pytest.raises(ConfigError):
         vp(4, Fraction(1))
+
+
+def int_p_exponent_reference(n: int, p: int) -> int:
+    """The division loop that the lowest set bit replaced for p = 2."""
+    if n == 0:
+        raise ValueError("0 has no p-exponent")
+    e = 0
+    n = abs(n)
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def test_int_p_exponent_of_2_is_the_lowest_set_bit():
+    """For p = 2 the exponent is the lowest set bit, for either sign and up
+    to 2,000 bits, as the division loop counts it; p = 3 still divides;
+    0 is refused either way."""
+    rng = SplitMix64(75)
+    ns = [1, -1, 2, -2, 3, 2 ** 1999, -(2 ** 1999), 2 ** 2000 - 1, -(2 ** 2000 - 2)]
+    for _ in range(400):
+        bits, shift = rng.randint(1, 1000), rng.randint(0, 999)
+        n = ((rng.next_u64() << max(0, bits - 64)) % (1 << bits) | 1) << shift
+        ns.append(-n if rng.randrange(2) else n)
+    assert max(abs(n).bit_length() for n in ns) == 2000
+    for n in ns:
+        assert _int_p_exponent(n, 2) == int_p_exponent_reference(n, 2)
+        assert _int_p_exponent(n, 3) == int_p_exponent_reference(n, 3)
+    for p in (2, 3):
+        with pytest.raises(ValueError, match="0 has no p-exponent"):
+            _int_p_exponent(0, p)
 
 
 def test_is_prime_matches_trial_division():

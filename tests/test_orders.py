@@ -706,7 +706,7 @@ def test_wrong_length_element_is_refused(case, field_q, field_qt):
     alg = matrix_algebra(fieldobj, 2)
     R = left_order(LatticeModule(alg, domain, units_of(alg)))
     half = fieldobj.scalar("1/2")
-    for x in ((fieldobj.one, half), alg.unit + (half,)):
+    for x in ((fieldobj.one, half), tuple(alg.unit) + (half,)):
         with pytest.raises(ConfigError):
             R.contains(x)
         if not domain.is_valuation_like:
