@@ -6,10 +6,10 @@ basis: over Q a `numfield.QVector` (integers over one denominator), which
 
 Exact linear algebra over Q runs on integers.  A dense inverse and a rank
 are one fraction-free kernel, `_bareiss`: `invert` runs it as
-Gauss-Jordan and hands back each row as its clearing, `rank_of` runs it
+Gauss-Jordan and hands back each row as a QVector, `rank_of` runs it
 forward only.  A Z_(p) lattice is its Hermite form, read off a pivot
 search in Z/p^K with no pivot row built exactly (`_padic_pivots`), and
-kept as the clearings of its rows.  `_eliminate` is the scalar loop with
+kept as QVector rows.  `_eliminate` is the scalar loop with
 first-nonzero or, given a domain, least-valuation pivots: over Q(t) it
 is every elimination, over Q only `solve_columns`'.  Over Q(t) `invert`
 is `_eliminate`, then `_back_substitute`, on [rows | I]; on a triangular
@@ -19,21 +19,18 @@ where a basis is checked, and `product_rows` stacks the rows of x ->
 coords(x*b) with no product formed: coords' rows times b's
 right-multiplication matrix, read off the table's cells.
 
-Over Q every row is cleared once by `numfield._cleared`, to integers
-over the lcm of its denominators, and every element is born cleared:
-`add`, `smul` and `mul` (over the table cleared over one denominator D)
-make each result with one gcd.  A `_Rows` over Q stores each row only as
-a_i over d, builds the Fraction row only when iterated, and reads x as
-its b_i over e: a row value is Fraction(sum a_i*b_i, d*e),
-`_Rows.valuations` takes v_p(sum a_i*b_i) - v_p(d) - v_p(e) off the
-integers, reducing nothing, and `_Rows.denominators` reads d*e /
-gcd(sum a_i*b_i, d*e).  `product_rows` is one integer matrix product
-over the same cells, each row divided by one gcd into the (a, d) its
-`_Rows` stores, and every reader of the rows, the lattice's Z/p^K search
-included, takes them as they are; `_transpose` turns the clearings of
-the columns of a matrix into those of its rows.  Over Q(t) rows and
-products are summed term by term, and valuations are read in Z[t] (see
-`numfield`).
+Over Q a row is an element: a `_Rows` holds each row a_i over d as the
+QVector it is, made canonical by `QVector._canonical`, the one gcd of
+every row and every element (`add`, `smul` and `mul` sum over the table
+cleared over one denominator D).  A `_Rows` reads x as its b_i over e:
+a row value is Fraction(sum a_i*b_i, d*e), `_Rows.valuations` takes
+v_p(sum a_i*b_i) - v_p(d) - v_p(e) off the integers, reducing nothing,
+and `_Rows.denominators` reads d*e / gcd(sum a_i*b_i, d*e).
+`product_rows` is one integer matrix product over the same cells, and
+every reader of the rows, the lattice's Z/p^K search included, takes
+them as they are; `_transpose` turns vectors into the columns of the
+matrix they are the rows of.  Over Q(t) rows and products are summed
+term by term, and valuations are read in Z[t] (see `numfield`).
 
 The polynomial backend :class:`PolynomialAlgebra` represents F[y] with the
 monomial basis; elements are sparse exponent -> coefficient dicts.
@@ -198,19 +195,19 @@ def _eliminate(rows, ncols, domain=None):
 
 
 def _residues(pool, ncols, p, e, q):
-    """The first ncols columns of the rows p^e*a/d of a cleared pool, mod q."""
+    """The first ncols columns of the rows p^e*a/d of a pool of QVectors a/d, mod q."""
     scale = []
-    for _, d in pool:
-        v = _int_p_exponent(d, p)
-        scale.append(p ** (e - v) * pow(d // p ** v, -1, q))
-    return [[a[j] * s % q for (a, _), s in zip(pool, scale)] for j in range(ncols)]
+    for r in pool:
+        v = _int_p_exponent(r.den, p)
+        scale.append(p ** (e - v) * pow(r.den // p ** v, -1, q))
+    return [[r.ints[j] * s % q for r, s in zip(pool, scale)] for j in range(ncols)]
 
 
 def _padic_pivots(pool, ncols, p):
-    """The Hermite form of the Z_(p)-span L of a cleared pool's first ncols
-    columns, read off a min-valuation pivot search in Z/p^K and built from
-    residues alone: its rows H_i/p^e as their clearings, or None when the
-    rows span no lattice.
+    """The Hermite form of the Z_(p)-span L of the first ncols columns of a
+    pool of QVectors, read off a min-valuation pivot search in Z/p^K and
+    built from residues alone: its rows H_i/p^e as QVectors, or None when
+    the rows span no lattice.
 
     Rows scaled by one p^e, e the largest v_p(d), are p-integral and span
     p^e*L.  Mod p^K the least valuation k read in a column picks the pivot
@@ -233,7 +230,7 @@ def _padic_pivots(pool, ncols, p):
     from a unit multiple of its exact pivot by an element of the span of
     the later pivots, and the lifted rows span p^e*L exactly, with no
     generator p^K e_j pushed back."""
-    e = max((_int_p_exponent(d, p) for _, d in pool), default=0)
+    e = max((_int_p_exponent(r.den, p) for r in pool), default=0)
     K, full = max(1, int(64 / log2(p))), None  # p^K about one machine word
     while True:
         res, lifted, left = _residues(pool, ncols, p, e, p ** K), [], K
@@ -242,7 +239,7 @@ def _padic_pivots(pool, ncols, p):
             col = [r % q for r in res[c]]
             if (pk := gcd(q, *col)) == q:  # p^k for the least valuation k read
                 if full is None:
-                    full = _bareiss([a[:ncols] for a, _ in pool], ncols, False)[0] == ncols
+                    full = _bareiss([r.ints[:ncols] for r in pool], ncols, False)[0] == ncols
                 if full:
                     break
                 return None
@@ -262,8 +259,7 @@ def _padic_pivots(pool, ncols, p):
         for row in lifted[:j]:
             if f := row[j] // pivot[j]:
                 row[j:] = [x - f * y for x, y in zip(row[j:], pivot[j:])]
-    pe = p ** e
-    return [(tuple(x // g for x in h), pe // g) for h in lifted for g in (gcd(*h, pe),)]
+    return [QVector._canonical(h, p ** e) for h in lifted]
 
 
 def _back_substitute(pivots, ncols):
@@ -338,12 +334,11 @@ def rank_of(fieldobj: ValuedField, vectors) -> int:
 def invert(fieldobj: ValuedField, rows) -> _Rows:
     """Exact inverse of a square matrix given as a list of rows, as a _Rows.
 
-    Over Q it is `_bareiss` as Gauss-Jordan in Z: each row cleared once
-    (or read off a `_Rows`' clearing), a_i/d_i, gives [A | diag(d_i)] in integers, and at the end row i of
-    the inverse is its right half over det, the last pivot.  One gcd,
-    signed as det, makes it the (a, d) with d > 0 that _cleared gives,
-    stored as it is.  Over Q(t), _eliminate on [rows | I], built here,
-    and _back_substitute.  On an upper triangular matrix, such as a
+    Over Q it is `_bareiss` as Gauss-Jordan in Z: the rows as QVectors
+    a_i/d_i give [A | diag(d_i)] in integers, and at the end row i of the
+    inverse is its right half over det, the last pivot, every row negated
+    with det when det < 0.  Over Q(t), _eliminate on [rows | I], built
+    here, and _back_substitute.  On an upper triangular matrix, such as a
     lattice's T, the elimination finds one live row per column and
     updates none, so the inverse costs that one back substitution."""
     n, one, zero = len(rows), fieldobj.one, fieldobj.zero
@@ -353,16 +348,14 @@ def invert(fieldobj: ValuedField, rows) -> _Rows:
         if any(p is None for p in pivots):
             raise StructuralError("singular matrix")
         return _Rows(fieldobj, _back_substitute(pivots, n))
-    cleared = rows.cleared if isinstance(rows, _Rows) else map(_cleared, rows)
-    m = [[*a] + [d if j == i else 0 for j in range(n)] for i, (a, d) in enumerate(cleared)]
+    m = [[*r.ints] + [r.den if j == i else 0 for j in range(n)]
+         for i, r in enumerate(_Rows(fieldobj, rows).stored)]
     rank, det = _bareiss(m, n, True)
     if rank < n:
         raise StructuralError("singular matrix")
-    out = []
-    for row in m:
-        g = gcd(*row, det) if det > 0 else -gcd(*row, det)
-        out.append((tuple(x // g for x in row), det // g))
-    return _Rows._make(out, True)
+    if det < 0:
+        m, det = [[-x for x in row] for row in m], -det
+    return _Rows._make([QVector._canonical(row, det) for row in m], True)
 
 
 def is_independent(fieldobj: ValuedField, vectors) -> bool:
@@ -399,55 +392,54 @@ def _dot(row, x):
 
 class _Rows:
     """Fixed linear rows over a field, of one width, evaluated at points x.
-    `stored` holds each row over Q only as (a_1..a_n, d) = _cleared(row),
-    and `cleared` is the same tuple; over Q(t) it holds the scalar rows,
-    `cleared` is None and `zt` their Z[t] clearings, made on the first
-    `valuations` read.  Iterating yields the rows, over Q built on each
-    read.  _Rows(fieldobj, rows) is rows itself when it is a _Rows.  Every
-    membership test over a valuation ring, of Q or Q(t), reads `valuations`.
-    Over Q a point x is read as its QVector's integers and denominator."""
+    `stored` holds the rows in the field's element form: over Q each row
+    a_1..a_n over d is a `QVector` (`q` is True), over Q(t) a tuple of
+    scalars, whose Z[t] clearings `zt` are made on the first `valuations`
+    read.  Iterating yields `stored`.  _Rows(fieldobj, rows) is rows
+    itself when it is a _Rows.  Every membership test over a valuation
+    ring, of Q or Q(t), reads `valuations`.  Over Q a point x is read as
+    its QVector's integers and denominator."""
 
     def __new__(cls, fieldobj, rows):
         if isinstance(rows, _Rows):
             return rows
         q = fieldobj.kind == "Q"
-        return cls._make(tuple(map(_cleared if q else tuple, rows)), q)
+        return cls._make(tuple(map(QVector.of if q else tuple, rows)), q)
 
     @classmethod
-    def _make(cls, stored, cleared: bool):
+    def _make(cls, stored, q: bool):
         self = object.__new__(cls)
-        self.stored, self.cleared, self.zt = stored, stored if cleared else None, None
-        self.width = len(stored[0][0] if cleared else stored[0]) if stored else 0
+        self.stored, self.q, self.zt = stored, q, None
+        self.width = len(stored[0]) if stored else 0
         return self
 
     def __iter__(self):
-        return iter(self.stored) if self.cleared is None else (
-            tuple(Fraction(x, d) for x in a) for a, d in self.stored)
+        return iter(self.stored)
 
     def __len__(self):
         return len(self.stored)
 
     def subset(self, indices: list) -> _Rows:
         """The rows at indices, in that order."""
-        return _Rows._make([self.stored[i] for i in indices], self.cleared is not None)
+        return _Rows._make([self.stored[i] for i in indices], self.q)
 
     def values(self, x):
         """The row values at x, in row order, computed as they are consumed;
         an x whose length is not the rows' width is refused at once."""
         self._check_width(x)
-        if self.cleared is None:
+        if not self.q:
             return (_dot(row, x) for row in self.stored)
         b, e = QVector.pair(x)
-        return (Fraction(sum(map(mul, a, b)), d * e) for a, d in self.cleared)
+        return (Fraction(sum(map(mul, r.ints, b)), r.den * e) for r in self.stored)
 
     def element(self, x) -> Element:
         """The row values at x as one element; over Q made from the integer
         sums over the lcm of the rows' denominators, with one gcd."""
-        if self.cleared is None:
+        if not self.q:
             return tuple(self.values(x))
         self._check_width(x)
-        (b, e), den = QVector.pair(x), lcm(*(d for _, d in self.cleared))
-        return QVector._canonical([sum(map(mul, a, b)) * (den // d) for a, d in self.cleared], den * e)
+        (b, e), den = QVector.pair(x), lcm(*(r.den for r in self.stored))
+        return QVector._canonical([sum(map(mul, r.ints, b)) * (den // r.den) for r in self.stored], den * e)
 
     def valuations(self, x, vf: ValuedField):
         """vf's value of each row value at x (None for a zero value), in row
@@ -455,14 +447,14 @@ class _Rows:
         Q, v_p(sum a_i*b_i) - v_p(d) - v_p(e) for vf's p, which need not be
         the algebra field's; over Q(t), `_zt_valuations` of the rows."""
         self._check_width(x)
-        if self.cleared is None:
+        if not self.q:
             if self.zt is None:
                 self.zt = tuple(map(_zt_clearing, self.stored))
             return _zt_valuations(self.zt, x, vf.p)
         (b, e), p = QVector.pair(x), vf.p
         ve = _int_p_exponent(e, p)
-        return ((_int_p_exponent(s, p) - _int_p_exponent(d, p) - ve,)
-                if (s := sum(map(mul, a, b))) else None for a, d in self.cleared)
+        return ((_int_p_exponent(s, p) - _int_p_exponent(r.den, p) - ve,)
+                if (s := sum(map(mul, r.ints, b))) else None for r in self.stored)
 
     def denominators(self, x):
         """Over Q, the reduced denominator of each row value at x, in row
@@ -470,7 +462,7 @@ class _Rows:
         value, with no Fraction built."""
         self._check_width(x)
         b, e = QVector.pair(x)
-        return ((de := d * e) // gcd(sum(map(mul, a, b)), de) for a, d in self.cleared)
+        return ((de := r.den * e) // gcd(sum(map(mul, r.ints, b)), de) for r in self.stored)
 
     def _check_width(self, x):
         if len(x) != self.width:
@@ -494,22 +486,21 @@ def coordinate_rows(alg: StructureAlgebra, basis) -> _Rows:
         raise StructuralError("basis is dependent") from None
 
 
-def _transpose(cleared) -> list:
-    """The columns of the rows a_i/d_i, given as (a_i, d_i), as canonical
-    clearings: a_i[j]*(L/d_i) over the lcm L of the d_i, over one gcd."""
-    cleared = list(cleared)
-    den = lcm(*(d for _, d in cleared))
-    scaled = [[x * (den // d) for x in a] for a, d in cleared]
-    return [(tuple(x // g for x in col), den // g) for col in zip(*scaled)
-            for g in (gcd(den, *col),)]
+def _transpose(vectors) -> list:
+    """The columns of the vectors a_i/d_i over Q as QVectors: a_i[j]*(L/d_i)
+    over the lcm L of the d_i."""
+    vectors = list(map(QVector.of, vectors))
+    den = lcm(*(v.den for v in vectors))
+    scaled = [[x * (den // v.den) for x in v.ints] for v in vectors]
+    return [QVector._canonical(col, den) for col in zip(*scaled)]
 
 
 def column_rows(alg: StructureAlgebra, vectors) -> _Rows:
     """The rows of the matrix with the given elements as its columns; over
-    Q read off their clearings (`_transpose`), building no Fraction."""
+    Q read off their integers (`_transpose`), building no Fraction."""
     if alg._den is None:
         return _Rows(alg.field, tuple(zip(*vectors)))
-    return _Rows._make(_transpose(map(QVector.pair, vectors)), True)
+    return _Rows._make(_transpose(vectors), True)
 
 
 def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> _Rows:
@@ -518,11 +509,10 @@ def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> _Rows:
 
     No product is formed.  b's rows are coords' rows times b's right-
     multiplication matrix, whose column i is e_i*b summed off the table's
-    nonzero cells.  Over Q that is one integer matrix product: for b's
-    clearing beta/e, coords' row a/d and the cleared cells over D, row (b, k) is the
-    integers sum_r a_r * (sum_j beta_j * D*t_ij^r) over d*e*D, divided by
-    one gcd into the (A, d) that _cleared gives, which is all the row
-    stores.  Over Q(t) the same matrix is summed on scalars."""
+    nonzero cells.  Over Q that is one integer matrix product: for b as
+    beta/e, coords' row a/d and the cleared cells over D, row (b, k) is the
+    QVector of the integers sum_r a_r * (sum_j beta_j * D*t_ij^r) over
+    d*e*D.  Over Q(t) the same matrix is summed on scalars."""
     n, den = alg.dim, alg._den
     zero = alg.field.zero if den is None else 0
     rows = []
@@ -538,10 +528,8 @@ def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> _Rows:
         if den is None:
             rows.extend(tuple(_dot(row, col) for col in right) for row in coords)
             continue
-        for a, d in coords.cleared:
-            ints, d = [sum(map(mul, a, col)) for col in right], d * e * den
-            g = gcd(*ints, d)
-            rows.append((tuple(x // g for x in ints), d // g))
+        rows.extend(QVector._canonical([sum(map(mul, r.ints, col)) for col in right], r.den * e * den)
+                    for r in coords.stored)
     return _Rows._make(rows, den is not None)
 
 
@@ -646,10 +634,10 @@ def quadratic_algebra(fieldobj: ValuedField, d) -> StructureAlgebra:
 
 def matrix_element(alg: StructureAlgebra, entries) -> Element:
     """Element of matrix_algebra from an n x n array of scalars."""
-    flat = [alg.field.scalar(c) for row in entries for c in row]
+    flat = [c for row in entries for c in row]
     if len(flat) != alg.dim:
         raise StructuralError("matrix shape does not match the algebra")
-    return tuple(flat)
+    return alg.element(flat)
 
 
 # --- polynomial backend ---------------------------------------------------

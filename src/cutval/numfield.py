@@ -122,7 +122,7 @@ def _cleared(coeffs) -> tuple[list[int], int]:
 class QVector:
     """A vector over Q as one canonical clearing: the integers ``ints``
     over one denominator ``den > 0`` with gcd(ints..., den) = 1, so 0 is
-    (0, ..., 0) over 1; how a StructureAlgebra over Q holds its elements.
+    (0, ..., 0) over 1; the form of every element and row over Q.
     ``of`` is the one place where another sequence of rationals becomes
     one.  Iterating or indexing yields ``Fraction``s, built on each read,
     and a QVector equals, and hashes as, the tuple of those ``Fraction``s.

@@ -35,7 +35,6 @@ from .algebra import (PolynomialAlgebra, StructureAlgebra, _eliminate, _padic_pi
                       is_independent, matrix_algebra)
 from .basedomain import BaseDomain, is_subdomain
 from .errors import ConfigError, DomainError, StructuralError
-from .numfield import QVector
 from .samplers import (sample_in_domain, sample_member, sample_scalar)
 from .sampling import SampleSpec, check_sample_count
 from .stability import StableBasisCertificate, insert_many, stabilizer_finite
@@ -78,7 +77,7 @@ class SubringOracle:
     every group lands in that group's domain.  Construction makes each
     rows a _Rows, which evaluates the rows and iterates as them; a _Rows,
     such as a lattice's T over Q, its Hermite form over Z_(p) stored as
-    clearings, is kept as it is.  A lattice oracle (S valuation-like) has
+    QVectors, is kept as it is.  A lattice oracle (S valuation-like) has
     one group, the dim triangular rows T over S, and lattice_basis, the
     columns of T^-1 (one `invert` on both fields): x's coordinates in that
     basis are the values of T at x (lattice_rows, lattice_coords).
@@ -178,11 +177,11 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
     Min-valuation pivots make every elimination multiplier lie in S, so the
     pivot rows T span the same S-module as the rows and become the oracle's
     one row set.  Over Q, T is the Hermite form of that module, from
-    `algebra._padic_pivots`, kept as the clearings it was built in; over
+    `algebra._padic_pivots`, kept as the QVectors it was built as; over
     Q(t), T is the pivot rows of `_eliminate`.  On both fields the lattice
     basis, the columns of T^-1, comes from one `invert`, read over Q off
-    the inverse's clearing.  The basis is checked against the full rows
-    (a certificate's own `_Rows`, with its clearing); `left_order` also
+    the inverse's QVector rows.  The basis is checked against the full
+    rows (a certificate's own `_Rows`); `left_order` also
     checks that 1 and the stabilizer lie in the lattice over Z_(p).  None
     when the rows lack full column rank, as an ideal variant's always do;
     a left order's never do, since x = sum u_j*(x*b_j) for the unit
@@ -190,7 +189,7 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
     """
     rows, n = _Rows(alg.field, rows), alg.dim
     if alg.field.kind == "Q":
-        if (hermite := _padic_pivots(rows.cleared, n, domain.valued_field.p)) is None:
+        if (hermite := _padic_pivots(rows.stored, n, domain.valued_field.p)) is None:
             return None
         t_rows = _Rows._make(hermite, True)
     else:
@@ -198,8 +197,7 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
         if any(r is None for r in t_rows):
             return None
     inverse = invert(alg.field, t_rows)
-    basis = tuple(zip(*inverse) if inverse.cleared is None else
-                  (QVector._canonical(*col) for col in _transpose(inverse.cleared)))
+    basis = tuple(_transpose(inverse.stored) if inverse.q else zip(*inverse.stored))
     if not all(domain.admits(rows, b) for b in basis):
         raise StructuralError("lattice basis disagrees with the predicate")
     return SubringOracle(

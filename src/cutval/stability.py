@@ -8,9 +8,9 @@ every product b_i * b_j.
 
 A certificate inverts B once, for its coordinate rows, and builds its
 product rows x -> coords_B(x*b_j) from them with no product formed
-(`algebra.product_rows`; over Q the rows are cleared once, as they are
-built): it is their only builder, and the clearing stabilizer, insertion
-and `orders` read them and that one clearing.  The stabilizer clears
+(`algebra.product_rows`; over Q each row is a QVector, made canonical
+as it is built): it is their only builder, and the clearing stabilizer,
+insertion and `orders` read them as they are.  The stabilizer clears
 what `BaseDomain.reads` takes off the row values, with no value built
 over Q.  `is_stable` forms its own products with `StructureAlgebra.mul`
 and tests them with `contains`, as the independent check.
@@ -39,9 +39,8 @@ class StableBasisCertificate:
     """A basis of A, checked to be one, with a stabilizer (by default the
     clearing one), its coordinate rows `coords` and its product rows: row
     j*n + k of `algebra.product_rows`, whose value at x is coordinate k of
-    x*b_j.  `rows` is a `_Rows`, which iterates as the rows and over Q
-    stores only their clearing, which the stabilizer, the left order and
-    the ideal variant read instead of clearing again."""
+    x*b_j.  `rows` is a `_Rows`, over Q of QVectors, which the
+    stabilizer, the left order and the ideal variant read as they are."""
 
     algebra: StructureAlgebra
     domain: BaseDomain

@@ -6,7 +6,7 @@ case has one, qv_audit.  The left order runs `_lattice`'s check of the
 lattice basis against every product row and, over Z_(p), the check that
 1 and the stabilizer lie in it, which raise on a disagreement.  It exits 1
 unless those checks pass and every report is ok; the stage times, and for
-M6(Q) the largest bit length of T, are printed, not gated.  Run from the
+M6(Q) and M8(Q) the largest bit length of T, are printed, not gated.  Run from the
 repository root, which holds `cutbench`:
 
     PYTHONPATH=src:. python3 tests/e2e_random_basis.py "M6(Q)"
@@ -37,6 +37,9 @@ CASES = {
     "M5(Q)": (Q2, 5, p_local(2), Q_DRAW, "left order", SampleSpec(seed=7, count=5), None, False),
     "M6(Q)": (Q2, 6, p_local(2), Q_DRAW, "left order, row check included",
               SampleSpec(seed=62, count=50), SampleSpec(seed=63, count=50), True),
+    # the largest product rows and Hermite pivot search that CI runs
+    "M8(Q)": (Q2, 8, p_local(2), Q_DRAW, "left order, row check included",
+              SampleSpec(seed=62, count=20), SampleSpec(seed=63, count=20), True),
     # dense rows with distinct denominators, which no benchmark workload reads
     "M2(Q(t))": (QT, 2, valuation_ring(QT), dict(coef_bound=4, max_p_exp=2, poly_degree=1),
                  "left order", SampleSpec(seed=62, count=2), SampleSpec(seed=63, count=2), False),

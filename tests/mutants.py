@@ -139,6 +139,31 @@ MUTANTS = (
         "weights = [(2 * bound + 1) ** i",
         ("tests/test_oracle.py::test_window_margin_boundary",),
         "window_cut_sum encodes box points in base 2B+1, so digit sums carry"),
+    Mutant(
+        "window-inner-bit-at-b", "src/cutval/oracle.py",
+        "codes(2 * bound - h, 2 * bound + h)",
+        "codes(bound - h, bound + h)",
+        ("tests/test_oracle.py", "tests/test_cuts.py"),
+        "window_cut_sum reads the inner bit at B instead of 2B"),
+    Mutant(
+        "padic-precision-not-lowered", "src/cutval/algebra.py",
+        "left -= _int_p_exponent(pk, p)",
+        "left -= 0",
+        ("tests/test_kernel.py::test_padic_pivots_rerun_settle_and_tie_as_the_reference",),
+        "_padic_pivots reads valuations past the precision a pivot leaves"),
+    Mutant(
+        "invert-sign-not-flipped", "src/cutval/algebra.py",
+        "m, det = [[-x for x in row] for row in m], -det",
+        "m, det = m, det",
+        ("tests/test_kernel.py::test_fraction_free_inverse_matches_reference",
+         "tests/test_kernel.py::test_every_q_row_set_is_canonical_qvectors"),
+        "invert keeps the rows over a negative det as they are"),
+    Mutant(
+        "transpose-scales-by-own-den", "src/cutval/algebra.py",
+        "[x * (den // v.den) for x in v.ints]",
+        "[x * v.den for x in v.ints]",
+        ("tests/test_kernel.py::test_product_rows_match_reference[M3(Q)]",),
+        "_transpose scales row i by d_i instead of L/d_i"),
 )
 
 

@@ -44,7 +44,7 @@ from cutval.algebra import (StructureAlgebra, _bareiss, _eliminate, _Rows, coord
                             solve_columns)
 from cutval.basedomain import BaseDomain, integers, p_local, valuation_ring
 from cutval.errors import StructuralError
-from cutval.numfield import (Polynomial, RationalFunction, ValuedField, _cleared, _exact_quo,
+from cutval.numfield import (Polynomial, QVector, RationalFunction, ValuedField, _cleared, _exact_quo,
                              poly_gcd, vp)
 from cutval.orders import LatticeModule, intersect_oracles, left_order
 from cutval.samplers import sample_algebra_element, sample_member, sample_ratfunc, sample_scalar
@@ -271,8 +271,8 @@ def reference_hermite(rows, ncols, p):
 def padic_hermite(rows, ncols, p):
     """The Z_(p) Hermite form of rows over Q as `orders._lattice` takes it,
     read as Fraction rows; None for no lattice."""
-    hermite = algebra._padic_pivots([_cleared(r) for r in rows], ncols, p)
-    return None if hermite is None else [tuple(Fraction(x, d) for x in a) for a, d in hermite]
+    hermite = algebra._padic_pivots([QVector.of(r) for r in rows], ncols, p)
+    return None if hermite is None else [tuple(h) for h in hermite]
 
 
 def assert_reference_lattice(R, pivots):
@@ -553,14 +553,14 @@ def drawn_matrices(n, seed, count):
                          + drawn_matrices(3, 201, 4) + drawn_matrices(4, 7, 2))
 def test_fraction_free_inverse_matches_reference(rows):
     """The inverse over Q, a fraction-free Gauss-Jordan in Z, stores each
-    row as the (a, d) that _cleared gives of the Fraction inverse's row:
-    d > 0 and gcd(a..., d) = 1."""
+    row as the QVector a/d of the (a, d) that _cleared gives of the
+    Fraction inverse's row: d > 0 and gcd(a..., d) = 1."""
     got = invert(Q3, rows)
     expected = invert_reference(Q3, rows)
     assert len(got) == len(expected) and got.width == len(rows)
-    for (a, d), row in zip(got.cleared, expected):
-        assert d > 0
-        assert (list(a), d) == _cleared(row)
+    for r, row in zip(got.stored, expected):
+        assert r.den > 0
+        assert (list(r.ints), r.den) == _cleared(row)
 
 
 def test_fraction_free_inverse_refuses_a_singular_matrix():
@@ -750,10 +750,10 @@ def test_ideal_variant_inverts_once_and_forms_no_products(monkeypatch):
     monkeypatch.setattr(orders, "stabilizer_finite", lambda *a: certs.append(stabilizer(*a)) or certs[-1])
     R = orders.nice_with_ideal(orders.IdealSpec(alg, (e(2),)), p_local(2))
     assert calls == {"mul": 0, "invert": 1, "t_solve": 0}
-    # the variant's rows are the certificate's own clearings, none cleared again
+    # the variant's rows are the certificate's own QVectors, none made again
     rows, (cert,) = R.constraints[0][1], certs
     assert len(rows) == 4
-    assert all(any(pair is own for own in cert.rows.cleared) for pair in rows.cleared)
+    assert all(any(row is own for own in cert.rows.stored) for row in rows.stored)
 
 
 def test_clearing_stabilizer_calls_no_clear_many(case, monkeypatch):
@@ -889,8 +889,8 @@ def test_left_order_clears_no_certificate_row_again(name, monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_lattice_keeps_t_as_the_clearings_of_its_pivots(p, monkeypatch):
-    """T over Z_(p) is stored as the clearings its Hermite rows were built
-    in, which are the ones _cleared gives its rows.  Nothing reaches
+    """T over Z_(p) is stored as the QVectors its Hermite rows were built
+    as, whose clearings are the ones _cleared gives its rows.  Nothing reaches
     _cleared while the left order is built and audited: the left order
     reads T and its inverse as they are and makes the lattice basis off
     the inverse's clearing, and verify_nice and qv_audit draw, multiply,
@@ -908,7 +908,7 @@ def test_lattice_keeps_t_as_the_clearings_of_its_pivots(p, monkeypatch):
         assert quasival.qv_audit(quasival.filter_qv(R), spec).ok
         assert not seen and calls["basis_combination"] > 0
         T = R.lattice_rows
-        assert [(list(a), d) for a, d in T.cleared] == [_cleared(row) for row in T]
+        assert [(list(r.ints), r.den) for r in T.stored] == [_cleared(row) for row in T]
 
 
 def test_qt_build_makes_kernel_results_from_integers(monkeypatch):
@@ -1135,7 +1135,7 @@ def test_cleared_kernel_matches_fraction_loop(matrix):
     assert rank_of(field, rows) == rank_reference(rows)
     square = [r[:ncols] for r in rows[:ncols]]
     if len(square) == ncols and rank_reference(square) == ncols:
-        got = [(list(a), d) for a, d in invert(field, square).cleared]
+        got = [(list(r.ints), r.den) for r in invert(field, square).stored]
         assert got == [_cleared(row) for row in invert_reference(field, square)]
     elif len(square) == ncols:
         with pytest.raises(StructuralError, match="singular matrix"):
@@ -1283,11 +1283,11 @@ def test_hermite_lattice_is_the_reference_lattice(name):
 
 
 def assert_hermite_form(T, p):
-    """p^e*T, p^e the largest denominator of T's clearings, is upper
+    """p^e*T, p^e the largest denominator of T's QVector rows, is upper
     triangular, each pivot a power p^k of p and every entry above it in
     [0, p^k)."""
-    pe = max(d for _, d in T)
-    H = [[x * (pe // d) for x in a] for a, d in T]
+    pe = max(r.den for r in T)
+    H = [[x * (pe // r.den) for x in r.ints] for r in T]
     for j, row in enumerate(H):
         pk = row[j]
         assert not any(row[:j]) and pk > 0 and pk == p ** vp(p, Fraction(pk))[0]
@@ -1306,11 +1306,11 @@ def test_t_is_in_hermite_form(name):
     is the form of rows that must be reduced left to right."""
     p = HERMITE_DRAWS[name][1]
     for R, _, both, _ in hermite_draws(name):
-        assert_hermite_form(R.lattice_rows.cleared, p)
-        assert_hermite_form(both.lattice_rows.cleared, p)
-    hermite = algebra._padic_pivots([_cleared(r) for r in LEFT_TO_RIGHT], 3, 2)
+        assert_hermite_form(R.lattice_rows.stored, p)
+        assert_hermite_form(both.lattice_rows.stored, p)
+    hermite = algebra._padic_pivots([QVector.of(r) for r in LEFT_TO_RIGHT], 3, 2)
     assert_hermite_form(hermite, 2)
-    assert hermite == [((1, 1, 3), 1), ((0, 2, 1), 1), ((0, 0, 4), 1)]
+    assert [(r.ints, r.den) for r in hermite] == [((1, 1, 3), 1), ((0, 2, 1), 1), ((0, 0, 4), 1)]
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -1446,13 +1446,13 @@ def test_product_rows_match_reference(name):
             row for b in elements for row in zip(*(
                 coords_reference(mul_reference(alg, alg.basis_vector(i), b), basis)
                 for i in range(alg.dim))))
-        # over Q the rows are stored only as their clearings, over Q(t) as scalars
+        # over Q the rows are stored only as QVectors, over Q(t) as scalars
         if alg.field.kind == "Q":
             assert all(type(c) is Fraction for row in rows for c in row)
-            assert rows.cleared is rows.stored
-            assert [(list(a), d) for a, d in rows.stored] == [_cleared(row) for row in expected]
+            assert rows.q and all(type(r) is QVector for r in rows.stored)
+            assert [(list(r.ints), r.den) for r in rows.stored] == [_cleared(row) for row in expected]
         else:
-            assert rows.cleared is None and list(rows.stored) == list(map(tuple, expected))
+            assert not rows.q and list(rows.stored) == list(map(tuple, expected))
 
 
 def read_view_case(name, kind):
@@ -1484,8 +1484,8 @@ def read_view_case(name, kind):
 @pytest.mark.parametrize("name", ["M3(Q)", "Q(t)[x]/(x^2-t)"])
 def test_rows_read_view(name, kind):
     """A _Rows reads as the rows it was built from, in order: over Q it
-    stores each row only as the clearing _cleared gives, and builds the
-    Fraction rows when it is iterated."""
+    stores each row only as the QVector of the clearing _cleared gives,
+    which iterates as the Fraction row."""
     alg, rows, expected = read_view_case(name, kind)
     field = alg.field
     assert tuple(rows) == tuple(expected)
@@ -1497,10 +1497,57 @@ def test_rows_read_view(name, kind):
     assert tuple(part) == tuple(expected[i] for i in order)
     assert len(part) == len(order) and part.width == rows.width
     if field.kind == "Q":
-        assert rows.cleared is rows.stored
-        assert [(list(a), d) for a, d in rows.stored] == [_cleared(row) for row in expected]
+        assert rows.q and all(type(r) is QVector for r in rows.stored)
+        assert [(list(r.ints), r.den) for r in rows.stored] == [_cleared(row) for row in expected]
     else:
-        assert rows.cleared is None
+        assert not rows.q
+
+
+def assert_canonical_q_rows(rows):
+    """Each row of a _Rows over Q is a QVector a/d with d > 0 and
+    gcd(a..., d) = 1: the clearing _cleared gives of its Fraction row."""
+    assert rows.q and len(rows) > 0
+    for r in rows.stored:
+        assert type(r) is QVector and r.den > 0 and gcd(*r.ints, r.den) == 1
+        assert (list(r.ints), r.den) == _cleared(list(r))
+
+
+def test_every_q_row_set_is_canonical_qvectors(monkeypatch):
+    """Every _Rows over Q the library builds holds canonical QVectors:
+    coordinate and product rows, T, T^-1, an ideal variant's subset, an
+    intersection's stack and column rows.  The bases include one whose
+    inverse is made over a negative determinant."""
+    alg = matrix_algebra(Q3, 3)
+    negated = (alg.smul(Fraction(-1), alg.basis_vector(0)), *map(alg.basis_vector, range(1, 9)))
+    inverses, stacks = [], []
+    invert, lattice = orders.invert, orders._lattice
+    monkeypatch.setattr(orders, "invert", lambda *a: inverses.append(invert(*a)) or inverses[-1])
+    monkeypatch.setattr(orders, "_lattice", lambda alg, domain, rows, *a: (
+        stacks.append(rows) or lattice(alg, domain, rows, *a)))
+    orders_z3 = []
+    for basis in [negated, M3_SEED7] + draw_bases(alg, 343, M3_DRAW, 2):
+        for domain in (integers(), p_local(3)):
+            cert = stabilizer_finite(alg, basis, domain)
+            R = orders.nice_from_certificate(cert)
+            for rows in (cert.coords, cert.rows, R._basis_rows, LatticeModule(alg, domain, basis).coords):
+                assert_canonical_q_rows(rows)
+            if domain.is_valuation_like:
+                assert_canonical_q_rows(R.lattice_rows)
+                orders_z3.append(R)
+    assert len(inverses) == len(orders_z3)
+    for T_inverse in inverses:
+        assert_canonical_q_rows(T_inverse)
+    stacks.clear()
+    both = intersect_oracles(orders_z3[1:3])
+    (stack,) = stacks
+    assert len(stack) == 2 * alg.dim and both.lattice_basis is not None
+    for rows in (stack, both.lattice_rows, both._basis_rows):
+        assert_canonical_q_rows(rows)
+    dual = quadratic_algebra(ValuedField("Q", 2), 0)
+    for domain in (integers(), p_local(2)):
+        ideal = orders.nice_with_ideal(orders.IdealSpec(dual, (dual.basis_vector(1),)), domain)
+        assert_canonical_q_rows(ideal.constraints[0][1])
+        assert_canonical_q_rows(ideal._basis_rows)
 
 
 def test_q_builds_and_audits_read_no_fraction_row(monkeypatch):

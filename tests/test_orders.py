@@ -12,7 +12,7 @@ from cutval.algebra import (PolynomialAlgebra, StructureAlgebra, _Rows, coordina
 from cutval.basedomain import BaseDomain, integers, p_local, valuation_ring
 from cutval.cuts import INF, embed_phi, value_translate
 from cutval.errors import ConfigError, DomainError, StructuralError
-from cutval.numfield import RationalFunction, ValuedField
+from cutval.numfield import QVector, RationalFunction, ValuedField
 from cutval.orders import (IdealSpec, LatticeModule, PolySubring,
                            SubringOracle, descend_chain, going_down,
                            intersect_oracles, lattice_membership, left_order,
@@ -176,7 +176,7 @@ def test_left_order_refuses_an_order_without_1(monkeypatch):
     alg = matrix_algebra(ValuedField("Q", 2), 2)
     padic_pivots = orders._padic_pivots
     monkeypatch.setattr(orders, "_padic_pivots", lambda pool, ncols, p: [
-        (a, 2 * d) for a, d in padic_pivots(pool, ncols, p)])
+        QVector._canonical(r.ints, 2 * r.den) for r in padic_pivots(pool, ncols, p)])
     with pytest.raises(StructuralError, match="1 or the stabilizer lies outside the left order"):
         left_order(LatticeModule(alg, p_local(2), units_of(alg)))
 
