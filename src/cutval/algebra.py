@@ -2,7 +2,9 @@
 
 Elements of a :class:`StructureAlgebra` are coordinates in the ambient
 basis: over Q a `numfield.QVector` (integers over one denominator), which
-`QVector.of` makes of a tuple of Fractions, and over Q(t) a tuple.
+`QVector.of` makes of a tuple of Fractions, and over Q(t) its twin
+`numfield.QtVector` (integer lists over one integer list in Z[t]), which
+`QtVector.of` makes of a tuple of RationalFunctions.
 
 Exact linear algebra over Q runs on integers.  A dense inverse and a rank
 are one fraction-free kernel, `_bareiss`: `invert` runs it as
@@ -29,8 +31,11 @@ and `_Rows.denominators` reads d*e / gcd(sum a_i*b_i, d*e).
 `product_rows` is one integer matrix product over the same cells, and
 every reader of the rows, the lattice's Z/p^K search included, takes
 them as they are; `_transpose` turns vectors into the columns of the
-matrix they are the rows of.  Over Q(t) rows and products are summed
-term by term, and valuations are read in Z[t] (see `numfield`).
+matrix they are the rows of.  Over Q(t) elements are summed the same
+way in Z[t], over the table cleared over one D in Z[t], and a result is
+left as that clearing until it is observed; rows keep their scalars for
+`_eliminate` and `product_rows`, and valuations and `element` read each
+row's clearing in Z[t] (see `numfield`).
 
 The polynomial backend :class:`PolynomialAlgebra` represents F[y] with the
 monomial basis; elements are sparse exponent -> coefficient dicts.
@@ -41,28 +46,40 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm, log2
 from operator import mul
 
 from .errors import ConfigError, StructuralError
-from .numfield import (QVector, RationalFunction, ValuedField, _cleared, _int_p_exponent,
-                       _zt_clearing, _zt_valuations)
+from .numfield import (QtVector, QVector, RationalFunction, ValuedField, _cleared, _convolve,
+                       _int_p_exponent, _zt_dot, _zt_lcm, _zt_quo, _zt_split, _zt_sum, _zt_value,
+                       _zt_value_of_dot, _row_clearing)
 
-Element = QVector | tuple  # a QVector over Q, a tuple of scalars over Q(t)
+Element = QVector | QtVector  # over Q and over Q(t); a tuple of scalars is taken too
 
 
 @dataclass(frozen=True, eq=False)
 class StructureAlgebra:
+    """F^n with the product of a table of structure constants.  An element
+    is the field's element form, a QVector over Q and a QtVector over Q(t),
+    and every method also takes it as a tuple of scalars.  Over Q(t) `add`,
+    `smul` and `mul` return the clearing they summed, which is made
+    canonical when it is observed."""
+
     field: ValuedField
     names: tuple[str, ...]
     table: tuple  # table[i][j] = coordinate vector of e_i * e_j
     unit: Element
     # The nonzero cells of the table, (i, j, ((k, t), ...)) with t != 0,
     # built once: mul walks these instead of all n^2 cells times n entries.
-    # Over Q each t is stored cleared, as the integer t*D over one table
-    # denominator _den = D; over Q(t) t is the scalar and _den is None.
+    # Each t is stored cleared over one table denominator _den = D: over Q
+    # as the integer t*D, over Q(t) as the integer list t*D in Z[t].  Over
+    # Q(t) the cells of scalars t, _scalar_cells, serve product_rows, whose
+    # rows keep their scalars, and check_associative_unital.
     _cells: tuple = dataclasses.field(init=False, repr=False)
-    _den: int | None = dataclasses.field(init=False, repr=False)
+    _scalar_cells: tuple = dataclasses.field(init=False, repr=False)
+    _den: int | list = dataclasses.field(init=False, repr=False)
+    _q: bool = dataclasses.field(init=False, repr=False)  # the field is Q
 
     def __post_init__(self):
         n = len(self.names)
@@ -76,17 +93,22 @@ class StructureAlgebra:
                     raise StructuralError("table entries must be coordinate vectors of length n")
         if len(self.unit) != n:
             raise StructuralError("unit coordinates must have length n")
-        if self.field.kind == "Q":
-            object.__setattr__(self, "unit", QVector.of(self.unit))
-        cells = [(i, j, tuple((k, t) for k, t in enumerate(vec) if t))
-                 for i, row in enumerate(self.table) for j, vec in enumerate(row) if any(vec)]
-        den = None
-        if self.field.kind == "Q":
-            ints, den = _cleared([t for _, _, terms in cells for _, t in terms])
-            ints = iter(ints)
-            cells = [(i, j, tuple((k, next(ints)) for k, _ in terms)) for i, j, terms in cells]
+        q = self.field.kind == "Q"
+        object.__setattr__(self, "unit", (QVector if q else QtVector).of(self.unit))
+        cells = tuple((i, j, tuple((k, t) for k, t in enumerate(vec) if t))
+                      for i, row in enumerate(self.table) for j, vec in enumerate(row) if any(vec))
+        object.__setattr__(self, "_scalar_cells", cells)
+        flat = [t for _, _, terms in cells for _, t in terms]
+        if q:
+            ints, den = _cleared(flat)
+        else:
+            flat = QtVector.of(flat)
+            ints, den = flat.nums, flat.den
+        ints = iter(ints)
+        cells = [(i, j, tuple((k, next(ints)) for k, _ in terms)) for i, j, terms in cells]
         object.__setattr__(self, "_cells", tuple(cells))
         object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_q", q)
 
     @property
     def dim(self) -> int:
@@ -94,58 +116,73 @@ class StructureAlgebra:
 
     @property
     def zero(self) -> Element:
-        if self._den is not None:
+        if self._q:
             return QVector._canonical((0,) * self.dim, 1)
-        return (self.field.zero,) * self.dim
+        return QtVector._make([[] for _ in range(self.dim)], [1])
 
     def basis_vector(self, i: int) -> Element:
-        if self._den is not None:
+        if self._q:
             return QVector._canonical([int(k == i) for k in range(self.dim)], 1)
-        z, o = self.field.zero, self.field.one
-        return tuple(o if k == i else z for k in range(self.dim))
+        return QtVector._make([[1] if k == i else [] for k in range(self.dim)], [1])
 
     def element(self, coords) -> Element:
         coords = tuple(self.field.scalar(c) for c in coords)
         if len(coords) != self.dim:
             raise StructuralError(f"expected {self.dim} coordinates, got {len(coords)}")
-        return coords if self._den is None else QVector.of(coords)
+        return (QVector if self._q else QtVector).of(coords)
+
+    # Over Q(t) the arithmetic is the same sums in Z[t]: x = A/D, y = B/E
+    # and the table T/D_T give integer-list sums and convolutions over one
+    # product of denominators, left as that clearing (`QtVector._clearing`).
 
     def add(self, x: Element, y: Element) -> Element:
-        if self._den is None:
-            return tuple(a + b for a, b in zip(x, y))
+        if not self._q:
+            (a, d), (b, e) = QtVector.pair(x), QtVector.pair(y)
+            if d == e:
+                return QtVector._clearing(list(map(_zt_sum, a, b)), d[:])
+            return QtVector._clearing([_zt_sum(_convolve(s, e), _convolve(t, d)) for s, t in zip(a, b)],
+                                      _convolve(d, e))
         (a, d), (b, e) = QVector.pair(x), QVector.pair(y)
         g = gcd(d, e)
         m, k = e // g, d // g  # a/d + b/e = (a*m + b*k) / (d*m)
         return QVector._canonical([s * m + t * k for s, t in zip(a, b)], d * m)
 
     def smul(self, c, x: Element) -> Element:
-        if self._den is None:
-            return tuple(c * a for a in x)
+        if not self._q:
+            (a, d), (n, e) = QtVector.pair(x), _zt_split(c) if c else ([], [1])
+            return QtVector._clearing([_convolve(s, n) for s in a], _convolve(d, e))
         (a, d), n = QVector.pair(x), c.numerator
         return QVector._canonical([s * n for s in a], d * c.denominator)
 
     def mul(self, x: Element, y: Element) -> Element:
         if len(x) != self.dim or len(y) != self.dim:
             raise ConfigError("element does not belong to this algebra")
-        # Over Q: x = a/d, y = b/e and the table is T/D, so the product is
-        # the integer sums over d*e*D, made canonical with one gcd.
-        if self._den is None:
-            (a, b), zero = (x, y), self.field.zero
-        else:
-            (a, d), (b, e), zero = QVector.pair(x), QVector.pair(y), 0
-        out = [zero] * self.dim
+        # x = a/d, y = b/e and the table is T/D, so the product is the
+        # integer (over Q(t), Z[t]) sums over d*e*D: over Q made canonical
+        # with one gcd, over Q(t) left as that clearing.
+        if not self._q:
+            (a, d), (b, e) = QtVector.pair(x), QtVector.pair(y)
+            out = [[] for _ in range(self.dim)]
+            for i, j, terms in self._cells:
+                ai, bj = a[i], b[j]
+                if ai and bj:
+                    c = _convolve(ai, bj)
+                    for k, t in terms:
+                        out[k] = _zt_sum(out[k], c if t == [1] else _convolve(c, t))
+            de = _convolve(d, e)
+            return QtVector._clearing(out, de if self._den == [1] else _convolve(de, self._den))
+        (a, d), (b, e) = QVector.pair(x), QVector.pair(y)
+        out = [0] * self.dim
         for i, j, terms in self._cells:
             ai, bj = a[i], b[j]
             if ai and bj:
                 c = ai * bj
                 for k, t in terms:
-                    out[k] = out[k] + c * t
-        if self._den is None:
-            return tuple(out)
+                    out[k] += c * t
         return QVector._canonical(out, d * e * self._den)
 
     def is_zero(self, x: Element) -> bool:
-        return all(not c for c in x) if self._den is None else not any(QVector.pair(x)[0])
+        return not any(QVector.pair(x)[0] if self._q else QtVector.pair(x)[0])
 
     def scalar_of(self, x: Element):
         """alpha with x = alpha * 1, or None when x is not scalar."""
@@ -392,13 +429,15 @@ def _dot(row, x):
 
 class _Rows:
     """Fixed linear rows over a field, of one width, evaluated at points x.
-    `stored` holds the rows in the field's element form: over Q each row
-    a_1..a_n over d is a `QVector` (`q` is True), over Q(t) a tuple of
-    scalars, whose Z[t] clearings `zt` are made on the first `valuations`
-    read.  Iterating yields `stored`.  _Rows(fieldobj, rows) is rows
+    `stored` holds the rows: over Q each row a_1..a_n over d is the
+    `QVector` it is (`q` is True), over Q(t) a tuple of scalars, which
+    `_eliminate` and `values` read, and `zt` each row's clearing A_1..A_n
+    over Q as a `QtVector`: made on the first read with no gcd
+    (`numfield._row_clearing`), or by `column_rows` off the columns'
+    clearings.  Iterating yields `stored`.  _Rows(fieldobj, rows) is rows
     itself when it is a _Rows.  Every membership test over a valuation
-    ring, of Q or Q(t), reads `valuations`.  Over Q a point x is read as
-    its QVector's integers and denominator."""
+    ring, of Q or Q(t), reads `valuations`.  A point x is read as its
+    element form's integers (integer lists over Q(t)) and denominator."""
 
     def __new__(cls, fieldobj, rows):
         if isinstance(rows, _Rows):
@@ -407,11 +446,17 @@ class _Rows:
         return cls._make(tuple(map(QVector.of if q else tuple, rows)), q)
 
     @classmethod
-    def _make(cls, stored, q: bool):
+    def _make(cls, stored, q: bool, zt=None):
         self = object.__new__(cls)
-        self.stored, self.q, self.zt = stored, q, None
+        self.stored, self.q, self._zt = stored, q, zt
         self.width = len(stored[0]) if stored else 0
         return self
+
+    @property
+    def zt(self) -> tuple:
+        if self._zt is None:
+            self._zt = tuple(map(_row_clearing, self.stored))
+        return self._zt
 
     def __iter__(self):
         return iter(self.stored)
@@ -425,7 +470,8 @@ class _Rows:
 
     def values(self, x):
         """The row values at x, in row order, computed as they are consumed;
-        an x whose length is not the rows' width is refused at once."""
+        an x whose length is not the rows' width is refused at once.  Over
+        Q(t) they are summed on the scalars of the rows and of x."""
         self._check_width(x)
         if not self.q:
             return (_dot(row, x) for row in self.stored)
@@ -433,11 +479,16 @@ class _Rows:
         return (Fraction(sum(map(mul, r.ints, b)), r.den * e) for r in self.stored)
 
     def element(self, x) -> Element:
-        """The row values at x as one element; over Q made from the integer
-        sums over the lcm of the rows' denominators, with one gcd."""
-        if not self.q:
-            return tuple(self.values(x))
+        """The row values at x as one element, made from the integer sums
+        over a common multiple of the rows' denominators: over Q their lcm,
+        with one gcd, over Q(t) their lcm in Z[t] (`numfield._zt_lcm`)."""
         self._check_width(x)
+        if not self.q:
+            (b, e), zt = QtVector.pair(x), self.zt
+            den = reduce(_zt_lcm, (r._den for r in zt))
+            return QtVector._clearing([_zt_dot(r._nums, b) if r._den == den
+                                       else _convolve(_zt_dot(r._nums, b), _zt_quo(den, r._den)) for r in zt],
+                                      _convolve(den, e))
         (b, e), den = QVector.pair(x), lcm(*(r.den for r in self.stored))
         return QVector._canonical([sum(map(mul, r.ints, b)) * (den // r.den) for r in self.stored], den * e)
 
@@ -445,12 +496,13 @@ class _Rows:
         """vf's value of each row value at x (None for a zero value), in row
         order and as consumed, building no value and taking no gcd.  Over
         Q, v_p(sum a_i*b_i) - v_p(d) - v_p(e) for vf's p, which need not be
-        the algebra field's; over Q(t), `_zt_valuations` of the rows."""
+        the algebra field's; over Q(t), v(sum A_i*X_i) - v(Q) - v(D) off the
+        clearings (`numfield._zt_value_of_dot`)."""
         self._check_width(x)
         if not self.q:
-            if self.zt is None:
-                self.zt = tuple(map(_zt_clearing, self.stored))
-            return _zt_valuations(self.zt, x, vf.p)
+            x, p = QtVector.of(x), vf.p
+            xv = _zt_value(x._den, p)
+            return (_zt_value_of_dot(r, x, xv, p) for r in self.zt)
         (b, e), p = QVector.pair(x), vf.p
         ve = _int_p_exponent(e, p)
         return ((_int_p_exponent(s, p) - _int_p_exponent(r.den, p) - ve,)
@@ -497,10 +549,16 @@ def _transpose(vectors) -> list:
 
 def column_rows(alg: StructureAlgebra, vectors) -> _Rows:
     """The rows of the matrix with the given elements as its columns; over
-    Q read off their integers (`_transpose`), building no Fraction."""
-    if alg._den is None:
-        return _Rows(alg.field, tuple(zip(*vectors)))
-    return _Rows._make(_transpose(vectors), True)
+    Q read off their integers (`_transpose`), building no Fraction.  Over
+    Q(t) the rows' clearings are read off the elements' clearings, all
+    over the lcm of their denominators, taking one lcm per element."""
+    if alg._q:
+        return _Rows._make(_transpose(vectors), True)
+    vectors = list(map(QtVector.of, vectors))
+    den = reduce(_zt_lcm, (v._den for v in vectors), [1])
+    scaled = [[_convolve(a, q) for a in v._nums] for v in vectors for q in [_zt_quo(den, v._den)]]
+    zt = tuple(QtVector._make(col, den, False) for col in zip(*scaled))
+    return _Rows._make(tuple(zip(*vectors)), False, zt)
 
 
 def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> _Rows:
@@ -512,25 +570,26 @@ def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> _Rows:
     nonzero cells.  Over Q that is one integer matrix product: for b as
     beta/e, coords' row a/d and the cleared cells over D, row (b, k) is the
     QVector of the integers sum_r a_r * (sum_j beta_j * D*t_ij^r) over
-    d*e*D.  Over Q(t) the same matrix is summed on scalars."""
-    n, den = alg.dim, alg._den
-    zero = alg.field.zero if den is None else 0
+    d*e*D.  Over Q(t) the same matrix is summed on the table's scalars,
+    since the rows keep their scalars."""
+    n, q = alg.dim, alg._q
+    zero, cells = (0, alg._cells) if q else (alg.field.zero, alg._scalar_cells)
     rows = []
     for b in elements:
-        beta, e = (b, None) if den is None else QVector.pair(b)
+        beta, e = QVector.pair(b) if q else (tuple(b), None)
         # right[i][r]: coordinate r of e_i*b, times e*D over Q
         right = [[zero] * n for _ in range(n)]
-        for i, j, terms in alg._cells:
+        for i, j, terms in cells:
             if bj := beta[j]:
                 col = right[i]
                 for r, t in terms:
                     col[r] = col[r] + bj * t
-        if den is None:
+        if not q:
             rows.extend(tuple(_dot(row, col) for col in right) for row in coords)
             continue
-        rows.extend(QVector._canonical([sum(map(mul, r.ints, col)) for col in right], r.den * e * den)
+        rows.extend(QVector._canonical([sum(map(mul, r.ints, col)) for col in right], r.den * e * alg._den)
                     for r in coords.stored)
-    return _Rows._make(rows, den is not None)
+    return _Rows._make(rows, q)
 
 
 # --- validation -----------------------------------------------------------
@@ -566,12 +625,14 @@ def check_associative_unital(alg: StructureAlgebra) -> TableReport:
     no general product: (e_i e_j) e_k = sum_l t_ij^l e_l e_k and
     e_i (e_j e_k) = sum_l t_jk^l e_i e_l, and 1 e_i = sum_l u_l e_l e_i
     for the unit u, likewise e_i 1.  Over Q the cells are the cleared
-    integers, which scales both sides by D^2 (by D in the unit laws).
+    integers, which scales both sides by D^2 (by D in the unit laws); over
+    Q(t) they are the table's scalars.
     """
     n = alg.dim
-    zero, one = (alg.field.zero, alg.field.one) if alg._den is None else (0, alg._den)
+    zero, one, cells = ((0, alg._den, alg._cells) if alg._q
+                        else (alg.field.zero, alg.field.one, alg._scalar_cells))
     rows = [[()] * n for _ in range(n)]  # rows[i][j]: terms of e_i e_j
-    for i, j, terms in alg._cells:
+    for i, j, terms in cells:
         rows[i][j] = terms
     columns = [list(col) for col in zip(*rows)]  # columns[k][l]: e_l e_k
     unit = [(l, u) for l, u in enumerate(alg.unit) if u]

@@ -32,12 +32,16 @@ divides the dividend's integers by the primitive multiple of the divisor, a
 division that Gauss's lemma makes exact.  ``Fraction`` coefficients are
 built only to be read, as in formatting.
 
-Both parts of v are multiplicative, so v(S/D) = v(S) - v(D) for any
+A vector over Q(t), such as an algebra element, is one ``QtVector``:
+integer coefficient lists over one integer-list denominator in Z[t], made
+canonical once it is observed by one chain of ``poly_gcd`` (`_coprime`).  Both
+parts of v are multiplicative, so v(S/D) = v(S) - v(D) for any
 representation in Z[t], reduced or not, where v(P) for P in Z[t] is
-(ord_t P, v_p of its lowest coefficient).  A row of scalars read against
-a point needs only v of its value: `_zt_clearing` writes the row once
-over the product of its distinct denominators, and `_zt_value_at` reads v
-of the value at a point off integer products, with no gcd and no scalar.
+(ord_t P, v_p of its lowest coefficient).  A row of scalars read against a
+point needs only v of its value: `_row_clearing` writes the row once as a
+QtVector over the product of its distinct denominators, and
+`_zt_value_of_dot` reads v of the value at a point's clearing off the
+lowest terms of integer products, with no gcd and no scalar.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import ConfigError, StructuralError
@@ -172,7 +177,9 @@ class QVector:
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """The product in Z[t] of two nonempty coefficient lists, as a new list."""
+    """The product in Z[t] of two coefficient lists, as a new list."""
+    if not (a and b):
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -308,19 +315,26 @@ def _exact_quo(a: Polynomial, g: Polynomial) -> Polynomial:
     so a/g = Q*lc(G)/d.  Raises ArithmeticError when g does not divide a."""
     if g.degree == 0:
         return a
-    rem, d, div = a.ints[:], a.den, g.ints
-    n, lc = len(div) - 1, div[-1]
+    lc = g.ints[-1]
+    return Polynomial._from_ints([q * lc for q in _zt_quo(a.ints, g.ints)], a.den)
+
+
+def _zt_quo(a: list[int], g: list[int]) -> list[int]:
+    """a / g in Z[t], as a new list, for a nonzero g that divides a with an
+    integral quotient, as a primitive g does (Gauss's lemma); raises
+    ArithmeticError otherwise."""
+    rem, n, lc = a[:], len(g) - 1, g[-1]
     quo = []
     for k in range(len(rem) - 1, n - 1, -1):
         q = rem[k] // lc
         if q:
-            for i, c in enumerate(div, k - n):
+            for i, c in enumerate(g, k - n):
                 rem[i] -= q * c
-        quo.append(q * lc)
+        quo.append(q)
     if any(rem):
         raise ArithmeticError(f"{g!r} does not divide {a!r}")
     quo.reverse()
-    return Polynomial._from_ints(quo, d)
+    return quo
 
 
 def _primitive_part(ints: list[int]) -> list[int]:
@@ -352,7 +366,8 @@ def _pseudo_rem(u: list[int], v: list[int]) -> list[int]:
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd, so the result is unique: 0 for two zeros, the other side
     made monic for one zero side.  It runs the primitive remainder sequence
-    in Z[t] and stops as soon as a constant appears."""
+    in Z[t] and stops as soon as a constant appears; the primitive gcd in
+    Z[t], with a positive leading coefficient, is its ``ints``."""
     if len(a.ints) == 1 or len(b.ints) == 1:
         return Polynomial.ONE
     if not (a and b):
@@ -366,6 +381,13 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
             return Polynomial._from_ints(v, v[-1])
         u, v = v, _primitive_part(r)
     return Polynomial.ONE
+
+
+def _zt_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd in Z[t], with a positive leading coefficient, of two
+    nonzero integer lists without trailing zeros, [1] when it is a constant:
+    ``poly_gcd`` of the lists read as polynomials."""
+    return poly_gcd(Polynomial._from_ints(a, 1), Polynomial._from_ints(b, 1)).ints
 
 
 class RationalFunction:
@@ -495,46 +517,248 @@ def _over_distinct(pairs) -> tuple[list, list]:
     return dens, [reduce(_convolve, [e for e in dens if e != d], n) for n, d in pairs]
 
 
-def _zt_clearing(row) -> tuple:
-    """A row of Q(t) scalars as its clearing in Z[t] over its support:
-    ((i, A_i), ...) and Q, integer coefficient lists with row_i = A_i/Q."""
-    support = [(i, _zt_split(c)) for i, c in enumerate(row) if c]
-    dens, nums = _over_distinct([nd for _, nd in support])
-    return tuple(zip([i for i, _ in support], nums)), reduce(_convolve, dens, [1])
+def _ord(a: list[int]) -> int:
+    """ord_t of a nonzero integer list."""
+    k = 0
+    while not a[k]:
+        k += 1
+    return k
 
 
-def _zt_value_at(row, split, p: int) -> tuple[int, int] | None:
-    """v(sum A_i*x_i / Q) for a row's clearing (terms, Q) from _zt_clearing,
-    at x split by _zt_split (None for x_i = 0); None for a zero value.  One
-    live term gives v(A_i) + v(n_i) - v(d_i) - v(Q); more give v(S) - v(D)
-    - v(Q), for D and S = sum A_i*n_i*(D/d_i) from _over_distinct."""
-    terms, q = row
-    live = [(a, split[i]) for i, a in terms if split[i]]
-    if len(live) == 1:
-        ((a, (n, d)),) = live
-        ups, downs = (a, n), (d, q)
+def _zt_lcm(a: list[int], b: list[int]) -> list[int]:
+    """The lcm in Z[t] of two nonzero integer lists with positive leading
+    coefficients: the lcm of their contents times that of their primitive
+    parts.  The powers of t are split off first, and two distinct linear
+    factors with a nonzero constant term, irreducible, are coprime, so the
+    denominators 1, t^k and 1 + c*t take no gcd."""
+    if a == b:
+        return a
+    ca, cb = gcd(*a), gcd(*b)
+    i, j = (0 if a[0] else _ord(a)), (0 if b[0] else _ord(b))
+    a, b = a[i:] if ca == 1 else [y // ca for y in a[i:]], b[j:] if cb == 1 else [y // cb for y in b[j:]]
+    if a == b or len(b) == 1:
+        m = a
+    elif len(a) == 1:
+        m = b
+    elif len(a) == len(b) == 2:
+        m = _convolve(a, b)
     else:
-        dens, nums = _over_distinct([(_convolve(a, n), d) for a, (n, d) in live])
-        s = [0] * max(map(len, nums), default=0)
-        for n in nums:
-            for k, c in enumerate(n):
-                s[k] += c
-        ups, downs = (s,), dens + [q]
-    t = e = 0
-    for n in ups:
-        if (v := _zt_value(n, p)) is None:
-            return None
-        t, e = t + v[0], e + v[1]
-    for d in downs:
-        dt, de = _zt_value(d, p)
-        t, e = t - dt, e - de
-    return t, e
+        g = _zt_gcd(a, b)
+        m = _convolve(a, b if len(g) == 1 else _zt_quo(b, g))
+    c = lcm(ca, cb)
+    return [0] * max(i, j) + (m if c == 1 else [y * c for y in m])
 
 
-def _zt_valuations(rows, x, p: int):
-    """_zt_value_at of each row clearing at the point x, as consumed."""
-    split = [_zt_split(c) if c else None for c in x]
-    return (_zt_value_at(row, split, p) for row in rows)
+def _zt_sum(a: list[int], b: list[int]) -> list[int]:
+    """a + b in Z[t], as a new list (trailing zeros are kept)."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
+def _zt_dot(a, b) -> list[int]:
+    """sum a_i*b_i in Z[t] for two sequences of integer lists ([] for 0), as
+    a new list (trailing zeros are kept)."""
+    out = []
+    for x, y in zip(a, b):
+        if x and y:
+            out = _zt_sum(out, _convolve(x, y))
+    return out
+
+
+def _coprime(lists) -> list:
+    """The integer lists, the last nonzero, divided by their primitive gcd
+    in Z[t]: one chain of `_zt_gcd`, the last list's with the others,
+    shortest first, which stops as soon as it reaches a constant."""
+    g = _primitive_part(lists[-1])
+    for a in sorted(filter(None, lists[:-1]), key=len):
+        if len(g) == 1:
+            return lists
+        g = _zt_gcd(g, a)
+    return lists if len(g) == 1 else [_zt_quo(a, g) for a in lists]
+
+
+def _scalar(a: list[int], d: list[int]) -> RationalFunction:
+    """a/d in Z[t] as a reduced RationalFunction, for d != 0."""
+    if not a:
+        return RationalFunction.ZERO
+    if len(d) > 1:
+        a, d = _coprime([a, d])
+    if d[-1] < 0:
+        a, d = [-y for y in a], [-y for y in d]
+    return RationalFunction._reduced(Polynomial._from_ints(a[:], d[-1]), Polynomial._from_ints(d[:], d[-1]))
+
+
+def _content(lists) -> list:
+    """The integer lists, the last nonzero, divided by the content of all
+    their coefficients and signed so that the last has lc > 0."""
+    c = 0
+    for y in chain.from_iterable(lists):
+        if (c := gcd(c, y)) == 1:
+            break
+    if lists[-1][-1] < 0:
+        c = -c
+    return lists if c == 1 else [[y // c for y in a] for a in lists]
+
+
+class QtVector:
+    """A vector over Q(t) as a clearing in Z[t]: integer coefficient lists
+    A_1, ..., A_n, [] for 0, over one nonzero integer list D.  Its one
+    canonical form, which ``nums`` and ``den`` read, has the Q[t]-gcd of
+    (A_1, ..., A_n, D) equal to 1, the integer content of all their
+    coefficients 1 and lc(D) > 0, so 0 is ([], ..., []) over [1]; it is
+    the form of every element over Q(t) and of every row's clearing.
+
+    ``of`` is the one place where a sequence of RationalFunctions becomes
+    one, canonical.  Arithmetic leaves its result as the clearing it summed
+    (`_clearing`), made canonical once, when it is first observed: read
+    through ``nums`` or ``den``, compared or printed.  A valuation read and
+    further arithmetic take any clearing as it is, since v(S/D) = v(S) -
+    v(D) for every representation, so a product that is only valued takes
+    no gcd.  Iterating or indexing yields reduced RationalFunctions, built
+    on the first read or kept from ``of``'s input, and a QtVector equals,
+    and hashes as, the tuple of them.  Readers copy a list before they
+    change it.
+    """
+
+    __slots__ = ("_nums", "_den", "_canon", "_scalars")
+
+    @classmethod
+    def _make(cls, nums, den: list[int], canon: bool = True) -> "QtVector":
+        out = object.__new__(cls)
+        out._nums, out._den, out._canon, out._scalars = tuple(nums), den, canon, None
+        return out
+
+    @classmethod
+    def pair(cls, x) -> tuple:
+        """(nums, den) of ``of(x)``, the clearing as it is stored."""
+        x = cls.of(x)
+        return x._nums, x._den
+
+    @classmethod
+    def _clearing(cls, nums, den: list[int]) -> "QtVector":
+        """nums/den for integer lists and a nonzero den, with the trailing
+        zeros stripped off in place, to be made canonical when observed."""
+        for a in (*nums, den):
+            while a and not a[-1]:
+                a.pop()
+        return cls._make(nums, den, False)
+
+    @classmethod
+    def of(cls, x) -> "QtVector":
+        """x itself when it is a QtVector, else its reduced RationalFunctions
+        n_i/d_i (primitive d_i) over the lcm of the d_i, which leaves no
+        Q[t]-gcd to take, times the lcm of their integer denominators; then
+        the content is divided out."""
+        if type(x) is cls:
+            return x
+        x = tuple(x)
+        den, n = [1], 1  # 0 is 0/1 over 1
+        for c in x:
+            if len(d := c.den.ints) > 1 and d != den:
+                den = _zt_lcm(den, d)
+            if c.num.den != 1:
+                n = lcm(n, c.num.den)
+        nums = []
+        for c in x:
+            num, d = c.num, c.den
+            q = den if len(d.ints) == 1 else [1] if d.ints == den else _zt_quo(den, d.ints)
+            a = _convolve(num.ints, q) if len(q) > 1 else num.ints
+            f = d.den * n // num.den
+            nums.append([y * f for y in a] if f != 1 else a)
+        *nums, den = _content([*nums, [y * n for y in den] if n != 1 else den])
+        out = cls._make(nums, den)
+        out._scalars = x
+        return out
+
+    def _settle(self) -> None:
+        """Make the clearing canonical, in place and once: the power of t
+        taken off the t-orders, then the rest of the Q[t]-gcd (`_coprime`),
+        then the integer content."""
+        if self._canon:
+            return
+        nums, den = self._nums, self._den
+        if not any(nums):
+            lists = [[] for _ in nums] + [[1]]
+        else:
+            lists = [*nums, den]
+            if len(den) > 1:
+                if k := _ord(den):
+                    k = min(k, *(_ord(a) for a in nums if a))
+                    lists = [a[k:] for a in lists]
+                lists = _coprime(lists)
+            lists = _content(lists)
+        self._nums, self._den, self._canon = tuple(lists[:-1]), lists[-1], True
+
+    @property
+    def nums(self) -> tuple:
+        self._settle()
+        return self._nums
+
+    @property
+    def den(self) -> list[int]:
+        self._settle()
+        return self._den
+
+    def _coords(self) -> tuple:
+        if self._scalars is None:
+            self._scalars = tuple(_scalar(a, self._den) for a in self._nums)
+        return self._scalars
+
+    def __len__(self):
+        return len(self._nums)
+
+    def __iter__(self):
+        return iter(self._coords())
+
+    def __getitem__(self, i):
+        return self._coords()[i]
+
+    def __eq__(self, other):
+        if type(other) is QtVector:
+            return self.den == other.den and self.nums == other.nums
+        return isinstance(other, tuple) and self._coords() == other
+
+    def __hash__(self):
+        return hash(self._coords())
+
+    def __repr__(self):
+        return f"QtVector({list(self.nums)}, {self.den})"
+
+
+def _row_clearing(row) -> QtVector:
+    """A row of scalars as a QtVector clearing over the product of its
+    distinct denominators (`_over_distinct`), which takes no gcd: a row is
+    only read, so it is never made canonical."""
+    dens, nums = _over_distinct([_zt_split(c) if c else ([], [1]) for c in row])
+    return QtVector._clearing(nums, reduce(_convolve, dens, [1]))
+
+
+def _zt_value_of_dot(row: QtVector, x: QtVector, xv: tuple[int, int], p: int):
+    """v of the value of a row at x, given xv = v(x.den), None for 0: the
+    row's A_i over Q and x's X_i over D give v(sum A_i*X_i) - v(Q) - v(D),
+    with no gcd and no scalar.  v of a product adds, so the lowest t-order
+    k among the A_i*X_i and the sum c of their t^k coefficients give
+    v(sum A_i*X_i) = (k, v_p(c)) unless c = 0; only then is the sum formed."""
+    k = None
+    for a, b in zip(row._nums, x._nums):
+        if a and b:
+            i, j = (0 if a[0] else _ord(a)), (0 if b[0] else _ord(b))
+            if k is None or i + j < k:
+                k, c = i + j, a[i] * b[j]
+            elif i + j == k:
+                c += a[i] * b[j]
+    if k is None:
+        return None
+    if c:
+        v = k, _int_p_exponent(c, p)
+    elif (v := _zt_value(_zt_dot(row._nums, x._nums), p)) is None:
+        return None
+    qt, qe = _zt_value(row._den, p)
+    return v[0] - qt - xv[0], v[1] - qe - xv[1]
 
 
 def format_poly_list(poly: Polynomial) -> list[str]:

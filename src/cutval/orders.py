@@ -35,6 +35,7 @@ from .algebra import (PolynomialAlgebra, StructureAlgebra, _eliminate, _padic_pi
                       is_independent, matrix_algebra)
 from .basedomain import BaseDomain, is_subdomain
 from .errors import ConfigError, DomainError, StructuralError
+from .numfield import QtVector
 from .samplers import (sample_in_domain, sample_member, sample_scalar)
 from .sampling import SampleSpec, check_sample_count
 from .stability import StableBasisCertificate, insert_many, stabilizer_finite
@@ -93,8 +94,6 @@ class SubringOracle:
     lattice_basis: tuple | None = None
     contained_basis: tuple | None = None
     certificate: StableBasisCertificate | None = None
-    # The contained basis as the columns of rows (None without one).
-    _basis_rows: _Rows | None = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lattice_basis is not None and not (
@@ -104,8 +103,12 @@ class SubringOracle:
         fieldobj = self.algebra.field
         object.__setattr__(self, "constraints", tuple(
             (dom, _Rows(fieldobj, rows)) for dom, rows in self.constraints))
-        object.__setattr__(self, "_basis_rows", column_rows(self.algebra, self.contained_basis)
-                           if self.contained_basis else None)
+
+    @cached_property
+    def _basis_rows(self) -> _Rows | None:
+        """The contained basis as the columns of rows (None without one),
+        made for the first member drawn."""
+        return column_rows(self.algebra, self.contained_basis) if self.contained_basis else None
 
     @property
     def lattice_rows(self) -> tuple | None:
@@ -197,7 +200,7 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
         if any(r is None for r in t_rows):
             return None
     inverse = invert(alg.field, t_rows)
-    basis = tuple(_transpose(inverse.stored) if inverse.q else zip(*inverse.stored))
+    basis = tuple(_transpose(inverse.stored) if inverse.q else map(QtVector.of, zip(*inverse.stored)))
     if not all(domain.admits(rows, b) for b in basis):
         raise StructuralError("lattice basis disagrees with the predicate")
     return SubringOracle(

@@ -4,9 +4,11 @@ Everything draws from a :class:`~cutval.sampling.SplitMix64` stream shaped
 by a :class:`~cutval.sampling.SampleSpec`, so audits and tests are
 reproducible from (seed, spec) alone: each draw's value and the stream
 position after it are fixed.  Q(t) draws are made from the stream's integer
-pairs in Z[t], with no ``Fraction`` and no product of scalars, and an
-algebra element or a member over Q from its integer pairs, as one
-``QVector``.
+pairs in Z[t], with no ``Fraction`` and no product of scalars.  An algebra
+element or a member is one vector: over Q made from its integer pairs, as
+a ``QVector``, over Q(t) from its draws' integer lists, as a ``QtVector``
+(``QtVector.of``, whose lcm of the draws' denominators 1, t^k and 1 + c*t
+takes no gcd; `_Rows.element` converts a member's coefficients so).
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from math import lcm
 
 from .algebra import PolynomialAlgebra, StructureAlgebra
 from .basedomain import BaseDomain
-from .numfield import Polynomial, QVector, RationalFunction, ValuedField, _exact_quo, _t_power
+from .numfield import (Polynomial, QtVector, QVector, RationalFunction, ValuedField, _exact_quo,
+                       _t_power)
 from .sampling import SampleSpec, SplitMix64, rational_pair, sample_int, sample_rational
 
 
@@ -100,8 +103,8 @@ def sample_algebra_element(rng: SplitMix64, spec: SampleSpec, alg: StructureAlge
     if field.kind == "Q":
         return _vector([(0, 1) if rng.randrange(4) == 0 else rational_pair(rng, spec, field.p)
                         for _ in range(alg.dim)])
-    return tuple(field.zero if rng.randrange(4) == 0 else sample_scalar(rng, spec, field)
-                 for _ in range(alg.dim))
+    return QtVector.of([field.zero if rng.randrange(4) == 0 else sample_scalar(rng, spec, field)
+                        for _ in range(alg.dim)])
 
 
 def sample_poly_element(rng: SplitMix64, spec: SampleSpec, palg: PolynomialAlgebra) -> dict:

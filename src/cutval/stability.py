@@ -31,7 +31,7 @@ from .algebra import (StructureAlgebra, _Rows, coordinate_rows, is_independent,
                       product_rows)
 from .basedomain import BaseDomain
 from .errors import DomainError, StructuralError
-from .numfield import QVector
+from .numfield import QtVector, QVector
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ class StableBasisCertificate:
     def __post_init__(self):
         alg, domain = self.algebra, self.domain
         domain.check_field(alg.field)
-        if alg.field.kind == "Q":  # a basis given as tuples is cleared once, here
-            object.__setattr__(self, "basis", tuple(map(QVector.of, self.basis)))
+        # a basis given as tuples is cleared once, here
+        object.__setattr__(self, "basis", tuple(map(QVector.of if alg._q else QtVector.of, self.basis)))
         object.__setattr__(self, "coords", coordinate_rows(alg, self.basis))
         object.__setattr__(self, "rows", product_rows(alg, self.coords, self.basis))
         if self.stabilizer is None:  # delta_i clears the row values at b_i: coords(b_i*b_j), all j

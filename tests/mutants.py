@@ -129,10 +129,10 @@ MUTANTS = (
         "_bareiss forward only also updates the rows above each pivot"),
     Mutant(
         "zt-value-drops-q", "src/cutval/numfield.py",
-        "ups, downs = (s,), dens + [q]",
-        "ups, downs = (s,), dens",
+        "return v[0] - qt - xv[0], v[1] - qe - xv[1]",
+        "return v[0] - xv[0], v[1] - xv[1]",
         ("tests/test_kernel.py::test_qt_valuations_match_the_scalar_values",),
-        "a Q(t) row value read with several live terms leaves out v(Q) of the row's denominator"),
+        "a Q(t) row value read leaves out v(Q) of the row's denominator"),
     Mutant(
         "window-width-2b", "src/cutval/oracle.py",
         "weights = [(4 * bound + 1) ** i",
@@ -164,6 +164,44 @@ MUTANTS = (
         "[x * v.den for x in v.ints]",
         ("tests/test_kernel.py::test_product_rows_match_reference[M3(Q)]",),
         "_transpose scales row i by d_i instead of L/d_i"),
+    Mutant(
+        "qtvector-gcd-dropped", "src/cutval/numfield.py",
+        "                lists = _coprime(lists)\n",
+        "                pass\n",
+        ("tests/test_algebra.py::test_qt_elements_match_the_ratfunc_tuples[M2(Q(t))]",),
+        "an element over Q(t) keeps a common factor of Q[t] other than a power of t"),
+    Mutant(
+        "qtvector-content-kept", "src/cutval/numfield.py",
+        "    return lists if c == 1 else [[y // c for y in a] for a in lists]",
+        "    return lists",
+        ("tests/test_algebra.py::test_qt_clearing_is_made_canonical_when_observed",
+         "tests/test_algebra.py::test_qt_samplers_draw_the_ratfunc_tuples"),
+        "an element over Q(t) keeps the integer content of its coefficients"),
+    Mutant(
+        "qtvector-sign-kept", "src/cutval/numfield.py",
+        "    if lists[-1][-1] < 0:\n        c = -c\n",
+        "",
+        ("tests/test_algebra.py::test_qt_clearing_is_made_canonical_when_observed",),
+        "a clearing over Q(t) keeps a denominator with a negative leading coefficient"),
+    Mutant(
+        "qt-mul-drops-table-den", "src/cutval/algebra.py",
+        "de if self._den == [1] else _convolve(de, self._den)",
+        "de",
+        ("tests/test_algebra.py::test_qt_elements_match_the_ratfunc_tuples[Q(t)[x]/(x^2-1/t)]",),
+        "a product over Q(t) leaves out the table's denominator"),
+    Mutant(
+        "invert-qt-gauss-jordan", "src/cutval/algebra.py",
+        "        return _Rows(fieldobj, _back_substitute(pivots, n))\n",
+        "        for k in range(n - 1, -1, -1):\n"
+        "            pivots[k] = [x / pivots[k][k] for x in pivots[k]]\n"
+        "            for i in range(n):\n"
+        "                if i != k and pivots[i][k]:\n"
+        "                    f = pivots[i][k]\n"
+        "                    pivots[i] = [a - f * b for a, b in zip(pivots[i], pivots[k])]\n"
+        "        return _Rows(fieldobj, [row[n:] for row in pivots])\n",
+        ("tests/test_kernel.py::test_inverting_t_costs_one_back_substitution",
+         "tests/test_kernel.py::test_one_inverse_and_no_products_per_build[Q(t)[x]/(x^2-t)/O_v]"),
+        "invert over Q(t) runs Gauss-Jordan, each pivot row normalised and cleared above and below"),
 )
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -8,12 +9,15 @@ from cutval.algebra import (PolynomialAlgebra, StructureAlgebra, TableReport, _R
                             check_associative_unital, extend_to_basis,
                             is_independent, matrix_algebra, matrix_element,
                             quadratic_algebra, solve_columns)
-from cutval.basedomain import integers, p_local
+from cutval import orders
+from cutval.basedomain import integers, p_local, valuation_ring
 from cutval.errors import StructuralError
-from cutval.numfield import QVector, RationalFunction, ValuedField, _cleared
+from cutval.numfield import (Polynomial, QtVector, QVector, RationalFunction, ValuedField, _cleared,
+                             _exact_quo, _t_power, _zt_gcd)
 from cutval.orders import LatticeModule, left_order
 from cutval.samplers import sample_algebra_element, sample_in_domain, sample_member, sample_scalar
-from cutval.sampling import SampleSpec, SplitMix64, sample_int
+from cutval.sampling import SampleSpec, SplitMix64, rational_pair, sample_int
+from cutval.stability import stabilizer_finite
 from test_kernel import FRACTIONAL, M3_DRAW, draw_bases, mul_reference
 
 
@@ -335,3 +339,288 @@ def test_sample_member_draws_the_fraction_members(case):
         assert rng.state == ref_rng.state
         assert sample_in_domain(rng, spec, domain) == sample_in_domain_reference(ref_rng, spec, domain)
         assert rng.state == ref_rng.state
+
+
+# --- elements over Q(t) as one clearing, against the RationalFunction tuples they replaced ---
+
+
+QT2 = ValuedField("Qt", 2)
+E2E_QT_DRAW = dict(coef_bound=4, max_p_exp=2, poly_degree=1)  # tests/e2e_random_basis.py "M2(Q(t))"
+QT_ELEMENT_ALGEBRAS = {
+    "M2(Q(t))": lambda: matrix_algebra(QT2, 2),
+    "Q(t)[x]/(x^2-t)": lambda: quadratic_algebra(QT2, RationalFunction.T),
+    # a table over D = t, so a product that drops the table's denominator shows
+    "Q(t)[x]/(x^2-1/t)": lambda: quadratic_algebra(QT2, QT2.scalar({"num": ["1"], "den": ["0", "1"]})),
+}
+
+
+def sample_ratfunc_reference_before_clearing(rng, spec, p):
+    """sample_ratfunc as it was before Q(t) elements were cleared, verbatim."""
+    deg = rng.randint(0, spec.poly_degree)
+    pairs = [rational_pair(rng, spec, p) for _ in range(deg + 1)]
+    d = lcm(*(b for _, b in pairs))
+    num = Polynomial._from_ints([a * (d // b) for a, b in pairs], d)
+    shape = rng.randrange(3)
+    if shape == 0 or num.is_zero():
+        return RationalFunction._reduced(num, Polynomial.ONE)
+    if shape == 1:
+        k = rng.randint(1, 2)
+        j = min(num.ord(), k)
+        return RationalFunction._reduced(Polynomial._from_ints(num.ints[j:], num.den), _t_power(k - j))
+    a, b = rational_pair(rng, spec, p)
+    if not a:
+        return RationalFunction._reduced(num, Polynomial.ONE)
+    a, b = (a, b) if a > 0 else (-a, -b)
+    root, power = 0, 1
+    for x in num.ints:
+        root, power = root * a + x * power, -power * b
+    num = Polynomial._from_ints([x * b for x in num.ints], num.den * a)
+    den = Polynomial._from_ints([b, a], a)
+    if root:
+        return RationalFunction._reduced(num, den)
+    return RationalFunction._reduced(_exact_quo(num, den), Polynomial.ONE)
+
+
+def sample_qt_element_reference(rng, spec, alg):
+    """sample_algebra_element over Q(t) before the clearing: a tuple."""
+    return tuple(alg.field.zero if rng.randrange(4) == 0
+                 else sample_ratfunc_reference_before_clearing(rng, spec, alg.field.p)
+                 for _ in range(alg.dim))
+
+
+def sample_ov_reference(rng, spec, field):
+    """sample_in_domain over O_v before the clearing, verbatim."""
+    f = sample_ratfunc_reference_before_clearing(rng, spec, field.p)
+    if f.is_zero():
+        return f
+    v = field.value(f)
+    if v >= (0, 0):
+        return f
+    n, a, den = max(0, -v[0]), max(0, -v[1]), f.den
+    m = min(n, den.ord())
+    num = Polynomial._from_ints([0] * (n - m) + [x * field.p ** a for x in f.num.ints], f.num.den)
+    return RationalFunction._reduced(num, Polynomial._from_ints(den.ints[m:], den.den) if m else den)
+
+
+def sample_qt_member_reference(rng, spec, oracle):
+    """sample_member over Q(t) before the clearing: the contained basis
+    combined with sample_in_domain coefficients in RationalFunctions."""
+    basis = [tuple(b) for b in oracle.contained_basis]
+    coeffs = [sample_ov_reference(rng, spec, oracle.domain.valued_field) for _ in basis]
+    out = []
+    for k in range(oracle.algebra.dim):
+        acc = RationalFunction.ZERO
+        for c, b in zip(coeffs, basis):
+            if c and b[k]:
+                acc = acc + c * b[k]
+        out.append(acc)
+    return tuple(out)
+
+
+def row_values_reference(rows, x):
+    """The values of stored scalar rows at a scalar tuple x, in RationalFunctions."""
+    out = []
+    for row in rows.stored:
+        acc = RationalFunction.ZERO
+        for r, c in zip(row, x):
+            if r and c:
+                acc = acc + r * c
+        out.append(acc)
+    return tuple(out)
+
+
+def gcd_mod(a, b, q):
+    """gcd(a, b) over GF(q), by Euclid, for integer lists: a list of
+    residues without trailing zeros, [] for two zeros."""
+    def reduced(c):
+        c = [x % q for x in c]
+        while c and not c[-1]:
+            c.pop()
+        return c
+    a, b = reduced(a), reduced(b)
+    while b:
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            f, s = a[-1] * inv % q, len(a) - len(b)
+            for i, y in enumerate(b):
+                a[s + i] = (a[s + i] - f * y) % q
+            a = reduced(a)
+        a, b = b, a
+    return a
+
+
+def assert_qt_canonical(v):
+    """The three invariants of a QtVector's canonical form, with no trailing
+    zeros: Q[t]-gcd 1, integer content 1 and lc(den) > 0; 0 is ([], ...,
+    []) over [1].  A common factor of positive degree over Q keeps it mod a
+    prime q that does not divide lc(den), so a gcd of degree 0 mod q, by
+    Euclid over GF(q), not by the remainder sequence in Z[t] that makes
+    the form, proves the first; else that remainder sequence decides."""
+    nums, den = v.nums, v.den
+    assert all(not a or a[-1] for a in nums) and den and den[-1] > 0
+    assert gcd(*(y for a in (*nums, den) for y in a)) == 1
+    if not any(nums):
+        assert den == [1]
+        return
+    q, g = 2 ** 61 - 1, den
+    for a in nums:
+        g = gcd_mod(g, a, q)
+    if len(g) > 1 or den[-1] % q == 0:
+        g = den
+        for a in filter(None, nums):
+            g = _zt_gcd(g, a)
+    assert len(g) == 1
+
+
+def assert_qt_cleared(got, ref):
+    """got is the canonical QtVector of the RationalFunction tuple ref,
+    equal to ref both ways, hashed as ref, and read back as ref."""
+    assert type(got) is QtVector
+    assert_qt_canonical(got)
+    assert got == ref and ref == got and not got != ref and hash(got) == hash(ref)
+    assert tuple(got) == ref and tuple(got[i] for i in range(len(ref))) == ref
+    assert got == QtVector.of(ref) and hash(got) == hash(QtVector.of(ref))
+
+
+def e2e_qt_rows():
+    """The M2(Q(t)) basis of tests/e2e_random_basis.py, its certificate and
+    left order: dense coordinate and product rows with distinct denominators."""
+    alg, domain = matrix_algebra(QT2, 2), valuation_ring(QT2)
+    basis = draw_bases(alg, 7, E2E_QT_DRAW, 1)[0]
+    cert = stabilizer_finite(alg, basis, domain)
+    return basis, cert
+
+
+def qt_hand_points(alg):
+    """Zero coordinates, the zero vector, t^k and 1 + c*t denominators,
+    repeated and shared ones, a common factor to cancel and a negative lc."""
+    f = QT2.scalar
+    n = alg.dim
+    one_plus_3t = {"num": ["1"], "den": ["1", "3"]}
+    shapes = [
+        [f(0)] * n,
+        [f({"num": ["1"], "den": ["0", "0", "1"]})] + [f(0)] * (n - 1),
+        [f({"num": ["2", "5"], "den": ["0", "1"]}), f(one_plus_3t)] + [f("-7/4")] * (n - 2),
+        [f(one_plus_3t)] * n,
+        [f({"num": ["1", "3"], "den": ["0", "0", "1"]}), f({"num": ["0", "-1"], "den": ["1", "-2"]})]
+        + [f({"num": ["3", "1/2"], "den": ["1", "1/5"]})] * (n - 2),
+    ]
+    return [tuple(s) for s in shapes]
+
+
+@pytest.mark.parametrize("name", sorted(QT_ELEMENT_ALGEBRAS))
+def test_qt_elements_match_the_ratfunc_tuples(name):
+    """Over Q(t), add, smul, mul and is_zero agree with the RationalFunction
+    tuple arithmetic they replaced, on drawn elements, 0, 1, the basis
+    vectors, hand-built points and the dense rows of the e2e M2(Q(t))
+    basis, given as QtVectors or as tuples, and every result is canonical;
+    equality and hashing are the tuple's.  _Rows.valuations and values
+    agree with the scalar row values on the product rows, coordinate rows,
+    T and the contained basis's columns of the algebra's unit basis and of
+    that basis, and so does element on those columns, which it reads."""
+    alg = QT_ELEMENT_ALGEBRAS[name]()
+    spec = SampleSpec(seed=81, count=0, coef_bound=4, max_p_exp=2, poly_degree=1)
+    rng = spec.rng()
+    points = [(x, tuple(x)) for x in (sample_algebra_element(rng, spec, alg) for _ in range(12))]
+    special = [alg.zero, alg.unit] + [alg.basis_vector(i) for i in range(alg.dim)]
+    points += [(QtVector.of(p), p) for p in qt_hand_points(alg)] + [(x, tuple(x)) for x in special]
+    domain = valuation_ring(QT2)
+    certs = [stabilizer_finite(alg, tuple(alg.basis_vector(i) for i in range(alg.dim)), domain)]
+    if alg.dim == 4:
+        basis, cert = e2e_qt_rows()
+        certs.append(cert)
+        points += [(QtVector.of(r), tuple(r)) for r in (cert.coords.stored[1], cert.rows.stored[6], basis[0])]
+    for x, xr in points:
+        assert_qt_cleared(x, xr)
+    assert alg.zero.den == [1] and alg.add(alg.unit, alg.smul(-QT2.one, alg.unit)) == alg.zero
+    scalars = [QT2.zero, QT2.one, QT2.scalar("-3/2"), RationalFunction.T,
+               QT2.scalar({"num": ["0", "4"], "den": ["1", "2"]}),
+               QT2.scalar({"num": ["1"], "den": ["0", "1"]})]
+    pairs = [(a, b) for a in points[:6] + points[12:] for b in points[6:12] + points[-8:-3]]
+    for (x, xr), (y, yr) in pairs:
+        assert_qt_cleared(alg.add(x, y), add_reference(xr, yr))
+        assert_qt_cleared(alg.mul(x, y), mul_reference(alg, xr, yr))
+        assert alg.mul(xr, yr) == alg.mul(x, y) and alg.add(xr, y) == alg.add(x, yr)
+        assert (x == y) == (xr == yr) and (x == yr) == (xr == y)
+    for x, xr in points:
+        for c in scalars:
+            assert_qt_cleared(alg.smul(c, x), smul_reference(c, xr))
+        assert alg.is_zero(x) == alg.is_zero(xr) == is_zero_reference(xr)
+        assert xr in {x} and x in {xr}
+    for c in certs:
+        R = orders.nice_from_certificate(c)
+        for rows in (c.rows, c.coords, R.lattice_rows, R._basis_rows):
+            for x, xr in points if rows is not c.rows or c is certs[0] else points[:4]:
+                want = row_values_reference(rows, xr)
+                assert tuple(rows.values(x)) == want == tuple(rows.values(xr))
+                assert list(rows.valuations(x, QT2)) == [QT2.value(v) if v else None for v in want]
+                if rows is R._basis_rows:
+                    assert_qt_cleared(rows.element(x), want)
+
+
+def test_qt_clearing_is_made_canonical_when_observed():
+    """Arithmetic keeps the clearing it summed; nums and den read its
+    canonical form: a negative leading coefficient, a common factor 1 + 2t
+    and an integer content are taken out, and zero lists become 0 over 1.
+    A sum keeps its summands' denominator 1 + t, which divides the sum of
+    t^2 and -9t - 10; the numerator vanishes at 10, so a gcd that reads
+    values there would miss the factor."""
+    v = QtVector._clearing([[1], [2, 4, 0]], [-2, -4])  # 1/(-2-4t), (2+4t)/(-2-4t)
+    assert v.nums == ([-1], [-2, -4]) and v.den == [2, 4]
+    assert_qt_cleared(v, (QT2.scalar({"num": ["-1"], "den": ["2", "4"]}), -QT2.one))
+    w = QtVector._clearing([[3, 6], [0, 6, 12]], [0, 9, 18])  # (3+6t)/(9t+18t^2), (6t+12t^2)/(...)
+    assert w.nums == ([1], [0, 2]) and w.den == [0, 3]
+    z = QtVector._clearing([[0, 0], []], [5, 7])
+    assert z.nums == ([], []) and z.den == [1]
+    quad, one_t = quadratic_algebra(QT2, RationalFunction.T), Polynomial((1, 1))
+    s = quad.add((RationalFunction(Polynomial((0, 0, 1)), one_t), QT2.zero),
+                 (RationalFunction(Polynomial((-10, -9)), one_t), QT2.zero))
+    assert s.nums == ([-10, 1], []) and s.den == [1]
+    assert_qt_cleared(s, (RationalFunction(Polynomial((-10, 1))), QT2.zero))
+
+
+def test_qt_samplers_draw_the_ratfunc_tuples():
+    """sample_algebra_element and sample_member over Q(t), now QtVectors
+    made of the draws' integer lists, draw the RationalFunction tuples
+    of the samplers they replaced and leave the stream where those did, on
+    the audit-qt order (unit basis), a drawn Q(t)[x]/(x^2-t) order and the
+    e2e M2(Q(t)) order."""
+    domain = valuation_ring(QT2)
+    m2, quad = matrix_algebra(QT2, 2), quadratic_algebra(QT2, RationalFunction.T)
+    orders_ = [left_order(LatticeModule(m2, domain, tuple(m2.basis_vector(i) for i in range(4)))),
+               left_order(LatticeModule(quad, domain, draw_bases(quad, 8, dict(coef_bound=3, max_p_exp=1,
+                                                                                poly_degree=2), 1)[0])),
+               orders.nice_from_certificate(e2e_qt_rows()[1])]
+    for k, R in enumerate(orders_):
+        for degree in (1, 2):
+            spec = SampleSpec(seed=90 + k, count=0, coef_bound=5, max_p_exp=2, poly_degree=degree)
+            rng, ref_rng = spec.rng(), spec.rng()
+            for _ in range(6 if k == 2 else 20):
+                assert_qt_cleared(sample_algebra_element(rng, spec, R.algebra),
+                                  sample_qt_element_reference(ref_rng, spec, R.algebra))
+                assert rng.state == ref_rng.state
+                assert_qt_cleared(sample_member(rng, spec, R), sample_qt_member_reference(ref_rng, spec, R))
+                assert rng.state == ref_rng.state
+                assert sample_in_domain(rng, spec, domain) == sample_ov_reference(ref_rng, spec, QT2)
+                assert rng.state == ref_rng.state
+
+
+def test_arithmetic_over_qt_takes_no_ratfunc_arithmetic(monkeypatch):
+    """On drawn QtVectors add, smul, mul and is_zero, and the valuation
+    reads of a _Rows, run with RationalFunction + and * raising."""
+    alg = matrix_algebra(QT2, 2)
+    spec = SampleSpec(seed=82, count=0, coef_bound=4, max_p_exp=2, poly_degree=1)
+    rng = spec.rng()
+    xs = [sample_algebra_element(rng, spec, alg) for _ in range(12)]
+    rows = _Rows(alg.field, [tuple(x) for x in xs[:6]])
+    cs = [c for x in xs for c in x if c][:6]
+
+    def refused(*args):
+        raise AssertionError("RationalFunction arithmetic")
+    monkeypatch.setattr(RationalFunction, "__add__", refused)
+    monkeypatch.setattr(RationalFunction, "__mul__", refused)
+    with pytest.raises(AssertionError):
+        RationalFunction.T * RationalFunction.T
+    for x, y, c in zip(xs, xs[1:], cs * 2):
+        alg.add(x, y), alg.smul(c, x), alg.mul(x, y), alg.is_zero(x)
+        list(rows.valuations(x, alg.field))

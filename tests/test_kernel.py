@@ -1694,6 +1694,24 @@ def test_integer_gcd_and_quotient_match_reference(x, y, g):
             _exact_quo(a + Polynomial.ONE, g.monic())
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.lists(cofactors_64, min_size=1, max_size=4), factors_64.filter(bool), shared_64)
+@example([seeded_product(9, (8, 8), 1), Polynomial.ZERO], seeded_product(10, (8,), 1),
+         seeded_product(11, (6,), 1))
+@example([Polynomial.T * Polynomial.T, Polynomial((1, 1))], Polynomial((3, 1)), Polynomial.ONE)
+@example([Polynomial((-10, 1))], Polynomial.ONE, Polynomial((1, 1)))  # (t - 10)(1 + t) vanishes at 10
+def test_coprime_divides_by_the_gcd_of_all(xs, d, g):
+    """_coprime divides integer lists, the last nonzero, by their primitive
+    gcd in Z[t], the chained Euclid reference."""
+    polys = [x * g for x in xs] + [d * g]
+    lists = [f.ints[:] for f in polys]
+    ref = Polynomial.ZERO
+    for f in polys:
+        ref = poly_gcd_reference(ref, f)
+    for a, q in zip(lists, numfield._coprime([a[:] for a in lists])):
+        assert numfield._convolve(q, ref.ints) == a
+
+
 def sample_ratfunc_reference(rng, spec, p):
     """The sampler that reduced every draw with the Euclidean gcd; it also
     returns the denominator drawn, before reduction."""
