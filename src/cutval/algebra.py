@@ -25,9 +25,12 @@ Over Q a row is an element: a `_Rows` holds each row a_i over d as the
 QVector it is, made canonical by `QVector._canonical`, the one gcd of
 every row and every element (`add`, `smul` and `mul` sum over the table
 cleared over one denominator D).  A `_Rows` reads x as its b_i over e:
-a row value is Fraction(sum a_i*b_i, d*e), `_Rows.valuations` takes
-v_p(sum a_i*b_i) - v_p(d) - v_p(e) off the integers, reducing nothing,
-and `_Rows.denominators` reads d*e / gcd(sum a_i*b_i, d*e).
+a row value is Fraction(sum a_i*b_i, d*e) (`_Rows.values`), and the
+domain reads the whole set as one pair (`_Rows.content`): the rows over
+the lcm L of their d, packed into one integer per column (`_Packing`),
+give every row sum from one product and one to_bytes, and the gcd g of
+those sums over L*e is the rational whose multiples the values are, off
+which membership, clearing and the least value are read.
 `product_rows` is one integer matrix product over the same cells, and
 every reader of the rows, the lattice's Z/p^K search included, takes
 them as they are; `_transpose` turns vectors into the columns of the
@@ -35,7 +38,7 @@ matrix they are the rows of.  Over Q(t) elements are summed the same
 way in Z[t], over the table cleared over one D in Z[t], and a result is
 left as that clearing until it is observed; rows keep their scalars for
 `_eliminate` and `product_rows`, and valuations and `element` read each
-row's clearing in Z[t] (see `numfield`).
+row's clearing in Z[t], one row at a time (see `numfield`).
 
 The polynomial backend :class:`PolynomialAlgebra` represents F[y] with the
 monomial basis; elements are sparse exponent -> coefficient dicts.
@@ -47,8 +50,9 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain, repeat
 from math import gcd, lcm, log2
-from operator import mul
+from operator import add, mul
 
 from .errors import ConfigError, StructuralError
 from .numfield import (QtVector, QVector, RationalFunction, ValuedField, _cleared, _convolve,
@@ -435,9 +439,12 @@ class _Rows:
     over Q as a `QtVector`: made on the first read with no gcd
     (`numfield._row_clearing`), or by `column_rows` off the columns'
     clearings.  Iterating yields `stored`.  _Rows(fieldobj, rows) is rows
-    itself when it is a _Rows.  Every membership test over a valuation
-    ring, of Q or Q(t), reads `valuations`.  A point x is read as its
-    element form's integers (integer lists over Q(t)) and denominator."""
+    itself when it is a _Rows.  The domain reads a set over Q as one pair,
+    `content`, off the rows packed over their lcm (`_packed`: one packing
+    a set, made again only when a point needs more bits), and a set over
+    Q(t) row by row, `valuations`; `values` builds the values themselves.
+    A point x is read as its element form's integers (integer lists over
+    Q(t)) and denominator."""
 
     def __new__(cls, fieldobj, rows):
         if isinstance(rows, _Rows):
@@ -448,7 +455,7 @@ class _Rows:
     @classmethod
     def _make(cls, stored, q: bool, zt=None):
         self = object.__new__(cls)
-        self.stored, self.q, self._zt = stored, q, zt
+        self.stored, self.q, self._zt, self._packed = stored, q, zt, None
         self.width = len(stored[0]) if stored else 0
         return self
 
@@ -493,32 +500,75 @@ class _Rows:
         return QVector._canonical([sum(map(mul, r.ints, b)) * (den // r.den) for r in self.stored], den * e)
 
     def valuations(self, x, vf: ValuedField):
-        """vf's value of each row value at x (None for a zero value), in row
-        order and as consumed, building no value and taking no gcd.  Over
-        Q, v_p(sum a_i*b_i) - v_p(d) - v_p(e) for vf's p, which need not be
-        the algebra field's; over Q(t), v(sum A_i*X_i) - v(Q) - v(D) off the
-        clearings (`numfield._zt_value_of_dot`)."""
+        """Over Q(t), vf's value of each row value at x (None for a zero
+        value), in row order and as consumed, building no value and taking
+        no gcd: v(sum A_i*X_i) - v(Q) - v(D) off the clearings
+        (`numfield._zt_value_of_dot`)."""
         self._check_width(x)
-        if not self.q:
-            x, p = QtVector.of(x), vf.p
-            xv = _zt_value(x._den, p)
-            return (_zt_value_of_dot(r, x, xv, p) for r in self.zt)
-        (b, e), p = QVector.pair(x), vf.p
-        ve = _int_p_exponent(e, p)
-        return ((_int_p_exponent(s, p) - _int_p_exponent(r.den, p) - ve,)
-                if (s := sum(map(mul, r.ints, b))) else None for r in self.stored)
+        x, p = QtVector.of(x), vf.p
+        xv = _zt_value(x._den, p)
+        return (_zt_value_of_dot(r, x, xv, p) for r in self.zt)
 
-    def denominators(self, x):
-        """Over Q, the reduced denominator of each row value at x, in row
-        order and as consumed: d*e / gcd(sum a_i*b_i, d*e), 1 for a zero
-        value, with no Fraction built."""
+    def content(self, x) -> tuple:
+        """Over Q, the row values at x as one pair (g, L*e), building none:
+        for x = b/e and L the lcm of the rows' d_r, value r is s_r/(L*e)
+        with s_r = sum_j (L/d_r)*a_rj*b_j, and g is the gcd of the s_r, 0
+        when every value is 0.  The values generate the fractional ideal
+        g/(L*e)*Z, so S reads membership, clearing and the least value off
+        this one rational (`BaseDomain.reads`).  The s_r are read off the
+        rows over L as one `_Packing`, made on the first read and again
+        only for a point of more bits than it was made for."""
         self._check_width(x)
         b, e = QVector.pair(x)
-        return ((de := r.den * e) // gcd(sum(map(mul, r.ints, b)), de) for r in self.stored)
+        bits = max(map(int.bit_length, b), default=0)
+        if self._packed is None or bits > self._packed[0]:
+            self._packed = self._pack(max(bits, 64))  # a word-sized point never re-packs
+        _, den, packing = self._packed
+        return gcd(*packing.sums(b)), den * e
+
+    def _pack(self, bits: int) -> tuple:
+        """(the most bits a point may have, L, the rows c_r = a_r*(L/d_r)
+        packed in digits of w bits), for w the least multiple of 8 with
+        w >= bits(C) + bits + bits(n) + 1, C the largest |c_rj| and n the
+        width: then |s_r| <= n*C*(2^bits - 1) < 2^(w-1)."""
+        den = lcm(*(r.den for r in self.stored))
+        scaled = [r.ints if (k := den // r.den) == 1 else [a * k for a in r.ints] for r in self.stored]
+        cbits = max(map(abs, chain.from_iterable(scaled)), default=0).bit_length()
+        nbits = self.width.bit_length()
+        k = (cbits + bits + nbits + 8) // 8  # bytes a digit
+        return 8 * k - 1 - cbits - nbits, den, _Packing(scaled, k)
 
     def _check_width(self, x):
         if len(x) != self.width:
             raise ConfigError(f"element has {len(x)} coordinates, the rows take {self.width}")
+
+
+class _Packing:
+    """Integer rows c_r of one width, packed for their dot products at
+    integer points (Kronecker substitution): column j is the one integer
+    P_j = sum_r c_rj * 2^(w*r), w = 8k bits.  `sums(b)` reads every
+    s_r = sum_j c_rj*b_j off sum_j b_j*P_j plus the offset
+    sum_r 2^(w-1) * 2^(w*r): digit r of that sum is s_r + 2^(w-1), which
+    lies in [0, 2^w) for |s_r| < 2^(w-1), so no digit borrows, and one
+    to_bytes splits it into the digits.  A point must keep every
+    |s_r| below 2^(w-1); `_Rows._pack` chooses w so."""
+
+    __slots__ = ("cols", "offset", "half", "size", "chunks")
+
+    def __init__(self, rows, k: int):
+        m = len(rows)
+        self.half = half = 1 << (8 * k - 1)
+        self.offset = int.from_bytes(half.to_bytes(k, "big") * m, "big")
+        self.cols = [int.from_bytes(b"".join(map(int.to_bytes, map(add, reversed(col), repeat(half)),
+                                                 repeat(k), repeat("big"))), "big") - self.offset
+                     for col in zip(*rows)]
+        self.size = k * m
+        self.chunks = [slice(i - k, i) for i in range(k * m, 0, -k)]  # digit r, from the low end
+
+    def sums(self, b) -> list:
+        """The s_r at the integers b, in row order."""
+        data, half = sum(map(mul, b, self.cols), self.offset).to_bytes(self.size, "big"), self.half
+        return [int.from_bytes(data[s], "big") - half for s in self.chunks]
 
 
 def coordinate_rows(alg: StructureAlgebra, basis) -> _Rows:

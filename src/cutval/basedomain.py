@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ConfigError, StructuralError
-from .numfield import RationalFunction, ValuedField, is_prime
+from .numfield import RationalFunction, ValuedField, _int_p_exponent, is_prime
 
 Z = "Z"
 ZP = "Zp"
@@ -79,16 +79,28 @@ class BaseDomain:
         return self._accepts((f.denominator if self.field is None else self.field.value(f),))
 
     def reads(self, rows, x):
-        """What S reads off the values of `_Rows` rows at x, building none:
-        reduced denominators over Z, values (None for 0) over O_v."""
-        return rows.denominators(x) if self.field is None else rows.valuations(x, self.field)
+        """What S reads off the values of `_Rows` rows at x, building none.
+        Over Q one read for the whole set, off the rational g/(L*e) whose
+        multiples are the values (`_Rows.content`): its reduced denominator
+        L*e / gcd(g, L*e), the lcm of the values' own, over Z; its value
+        v_p(g) - v_p(L*e), the least of theirs, or None for g = 0, over
+        Z_(p).  Over Q(t) each row value's value, None for 0."""
+        if not rows.q:
+            return rows.valuations(x, self.field)
+        g, den = rows.content(x)
+        if self.field is None:
+            return (den // gcd(g, den),)
+        p = self.field.p
+        return ((_int_p_exponent(g, p) - _int_p_exponent(den, p),) if g else None,)
 
     def admits(self, rows, x) -> bool:
-        """Whether every value of rows at x lies in S, read off `reads`."""
+        """Whether every value of rows at x lies in S, read off `reads`: over
+        Z whether L*e divides g, over Z_(p) whether g = 0 or v_p(g) >= v_p(L*e)."""
         return self._accepts(self.reads(rows, x))
 
     def _accepts(self, reads) -> bool:
-        """contains's rule, its one copy, on reads: all 1 over Z, none below 0 over O_v."""
+        """contains's rule, its one copy, on reads (one over Q, one a row
+        over Q(t)): all 1 over Z, none below 0 over O_v."""
         if self.field is None:
             return all(d == 1 for d in reads)
         zero = (0,) * self.field.rank
@@ -107,7 +119,8 @@ class BaseDomain:
 
     def _clearing(self, reads):
         """clear_many's rule, its one copy, on reads (the coefficients', or
-        `reads` of rows): denominators over Z, values over a valuation ring."""
+        `reads` of rows, one a row set over Q): denominators over Z, values
+        over a valuation ring."""
         if self.field is None:
             return Fraction(lcm(*reads))
         zero = (0,) * self.field.rank

@@ -84,7 +84,8 @@ class SubringOracle:
     basis are the values of T at x (lattice_rows, lattice_coords).
     contained_basis certifies RF = A; a lattice oracle sets it to its
     lattice basis.  Membership asks each group's domain (`BaseDomain.admits`),
-    which reads the row values' denominators or valuations, never the values.
+    which reads the row values' denominators or valuations, never the values:
+    over Q one read of the whole group, over Q(t) one a row.
     """
 
     algebra: object
@@ -122,7 +123,8 @@ class SubringOracle:
         return tuple(self._lattice_rows().values(x))
 
     def lattice_valuations(self, x):
-        """x's lattice coordinates as the domain reads them: valuations, None for 0."""
+        """x's lattice coordinates as the domain reads them (`BaseDomain.reads`):
+        over Q(t) their valuations, None for 0; over Q their least one."""
         return self.domain.reads(self._lattice_rows(), x)
 
     def basis_combination(self, coeffs):

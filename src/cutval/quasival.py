@@ -76,8 +76,9 @@ def filter_qv(oracle) -> FilterQV:
 def support_mu(qv: FilterQV, x) -> SupportValue:
     """Least valuation of x's coordinates in R's basis; None iff x = 0.
 
-    The valuations come from `lattice_valuations`: over Q they are read
-    off the integer-cleared rows T, and no coordinate is built.
+    The valuations come from `lattice_valuations`, and no coordinate is
+    built: over Q(t) one a row of T, over Q the least one at once, v_p(g) -
+    v_p(L*e) for g the gcd of T's packed row sums (`_Rows.content`).
     """
     vals = [v for v in qv.oracle.lattice_valuations(x) if v is not None]
     return SupportValue(min(vals) if vals else None)

@@ -12,8 +12,10 @@ product rows x -> coords_B(x*b_j) from them with no product formed
 as it is built): it is their only builder, and the clearing stabilizer,
 insertion and `orders` read them as they are.  The stabilizer clears
 what `BaseDomain.reads` takes off the row values, with no value built
-over Q.  `is_stable` forms its own products with `StructureAlgebra.mul`
-and tests them with `contains`, as the independent check.
+over Q: there one read for all n^2 rows at b_i, the gcd of their packed
+sums over L*e (`algebra._Rows.content`).  `is_stable` forms its own
+products with `StructureAlgebra.mul` and tests them with `contains`, as
+the independent check.
 
 Insertion swaps a new element x0 into a stable basis in place of some
 basis element carrying a nonzero coordinate of x0, rescaling the

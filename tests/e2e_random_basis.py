@@ -5,8 +5,9 @@ certificate, left order and is_stable, then verify_nice and, where the
 case has one, qv_audit.  The left order runs `_lattice`'s check of the
 lattice basis against every product row and, over Z_(p), the check that
 1 and the stabilizer lie in it, which raise on a disagreement.  It exits 1
-unless those checks pass and every report is ok; the stage times, and for
-M6(Q) and M8(Q) the largest bit length of T, are printed, not gated.  Run from the
+unless those checks pass and every report is ok; the stage times, the
+process's peak resident memory after them, and for M6(Q) and M8(Q) the
+largest bit length of T, are printed, not gated.  Run from the
 repository root, which holds `cutbench`:
 
     PYTHONPATH=src:. python3 tests/e2e_random_basis.py "M6(Q)"
@@ -16,6 +17,7 @@ pytest does not collect this file.
 
 from __future__ import annotations
 
+import resource
 import sys
 import time
 
@@ -68,6 +70,8 @@ def main(name: str) -> int:
     if audit_spec is not None:
         reports.append(stage(f"qv_audit ({audit_spec.count} samples)", qv_audit,
                              filter_qv(order), audit_spec))
+    # ru_maxrss is in KiB on Linux
+    print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB", flush=True)
     for report in reports:
         print(report)
     return 0 if all(report.ok for report in reports) else 1

@@ -202,6 +202,25 @@ MUTANTS = (
         ("tests/test_kernel.py::test_inverting_t_costs_one_back_substitution",
          "tests/test_kernel.py::test_one_inverse_and_no_products_per_build[Q(t)[x]/(x^2-t)/O_v]"),
         "invert over Q(t) runs Gauss-Jordan, each pivot row normalised and cleared above and below"),
+    Mutant(
+        "packing-digit-one-bit-short", "src/cutval/algebra.py",
+        "k = (cbits + bits + nbits + 8) // 8",
+        "k = (cbits + bits + nbits + 7) // 8",
+        ("tests/test_content_read.py::test_content_packs_wide_enough_and_packs_again",),
+        "a packed row sum may fill its whole digit, so it borrows from the next"),
+    Mutant(
+        "content-drops-e", "src/cutval/algebra.py",
+        "return gcd(*packing.sums(b)), den * e",
+        "return gcd(*packing.sums(b)), den",
+        ("tests/test_content_read.py::test_content_and_its_reads_match_the_per_row_references",
+         "tests/test_kernel.py::test_admits_and_reads_match_the_row_values"),
+        "the one read over Q forgets the point's denominator e"),
+    Mutant(
+        "content-row-not-scaled", "src/cutval/algebra.py",
+        "scaled = [r.ints if (k := den // r.den) == 1 else [a * k for a in r.ints] for r in self.stored]",
+        "scaled = [r.ints for r in self.stored]",
+        ("tests/test_content_read.py::test_content_and_its_reads_match_the_per_row_references",),
+        "a row over d_r is packed as over the lcm L, not scaled by L/d_r"),
 )
 
 

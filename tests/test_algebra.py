@@ -296,8 +296,9 @@ def test_cleared_elements_match_the_fraction_tuples(name):
 
 
 def test_arithmetic_over_q_builds_no_fraction(monkeypatch):
-    """On QVectors add, smul, mul and is_zero, and the valuation and
-    denominator reads of a _Rows, make no Fraction."""
+    """On QVectors add, smul, mul and is_zero, and the one read of a
+    _Rows (`content`) and the Z and Z_(3) reads made of it, make no
+    Fraction."""
     alg = matrix_algebra(ValuedField("Q", 3), 3)
     spec = SampleSpec(seed=72, count=0, coef_bound=5, max_p_exp=2)
     rng = spec.rng()
@@ -314,7 +315,7 @@ def test_arithmetic_over_q_builds_no_fraction(monkeypatch):
     made[0] = 0
     for x, y in zip(xs, xs[1:]):
         alg.add(x, y), alg.smul(c, x), alg.mul(x, y), alg.is_zero(x)
-        list(rows.valuations(x, alg.field)), list(rows.denominators(x))
+        rows.content(x), integers().reads(rows, x), p_local(3).reads(rows, x)
     assert made == [0]
 
 

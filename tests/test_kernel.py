@@ -758,20 +758,24 @@ def test_ideal_variant_inverts_once_and_forms_no_products(monkeypatch):
 
 def test_clearing_stabilizer_calls_no_clear_many(case, monkeypatch):
     """The clearing stabilizer clears each basis element's n^2 row values in
-    one call, never through clear_many: over Z_(p) and O_v it
-    reads only the rows' valuations, over Z the values' denominators, and
-    over Q it builds no row value."""
+    one call, never through clear_many: over O_v of Q(t) it reads the
+    rows' valuations, and over Q the one content read of the set
+    (`_Rows.content`) for each basis element, with no row value built and
+    no row read alone."""
     alg, domain, bases = case
     calls = {}
     count_calls(monkeypatch, calls, BaseDomain, "clear_many")
     count_calls(monkeypatch, calls, BaseDomain, "_clearing")
-    count_calls(monkeypatch, calls, _Rows, "values")
+    for name in ("values", "content", "valuations"):
+        count_calls(monkeypatch, calls, _Rows, name)
     for basis in bases:
         stabilizer_finite(alg, basis, domain)
     n = alg.dim
     assert calls["clear_many"] == 0 and calls["_clearing"] == len(bases) * n
     if alg.field.kind == "Q":
-        assert calls["values"] == 0
+        assert calls["values"] == calls["valuations"] == 0 and calls["content"] == len(bases) * n
+    else:
+        assert calls["content"] == 0 and calls["valuations"] == len(bases) * n
 
 
 # --- membership and clearing on the domain's integer reads ------------------------
@@ -808,7 +812,8 @@ def test_admits_and_reads_match_the_row_values(case):
     """domain.admits(rows, x) is `contains` on every row value at x, and the
     clearing of domain.reads(rows, x) is clear_many of those values, on the
     drawn bases' product, T and ideal-variant rows, for Z and Z_(3) over Q
-    and O_v over Q(t)."""
+    and O_v over Q(t).  The reads are one a row over Q(t) and one a set
+    over Q: the lcm of the values' denominators, or their least value."""
     alg, _, bases = case
     domains = (integers(), p_local(3)) if alg.field.kind == "Q" else (valuation_ring(QT),)
     spec = SampleSpec(seed=311, count=0, **(QT_DRAW if alg.field.kind == "Qt" else M3_DRAW))
@@ -821,9 +826,13 @@ def test_admits_and_reads_match_the_row_values(case):
                 for domain in domains:
                     admitted = domain.admits(rows, x)
                     assert admitted == all(domain.contains(v) for v in values)
-                    assert list(domain.reads(rows, x)) == (
-                        [v.denominator for v in values] if domain.valued_field is None
-                        else [domain.value(v) if v else None for v in values])
+                    per_row = ([v.denominator for v in values] if domain.valued_field is None
+                               else [domain.value(v) if v else None for v in values])
+                    if alg.field.kind == "Q":
+                        live = [v for v in per_row if v is not None]
+                        per_row = [lcm(*per_row) if domain.valued_field is None
+                                   else min(live) if live else None]
+                    assert list(domain.reads(rows, x)) == per_row
                     assert domain._clearing(domain.reads(rows, x)) == domain.clear_many(values)
                     verdicts[domain].add(admitted)
     assert all(v == {True, False} for v in verdicts.values())

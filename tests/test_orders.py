@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -905,9 +906,12 @@ def test_rows_over_qt_keep_the_term_loop(field_qt):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_row_valuations_match_reduced_values(p):
-    """Rows over Q with p = 3, read by v_p for p = 2, 3, 5; zero rows and
-    nonzero rows with a zero value included."""
-    vf = ValuedField("Q", p)
+    """Rows over Q with p = 3, read by Z_(p) for p = 2, 3, 5 and by Z: the
+    one read of a set is the least v_p of its reduced values (None when
+    all are 0) and the lcm of their denominators, and the read of each
+    row alone is that row's v_p; zero rows and nonzero rows with a zero
+    value included."""
+    vf, domain = ValuedField("Q", p), p_local(p)
     rng = SplitMix64(131 + p)
     zeros, signs = 0, set()
     for _ in range(150):
@@ -919,13 +923,17 @@ def test_row_valuations_match_reduced_values(p):
         rows.append((Fraction(0),) * n)
         rows.append((x[-1],) + (Fraction(0),) * (n - 2) + (-x[0],))  # row . x = 0
         cleared = _Rows(ValuedField("Q", 3), rows)
-        got = list(cleared.valuations(x, vf))
-        assert got == [vf.value(c) for c in cleared.values(x)]
+        values = list(cleared.values(x))
+        vals = [vf.value(c) for c in values if c]
+        assert list(domain.reads(cleared, x)) == [min(vals) if vals else None]
+        assert list(integers().reads(cleared, x)) == [lcm(*(c.denominator for c in values))]
+        got = [domain.reads(_Rows(ValuedField("Q", 3), [row]), x)[0] for row in rows]
+        assert got == [vf.value(c) if c else None for c in values]
         zeros += got.count(None)
         signs.update((v[0] > 0) - (v[0] < 0) for v in got if v is not None)
     assert zeros >= 300 and signs == {-1, 0, 1}
     with pytest.raises(ConfigError):
-        _Rows(vf, [(Fraction(1), Fraction(2))]).valuations((Fraction(1),), vf)
+        _Rows(vf, [(Fraction(1), Fraction(2))]).content((Fraction(1),))
 
 
 def test_row_valuations_over_qt_are_the_values_valuations(field_qt):
