@@ -34,11 +34,12 @@ which membership, clearing and the least value are read.
 `product_rows` is one integer matrix product over the same cells, and
 every reader of the rows, the lattice's Z/p^K search included, takes
 them as they are; `_transpose` turns vectors into the columns of the
-matrix they are the rows of.  Over Q(t) elements are summed the same
-way in Z[t], over the table cleared over one D in Z[t], and a result is
-left as that clearing until it is observed; rows keep their scalars for
-`_eliminate` and `product_rows`, and valuations and `element` read each
-row's clearing in Z[t], one row at a time (see `numfield`).
+matrix they are the rows of.  Over Q(t) a row is an element too, a
+QtVector: elements and `product_rows` are summed the same way in Z[t],
+over the table cleared over one D in Z[t], and a result is left as that
+clearing until it is observed.  Valuations and `element` read each row's
+clearing, one row at a time (see `numfield`); `_eliminate` and `values`
+iterate its scalars.
 
 The polynomial backend :class:`PolynomialAlgebra` represents F[y] with the
 monomial basis; elements are sparse exponent -> coefficient dicts.
@@ -57,7 +58,7 @@ from operator import add, mul
 from .errors import ConfigError, StructuralError
 from .numfield import (QtVector, QVector, RationalFunction, ValuedField, _cleared, _convolve,
                        _int_p_exponent, _zt_dot, _zt_lcm, _zt_quo, _zt_split, _zt_sum, _zt_value,
-                       _zt_value_of_dot, _row_clearing)
+                       _zt_value_of_dot)
 
 Element = QVector | QtVector  # over Q and over Q(t); a tuple of scalars is taken too
 
@@ -75,13 +76,11 @@ class StructureAlgebra:
     table: tuple  # table[i][j] = coordinate vector of e_i * e_j
     unit: Element
     # The nonzero cells of the table, (i, j, ((k, t), ...)) with t != 0,
-    # built once: mul walks these instead of all n^2 cells times n entries.
-    # Each t is stored cleared over one table denominator _den = D: over Q
-    # as the integer t*D, over Q(t) as the integer list t*D in Z[t].  Over
-    # Q(t) the cells of scalars t, _scalar_cells, serve product_rows, whose
-    # rows keep their scalars, and check_associative_unital.
+    # built once: mul and product_rows walk these instead of all n^2 cells
+    # times n entries.  Each t is stored cleared over one table denominator
+    # _den = D: over Q as the integer t*D, over Q(t) as the integer list
+    # t*D in Z[t].
     _cells: tuple = dataclasses.field(init=False, repr=False)
-    _scalar_cells: tuple = dataclasses.field(init=False, repr=False)
     _den: int | list = dataclasses.field(init=False, repr=False)
     _q: bool = dataclasses.field(init=False, repr=False)  # the field is Q
 
@@ -101,7 +100,6 @@ class StructureAlgebra:
         object.__setattr__(self, "unit", (QVector if q else QtVector).of(self.unit))
         cells = tuple((i, j, tuple((k, t) for k, t in enumerate(vec) if t))
                       for i, row in enumerate(self.table) for j, vec in enumerate(row) if any(vec))
-        object.__setattr__(self, "_scalar_cells", cells)
         flat = [t for _, _, terms in cells for _, t in terms]
         if q:
             ints, den = _cleared(flat)
@@ -433,37 +431,29 @@ def _dot(row, x):
 
 class _Rows:
     """Fixed linear rows over a field, of one width, evaluated at points x.
-    `stored` holds the rows: over Q each row a_1..a_n over d is the
-    `QVector` it is (`q` is True), over Q(t) a tuple of scalars, which
-    `_eliminate` and `values` read, and `zt` each row's clearing A_1..A_n
-    over Q as a `QtVector`: made on the first read with no gcd
-    (`numfield._row_clearing`), or by `column_rows` off the columns'
-    clearings.  Iterating yields `stored`.  _Rows(fieldobj, rows) is rows
-    itself when it is a _Rows.  The domain reads a set over Q as one pair,
-    `content`, off the rows packed over their lcm (`_packed`: one packing
-    a set, made again only when a point needs more bits), and a set over
-    Q(t) row by row, `valuations`; `values` builds the values themselves.
-    A point x is read as its element form's integers (integer lists over
-    Q(t)) and denominator."""
+    `stored` holds each row as the element it is: over Q the `QVector`
+    a_1..a_n over d (`q` is True), over Q(t) the `QtVector` A_1..A_n over
+    Q in Z[t], which a valuation read takes as it is and which `_eliminate`
+    and `values` iterate as its scalars.  Iterating yields `stored`.
+    _Rows(fieldobj, rows) is rows itself when it is a _Rows.  The domain
+    reads a set over Q as one pair, `content`, off the rows packed over
+    their lcm (`_packed`: one packing a set, made again only when a point
+    needs more bits), and a set over Q(t) row by row, `valuations`;
+    `values` builds the values themselves.  A point x is read as its
+    element form's integers (integer lists over Q(t)) and denominator."""
 
     def __new__(cls, fieldobj, rows):
         if isinstance(rows, _Rows):
             return rows
         q = fieldobj.kind == "Q"
-        return cls._make(tuple(map(QVector.of if q else tuple, rows)), q)
+        return cls._make(tuple(map(QVector.of if q else QtVector.of, rows)), q)
 
     @classmethod
-    def _make(cls, stored, q: bool, zt=None):
+    def _make(cls, stored, q: bool):
         self = object.__new__(cls)
-        self.stored, self.q, self._zt, self._packed = stored, q, zt, None
+        self.stored, self.q, self._packed = stored, q, None
         self.width = len(stored[0]) if stored else 0
         return self
-
-    @property
-    def zt(self) -> tuple:
-        if self._zt is None:
-            self._zt = tuple(map(_row_clearing, self.stored))
-        return self._zt
 
     def __iter__(self):
         return iter(self.stored)
@@ -491,11 +481,11 @@ class _Rows:
         with one gcd, over Q(t) their lcm in Z[t] (`numfield._zt_lcm`)."""
         self._check_width(x)
         if not self.q:
-            (b, e), zt = QtVector.pair(x), self.zt
-            den = reduce(_zt_lcm, (r._den for r in zt))
+            (b, e), rows = QtVector.pair(x), self.stored
+            den = reduce(_zt_lcm, (r._den for r in rows))
             return QtVector._clearing([_zt_dot(r._nums, b) if r._den == den
-                                       else _convolve(_zt_dot(r._nums, b), _zt_quo(den, r._den)) for r in zt],
-                                      _convolve(den, e))
+                                       else _convolve(_zt_dot(r._nums, b), _zt_quo(den, r._den))
+                                       for r in rows], _convolve(den, e))
         (b, e), den = QVector.pair(x), lcm(*(r.den for r in self.stored))
         return QVector._canonical([sum(map(mul, r.ints, b)) * (den // r.den) for r in self.stored], den * e)
 
@@ -507,7 +497,7 @@ class _Rows:
         self._check_width(x)
         x, p = QtVector.of(x), vf.p
         xv = _zt_value(x._den, p)
-        return (_zt_value_of_dot(r, x, xv, p) for r in self.zt)
+        return (_zt_value_of_dot(r, x, xv, p) for r in self.stored)
 
     def content(self, x) -> tuple:
         """Over Q, the row values at x as one pair (g, L*e), building none:
@@ -598,17 +588,20 @@ def _transpose(vectors) -> list:
 
 
 def column_rows(alg: StructureAlgebra, vectors) -> _Rows:
-    """The rows of the matrix with the given elements as its columns; over
-    Q read off their integers (`_transpose`), building no Fraction.  Over
-    Q(t) the rows' clearings are read off the elements' clearings, all
-    over the lcm of their denominators, taking one lcm per element."""
+    """The rows of the matrix with the given elements as its columns, read
+    off their integers: over Q by `_transpose`, building no Fraction, over
+    Q(t) as the QtVectors of the columns' clearings over the lcm of their
+    denominators, taking one lcm per element, each with its scalars, the
+    elements' coordinates, kept for the readers that iterate it."""
     if alg._q:
         return _Rows._make(_transpose(vectors), True)
     vectors = list(map(QtVector.of, vectors))
     den = reduce(_zt_lcm, (v._den for v in vectors), [1])
     scaled = [[_convolve(a, q) for a in v._nums] for v in vectors for q in [_zt_quo(den, v._den)]]
-    zt = tuple(QtVector._make(col, den, False) for col in zip(*scaled))
-    return _Rows._make(tuple(zip(*vectors)), False, zt)
+    rows = tuple(map(QtVector._make, zip(*scaled), repeat(den), repeat(False)))
+    for r, scalars in zip(rows, zip(*vectors)):
+        r._scalars = scalars
+    return _Rows._make(rows, False)
 
 
 def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> _Rows:
@@ -617,27 +610,25 @@ def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> _Rows:
 
     No product is formed.  b's rows are coords' rows times b's right-
     multiplication matrix, whose column i is e_i*b summed off the table's
-    nonzero cells.  Over Q that is one integer matrix product: for b as
-    beta/e, coords' row a/d and the cleared cells over D, row (b, k) is the
-    QVector of the integers sum_r a_r * (sum_j beta_j * D*t_ij^r) over
-    d*e*D.  Over Q(t) the same matrix is summed on the table's scalars,
-    since the rows keep their scalars."""
+    nonzero cells, cleared over D.  That is one matrix product of
+    integers, over Q(t) of integer lists in Z[t]: for b as beta/e and
+    coords' row a/d, row (b, k) is the integers sum_r a_r * (sum_j beta_j
+    * D*t_ij^r) over d*e*D, over Q the QVector made canonical, over Q(t)
+    the QtVector left as that clearing (`QtVector._clearing`)."""
     n, q = alg.dim, alg._q
-    zero, cells = (0, alg._cells) if q else (alg.field.zero, alg._scalar_cells)
     rows = []
     for b in elements:
-        beta, e = QVector.pair(b) if q else (tuple(b), None)
-        # right[i][r]: coordinate r of e_i*b, times e*D over Q
-        right = [[zero] * n for _ in range(n)]
-        for i, j, terms in cells:
+        beta, e = (QVector if q else QtVector).pair(b)
+        # right[i][r]: coordinate r of e_i*b, times e*D
+        right = [[0 if q else []] * n for _ in range(n)]
+        for i, j, terms in alg._cells:
             if bj := beta[j]:
                 col = right[i]
                 for r, t in terms:
-                    col[r] = col[r] + bj * t
-        if not q:
-            rows.extend(tuple(_dot(row, col) for col in right) for row in coords)
-            continue
-        rows.extend(QVector._canonical([sum(map(mul, r.ints, col)) for col in right], r.den * e * alg._den)
+                    col[r] = col[r] + bj * t if q else _zt_sum(col[r], _convolve(bj, t))
+        ed = e * alg._den if q else _convolve(e, alg._den)
+        rows.extend(QVector._canonical([sum(map(mul, r.ints, col)) for col in right], r.den * ed) if q
+                    else QtVector._clearing([_zt_dot(r._nums, col) for col in right], _convolve(r._den, ed))
                     for r in coords.stored)
     return _Rows._make(rows, q)
 
@@ -671,19 +662,18 @@ def _combine(pairs, products, zero, n) -> list:
 def check_associative_unital(alg: StructureAlgebra) -> TableReport:
     """Exhaustive scan of all n^3 associativity triples and the unit laws.
 
-    Both sides are summed off the table's nonzero cells (`_cells`), with
-    no general product: (e_i e_j) e_k = sum_l t_ij^l e_l e_k and
-    e_i (e_j e_k) = sum_l t_jk^l e_i e_l, and 1 e_i = sum_l u_l e_l e_i
-    for the unit u, likewise e_i 1.  Over Q the cells are the cleared
-    integers, which scales both sides by D^2 (by D in the unit laws); over
-    Q(t) they are the table's scalars.
+    Both sides are summed off the table's nonzero terms, with no general
+    product: (e_i e_j) e_k = sum_l t_ij^l e_l e_k and e_i (e_j e_k) =
+    sum_l t_jk^l e_i e_l, and 1 e_i = sum_l u_l e_l e_i for the unit u,
+    likewise e_i 1, at the nonzero cells (`_cells`).  Over Q the terms are
+    the cleared integers, which scales both sides by D^2 (by D in the unit
+    laws); over Q(t) they are read off the table's scalars.
     """
-    n = alg.dim
-    zero, one, cells = ((0, alg._den, alg._cells) if alg._q
-                        else (alg.field.zero, alg.field.one, alg._scalar_cells))
+    n, q = alg.dim, alg._q
+    zero, one = (0, alg._den) if q else (alg.field.zero, alg.field.one)
     rows = [[()] * n for _ in range(n)]  # rows[i][j]: terms of e_i e_j
-    for i, j, terms in cells:
-        rows[i][j] = terms
+    for i, j, terms in alg._cells:
+        rows[i][j] = terms if q else tuple((k, alg.table[i][j][k]) for k, _ in terms)
     columns = [list(col) for col in zip(*rows)]  # columns[k][l]: e_l e_k
     unit = [(l, u) for l, u in enumerate(alg.unit) if u]
     for i in range(n):

@@ -37,18 +37,17 @@ integer coefficient lists over one integer-list denominator in Z[t], made
 canonical once it is observed by one chain of ``poly_gcd`` (`_coprime`).  Both
 parts of v are multiplicative, so v(S/D) = v(S) - v(D) for any
 representation in Z[t], reduced or not, where v(P) for P in Z[t] is
-(ord_t P, v_p of its lowest coefficient).  A row of scalars read against a
-point needs only v of its value: `_row_clearing` writes the row once as a
-QtVector over the product of its distinct denominators, and
-`_zt_value_of_dot` reads v of the value at a point's clearing off the
-lowest terms of integer products, with no gcd and no scalar.
+(ord_t P, v_p of its lowest coefficient).  A row, itself a QtVector, read
+against a point needs only v of its value: `_zt_value_of_dot` reads it off
+the lowest terms of integer products of the two clearings, with no gcd and
+no scalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 
@@ -507,16 +506,6 @@ def _zt_split(c: RationalFunction) -> tuple[list[int], list[int]]:
             den.ints if num.den == 1 else [y * num.den for y in den.ints])
 
 
-def _over_distinct(pairs) -> tuple[list, list]:
-    """For fractions n/d in Z[t] given as (n, d): the distinct d other than
-    1, whose product D takes no gcd, and each n*(D/d), its fraction over D."""
-    dens = []
-    for _, d in pairs:
-        if d != [1] and d not in dens:
-            dens.append(d)
-    return dens, [reduce(_convolve, [e for e in dens if e != d], n) for n, d in pairs]
-
-
 def _ord(a: list[int]) -> int:
     """ord_t of a nonzero integer list."""
     k = 0
@@ -610,7 +599,7 @@ class QtVector:
     canonical form, which ``nums`` and ``den`` read, has the Q[t]-gcd of
     (A_1, ..., A_n, D) equal to 1, the integer content of all their
     coefficients 1 and lc(D) > 0, so 0 is ([], ..., []) over [1]; it is
-    the form of every element over Q(t) and of every row's clearing.
+    the form of every element and every row over Q(t).
 
     ``of`` is the one place where a sequence of RationalFunctions becomes
     one, canonical.  Arithmetic leaves its result as the clearing it summed
@@ -619,7 +608,8 @@ class QtVector:
     further arithmetic take any clearing as it is, since v(S/D) = v(S) -
     v(D) for every representation, so a product that is only valued takes
     no gcd.  Iterating or indexing yields reduced RationalFunctions, built
-    on the first read or kept from ``of``'s input, and a QtVector equals,
+    on the first read or kept from ``of``'s input (or, for a row, from
+    the columns `algebra.column_rows` read it off), and a QtVector equals,
     and hashes as, the tuple of them.  Readers copy a list before they
     change it.
     """
@@ -727,14 +717,6 @@ class QtVector:
 
     def __repr__(self):
         return f"QtVector({list(self.nums)}, {self.den})"
-
-
-def _row_clearing(row) -> QtVector:
-    """A row of scalars as a QtVector clearing over the product of its
-    distinct denominators (`_over_distinct`), which takes no gcd: a row is
-    only read, so it is never made canonical."""
-    dens, nums = _over_distinct([_zt_split(c) if c else ([], [1]) for c in row])
-    return QtVector._clearing(nums, reduce(_convolve, dens, [1]))
 
 
 def _zt_value_of_dot(row: QtVector, x: QtVector, xv: tuple[int, int], p: int):

@@ -187,7 +187,7 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
     basis, the columns of T^-1, comes from one `invert`, read over Q off
     the inverse's QVector rows.  The basis is checked against the full
     rows (a certificate's own `_Rows`); `left_order` also
-    checks that 1 and the stabilizer lie in the lattice over Z_(p).  None
+    checks that 1 and the stabilizer lie in the lattice.  None
     when the rows lack full column rank, as an ideal variant's always do;
     a left order's never do, since x = sum u_j*(x*b_j) for the unit
     1 = sum u_j*b_j.
@@ -217,8 +217,8 @@ def left_order(M: LatticeModule, certificate: StableBasisCertificate | None = No
     Finite-dimensional case: the rows are the product rows of the given
     certificate of M's basis, else of its clearing one, which R carries.
     Over a valuation ring they are reduced to the lattice oracle (see
-    _lattice), which over Z_(p) must hold 1 and the certificate's
-    stabilizer; over Z the stabilizer is the contained basis.
+    _lattice), which must hold 1 and the certificate's stabilizer; over Z
+    the stabilizer is the contained basis.
     The polynomial backend returns the S-coefficient polynomial subring.
     """
     alg, domain = M.algebra, M.domain
@@ -229,7 +229,7 @@ def left_order(M: LatticeModule, certificate: StableBasisCertificate | None = No
         raise ConfigError("certificate is for another lattice")
     if domain.is_valuation_like:
         oracle = _lattice(alg, domain, cert.rows, "left-order", cert)
-        if alg.field.kind == "Q" and not all(map(oracle.contains, (alg.unit, *cert.stabilizer))):
+        if not all(map(oracle.contains, (alg.unit, *cert.stabilizer))):
             raise StructuralError("1 or the stabilizer lies outside the left order")
         return oracle
     return SubringOracle(

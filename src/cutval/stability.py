@@ -9,7 +9,8 @@ every product b_i * b_j.
 A certificate inverts B once, for its coordinate rows, and builds its
 product rows x -> coords_B(x*b_j) from them with no product formed
 (`algebra.product_rows`; over Q each row is a QVector, made canonical
-as it is built): it is their only builder, and the clearing stabilizer,
+as it is built, over Q(t) a QtVector, left as the clearing it was summed
+in): it is their only builder, and the clearing stabilizer,
 insertion and `orders` read them as they are.  The stabilizer clears
 what `BaseDomain.reads` takes off the row values, with no value built
 over Q: there one read for all n^2 rows at b_i, the gcd of their packed
@@ -41,8 +42,9 @@ class StableBasisCertificate:
     """A basis of A, checked to be one, with a stabilizer (by default the
     clearing one), its coordinate rows `coords` and its product rows: row
     j*n + k of `algebra.product_rows`, whose value at x is coordinate k of
-    x*b_j.  `rows` is a `_Rows`, over Q of QVectors, which the
-    stabilizer, the left order and the ideal variant read as they are."""
+    x*b_j.  `rows` is a `_Rows` of QVectors over Q and of QtVectors over
+    Q(t), which the stabilizer, the left order and the ideal variant read
+    as they are."""
 
     algebra: StructureAlgebra
     domain: BaseDomain

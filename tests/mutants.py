@@ -221,6 +221,18 @@ MUTANTS = (
         "scaled = [r.ints for r in self.stored]",
         ("tests/test_content_read.py::test_content_and_its_reads_match_the_per_row_references",),
         "a row over d_r is packed as over the lcm L, not scaled by L/d_r"),
+    Mutant(
+        "qt-product-rows-drop-table-den", "src/cutval/algebra.py",
+        "ed = e * alg._den if q else _convolve(e, alg._den)",
+        "ed = e * alg._den if q else e",
+        ("tests/test_kernel.py::test_product_rows_match_reference[Q(t)[x]/(x^2-1/t)]",),
+        "a product row over Q(t) is summed over Q_row*E, leaving out the table's denominator D"),
+    Mutant(
+        "left-order-checks-1-over-q-only", "src/cutval/orders.py",
+        "        if not all(map(oracle.contains, (alg.unit, *cert.stabilizer))):",
+        "        if alg.field.kind == \"Q\" and not all(map(oracle.contains, (alg.unit, *cert.stabilizer))):",
+        ("tests/test_orders.py::test_left_order_refuses_an_order_without_1",),
+        "left_order checks that 1 and the stabilizer lie in the order over Z_(p) only, not over O_v"),
 )
 
 

@@ -39,13 +39,13 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from cutval import algebra, numfield, orders, quasival, stability
-from cutval.algebra import (StructureAlgebra, _bareiss, _eliminate, _Rows, coordinate_rows,
-                            invert, matrix_algebra, product_rows, quadratic_algebra, rank_of,
-                            solve_columns)
+from cutval.algebra import (StructureAlgebra, _bareiss, _eliminate, _Rows, column_rows,
+                            coordinate_rows, invert, matrix_algebra, product_rows, quadratic_algebra,
+                            rank_of, solve_columns)
 from cutval.basedomain import BaseDomain, integers, p_local, valuation_ring
 from cutval.errors import StructuralError
-from cutval.numfield import (Polynomial, QVector, RationalFunction, ValuedField, _cleared, _exact_quo,
-                             poly_gcd, vp)
+from cutval.numfield import (Polynomial, QtVector, QVector, RationalFunction, ValuedField, _cleared,
+                             _exact_quo, poly_gcd, vp)
 from cutval.orders import LatticeModule, intersect_oracles, left_order
 from cutval.samplers import sample_algebra_element, sample_member, sample_ratfunc, sample_scalar
 from cutval.sampling import SampleSpec, sample_rational
@@ -1013,9 +1013,9 @@ def test_qt_valuations_match_the_scalar_values(name, seeds):
 def test_qt_reads_call_no_poly_gcd(monkeypatch):
     """Over O_v of Q(t) every valuation read is taken in Z[t]: the
     stabilizer's clearing (`BaseDomain._clearing` of `reads`), _lattice's
-    self-check and membership (`admits`) and support_mu call poly_gcd zero
-    times, the first read that builds a row set's clearing included, while
-    the scalar work around them calls it."""
+    self-check, left_order's check of 1 and the stabilizer and membership
+    (`admits`) and support_mu call poly_gcd zero times, while the scalar
+    work around them calls it."""
     gcd_calls, entered, inside = {"in reads": 0, "outside": 0}, {}, [0]
     gcd = numfield.poly_gcd
 
@@ -1039,18 +1039,20 @@ def test_qt_reads_call_no_poly_gcd(monkeypatch):
         guarded(BaseDomain, name)
     guarded(quasival, "support_mu")
     spec = SampleSpec(seed=347, count=0, **QT_READ_DRAW)
-    rng, dims = spec.rng(), 0
+    rng, dims, built = spec.rng(), 0, 0
     for alg in (matrix_algebra(QT, 2), quadratic_algebra(QT, RationalFunction.T)):
         for R, _ in qt_read_sets(alg, (7,)):  # a drawn basis and the unit basis
-            dims += alg.dim
+            dims, built = dims + alg.dim, built + 1
             qv = quasival.filter_qv(R)
             for _ in range(3):
                 x = sample_algebra_element(rng, spec, alg)
                 R.contains(x)
                 quasival.filter_qv_eval(qv, x)
-    # per basis vector one stabilizer clearing and one self-check, per point
-    # one membership and one support_mu: each of them one read
-    assert entered == {"_clearing": dims, "admits": dims + 12, "reads": 2 * dims + 24,
+    # per basis vector one stabilizer clearing, one self-check and one
+    # membership of its stabilizer element, per order one membership of 1,
+    # per point one membership and one support_mu: each of them one read
+    checked = 2 * dims + built
+    assert entered == {"_clearing": dims, "admits": checked + 12, "reads": checked + dims + 24,
                        "support_mu": 12}
     assert gcd_calls["in reads"] == 0 and gcd_calls["outside"] > 0
 
@@ -1432,15 +1434,19 @@ PRODUCT_ROW_ALGEBRAS = {
     "M3(Q)": (lambda: matrix_algebra(Q3, 3), M3_DRAW),
     "M2(Q(t))": (lambda: matrix_algebra(QT, 2), QT_DRAW),
     "Q(t)[x]/(x^2-t)": (lambda: quadratic_algebra(QT, RationalFunction.T), QT_DRAW),
+    # the table of 1/t has denominator t
+    "Q(t)[x]/(x^2-1/t)": (lambda: quadratic_algebra(QT, RationalFunction.ONE / RationalFunction.T), QT_DRAW),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_ROW_ALGEBRAS))
 def test_product_rows_match_reference(name):
-    """The rows summed off the table's cells, over Q as one cleared integer
-    product, equal the rows of one product and one solve per e_i * b; over
-    Q each row's clearing is the one _cleared gives its Fraction row, so the
-    cleared elimination sees the pool it would clear itself."""
+    """The rows summed off the table's cells, one cleared integer product
+    (in Z[t] over Q(t)), equal the rows of one product and one solve per
+    e_i * b; over Q each row's clearing is the one _cleared gives its
+    Fraction row, so the cleared elimination sees the pool it would clear
+    itself, and over Q(t) each row is a QtVector whose canonical form is
+    the one QtVector.of gives its RationalFunction row."""
     make, draw = PRODUCT_ROW_ALGEBRAS[name]
     alg = make()
     spec = SampleSpec(seed=331, count=0, **draw)
@@ -1455,13 +1461,15 @@ def test_product_rows_match_reference(name):
             row for b in elements for row in zip(*(
                 coords_reference(mul_reference(alg, alg.basis_vector(i), b), basis)
                 for i in range(alg.dim))))
-        # over Q the rows are stored only as QVectors, over Q(t) as scalars
+        # the rows are stored only as elements: QVectors over Q, QtVectors over Q(t)
         if alg.field.kind == "Q":
             assert all(type(c) is Fraction for row in rows for c in row)
             assert rows.q and all(type(r) is QVector for r in rows.stored)
             assert [(list(r.ints), r.den) for r in rows.stored] == [_cleared(row) for row in expected]
         else:
-            assert not rows.q and list(rows.stored) == list(map(tuple, expected))
+            assert not rows.q and all(type(r) is QtVector for r in rows.stored)
+            assert [(r.nums, r.den) for r in rows.stored] == [
+                (v.nums, v.den) for v in map(QtVector.of, expected)]
 
 
 def read_view_case(name, kind):
@@ -1557,6 +1565,50 @@ def test_every_q_row_set_is_canonical_qvectors(monkeypatch):
         ideal = orders.nice_with_ideal(orders.IdealSpec(dual, (dual.basis_vector(1),)), domain)
         assert_canonical_q_rows(ideal.constraints[0][1])
         assert_canonical_q_rows(ideal._basis_rows)
+
+
+def assert_qt_rows(rows, expected):
+    """A _Rows over Q(t) holds each row as a QtVector: its values are the
+    RationalFunction reference row, and its clearing is the one
+    QtVector.of makes of that row."""
+    assert not rows.q and len(rows) == len(expected) > 0
+    for r, row in zip(rows.stored, expected):
+        assert type(r) is QtVector and tuple(r) == tuple(row) and r == QtVector.of(row)
+
+
+def test_every_qt_row_set_is_qtvectors(monkeypatch):
+    """Every _Rows over Q(t) the library builds holds QtVectors whose values
+    are the reference rows: coordinate and product rows, T, T^-1, column
+    rows and an intersection's stack, over O_v, on drawn bases of M2(Q(t))
+    and of Q(t)[x]/(x^2-t)."""
+    domain = valuation_ring(QT)
+    inverses, stacks = [], []
+    invert, lattice = orders.invert, orders._lattice
+    monkeypatch.setattr(orders, "invert", lambda *a: inverses.append(invert(*a)) or inverses[-1])
+    monkeypatch.setattr(orders, "_lattice", lambda alg, domain, rows, *a: (
+        stacks.append(rows) or lattice(alg, domain, rows, *a)))
+    for alg in (matrix_algebra(QT, 2), quadratic_algebra(QT, RationalFunction.T)):
+        n, oracles, ts = alg.dim, [], []
+        for basis in draw_bases(alg, 349, QT_READ_DRAW, 2):
+            cert = stabilizer_finite(alg, basis, domain)
+            inverses.clear()
+            R = orders.nice_from_certificate(cert)
+            rows = product_rows_reference(alg, basis)
+            t = min_valuation_eliminate_reference(domain, rows, n)
+            t_inverse = invert_reference(QT, t)
+            assert_qt_rows(cert.coords, invert_reference(QT, list(zip(*basis))))
+            assert_qt_rows(cert.rows, rows)
+            assert_qt_rows(R.lattice_rows, t)
+            (T_inverse,) = inverses
+            assert_qt_rows(T_inverse, t_inverse)
+            assert_qt_rows(column_rows(alg, basis), list(zip(*basis)))
+            assert_qt_rows(R._basis_rows, t_inverse)  # the lattice basis: the columns of T^-1
+            oracles.append(R)
+            ts += t
+        stacks.clear()
+        assert intersect_oracles(oracles).lattice_basis is not None
+        (stack,) = stacks
+        assert_qt_rows(stack, ts)
 
 
 def test_q_builds_and_audits_read_no_fraction_row(monkeypatch):

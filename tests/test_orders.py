@@ -171,15 +171,25 @@ def test_lattice_self_check_fires(monkeypatch, kind):
 
 
 def test_left_order_refuses_an_order_without_1(monkeypatch):
-    """T over Z_(2) divided by 2 spans a lattice too large, whose order 2R
-    is too small: its basis passes the check against the full rows, and
-    the left order refuses it because 1 and the stabilizer are not in it."""
+    """T over Z_(2) divided by 2, or over O_v of Q(t) divided by t, spans
+    a lattice too large, whose order 2R or tR is too small: its basis
+    passes the check against the full rows, and the left order refuses it
+    because 1 and the stabilizer are not in it."""
     alg = matrix_algebra(ValuedField("Q", 2), 2)
     padic_pivots = orders._padic_pivots
     monkeypatch.setattr(orders, "_padic_pivots", lambda pool, ncols, p: [
         QVector._canonical(r.ints, 2 * r.den) for r in padic_pivots(pool, ncols, p)])
     with pytest.raises(StructuralError, match="1 or the stabilizer lies outside the left order"):
         left_order(LatticeModule(alg, p_local(2), units_of(alg)))
+    field = ValuedField("Qt", 2)
+    alg, eliminate = matrix_algebra(field, 2), orders._eliminate
+
+    def over_t(rows, ncols, domain):
+        pivots, rest = eliminate(rows, ncols, domain)
+        return [[c / RationalFunction.T for c in row] for row in pivots], rest
+    monkeypatch.setattr(orders, "_eliminate", over_t)
+    with pytest.raises(StructuralError, match="1 or the stabilizer lies outside the left order"):
+        left_order(LatticeModule(alg, valuation_ring(field), units_of(alg)))
 
 
 def test_predicate_lattice_agreement_fuzz(m2):
