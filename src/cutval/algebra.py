@@ -6,20 +6,22 @@ basis: over Q a `numfield.QVector` (integers over one denominator), which
 `numfield.QtVector` (integer lists over one integer list in Z[t]), which
 `QtVector.of` makes of a tuple of RationalFunctions.
 
-Exact linear algebra over Q runs on integers.  A dense inverse and a rank
-are one fraction-free kernel, `_bareiss`: `invert` runs it as
-Gauss-Jordan and hands back each row as a QVector, `rank_of` runs it
-forward only.  A Z_(p) lattice is its Hermite form, read off a pivot
-search in Z/p^K with no pivot row built exactly (`_padic_pivots`), and
-kept as QVector rows.  `_eliminate` is the scalar loop with
-first-nonzero or, given a domain, least-valuation pivots: over Q(t) it
-is every elimination, over Q only `solve_columns`'.  Over Q(t) `invert`
-is `_eliminate`, then `_back_substitute`, on [rows | I]; on a triangular
-T the elimination updates no row.  Coordinates over a basis are the
-values of the rows of `coordinate_rows`, the basis's inverse, which is
-where a basis is checked, and `product_rows` stacks the rows of x ->
-coords(x*b) with no product formed: coords' rows times b's
-right-multiplication matrix, read off the table's cells.
+Exact linear algebra runs on integers, in one fraction-free kernel on
+both fields, `_bareiss` (Bareiss 1968), on the rows [a_i | d_i*e_i] of
+vectors a_i/d_i (`_integer_rows`): `invert` as Gauss-Jordan, `rank_of`
+and `solve_columns` forward only.  Over Q(t) each entry in Z[t] is read
+at t = 2^w (Kronecker substitution), w one bit past the bound on every
+coefficient of every minor, which is all Bareiss reaches, and `_digits`
+reads each result back; `_elements` makes a block over det elements,
+over Q(t) left as that clearing.  A Z_(p) lattice is its Hermite form,
+read off a pivot search in Z/p^K with no pivot row built exactly
+(`_padic_pivots`), and kept as QVector rows; `_eliminate`, the scalar
+loop with least-valuation pivots, reduces a lattice's rows over O_v of
+Q(t) to T.  Coordinates over a basis are the values of the rows of
+`coordinate_rows`, the basis's inverse, which is where a basis is
+checked, and `product_rows` stacks the rows of x -> coords(x*b) with no
+product formed: coords' rows times b's right-multiplication matrix,
+read off the table's cells.
 
 Over Q a row is an element: a `_Rows` holds each row a_i over d as the
 QVector it is, made canonical by `QVector._canonical`, the one gcd of
@@ -33,8 +35,8 @@ those sums over L*e is the rational whose multiples the values are, off
 which membership, clearing and the least value are read.
 `product_rows` is one integer matrix product over the same cells, and
 every reader of the rows, the lattice's Z/p^K search included, takes
-them as they are; `_transpose` turns vectors into the columns of the
-matrix they are the rows of.  Over Q(t) a row is an element too, a
+them as they are; `column_rows` turns vectors into the rows of the
+matrix they are the columns of.  Over Q(t) a row is an element too, a
 QtVector: elements and `product_rows` are summed the same way in Z[t],
 over the table cleared over one D in Z[t], and a result is left as that
 clearing until it is observed.  Valuations and `element` read each row's
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, repeat
-from math import gcd, lcm, log2
+from math import gcd, lcm, log2, prod
 from operator import add, mul
 
 from .errors import ConfigError, StructuralError
@@ -201,27 +203,19 @@ class StructureAlgebra:
 # --- exact linear algebra -------------------------------------------------
 
 
-def _eliminate(rows, ncols, domain=None):
-    """Forward elimination of scalar rows on their first ncols columns:
-    (pivots, rest).
-
-    The pivot is the first live row or, given a domain, the live row of
-    least domain.value (ties to the lowest index); it leaves the pool
-    unscaled and its column is cleared from the rest, across whole rows,
-    so entries past ncols ride along as right-hand sides.  pivots[col] is
-    None when no row is nonzero in the column; rest is the pool left at
-    the end.  Over Q only `solve_columns` comes here.
-    """
-    key = None if domain is None else domain.value
+def _eliminate(rows, ncols, domain):
+    """Forward elimination of scalar rows on their first ncols columns: the
+    pivot rows, or None when a column has no nonzero row.  The pivot is the
+    live row of least domain.value (ties to the lowest index); it leaves
+    the pool unscaled and its column is cleared from the rest.  Only
+    `orders._lattice` over Q(t) comes here, for T."""
     pool = [list(r) for r in rows]
     pivots = []
     for col in range(ncols):
         live = [k for k, row in enumerate(pool) if row[col]]
         if not live:
-            pivots.append(None)
-            continue
-        best = live[0] if key is None else min(live, key=lambda k: key(pool[k][col]))
-        pivot = pool.pop(best)
+            return None
+        pivot = pool.pop(min(live, key=lambda k: domain.value(pool[k][col])))
         pv = pivot[col]
         for row in pool:
             if row[col]:
@@ -230,7 +224,7 @@ def _eliminate(rows, ncols, domain=None):
                     if p:
                         row[i] = row[i] - f * p
         pivots.append(pivot)
-    return pivots, pool
+    return pivots
 
 
 def _residues(pool, ncols, p, e, q):
@@ -301,35 +295,67 @@ def _padic_pivots(pool, ncols, p):
     return [QVector._canonical(h, p ** e) for h in lifted]
 
 
-def _back_substitute(pivots, ncols):
-    """X with U X = R for full-rank upper triangular rows [U | R], as
-    an elimination's pivot rows are; X[k] lists row k of the solution over
-    R's columns.  Only `invert` (R = I) and `solve_columns` call it."""
-    xs = [None] * ncols
-    for k in range(ncols - 1, -1, -1):
-        row = pivots[k]
-        acc = row[ncols:]
-        for j in range(k + 1, ncols):
-            if row[j]:
-                acc = [a - row[j] * x if x else a for a, x in zip(acc, xs[j])]
-        xs[k] = [a / row[k] for a in acc]
-    return xs
+def _digits(v: int, w: int) -> list[int]:
+    """v's signed w-bit digits, lowest first, each in [-2^(w-1), 2^(w-1))
+    and borrowing from the next: the integer list in Z[t] whose value at
+    t = 2^w is v, when its coefficients are below 2^(w-1) in size.
+    Trailing zeros are left on."""
+    out, half, mask = [], 1 << (w - 1), (1 << w) - 1
+    for _ in range(v.bit_length() // w + 2):
+        out.append(d := ((v + half) & mask) - half)
+        v = (v - d) >> w
+    return out
+
+
+def _integer_rows(fieldobj: ValuedField, vectors) -> tuple[list, int]:
+    """(the integer rows [a_i | d_i*e_i] of the vectors a_i/d_i, w): over Q
+    (w = 0) their QVectors' integers, over Q(t) their clearings in Z[t],
+    each list read as its value at t = 2^w.  There w is one bit past B =
+    prod_i max(1, sum_j |m_ij|_1), the rows' coefficient 1-norms: every
+    value `_bareiss` reaches, forward or as Gauss-Jordan, is a minor of the
+    rows (Sylvester's identity), whose coefficients are at most B in size,
+    so a minor is 0 exactly when its value is, the pivots and every exact
+    // are the images of those in Z[t], and `_digits` reads each back."""
+    q = fieldobj.kind == "Q"
+    pairs = list(map(QVector.pair if q else QtVector.pair, vectors))
+    n, zero = len(pairs), 0 if q else []
+    rows = [[*a] + [d if j == i else zero for j in range(n)] for i, (a, d) in enumerate(pairs)]
+    if q:
+        return rows, 0
+    w = prod(max(1, sum(map(abs, chain.from_iterable(row)))) for row in rows).bit_length() + 1
+    return [[sum(c << w * k for k, c in enumerate(a)) if a else 0 for a in row] for row in rows], w
+
+
+def _elements(fieldobj: ValuedField, block, det: int, w: int) -> tuple:
+    """The integer rows of a block over det != 0 as elements, rows and det
+    negated first when det < 0: over Q the QVectors, over Q(t) each entry
+    and det read back into Z[t] (`_digits`) and left as that clearing
+    (`QtVector._clearing`), made canonical when it is observed."""
+    if det < 0:
+        block, det = [[-x for x in row] for row in block], -det
+    if fieldobj.kind == "Q":
+        return tuple(QVector._canonical(row, det) for row in block)
+    den = _digits(det, w)
+    return tuple(QtVector._clearing([_digits(x, w) for x in row], den) for row in block)
 
 
 def solve_columns(fieldobj: ValuedField, columns, target):
-    """Coordinates c with sum c_i * columns[i] = target, exactly.
+    """Coordinates c with sum c_i * columns[i] = target, exactly: `_bareiss`
+    forward only on the integer rows of the m columns and the target, where
+    a row left past the rank r holds a relation sum_i R_i*v_i = 0 in its
+    right half, and the solution is c_i = -R_i/R_m when r = m and R_m != 0.
 
     Raises StructuralError for dependent columns and for an inconsistent
     system (target outside the span when len(columns) < len(target)).
     """
     m = len(columns)
-    rows = [[col[r] for col in columns] + [t] for r, t in enumerate(target)]
-    pivots, rest = _eliminate(rows, m)
-    if any(p is None for p in pivots):
+    rows, w = _integer_rows(fieldobj, [*columns, target])
+    rank, _ = _bareiss(rows, len(target), False)
+    if rank < m or (rank == m and not rows[m][m]):
         raise StructuralError("dependent columns in linear solve")
-    if any(row[m] for row in rest):
+    if rank > m:
         raise StructuralError("target outside the span of the columns")
-    return tuple(x[0] for x in _back_substitute(pivots, m))
+    return tuple(_elements(fieldobj, [rows[m][:m]], -rows[m][m], w)[0])
 
 
 def _bareiss(m, ncols, above):
@@ -360,41 +386,24 @@ def _bareiss(m, ncols, above):
 
 
 def rank_of(fieldobj: ValuedField, vectors) -> int:
-    """The rank of the vectors: over Q `_bareiss` forward only on each
-    vector's clearing, a nonzero multiple of it; over Q(t) `_eliminate`."""
+    """The rank of the vectors: `_bareiss` forward only on their integer
+    rows (`_integer_rows`), on the vectors' own columns."""
     vectors = list(vectors)
     ncols = len(vectors[0]) if vectors else 0
-    if fieldobj.kind == "Q":
-        return _bareiss([QVector.pair(v)[0] for v in vectors], ncols, False)[0]
-    pivots, _ = _eliminate(vectors, ncols)
-    return sum(p is not None for p in pivots)
+    rows, _ = _integer_rows(fieldobj, vectors)
+    return _bareiss([r[:ncols] for r in rows], ncols, False)[0]
 
 
-def invert(fieldobj: ValuedField, rows) -> _Rows:
-    """Exact inverse of a square matrix given as a list of rows, as a _Rows.
-
-    Over Q it is `_bareiss` as Gauss-Jordan in Z: the rows as QVectors
-    a_i/d_i give [A | diag(d_i)] in integers, and at the end row i of the
-    inverse is its right half over det, the last pivot, every row negated
-    with det when det < 0.  Over Q(t), _eliminate on [rows | I], built
-    here, and _back_substitute.  On an upper triangular matrix, such as a
-    lattice's T, the elimination finds one live row per column and
-    updates none, so the inverse costs that one back substitution."""
-    n, one, zero = len(rows), fieldobj.one, fieldobj.zero
-    if fieldobj.kind != "Q":
-        pivots, _ = _eliminate([[*r] + [one if j == i else zero for j in range(n)]
-                                for i, r in enumerate(rows)], n)
-        if any(p is None for p in pivots):
-            raise StructuralError("singular matrix")
-        return _Rows(fieldobj, _back_substitute(pivots, n))
-    m = [[*r.ints] + [r.den if j == i else 0 for j in range(n)]
-         for i, r in enumerate(_Rows(fieldobj, rows).stored)]
-    rank, det = _bareiss(m, n, True)
+def invert(fieldobj: ValuedField, vectors) -> _Rows:
+    """The rows of the inverse of the matrix with the vectors as its
+    columns, as a _Rows.  `_bareiss` as Gauss-Jordan on their integer rows
+    leaves det times the inverse of the transpose in the right half, whose
+    column j over det is row j of the inverse (`_elements`)."""
+    m, w = _integer_rows(fieldobj, vectors)
+    rank, det = _bareiss(m, n := len(m), True)
     if rank < n:
         raise StructuralError("singular matrix")
-    if det < 0:
-        m, det = [[-x for x in row] for row in m], -det
-    return _Rows._make([QVector._canonical(row, det) for row in m], True)
+    return _Rows._make(_elements(fieldobj, zip(*m), det, w), fieldobj.kind == "Q")
 
 
 def is_independent(fieldobj: ValuedField, vectors) -> bool:
@@ -564,7 +573,7 @@ class _Packing:
 def coordinate_rows(alg: StructureAlgebra, basis) -> _Rows:
     """Rows whose values at x are x's coordinates over a basis of A: the
     rows of the inverse of the matrix with the basis vectors as columns
-    (`column_rows`).
+    (`invert`).
     A basis of the wrong size, with a vector of the wrong length or
     dependent is refused here."""
     n = alg.dim
@@ -573,35 +582,26 @@ def coordinate_rows(alg: StructureAlgebra, basis) -> _Rows:
     if (bad := next((len(b) for b in basis if len(b) != n), None)) is not None:
         raise StructuralError(f"a basis vector of A has {n} coordinates, got {bad}")
     try:
-        return invert(alg.field, column_rows(alg, basis))
+        return invert(alg.field, basis)
     except StructuralError:
         raise StructuralError("basis is dependent") from None
 
 
-def _transpose(vectors) -> list:
-    """The columns of the vectors a_i/d_i over Q as QVectors: a_i[j]*(L/d_i)
-    over the lcm L of the d_i."""
-    vectors = list(map(QVector.of, vectors))
-    den = lcm(*(v.den for v in vectors))
-    scaled = [[x * (den // v.den) for x in v.ints] for v in vectors]
-    return [QVector._canonical(col, den) for col in zip(*scaled)]
-
-
 def column_rows(alg: StructureAlgebra, vectors) -> _Rows:
     """The rows of the matrix with the given elements as its columns, read
-    off their integers: over Q by `_transpose`, building no Fraction, over
-    Q(t) as the QtVectors of the columns' clearings over the lcm of their
-    denominators, taking one lcm per element, each with its scalars, the
-    elements' coordinates, kept for the readers that iterate it."""
+    off their clearings a_i/d_i: each a_i scaled by L/d_i, for L the lcm
+    of the d_i (over Q(t) in Z[t]), and row j the a_i[j]*(L/d_i) over L,
+    over Q the QVector made canonical, over Q(t) the QtVector left as that
+    clearing."""
     if alg._q:
-        return _Rows._make(_transpose(vectors), True)
+        vectors = list(map(QVector.of, vectors))
+        den = lcm(*(v.den for v in vectors))
+        scaled = [[x * (den // v.den) for x in v.ints] for v in vectors]
+        return _Rows._make([QVector._canonical(col, den) for col in zip(*scaled)], True)
     vectors = list(map(QtVector.of, vectors))
     den = reduce(_zt_lcm, (v._den for v in vectors), [1])
     scaled = [[_convolve(a, q) for a in v._nums] for v in vectors for q in [_zt_quo(den, v._den)]]
-    rows = tuple(map(QtVector._make, zip(*scaled), repeat(den), repeat(False)))
-    for r, scalars in zip(rows, zip(*vectors)):
-        r._scalars = scalars
-    return _Rows._make(rows, False)
+    return _Rows._make(tuple(map(QtVector._make, zip(*scaled), repeat(den), repeat(False))), False)
 
 
 def product_rows(alg: StructureAlgebra, coords: _Rows, elements) -> _Rows:

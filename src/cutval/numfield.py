@@ -608,8 +608,7 @@ class QtVector:
     further arithmetic take any clearing as it is, since v(S/D) = v(S) -
     v(D) for every representation, so a product that is only valued takes
     no gcd.  Iterating or indexing yields reduced RationalFunctions, built
-    on the first read or kept from ``of``'s input (or, for a row, from
-    the columns `algebra.column_rows` read it off), and a QtVector equals,
+    on the first read or kept from ``of``'s input, and a QtVector equals,
     and hashes as, the tuple of them.  Readers copy a list before they
     change it.
     """

@@ -31,11 +31,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (PolynomialAlgebra, StructureAlgebra, _eliminate, _padic_pivots, _Rows,
-                      _transpose, column_rows, coordinate_rows, extend_to_basis, invert,
-                      is_independent, matrix_algebra)
+                      column_rows, coordinate_rows, extend_to_basis, invert, is_independent,
+                      matrix_algebra)
 from .basedomain import BaseDomain, is_subdomain
 from .errors import ConfigError, DomainError, StructuralError
-from .numfield import QtVector
 from .samplers import (sample_in_domain, sample_member, sample_scalar)
 from .sampling import SampleSpec, check_sample_count
 from .stability import StableBasisCertificate, insert_many, stabilizer_finite
@@ -184,8 +183,8 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
     one row set.  Over Q, T is the Hermite form of that module, from
     `algebra._padic_pivots`, kept as the QVectors it was built as; over
     Q(t), T is the pivot rows of `_eliminate`.  On both fields the lattice
-    basis, the columns of T^-1, comes from one `invert`, read over Q off
-    the inverse's QVector rows.  The basis is checked against the full
+    basis, the columns of T^-1, is the rows of one `invert` of T's rows,
+    over Q(t) each made canonical once.  The basis is checked against the full
     rows (a certificate's own `_Rows`); `left_order` also
     checks that 1 and the stabilizer lie in the lattice.  None
     when the rows lack full column rank, as an ideal variant's always do;
@@ -193,16 +192,17 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
     1 = sum u_j*b_j.
     """
     rows, n = _Rows(alg.field, rows), alg.dim
-    if alg.field.kind == "Q":
-        if (hermite := _padic_pivots(rows.stored, n, domain.valued_field.p)) is None:
-            return None
-        t_rows = _Rows._make(hermite, True)
+    if alg._q:
+        t_rows = _padic_pivots(rows.stored, n, domain.valued_field.p)
     else:
-        t_rows, _ = _eliminate(rows, n, domain)
-        if any(r is None for r in t_rows):
-            return None
-    inverse = invert(alg.field, t_rows)
-    basis = tuple(_transpose(inverse.stored) if inverse.q else map(QtVector.of, zip(*inverse.stored)))
+        t_rows = _eliminate(rows, n, domain)
+    if t_rows is None:
+        return None
+    t_rows = _Rows(alg.field, t_rows)
+    basis = invert(alg.field, t_rows.stored).stored
+    if not alg._q:  # members and audits multiply by the basis: made canonical once
+        for b in basis:
+            b._settle()
     if not all(domain.admits(rows, b) for b in basis):
         raise StructuralError("lattice basis disagrees with the predicate")
     return SubringOracle(

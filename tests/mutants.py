@@ -153,17 +153,17 @@ MUTANTS = (
         "_padic_pivots reads valuations past the precision a pivot leaves"),
     Mutant(
         "invert-sign-not-flipped", "src/cutval/algebra.py",
-        "m, det = [[-x for x in row] for row in m], -det",
-        "m, det = m, det",
+        "block, det = [[-x for x in row] for row in block], -det",
+        "block, det = block, det",
         ("tests/test_kernel.py::test_fraction_free_inverse_matches_reference",
          "tests/test_kernel.py::test_every_q_row_set_is_canonical_qvectors"),
-        "invert keeps the rows over a negative det as they are"),
+        "_elements keeps the rows over a negative det as they are"),
     Mutant(
-        "transpose-scales-by-own-den", "src/cutval/algebra.py",
+        "column-rows-scales-by-own-den", "src/cutval/algebra.py",
         "[x * (den // v.den) for x in v.ints]",
         "[x * v.den for x in v.ints]",
-        ("tests/test_kernel.py::test_product_rows_match_reference[M3(Q)]",),
-        "_transpose scales row i by d_i instead of L/d_i"),
+        ("tests/test_kernel.py::test_every_q_row_set_is_canonical_qvectors",),
+        "column_rows over Q scales column i by d_i instead of L/d_i"),
     Mutant(
         "qtvector-gcd-dropped", "src/cutval/numfield.py",
         "                lists = _coprime(lists)\n",
@@ -190,18 +190,18 @@ MUTANTS = (
         ("tests/test_algebra.py::test_qt_elements_match_the_ratfunc_tuples[Q(t)[x]/(x^2-1/t)]",),
         "a product over Q(t) leaves out the table's denominator"),
     Mutant(
-        "invert-qt-gauss-jordan", "src/cutval/algebra.py",
-        "        return _Rows(fieldobj, _back_substitute(pivots, n))\n",
-        "        for k in range(n - 1, -1, -1):\n"
-        "            pivots[k] = [x / pivots[k][k] for x in pivots[k]]\n"
-        "            for i in range(n):\n"
-        "                if i != k and pivots[i][k]:\n"
-        "                    f = pivots[i][k]\n"
-        "                    pivots[i] = [a - f * b for a, b in zip(pivots[i], pivots[k])]\n"
-        "        return _Rows(fieldobj, [row[n:] for row in pivots])\n",
-        ("tests/test_kernel.py::test_inverting_t_costs_one_back_substitution",
-         "tests/test_kernel.py::test_one_inverse_and_no_products_per_build[Q(t)[x]/(x^2-t)/O_v]"),
-        "invert over Q(t) runs Gauss-Jordan, each pivot row normalised and cleared above and below"),
+        "kronecker-width-from-largest-coefficient", "src/cutval/algebra.py",
+        "w = prod(max(1, sum(map(abs, chain.from_iterable(row)))) for row in rows).bit_length() + 1",
+        "w = max(map(abs, chain.from_iterable(chain.from_iterable(rows)))).bit_length() + 1",
+        ("tests/test_kernel.py::test_qt_kernel_reads_a_minor_as_wide_as_the_bound",
+         "tests/test_kernel.py::test_qt_kernel_matches_ratfunc_reference"),
+        "a Q(t) matrix is read at t = 2^w for w past its largest coefficient, not past the bound on its minors"),
+    Mutant(
+        "digits-without-signed-borrow", "src/cutval/algebra.py",
+        "d := ((v + half) & mask) - half",
+        "d := v & mask",
+        ("tests/test_kernel.py::test_qt_kernel_matches_ratfunc_reference",),
+        "_digits reads each w-bit digit as nonnegative, so a negative coefficient comes back wrong"),
     Mutant(
         "packing-digit-one-bit-short", "src/cutval/algebra.py",
         "k = (cbits + bits + nbits + 8) // 8",

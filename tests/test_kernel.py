@@ -13,9 +13,10 @@ with a full gcd (and the Fraction long division it reduced by, once
 the separate Q and Q(t) branches of valuation-ring denominator clearing.
 The elimination's own Fraction loop, which the Q(t) path still runs, is
 the reference for the Z_(p) lattices over Q: the Hermite form of its
-pivots, also computed in Fractions, is the reference for T, and the rank and
-inverse loops are the references for the fraction-free kernel in Z
-that replaced them over Q.  The stabilizer
+pivots, also computed in Fractions, is the reference for T, and the solve,
+rank and inverse loops are the references for the fraction-free kernel in
+Z that replaced them on both fields, over Q(t) on the matrix read at
+t = 2^w.  The stabilizer
 reference keeps its per-product solves but clears all n^2 coordinates at
 b_i at once, the rule that replaced a product of n clearings.  Asking
 `contains` of every row value, and `clear_many` of them all, is the
@@ -492,7 +493,7 @@ def test_min_valuation_path_matches_reference(case):
             assert_reference_lattice(both, min_valuation_eliminate_reference(
                 domain, expected + unit_pivots, n))
             continue
-        pivots, _ = _eliminate(rows, n, domain)
+        pivots = _eliminate(rows, n, domain)
         assert [tuple(p) for p in pivots] == expected
         assert tuple(R.lattice_rows) == tuple(expected)
         tinv = invert_reference(alg.field, [list(r) for r in expected])
@@ -507,7 +508,8 @@ def test_solve_rank_invert_match_reference(case):
     spec = SampleSpec(seed=303, count=0, **(QT_DRAW if field.kind == "Qt" else M3_DRAW))
     rng = spec.rng()
     for basis in bases:
-        assert list(invert(field, basis)) == list(map(tuple, invert_reference(field, basis)))
+        # the rows of the inverse of the matrix with the basis as its columns
+        assert list(invert(field, basis)) == list(map(tuple, invert_reference(field, list(zip(*basis)))))
         for _ in range(3):
             x = sample_algebra_element(rng, spec, alg)
             assert solve_columns(field, list(basis), x) == solve_columns_reference(list(basis), x)
@@ -535,7 +537,7 @@ def rational_rows(rows):
 
 
 # hand-built matrices over Q: a zero (0,0) entry, so the first column
-# pivots on a swapped-up row; and rows cleared to [1, 4]/2 and [9, 4]/3,
+# pivots on a swapped-up row; and columns cleared to [1, 6]/2 and [6, 4]/3,
 # whose integer determinant is 4 - 36 < 0
 SWAP = rational_rows([[0, 1, "2/3"], [3, 0, "1/2"], [1, "-5/7", 1]])
 NEGATIVE_DET = rational_rows([["1/2", 2], [3, "4/3"]])
@@ -554,8 +556,9 @@ def drawn_matrices(n, seed, count):
 def test_fraction_free_inverse_matches_reference(rows):
     """The inverse over Q, a fraction-free Gauss-Jordan in Z, stores each
     row as the QVector a/d of the (a, d) that _cleared gives of the
-    Fraction inverse's row: d > 0 and gcd(a..., d) = 1."""
-    got = invert(Q3, rows)
+    Fraction inverse's row: d > 0 and gcd(a..., d) = 1.  `invert` takes
+    the matrix's columns."""
+    got = invert(Q3, list(zip(*rows)))
     expected = invert_reference(Q3, rows)
     assert len(got) == len(expected) and got.width == len(rows)
     for r, row in zip(got.stored, expected):
@@ -568,10 +571,100 @@ def test_fraction_free_inverse_refuses_a_singular_matrix():
     with pytest.raises(StructuralError):
         invert_reference(Q3, singular)
     with pytest.raises(StructuralError, match="singular matrix"):
-        invert(Q3, singular)
+        invert(Q3, list(zip(*singular)))
     alg = matrix_algebra(Q3, 2)
     with pytest.raises(StructuralError, match="basis is dependent"):
         coordinate_rows(alg, [alg.unit, alg.basis_vector(0), alg.basis_vector(1), alg.basis_vector(3)])
+
+
+QT_KERNEL_ALGEBRAS = {
+    "M2(Q(t))": (lambda: matrix_algebra(QT, 2), dict(QT_DRAW, poly_degree=1)),
+    "Q(t)[x]/(x^2-t)": (lambda: quadratic_algebra(QT, RationalFunction.T), QT_DRAW),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QT_KERNEL_ALGEBRAS))
+def test_qt_kernel_matches_ratfunc_reference(name):
+    """Over Q(t) invert, rank_of and solve_columns, each one `_bareiss` on
+    the integer rows read at t = 2^w, against the RationalFunction loops
+    on drawn bases: the inverse of the matrix with the basis as its
+    columns, each row left as the clearing it was read back as; the rank
+    of the basis, of dependent families and of families with a repeat;
+    the coordinates of drawn points, of 0 and of a point in the span of
+    fewer columns, and the refusals of a dependent family and of a point
+    outside the span."""
+    make, draw = QT_KERNEL_ALGEBRAS[name]
+    alg = make()
+    spec = SampleSpec(seed=353, count=0, **draw)
+    rng = spec.rng()
+    for basis in draw_bases(alg, 353, draw, 3):
+        inverse = invert(QT, basis)
+        assert not inverse.q and not any(r._canon for r in inverse.stored)
+        assert [tuple(r) for r in inverse] == list(map(tuple, invert_reference(QT, list(zip(*basis)))))
+        c = sample_scalar(rng, spec, QT) or QT.one
+        dependent = list(basis[:-1]) + [alg.add(basis[0], alg.smul(c, basis[-2]))]
+        for family in (basis, dependent, basis[:1], basis + basis[:1], dependent[1:]):
+            assert rank_of(QT, family) == rank_reference(family)
+        with pytest.raises(StructuralError, match="singular matrix"):
+            invert(QT, dependent)
+        for x in [sample_algebra_element(rng, spec, alg) for _ in range(2)] + [alg.zero]:
+            assert solve_columns(QT, list(basis), x) == solve_columns_reference(list(basis), x)
+        with pytest.raises(StructuralError, match="dependent columns in linear solve"):
+            solve_columns(QT, dependent, basis[-1])
+        part, inside = list(basis[:-1]), dependent[-1]
+        assert solve_columns(QT, part, inside) == solve_columns_reference(part, inside)
+        with pytest.raises(StructuralError, match="target outside the span of the columns"):
+            solve_columns(QT, part, basis[-1])
+
+
+def test_qt_kernel_reads_a_minor_as_wide_as_the_bound():
+    """Columns 2^8*t*e_1, -2^8*t*e_2 and 2^8*t*e_3, each over 1: every row
+    [a_i | d_i*e_i] has coefficient 1-norm 257, so the bound on a minor's
+    coefficients is 257^3, of 25 bits, and the determinant -2^24*t^3 has a
+    coefficient of those 25 bits.  It is read back as it is, so the
+    inverse, the ranks and a solve equal the RationalFunction loops'; a
+    digit of one bit less would misread it."""
+    t, zero = RationalFunction.T, QT.zero
+    c = QT.scalar(2 ** 8) * t
+    columns = [(c, zero, zero), (zero, -c, zero), (zero, zero, c)]
+    det = c * -c * c
+    assert det == QT.scalar(-2 ** 24) * t * t * t
+    assert (2 ** 24).bit_length() == (257 ** 3).bit_length() == 25
+    assert list(map(tuple, invert(QT, columns))) == list(map(tuple, invert_reference(QT, list(zip(*columns)))))
+    target = (c + t, t - c, c)
+    assert solve_columns(QT, columns, target) == solve_columns_reference(columns, target)
+    dependent = columns[:2] + [(c, -c, zero)]
+    assert rank_of(QT, dependent) == rank_reference(dependent) == 2
+    assert rank_of(QT, columns + [target]) == rank_reference(columns + [target]) == 3
+
+
+def zt_stripped(a):
+    """An integer list in Z[t] without its trailing zeros."""
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def test_m3_qt_seed_7_certificate_inverts_its_basis():
+    """The random M3(Q(t)) basis that tests/e2e_random_basis.py draws at
+    seed 7, whose 9 x 9 inverse took over a minute as RationalFunction
+    elimination: its certificate's coordinate rows A_i/Q_i and the basis
+    X_j/E_j multiply to the identity in Z[t], sum_k A_ik*X_jk =
+    delta_ij*Q_i*E_j, taking no gcd and reading no scalar."""
+    alg = matrix_algebra(QT, 3)
+    spec = SampleSpec(seed=7, count=0, coef_bound=4, max_p_exp=2, poly_degree=1)
+    rng = spec.rng()
+    while True:  # the draw of cutbench.workloads.draw_bases
+        basis = [tuple(sample_scalar(rng, spec, QT) for _ in range(alg.dim)) for _ in range(alg.dim)]
+        if rank_of(QT, basis) == alg.dim:
+            break
+    cert = stabilizer_finite(alg, basis, valuation_ring(QT))
+    assert len(cert.rows) == alg.dim ** 2 and len(cert.stabilizer) == alg.dim
+    for i, row in enumerate(cert.coords.stored):
+        for j, b in enumerate(cert.basis):
+            want = numfield._convolve(row._den, b._den) if i == j else []
+            assert zt_stripped(numfield._zt_dot(row._nums, b._nums)) == zt_stripped(want), (i, j)
 
 
 def test_stabilizer_and_stability_match_reference(case):
@@ -629,21 +722,20 @@ def test_clearing_stabilizer_is_least(name, domain):
 def test_one_inverse_and_no_products_per_build(case, monkeypatch):
     """A build inverts the basis once, for the certificate's product rows,
     solves T once over a valuation ring, by `invert` on both fields, and
-    forms no product: the rows are summed off the table's cells.  Over Q
-    the dense inverse back-substitutes nothing; over Q(t) each of the two
-    inverses makes the one back substitution of its own elimination."""
+    forms no product: the rows are summed off the table's cells.  On both
+    fields each of the inverses is one `_bareiss`, and the build runs no
+    other."""
     alg, domain, bases = case
     calls = {}
     count_calls(monkeypatch, calls, StructureAlgebra, "mul")
     count_calls(monkeypatch, calls, algebra, "invert")
-    count_calls(monkeypatch, calls, algebra, "_back_substitute")
+    count_calls(monkeypatch, calls, algebra, "_bareiss")
     count_calls(monkeypatch, calls, orders, "invert", "t_solve")
     for basis in bases:
         calls.update(dict.fromkeys(calls, 0))
         orders.nice_from_certificate(stabilizer_finite(alg, basis, domain))
         t_solves = 1 if domain.is_valuation_like else 0
-        assert calls == {"mul": 0, "invert": 1, "t_solve": t_solves,
-                         "_back_substitute": 1 + t_solves if alg.field.kind == "Qt" else 0}
+        assert calls == {"mul": 0, "invert": 1, "t_solve": t_solves, "_bareiss": 1 + t_solves}
 
 
 def test_insertion_clears_the_coordinates_over_the_new_basis(case, monkeypatch):
@@ -708,28 +800,23 @@ def test_one_inverse_per_insertion_and_chain_step(case, monkeypatch):
 @pytest.mark.parametrize("make", [lambda: matrix_algebra(QT, 2),
                                   lambda: quadratic_algebra(QT, RationalFunction.T)],
                          ids=["M2(Q(t))", "Q(t)[x]/(x^2-t)"])
-def test_inverting_t_costs_one_back_substitution(make, monkeypatch):
-    """Over O_v of Q(t) `invert` on a lattice's upper triangular T makes
-    exactly the RationalFunction +, -, * and / of `_back_substitute` on
-    [T | I], and returns its rows: the forward elimination before it finds
-    one live row per column and updates none."""
+def test_inverting_t_costs_one_bareiss(make, monkeypatch):
+    """Over O_v of Q(t) `invert` on a lattice's upper triangular T is one
+    `_bareiss` on integers, with no RationalFunction +, -, * or /, and
+    returns the rows of (T^T)^-1: the columns of the reference T^-1."""
     alg, domain = make(), valuation_ring(QT)
-    n, one, zero = alg.dim, QT.one, QT.zero
     ts = [list(orders.nice_from_certificate(stabilizer_finite(alg, basis, domain)).lattice_rows)
           for basis in draw_bases(alg, 8, QT_READ_DRAW, 3)]
     ops = {}
     for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
         count_calls(monkeypatch, ops, RationalFunction, name, "ops")
+    count_calls(monkeypatch, ops, algebra, "_bareiss")
     for t in ts:
-        assert all(not t[i][j] for i in range(n) for j in range(i))
-        ops["ops"] = 0
-        inverse = list(algebra.invert(QT, t))
-        inverted = ops["ops"]
-        ops["ops"] = 0
-        solved = algebra._back_substitute(
-            [[*r] + [one if j == i else zero for j in range(n)] for i, r in enumerate(t)], n)
-        assert ops["ops"] == inverted > 0
-        assert inverse == [tuple(r) for r in solved]
+        assert all(not t[i][j] for i in range(alg.dim) for j in range(i))
+        ops.update(ops=0, _bareiss=0)
+        inverse = algebra.invert(QT, t)
+        assert ops == {"ops": 0, "_bareiss": 1}
+        assert [tuple(r) for r in inverse] == list(zip(*invert_reference(QT, t)))
 
 
 def test_ideal_variant_inverts_once_and_forms_no_products(monkeypatch):
@@ -1146,7 +1233,7 @@ def test_cleared_kernel_matches_fraction_loop(matrix):
     assert rank_of(field, rows) == rank_reference(rows)
     square = [r[:ncols] for r in rows[:ncols]]
     if len(square) == ncols and rank_reference(square) == ncols:
-        got = [(list(r.ints), r.den) for r in invert(field, square).stored]
+        got = [(list(r.ints), r.den) for r in invert(field, list(zip(*square))).stored]
         assert got == [_cleared(row) for row in invert_reference(field, square)]
     elif len(square) == ncols:
         with pytest.raises(StructuralError, match="singular matrix"):
@@ -1532,8 +1619,9 @@ def assert_canonical_q_rows(rows):
 def test_every_q_row_set_is_canonical_qvectors(monkeypatch):
     """Every _Rows over Q the library builds holds canonical QVectors:
     coordinate and product rows, T, T^-1, an ideal variant's subset, an
-    intersection's stack and column rows.  The bases include one whose
-    inverse is made over a negative determinant."""
+    intersection's stack and column rows, which are the basis's columns.
+    The bases include one whose inverse is made over a negative
+    determinant."""
     alg = matrix_algebra(Q3, 3)
     negated = (alg.smul(Fraction(-1), alg.basis_vector(0)), *map(alg.basis_vector, range(1, 9)))
     inverses, stacks = [], []
@@ -1543,6 +1631,7 @@ def test_every_q_row_set_is_canonical_qvectors(monkeypatch):
         stacks.append(rows) or lattice(alg, domain, rows, *a)))
     orders_z3 = []
     for basis in [negated, M3_SEED7] + draw_bases(alg, 343, M3_DRAW, 2):
+        assert tuple(column_rows(alg, basis)) == tuple(zip(*basis))
         for domain in (integers(), p_local(3)):
             cert = stabilizer_finite(alg, basis, domain)
             R = orders.nice_from_certificate(cert)
@@ -1600,7 +1689,7 @@ def test_every_qt_row_set_is_qtvectors(monkeypatch):
             assert_qt_rows(cert.rows, rows)
             assert_qt_rows(R.lattice_rows, t)
             (T_inverse,) = inverses
-            assert_qt_rows(T_inverse, t_inverse)
+            assert_qt_rows(T_inverse, list(zip(*t_inverse)))  # invert(T) is (T^T)^-1
             assert_qt_rows(column_rows(alg, basis), list(zip(*basis)))
             assert_qt_rows(R._basis_rows, t_inverse)  # the lattice basis: the columns of T^-1
             oracles.append(R)

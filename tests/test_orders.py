@@ -61,9 +61,9 @@ def test_lattice_membership_examples(m2, field_q):
 @pytest.mark.parametrize("domain", [integers(), p_local(3)], ids=["Z", "Z_(3)"])
 def test_lattice_membership_inverts_once(domain, monkeypatch):
     """M's coordinate rows are built on the first call and kept: 90 calls
-    make one dense inverse and no back substitution, and each verdict is
-    the one that asks `contains` of every coordinate solved afresh, both
-    verdicts occurring."""
+    make one dense inverse, one `_bareiss`, and each verdict is the one
+    that asks `contains` of every coordinate solved afresh, both verdicts
+    occurring."""
     field = ValuedField("Q", 3)
     alg = matrix_algebra(field, 3)
     spec = SampleSpec(seed=91, count=0, coef_bound=5, max_p_exp=2)
@@ -76,13 +76,12 @@ def test_lattice_membership_inverts_once(domain, monkeypatch):
     assert len(points) == 90
     expected = [all(map(domain.contains, solve_columns(field, basis, x))) for x in points]
     assert True in expected and False in expected
-    calls, invert, back_substitute = [], algebra.invert, algebra._back_substitute
+    calls, invert, bareiss = [], algebra.invert, algebra._bareiss
     monkeypatch.setattr(algebra, "invert", lambda *a: calls.append("invert") or invert(*a))
-    monkeypatch.setattr(algebra, "_back_substitute",
-                        lambda *a: calls.append("back substitution") or back_substitute(*a))
+    monkeypatch.setattr(algebra, "_bareiss", lambda *a: calls.append("_bareiss") or bareiss(*a))
     M = LatticeModule(alg, domain, basis)
     assert [lattice_membership(M, x) for x in points] == expected
-    assert calls == ["invert"]
+    assert calls == ["invert", "_bareiss"]
 
 
 # --- left orders ------------------------------------------------------------
@@ -185,8 +184,7 @@ def test_left_order_refuses_an_order_without_1(monkeypatch):
     alg, eliminate = matrix_algebra(field, 2), orders._eliminate
 
     def over_t(rows, ncols, domain):
-        pivots, rest = eliminate(rows, ncols, domain)
-        return [[c / RationalFunction.T for c in row] for row in pivots], rest
+        return [[c / RationalFunction.T for c in row] for row in eliminate(rows, ncols, domain)]
     monkeypatch.setattr(orders, "_eliminate", over_t)
     with pytest.raises(StructuralError, match="1 or the stabilizer lies outside the left order"):
         left_order(LatticeModule(alg, valuation_ring(field), units_of(alg)))
