@@ -15,13 +15,13 @@ coefficient of every minor, which is all Bareiss reaches, and `_digits`
 reads each result back; `_elements` makes a block over det elements,
 over Q(t) left as that clearing.  A Z_(p) lattice is its Hermite form,
 read off a pivot search in Z/p^K with no pivot row built exactly
-(`_padic_pivots`), and kept as QVector rows; `_eliminate`, the scalar
-loop with least-valuation pivots, reduces a lattice's rows over O_v of
-Q(t) to T.  Coordinates over a basis are the values of the rows of
-`coordinate_rows`, the basis's inverse, which is where a basis is
-checked, and `product_rows` stacks the rows of x -> coords(x*b) with no
-product formed: coords' rows times b's right-multiplication matrix,
-read off the table's cells.
+(`_padic_pivots`), and kept as QVector rows; over O_v of Q(t) T is the
+pivot rows of `_bareiss` with least-valuation pivots, on the rows read
+at t = 2^w (`_ov_pivots`).  Coordinates over a basis are the values of
+the rows of `coordinate_rows`, the basis's inverse, which is where a
+basis is checked, and `product_rows` stacks the rows of x -> coords(x*b)
+with no product formed: coords' rows times b's right-multiplication
+matrix, read off the table's cells.
 
 Over Q a row is an element: a `_Rows` holds each row a_i over d as the
 QVector it is, made canonical by `QVector._canonical`, the one gcd of
@@ -40,8 +40,8 @@ matrix they are the columns of.  Over Q(t) a row is an element too, a
 QtVector: elements and `product_rows` are summed the same way in Z[t],
 over the table cleared over one D in Z[t], and a result is left as that
 clearing until it is observed.  Valuations and `element` read each row's
-clearing, one row at a time (see `numfield`); `_eliminate` and `values`
-iterate its scalars.
+clearing, one row at a time (see `numfield`), `_ov_pivots` reads the
+clearings at t = 2^w, and only `values` iterates a row's scalars.
 
 The polynomial backend :class:`PolynomialAlgebra` represents F[y] with the
 monomial basis; elements are sparse exponent -> coefficient dicts.
@@ -203,30 +203,6 @@ class StructureAlgebra:
 # --- exact linear algebra -------------------------------------------------
 
 
-def _eliminate(rows, ncols, domain):
-    """Forward elimination of scalar rows on their first ncols columns: the
-    pivot rows, or None when a column has no nonzero row.  The pivot is the
-    live row of least domain.value (ties to the lowest index); it leaves
-    the pool unscaled and its column is cleared from the rest.  Only
-    `orders._lattice` over Q(t) comes here, for T."""
-    pool = [list(r) for r in rows]
-    pivots = []
-    for col in range(ncols):
-        live = [k for k, row in enumerate(pool) if row[col]]
-        if not live:
-            return None
-        pivot = pool.pop(min(live, key=lambda k: domain.value(pool[k][col])))
-        pv = pivot[col]
-        for row in pool:
-            if row[col]:
-                f = row[col] / pv
-                for i, p in enumerate(pivot):
-                    if p:
-                        row[i] = row[i] - f * p
-        pivots.append(pivot)
-    return pivots
-
-
 def _residues(pool, ncols, p, e, q):
     """The first ncols columns of the rows p^e*a/d of a pool of QVectors a/d, mod q."""
     scale = []
@@ -295,6 +271,34 @@ def _padic_pivots(pool, ncols, p):
     return [QVector._canonical(h, p ** e) for h in lifted]
 
 
+def _ov_pivots(pool, ncols, p):
+    """T over O_v of Q(t) for QtVectors: the canonical pivot rows of the
+    elimination on the first ncols columns pivoting on the first row of
+    least v = (ord_t, v_p of the lowest coefficient); None below full rank.
+    One `_bareiss` keyed by `_digit_value` runs on the rows over the lcm L
+    of their denominators read at t = 2^w (`_kronecker`).  After k steps a
+    row left is its scalar row times L*P_(k-1), P_(k-1) the last pivot (1
+    at first), so values compare as the scalars' do; pivot row j, read
+    back, is [0, .., P_j, tail] over L*P_(j-1); each value read is a minor
+    of k + 1 <= ncols rows, and none past the last pivot (each // is exact)."""
+    den = reduce(_zt_lcm, (r._den for r in pool), [1])
+    rows = [[_convolve(a, q) for a in r._nums] for r in pool for q in [_zt_quo(den, r._den)]]
+    m, w = _kronecker(rows, ncols)
+    rank, pivots = _bareiss(m, ncols, False, lambda x: _digit_value(x, w, p))
+    if rank < ncols:
+        return None
+    pivots = [_digits(x, w) for x in pivots]
+    dens = [den[:]] + [_convolve(den, d) for d in pivots[:-1]]  # L*P_(j-1)
+    return [QtVector._clearing([[] for _ in range(j)] + [d] + [_digits(x, w) for x in tail], e)._settle()
+            for j, (d, tail, e) in enumerate(zip(pivots, m, dens))]
+
+
+def _digit_value(x: int, w: int, p: int) -> tuple[int, int]:
+    """v = (k, v_p(c)) off x's lowest nonzero signed w-bit digit c, at t^k."""
+    k, half = ((x & -x).bit_length() - 1) // w, 1 << (w - 1)
+    return k, _int_p_exponent((((x >> w * k) + half) & ((1 << w) - 1)) - half, p)
+
+
 def _digits(v: int, w: int) -> list[int]:
     """v's signed w-bit digits, lowest first, each in [-2^(w-1), 2^(w-1))
     and borrowing from the next: the integer list in Z[t] whose value at
@@ -309,20 +313,23 @@ def _digits(v: int, w: int) -> list[int]:
 
 def _integer_rows(fieldobj: ValuedField, vectors) -> tuple[list, int]:
     """(the integer rows [a_i | d_i*e_i] of the vectors a_i/d_i, w): over Q
-    (w = 0) their QVectors' integers, over Q(t) their clearings in Z[t],
-    each list read as its value at t = 2^w.  There w is one bit past B =
-    prod_i max(1, sum_j |m_ij|_1), the rows' coefficient 1-norms: every
-    value `_bareiss` reaches, forward or as Gauss-Jordan, is a minor of the
-    rows (Sylvester's identity), whose coefficients are at most B in size,
-    so a minor is 0 exactly when its value is, the pivots and every exact
-    // are the images of those in Z[t], and `_digits` reads each back."""
+    (w = 0) their QVectors' integers, over Q(t) their clearings read at
+    t = 2^w (`_kronecker`) for minors of all n rows, as every value that
+    `_bareiss` reaches is, forward or as Gauss-Jordan (Sylvester)."""
     q = fieldobj.kind == "Q"
     pairs = list(map(QVector.pair if q else QtVector.pair, vectors))
     n, zero = len(pairs), 0 if q else []
     rows = [[*a] + [d if j == i else zero for j in range(n)] for i, (a, d) in enumerate(pairs)]
-    if q:
-        return rows, 0
-    w = prod(max(1, sum(map(abs, chain.from_iterable(row)))) for row in rows).bit_length() + 1
+    return (rows, 0) if q else _kronecker(rows, n)
+
+
+def _kronecker(rows, count: int) -> tuple[list, int]:
+    """(the rows of Z[t] lists, each read at t = 2^w, w), w one bit past B,
+    the product of the `count` largest row 1-norms max(1, sum_j |m_ij|_1):
+    a minor of at most `count` rows sums products of one entry a row, whose
+    1-norms multiply, so its coefficients are at most B; `_digits` reads it."""
+    norms = (max(1, sum(map(abs, chain.from_iterable(row)))) for row in rows)
+    w = prod(sorted(norms, reverse=True)[:count]).bit_length() + 1
     return [[sum(c << w * k for k, c in enumerate(a)) if a else 0 for a in row] for row in rows], w
 
 
@@ -358,23 +365,24 @@ def solve_columns(fieldobj: ValuedField, columns, target):
     return tuple(_elements(fieldobj, [rows[m][:m]], -rows[m][m], w)[0])
 
 
-def _bareiss(m, ncols, above):
+def _bareiss(m, ncols, above, key=None):
     """Fraction-free elimination (Bareiss) of the integer rows m, in place,
-    on their first ncols columns: (rank, the last pivot).  A column pivots
-    on the first nonzero row at or below the rank so far, swapped up, or
-    is skipped.  Each updated row M becomes (p*M - M_c*P) // prev, exactly,
-    for the pivot row P with P_c = p and prev the last pivot: the rows
-    below P, and given above the rows above it too (Gauss-Jordan).  Every
-    updated row and P drop column c; forward only, P stays as chosen."""
-    r, prev = 0, 1
+    on their first ncols columns: (rank, the pivots).  A column pivots on
+    the first nonzero row at or below the rank (of least key(entry), given
+    a key), moved up past rows kept in order, or is skipped.  Each updated row M becomes
+    (p*M - M_c*P) // prev, exactly, for the pivot row P with P_c = p and
+    prev the last pivot: the rows below P, given above those above it too
+    (Gauss-Jordan).  Every updated row and P drop column c; forward only."""
+    r, prev, pivots = 0, 1, []
     for _ in range(ncols):  # every row still updated holds the columns c..
         live = range(0 if above else r, len(m))
-        piv = next((i for i in range(r, len(m)) if m[i][0]), None)
+        nonzero = (i for i in range(r, len(m)) if m[i][0])
+        piv = min(nonzero, key=lambda i: key(m[i][0]), default=None) if key else next(nonzero, None)
         if piv is None:
             for i in live:
                 m[i] = m[i][1:]
             continue
-        m[r], m[piv] = m[piv], m[r]
+        m.insert(r, m.pop(piv))
         p, tail = m[r][0], m[r][1:]
         for i in live:
             if i != r:
@@ -382,7 +390,8 @@ def _bareiss(m, ncols, above):
                 m[i] = ([(p * x - f * y) // prev for x, y in zip(row[1:], tail)] if f
                         else [p * x // prev for x in row[1:]])
         m[r], prev, r = tail, p, r + 1
-    return r, prev
+        pivots.append(p)
+    return r, pivots
 
 
 def rank_of(fieldobj: ValuedField, vectors) -> int:
@@ -400,10 +409,10 @@ def invert(fieldobj: ValuedField, vectors) -> _Rows:
     leaves det times the inverse of the transpose in the right half, whose
     column j over det is row j of the inverse (`_elements`)."""
     m, w = _integer_rows(fieldobj, vectors)
-    rank, det = _bareiss(m, n := len(m), True)
+    rank, pivots = _bareiss(m, n := len(m), True)
     if rank < n:
         raise StructuralError("singular matrix")
-    return _Rows._make(_elements(fieldobj, zip(*m), det, w), fieldobj.kind == "Q")
+    return _Rows._make(_elements(fieldobj, zip(*m), pivots[-1], w), fieldobj.kind == "Q")
 
 
 def is_independent(fieldobj: ValuedField, vectors) -> bool:
@@ -442,8 +451,8 @@ class _Rows:
     """Fixed linear rows over a field, of one width, evaluated at points x.
     `stored` holds each row as the element it is: over Q the `QVector`
     a_1..a_n over d (`q` is True), over Q(t) the `QtVector` A_1..A_n over
-    Q in Z[t], which a valuation read takes as it is and which `_eliminate`
-    and `values` iterate as its scalars.  Iterating yields `stored`.
+    Q in Z[t], which a valuation read and `_ov_pivots` take as it is and
+    which `values` iterates as its scalars.  Iterating yields `stored`.
     _Rows(fieldobj, rows) is rows itself when it is a _Rows.  The domain
     reads a set over Q as one pair, `content`, off the rows packed over
     their lcm (`_packed`: one packing a set, made again only when a point

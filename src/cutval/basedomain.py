@@ -69,11 +69,6 @@ class BaseDomain:
         """True when min-valuation elimination applies (a valuation ring)."""
         return self.field is not None
 
-    def value(self, f):
-        if self.field is None:
-            raise ConfigError("Z carries no valuation")
-        return self.field.value(f)
-
     def contains(self, f) -> bool:
         self._check_element(f)
         return self._accepts((f.denominator if self.field is None else self.field.value(f),))

@@ -663,12 +663,12 @@ class QtVector:
         out._scalars = x
         return out
 
-    def _settle(self) -> None:
-        """Make the clearing canonical, in place and once: the power of t
-        taken off the t-orders, then the rest of the Q[t]-gcd (`_coprime`),
-        then the integer content."""
+    def _settle(self) -> "QtVector":
+        """Make the clearing canonical, in place and once, and return it: the
+        power of t taken off the t-orders, then the rest of the Q[t]-gcd
+        (`_coprime`), then the integer content."""
         if self._canon:
-            return
+            return self
         nums, den = self._nums, self._den
         if not any(nums):
             lists = [[] for _ in nums] + [[1]]
@@ -681,6 +681,7 @@ class QtVector:
                 lists = _coprime(lists)
             lists = _content(lists)
         self._nums, self._den, self._canon = tuple(lists[:-1]), lists[-1], True
+        return self
 
     @property
     def nums(self) -> tuple:

@@ -9,11 +9,11 @@ O_v) those n^2 rows are reduced by min-valuation-pivot elimination to a
 triangular system T of n rows.  Every elimination multiplier lies in S,
 so T spans the same S-module as the rows it came from and decides the
 same membership.  Over Z_(p) T is that module's Hermite form, read off
-the pivot search in Z/p^K, with pivots p^k and every entry above a
-pivot p^k in [0, p^k): canonical, and a few bits wide.  T is the
-oracle's only row set, and R is the free S-lattice with basis the
-columns of T^-1.  Over Z only the predicate on the full rows is kept (R
-need not be a free Z-module in any preferred basis), and the
+the pivot search in Z/p^K, with pivots p^k and every entry above a pivot
+p^k in [0, p^k); over O_v of Q(t) the pivot rows (`algebra._ov_pivots`).
+T is the oracle's only row set, and R is the free S-lattice with basis
+the columns of T^-1.  Over Z only the predicate on the full rows is kept
+(R need not be a free Z-module in any preferred basis), and the
 certificate's stabilizer is the basis contained in R.
 
 The same machinery hosts the ideal-containing variant (a subset of its
@@ -30,7 +30,7 @@ import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import (PolynomialAlgebra, StructureAlgebra, _eliminate, _padic_pivots, _Rows,
+from .algebra import (PolynomialAlgebra, StructureAlgebra, _ov_pivots, _padic_pivots, _Rows,
                       column_rows, coordinate_rows, extend_to_basis, invert, is_independent,
                       matrix_algebra)
 from .basedomain import BaseDomain, is_subdomain
@@ -76,8 +76,8 @@ class SubringOracle:
     constraints: groups (domain, rows); x is a member when every row of
     every group lands in that group's domain.  Construction makes each
     rows a _Rows, which evaluates the rows and iterates as them; a _Rows,
-    such as a lattice's T over Q, its Hermite form over Z_(p) stored as
-    QVectors, is kept as it is.  A lattice oracle (S valuation-like) has
+    such as a lattice's T, QVectors over Z_(p) and canonical QtVectors over
+    O_v, is kept as it is.  A lattice oracle (S valuation-like) has
     one group, the dim triangular rows T over S, and lattice_basis, the
     columns of T^-1 (one `invert` on both fields): x's coordinates in that
     basis are the values of T at x (lattice_rows, lattice_coords).
@@ -171,7 +171,7 @@ class PolySubring:
 
     def lattice_valuations(self, f: dict):
         """The valuations of f's coefficients."""
-        return map(self.domain.value, f.values())
+        return map(self.domain.field.value, f.values())
 
 
 def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
@@ -182,27 +182,21 @@ def _lattice(alg: StructureAlgebra, domain: BaseDomain, rows, provenance: str,
     pivot rows T span the same S-module as the rows and become the oracle's
     one row set.  Over Q, T is the Hermite form of that module, from
     `algebra._padic_pivots`, kept as the QVectors it was built as; over
-    Q(t), T is the pivot rows of `_eliminate`.  On both fields the lattice
+    Q(t), T is the pivot rows of one `_bareiss` (`_ov_pivots`).  The lattice
     basis, the columns of T^-1, is the rows of one `invert` of T's rows,
-    over Q(t) each made canonical once.  The basis is checked against the full
-    rows (a certificate's own `_Rows`); `left_order` also
-    checks that 1 and the stabilizer lie in the lattice.  None
-    when the rows lack full column rank, as an ideal variant's always do;
-    a left order's never do, since x = sum u_j*(x*b_j) for the unit
-    1 = sum u_j*b_j.
+    over Q(t) each made canonical once, as members and audits multiply by
+    it.  The basis is checked against the full rows (a certificate's own
+    `_Rows`); `left_order` also checks that 1 and the stabilizer lie in the
+    lattice.  None when the rows lack full column rank, as an ideal
+    variant's always do; a left order's never do, since x = sum
+    u_j*(x*b_j) for the unit 1 = sum u_j*b_j.
     """
     rows, n = _Rows(alg.field, rows), alg.dim
-    if alg._q:
-        t_rows = _padic_pivots(rows.stored, n, domain.valued_field.p)
-    else:
-        t_rows = _eliminate(rows, n, domain)
+    t_rows = (_padic_pivots if alg._q else _ov_pivots)(rows.stored, n, domain.valued_field.p)
     if t_rows is None:
         return None
     t_rows = _Rows(alg.field, t_rows)
-    basis = invert(alg.field, t_rows.stored).stored
-    if not alg._q:  # members and audits multiply by the basis: made canonical once
-        for b in basis:
-            b._settle()
+    basis = tuple(b if alg._q else b._settle() for b in invert(alg.field, t_rows.stored).stored)
     if not all(domain.admits(rows, b) for b in basis):
         raise StructuralError("lattice basis disagrees with the predicate")
     return SubringOracle(

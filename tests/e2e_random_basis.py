@@ -8,8 +8,9 @@ stabilizer lie in it, which raise on a disagreement.  M3(Q(t)) stops
 after its certificate, whose coordinate rows A_i/Q_i are checked
 against the basis X_j/E_j in Z[t]: sum_k A_ik*X_jk = delta_ij*Q_i*E_j.
 It exits 1 unless those checks pass and every report is ok; the stage
-times, the process's peak resident memory after them, and for M6(Q)
-and M8(Q) the largest bit length of T, are printed, not gated.  Run
+times, the process's peak resident memory after them, and for M6(Q),
+M8(Q) and M2(Q(t)) the largest bit length of T's coefficients (and over
+Q(t) its largest t-degree), are printed, not gated.  Run
 from the repository root, which holds `cutbench`:
 
     PYTHONPATH=src:. python3 tests/e2e_random_basis.py "M6(Q)"
@@ -24,7 +25,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from cutbench.workloads import draw_bases
+from cutbench.workloads import draw_bases, matrix_size
 from cutval.algebra import matrix_algebra
 from cutval.basedomain import p_local, valuation_ring
 from cutval.numfield import ValuedField, _convolve, _zt_dot
@@ -38,7 +39,7 @@ Q_DRAW = dict(coef_bound=5, max_p_exp=2)
 
 # name: (field, n, domain, draw, left order stage or None for the
 #        certificate alone, verify_nice spec, qv_audit spec or None,
-#        print T's largest entry)
+#        print T's largest entry and t-degree)
 CASES = {
     "M5(Q)": (Q2, 5, p_local(2), Q_DRAW, "left order", SampleSpec(seed=7, count=5), None, False),
     "M6(Q)": (Q2, 6, p_local(2), Q_DRAW, "left order, row check included",
@@ -48,7 +49,7 @@ CASES = {
               SampleSpec(seed=62, count=20), SampleSpec(seed=63, count=20), True),
     # dense rows with distinct denominators, which no benchmark workload reads
     "M2(Q(t))": (QT, 2, valuation_ring(QT), dict(coef_bound=4, max_p_exp=2, poly_degree=1),
-                 "left order", SampleSpec(seed=62, count=50), SampleSpec(seed=63, count=50), False),
+                 "left order", SampleSpec(seed=62, count=50), SampleSpec(seed=63, count=50), True),
     # the 9 x 9 basis inverse over Q(t); the left order needs an O_v Hermite form first
     "M3(Q(t))": (QT, 3, valuation_ring(QT), dict(coef_bound=4, max_p_exp=2, poly_degree=1),
                  None, None, None, False),
@@ -97,9 +98,9 @@ def main(name: str) -> int:
         order = stage(order_stage, nice_from_certificate, cert)
         reports = [stage("is_stable", is_stable, alg, cert.basis, cert.stabilizer, domain)]
         if show_bits:
-            bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
-                       for row in order.lattice_rows for c in row)
-            print(f"T: {len(order.lattice_rows)} rows, largest entry {bits} bits")
+            bits, tdeg = matrix_size(order.lattice_rows)
+            degree = f", largest t-degree {tdeg}" if field.kind == "Qt" else ""
+            print(f"T: {len(order.lattice_rows)} rows, largest entry {bits} bits{degree}")
         reports.append(stage(f"verify_nice ({nice_spec.count} samples)", verify_nice, order, nice_spec))
         if audit_spec is not None:
             reports.append(stage(f"qv_audit ({audit_spec.count} samples)", qv_audit,

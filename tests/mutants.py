@@ -191,7 +191,7 @@ MUTANTS = (
         "a product over Q(t) leaves out the table's denominator"),
     Mutant(
         "kronecker-width-from-largest-coefficient", "src/cutval/algebra.py",
-        "w = prod(max(1, sum(map(abs, chain.from_iterable(row)))) for row in rows).bit_length() + 1",
+        "w = prod(sorted(norms, reverse=True)[:count]).bit_length() + 1",
         "w = max(map(abs, chain.from_iterable(chain.from_iterable(rows)))).bit_length() + 1",
         ("tests/test_kernel.py::test_qt_kernel_reads_a_minor_as_wide_as_the_bound",
          "tests/test_kernel.py::test_qt_kernel_matches_ratfunc_reference"),
@@ -233,6 +233,31 @@ MUTANTS = (
         "        if alg.field.kind == \"Q\" and not all(map(oracle.contains, (alg.unit, *cert.stabilizer))):",
         ("tests/test_orders.py::test_left_order_refuses_an_order_without_1",),
         "left_order checks that 1 and the stabilizer lie in the order over Z_(p) only, not over O_v"),
+    Mutant(
+        "ov-pivots-first-nonzero", "src/cutval/algebra.py",
+        "if key else next(nonzero, None)",
+        "if False else next(nonzero, None)",
+        ("tests/test_kernel.py::test_ov_pivots_keep_the_row_order_on_ties",
+         "tests/test_kernel.py::test_ov_pivots_match_the_reference_on_drawn_bases"),
+        "_bareiss drops the key, so T over O_v pivots on the first nonzero entry of each column"),
+    Mutant(
+        "bareiss-pivot-swapped-up", "src/cutval/algebra.py",
+        "m.insert(r, m.pop(piv))",
+        "m[r], m[piv] = m[piv], m[r]",
+        ("tests/test_kernel.py::test_ov_pivots_keep_the_row_order_on_ties",),
+        "_bareiss swaps the pivot row up, so the rows it passes change order and a tie goes to another row"),
+    Mutant(
+        "digit-value-unsigned", "src/cutval/algebra.py",
+        "_int_p_exponent((((x >> w * k) + half) & ((1 << w) - 1)) - half, p)",
+        "_int_p_exponent((x >> w * k) & ((1 << w) - 1), p)",
+        ("tests/test_kernel.py::test_digit_value_reads_the_lowest_signed_digit",),
+        "the least-valuation key reads the lowest nonzero w-bit digit as nonnegative"),
+    Mutant(
+        "ov-width-one-row-short", "src/cutval/algebra.py",
+        "m, w = _kronecker(rows, ncols)",
+        "m, w = _kronecker(rows, ncols - 1)",
+        ("tests/test_kernel.py::test_ov_pivots_read_a_minor_as_wide_as_the_bound",),
+        "T over O_v is read at t = 2^w for w past the bound on minors of one row fewer than it reads"),
 )
 
 

@@ -154,7 +154,7 @@ def test_content_and_its_reads_match_the_per_row_references():
                 assert domain.admits(rows, x) == all(domain.contains(v) for v in values)
                 assert domain._clearing(domain.reads(rows, x)) == domain.clear_many(values)
                 if domain.valued_field is not None:
-                    live = [domain.value(v) for v in values if v]
+                    live = [domain.valued_field.value(v) for v in values if v]
                     assert domain.reads(rows, x) == (min(live) if live else None,)
             seen.add("g = 0" if g == 0 else "in Z" if g % den == 0 else "not in Z")
     assert seen == {"g = 0", "in Z", "not in Z"}

@@ -11,9 +11,10 @@ product over Q), the Q(t) arithmetic that reduced every sum and product
 with a full gcd (and the Fraction long division it reduced by, once
 `Polynomial.divmod`), the Q(t) sampler that reduced each draw with Euclid, and
 the separate Q and Q(t) branches of valuation-ring denominator clearing.
-The elimination's own Fraction loop, which the Q(t) path still runs, is
-the reference for the Z_(p) lattices over Q: the Hermite form of its
-pivots, also computed in Fractions, is the reference for T, and the solve,
+The min-valuation elimination's scalar loop is the reference for T over
+O_v of Q(t), now one Bareiss pass in Z at t = 2^w with the same pivots,
+and for the Z_(p) lattices over Q: the Hermite form of its pivots, also
+computed in Fractions, is the reference for T there, and the solve,
 rank and inverse loops are the references for the fraction-free kernel in
 Z that replaced them on both fields, over Q(t) on the matrix read at
 t = 2^w.  The stabilizer
@@ -40,7 +41,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from cutval import algebra, numfield, orders, quasival, stability
-from cutval.algebra import (StructureAlgebra, _bareiss, _eliminate, _Rows, column_rows,
+from cutval.algebra import (StructureAlgebra, _bareiss, _ov_pivots, _Rows, column_rows,
                             coordinate_rows, invert, matrix_algebra, product_rows, quadratic_algebra,
                             rank_of, solve_columns)
 from cutval.basedomain import BaseDomain, integers, p_local, valuation_ring
@@ -238,7 +239,7 @@ def eliminate_reference(rows, ncols, key=None):
 
 def reference_pivots(rows, ncols, p):
     """The Fraction loop's pivots, or None when a column has none: no lattice."""
-    expected, _ = eliminate_reference(rows, ncols, p_local(p).value)
+    expected, _ = eliminate_reference(rows, ncols, p_local(p).valued_field.value)
     return None if None in expected else expected
 
 
@@ -297,7 +298,7 @@ def min_valuation_eliminate_reference(domain, rows, n):
         for idx, row in enumerate(pool):
             if not row[col]:
                 continue
-            v = domain.value(row[col])
+            v = domain.valued_field.value(row[col])
             if best is None or v < best_val:
                 best, best_val = idx, v
         if best is None:
@@ -469,7 +470,8 @@ def case(request):
 
 
 def test_min_valuation_path_matches_reference(case):
-    """Over O_v of Q(t) T is the min-valuation loop's pivot rows and the
+    """Over O_v of Q(t) T is the min-valuation loop's pivot rows, read off
+    one `_bareiss` in Z (`_ov_pivots`) as canonical QtVectors, and the
     basis the columns of their inverse.  Over Z_(p) the lattice is the
     loop's, with T its Hermite form (`assert_reference_lattice`).  Both
     hold for the intersection with the unit basis's order too, whose
@@ -493,7 +495,8 @@ def test_min_valuation_path_matches_reference(case):
             assert_reference_lattice(both, min_valuation_eliminate_reference(
                 domain, expected + unit_pivots, n))
             continue
-        pivots = _eliminate(rows, n, domain)
+        pivots = _ov_pivots([QtVector.of(r) for r in rows], n, domain.valued_field.p)
+        assert pivots == [QtVector.of(r) for r in expected]
         assert [tuple(p) for p in pivots] == expected
         assert tuple(R.lattice_rows) == tuple(expected)
         tinv = invert_reference(alg.field, [list(r) for r in expected])
@@ -723,8 +726,8 @@ def test_one_inverse_and_no_products_per_build(case, monkeypatch):
     """A build inverts the basis once, for the certificate's product rows,
     solves T once over a valuation ring, by `invert` on both fields, and
     forms no product: the rows are summed off the table's cells.  On both
-    fields each of the inverses is one `_bareiss`, and the build runs no
-    other."""
+    fields each of the inverses is one `_bareiss`; over O_v of Q(t) T's
+    pivot rows are one more (`_ov_pivots`), and the build runs no other."""
     alg, domain, bases = case
     calls = {}
     count_calls(monkeypatch, calls, StructureAlgebra, "mul")
@@ -735,7 +738,8 @@ def test_one_inverse_and_no_products_per_build(case, monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         orders.nice_from_certificate(stabilizer_finite(alg, basis, domain))
         t_solves = 1 if domain.is_valuation_like else 0
-        assert calls == {"mul": 0, "invert": 1, "t_solve": t_solves, "_bareiss": 1 + t_solves}
+        t_pivots = 1 if alg.field.kind == "Qt" else 0
+        assert calls == {"mul": 0, "invert": 1, "t_solve": t_solves, "_bareiss": 1 + t_solves + t_pivots}
 
 
 def test_insertion_clears_the_coordinates_over_the_new_basis(case, monkeypatch):
@@ -817,6 +821,97 @@ def test_inverting_t_costs_one_bareiss(make, monkeypatch):
         inverse = algebra.invert(QT, t)
         assert ops == {"ops": 0, "_bareiss": 1}
         assert [tuple(r) for r in inverse] == list(zip(*invert_reference(QT, t)))
+
+
+# --- T over O_v of Q(t), one Bareiss in Z with least-valuation pivots -------------
+
+
+# tests/e2e_random_basis.py's M2(Q(t)) draw; QT_DRAW is the build-qt workload's
+E2E_QT_DRAW = dict(coef_bound=4, max_p_exp=2, poly_degree=1)
+
+
+@pytest.mark.parametrize("name, draws", [
+    ("M2(Q(t))", [(seed, E2E_QT_DRAW, 1) for seed in range(7, 16)]),
+    ("Q(t)[x]/(x^2-t)", [(357, QT_DRAW, 60)]),
+], ids=["M2(Q(t))-seeds-7-15", "Q(t)[x]/(x^2-t)-build-qt-draws"])
+def test_ov_pivots_match_the_reference_on_drawn_bases(name, draws):
+    """On the random M2(Q(t)) bases of seeds 7-15 (the first basis of each,
+    as tests/e2e_random_basis.py draws it) and on Q(t)[x]/(x^2-t) bases
+    drawn as build-qt draws them, T off the certificate's rows is the
+    min-valuation loop's pivot rows as canonical QtVectors, and the left
+    order keeps that T."""
+    alg = QT_KERNEL_ALGEBRAS[name][0]()
+    domain = valuation_ring(QT)
+    for seed, draw, count in draws:
+        for basis in draw_bases(alg, seed, draw, count):
+            cert = stabilizer_finite(alg, basis, domain)
+            expected = min_valuation_eliminate_reference(domain, [tuple(r) for r in cert.rows], alg.dim)
+            T = _ov_pivots(cert.rows.stored, alg.dim, QT.p)
+            assert T == [QtVector.of(r) for r in expected], (seed, basis)
+            assert list(orders.nice_from_certificate(cert).lattice_rows.stored) == T
+
+
+def test_ov_pivots_keep_the_row_order_on_ties():
+    """Column 0 pivots on the last row, of value (-1, 0); then column 1
+    ties at (0, 0) between the first two rows, and the first pivots, as in
+    the loop on scalars.  A pivot swapped up would leave the second row
+    first and pivot on it."""
+    t, f = RationalFunction.T, QT.scalar
+    rows = [(f(1), f(1)), (f(1), f(3)), (f(1) / t, f(0))]
+    expected = min_valuation_eliminate_reference(valuation_ring(QT), rows, 2)
+    assert expected == [(f(1) / t, f(0)), (f(0), f(1))]
+    assert _ov_pivots(list(map(QtVector.of, rows)), 2, QT.p) == list(map(QtVector.of, expected))
+
+
+def test_digit_value_reads_the_lowest_signed_digit():
+    """v over p = 3 of -9*t^2 + 5*t^3 - t^4 read at t = 2^w is (2, 2), off
+    its lowest nonzero signed digit -9 at t^2; read unsigned, that digit
+    would be 2^w - 9, prime to 3."""
+    w, poly = 8, [0, 0, -9, 5, -1]
+    x = sum(c << w * k for k, c in enumerate(poly))
+    assert algebra._digits(x, w)[:len(poly)] == poly and numfield._zt_value(poly, 3) == (2, 2)
+    assert algebra._digit_value(x, w, 3) == (2, 2)
+
+
+def test_ov_pivots_of_no_lattice_are_none():
+    """An empty pool, and a pool of rank 1 in two columns, span no lattice."""
+    t, f = RationalFunction.T, QT.scalar
+    assert _ov_pivots([], 2, QT.p) is None
+    rows = [(f(1), t), (t, t * t), (f(0), f(0))]  # row 1 is t times row 0
+    assert rank_reference(rows) == 1
+    assert _ov_pivots(list(map(QtVector.of, rows)), 2, QT.p) is None
+
+
+def test_ov_pivots_read_a_minor_as_wide_as_the_bound():
+    """Rows 2^8*t*e_1, -2^8*t*e_2 and 2^8*t*e_3 over 1: each has coefficient
+    1-norm 2^8, so the bound on a minor of three rows is 2^24, and the last
+    pivot, the determinant -2^24*t^3, has a coefficient of its 25 bits.  It
+    is read back as it is, so T is the rows themselves; w taken from two
+    rows would misread it."""
+    t, zero = RationalFunction.T, QT.zero
+    c = QT.scalar(2 ** 8) * t
+    rows = [(c, zero, zero), (zero, -c, zero), (zero, zero, c)]
+    expected = min_valuation_eliminate_reference(valuation_ring(QT), rows, 3)
+    assert expected == rows
+    assert _ov_pivots(list(map(QtVector.of, rows)), 3, QT.p) == list(map(QtVector.of, rows))
+
+
+def test_ov_pivots_are_one_bareiss_on_integers(monkeypatch):
+    """T over O_v of Q(t) is built by one `_bareiss` on integers: with no
+    RationalFunction +, -, * or / and no scalar read (`numfield._scalar`),
+    each pivot row made canonical once."""
+    alg, domain = matrix_algebra(QT, 2), valuation_ring(QT)
+    certs = [stabilizer_finite(alg, basis, domain) for basis in draw_bases(alg, 8, QT_READ_DRAW, 3)]
+    ops = {}
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        count_calls(monkeypatch, ops, RationalFunction, name, "ops")
+    count_calls(monkeypatch, ops, algebra, "_bareiss")
+    count_calls(monkeypatch, ops, numfield, "_scalar")
+    for cert in certs:
+        ops.update(dict.fromkeys(ops, 0))
+        T = _ov_pivots(cert.rows.stored, alg.dim, QT.p)
+        assert ops == {"ops": 0, "_bareiss": 1, "_scalar": 0}
+        assert len(T) == alg.dim and all(r._canon for r in T)
 
 
 def test_ideal_variant_inverts_once_and_forms_no_products(monkeypatch):
@@ -914,7 +1009,7 @@ def test_admits_and_reads_match_the_row_values(case):
                     admitted = domain.admits(rows, x)
                     assert admitted == all(domain.contains(v) for v in values)
                     per_row = ([v.denominator for v in values] if domain.valued_field is None
-                               else [domain.value(v) if v else None for v in values])
+                               else [domain.valued_field.value(v) if v else None for v in values])
                     if alg.field.kind == "Q":
                         live = [v for v in per_row if v is not None]
                         per_row = [lcm(*per_row) if domain.valued_field is None

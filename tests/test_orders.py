@@ -13,7 +13,7 @@ from cutval.algebra import (PolynomialAlgebra, StructureAlgebra, _Rows, coordina
 from cutval.basedomain import BaseDomain, integers, p_local, valuation_ring
 from cutval.cuts import INF, embed_phi, value_translate
 from cutval.errors import ConfigError, DomainError, StructuralError
-from cutval.numfield import QVector, RationalFunction, ValuedField
+from cutval.numfield import QtVector, QVector, RationalFunction, ValuedField
 from cutval.orders import (IdealSpec, LatticeModule, PolySubring,
                            SubringOracle, descend_chain, going_down,
                            intersect_oracles, lattice_membership, left_order,
@@ -181,11 +181,9 @@ def test_left_order_refuses_an_order_without_1(monkeypatch):
     with pytest.raises(StructuralError, match="1 or the stabilizer lies outside the left order"):
         left_order(LatticeModule(alg, p_local(2), units_of(alg)))
     field = ValuedField("Qt", 2)
-    alg, eliminate = matrix_algebra(field, 2), orders._eliminate
-
-    def over_t(rows, ncols, domain):
-        return [[c / RationalFunction.T for c in row] for row in eliminate(rows, ncols, domain)]
-    monkeypatch.setattr(orders, "_eliminate", over_t)
+    alg, ov_pivots = matrix_algebra(field, 2), orders._ov_pivots
+    monkeypatch.setattr(orders, "_ov_pivots", lambda pool, ncols, p: [
+        QtVector._clearing([a[:] for a in r.nums], [0, *r.den]) for r in ov_pivots(pool, ncols, p)])
     with pytest.raises(StructuralError, match="1 or the stabilizer lies outside the left order"):
         left_order(LatticeModule(alg, valuation_ring(field), units_of(alg)))
 
@@ -441,8 +439,9 @@ def test_intersecting_ideal_variants_over_a_valuation_ring(dual):
 
 
 def test_intersecting_ideal_variants_over_ov_gives_no_lattice(field_qt):
-    """Over Q(t) too: `_eliminate` leaves a pivot of the stacked ideal
-    variant rows empty, so the intersection keeps the predicate."""
+    """Over Q(t) too: `_ov_pivots` finds a column of the stacked ideal
+    variant rows with no nonzero entry left, so the intersection keeps the
+    predicate."""
     dual = quadratic_algebra(field_qt, 0)
     R = nice_with_ideal(IdealSpec(dual, (dual.basis_vector(1),)), valuation_ring(field_qt))
     both = intersect_oracles([R, R])
