@@ -709,10 +709,6 @@ def matrix_algebra(fieldobj: ValuedField, n: int) -> StructureAlgebra:
     names = tuple(f"e{i + 1}{j + 1}" for i in range(n) for j in range(n))
     z, o = fieldobj.zero, fieldobj.one
     dim = n * n
-
-    def idx(i, j):
-        return i * n + j
-
     table = []
     for a in range(dim):
         i, j = divmod(a, n)
@@ -721,7 +717,7 @@ def matrix_algebra(fieldobj: ValuedField, n: int) -> StructureAlgebra:
             k, l = divmod(b, n)
             vec = [z] * dim
             if j == k:
-                vec[idx(i, l)] = o
+                vec[i * n + l] = o
             row.append(tuple(vec))
         table.append(tuple(row))
     unit = tuple(o if divmod(a, n)[0] == divmod(a, n)[1] else z for a in range(dim))

@@ -10,19 +10,20 @@ A certificate inverts B once, for its coordinate rows, and builds its
 product rows x -> coords_B(x*b_j) from them with no product formed
 (`algebra.product_rows`; over Q each row is a QVector, made canonical
 as it is built, over Q(t) a QtVector, left as the clearing it was summed
-in): it is their only builder, and the clearing stabilizer,
-insertion and `orders` read them as they are.  The stabilizer clears
-what `BaseDomain.reads` takes off the row values, with no value built
-over Q: there one read for all n^2 rows at b_i, the gcd of their packed
-sums over L*e (`algebra._Rows.content`).  `is_stable` forms its own
-products with `StructureAlgebra.mul` and tests them with `contains`, as
-the independent check.
+in): it is their only builder, and its stabilizer and `orders` read them
+as they are.  Each seed t of the stabilizer, the basis by default,
+becomes delta(t)*t, delta(t) clearing what `BaseDomain.reads` takes off
+the row values at t, with no value built over Q: there one read for all
+n^2 rows, the gcd of their packed sums over L*e (`_Rows.content`).
+`is_stable` forms its own products with `StructureAlgebra.mul` and tests
+them with `contains`, as the independent check.
 
 Insertion swaps a new element x0 into a stable basis in place of some
-basis element carrying a nonzero coordinate of x0, rescaling the
-stabilizer so stability is preserved.  Iterating insertion embeds any
-finite independent set into a stable basis, provided the already-inserted
-elements are protected from eviction.
+basis element b0 carrying a nonzero coordinate of x0, and seeds the new
+certificate with the stabilizer scaled by s0, which clears b0's
+coordinates; the one rule rescales the seeds so stability is preserved.
+Iterating insertion embeds any finite independent set into a stable
+basis, provided the already-inserted elements are protected from eviction.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ from .numfield import QtVector, QVector
 
 @dataclass(frozen=True)
 class StableBasisCertificate:
-    """A basis of A, checked to be one, with a stabilizer (by default the
-    clearing one), its coordinate rows `coords` and its product rows: row
-    j*n + k of `algebra.product_rows`, whose value at x is coordinate k of
-    x*b_j.  `rows` is a `_Rows` of QVectors over Q and of QtVectors over
-    Q(t), which the stabilizer, the left order and the ideal variant read
-    as they are."""
+    """A basis of A, checked to be one, with a stabilizer, its coordinate
+    rows `coords` and its product rows: row j*n + k of `algebra.product_rows`,
+    whose value at x is coordinate k of x*b_j.  `rows` is a `_Rows` of
+    QVectors over Q and of QtVectors over Q(t), read as they are.  The
+    stabilizer is delta(t)*t for each seed t, the given stabilizer or else
+    the basis, delta(t) one clearing of the row values at t: coords(t*b_j),
+    all j.  A seed that stabilizes has delta(t) = 1, so it is kept."""
 
     algebra: StructureAlgebra
     domain: BaseDomain
@@ -60,11 +62,11 @@ class StableBasisCertificate:
         object.__setattr__(self, "basis", tuple(map(QVector.of if alg._q else QtVector.of, self.basis)))
         object.__setattr__(self, "coords", coordinate_rows(alg, self.basis))
         object.__setattr__(self, "rows", product_rows(alg, self.coords, self.basis))
-        if self.stabilizer is None:  # delta_i clears the row values at b_i: coords(b_i*b_j), all j
-            object.__setattr__(self, "stabilizer", tuple(
-                alg.smul(domain._clearing(domain.reads(self.rows, b)), b) for b in self.basis))
-        elif len(self.basis) != len(self.stabilizer):
+        seeds = self.basis if self.stabilizer is None else self.stabilizer
+        if len(seeds) != len(self.basis):
             raise StructuralError("basis and stabilizer must have the same size")
+        object.__setattr__(self, "stabilizer", tuple(
+            alg.smul(domain._clearing(domain.reads(self.rows, t)), t) for t in seeds))
 
 
 @dataclass(frozen=True)
@@ -97,20 +99,21 @@ def is_stable(alg: StructureAlgebra, basis, stabilizer, domain: BaseDomain) -> S
 
 
 def stabilizer_finite(alg: StructureAlgebra, basis, domain: BaseDomain) -> StableBasisCertificate:
-    """Denominator-clearing stabilizer {delta_i * b_i}: delta_i is one
-    clear_many of coords(b_i * b_j) for all j (the lcm of the denominators
-    over Z, the least p^M over Z_(p)), read off the certificate's product
-    rows.  Canonical as clearing is."""
+    """Denominator-clearing stabilizer {delta_i * b_i}, the certificate's
+    seeded with the basis: delta_i clears coords(b_i * b_j) for all j (the
+    lcm of the denominators over Z, the least p^M over Z_(p))."""
     return StableBasisCertificate(alg, domain, tuple(basis))
 
 
 def insert_into_basis(cert: StableBasisCertificate, x0,
                       protected=frozenset()) -> StableBasisCertificate:
-    """The certificate with x0 swapped into the basis in place of the first
-    basis element b0 that has a nonzero coordinate in x0's expansion and
-    is not protected; each stabilizer element c becomes s_c * s0 * c, s0
-    clearing b0's coordinates over the new basis and s_c those of s0*c*x0.
-    They are read off the old coordinate rows by the swap update."""
+    """The certificate with x0 in place of the first unprotected basis
+    element b0 with a nonzero coordinate c0 in x0's expansion, seeded with
+    s0*c for each stabilizer element c; s0 clears b0's new coordinates
+    1/c0 and -c_k/c0, off x0's old ones c_k.  delta(s0*c) is the paper's
+    s_c, the clearing of s0*c*x0: for a kept b_k, c*b_k lies in the old
+    S-span, as c stabilizes, and s0 maps it into the new one, as s0*b0
+    lies there, so only the rows at x0 can need clearing."""
     alg, domain = cert.algebra, cert.domain
     if alg.is_zero(x0):
         raise DomainError("cannot insert 0 into a basis")
@@ -122,18 +125,8 @@ def insert_into_basis(cert: StableBasisCertificate, x0,
         raise StructuralError("x0 lies in the span of the protected elements")
     new_basis = tuple(x0 if i == b0_idx else b for i, b in enumerate(cert.basis))
     c0 = coords[b0_idx]
-
-    def swapped(a):  # sum a_k b_k = f x0 + sum_(k != b0) (a_k - f c_k) b_k
-        f = a[b0_idx] / c0
-        return [f if k == b0_idx else ak - f * ck for k, (ak, ck) in enumerate(zip(a, coords))]
-
-    s0 = domain.clear_many(swapped(alg.basis_vector(b0_idx)))  # b0's old coordinates
-    new_stab = []
-    for c in cert.stabilizer:
-        t = alg.smul(s0, c)
-        s_c = domain.clear_many(swapped(tuple(cert.coords.values(alg.mul(t, x0)))))
-        new_stab.append(alg.smul(s_c, t))
-    return StableBasisCertificate(alg, domain, new_basis, tuple(new_stab))
+    s0 = domain.clear_many([domain.one / c0, *(c / c0 for c in coords)])
+    return StableBasisCertificate(alg, domain, new_basis, tuple(alg.smul(s0, c) for c in cert.stabilizer))
 
 
 def insert_many(cert: StableBasisCertificate, elements) -> StableBasisCertificate:
@@ -161,7 +154,13 @@ def certificate_to_json(cert: StableBasisCertificate) -> dict:
 
 def certificate_from_json(alg: StructureAlgebra, domain: BaseDomain,
                           data: dict) -> StableBasisCertificate:
+    """The certificate of `certificate_to_json`, refusing a stabilizer that
+    is not a basis of A or does not stabilize (clearing would change it)."""
     basis = tuple(alg.element(v) for v in data["basis"])
     stab = tuple(alg.element(v) for v in data["stabilizer"])
-    return StableBasisCertificate(alg, domain, basis, stab)
-
+    cert = StableBasisCertificate(alg, domain, basis, stab)
+    if not is_independent(alg.field, stab):
+        raise StructuralError("stabilizer is not a basis of A")
+    if cert.stabilizer != stab:
+        raise StructuralError("stabilizer does not stabilize the basis")
+    return cert

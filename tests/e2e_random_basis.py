@@ -2,16 +2,18 @@
 
 The first seed-7 basis of cutbench's draw for the named case: its
 certificate, left order and is_stable, then verify_nice and, where the
-case has one, qv_audit.  The left order runs `_lattice`'s check of the
-lattice basis against every product row and the check that 1 and the
-stabilizer lie in it, which raise on a disagreement.  M3(Q(t)) stops
-after its certificate, whose coordinate rows A_i/Q_i are checked
-against the basis X_j/E_j in Z[t]: sum_k A_ik*X_jk = delta_ij*Q_i*E_j.
-It exits 1 unless those checks pass and every report is ok; the stage
-times, the process's peak resident memory after them, and for M6(Q),
-M8(Q) and M2(Q(t)) the largest bit length of T's coefficients (and over
-Q(t) its largest t-degree), are printed, not gated.  Run
-from the repository root, which holds `cutbench`:
+case has one, qv_audit, and for M2(Q(t)) two descend_chain steps on the
+order, whose insertions run on dense O_v rows.  The left order runs
+`_lattice`'s check of the lattice basis against every product row and the
+check that 1 and the stabilizer lie in it, which raise on a disagreement,
+as do the chain's own checks of each step.  M3(Q(t)) stops after its
+certificate, whose coordinate rows A_i/Q_i are checked against the basis
+X_j/E_j in Z[t]: sum_k A_ik*X_jk = delta_ij*Q_i*E_j.  It exits 1 unless
+those checks pass and every report is ok; the stage times, the process's
+peak resident memory after them, and for M6(Q), M8(Q) and M2(Q(t)) the
+largest bit length of T's coefficients (and over Q(t) its largest
+t-degree), are printed, not gated.  Run from the repository root, which
+holds `cutbench`:
 
     PYTHONPATH=src:. python3 tests/e2e_random_basis.py "M6(Q)"
 
@@ -29,7 +31,7 @@ from cutbench.workloads import draw_bases, matrix_size
 from cutval.algebra import matrix_algebra
 from cutval.basedomain import p_local, valuation_ring
 from cutval.numfield import ValuedField, _convolve, _zt_dot
-from cutval.orders import nice_from_certificate, verify_nice
+from cutval.orders import descend_chain, nice_from_certificate, verify_nice
 from cutval.quasival import filter_qv, qv_audit
 from cutval.sampling import SampleSpec
 from cutval.stability import is_stable, stabilizer_finite
@@ -54,6 +56,8 @@ CASES = {
     "M3(Q(t))": (QT, 3, valuation_ring(QT), dict(coef_bound=4, max_p_exp=2, poly_degree=1),
                  None, None, None, False),
 }
+# descend_chain steps run on the order, gated only by the chain's raises
+CHAIN_STEPS = {"M2(Q(t))": 2}
 
 
 def stage(name, f, *args):
@@ -105,6 +109,8 @@ def main(name: str) -> int:
         if audit_spec is not None:
             reports.append(stage(f"qv_audit ({audit_spec.count} samples)", qv_audit,
                                  filter_qv(order), audit_spec))
+        if name in CHAIN_STEPS:
+            stage(f"descend_chain ({CHAIN_STEPS[name]} steps)", descend_chain, order, CHAIN_STEPS[name])
     # ru_maxrss is in KiB on Linux
     print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB", flush=True)
     for report in reports:

@@ -258,6 +258,24 @@ MUTANTS = (
         "m, w = _kronecker(rows, ncols - 1)",
         ("tests/test_kernel.py::test_ov_pivots_read_a_minor_as_wide_as_the_bound",),
         "T over O_v is read at t = 2^w for w past the bound on minors of one row fewer than it reads"),
+    Mutant(
+        "certificate-ignores-given-stabilizer", "src/cutval/stability.py",
+        "seeds = self.basis if self.stabilizer is None else self.stabilizer",
+        "seeds = self.basis",
+        ("tests/test_kernel.py::test_insertion_clears_the_coordinates_over_the_new_basis",),
+        "a certificate always seeds its stabilizer with the basis, so insertion's seeds s0*c are lost"),
+    Mutant(
+        "insertion-s0-without-inverse-of-c0", "src/cutval/stability.py",
+        "s0 = domain.clear_many([domain.one / c0, *(c / c0 for c in coords)])",
+        "s0 = domain.clear_many([c / c0 for c in coords])",
+        ("tests/test_kernel.py::test_insertion_clears_the_coordinates_over_the_new_basis",),
+        "insertion's s0 leaves 1/c0, b0's new coordinate on x0, out of its clearing"),
+    Mutant(
+        "certificate-from-json-takes-a-false-stabilizer", "src/cutval/stability.py",
+        "    if cert.stabilizer != stab:\n        raise StructuralError(\"stabilizer does not stabilize the basis\")\n",
+        "",
+        ("tests/test_stability.py::test_certificate_json_round_trips_and_refuses_a_false_stabilizer",),
+        "certificate_from_json clears a stabilizer that does not stabilize instead of refusing it"),
 )
 
 

@@ -51,8 +51,7 @@ from cutval.numfield import (Polynomial, QtVector, QVector, RationalFunction, Va
 from cutval.orders import LatticeModule, intersect_oracles, left_order
 from cutval.samplers import sample_algebra_element, sample_member, sample_ratfunc, sample_scalar
 from cutval.sampling import SampleSpec, sample_rational
-from cutval.stability import (StabilityReport, StableBasisCertificate, insert_into_basis,
-                              is_stable, stabilizer_finite)
+from cutval.stability import StabilityReport, insert_into_basis, is_stable, stabilizer_finite
 
 
 # --- the replaced loops ----------------------------------------------------------
@@ -332,12 +331,14 @@ def product_rows_reference(alg, basis):
 
 
 def clear_many_reference(domain, coeffs):
-    """Valuation-ring clearing with its separate Q (v_p) and Q(t)
-    (edge-order) branches."""
+    """Clearing with its separate Z (lcm of denominators), Q (v_p) and
+    Q(t) (edge-order) branches."""
     coeffs = [c for c in coeffs if c != 0 and not (isinstance(c, RationalFunction) and c.is_zero())]
     if not coeffs:
         return domain.one
     field = domain.valued_field
+    if field is None:
+        return Fraction(lcm(*(c.denominator for c in coeffs)))
     if field.kind == "Q":
         p = field.p
         e = max(0, max(-vp(p, c)[0] for c in coeffs))
@@ -353,16 +354,12 @@ def stabilizer_reference(alg, basis, domain):
     basis = tuple(basis)
     if rank_reference(basis) != len(basis):
         raise StructuralError("basis is dependent")
-    stab = tuple(alg.smul(clearing_delta_reference(alg, basis, domain, b), b) for b in basis)
-    return StableBasisCertificate(alg, domain, basis, stab)
+    return basis, tuple(alg.smul(clearing_delta_reference(alg, basis, domain, b), b) for b in basis)
 
 
 def clearing_delta_reference(alg, basis, domain, b):
-    """One clearing of every coordinate of every product b * b_j: the lcm of
-    their denominators over Z, clear_many_reference over a valuation ring."""
+    """One clearing of every coordinate of every product b * b_j."""
     coords = [c for bj in basis for c in coords_reference(alg.mul(b, bj), basis)]
-    if domain.valued_field is None:
-        return Fraction(lcm(*(c.denominator for c in coords)))
     return clear_many_reference(domain, coords)
 
 
@@ -377,19 +374,23 @@ def is_stable_reference(alg, basis, stabilizer, domain):
     return StabilityReport(not violations, tuple(violations))
 
 
-def insert_reference(cert, x0):
+def insert_reference(cert, x0, protected=frozenset()):
+    """The paper's insertion: x0 in place of the first unprotected b0 with a
+    nonzero coordinate, and each stabilizer element c made s_c*s0*c, s0
+    clearing b0's coordinates over the new basis and s_c those of s0*c*x0,
+    each solved for directly over the new basis."""
     alg, domain = cert.algebra, cert.domain
     coords = coords_reference(x0, cert.basis)
-    b0_idx = next(i for i, c in enumerate(coords) if c)
+    b0_idx = next(i for i, c in enumerate(coords) if c and cert.basis[i] not in protected)
     new_basis = list(cert.basis)
     new_basis[b0_idx] = x0
-    s0 = domain.clear_many(coords_reference(cert.basis[b0_idx], new_basis))
+    s0 = clear_many_reference(domain, coords_reference(cert.basis[b0_idx], new_basis))
     new_stab = []
     for c in cert.stabilizer:
         t = alg.smul(s0, c)
-        s_c = domain.clear_many(coords_reference(alg.mul(t, x0), new_basis))
+        s_c = clear_many_reference(domain, coords_reference(alg.mul(t, x0), new_basis))
         new_stab.append(alg.smul(s_c, t))
-    return tuple(new_basis), tuple(new_stab), b0_idx, s0
+    return tuple(new_basis), tuple(new_stab)
 
 
 def prime_factors(n):
@@ -674,17 +675,13 @@ def test_stabilizer_and_stability_match_reference(case):
     alg, domain, bases = case
     for basis in bases:
         cert = stabilizer_finite(alg, basis, domain)
-        ref = stabilizer_reference(alg, basis, domain)
-        assert (cert.basis, cert.stabilizer) == (ref.basis, ref.stabilizer)
+        assert (cert.basis, cert.stabilizer) == stabilizer_reference(alg, basis, domain)
         assert tuple(cert.rows) == tuple(product_rows_reference(alg, basis))
         assert is_stable(alg, basis, cert.stabilizer, domain) == is_stable_reference(
             alg, basis, cert.stabilizer, domain)
         # the basis rarely stabilizes itself: the violations must agree too
         assert is_stable(alg, basis, basis, domain) == is_stable_reference(
             alg, basis, basis, domain)
-        x0 = alg.add(basis[0], basis[-1])
-        res = insert_into_basis(cert, x0)
-        assert (res.basis, res.stabilizer) == insert_reference(cert, x0)[:2]
 
 
 # the random M3(Q) basis of the ROADMAP baseline
@@ -742,23 +739,31 @@ def test_one_inverse_and_no_products_per_build(case, monkeypatch):
         assert calls == {"mul": 0, "invert": 1, "t_solve": t_solves, "_bareiss": 1 + t_solves + t_pivots}
 
 
-def test_insertion_clears_the_coordinates_over_the_new_basis(case, monkeypatch):
-    """The swap update hands clear_many exactly the coordinates over the new
-    basis that the reference solves for: b0's (for s0), then those of
-    s0*c*x0 for each stabilizer element c, in order."""
-    alg, domain, bases = case
-    seen, clear_many = [], BaseDomain.clear_many
-    monkeypatch.setattr(BaseDomain, "clear_many",
-                        lambda self, coeffs: seen.append(tuple(coeffs)) or clear_many(self, coeffs))
+@pytest.mark.parametrize("name", [*sorted(CASES), "M2(Q(t)) seed 7"])
+def test_insertion_clears_the_coordinates_over_the_new_basis(name):
+    """Insertion's basis and stabilizer are the paper's construction,
+    `insert_reference`: on the kernel cases and on the seed-7 random
+    M2(Q(t)) basis of tests/e2e_random_basis.py, for x0 = b_1 + b_n, and
+    for 1 and then s0*y with 1 protected, as descend_chain inserts them."""
+    if name in CASES:
+        make, domain, draw, seed, count = CASES[name]
+        alg = make()
+        bases = draw_bases(alg, seed, draw, count)
+    else:
+        alg, domain = matrix_algebra(QT, 2), valuation_ring(QT)
+        bases = draw_bases(alg, 7, E2E_QT_DRAW, 1)
     for basis in bases:
         cert = stabilizer_finite(alg, basis, domain)
         x0 = alg.add(basis[0], basis[-1])
-        seen.clear()
-        new_basis = insert_into_basis(cert, x0).basis
-        b0 = next(i for i, (old, new) in enumerate(zip(basis, new_basis)) if old != new)
-        s0 = clear_many(domain, seen[0])
-        assert seen == [coords_reference(basis[b0], new_basis)] + [
-            coords_reference(alg.mul(alg.smul(s0, c), x0), new_basis) for c in cert.stabilizer]
+        res = insert_into_basis(cert, x0)
+        assert (res.basis, res.stabilizer) == insert_reference(cert, x0)
+        y = next(c for c in cert.stabilizer if alg.scalar_of(c) is None)
+        for x, protected in ((alg.unit, frozenset()),
+                             (alg.smul(domain.noninvertible(), y), frozenset([alg.unit]))):
+            if x not in cert.basis:
+                res = insert_into_basis(cert, x, protected)
+                assert (res.basis, res.stabilizer) == insert_reference(cert, x, protected), x
+                cert = res
 
 
 def count_calls(monkeypatch, calls, owner, name, key=None):
@@ -774,14 +779,14 @@ def count_calls(monkeypatch, calls, owner, name, key=None):
 
 
 def test_one_inverse_per_insertion_and_chain_step(case, monkeypatch):
-    """Insertion reads x0's coordinates and every new coordinate off the old
-    certificate: no solve, and one inverse, the new certificate's, with the
-    n stabilizer products s0*c*x0 and none for its rows.  A descend_chain step
-    makes one dense inverse per element it inserts, and one solve of T,
-    an `invert`, for each of the step's two lattices over a valuation
-    ring."""
+    """Insertion reads x0's coordinates off the old certificate and hands
+    the seeds s0*c to the new one: no solve, one inverse, the new
+    certificate's, and no product, for its rows or its stabilizer, which
+    it reads off those rows.  A descend_chain step makes one dense inverse
+    per element it inserts, and one solve of T, an `invert`, for each of
+    the step's two lattices over a valuation ring."""
     alg, domain, bases = case
-    n, calls = alg.dim, {}
+    calls = {}
     count_calls(monkeypatch, calls, StructureAlgebra, "mul")
     count_calls(monkeypatch, calls, algebra, "invert")
     count_calls(monkeypatch, calls, algebra, "solve_columns")
@@ -791,7 +796,7 @@ def test_one_inverse_per_insertion_and_chain_step(case, monkeypatch):
     start = orders.nice_from_certificate(cert)
     calls.update(dict.fromkeys(calls, 0))
     insert_into_basis(cert, alg.add(bases[0][0], bases[0][-1]))
-    assert calls == {"mul": n, "invert": 1, "solve_columns": 0,
+    assert calls == {"mul": 0, "invert": 1, "solve_columns": 0,
                      "t_solve": 0, "insert_into_basis": 0}
     calls.update(dict.fromkeys(calls, 0))
     orders.descend_chain(start, 1)

@@ -405,14 +405,16 @@ def test_ideal_validation(dual, m2):
 def test_ideal_variant_stabilizer_post_check_fires(monkeypatch, dual):
     """nice_with_ideal checks its stabilizer inside R: a stabilizer pushed
     out by 1/2 is refused.  (The ideal itself lies in R once the right-ideal
-    check has passed, since every row then vanishes on it.)"""
+    check has passed, since every row then vanishes on it.)  The halved
+    stabilizer is set after construction, which would clear it back."""
     ideal = IdealSpec(dual, (dual.basis_vector(1),))
     half = dual.field.scalar("1/2")
     stabilizer_finite = orders.stabilizer_finite
 
     def scaled(alg, basis, domain):
         cert = stabilizer_finite(alg, basis, domain)
-        return dataclasses.replace(cert, stabilizer=tuple(alg.smul(half, s) for s in cert.stabilizer))
+        object.__setattr__(cert, "stabilizer", tuple(alg.smul(half, s) for s in cert.stabilizer))
+        return cert
     monkeypatch.setattr(orders, "stabilizer_finite", scaled)
     with pytest.raises(StructuralError, match="stabilizer element fails ideal-variant membership"):
         nice_with_ideal(ideal, p_local(2))

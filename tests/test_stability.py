@@ -180,6 +180,41 @@ def test_certificate_refuses_a_non_basis(m2, z2):
         certificate_from_json(m2, z2, short)
 
 
+def test_certificate_json_round_trips_and_refuses_a_false_stabilizer(m2, field_qt):
+    """A default certificate comes back from its JSON unchanged over Z and
+    Z_(3) (random M2(Q) bases) and O_v (M2(Q(t)) with entries 1/t and 1/2);
+    with its stabilizer scaled by the inverse of the domain's non-unit,
+    which no longer stabilizes, it is refused rather than cleared back, and
+    so it is with four zero vectors, which clearing leaves as they are."""
+    from cutval.basedomain import valuation_ring
+    from cutval.numfield import RationalFunction
+    from cutval.stability import certificate_from_json, certificate_to_json
+    rng = SplitMix64(73)
+    spec = SampleSpec(seed=73, count=0, coef_bound=5, max_p_exp=2)
+    m2t = matrix_algebra(field_qt, 2)
+    e = [m2t.basis_vector(i) for i in range(4)]
+    qt_basis = (m2t.unit, m2t.smul(field_qt.one / RationalFunction.T, e[1]),
+                m2t.smul(field_qt.scalar("1/2"), e[2]), e[3])
+    for alg, domain, basis in ((m2, integers(), random_basis(rng, spec, m2)),
+                               (m2, p_local(3), random_basis(rng, spec, m2)),
+                               (m2t, valuation_ring(field_qt), qt_basis)):
+        cert = stabilizer_finite(alg, tuple(basis), domain)
+        assert cert.stabilizer != cert.basis
+        data = certificate_to_json(cert)
+        back = certificate_from_json(alg, domain, data)
+        assert (back.basis, back.stabilizer) == (cert.basis, cert.stabilizer)
+        assert certificate_to_json(back) == data
+        inverse = domain.one / domain.noninvertible()
+        false = [alg.smul(inverse, s) for s in cert.stabilizer]
+        assert not is_stable(alg, cert.basis, false, domain).ok
+        scaled = dict(data, stabilizer=[[alg.field.scalar_to_json(c) for c in s] for s in false])
+        with pytest.raises(StructuralError, match="^stabilizer does not stabilize the basis$"):
+            certificate_from_json(alg, domain, scaled)
+        zeros = dict(data, stabilizer=[[alg.field.scalar_to_json(alg.field.zero)] * alg.dim] * alg.dim)
+        with pytest.raises(StructuralError, match="^stabilizer is not a basis of A$"):
+            certificate_from_json(alg, domain, zeros)
+
+
 def test_stabilizer_over_composite_valuation_ring(field_qt):
     from cutval.basedomain import valuation_ring
     from cutval.numfield import RationalFunction
