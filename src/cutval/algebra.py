@@ -59,7 +59,7 @@ from operator import add, mul
 
 from .errors import ConfigError, StructuralError
 from .numfield import (QtVector, QVector, RationalFunction, ValuedField, _cleared, _convolve,
-                       _int_p_exponent, _zt_dot, _zt_lcm, _zt_quo, _zt_split, _zt_sum, _zt_value,
+                       _int_p_exponent, _zt_dot, _zt_lcm, _zt_quo, _zt_sum, _zt_value,
                        _zt_value_of_dot)
 
 Element = QVector | QtVector  # over Q and over Q(t); a tuple of scalars is taken too
@@ -153,7 +153,7 @@ class StructureAlgebra:
 
     def smul(self, c, x: Element) -> Element:
         if not self._q:
-            (a, d), (n, e) = QtVector.pair(x), _zt_split(c) if c else ([], [1])
+            (a, d), n, e = QtVector.pair(x), c._n, c._d
             return QtVector._clearing([_convolve(s, n) for s in a], _convolve(d, e))
         (a, d), n = QVector.pair(x), c.numerator
         return QVector._canonical([s * n for s in a], d * c.denominator)

@@ -18,19 +18,21 @@ element, is one ``QVector``: integers over one denominator.  ``v(0)`` is
 ``None`` everywhere in this module -- the cut-level infinity lives in
 :mod:`cutval.cuts` only.
 
-Elements of Q(t) are ``RationalFunction``s, always reduced with a monic
-denominator.  Only the public constructor reduces; the operators assume
-reduced operands and build their results by Henrici's cross-cancellation
-(Knuth, TAOCP vol. 2, 4.5.1), which yields a reduced result from reduced
-operands, so no result is re-reduced and no gcd is taken with a constant.
-A ``Polynomial`` has one form, its clearing: integer coefficients over one
-positive denominator, with no common factor.  All its arithmetic works in
-Z[t] on that pair: a product is an integer convolution, ``poly_gcd`` runs
-the primitive polynomial remainder sequence on the primitive integer
-multiples of its operands (Knuth, 4.6.1, Algorithm E), and ``_exact_quo``
-divides the dividend's integers by the primitive multiple of the divisor, a
-division that Gauss's lemma makes exact.  ``Fraction`` coefficients are
-built only to be read, as in formatting.
+Everything over Q(t) is a clearing in Z[t], in one canonical form:
+integer coefficient lists over one nonzero integer list, without trailing
+zeros, with Q[t]-gcd 1, integer content 1 and a denominator with a
+positive leading coefficient.  An element of Q(t) is a
+``RationalFunction``, such a pair n/d; its operators take canonical
+operands and make a canonical result by Henrici's cross-cancellation
+(Knuth, TAOCP vol. 2, 4.5.1) on the lists, so no result is re-reduced and
+no gcd is taken with a constant.  Products are integer convolutions,
+``poly_gcd`` runs the primitive polynomial remainder sequence on the
+primitive integer multiples of its operands (Knuth, 4.6.1, Algorithm E),
+and `_zt_quo` divides by a primitive divisor, a division that Gauss's
+lemma makes exact.  A ``Polynomial`` is the Q[t] view of a list: integer
+coefficients over one positive denominator, with no common factor, read by
+parsing, ``poly_gcd`` and ``RationalFunction.num``/``den``; it does no
+arithmetic.
 
 A vector over Q(t), such as an algebra element, is one ``QtVector``:
 integer coefficient lists over one integer-list denominator in Z[t], made
@@ -188,15 +190,15 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 
 
 class Polynomial:
-    """Univariate polynomial over Q, coefficients lowest-degree-first.
+    """Univariate polynomial over Q, coefficients lowest-degree-first: the
+    Q[t] view of integer lists, which parsing and ``poly_gcd`` read and
+    ``RationalFunction.num``/``den`` return.  It does no arithmetic.
 
     It is stored as its clearing only: the coefficients are ints/den for
     the integer list ints without a leading zero and den > 0 with
-    gcd(ints..., den) = 1, the pair that ``_cleared(coeffs)`` gives.  Every
-    operation reads and makes that pair, and ``_from_ints`` makes any
-    integer result canonical with one gcd; ``coeffs`` builds the
-    ``Fraction`` coefficients on each read.  Readers copy ints before they
-    change it.
+    gcd(ints..., den) = 1, the pair that ``_cleared(coeffs)`` gives, which
+    ``_from_ints`` makes of any integer list with one gcd; ``coeffs``
+    builds the ``Fraction`` coefficients on each read.
     """
 
     __slots__ = ("ints", "den")
@@ -236,49 +238,6 @@ class Polynomial:
     def __bool__(self):
         return bool(self.ints)
 
-    def ord(self) -> int | None:
-        """Lowest exponent with a nonzero coefficient; None for 0."""
-        for i, c in enumerate(self.ints):
-            if c:
-                return i
-        return None
-
-    def leading_coeff(self) -> Fraction:
-        if not self.ints:
-            raise ValueError("zero polynomial")
-        return Fraction(self.ints[-1], self.den)
-
-    def __add__(self, other):
-        (a, d), (b, e) = (self.ints, self.den), (other.ints, other.den)
-        if len(a) < len(b):
-            (a, d), (b, e) = (b, e), (a, d)
-        g = gcd(d, e)
-        m, n = e // g, d // g
-        out = [x * m for x in a]
-        for i, y in enumerate(b):
-            out[i] += y * n
-        return Polynomial._from_ints(out, d * m)
-
-    def __neg__(self):
-        return Polynomial._from_ints([-x for x in self.ints], self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        a, b = self.ints, other.ints
-        if len(a) == 1 and a[0] == self.den or not b:  # 1 * other, or other = 0
-            return other
-        if len(b) == 1 and b[0] == other.den or not a:
-            return self
-        return Polynomial._from_ints(_convolve(a, b), self.den * other.den)
-
-    def scale(self, c: Fraction) -> "Polynomial":
-        if c == 1:
-            return self
-        n = c.numerator
-        return Polynomial._from_ints([x * n for x in self.ints], self.den * c.denominator)
-
     def monic(self) -> "Polynomial":
         a = self.ints
         if not a or a[-1] == self.den:
@@ -298,24 +257,6 @@ class Polynomial:
 Polynomial.ZERO = Polynomial()
 Polynomial.ONE = Polynomial((1,))
 Polynomial.T = Polynomial((0, 1))
-
-
-def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """poly_gcd(a, b), not called when either is constant; ONE for a zero
-    side, which only a numerator can be and which needs no cancelling."""
-    return poly_gcd(a, b) if a.degree > 0 and b.degree > 0 else Polynomial.ONE
-
-
-def _exact_quo(a: Polynomial, g: Polynomial) -> Polynomial:
-    """a / g for a monic divisor g of a, computed in Z[t].
-
-    With a = A/d for the integer list A, the monic g is stored as G/lc(G)
-    for the primitive G, and Gauss's lemma makes A = G*Q with Q in Z[t],
-    so a/g = Q*lc(G)/d.  Raises ArithmeticError when g does not divide a."""
-    if g.degree == 0:
-        return a
-    lc = g.ints[-1]
-    return Polynomial._from_ints([q * lc for q in _zt_quo(a.ints, g.ints)], a.den)
 
 
 def _zt_quo(a: list[int], g: list[int]) -> list[int]:
@@ -389,35 +330,41 @@ def _zt_gcd(a: list[int], b: list[int]) -> list[int]:
     return poly_gcd(Polynomial._from_ints(a, 1), Polynomial._from_ints(b, 1)).ints
 
 
-class RationalFunction:
-    """Reduced fraction of polynomials over Q with monic denominator.
+def _cancel(a: list[int], b: list[int]) -> tuple:
+    """Two integer lists without trailing zeros over their primitive gcd in
+    Z[t]; as they are when either is a constant or 0, with no gcd taken."""
+    if len(a) > 1 and len(b) > 1 and len(g := _zt_gcd(a, b)) > 1:
+        return _zt_quo(a, g), _zt_quo(b, g)
+    return a, b
 
-    ``RationalFunction(num, den)`` reduces its arguments.  The operators
-    assume reduced operands and return reduced results without reducing
-    them again: results are built by the trusted ``_reduced``, which
-    stores its pair as given.
+
+class RationalFunction:
+    """An element of Q(t) as the canonical pair of a one-coordinate
+    ``QtVector``: integer lists n over d in Z[t], without trailing zeros,
+    with Q[t]-gcd 1, integer content 1 and lc(d) > 0, so 0 is [] over [1].
+
+    ``RationalFunction(num, den)`` reduces two Polynomials, and ``num`` and
+    ``den`` read the pair back as Polynomials, den monic.  The operators
+    assume canonical operands and make a canonical result by Henrici's
+    cross-cancellation (Knuth, TAOCP vol. 2, 4.5.1) on the lists, so they
+    take a gcd of two non-constant lists only, and then divide out the
+    integer content (`_lowest`).  The lists are shared, never changed.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
-    def __init__(self, num: Polynomial, den: Polynomial = Polynomial.ONE):
+    def __new__(cls, num: Polynomial, den: Polynomial = Polynomial.ONE):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            num, den = Polynomial.ZERO, Polynomial.ONE
-        else:
-            g = _gcd(num, den)
-            num, den = _exact_quo(num, g), _exact_quo(den, g)
-            if (lc := den.leading_coeff()) != 1:
-                num, den = num.scale(1 / lc), den.monic()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        a, b = num.den, den.den  # (A/a) / (B/b) = (A*b) / (B*a)
+        return _scalar(num.ints if b == 1 else [x * b for x in num.ints],
+                       den.ints if a == 1 else [x * a for x in den.ints])
 
     @classmethod
-    def _reduced(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """num/den for a coprime pair with monic den, stored without a gcd."""
+    def _pair(cls, n: list[int], d: list[int]) -> "RationalFunction":
+        """n/d for a canonical pair, stored as given."""
         out = object.__new__(cls)
-        out.num, out.den = (num, den) if num else (Polynomial.ZERO, Polynomial.ONE)
+        out._n, out._d = n, d
         return out
 
     ZERO: "RationalFunction"
@@ -426,58 +373,80 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, q) -> "RationalFunction":
-        return cls._reduced(Polynomial((Fraction(q),)), Polynomial.ONE)
+        q = Fraction(q)
+        return cls._pair([q.numerator], [q.denominator]) if q else cls.ZERO
+
+    @property
+    def num(self) -> Polynomial:
+        return Polynomial._from_ints(self._n, self._d[-1])
+
+    @property
+    def den(self) -> Polynomial:
+        return Polynomial._from_ints(self._d, self._d[-1])
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self._n
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self._n)
 
     def __add__(self, other):
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        g = d1 if d1 == d2 else _gcd(d1, d2)
-        if g.degree == 0:
-            # coprime denominators: the cross sum is already reduced
-            return RationalFunction._reduced(n1 * d2 + n2 * d1, d1 * d2)
-        d1g, d2g = _exact_quo(d1, g), _exact_quo(d2, g)
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        if not (n1 and n2):
+            return self if n1 else other
+        if d1 == d2:
+            g, d1g, d2g = d1, [1], [1]
+        else:
+            g = _zt_gcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else [1]
+            d1g, d2g = (d1, d2) if len(g) == 1 else (_zt_quo(d1, g), _zt_quo(d2, g))
         # n1/d1 + n2/d2 = s / (d1g * d2g * g), and gcd(s, that) = gcd(s, g)
-        s = n1 * d2g + n2 * d1g
-        h = _gcd(s, g)
-        return RationalFunction._reduced(_exact_quo(s, h), d1g * _exact_quo(d2, h))
+        s = _zt_sum(_convolve(n1, d2g), _convolve(n2, d1g))
+        while s and not s[-1]:
+            s.pop()
+        if not s:
+            return RationalFunction.ZERO
+        if len(s) > 1 and len(g) > 1 and len(h := _zt_gcd(s, g)) > 1:
+            s, d2 = _zt_quo(s, h), _zt_quo(d2, h)
+        return _lowest(s, _convolve(d1g, d2))
 
     def __neg__(self):
-        return RationalFunction._reduced(-self.num, self.den)
+        return RationalFunction._pair([-x for x in self._n], self._d)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        g1, g2 = _gcd(n1, d2), _gcd(n2, d1)
-        return RationalFunction._reduced(_exact_quo(n1, g1) * _exact_quo(n2, g2),
-                                         _exact_quo(d1, g2) * _exact_quo(d2, g1))
+        return self._times(other._n, other._d)
 
     def __truediv__(self, other):
-        if other.is_zero():
+        if not other._n:
             raise ZeroDivisionError("division by zero rational function")
-        inv = 1 / other.num.leading_coeff()
-        return self * RationalFunction._reduced(other.den.scale(inv), other.num.monic())
+        return self._times(other._d, other._n)
+
+    def _times(self, n2: list[int], d2: list[int]) -> "RationalFunction":
+        """self * n2/d2 for a Q[t]-coprime pair, d2 nonzero: n1 cancelled
+        against d2 and n2 against d1, then the content divided out, which
+        also makes lc > 0 when d2 came in negative."""
+        n1, d1 = self._n, self._d
+        if not (n1 and n2):
+            return RationalFunction.ZERO
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
+        return _lowest(_convolve(n1, n2), _convolve(d1, d2))
 
     def __eq__(self, other):
-        return (isinstance(other, RationalFunction)
-                and self.num == other.num and self.den == other.den)
+        return isinstance(other, RationalFunction) and self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((tuple(self._n), tuple(self._d)))
 
     def __repr__(self):
         return format_ratfunc(self)
 
 
-RationalFunction.ZERO = RationalFunction(Polynomial.ZERO)
-RationalFunction.ONE = RationalFunction(Polynomial.ONE)
-RationalFunction.T = RationalFunction(Polynomial.T)
+RationalFunction.ZERO = RationalFunction._pair([], [1])
+RationalFunction.ONE = RationalFunction._pair([1], [1])
+RationalFunction.T = RationalFunction._pair([0, 1], [1])
 
 
 def _zt_value(ints: list[int], p: int) -> tuple[int, int] | None:
@@ -489,21 +458,14 @@ def _zt_value(ints: list[int], p: int) -> tuple[int, int] | None:
 
 
 def composite_valuation(p: int, f: RationalFunction) -> tuple[int, int] | None:
-    """(t-adic order, v_p of the lowest Laurent coefficient); None for 0."""
+    """(t-adic order, v_p of the lowest Laurent coefficient); None for 0:
+    v(n) - v(d), read off the pair's lowest terms."""
     if not is_prime(p):
         raise ConfigError(f"{p} is not prime")
     if f.is_zero():
         return None
-    (on, en), (od, ed) = _zt_value(f.num.ints, p), _zt_value(f.den.ints, p)
-    return on - od, en - ed - _int_p_exponent(f.num.den, p) + _int_p_exponent(f.den.den, p)
-
-
-def _zt_split(c: RationalFunction) -> tuple[list[int], list[int]]:
-    """A nonzero scalar as integer coefficient lists (n, d) with c = n/d in
-    Z[t], read off the clearings that its two Polynomials carry."""
-    num, den = c.num, c.den
-    return (num.ints if den.den == 1 else [y * den.den for y in num.ints],
-            den.ints if num.den == 1 else [y * num.den for y in den.ints])
+    (on, en), (od, ed) = _zt_value(f._n, p), _zt_value(f._d, p)
+    return on - od, en - ed
 
 
 def _ord(a: list[int]) -> int:
@@ -520,8 +482,12 @@ def _zt_lcm(a: list[int], b: list[int]) -> list[int]:
     parts.  The powers of t are split off first, and two distinct linear
     factors with a nonzero constant term, irreducible, are coprime, so the
     denominators 1, t^k and 1 + c*t take no gcd."""
-    if a == b:
+    if a == b or b == [1]:
         return a
+    if a == [1]:
+        return b
+    if len(a) == len(b) == 1:
+        return [lcm(a[0], b[0])]
     ca, cb = gcd(*a), gcd(*b)
     i, j = (0 if a[0] else _ord(a)), (0 if b[0] else _ord(b))
     a, b = a[i:] if ca == 1 else [y // ca for y in a[i:]], b[j:] if cb == 1 else [y // cb for y in b[j:]]
@@ -571,14 +537,15 @@ def _coprime(lists) -> list:
 
 
 def _scalar(a: list[int], d: list[int]) -> RationalFunction:
-    """a/d in Z[t] as a reduced RationalFunction, for d != 0."""
-    if not a:
-        return RationalFunction.ZERO
-    if len(d) > 1:
-        a, d = _coprime([a, d])
-    if d[-1] < 0:
-        a, d = [-y for y in a], [-y for y in d]
-    return RationalFunction._reduced(Polynomial._from_ints(a[:], d[-1]), Polynomial._from_ints(d[:], d[-1]))
+    """a/d in Z[t] as a RationalFunction, for lists without trailing zeros
+    and d != []: over their primitive gcd (`_cancel`), then their content."""
+    return _lowest(*_cancel(a, d))
+
+
+def _lowest(n: list[int], d: list[int]) -> RationalFunction:
+    """n/d for Q[t]-coprime lists without trailing zeros, d != [], over
+    their content and signed so that lc(d) > 0."""
+    return RationalFunction._pair(*_content([n, d])) if n else RationalFunction.ZERO
 
 
 def _content(lists) -> list:
@@ -601,14 +568,15 @@ class QtVector:
     coefficients 1 and lc(D) > 0, so 0 is ([], ..., []) over [1]; it is
     the form of every element and every row over Q(t).
 
-    ``of`` is the one place where a sequence of RationalFunctions becomes
-    one, canonical.  Arithmetic leaves its result as the clearing it summed
-    (`_clearing`), made canonical once, when it is first observed: read
-    through ``nums`` or ``den``, compared or printed.  A valuation read and
-    further arithmetic take any clearing as it is, since v(S/D) = v(S) -
-    v(D) for every representation, so a product that is only valued takes
-    no gcd.  Iterating or indexing yields reduced RationalFunctions, built
-    on the first read or kept from ``of``'s input, and a QtVector equals,
+    ``of`` is the one place where a sequence of RationalFunctions, each
+    the canonical pair of one coordinate, becomes one.  Arithmetic leaves
+    its result as the clearing it summed (`_clearing`), made canonical
+    once, when it is first observed: read through ``nums`` or ``den``,
+    compared or printed.  A valuation read and further arithmetic take any
+    clearing as it is, since v(S/D) = v(S) - v(D) for every
+    representation, so a product that is only valued takes no gcd.
+    Iterating or indexing yields RationalFunctions, built (`_scalar`) on
+    the first read or kept from ``of``'s input, and a QtVector equals,
     and hashes as, the tuple of them.  Readers copy a list before they
     change it.
     """
@@ -638,27 +606,24 @@ class QtVector:
 
     @classmethod
     def of(cls, x) -> "QtVector":
-        """x itself when it is a QtVector, else its reduced RationalFunctions
-        n_i/d_i (primitive d_i) over the lcm of the d_i, which leaves no
-        Q[t]-gcd to take, times the lcm of their integer denominators; then
-        the content is divided out."""
+        """x itself when it is a QtVector, else its RationalFunctions n_i/d_i
+        as n_i*(D/d_i) over the lcm D of the d_i in Z[t].  That is canonical
+        as it stands: an irreducible factor of D, or a prime of its content,
+        is highest in some d_i, so it divides neither n_i nor D/d_i."""
         if type(x) is cls:
             return x
         x = tuple(x)
-        den, n = [1], 1  # 0 is 0/1 over 1
+        den = [1]  # 0 is [] over [1]
         for c in x:
-            if len(d := c.den.ints) > 1 and d != den:
-                den = _zt_lcm(den, d)
-            if c.num.den != 1:
-                n = lcm(n, c.num.den)
+            if c._d != den:
+                den = _zt_lcm(den, c._d)
         nums = []
         for c in x:
-            num, d = c.num, c.den
-            q = den if len(d.ints) == 1 else [1] if d.ints == den else _zt_quo(den, d.ints)
-            a = _convolve(num.ints, q) if len(q) > 1 else num.ints
-            f = d.den * n // num.den
-            nums.append([y * f for y in a] if f != 1 else a)
-        *nums, den = _content([*nums, [y * n for y in den] if n != 1 else den])
+            a = c._n
+            if a and (d := c._d) != den:
+                q = _zt_quo(den, d) if len(d) > 1 else [y // d[0] for y in den]
+                a = _convolve(a, q) if len(q) > 1 else [y * q[0] for y in a]
+            nums.append(a)
         out = cls._make(nums, den)
         out._scalars = x
         return out
@@ -743,9 +708,9 @@ def _zt_value_of_dot(row: QtVector, x: QtVector, xv: tuple[int, int], p: int):
     return v[0] - qt - xv[0], v[1] - qe - xv[1]
 
 
-def format_poly_list(poly: Polynomial) -> list[str]:
-    d = poly.den
-    return [str(x) if d == 1 else format_rational(Fraction(x, d)) for x in poly.ints]
+def _format_list(ints: list[int], c: int) -> list[str]:
+    """The coefficients ints/c, for c > 0, as texts."""
+    return [str(x) for x in ints] if c == 1 else [format_rational(Fraction(x, c)) for x in ints]
 
 
 def parse_poly_list(coeffs) -> Polynomial:
@@ -753,10 +718,10 @@ def parse_poly_list(coeffs) -> Polynomial:
 
 
 def format_ratfunc(f: RationalFunction) -> str:
-    num = "[" + ",".join(format_poly_list(f.num)) + "]"
-    if f.den == Polynomial.ONE:
-        return num
-    return num + "/[" + ",".join(format_poly_list(f.den)) + "]"
+    """n/d as the coefficient lists of num and den, that is n and d over lc(d)."""
+    c = f._d[-1]
+    num = "[" + ",".join(_format_list(f._n, c)) + "]"
+    return num if len(f._d) == 1 else num + "/[" + ",".join(_format_list(f._d, c)) + "]"
 
 
 def parse_ratfunc(text: str) -> RationalFunction:
@@ -849,9 +814,10 @@ class ValuedField:
     def scalar_to_json(self, x):
         if self.kind == "Q":
             return format_rational(x)
-        out = {"num": format_poly_list(x.num)}
-        if x.den != Polynomial.ONE:
-            out["den"] = format_poly_list(x.den)
+        c = x._d[-1]
+        out = {"num": _format_list(x._n, c)}
+        if len(x._d) > 1:
+            out["den"] = _format_list(x._d, c)
         return out
 
     def value(self, x) -> tuple[int, ...] | None:
@@ -867,9 +833,6 @@ class ValuedField:
             return Fraction(self.p) ** a
         n, a = gamma
         top, bottom = (self.p ** a, 1) if a >= 0 else (1, self.p ** -a)
-        num = Polynomial._from_ints([0] * n + [top], bottom)
-        return RationalFunction._reduced(num, _t_power(-n) if n < 0 else Polynomial.ONE)
-
-
-def _t_power(n: int) -> Polynomial:
-    return Polynomial._from_ints([0] * n + [1], 1)
+        if n >= 0:
+            return RationalFunction._pair([0] * n + [top], [bottom])
+        return RationalFunction._pair([top], [0] * -n + [bottom])

@@ -382,7 +382,8 @@ def nice_with_ideal(ideal: IdealSpec, domain: BaseDomain) -> SubringOracle:
     alg, basis = ideal.algebra, ideal.validate()
     cert = stabilizer_finite(alg, basis, domain)
     m, n = len(ideal.basis), alg.dim
-    left = [r for r in cert.rows.subset([j * n + k for j in range(m) for k in range(m, n)]) if any(r)]
+    left = [r for r in cert.rows.subset([j * n + k for j in range(m) for k in range(m, n)])
+            if not alg.is_zero(r)]
     if left:
         i = next(i for i, c in enumerate(left[0]) if c)
         raise DomainError(f"not a left ideal: e{i} * b escapes the span")

@@ -246,11 +246,14 @@ class CompareVerdict:
 def qv_compare(q1: FilterQV, q2: FilterQV, spec: SampleSpec,
                extra_points=()) -> CompareVerdict:
     """Pointwise order on samples: le means W1(x) <= W2(x) everywhere
-    sampled with at least one strict witness recorded when present."""
+    sampled with at least one strict witness recorded when present.  A
+    spec with no samples is refused (`check_sample_count`), so no verdict
+    rests on the extra points alone or on nothing."""
     if q1.algebra is not q2.algebra:
         raise ConfigError("evaluators live over different algebras")
     if q1.field != q2.field:
         raise ConfigError("evaluators extend different valuations")
+    check_sample_count(spec)
     rng = spec.rng()
     lt = gt = None
     total = 0

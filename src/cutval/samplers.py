@@ -4,7 +4,8 @@ Everything draws from a :class:`~cutval.sampling.SplitMix64` stream shaped
 by a :class:`~cutval.sampling.SampleSpec`, so audits and tests are
 reproducible from (seed, spec) alone: each draw's value and the stream
 position after it are fixed.  Q(t) draws are made from the stream's integer
-pairs in Z[t], with no ``Fraction`` and no product of scalars.  An algebra
+pairs as the canonical pairs in Z[t] of ``RationalFunction``, with no
+``Fraction``, no ``Polynomial`` and no product of scalars.  An algebra
 element or a member is one vector: over Q made from its integer pairs, as
 a ``QVector``, over Q(t) from its draws' integer lists, as a ``QtVector``
 (``QtVector.of``, whose lcm of the draws' denominators 1, t^k and 1 + c*t
@@ -14,43 +15,45 @@ takes no gcd; `_Rows.element` converts a member's coefficients so).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import PolynomialAlgebra, StructureAlgebra
 from .basedomain import BaseDomain
-from .numfield import (Polynomial, QtVector, QVector, RationalFunction, ValuedField, _exact_quo,
-                       _t_power)
+from .numfield import QtVector, QVector, RationalFunction, ValuedField, _lowest, _ord, _zt_quo
 from .sampling import SampleSpec, SplitMix64, rational_pair, sample_int, sample_rational
 
 
 def sample_ratfunc(rng: SplitMix64, spec: SampleSpec, p: int) -> RationalFunction:
-    """num / den with den 1, t^k (k = 1, 2) or 1 + c*t, built reduced
-    without Euclid: gcd(num, t^k) = t^min(ord num, k), and the irreducible
-    1 + c*t for c = a/b divides num, when sum x_i*(-b)^i*a^(deg-i) = 0 for
-    num = (x_0 + ... + x_deg*t^deg)/d, or is coprime to it."""
+    """num / den with den 1, t^k (k = 1, 2) or 1 + c*t, built as the
+    canonical pair without Euclid: for num = (x_0 + ... + x_deg*t^deg)/d,
+    gcd(num, t^k) = t^min(ord num, k), and the irreducible 1 + c*t for
+    c = a/b divides num, when sum x_i*(-b)^i*a^(deg-i) = 0, or is coprime
+    to it."""
     deg = rng.randint(0, spec.poly_degree)
     pairs = [rational_pair(rng, spec, p) for _ in range(deg + 1)]
     d = lcm(*(b for _, b in pairs))
-    num = Polynomial._from_ints([a * (d // b) for a, b in pairs], d)
+    num = [a * (d // b) for a, b in pairs]
+    while num and not num[-1]:
+        num.pop()
     shape = rng.randrange(3)
-    if shape == 0 or num.is_zero():
-        return RationalFunction._reduced(num, Polynomial.ONE)
+    if shape == 0 or not num:
+        return _lowest(num, [d])
     if shape == 1:
         k = rng.randint(1, 2)
-        j = min(num.ord(), k)
-        return RationalFunction._reduced(Polynomial._from_ints(num.ints[j:], num.den), _t_power(k - j))
+        j = min(_ord(num), k)
+        return _lowest(num[j:], [0] * (k - j) + [d])
     a, b = rational_pair(rng, spec, p)  # for c = 0 the divisor is 1
     if not a:
-        return RationalFunction._reduced(num, Polynomial.ONE)
+        return _lowest(num, [d])
     a, b = (a, b) if a > 0 else (-a, -b)
     root, power = 0, 1  # sum x_i * (-b)^i * a^(j - i) over the first j + 1 coefficients
-    for x in num.ints:
+    for x in num:
         root, power = root * a + x * power, -power * b
-    num = Polynomial._from_ints([x * b for x in num.ints], num.den * a)  # num / c
-    den = Polynomial._from_ints([b, a], a)  # the monic (1 + c*t)/c
+    g = gcd(a, b)
+    a, b = a // g, b // g  # num/d / (1 + c*t) = num*b / (d*(b + a*t))
     if root:
-        return RationalFunction._reduced(num, den)
-    return RationalFunction._reduced(_exact_quo(num, den), Polynomial.ONE)
+        return _lowest([x * b for x in num], [d * b, d * a])
+    return _lowest([x * b for x in _zt_quo(num, [b, a])], [d])
 
 
 def sample_scalar(rng: SplitMix64, spec: SampleSpec, field: ValuedField):
@@ -72,10 +75,9 @@ def sample_in_domain(rng: SplitMix64, spec: SampleSpec, domain: BaseDomain):
     v = field.value(f)
     if v >= (0, 0):
         return f
-    n, a, den = max(0, -v[0]), max(0, -v[1]), f.den
-    m = min(n, den.ord())
-    num = Polynomial._from_ints([0] * (n - m) + [x * field.p ** a for x in f.num.ints], f.num.den)
-    return RationalFunction._reduced(num, Polynomial._from_ints(den.ints[m:], den.den) if m else den)
+    n, a, den = max(0, -v[0]), max(0, -v[1]), f._d
+    m = min(n, _ord(den))
+    return _lowest([0] * (n - m) + [x * field.p ** a for x in f._n], den[m:])
 
 
 def _q_domain_pair(rng: SplitMix64, spec: SampleSpec, domain: BaseDomain) -> tuple[int, int]:

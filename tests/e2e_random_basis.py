@@ -2,8 +2,9 @@
 
 The first seed-7 basis of cutbench's draw for the named case: its
 certificate, left order and is_stable, then verify_nice and, where the
-case has one, qv_audit, and for M2(Q(t)) two descend_chain steps on the
-order, whose insertions run on dense O_v rows.  The left order runs
+case has one, qv_audit, and for M5(Q) and M2(Q(t)) two descend_chain
+steps on the order: each an insertion, its left order and an
+intersection, over M2(Q(t)) on dense O_v rows.  The left order runs
 `_lattice`'s check of the lattice basis against every product row and the
 check that 1 and the stabilizer lie in it, which raise on a disagreement,
 as do the chain's own checks of each step.  M3(Q(t)) stops after its
@@ -57,7 +58,7 @@ CASES = {
                  None, None, None, False),
 }
 # descend_chain steps run on the order, gated only by the chain's raises
-CHAIN_STEPS = {"M2(Q(t))": 2}
+CHAIN_STEPS = {"M5(Q)": 2, "M2(Q(t))": 2}
 
 
 def stage(name, f, *args):

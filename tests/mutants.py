@@ -71,7 +71,7 @@ MUTANTS = (
         "the root test of 1 + c*t in sample_ratfunc evaluates at +b/a"),
     Mutant(
         "ov-lift-no-t-cancellation", "src/cutval/samplers.py",
-        "m = min(n, den.ord())",
+        "m = min(n, _ord(den))",
         "m = 0",
         ("tests/test_sampling.py::test_sample_in_domain_over_ov_matches_the_product_lift",),
         "sample_in_domain over O_v does not cancel t^m against the denominator"),
@@ -92,8 +92,8 @@ MUTANTS = (
         "_bareiss divides each updated row by the pivot instead of the previous pivot"),
     Mutant(
         "ov-lift-power-on-den", "src/cutval/samplers.py",
-        "[x * field.p ** a for x in f.num.ints], f.num.den)",
-        "f.num.ints, f.num.den * field.p ** a)",
+        "[x * field.p ** a for x in f._n], den[m:])",
+        "f._n, [x * field.p ** a for x in den[m:]])",
         ("tests/test_sampling.py::test_sample_in_domain_over_ov_matches_the_product_lift",),
         "sample_in_domain over O_v divides by p^a instead of multiplying"),
     Mutant(
@@ -276,6 +276,30 @@ MUTANTS = (
         "",
         ("tests/test_stability.py::test_certificate_json_round_trips_and_refuses_a_false_stabilizer",),
         "certificate_from_json clears a stabilizer that does not stabilize instead of refusing it"),
+    Mutant(
+        "ratfunc-add-skips-gcd-cancellation", "src/cutval/numfield.py",
+        "if len(s) > 1 and len(g) > 1 and len(h := _zt_gcd(s, g)) > 1:",
+        "if False:",
+        ("tests/test_kernel.py::test_ratfunc_arithmetic_matches_reference",),
+        "a sum of scalars keeps the factor gcd(s, g) that its numerator shares with the common denominator"),
+    Mutant(
+        "ratfunc-mul-cancels-n1-against-d1", "src/cutval/numfield.py",
+        "        n1, d2 = _cancel(n1, d2)\n",
+        "        n1, d1 = _cancel(n1, d1)\n",
+        ("tests/test_kernel.py::test_ratfunc_arithmetic_matches_reference",),
+        "a product of scalars cancels n1 against its own coprime d1, not against d2"),
+    Mutant(
+        "ratfunc-content-keeps-negative-lc", "src/cutval/numfield.py",
+        "    if lists[-1][-1] < 0:\n        c = -c\n",
+        "    if lists[-1][-1] < 0 and len(lists) > 2:\n        c = -c\n",
+        ("tests/test_numfield.py::test_every_ratfunc_is_its_canonical_pair",),
+        "the content step of a scalar's pair keeps a denominator with lc < 0, as a quotient by a negative numerator makes"),
+    Mutant(
+        "qtvector-of-scales-by-the-lcm", "src/cutval/numfield.py",
+        "q = _zt_quo(den, d) if len(d) > 1 else [y // d[0] for y in den]",
+        "q = den",
+        ("tests/test_algebra.py::test_qt_elements_match_the_ratfunc_tuples[M2(Q(t))]",),
+        "QtVector.of scales each numerator by the lcm D of the denominators, not by D/d_i"),
 )
 
 

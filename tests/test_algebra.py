@@ -13,12 +13,12 @@ from cutval import orders
 from cutval.basedomain import integers, p_local, valuation_ring
 from cutval.errors import StructuralError
 from cutval.numfield import (Polynomial, QtVector, QVector, RationalFunction, ValuedField, _cleared,
-                             _exact_quo, _t_power, _zt_gcd)
+                             _zt_gcd)
 from cutval.orders import LatticeModule, left_order
 from cutval.samplers import sample_algebra_element, sample_in_domain, sample_member, sample_scalar
 from cutval.sampling import SampleSpec, SplitMix64, rational_pair, sample_int
 from cutval.stability import stabilizer_finite
-from test_kernel import FRACTIONAL, M3_DRAW, draw_bases, mul_reference
+from test_kernel import FRACTIONAL, M3_DRAW, draw_bases, mul_reference, t_order
 
 
 @pytest.fixture
@@ -356,30 +356,27 @@ QT_ELEMENT_ALGEBRAS = {
 
 
 def sample_ratfunc_reference_before_clearing(rng, spec, p):
-    """sample_ratfunc as it was before Q(t) elements were cleared, verbatim."""
+    """sample_ratfunc as it was before Q(t) elements were cleared, with the
+    reducing constructor in place of its own cancellation: the same draws
+    from the stream, reduced by Euclid."""
     deg = rng.randint(0, spec.poly_degree)
     pairs = [rational_pair(rng, spec, p) for _ in range(deg + 1)]
     d = lcm(*(b for _, b in pairs))
     num = Polynomial._from_ints([a * (d // b) for a, b in pairs], d)
     shape = rng.randrange(3)
     if shape == 0 or num.is_zero():
-        return RationalFunction._reduced(num, Polynomial.ONE)
+        return RationalFunction(num)
     if shape == 1:
         k = rng.randint(1, 2)
-        j = min(num.ord(), k)
-        return RationalFunction._reduced(Polynomial._from_ints(num.ints[j:], num.den), _t_power(k - j))
+        j = min(t_order(num), k)
+        num = Polynomial._from_ints(num.ints[j:], num.den)
+        return RationalFunction(num, Polynomial((0,) * (k - j) + (1,)))
     a, b = rational_pair(rng, spec, p)
     if not a:
-        return RationalFunction._reduced(num, Polynomial.ONE)
-    a, b = (a, b) if a > 0 else (-a, -b)
-    root, power = 0, 1
-    for x in num.ints:
-        root, power = root * a + x * power, -power * b
-    num = Polynomial._from_ints([x * b for x in num.ints], num.den * a)
-    den = Polynomial._from_ints([b, a], a)
-    if root:
-        return RationalFunction._reduced(num, den)
-    return RationalFunction._reduced(_exact_quo(num, den), Polynomial.ONE)
+        return RationalFunction(num)
+    # num / (1 + c*t) for c = a/b
+    num = Polynomial._from_ints([x * b for x in num.ints], num.den)
+    return RationalFunction(num, Polynomial((b, a)))
 
 
 def sample_qt_element_reference(rng, spec, alg):
@@ -390,7 +387,8 @@ def sample_qt_element_reference(rng, spec, alg):
 
 
 def sample_ov_reference(rng, spec, field):
-    """sample_in_domain over O_v before the clearing, verbatim."""
+    """sample_in_domain over O_v before the clearing, with the reducing
+    constructor in place of the trusted one."""
     f = sample_ratfunc_reference_before_clearing(rng, spec, field.p)
     if f.is_zero():
         return f
@@ -398,9 +396,9 @@ def sample_ov_reference(rng, spec, field):
     if v >= (0, 0):
         return f
     n, a, den = max(0, -v[0]), max(0, -v[1]), f.den
-    m = min(n, den.ord())
+    m = min(n, t_order(den))
     num = Polynomial._from_ints([0] * (n - m) + [x * field.p ** a for x in f.num.ints], f.num.den)
-    return RationalFunction._reduced(num, Polynomial._from_ints(den.ints[m:], den.den) if m else den)
+    return RationalFunction(num, Polynomial._from_ints(den.ints[m:], den.den) if m else den)
 
 
 def sample_qt_member_reference(rng, spec, oracle):

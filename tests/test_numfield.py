@@ -1,20 +1,23 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cutval.basedomain import valuation_ring
 from cutval.errors import ConfigError, StructuralError
-from cutval.numfield import (Polynomial, RationalFunction, ValuedField, _cleared, _exact_quo,
+from cutval.numfield import (Polynomial, RationalFunction, ValuedField, _cleared, _zt_quo,
                              _int_p_exponent, composite_valuation, format_rational,
                              format_ratfunc, is_prime, parse_ratfunc,
                              parse_rational, poly_gcd, vp)
-from cutval.samplers import sample_ratfunc, sample_scalar
+from cutval.samplers import sample_in_domain, sample_ratfunc, sample_scalar
 from cutval.sampling import SampleSpec, SplitMix64, sample_rational
-from test_kernel import (poly_divmod_reference, poly_mul_reference, ratfunc_add_reference,
-                         ratfunc_mul_reference)
+from test_kernel import (poly_divmod_reference, poly_gcd_reference, poly_mul_reference,
+                         primitive_reference, ratfunc_add_reference, ratfunc_mul_reference,
+                         ratfunc_pool, t_order)
 
 
 def test_vp_examples():
@@ -74,15 +77,18 @@ def test_is_prime_matches_trial_division():
 
 
 def test_exact_quo_refuses_a_non_divisor():
-    a = Polynomial((1, 1, 1))                       # t^2 + t + 1
-    for g in (Polynomial.T,                         # quotient t + 1 in Z[t], remainder 1
-              Polynomial((Fraction(1, 2), 1)),      # 2t + 1 does not divide lc(a)
-              Polynomial((1, 0, 1)),                # same degree, remainder t
-              Polynomial((0, 0, 0, 1))):            # higher degree
+    """The exact quotient in Z[t], `_zt_quo`, refuses a divisor that leaves
+    a remainder or no integral quotient."""
+    a = [1, 1, 1]                                   # t^2 + t + 1
+    for g in ([0, 1],                               # quotient t + 1 in Z[t], remainder 1
+              [1, 2],                               # 2t + 1 does not divide lc(a)
+              [1, 0, 1],                            # same degree, remainder t
+              [0, 0, 0, 1]):                        # higher degree
         with pytest.raises(ArithmeticError, match="does not divide"):
-            _exact_quo(a, g)
-    assert _exact_quo(a * Polynomial((Fraction(1, 2), 1)), Polynomial((Fraction(1, 2), 1))) == a
-    assert _exact_quo(Polynomial.ZERO, Polynomial.T) == Polynomial.ZERO
+            _zt_quo(a, g)
+    half_plus_t = Polynomial((Fraction(1, 2), 1))
+    assert _zt_quo(poly_mul_reference(Polynomial(a), half_plus_t).ints, half_plus_t.ints) == a
+    assert _zt_quo([], [0, 1]) == []
 
 
 def test_composite_examples():
@@ -90,7 +96,7 @@ def test_composite_examples():
     assert composite_valuation(2, f) == (3, 2)
     g = RationalFunction(Polynomial((Fraction(3, 2),)), Polynomial.T)  # 3/(2t)
     assert composite_valuation(2, g) == (-1, -1)
-    h = RationalFunction(Polynomial((0, 1)) * Polynomial((1, 1)))      # t(1+t)
+    h = RationalFunction(poly_mul_reference(Polynomial((0, 1)), Polynomial((1, 1))))  # t(1+t)
     assert composite_valuation(2, h) == (1, 0)
     assert composite_valuation(2, RationalFunction.ZERO) is None
 
@@ -138,12 +144,11 @@ def test_element_with_value_over_qt_is_the_reduced_quotient(p):
     field = ValuedField("Qt", p)
     for n in range(-3, 4):
         for a in range(-3, 4):
-            num = Polynomial((Fraction(p) ** a,)) * Polynomial((0,) * max(n, 0) + (1,))
+            num = Polynomial((0,) * max(n, 0) + (Fraction(p) ** a,))
             expected = RationalFunction(num, Polynomial((0,) * max(-n, 0) + (1,)))
             got = field.element_with_value((n, a))
             assert got == expected and field.value(got) == (n, a)
-            assert_clearing(got.num)
-            assert_clearing(got.den)
+            assert_canonical(got)
 
 
 def test_rational_text():
@@ -156,14 +161,11 @@ def test_rational_text():
 
 
 def test_polynomial_arithmetic():
-    t = Polynomial.T
-    one = Polynomial.ONE
-    assert (one + t) * (one - t) == Polynomial((1, 0, -1))
-    q, r = poly_divmod_reference(Polynomial((1, 0, -1)), one + t)
-    assert q == one - t and r.is_zero()
-    assert poly_gcd(Polynomial((1, 0, -1)), (one + t) * (one + t)) == one + t
-    assert Polynomial((0, 0, 2)).ord() == 2
-    assert Polynomial().is_zero()
+    one_plus_t, one_minus_t = Polynomial((1, 1)), Polynomial((1, -1))
+    q, r = poly_divmod_reference(Polynomial((1, 0, -1)), one_plus_t)
+    assert q == one_minus_t and r.is_zero()
+    assert poly_gcd(Polynomial((1, 0, -1)), poly_mul_reference(one_plus_t, one_plus_t)) == one_plus_t
+    assert Polynomial().is_zero() and not Polynomial() and Polynomial.T
 
 
 def test_ratfunc_repr_is_its_canonical_text():
@@ -182,8 +184,30 @@ def test_ratfunc_canonical_and_roundtrip():
         g = sample_ratfunc(rng, spec, 2)
         assert parse_ratfunc(format_ratfunc(g)) == g
         if not g.is_zero():
-            assert g.den.leading_coeff() == 1
+            assert g.den.coeffs[-1] == 1
             assert poly_gcd(g.num, g.den).degree <= 0
+
+
+def test_every_ratfunc_is_its_canonical_pair():
+    """The reducing constructor, parse_ratfunc, element_with_value, the Q(t)
+    samplers, and the operators on ratfunc_pool() pairwise all make the
+    canonical pair (`assert_canonical`)."""
+    pool = ratfunc_pool()
+    made = list(pool)
+    for f in pool:
+        made += [-f, RationalFunction(f.num, f.den), parse_ratfunc(format_ratfunc(f))]
+        for g in pool:
+            made += [f + g, f - g, f * g] + ([f / g] if g else [])
+    made += [parse_ratfunc(text) for text in ("[1,0,-1]/[2,2]", "[0,0,4]/[0,-6]", "[1/2]/[-3]",
+                                              "[0,0]/[5]", "[6,-9]/[-4,6]", "-7/21")]
+    field = ValuedField("Qt", 3)
+    made += [field.element_with_value((n, a)) for n in range(-3, 4) for a in range(-3, 4)]
+    spec = SampleSpec(seed=331, count=0, coef_bound=5, max_p_exp=2, poly_degree=3)
+    rng = spec.rng()
+    made += [sample_ratfunc(rng, spec, 3) for _ in range(300)]
+    made += [sample_in_domain(rng, spec, valuation_ring(field)) for _ in range(300)]
+    for f in made:
+        assert_canonical(f)
 
 
 def test_valued_field_scalar_coercion():
@@ -219,14 +243,14 @@ rationals = st.builds(lambda n, d, e: Fraction(n, d) * Fraction(3) ** e,
 def _product(fs):
     out = Polynomial.ONE
     for f in fs:
-        out = out * f
+        out = poly_mul_reference(out, f)
     return out
 
 
 # products of a few linear factors, so that numerators and denominators
 # often share a factor
 factored = st.builds(
-    lambda c, fs: Polynomial((c,)) * _product(fs),
+    lambda c, fs: poly_mul_reference(Polynomial((c,)), _product(fs)),
     rationals.filter(bool),
     st.lists(st.sampled_from([Polynomial.T, Polynomial((-1, 1)), Polynomial((1, 1)),
                               Polynomial((2, 1)), Polynomial((1, 3))]), max_size=3))
@@ -235,12 +259,21 @@ ratfuncs = st.builds(RationalFunction, polys, polys.filter(bool))
 
 
 def assert_canonical(f):
+    """f is stored as its canonical pair n/d in Z[t]: no trailing zeros,
+    Q[t]-gcd 1 by the Euclid reference, integer content 1 and lc(d) > 0,
+    0 as [] over [1]; its views num and den are clearings, n and d over
+    lc(d), so den is monic."""
+    n, d = f._n, f._d
+    assert (not n or n[-1]) and d and d[-1] > 0
+    assert gcd(*n, *d) == 1
+    if not n:
+        assert d == [1]
+    else:
+        assert poly_gcd_reference(Polynomial(n), Polynomial(d)) == Polynomial.ONE
     assert_clearing(f.num)
     assert_clearing(f.den)
-    assert f.den.leading_coeff() == 1
-    assert poly_gcd(f.num, f.den) == Polynomial.ONE
-    if f.is_zero():
-        assert f.den == Polynomial.ONE
+    assert f.num.coeffs == tuple(Fraction(x, d[-1]) for x in n)
+    assert f.den.coeffs == tuple(Fraction(x, d[-1]) for x in d)
 
 
 @PROPERTY
@@ -271,7 +304,7 @@ def composite_valuation_reference(p, f):
     """v_p of the lowest coefficient taken as one Fraction quotient."""
     if f.is_zero():
         return None
-    on, od = f.num.ord(), f.den.ord()
+    on, od = t_order(f.num), t_order(f.den)
     (e,) = vp(p, f.num.coeffs[on] / f.den.coeffs[od])
     return (on - od, e)
 
@@ -312,75 +345,56 @@ HALF = Polynomial((Fraction(-1, 2),))
 @example(Polynomial((Fraction(-2, 3), 0, Fraction(9, 4))), Polynomial((6, Fraction(-1, 6))),
          Polynomial((Fraction(1, 3), 1)))                                       # both non-constant
 def test_kernels_carry_the_canonical_clearing(a, b, c):
-    ab = a * b
-    assert ab.coeffs == poly_mul_reference(a, b).coeffs
-    assert_clearing(ab)
-    ac, bc = a * c, b * c
+    """poly_gcd gives a clearing, _zt_quo takes the primitive multiple of c
+    back off a*c's integers, and every scalar result is canonical."""
+    ac, bc = poly_mul_reference(a, c), poly_mul_reference(b, c)
     h = poly_gcd(ac, bc)
     assert_clearing(h)
     if c:
-        q = _exact_quo(ac, c.monic())
-        assert q.coeffs == a.scale(c.leading_coeff()).coeffs
+        pc = primitive_reference(c.ints)
+        q = Polynomial._from_ints(_zt_quo(ac.ints, pc), ac.den)
+        assert poly_mul_reference(q, Polynomial(pc)) == ac
         assert_clearing(q)
     if b:
         r = RationalFunction(a, b)
         f = RationalFunction(b, c) if c else r
         results = [r, r + f, r - f, r * f] + ([r / f] if f else [])
         for g in results:
-            assert_clearing(g.num)
-            assert_clearing(g.den)
-
-
-def strip_reference(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+            assert_canonical(g)
 
 
 @PROPERTY
-@given(polys, polys, rationals)
-@example(Polynomial((1, 2, 3)), Polynomial((1, 2, 3)), Fraction(0))           # a - b = 0
-@example(Polynomial((0, 1, 1)), Polynomial((0, 0, -1)), Fraction(-1, 3))      # top terms cancel
-@example(Polynomial.ONE, Polynomial((Fraction(1, 2), 1)), Fraction(2))       # a side is 1
-def test_every_polynomial_result_is_canonical(a, b, c):
-    """The constructor, _from_ints, + - scale monic and * (for its shortcut
-    by 1) give the canonical clearing, with the coefficients of the Fraction
-    reference; the kernels' results are checked above."""
+@given(polys)
+@example(Polynomial((0, 1, 1)))
+@example(Polynomial((Fraction(-1, 2), 3)))
+@example(Polynomial.ONE)
+def test_every_polynomial_result_is_canonical(a):
+    """The constructor, _from_ints and monic give the canonical clearing,
+    with the coefficients of the Fraction reference; the kernels' results
+    are checked above."""
     ints, den = _cleared(a.coeffs)
     made = [Polynomial(a.coeffs + (Fraction(0),)),
             Polynomial._from_ints([6 * x for x in ints] + [0], 6 * den)]
     for p in made:
         assert_clearing(p)
         assert p == a and hash(p) == hash(a)
-    n = max(len(a.coeffs), len(b.coeffs))
-    pad = lambda p: p.coeffs + (Fraction(0),) * (n - len(p.coeffs))
-    expected = [
-        (a + b, strip_reference(x + y for x, y in zip(pad(a), pad(b)))),
-        (a - b, strip_reference(x - y for x, y in zip(pad(a), pad(b)))),
-        (-a, tuple(-x for x in a.coeffs)),
-        (a * b, poly_mul_reference(a, b).coeffs),
-        (a.scale(c), strip_reference(c * x for x in a.coeffs)),
-        (a.monic(), tuple(x / a.coeffs[-1] for x in a.coeffs) if a else ()),
-    ]
-    for p, coeffs in expected:
-        assert_clearing(p)
-        assert p.coeffs == coeffs
+    assert_clearing(a.monic())
+    assert a.monic().coeffs == (tuple(x / a.coeffs[-1] for x in a.coeffs) if a else ())
 
 
 def test_equal_polynomials_by_different_routes_are_equal():
     half_plus_t = Polynomial((Fraction(1, 2), 1))
-    routes = [Polynomial._from_ints([2, 4], 4), Polynomial._from_ints([-3, -6, 0], 6).scale(-1),
-              Polynomial((1, 2)).scale(Fraction(1, 2)), Polynomial((1, 2)).monic(),
-              Polynomial.T + Polynomial((Fraction(1, 2),)),
-              (Polynomial((1, 2)) * Polynomial((3,))).scale(Fraction(1, 6)),
-              Polynomial((Fraction(1, 2), 1, 5)) - Polynomial((0, 0, 5)),
-              _exact_quo(half_plus_t * Polynomial.T, Polynomial.T)]
+    routes = [Polynomial._from_ints([2, 4], 4), Polynomial._from_ints([3, 6, 0], 6),
+              Polynomial((Fraction(2, 4), 1, 0)), Polynomial((1, 2)).monic(),
+              Polynomial((Fraction(-3, 2), -3)).monic(),
+              RationalFunction(Polynomial((1, 2)), Polynomial((2,))).num,   # the views of scalars
+              RationalFunction(Polynomial((0, 3, 6)), Polynomial((0, 6))).num,
+              RationalFunction(Polynomial.ONE, Polynomial((1, 2))).den]
     for p in routes:
         assert p == half_plus_t and hash(p) == hash(half_plus_t)
         assert (p.ints, p.den) == ([1, 2], 2)
     assert len({RationalFunction(p, Polynomial.T) for p in routes}) == 1
-    for zero in (Polynomial.T - Polynomial.T, Polynomial._from_ints([0, 0], 7), Polynomial.T.scale(0)):
+    for zero in (Polynomial((0, 0)), Polynomial._from_ints([0, 0], 7), RationalFunction.ZERO.num):
         assert zero == Polynomial.ZERO and (zero.ints, zero.den) == ([], 1)
 
 
@@ -390,23 +404,23 @@ def sample_ratfunc_divmod_reference(rng, spec, p):
     num = Polynomial(tuple(sample_rational(rng, spec, p) for _ in range(deg + 1)))
     shape = rng.randrange(3)
     if shape == 0 or num.is_zero():
-        return RationalFunction._reduced(num, Polynomial.ONE), False
+        return RationalFunction(num), False
     if shape == 1:
         k = rng.randint(1, 2)
-        j = min(num.ord(), k)
+        j = min(t_order(num), k)
         den = Polynomial((0,) * (k - j) + (1,))
-        return RationalFunction._reduced(Polynomial(num.coeffs[j:]), den), False
+        return RationalFunction(Polynomial(num.coeffs[j:]), den), False
     c = sample_rational(rng, spec, p)  # for c = 0 the divisor is 1
     quo, rem = poly_divmod_reference(num, Polynomial((Fraction(1), c)))
     if not rem:
-        return RationalFunction._reduced(quo, Polynomial.ONE), c != 0
-    return RationalFunction._reduced(num.scale(1 / c), Polynomial((1 / c, Fraction(1)))), False
+        return RationalFunction(quo), c != 0
+    return RationalFunction(num, Polynomial((Fraction(1), c))), False
 
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_sample_ratfunc_matches_divmod_reference(p, degree):
-    """2,000 draws with the 1 + c*t branch on _exact_quo are the draws of the
+    """2,000 draws with the 1 + c*t branch on _zt_quo are the draws of the
     divmod branch, and leave the stream where it did."""
     spec = SampleSpec(seed=400 + 10 * p + degree, count=0, coef_bound=2, max_p_exp=1,
                       poly_degree=degree)
@@ -417,7 +431,6 @@ def test_sample_ratfunc_matches_divmod_reference(p, degree):
         expected, by_divisor = sample_ratfunc_divmod_reference(ref_rng, spec, p)
         assert (got.num.coeffs, got.den.coeffs) == (expected.num.coeffs, expected.den.coeffs)
         assert rng.state == ref_rng.state
-        assert_clearing(got.num)
-        assert_clearing(got.den)
+        assert_canonical(got)
         divided += by_divisor
     assert divided > 0  # 1 + c*t divided the numerator in some draws

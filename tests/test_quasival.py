@@ -8,7 +8,7 @@ from cutval.algebra import (PolynomialAlgebra, _Rows, coordinate_rows, matrix_al
                             matrix_element, quadratic_algebra)
 from cutval.basedomain import integers, p_local, valuation_ring
 from cutval.cuts import INF, at_most, embed_phi, value_compare, zero_cut
-from cutval.errors import ConfigError
+from cutval.errors import ConfigError, DomainError
 from cutval.numfield import RationalFunction, ValuedField
 from cutval.oracle import brute_support
 from cutval.orders import (IdealSpec, LatticeModule, SubringOracle, _lattice, descend_chain,
@@ -232,6 +232,16 @@ def test_qv_compare_incomparable_orders(m2, m2_qv):
 def test_compare_verdict_renders_relation_and_samples(m2_qv):
     verdict = qv_compare(m2_qv, m2_qv, SampleSpec(seed=59, count=5))
     assert str(verdict) == "qv-compare: equal-on-samples (n=10)"
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_qv_compare_refuses_a_spec_without_samples(m2, m2_qv, count):
+    """With no samples the comparison would read equal on nothing, and
+    with only extra points on those alone: both are refused."""
+    spec = SampleSpec(seed=59, count=count)
+    for extra in ((), (m2.basis_vector(1),)):
+        with pytest.raises(DomainError, match="at least one sample"):
+            qv_compare(m2_qv, m2_qv, spec, extra_points=extra)
 
 
 def test_qv_compare_self_and_mismatch(m2, m2_qv, field_q):

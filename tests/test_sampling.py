@@ -15,6 +15,7 @@ from cutval.errors import DomainError
 from cutval.numfield import ValuedField
 from cutval.samplers import sample_in_domain, sample_ratfunc, sample_scalar
 from cutval.sampling import SampleSpec, SplitMix64
+from test_kernel import t_order
 from test_numfield import assert_clearing
 
 MASK = 2 ** 64 - 1
@@ -88,7 +89,7 @@ def lift_reference(rng, spec, field):
     if v is None or v >= (0, 0):
         return f, None
     n, a = max(0, -v[0]), max(0, -v[1])
-    return f * field.element_with_value((n, a)), min(n, f.den.ord())
+    return f * field.element_with_value((n, a)), min(n, t_order(f.den))
 
 
 @pytest.mark.parametrize("p", [2, 3])
